@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race live-race chaos node-smoke durability-smoke repair-smoke vet lint bench bench-json bench-qps bench-qps-smoke experiments experiments-paper examples clean
+.PHONY: all build test test-short test-race live-race chaos node-smoke durability-smoke repair-smoke vet lint bench bench-check experiments experiments-paper examples clean
 
 all: build vet lint test
 
@@ -89,31 +89,18 @@ repair-smoke:
 	$(GO) test -race -count=1 -run 'Replica|AntiEntropy|FailureDetector|Publish|ClientMut|HostileRep' ./internal/runtime/netrt
 	$(GO) run -race ./cmd/lmchaos -procs 4 -objects 1024 -dim 4 -queries 120 -clients 6 -churn 3 -replicas 1 -kill-dead
 
+# One iteration of every kernel benchmark under internal/*: catches a
+# benchmark that crashes or asserts, not a timing.
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x -run '^$$' ./...
 
-# Machine-readable benchmark report via the regression harness
-# (cmd/lmbench). Compare two reports with:
-#   go run ./cmd/lmbench -diff BENCH_pr8.json BENCH.json
-bench-json:
-	$(GO) run ./cmd/lmbench -out BENCH.json
-
-# Open-loop sustained-throughput benchmark (DESIGN.md §13): fixed
-# offered qps against a live platform across the plain / batched /
-# sharded / batched-sharded variant matrix, reporting p50/p99 latency
-# and frames/bytes per query. Every complete answer is recall-checked
-# against brute force.
-bench-qps:
-	$(GO) run ./cmd/lmbench -qps
-
-# CI's throughput smoke: a small offered load that a shared runner can
-# sustain. -qps-require-complete makes the exit status the gate: every
-# query must come back Complete with zero transport sheds, zero
-# admission rejections and zero recall mismatches.
-bench-qps-smoke:
-	$(GO) run ./cmd/lmbench -qps -qps-offered 100 -qps-duration 2s -qps-warmup 500ms \
-		-qps-nodes 24 -qps-objects 2000 -qps-variants plain,batched,sharded \
-		-qps-require-complete -out /dev/null
+# bench/ is its own module (landmarkdht/bench, replace => ../), so the
+# root build, vet, test and lint never see it. This compiles, vets,
+# self-tests and lints it against the current tree, so a signature it
+# uses (lm.Options, lm.Traffic, wire.*, core.*) cannot move under its
+# feet unnoticed. The benchmark itself is `bash bench/run.sh`.
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test . && $(GO) run landmarkdht/cmd/lmlint ./...
 
 # Quick qualitative reproduction of every table/figure (~2 min).
 experiments:

@@ -69,8 +69,6 @@ func realMain() int {
 		replicas = flag.Int("replicas", 0, "with -procs: each member streams its region to this many ring successors")
 		killDead = flag.Bool("kill-dead", false, "with -procs and -replicas: kill one member without restart and require Complete exact answers while it stays dead")
 		qps      = flag.Float64("qps", 0, "fixed offered load in queries per second across all clients (0 = closed loop)")
-		execs    = flag.Int("executors", 0, "shard index work across this many executors (0/1 = single protocol executor)")
-		batchDly = flag.Duration("batch-delay", 0, "destination-batch flush deadline (0 = batching off)")
 		maxAct   = flag.Int("max-active", 0, "admission cap on concurrent queries (0 = unlimited)")
 	)
 	flag.Parse()
@@ -109,8 +107,6 @@ func realMain() int {
 		Retry:            lm.RetryConfig{MaxRetries: 3},
 		Deadline:         10 * time.Second,
 		Hedge:            lm.HedgeConfig{Delay: 250 * time.Millisecond},
-		Batch:            lm.BatchOptions{MaxDelay: *batchDly},
-		Executors:        *execs,
 		MaxActiveQueries: *maxAct,
 	})
 	if err != nil {
@@ -283,8 +279,7 @@ func realMain() int {
 	fmt.Printf("lmchaos: %d queries in %v (%.0f qps), %.1f results/query\n",
 		agg.n, elapsed.Round(time.Millisecond), float64(agg.n)/elapsed.Seconds(),
 		float64(agg.resultCnt)/float64(max(agg.n, 1)))
-	fmt.Printf("lmchaos: traffic: %d messages in %d frames, %d bytes\n",
-		tr.Messages, tr.Frames, tr.Bytes)
+	fmt.Printf("lmchaos: traffic: %d messages, %d bytes\n", tr.Messages, tr.Bytes)
 	if agg.n > 0 {
 		fmt.Printf("lmchaos: mean latency %v, max %v\n",
 			(agg.totalLat / time.Duration(agg.n)).Round(time.Microsecond),

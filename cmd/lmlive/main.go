@@ -4,6 +4,11 @@
 // kNN queries concurrently. It spot-checks every range result against
 // a brute-force scan and reports throughput, latency and traffic.
 //
+// The ring is fault-free and queries carry no deadline, so the run
+// exits 1 not only on a brute-force mismatch but on any incomplete
+// range result, transport shed or admission rejection: at a load the
+// machine sustains, none of them may happen.
+//
 // Usage:
 //
 //	lmlive                          # 32 nodes, 4000 objects, 8 clients
@@ -175,12 +180,35 @@ func realMain() int {
 	fmt.Printf("lmlive: overlay traffic %d msgs, %d bytes\n", tr.Messages, tr.Bytes)
 	fmt.Printf("lmlive: completeness: %d/%d range results complete (%d incomplete, %d uncovered regions)\n",
 		agg.ranges-agg.incomplete, agg.ranges, agg.incomplete, agg.uncovered)
-	if agg.mismatch > 0 {
-		fmt.Fprintf(os.Stderr, "lmlive: %d range queries disagreed with brute force\n", agg.mismatch)
+	failures := runFailures(agg.mismatch, agg.incomplete, p.Reliability())
+	for _, f := range failures {
+		fmt.Fprintf(os.Stderr, "lmlive: %s\n", f)
+	}
+	if len(failures) > 0 {
 		return 1
 	}
-	fmt.Println("lmlive: all complete range results verified against brute force")
+	fmt.Println("lmlive: all range results complete and verified against brute force, nothing shed")
 	return 0
+}
+
+// runFailures is the exit decision: every way a fault-free,
+// deadline-free run can fall short, each with its count. An empty
+// result means exit 0.
+func runFailures(mismatch, incomplete int, rel lm.ReliabilityStats) []string {
+	var out []string
+	if mismatch > 0 {
+		out = append(out, fmt.Sprintf("%d range queries disagreed with brute force", mismatch))
+	}
+	if incomplete > 0 {
+		out = append(out, fmt.Sprintf("%d range results came back incomplete on a fault-free ring", incomplete))
+	}
+	if rel.TransportShed > 0 {
+		out = append(out, fmt.Sprintf("%d deliveries shed by the transport inbox", rel.TransportShed))
+	}
+	if rel.AdmissionRejected > 0 {
+		out = append(out, fmt.Sprintf("%d queries rejected at admission", rel.AdmissionRejected))
+	}
+	return out
 }
 
 // matchesExact verifies a range result against a brute-force scan.

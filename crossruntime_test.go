@@ -30,7 +30,7 @@ func TestCrossRuntimeEquivalence(t *testing.T) {
 		ids   []int
 		dists []float64
 	}
-	run := func(live, resilient, throughput bool) []norm {
+	run := func(live, resilient bool) []norm {
 		t.Helper()
 		opts := Options{Nodes: nodes, Seed: seed, WireCodec: true, Live: live}
 		if resilient {
@@ -41,16 +41,6 @@ func TestCrossRuntimeEquivalence(t *testing.T) {
 			opts.Retry = RetryConfig{MaxRetries: 3}
 			opts.Deadline = 30 * time.Second
 			opts.Hedge = HedgeConfig{Delay: 5 * time.Second}
-		}
-		if throughput {
-			// Destination batching on both runtimes, plus sharded
-			// executors on the live one: coalescing frames and fanning
-			// store scans out across executors must not change a single
-			// result either.
-			opts.Batch = BatchOptions{MaxDelay: 2 * time.Millisecond}
-			if live {
-				opts.Executors = 4
-			}
 		}
 		p, err := New(opts)
 		if err != nil {
@@ -120,20 +110,14 @@ func TestCrossRuntimeEquivalence(t *testing.T) {
 		}
 	}
 
-	sim := run(false, false, false)
-	liv := run(true, false, false)
+	sim := run(false, false)
+	liv := run(true, false)
 	compare("plain", sim, liv)
 	// Same workload with the resilience machinery armed: with no faults
 	// to provoke it, the hedge/deadline timers must not change a single
 	// result on either runtime.
-	simR := run(false, true, false)
-	livR := run(true, true, false)
+	simR := run(false, true)
+	livR := run(true, true)
 	compare("resilient", simR, livR)
 	compare("plain-vs-resilient", sim, simR)
-	// And with the throughput machinery on — destination batching plus
-	// (live only) multi-executor sharding: still byte-identical results.
-	simB := run(false, false, true)
-	livB := run(true, false, true)
-	compare("throughput", simB, livB)
-	compare("plain-vs-throughput", sim, simB)
 }

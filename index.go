@@ -381,10 +381,8 @@ func (ix *Index[T]) Insert(obj T) (int, error) {
 	id := len(ix.objects)
 	if ix.p.live != nil {
 		// The objects slice is read by Dist closures on the protocol
-		// executor and, when Options.Executors shards index work, on the
-		// shard executors too; publish the append through Do (which
-		// quiesces every executor) so all of them observe it before the
-		// entry can land anywhere.
+		// executor; publish the append through Do so the executor
+		// observes it before the entry can land anywhere.
 		if err := ix.p.live.Do(func() { ix.objects = append(ix.objects, obj) }); err != nil {
 			return 0, err
 		}

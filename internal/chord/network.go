@@ -30,10 +30,6 @@ const (
 	// KindAck covers delivery acknowledgements of the reliable
 	// subquery-delivery layer.
 	KindAck
-	// KindBatch covers the shared envelope overhead of destination
-	// batches (each batched member's trimmed bytes stay charged to its
-	// own kind, so per-kind totals remain comparable across modes).
-	KindBatch
 	numKinds
 )
 
@@ -52,32 +48,20 @@ func (k MsgKind) String() string {
 		return "transfer"
 	case KindAck:
 		return "ack"
-	case KindBatch:
-		return "batch"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
 }
 
-// Traffic accumulates per-kind message and byte counts. Frames counts
-// physical transport sends: without batching every message is its own
-// frame; with destination batching a whole batch is one frame, which
-// is where the bandwidth win (fewer packet headers) comes from.
+// Traffic accumulates per-kind message and byte counts.
 type Traffic struct {
-	Msgs   [numKinds]int64
-	Bytes  [numKinds]int64
-	Frames int64
+	Msgs  [numKinds]int64
+	Bytes [numKinds]int64
 }
 
 // Add records one message of the given kind and size.
 func (t *Traffic) Add(kind MsgKind, bytes int) {
 	t.Msgs[kind]++
-	t.Bytes[kind] += int64(bytes)
-}
-
-// AddBytes charges bytes to a kind without counting a message: the
-// destination-batch envelope, whose members are counted individually.
-func (t *Traffic) AddBytes(kind MsgKind, bytes int) {
 	t.Bytes[kind] += int64(bytes)
 }
 
@@ -110,10 +94,6 @@ type Config struct {
 	// Send. Decisions are drawn from the engine RNG, so trials stay
 	// reproducible for a given seed.
 	Faults *FaultPlan
-	// Batch, when enabled (MaxDelay > 0), coalesces query, result and
-	// ack messages bound for the same destination into one batched
-	// frame (wire.Batch), flushed on a small time/size budget.
-	Batch BatchConfig
 }
 
 // DefaultConfig returns the paper's parameters.
@@ -131,7 +111,6 @@ func (c *Config) fillDefaults() {
 	if c.MaintenanceBytes <= 0 {
 		c.MaintenanceBytes = 40
 	}
-	c.Batch.fillDefaults()
 }
 
 // Network is the overlay: the set of live nodes, the latency model,
@@ -152,9 +131,6 @@ type Network struct {
 	// pool recycles inflight records so the per-message delivery path
 	// allocates nothing in steady state (DESIGN.md §9).
 	pool []*inflight
-	// batches holds the open per-destination batches while destination
-	// batching is enabled (batch.go); nil otherwise.
-	batches map[batchKey]*pendingBatch
 }
 
 // NewNetwork creates an empty overlay driven by a simulation engine —
@@ -331,12 +307,7 @@ func (n *Network) SendPayload(from *Node, to ID, kind MsgKind, payload []byte, d
 // handoff to the transport with the pooled inflight record as the
 // prebound delivery argument.
 func (n *Network) send(from *Node, to ID, kind MsgKind, bytes int, payload []byte, deliver func(dst *Node), failed func()) {
-	if n.cfg.Batch.Enabled() && batchable(kind) {
-		n.enqueueBatch(from, to, kind, bytes, payload, deliver, failed)
-		return
-	}
 	n.traffic.Add(kind, bytes)
-	n.traffic.Frames++
 	dst, ok := n.nodes[to]
 	if !ok {
 		// Destination unknown at send time: the message is charged and
@@ -370,7 +341,6 @@ func (n *Network) send(from *Node, to ID, kind MsgKind, bytes int, payload []byt
 		// duplicate means nothing, and firing the real one twice would
 		// double-account the loss.
 		n.traffic.Add(kind, bytes)
-		n.traffic.Frames++
 		d := n.acquireInflight()
 		d.net, d.from, d.to, d.deliver, d.failed = n, from, to, deliver, nil
 		n.tr.Send(uint64(to), 2*delay, payload, runInflight, d)

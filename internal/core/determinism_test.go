@@ -33,11 +33,7 @@ import (
 // resilience machinery — per-query deadlines, subquery hedging to
 // successor replicas, and query/ack duplication — whose timers and
 // random draws must be just as seed-stable.
-//
-// With batched set, destination batching coalesces the query/result/ack
-// traffic: the flush timers and per-member fault draws must be
-// seed-stable too, and the shipped frame count joins the trace.
-func seedStabilityTrace(t *testing.T, seed int64, resilient, batched bool) string {
+func seedStabilityTrace(t *testing.T, seed int64, resilient bool) string {
 	t.Helper()
 	const (
 		nNodes = 24
@@ -58,9 +54,6 @@ func seedStabilityTrace(t *testing.T, seed int64, resilient, batched bool) strin
 		cfg.Chord.Faults.Duplicate(0.05)
 		cfg.Deadline = 20 * time.Second
 		cfg.Hedge = HedgeConfig{Delay: 200 * time.Millisecond}
-	}
-	if batched {
-		cfg.Chord.Batch = chord.BatchConfig{MaxDelay: 5 * time.Millisecond}
 	}
 	sys := NewSystem(eng, model, cfg)
 
@@ -163,11 +156,10 @@ func seedStabilityTrace(t *testing.T, seed int64, resilient, batched bool) strin
 	for qi := 6; qi < 12; qi++ {
 		runQuery(qi)
 	}
-	tr := sys.Network().Traffic()
-	fmt.Fprintf(&b, "loads=%v total=%d dropped=%d retries=%d recovered=%d injected=%d hedges=%d duplicated=%d frames=%d\n",
+	fmt.Fprintf(&b, "loads=%v total=%d dropped=%d retries=%d recovered=%d injected=%d hedges=%d duplicated=%d\n",
 		sys.Loads(), sys.TotalEntries(),
 		sys.DroppedSubqueries, sys.RetriesIssued, sys.RecoveredSubqueries,
-		cfg.Chord.Faults.TotalDropped(), sys.HedgesIssued, cfg.Chord.Faults.Duplicated, tr.Frames)
+		cfg.Chord.Faults.TotalDropped(), sys.HedgesIssued, cfg.Chord.Faults.Duplicated)
 	fmt.Fprintf(&b, "engine now=%v processed=%d\n", eng.Now(), eng.Processed())
 	return b.String()
 }
@@ -176,12 +168,12 @@ func seedStabilityTrace(t *testing.T, seed int64, resilient, batched bool) strin
 // must yield byte-identical traces, and a different seed must not (so
 // the assertion is not vacuous).
 func TestSeedStability(t *testing.T) {
-	first := seedStabilityTrace(t, 42, false, false)
-	second := seedStabilityTrace(t, 42, false, false)
+	first := seedStabilityTrace(t, 42, false)
+	second := seedStabilityTrace(t, 42, false)
 	if first != second {
 		t.Fatalf("same seed produced different traces:\n%s", firstDiff(first, second))
 	}
-	other := seedStabilityTrace(t, 43, false, false)
+	other := seedStabilityTrace(t, 43, false)
 	if other == first {
 		t.Fatal("different seeds produced identical traces; the stability assertion is vacuous")
 	}
@@ -203,68 +195,15 @@ func TestSeedStability(t *testing.T) {
 // timers and random draws must be a pure function of the seed too, and
 // must actually change the execution (the knobs are not dead).
 func TestSeedStabilityResilient(t *testing.T) {
-	first := seedStabilityTrace(t, 42, true, false)
-	second := seedStabilityTrace(t, 42, true, false)
+	first := seedStabilityTrace(t, 42, true)
+	second := seedStabilityTrace(t, 42, true)
 	if first != second {
 		t.Fatalf("same seed produced different traces:\n%s", firstDiff(first, second))
 	}
-	plain := seedStabilityTrace(t, 42, false, false)
+	plain := seedStabilityTrace(t, 42, false)
 	if plain == first {
 		t.Fatal("resilience knobs changed nothing; the variant is vacuous")
 	}
-}
-
-// TestSeedStabilityBatched repeats the seed-stability contract with
-// destination batching switched on: flush deadlines and the per-member
-// fault draws must stay a pure function of the seed, query results must
-// not change at all, and the frame count must actually drop (batching
-// is not dead under the workload).
-func TestSeedStabilityBatched(t *testing.T) {
-	first := seedStabilityTrace(t, 42, true, true)
-	second := seedStabilityTrace(t, 42, true, true)
-	if first != second {
-		t.Fatalf("same seed produced different traces:\n%s", firstDiff(first, second))
-	}
-	unbatched := seedStabilityTrace(t, 42, true, false)
-	if unbatched == first {
-		t.Fatal("batching changed nothing; the variant is vacuous")
-	}
-	// Batching must not change what any query returned: every per-query
-	// result line is identical; only timings, traffic and the trace's
-	// engine bookkeeping may move.
-	if a, b := resultLines(unbatched), resultLines(first); a != b {
-		t.Fatalf("batching changed query results:\n%s", firstDiff(a, b))
-	}
-	if fu, fb := framesCount(t, unbatched), framesCount(t, first); fb >= fu {
-		t.Fatalf("batching did not reduce frames: %d unbatched vs %d batched", fu, fb)
-	}
-}
-
-// resultLines extracts just the "results=..." portions of a stability
-// trace, dropping timing-bearing stats.
-func resultLines(trace string) string {
-	var b strings.Builder
-	for _, line := range strings.Split(trace, "\n") {
-		if i := strings.Index(line, " results="); i >= 0 {
-			b.WriteString(line[i+1:])
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
-}
-
-// framesCount parses the frames= counter off a stability trace.
-func framesCount(t *testing.T, trace string) int64 {
-	t.Helper()
-	i := strings.LastIndex(trace, "frames=")
-	if i < 0 {
-		t.Fatal("trace has no frames counter")
-	}
-	var n int64
-	if _, err := fmt.Sscanf(trace[i:], "frames=%d", &n); err != nil {
-		t.Fatal(err)
-	}
-	return n
 }
 
 // firstDiff renders the first diverging line of two multi-line strings.

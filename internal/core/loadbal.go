@@ -66,12 +66,6 @@ func (s *System) EnableLoadBalancing(cfg LBConfig) error {
 	if s.hasReplicas() {
 		return fmt.Errorf("core: dynamic load migration cannot run on a replicated deployment")
 	}
-	if s.sharded() {
-		// Migration ticks run on the protocol executor and move entries
-		// between stores owned by different shard executors; quiescing
-		// the shards on every tick would defeat the point of sharding.
-		return fmt.Errorf("core: dynamic load migration requires a single-executor runtime")
-	}
 	lb := &lbController{sys: s, cfg: cfg}
 	s.lb = lb
 	for _, in := range s.Nodes() {

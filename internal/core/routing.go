@@ -737,43 +737,25 @@ func (s *System) surrogateRefine(n *IndexNode, aq *activeQuery, q query.Region, 
 }
 
 // answerLocal resolves one subquery against the node's local store and
-// ships the result back to the querier. The store scan and the
-// exact-distance refinement are the query's CPU cost: with shard
-// executors (runtime.Sharder) they run on the shard owning the node's
-// data while everything touching shared query state stays on the
-// protocol executor.
+// ships the result back to the querier.
 func (s *System) answerLocal(n *IndexNode, aq *activeQuery, q query.Region, hops int, tok int) {
 	if hops > aq.stats.Hops {
 		aq.stats.Hops = hops
-	}
-	if s.sharded() {
-		// Per-node scratch: a node's scans are serialized on its shard.
-		// The work closure only touches the node's own store and the
-		// query's immutable fields (payload, Dist, topK, r — Dist must
-		// be pure); the done closure rejoins the protocol executor.
-		var local []Result
-		var ncands int
-		s.shard.ExecShard(uint64(n.node.ID()), func() {
-			n.scanBuf = n.st.Scan(aq.ix.Name, q, n.scanBuf[:0])
-			local, ncands = refineLocal(aq, n.scanBuf)
-		}, func() {
-			s.answerDone(n, aq, q, hops, tok, local, ncands)
-		})
-		return
 	}
 	// Scan into the system-wide scratch buffer: the candidate list is
 	// fully consumed below before any other scan can run (the engine is
 	// single-threaded and Dist callbacks never re-enter the system).
 	s.scanBuf = n.st.Scan(aq.ix.Name, q, s.scanBuf[:0])
-	local, ncands := refineLocal(aq, s.scanBuf)
-	s.answerDone(n, aq, q, hops, tok, local, ncands)
+	s.answerDone(n, aq, q, hops, tok, refineLocal(aq, s.scanBuf), len(s.scanBuf))
 }
 
 // refineLocal applies exact-distance refinement (and the paper's
-// per-node top-k cut) to a scan's candidates. It only reads the
-// query's immutable fields, so it is safe on a shard executor.
-func refineLocal(aq *activeQuery, cands []Entry) (local []Result, ncands int) {
-	ncands = len(cands)
+// per-node top-k cut) to a scan's candidates. It stays a function of
+// its own: answerDone's escaping closures capture the result slice,
+// and building it in the same frame would move the slice header to the
+// heap — one allocation per answered subquery.
+func refineLocal(aq *activeQuery, cands []Entry) []Result {
+	var local []Result
 	for _, e := range cands {
 		d := aq.ix.Dist(aq.payload, e.Obj)
 		if aq.topK == 0 && d > aq.r {
@@ -787,11 +769,11 @@ func refineLocal(aq *activeQuery, cands []Entry) (local []Result, ncands int) {
 		sort.Slice(local, func(i, j int) bool { return local[i].Dist < local[j].Dist })
 		local = local[:aq.topK]
 	}
-	return local, ncands
+	return local
 }
 
-// answerDone is answerLocal's protocol-executor tail: accounting,
-// tracing, and result shipment for one locally answered subquery.
+// answerDone is answerLocal's tail: accounting, tracing, and result
+// shipment for one locally answered subquery.
 func (s *System) answerDone(n *IndexNode, aq *activeQuery, q query.Region, hops int, tok int, local []Result, ncands int) {
 	aq.stats.Candidates += ncands
 	nodeID := n.node.ID()

@@ -16,9 +16,8 @@ import (
 // region after a process restart.
 //
 // Stores are NOT concurrency-safe: like the rest of the protocol
-// state, a store belongs to a single executor (the protocol executor,
-// or the node's shard executor under runtime.Sharder) and is only
-// touched from it.
+// state, a store belongs to the protocol executor and is only touched
+// from it.
 //
 // Mutating methods return an error so a durable backend can surface a
 // failed journal write; memstore never fails. On error the in-memory

@@ -201,11 +201,6 @@ type System struct {
 	// active is the number of admitted, unfinished queries — the
 	// admission gate's saturation measure.
 	active int
-	// shard is the runtime's per-node work seam (runtime.Sharder), nil
-	// when the runtime has none. With shard executors, store scans and
-	// exact-distance refinement run on the shard owning the node while
-	// all other protocol state stays on the protocol executor.
-	shard runtime.Sharder
 	// suspicion counts consecutive delivery failures per node; see
 	// HedgeConfig. Only written when hedging is enabled.
 	suspicion map[chord.ID]int
@@ -230,11 +225,6 @@ type IndexNode struct {
 	node      *chord.Node
 	st        Store
 	migrating bool
-	// scanBuf is the node's reusable candidate buffer for sharded local
-	// scans: each node's scans are serialized on its own shard executor,
-	// so a per-node buffer is single-goroutine. Single-context runtimes
-	// use the system-wide System.scanBuf instead.
-	scanBuf []Entry
 }
 
 // NewSystem creates an empty system over a fresh overlay driven by a
@@ -259,7 +249,7 @@ func NewSystemRuntime(rt runtime.Runtime, tr runtime.Transport, model netmodel.M
 	}
 	cfg.Retry.fillDefaults()
 	cfg.Hedge.fillDefaults()
-	s := &System{
+	return &System{
 		rt:         rt,
 		net:        chord.NewNetworkRuntime(rt, tr, model, cfg.Chord),
 		cfg:        cfg,
@@ -268,40 +258,6 @@ func NewSystemRuntime(rt runtime.Runtime, tr runtime.Transport, model netmodel.M
 		replicated: make(map[string]int),
 		suspicion:  make(map[chord.ID]int),
 	}
-	s.shard, _ = rt.(runtime.Sharder)
-	return s
-}
-
-// sharded reports whether per-node store work runs on shard executors.
-// When false, everything runs on the single protocol context and
-// cross-node state may be touched freely from it.
-func (s *System) sharded() bool {
-	return s.shard != nil && s.shard.ShardCount() > 0
-}
-
-// storeAdd applies one entry to a node's store on the executor that
-// owns the node's data: inline on single-context runtimes, on the
-// node's shard executor otherwise. done (optional) runs on the
-// protocol executor after the entry is stored.
-func (s *System) storeAdd(in *IndexNode, indexName string, key lph.Key, e Entry, done func()) {
-	if !s.sharded() {
-		s.noteStoreErr(in.st.Put(indexName, key, e))
-		if done != nil {
-			done()
-		}
-		return
-	}
-	// The shard executor must not touch System counters; a journal
-	// failure rides back to the protocol executor in putErr.
-	var putErr error
-	s.shard.ExecShard(uint64(in.node.ID()), func() {
-		putErr = in.st.Put(indexName, key, e)
-	}, func() {
-		s.noteStoreErr(putErr)
-		if done != nil {
-			done()
-		}
-	})
 }
 
 // noteStoreErr counts a storage-backend failure (see StoreErrors).
@@ -483,12 +439,7 @@ func (s *System) Publish(indexName string, srcID chord.ID, e Entry, done func(ow
 			return
 		}
 		s.net.SendOrFail(src.node, owner, chord.KindLookup, entryBytes, func(dst *chord.Node) {
-			id := dst.ID()
-			s.storeAdd(s.nodes[id], indexName, key, e, func() {
-				if done != nil {
-					done(id, hops+1)
-				}
-			})
+			s.storePublished(dst.ID(), indexName, key, e, hops+1, done)
 		}, func() {
 			// Owner vanished: re-resolve through the oracle so the
 			// entry is not lost (models retry).
@@ -496,15 +447,19 @@ func (s *System) Publish(indexName string, srcID chord.ID, e Entry, done func(ow
 			if err != nil {
 				return
 			}
-			id := cur.ID()
-			s.storeAdd(s.nodes[id], indexName, key, e, func() {
-				if done != nil {
-					done(id, hops+1)
-				}
-			})
+			s.storePublished(cur.ID(), indexName, key, e, hops+1, done)
 		})
 	})
 	return nil
+}
+
+// storePublished lands a published entry on its owner's store and
+// reports the owner and hop count to done (optional).
+func (s *System) storePublished(owner chord.ID, indexName string, key lph.Key, e Entry, hops int, done func(chord.ID, int)) {
+	s.noteStoreErr(s.nodes[owner].st.Put(indexName, key, e))
+	if done != nil {
+		done(owner, hops)
+	}
 }
 
 // publishReliably delivers a published entry with the ack/timeout/retry
@@ -542,12 +497,7 @@ func (s *System) publishReliably(src *IndexNode, owner chord.ID, key lph.Key, in
 			if attempt > 0 {
 				s.RecoveredSubqueries++
 			}
-			id := dst.ID()
-			s.storeAdd(s.nodes[id], indexName, key, e, func() {
-				if done != nil {
-					done(id, hops+1)
-				}
-			})
+			s.storePublished(dst.ID(), indexName, key, e, hops+1, done)
 		}, nil)
 	}
 	send(owner, 0)

@@ -1,7 +1,6 @@
 package livert_test
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -96,131 +95,5 @@ func TestInboxUnbounded(t *testing.T) {
 	}
 	if _, shed := rt.QueueStats(); shed != 0 {
 		t.Fatalf("unbounded inbox shed %d deliveries", shed)
-	}
-}
-
-// TestExecShardRunsAndCompletes fans per-key work across the shard
-// executors from the protocol executor and checks every work/done pair
-// completes, with done back on the protocol executor (serialized).
-func TestExecShardRunsAndCompletes(t *testing.T) {
-	rt := livert.New(livert.Config{Seed: 1, Executors: 4})
-	defer rt.Close()
-	if got := rt.ShardCount(); got != 3 {
-		t.Fatalf("ShardCount=%d with Executors=4, want 3", got)
-	}
-	const n = 300
-	var worked atomic.Int64
-	completed := 0 // protocol-executor-only, like real protocol state
-	done := make(chan struct{})
-	err := rt.Do(func() {
-		for i := 0; i < n; i++ {
-			rt.ExecShard(uint64(i), func() { worked.Add(1) }, func() {
-				completed++
-				if completed == n {
-					close(done)
-				}
-			})
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("only %d of %d shard completions ran", completed, n)
-	}
-	if worked.Load() != n {
-		t.Fatalf("worked=%d, want %d", worked.Load(), n)
-	}
-}
-
-// TestExecShardSameKeySerializes checks per-key work never overlaps:
-// one key always hashes to the same shard executor, preserving the
-// single-goroutine-per-node contract.
-func TestExecShardSameKeySerializes(t *testing.T) {
-	rt := livert.New(livert.Config{Seed: 1, Executors: 4})
-	defer rt.Close()
-	const n = 200
-	var (
-		mu       sync.Mutex
-		inFlight int
-		overlaps int
-	)
-	finished := 0
-	done := make(chan struct{})
-	err := rt.Do(func() {
-		for i := 0; i < n; i++ {
-			rt.ExecShard(42, func() {
-				mu.Lock()
-				inFlight++
-				if inFlight > 1 {
-					overlaps++
-				}
-				inFlight--
-				mu.Unlock()
-			}, func() {
-				finished++
-				if finished == n {
-					close(done)
-				}
-			})
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("only %d of %d completions ran", finished, n)
-	}
-	if overlaps != 0 {
-		t.Fatalf("%d same-key work items overlapped", overlaps)
-	}
-}
-
-// TestDoQuiescesShards checks Do's exclusive section really waits for
-// in-flight shard work: a Do snapshot taken while shard work is queued
-// must observe all of it finished.
-func TestDoQuiescesShards(t *testing.T) {
-	rt := livert.New(livert.Config{Seed: 1, Executors: 3})
-	defer rt.Close()
-	const n = 100
-	var worked atomic.Int64
-	if err := rt.Do(func() {
-		for i := 0; i < n; i++ {
-			rt.ExecShard(uint64(i), func() { worked.Add(1) }, nil)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// The next Do parks every shard behind its queued work, so by the
-	// time its body runs all n work items have finished.
-	var seen int64
-	if err := rt.Do(func() { seen = worked.Load() }); err != nil {
-		t.Fatal(err)
-	}
-	if seen != n {
-		t.Fatalf("quiesced section saw %d of %d shard work items", seen, n)
-	}
-}
-
-// TestExecShardInlineWithoutShards checks single-executor mode runs
-// shard work synchronously on the caller.
-func TestExecShardInlineWithoutShards(t *testing.T) {
-	rt := newRT(t)
-	if got := rt.ShardCount(); got != 0 {
-		t.Fatalf("ShardCount=%d with default config, want 0", got)
-	}
-	order := ""
-	if err := rt.Do(func() {
-		rt.ExecShard(7, func() { order += "work" }, func() { order += "+done" })
-		order += "+after"
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if order != "work+done+after" {
-		t.Fatalf("inline ExecShard ran out of order: %q", order)
 	}
 }

@@ -71,13 +71,6 @@ type Config struct {
 	// from per-reader sources seeded by Faults.Seed, never from the
 	// executor's protocol source.
 	Faults *runtime.FaultPolicy
-	// Executors is the total executor-goroutine count. 0 or 1 keeps
-	// the classic single protocol executor; N > 1 adds N-1 shard
-	// executors that run per-node store work routed through ExecShard
-	// (hash by node ID), so one machine uses several cores while every
-	// node's data stays single-goroutine. Protocol bookkeeping always
-	// stays on the protocol executor.
-	Executors int
 	// MaxInbox bounds the protocol executor's queue of pending message
 	// deliveries (timers and client work are never shed). A full inbox
 	// sheds the newest delivery — counted by QueueStats, surfaced by
@@ -110,23 +103,6 @@ type task struct {
 	argFn     func(any)
 	arg       any
 	sheddable bool
-}
-
-// shardTask is one unit of per-node work for a shard executor: work
-// runs on the shard, then done (if non-nil) is posted back to the
-// protocol executor.
-type shardTask struct {
-	work func()
-	done func()
-}
-
-// shardExec is one shard executor: a FIFO queue drained by a single
-// goroutine that owns the stores of every node hashing to it.
-type shardExec struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []shardTask
-	closed bool
 }
 
 // envelope is a sent message waiting for its frame to arrive at the
@@ -162,10 +138,6 @@ type Runtime struct {
 	// bound.
 	maxInbox  int
 	tasksShed atomic.Int64
-
-	// shards are the extra executors for per-node store work; empty in
-	// single-executor mode.
-	shards []*shardExec
 
 	epMu sync.Mutex
 	eps  map[uint64]*endpoint
@@ -205,13 +177,6 @@ func New(cfg Config) *Runtime {
 	r.cond = sync.NewCond(&r.mu)
 	r.wg.Add(1)
 	go r.run()
-	for i := 1; i < cfg.Executors; i++ {
-		s := &shardExec{}
-		s.cond = sync.NewCond(&s.mu)
-		r.shards = append(r.shards, s)
-		r.wg.Add(1)
-		go r.runShard(s)
-	}
 	return r
 }
 
@@ -268,61 +233,6 @@ func (r *Runtime) post(t task) bool {
 	r.mu.Unlock()
 	return true
 }
-
-// runShard drains one shard executor until Close. Accepted tasks
-// always run (the queue is drained after close), so a quiescence
-// barrier parked on a shard is always released.
-//
-//lint:context executor
-func (r *Runtime) runShard(s *shardExec) {
-	defer r.wg.Done()
-	s.mu.Lock() //lint:allow execblock the shard executor's own queue mutex; holders only append and signal
-	for {
-		for len(s.queue) == 0 && !s.closed {
-			s.cond.Wait() //lint:allow execblock idle shard executor parking on its own queue is the design
-		}
-		if len(s.queue) == 0 {
-			s.mu.Unlock()
-			return // closed and drained
-		}
-		t := s.queue[0]
-		s.queue = s.queue[1:]
-		s.mu.Unlock()
-		t.work()
-		if t.done != nil {
-			r.post(task{fn: t.done})
-		}
-		s.mu.Lock() //lint:allow execblock the shard executor's own queue mutex; holders only append and signal
-	}
-}
-
-// ExecShard implements runtime.Sharder: work runs on the shard
-// executor owning key, then done (if non-nil) runs back on the
-// protocol executor. With no shard executors both run synchronously on
-// the caller. Protocol code calls it from executor context.
-//
-//lint:context executor
-func (r *Runtime) ExecShard(key uint64, work, done func()) {
-	if len(r.shards) == 0 {
-		work()
-		if done != nil {
-			done()
-		}
-		return
-	}
-	s := r.shards[int(key%uint64(len(r.shards)))]
-	s.mu.Lock() //lint:allow execblock bounded critical section: the shard queue mutex; holders only append and signal, never block
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.queue = append(s.queue, shardTask{work: work, done: done})
-	s.cond.Signal()
-	s.mu.Unlock()
-}
-
-// ShardCount implements runtime.Sharder.
-func (r *Runtime) ShardCount() int { return len(r.shards) }
 
 // QueueStats snapshots the protocol executor's inbox: its current
 // depth and the number of deliveries shed by the bound. Safe to call
@@ -583,53 +493,17 @@ func (r *Runtime) FaultStats() FaultStats {
 
 // Do runs fn on the executor and waits for it to return. It is how
 // client goroutines perform protocol operations (setup, queries,
-// inspection) without violating the single-threaded contract. With
-// shard executors, fn additionally runs with every shard parked at a
-// barrier, so control-plane mutations that cross node boundaries
-// (membership, bulk loads, migrations, snapshots) see a quiescent
-// system — the same exclusive view they get in single-executor mode.
+// inspection) without violating the single-threaded contract.
 func (r *Runtime) Do(fn func()) error {
 	done := make(chan struct{})
 	if !r.post(task{fn: func() {
-		r.quiesced(fn)
+		fn()
 		close(done)
 	}}) {
 		return ErrClosed
 	}
 	<-done
 	return nil
-}
-
-// quiesced runs fn on the protocol executor with every shard executor
-// parked. The park task runs ahead of any later-queued shard work, and
-// pending shard work is store-local and finite, so the wait is bounded
-// by the shards' current queues — this is the one place the protocol
-// executor intentionally waits on the shards, and shard executors
-// drain their queues even after Close, so the barrier always releases.
-func (r *Runtime) quiesced(fn func()) {
-	if len(r.shards) == 0 {
-		fn()
-		return
-	}
-	release := make(chan struct{})
-	var parked sync.WaitGroup
-	for _, s := range r.shards {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			continue
-		}
-		parked.Add(1)
-		s.queue = append(s.queue, shardTask{work: func() {
-			parked.Done()
-			<-release
-		}})
-		s.cond.Signal()
-		s.mu.Unlock()
-	}
-	parked.Wait()
-	fn()
-	close(release)
 }
 
 // Await runs op on the executor and waits until op's completion
@@ -687,12 +561,6 @@ func (r *Runtime) Close() {
 	r.closed = true
 	r.cond.Broadcast()
 	r.mu.Unlock()
-	for _, s := range r.shards {
-		s.mu.Lock()
-		s.closed = true
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}
 	// Snapshot the endpoints under the lock, close them after releasing
 	// it: Close on one end synchronizes with that pipe's peer, and a
 	// reader racing into KillConnection needs epMu for its own teardown.

@@ -92,25 +92,6 @@ type Transport interface {
 	Send(to uint64, delay time.Duration, payload []byte, deliver func(any), arg any)
 }
 
-// Sharder is implemented by runtimes that spread per-node work across
-// several executor goroutines. The protocol executor remains the only
-// context that touches shared protocol state (query bookkeeping,
-// traffic counters, the RNG); a sharder only takes over work that is
-// confined to one node's own data — its index stores — and every node
-// hashes to exactly one shard, so a node's data keeps the
-// single-goroutine contract.
-type Sharder interface {
-	// ExecShard runs work on the shard executor owning key, then runs
-	// done (if non-nil) back on the protocol executor. A runtime with
-	// no extra shard executors runs both synchronously, in order, on
-	// the calling goroutine. Call only from protocol-executor context.
-	ExecShard(key uint64, work, done func())
-	// ShardCount reports how many shard executors exist. Zero means
-	// node work runs inline on the protocol executor and cross-node
-	// state may be touched freely from it.
-	ShardCount() int
-}
-
 // NodeRegistry is implemented by transports that keep per-node state —
 // livert opens one connection and inbox goroutine per node. The
 // overlay informs the transport of membership changes; transports

@@ -57,11 +57,6 @@ type Options struct {
 	// replica. Requires Index.Replicate to be useful — without a
 	// replica the hedge re-probes the same owner. See core.HedgeConfig.
 	Hedge HedgeConfig
-	// Batch coalesces query/result/ack messages bound for the same node
-	// into one wire.Batch frame, paying the packet header once per frame
-	// instead of once per message (DESIGN.md §13). The zero value
-	// disables batching; set Batch.MaxDelay to enable it.
-	Batch BatchOptions
 	// MaxActiveQueries bounds concurrently active range queries
 	// (admission control): past the cap, new queries finish immediately
 	// as honest incompletes (Complete=false, the whole region
@@ -77,12 +72,6 @@ type Options struct {
 	// mode (0, the default, delivers messages as fast as the machine
 	// allows; 1 reproduces the latency model in real time).
 	LiveLatencyScale float64
-	// Executors shards per-node index work across this many executor
-	// goroutines in live mode (protocol logic stays on one executor;
-	// store scans and distance refinement fan out by node ID). Zero or
-	// one keeps everything on the single protocol executor. Ignored in
-	// simulated mode. Incompatible with EnableLoadBalancing.
-	Executors int
 	// MaxInbox bounds the live executor's delivery queue: deliveries
 	// past the bound are shed (counted in
 	// ReliabilityStats.TransportShed) instead of growing the queue
@@ -121,9 +110,6 @@ type RetryConfig = core.RetryConfig
 
 // HedgeConfig re-exports the subquery-hedging knobs.
 type HedgeConfig = core.HedgeConfig
-
-// BatchOptions re-exports the destination-batching knobs.
-type BatchOptions = chord.BatchConfig
 
 // FaultOptions re-exports the runtime-agnostic fault policy.
 type FaultOptions = runtime.FaultPolicy
@@ -182,7 +168,6 @@ func New(opts Options) (*Platform, error) {
 	} else if opts.LossRate > 0 || opts.Jitter > 0 {
 		cfg.Chord.Faults = chord.NewFaultPlan().DropAll(opts.LossRate).Jitter(opts.Jitter)
 	}
-	cfg.Chord.Batch = opts.Batch
 	cfg.Retry = opts.Retry
 	cfg.Deadline = opts.Deadline
 	cfg.Hedge = opts.Hedge
@@ -191,7 +176,7 @@ func New(opts Options) (*Platform, error) {
 	if opts.Live {
 		p.live = livert.New(livert.Config{
 			Seed: opts.Seed, LatencyScale: opts.LiveLatencyScale, Faults: opts.Faults,
-			Executors: opts.Executors, MaxInbox: opts.MaxInbox,
+			MaxInbox: opts.MaxInbox,
 		})
 	} else {
 		p.eng = sim.NewEngine(opts.Seed)
@@ -494,10 +479,6 @@ func (p *Platform) Durability() DurabilityStats {
 type Traffic struct {
 	Messages int64
 	Bytes    int64
-	// Frames counts wire frames shipped: with destination batching off
-	// it equals Messages; with batching on it is smaller, because
-	// coalesced messages share one frame.
-	Frames int64
 }
 
 // Traffic returns cumulative message and byte counts.
@@ -506,7 +487,6 @@ func (p *Platform) Traffic() Traffic {
 	p.protocol(func() error {
 		tr := p.sys.Network().Traffic()
 		out.Messages, out.Bytes = tr.Total()
-		out.Frames = tr.Frames
 		return nil
 	})
 	return out
