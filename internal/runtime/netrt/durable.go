@@ -218,9 +218,9 @@ func (d *dataset[T]) persist(cfg DataConfig, emit func(payload []byte) error) er
 		buf = append(buf[:0], recEntry)
 		binary.BigEndian.PutUint32(u[:4], uint32(i))
 		buf = append(buf, u[:4]...)
-		binary.BigEndian.PutUint64(u[:], uint64(d.keys[i]))
+		binary.BigEndian.PutUint64(u[:], uint64(d.Key(i)))
 		buf = append(buf, u[:]...)
-		p := d.points[i]
+		p := d.Point(i)
 		binary.BigEndian.PutUint16(u[:2], uint16(len(p)))
 		buf = append(buf, u[:2]...)
 		for _, x := range p {
@@ -270,8 +270,11 @@ func restoreDataset[T any](cfg DataConfig, raw *rawState, space metric.Space[T],
 		return nil, err
 	}
 	for i := range raw.entries {
-		d.keys[i] = raw.entries[i].key
-		d.points[i] = raw.entries[i].point
+		if got := len(raw.entries[i].point); got != d.cols.k {
+			return nil, fmt.Errorf("netrt: durable entry %d has %d coordinates, want %d", i, got, d.cols.k)
+		}
+		d.cols.keys[i] = d.part.Unring(raw.entries[i].key)
+		copy(d.cols.point(i), raw.entries[i].point)
 	}
 	d.seal(cfg)
 	return d, nil

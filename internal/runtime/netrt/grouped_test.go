@@ -1,0 +1,597 @@
+package netrt
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+	"time"
+
+	"landmarkdht/internal/lph"
+	"landmarkdht/internal/query"
+)
+
+// silent is a ticker period that never fires within a test: a ring
+// booted with it sends nothing the test did not ask for.
+const silent = time.Hour
+
+// startSilentRing boots size nodes with every ticker silent. Each node
+// joins all earlier ones, so the handshakes alone give everyone the
+// full view.
+func startSilentRing(t *testing.T, size int, data DataConfig, tune func(*Config)) []*Node {
+	t.Helper()
+	var nodes []*Node
+	var addrs []string
+	t.Cleanup(func() {
+		for _, n := range nodes {
+			n.Close()
+		}
+	})
+	for i := 0; i < size; i++ {
+		cfg := testConfig(data, addrs...)
+		cfg.GossipPeriod, cfg.HeartbeatPeriod, cfg.AntiEntropyPeriod = silent, silent, silent
+		if tune != nil {
+			tune(&cfg)
+		}
+		n, err := Start(cfg)
+		if err != nil {
+			t.Fatalf("start node %d: %v", i, err)
+		}
+		nodes = append(nodes, n)
+		addrs = append(addrs, n.Addr())
+	}
+	waitConverged(t, nodes, size)
+	return nodes
+}
+
+// pinID moves a lone node to ring position id, whatever port it was
+// given: where a node sits decides what it owns and how Algorithm 5
+// cuts a region there, so a fixture on an ephemeral port would be a
+// different test every run.
+func pinID(tb testing.TB, n *Node, id uint64) {
+	tb.Helper()
+	if err := n.rt.Do(func() {
+		delete(n.members, n.id)
+		n.id = id
+		n.addMember(n.id, n.addr)
+	}); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// markDown sets n's failure detector verdict on a member by hand.
+func markDown(t *testing.T, n *Node, id uint64) {
+	t.Helper()
+	execRead(t, n, func() {
+		st := n.hb[id]
+		if st == nil {
+			st = &hbState{}
+			n.hb[id] = st
+		}
+		st.down, st.susp = true, n.cfg.SuspectAfter
+	})
+}
+
+// sentTotal sums the frames the nodes' links have written, once the
+// ring is quiet (two equal readings with empty queues).
+func sentTotal(nodes []*Node) int64 {
+	prev := int64(-1)
+	for {
+		var sent int64
+		queued := 0
+		for _, n := range nodes {
+			s := n.Stats()
+			sent += s.Sent
+			queued += s.Queued
+		}
+		if queued == 0 && sent == prev {
+			return sent
+		}
+		prev = sent
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// oracle is the expected state of a ring under test: the boot corpus
+// minus what was deleted plus what was published.
+type oracle struct {
+	ds        *Dataset
+	deleted   map[int32]bool
+	published map[int32][]byte
+}
+
+func (o *oracle) answer(t *testing.T, qobj []byte, r float64) []ResultEntry {
+	t.Helper()
+	bf, err := o.ds.BruteForce(qobj, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []ResultEntry
+	for _, e := range bf {
+		if !o.deleted[e.Obj] {
+			want = append(want, e)
+		}
+	}
+	dist, err := o.ds.c.Dister(qobj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, obj := range o.published {
+		d, err := dist(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d <= r {
+			want = append(want, ResultEntry{Obj: id, Dist: d})
+		}
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i].Obj < want[j].Obj })
+	return want
+}
+
+// TestGroupedExactness is the contract of the grouped protocol on rings
+// of one to six members (a one-member ring sends every sub-cuboid back
+// to itself; from two up the smallest member owns the wrapped arc),
+// alternating the two metrics: with tombstones and published extras in
+// place every answer is Complete and equal to brute force, ids and
+// distances — first on the healthy ring from every member, then with
+// one member dead and its region answered from a synced copy.
+func TestGroupedExactness(t *testing.T) {
+	for size := 1; size <= 6; size++ {
+		data := DataConfig{Metric: "euclid", Seed: int64(40 + size), Objects: 600, Dim: 3, Landmarks: 4}
+		if size%2 == 0 {
+			data = DataConfig{Metric: "edit", Seed: int64(40 + size), Objects: 400, Landmarks: 4}
+		}
+		t.Run(fmt.Sprintf("%d-%s", size, data.Metric), func(t *testing.T) {
+			groupedExactness(t, size, data)
+		})
+	}
+}
+
+func groupedExactness(t *testing.T, size int, data DataConfig) {
+	nodes := startReplicatedRing(t, size, 1, data)
+	if size > 1 {
+		waitSynced(t, nodes, 1)
+	}
+	ds, err := BuildDataset(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(int64(size)))
+	radius := func() float64 {
+		if data.Metric == "edit" {
+			return float64(1 + rng.Intn(3))
+		}
+		return 0.15 + 0.35*rng.Float64()
+	}
+	or := &oracle{ds: ds, deleted: map[int32]bool{}, published: map[int32][]byte{}}
+	for i := 0; i < 8; i++ {
+		id, obj := int32(ds.N()+i), ds.RandomQuery(rng)
+		if err := nodes[rng.Intn(size)].Publish(id, obj, 5*time.Second); err != nil {
+			t.Fatalf("publish %d: %v", id, err)
+		}
+		or.published[id] = obj
+		del := int32(rng.Intn(ds.N()))
+		if err := nodes[rng.Intn(size)].Delete(del, nil, 5*time.Second); err != nil {
+			t.Fatalf("delete %d: %v", del, err)
+		}
+		or.deleted[del] = true
+	}
+	check := func(phase string, live []*Node) {
+		t.Helper()
+		for i := 0; i < 4*len(live); i++ {
+			qobj, r := ds.RandomQuery(rng), radius()
+			out, err := live[i%len(live)].Query(qobj, r, 5*time.Second)
+			if err != nil {
+				t.Fatalf("%s query %d: %v", phase, i, err)
+			}
+			if !out.Complete {
+				t.Fatalf("%s query %d incomplete (dropped %d)", phase, i, out.Dropped)
+			}
+			if want := or.answer(t, qobj, r); !slices.Equal(out.Entries, want) {
+				t.Fatalf("%s query %d: got %d entries, brute force %d", phase, i, len(out.Entries), len(want))
+			}
+		}
+	}
+	check("healthy", nodes)
+	if size == 1 {
+		return
+	}
+
+	// Kill one member once its successor's copy has caught up with the
+	// mutations, and tell the survivors: its region must now come from
+	// that copy, decomposed at the dead owner's position.
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].id < nodes[j].id })
+	v := rng.Intn(size)
+	victim, holder := nodes[v], nodes[(v+1)%size]
+	waitFor(t, 20*time.Second, func() bool {
+		var dig uint64
+		var cnt int
+		execRead(t, victim, func() { dig, cnt = victim.mineDigest, victim.mineCount })
+		caughtUp := false
+		execRead(t, holder, func() {
+			c := holder.copies[victim.id]
+			caughtUp = c != nil && c.synced && c.digest == dig && len(c.entries) == cnt
+		})
+		return caughtUp
+	})
+	victim.Close()
+	live := slices.Delete(slices.Clone(nodes), v, v+1)
+	for _, n := range live {
+		markDown(t, n, victim.id)
+	}
+	check("failover", live)
+}
+
+// groupedFixture is one real node, pinned to the corpus' median key,
+// with a hand-built view: three more members, evenly spaced round the
+// ring from the node's own position, at addresses nothing listens on — so whatever the node sends stays in
+// its link queues, where the test can read it. The member opposite the
+// node is marked down and there are no replicas.
+type groupedFixture struct {
+	n       *Node
+	ids     [4]uint64 // ids[0] is the node itself
+	addrs   [4]string
+	regions []query.Region // the eight cuboids of prefix length 3, whole cube
+}
+
+func newGroupedFixture(t *testing.T) *groupedFixture {
+	t.Helper()
+	cfg := testConfig(testData())
+	cfg.GossipPeriod, cfg.HeartbeatPeriod, cfg.AntiEntropyPeriod = silent, silent, silent
+	n, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Close)
+	pinID(t, n, n.data.Cols().keys[n.data.N()/2])
+	f := &groupedFixture{n: n}
+	f.ids[0], f.addrs[0] = n.id, n.addr
+	execRead(t, n, func() {
+		for i := 1; i < 4; i++ {
+			f.ids[i], f.addrs[i] = n.id+uint64(i)<<62, fmt.Sprintf("127.0.0.1:%d", i)
+			n.addMember(f.ids[i], f.addrs[i])
+		}
+	})
+	markDown(t, n, f.ids[2])
+	part := n.data.Part()
+	whole := query.Region{Cube: part.AllBounds()}
+	for i := 0; i < 8; i++ {
+		reg, ok := query.Restrict(part, whole, lph.Key(i)<<61, 3)
+		if !ok {
+			t.Fatalf("cuboid %d of the whole cube is empty", i)
+		}
+		f.regions = append(f.regions, reg)
+	}
+	return f
+}
+
+// sentFrame is one frame found in a link queue.
+type sentFrame struct {
+	to   string
+	kind byte
+	body []byte
+}
+
+// run hands msg to the node's process and returns every frame it
+// queued.
+func (f *groupedFixture) run(t *testing.T, msg *queryMsg) []sentFrame {
+	t.Helper()
+	execRead(t, f.n, func() { f.n.process(msg) })
+	var out []sentFrame
+	f.n.linkMu.Lock()
+	defer f.n.linkMu.Unlock()
+	for addr, l := range f.n.links {
+		l.mu.Lock()
+		for _, p := range l.queue {
+			out = append(out, sentFrame{to: addr, kind: p[0], body: p[1:]})
+		}
+		l.queue = nil
+		l.mu.Unlock()
+	}
+	return out
+}
+
+// TestProcessSplitsCreditOncePerMessage hands one node a message whose
+// regions fall to every kind of destination at once — two live next
+// hops, the node itself, and a down owner nobody replicates — and reads
+// what it emits: one kindQuery per hop, one kindResult, one kindDrop,
+// their credit shares all positive and summing exactly to the
+// message's.
+func TestProcessSplitsCreditOncePerMessage(t *testing.T) {
+	f := newGroupedFixture(t)
+	n := f.n
+	ds, err := BuildDataset(testData())
+	if err != nil {
+		t.Fatal(err)
+	}
+	qobj := ds.RandomQuery(rand.New(rand.NewSource(8)))
+	const credit, r, ttl = uint64(1_000_003), 0.6, 9
+	msg := &queryMsg{Origin: f.ids[1], OriginAddr: f.addrs[1], Epoch: 5, QID: 6,
+		Credit: credit, Regions: f.regions, QObj: qobj, R: r, TTL: ttl}
+	frames := f.run(t, msg)
+
+	var sum uint64
+	share := func(c uint64) {
+		if c == 0 {
+			t.Fatal("a credit share of 0 was emitted")
+		}
+		sum += c
+	}
+	queries := map[string]int{}
+	results, drops := 0, 0
+	for _, fr := range frames {
+		switch fr.kind {
+		case kindQuery:
+			var fq queryMsg
+			if err := decodeBody(fr.body, &fq); err != nil {
+				t.Fatal(err)
+			}
+			queries[fr.to]++
+			share(fq.Credit)
+			if fq.TTL != ttl-1 || fq.Origin != msg.Origin || fq.QID != msg.QID || !slices.Equal(fq.QObj, qobj) || len(fq.Regions) == 0 {
+				t.Fatalf("forward to %s: %+v", fr.to, fq)
+			}
+			for _, reg := range fq.Regions {
+				lo, _ := lph.CuboidSpan(reg.PreKey, reg.PreLen)
+				var owner string
+				execRead(t, n, func() { owner = n.members[n.successor(lo)] })
+				if owner != fr.to {
+					t.Fatalf("region %x/%d travelled to %s, its owner is %s", reg.PreKey, reg.PreLen, fr.to, owner)
+				}
+			}
+		case kindResult:
+			var res resultMsg
+			if err := decodeBody(fr.body, &res); err != nil {
+				t.Fatal(err)
+			}
+			results++
+			share(res.Credit)
+			if fr.to != msg.OriginAddr || res.Epoch != msg.Epoch || res.QID != msg.QID {
+				t.Fatalf("result to %s: epoch %d qid %d", fr.to, res.Epoch, res.QID)
+			}
+			// The one result holds everything this node owns of the
+			// answer in the regions that fell to it. (What it owns of a
+			// region that starts in its predecessor's arc comes back as a
+			// sub-cuboid from there — not in this test, nobody is there.)
+			bf, err := ds.BruteForce(qobj, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []ResultEntry
+			execRead(t, n, func() {
+				for _, e := range bf {
+					if key := n.data.Key(int(e.Obj)); n.successor(key) == n.id && n.successor(lph.Prefix(key, 3)) == n.id {
+						want = append(want, e)
+					}
+				}
+			})
+			sort.Slice(res.Entries, func(i, j int) bool { return res.Entries[i].Obj < res.Entries[j].Obj })
+			if len(want) == 0 || !slices.Equal(res.Entries, want) {
+				t.Fatalf("local answer has %d entries, the node owns %d of the brute-force answer", len(res.Entries), len(want))
+			}
+		case kindDrop:
+			var d dropMsg
+			if err := decodeBody(fr.body, &d); err != nil {
+				t.Fatal(err)
+			}
+			drops++
+			share(d.Credit)
+			if fr.to != msg.OriginAddr {
+				t.Fatalf("drop went to %s", fr.to)
+			}
+		default:
+			t.Fatalf("unexpected frame kind %d to %s", fr.kind, fr.to)
+		}
+	}
+	if len(queries) != 2 || queries[f.addrs[1]] != 1 || queries[f.addrs[3]] != 1 {
+		t.Fatalf("forwards per next hop = %v, want one each to %s and %s", queries, f.addrs[1], f.addrs[3])
+	}
+	if results != 1 || drops != 1 {
+		t.Fatalf("%d result and %d drop frames, want one each", results, drops)
+	}
+	if sum != credit {
+		t.Fatalf("shares sum to %d, the message carried %d", sum, credit)
+	}
+
+	// Credit that cannot cover the parts, and an exhausted TTL, send the
+	// whole credit home in one drop and forward nothing.
+	for name, bad := range map[string]queryMsg{
+		"underfunded": {Credit: 3, TTL: ttl},
+		"ttl":         {Credit: credit, TTL: 0},
+	} {
+		bad.Origin, bad.OriginAddr, bad.Regions, bad.QObj, bad.R = msg.Origin, msg.OriginAddr, f.regions, qobj, r
+		frames := f.run(t, &bad)
+		var d dropMsg
+		if len(frames) != 1 || frames[0].kind != kindDrop || decodeBody(frames[0].body, &d) != nil || d.Credit != bad.Credit {
+			t.Fatalf("%s: emitted %d frames, want one drop of the whole credit (%+v)", name, len(frames), d)
+		}
+	}
+}
+
+// TestOneResultFramePerMessage sends a hand-built message with five
+// regions, all wholly owned by one member, across a real link: the
+// owner writes exactly one frame back, holding every region's entries.
+func TestOneResultFramePerMessage(t *testing.T) {
+	data := testData()
+	nodes := startSilentRing(t, 2, data, nil)
+	// A populated deep cuboid whose lowest key a member owns, and which
+	// does not contain that member's own position, is wholly its own and
+	// decomposes no further there.
+	part := nodes[0].data.Part()
+	whole := query.Region{Cube: part.AllBounds()}
+	var origin, owner *Node
+	var regions []query.Region
+	for o := 0; o < 2 && len(regions) < 5; o++ {
+		origin, owner, regions = nodes[1-o], nodes[o], nil
+		for i := 0; i < 256 && len(regions) < 5; i++ {
+			reg, _ := query.Restrict(part, whole, lph.Key(i)<<56, 8)
+			populated := slices.ContainsFunc(owner.data.Cols().keys, func(k lph.Key) bool {
+				return lph.SamePrefix(k, reg.PreKey, reg.PreLen)
+			})
+			var owned bool
+			execRead(t, owner, func() { owned = owner.successor(reg.PreKey) == owner.id })
+			if populated && owned && !lph.SamePrefix(owner.id, reg.PreKey, reg.PreLen) {
+				regions = append(regions, reg)
+			}
+		}
+	}
+	if len(regions) < 5 {
+		t.Fatal("no member wholly owns five populated depth-8 cuboids")
+	}
+
+	ds, err := BuildDataset(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qobj := ds.RandomQuery(rand.New(rand.NewSource(3)))
+	const r = 2.0 // everything: the regions alone decide the answer
+	var want []ResultEntry
+	bf, err := ds.BruteForce(qobj, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range bf {
+		key := part.Unring(ds.c.Key(int(e.Obj)))
+		for _, reg := range regions {
+			if lph.SamePrefix(key, reg.PreKey, reg.PreLen) {
+				want = append(want, e)
+			}
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("the five regions hold nothing")
+	}
+
+	before := sentTotal(nodes)
+	ownerBefore := owner.Stats().Sent
+	done := make(chan QueryOutcome, 1)
+	execRead(t, origin, func() {
+		oq := &originQuery{qid: 1 << 40, total: creditTotal, results: map[int32]float64{},
+			done: func(out QueryOutcome, _ error) { done <- out }}
+		oq.deadline = origin.rt.AfterFunc(5*time.Second, func() { origin.expire(oq.qid) })
+		origin.queries[oq.qid] = oq
+		origin.sendTo(owner.addr, kindQuery, &queryMsg{Origin: origin.id, OriginAddr: origin.addr,
+			Epoch: origin.epoch, QID: oq.qid, Credit: creditTotal, Regions: regions, QObj: qobj, R: r, TTL: 4})
+	})
+	out := <-done
+	if !out.Complete || !slices.Equal(out.Entries, want) {
+		t.Fatalf("complete=%v with %d entries, the regions hold %d", out.Complete, len(out.Entries), len(want))
+	}
+	// sentTotal first: it waits for the writers' counters to settle.
+	if got := sentTotal(nodes) - before; got != 2 {
+		t.Fatalf("the exchange cost %d frames, want 2", got)
+	}
+	if got := owner.Stats().Sent - ownerBefore; got != 1 {
+		t.Fatalf("the owner wrote %d frames for one %d-region message, want 1", got, len(regions))
+	}
+}
+
+// TestDownOwnerLosesOnlyItsRegions: without replicas the regions whose
+// surrogate is a dead member are lost, and say so — the query is
+// incomplete and holds nothing the dead member owns — while the regions
+// that shared their messages are still answered.
+func TestDownOwnerLosesOnlyItsRegions(t *testing.T) {
+	data := testData()
+	nodes := startSilentRing(t, 4, data, nil)
+	ds, err := BuildDataset(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The member highest on the ring dies: a query's root region starts
+	// low, so the cuboids that reach the dead member are the last ones
+	// cut, and the rest of the decomposition is there to be answered.
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].id < nodes[j].id })
+	victim := nodes[3]
+	victim.Close()
+	live := nodes[:3]
+	for _, n := range live {
+		markDown(t, n, victim.id)
+	}
+	rng := rand.New(rand.NewSource(12))
+	partial := 0
+	for i := 0; i < 12; i++ {
+		qobj, r := ds.RandomQuery(rng), 0.3+0.3*rng.Float64()
+		origin := live[i%len(live)]
+		out, err := origin.Query(qobj, r, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bf, err := ds.BruteForce(qobj, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Complete {
+			if !slices.Equal(out.Entries, bf) {
+				t.Fatalf("query %d: complete but inexact", i)
+			}
+			continue
+		}
+		var survivors []ResultEntry
+		execRead(t, origin, func() {
+			for _, e := range bf {
+				if origin.successor(ds.c.Key(int(e.Obj))) != victim.id {
+					survivors = append(survivors, e)
+				}
+			}
+		})
+		if out.Dropped == 0 || !subsetIDs(out.Entries, survivors) {
+			t.Fatalf("query %d: dropped=%d, %d entries, not a subset of the %d the survivors own", i, out.Dropped, len(out.Entries), len(survivors))
+		}
+		if len(out.Entries) > 0 {
+			partial++
+		}
+	}
+	if partial == 0 {
+		t.Fatal("no incomplete query kept the answers of its other regions")
+	}
+}
+
+// TestTTLBoundsFailoverPingPong: two survivors each believe the other
+// may hold the dead owner's copy (replication is on, nothing ever
+// synced) and hand its regions back and forth. TTL ends that: the
+// credit comes home as a drop after a bounded number of frames, long
+// before the deadline.
+func TestTTLBoundsFailoverPingPong(t *testing.T) {
+	data := testData()
+	const ttl = 6
+	nodes := startSilentRing(t, 3, data, func(cfg *Config) {
+		cfg.Replicas, cfg.TTL, cfg.Deadline = 2, ttl, 10*time.Second
+	})
+	ds, err := BuildDataset(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := nodes[2]
+	victim.Close()
+	live := nodes[:2]
+	for _, n := range live {
+		markDown(t, n, victim.id)
+	}
+	before := sentTotal(live)
+	qobj := ds.RandomQuery(rand.New(rand.NewSource(4)))
+	start := time.Now()
+	out, err := live[0].Query(qobj, 0.6, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 3*time.Second {
+		t.Fatalf("the query took %v: it ended by its deadline, not by TTL", took)
+	}
+	if out.Complete || out.Dropped == 0 {
+		t.Fatalf("complete=%v dropped=%d, want an honest incomplete answer", out.Complete, out.Dropped)
+	}
+	bf, err := ds.BruteForce(qobj, 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !subsetIDs(out.Entries, bf) {
+		t.Fatal("incomplete answer is not a subset of brute force")
+	}
+	// Every bounce is one frame and may leave one result and one drop
+	// behind it.
+	if got := sentTotal(live) - before; got > 3*ttl {
+		t.Fatalf("%d frames for one query under TTL %d", got, ttl)
+	}
+}

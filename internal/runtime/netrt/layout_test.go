@@ -1,0 +1,197 @@
+package netrt
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"landmarkdht/internal/lph"
+	"landmarkdht/internal/metric"
+	"landmarkdht/internal/query"
+)
+
+// checkBuiltColumns holds a built dataset against a serial rebuild of
+// the same entries: the parallel map-and-hash, the pair sort and the
+// in-place permutation must leave every entry's key and point exactly
+// what mapping it alone gives, in ascending key order with ties by id,
+// under the signature of the corpus-order keys.
+func checkBuiltColumns[T any](t *testing.T, cfg DataConfig, d *dataset[T]) {
+	t.Helper()
+	c := &d.cols
+	n := len(d.objs)
+	if len(c.keys) != n || len(c.ids) != n || len(c.pos) != n || len(c.pts) != n*c.k {
+		t.Fatalf("column lengths %d/%d/%d/%d for %d entries of %d coordinates", len(c.keys), len(c.ids), len(c.pos), len(c.pts), n, c.k)
+	}
+	serial := make([]lph.Key, n)
+	for i, o := range d.objs {
+		p := d.emb.Map(o)
+		serial[i] = d.part.Hash(p)
+		if !slices.Equal(d.Point(i), p) {
+			t.Fatalf("entry %d: point %v, mapping it gives %v", i, d.Point(i), p)
+		}
+		if d.Key(i) != d.part.MapPoint(p) {
+			t.Fatalf("entry %d: key %x, mapping it gives %x", i, d.Key(i), d.part.MapPoint(p))
+		}
+		if j := c.pos[i]; c.ids[j] != int32(i) {
+			t.Fatalf("pos[%d] = %d but ids[%d] = %d", i, j, j, c.ids[j])
+		}
+	}
+	for j := 1; j < n; j++ {
+		if c.keys[j-1] > c.keys[j] || c.keys[j-1] == c.keys[j] && c.ids[j-1] >= c.ids[j] {
+			t.Fatalf("positions %d,%d out of (key, id) order: (%x,%d) (%x,%d)", j-1, j, c.keys[j-1], c.ids[j-1], c.keys[j], c.ids[j])
+		}
+	}
+	if want := corpusSig(protoVersion, cfg, d.part, serial); d.sig != want {
+		t.Fatalf("signature %x, corpus-order keys give %x", d.sig, want)
+	}
+}
+
+func TestBuiltColumnsMatchSerialBuild(t *testing.T) {
+	euclid := testData()
+	c, err := buildCorpus(euclid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBuiltColumns(t, euclid, c.(*dataset[metric.Vector]))
+	// Edit distances are small integers: the keys collide by the dozen,
+	// so the id tie-break and duplicate keys are exercised for real.
+	edit := DataConfig{Metric: "edit", Seed: 3, Objects: 700, Landmarks: 3}
+	edit.fillDefaults()
+	c, err = buildCorpus(edit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := c.(*dataset[string])
+	checkBuiltColumns(t, edit, d)
+	if keys := slices.Compact(slices.Clone(d.cols.keys)); len(keys) == len(d.cols.keys) {
+		t.Fatal("the edit corpus has no duplicate keys: the tie-break is not exercised")
+	}
+}
+
+// A protocol-version change must change the handshake signature over
+// the very same corpus, so that old and new binaries refuse to link
+// (TestCorpusSignatureMismatch is the refusal itself).
+func TestProtoVersionChangesSignature(t *testing.T) {
+	cfg := testData()
+	c, err := buildCorpus(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := c.Cols().keys
+	if corpusSig(protoVersion, cfg, c.Part(), keys) == corpusSig(protoVersion+1, cfg, c.Part(), keys) {
+		t.Fatal("two protocol versions sign the same corpus identically")
+	}
+}
+
+// randomColumns hashes random points under part and sorts them: what a
+// dataset's seal leaves, without a dataset.
+func randomColumns(rng *rand.Rand, part *lph.Partitioner, n int) *columns {
+	k := part.K()
+	c := &columns{k: k, keys: make([]lph.Key, n), pts: make([]float64, n*k)}
+	for i := 0; i < n; i++ {
+		p := c.point(i)
+		for j := range p {
+			p[j] = float64(rng.Intn(17)) / 16 // coarse: duplicate keys, midpoints, bounds
+		}
+		c.keys[i] = part.Hash(p)
+	}
+	c.sortByKey()
+	return c
+}
+
+// The in-place permutation must carry every point to its key's sorted
+// position — cycles of every length, fixed points and duplicates.
+func TestSortByKeyKeepsPointsWithKeys(t *testing.T) {
+	part, err := lph.New(3, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 2, 33, 1000} {
+		c := randomColumns(rng, part, n)
+		for j := 0; j < n; j++ {
+			if got := part.Hash(c.point(j)); got != c.keys[j] {
+				t.Fatalf("n=%d: position %d holds key %x and a point hashing to %x", n, j, c.keys[j], got)
+			}
+		}
+		if !slices.IsSorted(c.keys) {
+			t.Fatalf("n=%d: keys not ascending", n)
+		}
+	}
+}
+
+// Ownership on a rotated ring. The columns are sorted by unrotated key,
+// so a prefix is one run whatever φ is and the descent needs no special
+// case; only the arc (pred, me] can wrap — at the ring's zero, or where
+// the rotation maps the top of the key space — and it is then exactly
+// two runs.
+func TestArcAndDescentUnderRotation(t *testing.T) {
+	base, err := lph.New(3, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(6))
+	for _, phi := range []lph.Key{0, 1, 0x9e3779b97f4a7c15, ^lph.Key(0)} {
+		part := base.WithRotation(phi)
+		c := randomColumns(rng, part, 500)
+		pick := func() uint64 {
+			if rng.Intn(2) == 0 {
+				return part.Ring(c.keys[rng.Intn(len(c.keys))]) // exactly on an entry
+			}
+			return rng.Uint64()
+		}
+		wrapped := 0
+		for i := 0; i < 400; i++ {
+			pred, me := pick(), pick()
+			if i%50 == 0 {
+				pred = me
+			}
+			runs := c.arc(part, pred, me)
+			if runs[1].b > runs[1].a {
+				wrapped++
+				if runs[0].b > runs[1].a {
+					t.Fatalf("phi %x (%x, %x]: runs %v overlap", phi, pred, me, runs)
+				}
+			}
+			for j, key := range c.keys {
+				in := j >= runs[0].a && j < runs[0].b || j >= runs[1].a && j < runs[1].b
+				// key ∈ (pred, me] on the ring ⇔ its distance past pred is
+				// in [1, me-pred]; a one-member ring owns everything.
+				want := pred == me || part.Ring(key)-pred-1 < me-pred
+				if in != want {
+					t.Fatalf("phi %x (%x, %x]: position %d (ring key %x) in runs %v = %v, want %v", phi, pred, me, j, part.Ring(key), runs, in, want)
+				}
+			}
+		}
+		if wrapped == 0 {
+			t.Fatalf("phi %x: no arc ever wrapped", phi)
+		}
+		for i := 0; i < 100; i++ {
+			cube := make([]lph.Bounds, part.K())
+			for j := range cube {
+				lo, hi := rng.Float64(), rng.Float64()
+				cube[j] = lph.Bounds{Lo: min(lo, hi), Hi: max(lo, hi)}
+			}
+			reg, err := query.New(part, cube)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got, want []int
+			query.Descend(part, reg, c.keys, 4, func(a, b int) {
+				for j := a; j < b; j++ {
+					if c.inside(j, reg.Cube) {
+						got = append(got, j)
+					}
+				}
+			})
+			for j := range c.keys {
+				if reg.Contains(c.point(j)) {
+					want = append(want, j)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("phi %x: descent found %d entries, the cube contains %d", phi, len(got), len(want))
+			}
+		}
+	}
+}

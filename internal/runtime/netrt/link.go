@@ -345,7 +345,7 @@ func dialHandshake(conn net.Conn, self Member, sig uint64, members []Member) (*h
 	switch kind {
 	case kindWelcome:
 	case kindReject:
-		return nil, fmt.Errorf("netrt: peer %s rejected handshake (corpus signature mismatch)", conn.RemoteAddr())
+		return nil, fmt.Errorf("netrt: peer %s rejected handshake (corpus or protocol version mismatch)", conn.RemoteAddr())
 	default:
 		return nil, fmt.Errorf("netrt: unexpected handshake frame kind %d", kind)
 	}
@@ -354,7 +354,7 @@ func dialHandshake(conn net.Conn, self Member, sig uint64, members []Member) (*h
 		return nil, err
 	}
 	if w.Sig != sig {
-		return nil, fmt.Errorf("netrt: corpus signature mismatch with %s", conn.RemoteAddr())
+		return nil, fmt.Errorf("netrt: corpus or protocol version mismatch with %s", conn.RemoteAddr())
 	}
 	if err := conn.SetDeadline(time.Time{}); err != nil {
 		return nil, err

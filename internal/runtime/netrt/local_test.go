@@ -1,0 +1,77 @@
+package netrt
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+)
+
+// localQueryFixture is the fixture behind bench's netrt.local_query_us
+// on ring-scan: one member holding the largest member's share (57 409
+// euclid objects, dim 8, 6 landmarks), radius 0.30, a cyclic sequence
+// of 256 random queries. The member sits at the ring position of that
+// share's owner whatever port it was given: the position decides how
+// many sub-cuboids Algorithm 5 cuts, so an ephemeral one would make
+// every run a different benchmark. The returned function runs the next
+// query.
+func localQueryFixture(tb testing.TB) func() {
+	tb.Helper()
+	data := DataConfig{Metric: "euclid", Seed: 1, Objects: 57409, Dim: 8, Landmarks: 6}
+	n, err := Start(Config{Listen: "127.0.0.1:0", Data: data,
+		GossipPeriod: time.Hour, HeartbeatPeriod: time.Hour, AntiEntropyPeriod: time.Hour})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(n.Close)
+	pinID(tb, n, NodeID("127.0.0.1:52268"))
+	rng := rand.New(rand.NewSource(1))
+	queries := make([][]byte, 256)
+	for i := range queries {
+		queries[i] = n.data.RandomQuery(rng)
+	}
+	next := 0
+	return func() {
+		out, err := n.Query(queries[next%len(queries)], 0.30, 5*time.Second)
+		if err != nil || !out.Complete {
+			tb.Fatalf("query %d: complete=%v err=%v", next, out.Complete, err)
+		}
+		next++
+	}
+}
+
+// BenchmarkLocalQuery is one member's whole share of a range query —
+// region, decomposition, descent, refinement, merge — with no peers.
+func BenchmarkLocalQuery(b *testing.B) {
+	query := localQueryFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		query()
+	}
+}
+
+// localQueryAllocsCeiling bounds the heap allocations of one local
+// query on the fixture above. Measured 92, the same on every run, with
+// and without the race detector: three per sub-cuboid Algorithm 5 cuts
+// at the fixture's position (Restrict's clone and cuboid, the descent's
+// cuboid; ≈ 24 of them), the executor hand-off, the deadline timer, and
+// the doubling of the result slice and of the origin's merge map —
+// nothing per descent step and nothing per candidate. The ceiling is
+// the measurement plus 20 %.
+const localQueryAllocsCeiling = 110
+
+// TestLocalQueryAllocsCeiling fails when the local answer starts
+// allocating per descent step or per candidate again (the fixture
+// bisects thousands of times and tests tens of thousands of points per
+// query).
+func TestLocalQueryAllocsCeiling(t *testing.T) {
+	query := localQueryFixture(t)
+	for i := 0; i < 256; i++ {
+		query()
+	}
+	allocs := testing.AllocsPerRun(256, query)
+	t.Logf("%.0f allocs per local query (ceiling %d)", allocs, localQueryAllocsCeiling)
+	if allocs > localQueryAllocsCeiling {
+		t.Fatalf("%.0f allocs per local query, ceiling %d", allocs, localQueryAllocsCeiling)
+	}
+}

@@ -30,10 +30,13 @@
 // # Data and membership
 //
 // Every process holds the same deterministic corpus (DataConfig; the
-// handshake's corpus signature refuses to link disagreeing nodes) and
-// stores exactly the entries it owns under the current membership view
-// — the successor of each entry's ring key. Without Config.DataDir the
-// corpus is rebuilt from the seed at startup; with it, first boot
+// handshake's signature, over the corpus and the protocol version,
+// refuses to link disagreeing nodes) and owns the entries whose ring
+// key it succeeds under the current membership view. The corpus' index
+// entries are stored once, flat, sorted by key (data.go's columns), so
+// what a member owns is its arc of that order — one or two runs, found
+// by binary search on every membership change. Without Config.DataDir
+// the corpus is rebuilt from the seed at startup; with it, first boot
 // journals the corpus to disk and every later boot recovers it from
 // the WAL with zero regeneration (durable.go).
 // Membership is a full member list, learned at handshake, spread by
@@ -44,16 +47,20 @@
 // # Queries and completeness
 //
 // A query starts with the full index-space region and a credit of
-// 2⁶². Each node forwards region shards to their owners (splitting the
-// credit so shares always sum exactly), answers its own shard from its
-// local store with exact-distance refinement, and returns credit via
-// Result frames — or Drop frames when a shard is unanswerable (TTL
-// exhausted, malformed query). The origin completes when all credit is
-// home; Complete means none of it came back as Drop and the deadline
-// did not expire, and a Complete answer is exact: under a consistent
-// view the shard decomposition covers the region exactly once, and
-// duplicate coverage under view skew is removed by merging results per
-// object. Anything less is an honest subset.
+// 2⁶². A query message carries every region bound for one next hop
+// (Algorithm 3). Its receiver decomposes the regions it is the
+// surrogate of (Algorithm 5), groups everything else by next hop,
+// splits the credit once so the shares always sum exactly, forwards one
+// message per hop, and answers its own share in one pass: each region
+// is one k-d descent over its run of the sorted columns, then
+// exact-distance refinement (query.go). Credit comes home in Result
+// frames — or Drop frames for regions that are unanswerable (TTL
+// exhausted, owner down with no replica, malformed query). The origin
+// completes when all credit is home; Complete means none of it came
+// back as Drop and the deadline did not expire, and a Complete answer
+// is exact: under a consistent view the decomposition covers the region
+// exactly once, and duplicate coverage under view skew is removed by
+// merging results per object. Anything less is an honest subset.
 package netrt
 
 import (
@@ -153,7 +160,7 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Node is one ring member: a listener, its peer links, the owned slice
+// Node is one ring member: a listener, its peer links, the owned runs
 // of the deterministic corpus, and the origin-side state of queries it
 // is running for clients.
 type Node struct {
@@ -174,7 +181,7 @@ type Node struct {
 	// Executor-owned state (only touched on rt's protocol goroutine).
 	members   map[uint64]string
 	ring      []uint64 // sorted member IDs
-	owned     []int    // corpus indices this node owns under members
+	runs      [2]run   // the boot entries this node owns under members: its arc of the key-ordered columns
 	queries   map[uint64]*originQuery
 	nextQID   uint64
 	gossip    *runtime.Ticker
@@ -185,7 +192,7 @@ type Node struct {
 	hb          map[uint64]*hbState // heartbeat state per known member
 	heartbeat   *runtime.Ticker
 	antiEntropy *runtime.Ticker
-	entryDig    []uint64                // per-boot-entry digest, fixed at Start
+	digPre      []uint64                // digPre[j]: XOR of the boot-entry digests at sorted positions [0, j), fixed at Start
 	mineDigest  uint64                  // digest of the live owned region (∖tombs ∪ extras)
 	mineCount   int                     // live entries in the owned region
 	tombs       map[int32]struct{}      // deleted boot-corpus entries
@@ -287,13 +294,15 @@ func Start(cfg Config) (*Node, error) {
 		store:      store,
 	}
 	n.id = NodeID(n.addr)
-	// Per-entry digests are fixed for the node's lifetime: the live
-	// region's digest is maintained incrementally by XORing them in and
-	// out as ownership and mutations change (see core's digest docs).
-	n.entryDig = make([]uint64, data.N())
-	for i := range n.entryDig {
-		n.entryDig[i] = core.EntryDigest(data.Key(i),
-			core.Entry{Obj: core.ObjectID(i), Point: data.Point(i)}, data.ObjBytes(i))
+	// Per-entry digests are fixed for the node's lifetime, and the live
+	// region's digest is an XOR of them (see core's digest docs). They
+	// are kept as prefix XORs in key order, so an owned run's digest is
+	// two lookups and one entry's is digPre[j+1]^digPre[j].
+	part, cols := data.Part(), data.Cols()
+	n.digPre = make([]uint64, data.N()+1)
+	for j, id := range cols.ids {
+		n.digPre[j+1] = n.digPre[j] ^ core.EntryDigest(part.Ring(cols.keys[j]),
+			core.Entry{Obj: core.ObjectID(id), Point: cols.point(j)}, data.ObjBytes(int(id)))
 	}
 	n.rt = livert.New(livert.Config{Seed: cfg.Data.Seed ^ int64(n.id)})
 	if err := n.rt.Do(func() {
@@ -580,28 +589,32 @@ func (n *Node) mergeMembers(ms []Member) {
 	}
 }
 
-// rebuildView refreshes the sorted ring, the owned corpus slice, and
-// the handshake snapshot after any membership change.
+// rebuildView refreshes the sorted ring, the owned runs, and the
+// handshake snapshot after any membership change.
 func (n *Node) rebuildView() {
 	n.ring = n.ring[:0]
 	for id := range n.members {
 		n.ring = append(n.ring, id)
 	}
 	sort.Slice(n.ring, func(i, j int) bool { return n.ring[i] < n.ring[j] })
-	n.owned = n.owned[:0]
+	// Ownership is the arc (predecessor, self] of the key-ordered
+	// columns: four binary searches, not a walk of the corpus.
+	me := sort.Search(len(n.ring), func(i int) bool { return n.ring[i] >= n.id })
+	pred := n.ring[(me+len(n.ring)-1)%len(n.ring)]
+	n.runs = n.data.Cols().arc(n.data.Part(), pred, n.id)
 	// The live-region digest is recomputed with the ownership: XOR of
 	// the owned boot entries (minus tombstones) and the published
 	// extras, in any order.
 	var dig uint64
 	cnt := 0
-	for i := 0; i < n.data.N(); i++ {
-		if n.successor(uint64(n.data.Key(i))) == n.id {
-			n.owned = append(n.owned, i)
-			if _, dead := n.tombs[int32(i)]; dead {
-				continue
-			}
-			dig ^= n.entryDig[i]
-			cnt++
+	for _, r := range n.runs {
+		dig ^= n.digPre[r.b] ^ n.digPre[r.a]
+		cnt += r.b - r.a
+	}
+	for id := range n.tombs {
+		if n.ownsBoot(int(id)) {
+			dig ^= n.bootDigest(int(id))
+			cnt--
 		}
 	}
 	for _, e := range n.extras {
@@ -614,6 +627,11 @@ func (n *Node) rebuildView() {
 		snap[i] = Member{ID: id, Addr: n.members[id]}
 	}
 	n.memberSnap.Store(snap)
+}
+
+// ownedBoot counts the boot entries this node owns, tombstoned or not.
+func (n *Node) ownedBoot() int {
+	return n.runs[0].b - n.runs[0].a + n.runs[1].b - n.runs[1].a
 }
 
 // successor returns the member owning ring position key: the first

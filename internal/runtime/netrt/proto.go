@@ -17,11 +17,11 @@ const (
 	// Peer frames (node ↔ node).
 	kindHello    byte = 1 // dialer's handshake: identity + membership
 	kindWelcome  byte = 2 // listener's handshake response
-	kindReject   byte = 3 // handshake refusal (corpus signature mismatch)
+	kindReject   byte = 3 // handshake refusal (corpus or protocol version mismatch)
 	kindAnnounce byte = 4 // membership gossip
-	kindQuery    byte = 5 // one subquery region with credit
-	kindResult   byte = 6 // answered region: credit + entries, to origin
-	kindDrop     byte = 7 // unanswerable region: credit back, to origin
+	kindQuery    byte = 5 // a query's regions for one next hop, with credit
+	kindResult   byte = 6 // one node's answer: credit + entries, to origin
+	kindDrop     byte = 7 // unanswerable regions: credit back, to origin
 
 	// Failure detection and replication (node ↔ node). The Rep* stream
 	// frames carry fixed binary payloads (internal/wire's region
@@ -59,8 +59,9 @@ type Member struct {
 // helloMsg is both sides of the peer handshake (Hello and Welcome
 // share the shape): identity, listen address, corpus signature, and a
 // full membership snapshot. The signature pins the deterministic
-// corpus parameters — two nodes built from different seeds would
-// silently disagree on ownership and landmarks, so they refuse to
+// corpus parameters and the protocol version (corpusSig) — two nodes
+// built from different seeds would silently disagree on ownership and
+// landmarks, and two versions on what a frame means, so they refuse to
 // link.
 type helloMsg struct {
 	From    uint64
@@ -76,24 +77,28 @@ type announceMsg struct {
 	Members []Member
 }
 
-// queryMsg carries one subquery region. Origin/OriginAddr let any
-// answering node ship results straight back; Epoch identifies the
-// origin's process incarnation — a restarted node reuses qids, so
-// returns are routed by (Epoch, QID) and frames queued for a dead
-// incarnation cannot corrupt its successor's queries; Credit
-// implements distributed termination (the origin's initial credit is
-// split across every forward, and Complete means every share came home
-// via Result frames with none via Drop); QObj is the metric-specific
-// encoding of the query object so answering nodes refine candidates by
-// exact distance; TTL bounds forwarding under membership-view
-// disagreement.
+// queryMsg carries every region of one query bound for one next hop
+// (Algorithm 3: subqueries for the same next hop travel together), so
+// the query object and the credit travel once per hop, not once per
+// sub-cuboid. Origin/OriginAddr let any answering node ship results
+// straight back; Epoch identifies the origin's process incarnation — a
+// restarted node reuses qids, so returns are routed by (Epoch, QID) and
+// frames queued for a dead incarnation cannot corrupt its successor's
+// queries; Credit implements distributed termination (the origin's
+// initial credit is split once per message across whatever that
+// message makes its receiver emit, and Complete means every share came
+// home via Result frames with none via Drop); QObj is the
+// metric-specific encoding of the query object so answering nodes
+// refine candidates by exact distance; TTL bounds forwarding under
+// membership-view disagreement. A change to this struct needs a
+// protoVersion bump (data.go).
 type queryMsg struct {
 	Origin     uint64
 	OriginAddr string
 	Epoch      uint64
 	QID        uint64
 	Credit     uint64
-	Region     query.Region
+	Regions    []query.Region
 	QObj       []byte
 	R          float64
 	TTL        int
@@ -106,8 +111,9 @@ type ResultEntry struct {
 	Dist float64
 }
 
-// resultMsg returns one answered region's credit share and entries to
-// the query origin. Epoch echoes the queryMsg's origin incarnation.
+// resultMsg returns one node's answer to one queryMsg — its credit
+// share and the entries of every region it resolved locally — to the
+// query origin. Epoch echoes the queryMsg's origin incarnation.
 type resultMsg struct {
 	Epoch   uint64
 	QID     uint64
@@ -116,9 +122,10 @@ type resultMsg struct {
 	Entries []ResultEntry
 }
 
-// dropMsg returns a region's credit share without an answer: the
-// query can still terminate, but not Complete. Epoch echoes the
-// queryMsg's origin incarnation.
+// dropMsg returns a credit share without an answer — the regions of a
+// queryMsg its receiver could neither answer nor route: the query can
+// still terminate, but not Complete. Epoch echoes the queryMsg's origin
+// incarnation.
 type dropMsg struct {
 	Epoch  uint64
 	QID    uint64
@@ -193,7 +200,7 @@ type clientQueryMsg struct {
 
 // clientResultMsg is a finished query: Complete ⇒ Entries is the exact
 // range-query answer; otherwise it is an honest subset and Dropped
-// counts the regions lost for good.
+// counts the credit shares that came home unanswered.
 type clientResultMsg struct {
 	Complete bool
 	Dropped  int

@@ -15,7 +15,6 @@ package netrt
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"landmarkdht/internal/core"
@@ -144,7 +143,7 @@ func (n *Node) applyMutation(m *pubMsg) error {
 		}
 		n.tombs[m.ID] = struct{}{}
 		if n.ownsBoot(i) {
-			n.mineDigest ^= n.entryDig[i]
+			n.mineDigest ^= n.bootDigest(i)
 			n.mineCount--
 		}
 		return nil
@@ -168,13 +167,17 @@ func (n *Node) applyMutation(m *pubMsg) error {
 	return nil
 }
 
-// ownsBoot reports whether boot entry i is currently owned here (owned
-// is ascending corpus indices).
+// ownsBoot reports whether boot entry i is currently owned here.
 //
 //lint:context executor
 func (n *Node) ownsBoot(i int) bool {
-	j := sort.SearchInts(n.owned, i)
-	return j < len(n.owned) && n.owned[j] == i
+	return n.successor(uint64(n.data.Key(i))) == n.id
+}
+
+// bootDigest returns boot entry i's digest.
+func (n *Node) bootDigest(i int) uint64 {
+	j := n.data.Cols().pos[i]
+	return n.digPre[j+1] ^ n.digPre[j]
 }
 
 // fanoutMutation forwards an applied mutation to this owner's replicas

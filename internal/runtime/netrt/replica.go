@@ -229,12 +229,16 @@ func (n *Node) startPush(to uint64) {
 //lint:context executor
 func (n *Node) encodeMine() []byte {
 	var out []byte
-	for _, i := range n.owned {
-		if _, dead := n.tombs[int32(i)]; dead {
-			continue
+	part, cols := n.data.Part(), n.data.Cols()
+	for _, r := range n.runs {
+		for j := r.a; j < r.b; j++ {
+			id := cols.ids[j]
+			if _, dead := n.tombs[id]; dead {
+				continue
+			}
+			out = appendRepEntry(out, part.Ring(cols.keys[j]),
+				core.Entry{Obj: core.ObjectID(id), Point: cols.point(j)}, n.data.ObjBytes(int(id)))
 		}
-		out = appendRepEntry(out, n.data.Key(i),
-			core.Entry{Obj: core.ObjectID(i), Point: n.data.Point(i)}, n.data.ObjBytes(i))
 	}
 	for id, e := range n.extras {
 		out = appendRepEntry(out, e.key, core.Entry{Obj: core.ObjectID(id), Point: e.point}, e.obj)
@@ -254,18 +258,24 @@ func appendRepEntry(dst []byte, key lph.Key, e core.Entry, obj []byte) []byte {
 	return append(dst, obj...)
 }
 
+// repEntryError is decodeRepEntry's refusal: the bytes a peer streamed
+// are not a replica entry.
+type repEntryError string
+
+func (e repEntryError) Error() string { return "netrt: replica entry: " + string(e) }
+
 func decodeRepEntry(data []byte) (key lph.Key, e core.Entry, obj, rest []byte, err error) {
 	key, e, rest, err = core.DecodeEntry(data)
 	if err != nil {
-		return 0, core.Entry{}, nil, nil, err
+		return 0, core.Entry{}, nil, nil, repEntryError(err.Error())
 	}
 	if len(rest) < 4 {
-		return 0, core.Entry{}, nil, nil, fmt.Errorf("netrt: replica entry object length truncated")
+		return 0, core.Entry{}, nil, nil, repEntryError("object length truncated")
 	}
 	olen := int(binary.BigEndian.Uint32(rest))
 	rest = rest[4:]
 	if olen > len(rest) {
-		return 0, core.Entry{}, nil, nil, fmt.Errorf("netrt: replica entry declares %d object bytes, %d remain", olen, len(rest))
+		return 0, core.Entry{}, nil, nil, repEntryError(fmt.Sprintf("declares %d object bytes, %d remain", olen, len(rest)))
 	}
 	return key, e, rest[:olen:olen], rest[olen:], nil
 }

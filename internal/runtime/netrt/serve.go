@@ -56,9 +56,10 @@ func (n *Node) acceptPeer(conn net.Conn, body []byte) {
 	if h.Sig != n.sig {
 		// Refuse explicitly so the dialer logs the real cause instead
 		// of a silent disconnect, then drop: a node built from a
-		// different seed can never agree on ownership.
+		// different seed can never agree on ownership, and one speaking
+		// another protocol version would misread query frames.
 		_ = writeFrame(conn, 1, kindReject, nil) //lint:allow errdrop courtesy reject on a connection being dropped; failure changes nothing
-		n.logf("rejected %s: corpus signature mismatch", h.Addr)
+		n.logf("rejected %s: corpus or protocol version mismatch", h.Addr)
 		closeConn(conn)
 		return
 	}
@@ -190,7 +191,7 @@ func (n *Node) serveClient(conn net.Conn) {
 			reqID := id
 			n.rt.Schedule(0, func() {
 				reply(reqID, kindClientInfoR, infoMsg{
-					ID: n.id, Addr: n.addr, Members: n.snapshot(), Store: len(n.owned),
+					ID: n.id, Addr: n.addr, Members: n.snapshot(), Store: n.ownedBoot(),
 					Recovered: n.recovered, Replayed: n.replayed,
 					Replicas: n.cfg.Replicas, Down: n.downMembers(),
 					SyncedOwners: n.syncedOwners(), Extras: len(n.extras),
