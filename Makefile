@@ -69,10 +69,12 @@ node-smoke:
 
 # Durable-state smoke (DESIGN.md §14): the WAL/walstore crash-recovery
 # unit tests, then the multi-process soak in durable mode — each lmnode
-# gets a data dir, members are SIGKILLed mid-traffic and restarted on
-# the same address, and every restarted member must report that it
-# recovered its corpus from its WAL (a silent fall-back to corpus
-# regeneration fails the run) before the usual brute-force verification.
+# gets a data dir, the soak publishes fresh vectors and deletes a boot
+# id before every SIGKILL, members are restarted on the same address,
+# and after the last restart every acknowledged publish must come back
+# and every acknowledged delete must stay gone (the corpus is rebuilt on
+# every boot; the mutations are what the directory is for), on top of
+# the usual brute-force verification.
 durability-smoke:
 	$(GO) test -race -count=1 ./internal/wal
 	$(GO) test -race -count=1 -run 'WAL|Durable' ./internal/core ./internal/runtime/netrt .

@@ -24,6 +24,12 @@
 //
 //	go run -race ./cmd/lmchaos -procs 8 -objects 1024 -dim 4
 //
+// With -durable every process journals its online mutations to a data
+// dir; the soak publishes and deletes before each SIGKILL, and every
+// acknowledged mutation must still hold after the last restart:
+//
+//	go run -race ./cmd/lmchaos -procs 4 -objects 1024 -dim 4 -durable
+//
 // With -replicas K the processes stream region copies to their ring
 // successors; adding -kill-dead appends a kill-without-restart phase
 // that SIGKILLs one member and leaves it dead while brute-force-
@@ -65,7 +71,7 @@ func realMain() int {
 		frame    = flag.Float64("framedrop", 0.02, "live-transport frame drop probability")
 		killconn = flag.Float64("killconn", 0.002, "per-frame connection kill probability")
 		procs    = flag.Int("procs", 0, "run the soak over this many real lmnode OS processes instead (SIGKILL churn; see procs.go)")
-		durable  = flag.Bool("durable", false, "with -procs: give each member a data dir; restarted members must recover from their WAL (Recovered=true) or the soak fails")
+		durable  = flag.Bool("durable", false, "with -procs: give each member a data dir, publish and delete before every SIGKILL; restarted members must replay their journal (Recovered=true) and every acknowledged mutation must survive, or the soak fails")
 		replicas = flag.Int("replicas", 0, "with -procs: each member streams its region to this many ring successors")
 		killDead = flag.Bool("kill-dead", false, "with -procs and -replicas: kill one member without restart and require Complete exact answers while it stays dead")
 		qps      = flag.Float64("qps", 0, "fixed offered load in queries per second across all clients (0 = closed loop)")

@@ -11,15 +11,22 @@ package main
 // must again serve Complete ∧ exact answers. The injected fault here
 // is process death itself; frame-drop/conn-kill knobs apply to the
 // in-process soak (the library path is shared, see runtime.LinkFaults).
+//
+// With -durable every member journals to a data dir and the soak also
+// checks the one thing a restart cannot re-derive (soakMuts): it
+// publishes fresh vectors and deletes a boot id before every SIGKILL,
+// and after the last restart every acknowledged one must still hold.
 
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -133,6 +140,11 @@ func realProcs(o procOpts) int {
 		return 2
 	}
 
+	var muts *soakMuts // nil unless -durable
+	if o.durable {
+		muts = newSoakMuts(o, ds)
+	}
+
 	// Converge: every member must see the full ring before the soak.
 	for i := 0; i < o.n; i++ {
 		if err := waitMembers(addrs[i], o.n, 30*time.Second); err != nil {
@@ -155,6 +167,12 @@ func realProcs(o procOpts) int {
 		for i := 0; i < o.churn; i++ {
 			time.Sleep(500 * time.Millisecond)
 			victim := crng.Intn(o.n)
+			if muts != nil {
+				if err := muts.mutate(addrs[crng.Intn(o.n)], o.n, i, crng); err != nil {
+					churnErr <- fmt.Errorf("mutations before kill %d: %w", i, err)
+					return
+				}
+			}
 			ring.kill(victim)
 			kills++
 			fmt.Printf("lmchaos: SIGKILLed member %d (%s)\n", victim, addrs[victim])
@@ -167,15 +185,15 @@ func realProcs(o procOpts) int {
 			}
 			ring.set(victim, p)
 			if o.durable {
-				// The restarted member must have come back through the
-				// store path. A silent fall-back to corpus regeneration
-				// would still answer queries correctly — only this check
-				// catches it, so it is a hard failure, not a warning.
+				// The restarted member must have found the directory its
+				// last incarnation journaled to and replayed it; whether
+				// what it acknowledged is in there is checked once churn
+				// is over (soakMuts.verify).
 				if err := assertRecovered(addrs[victim], 15*time.Second); err != nil {
-					churnErr <- fmt.Errorf("member %d restarted without WAL recovery: %w", victim, err)
+					churnErr <- fmt.Errorf("member %d restarted without replaying its data dir: %w", victim, err)
 					return
 				}
-				fmt.Printf("lmchaos: restarted member %d on %s (recovered from WAL)\n", victim, addrs[victim])
+				fmt.Printf("lmchaos: restarted member %d on %s (journal replayed)\n", victim, addrs[victim])
 			} else {
 				fmt.Printf("lmchaos: restarted member %d on %s\n", victim, addrs[victim])
 			}
@@ -247,15 +265,16 @@ func realProcs(o procOpts) int {
 					local.failures++
 					continue
 				}
+				got, want := muts.stable(out.Entries), muts.stable(want)
 				if out.Complete {
 					local.complete++
-					if !sameEntries(out.Entries, want) {
+					if !sameEntries(got, want) {
 						fmt.Fprintf(os.Stderr,
 							"lmchaos: FAIL: complete result disagrees with brute force (%d got, %d want)\n",
-							len(out.Entries), len(want))
+							len(got), len(want))
 						local.failures++
 					}
-				} else if !subsetEntries(out.Entries, want) {
+				} else if !subsetEntries(got, want) {
 					fmt.Fprintln(os.Stderr,
 						"lmchaos: FAIL: incomplete result is not a subset of the exact answer")
 					local.failures++
@@ -288,15 +307,24 @@ func realProcs(o procOpts) int {
 	// exact again — the ring healed, links redialed, views regossiped.
 	rng := rand.New(rand.NewSource(o.seed + 77))
 	for i := 0; i < o.n; i++ {
-		if err := waitRecovered(addrs[i], ds, rng, 60*time.Second); err != nil {
+		if err := waitRecovered(addrs[i], ds, muts, rng, 60*time.Second); err != nil {
 			fmt.Fprintf(os.Stderr, "lmchaos: FAIL: member %d never recovered: %v\n", i, err)
 			return 1
 		}
 	}
 	fmt.Printf("lmchaos: recovery verified: all %d members serve complete exact answers\n", o.n)
 
+	if muts != nil {
+		if err := muts.verify(addrs, rng); err != nil {
+			fmt.Fprintf(os.Stderr, "lmchaos: FAIL: durable mutations: %v\n", err)
+			return 1
+		}
+		fmt.Printf("lmchaos: durable mutations: %d publishes and %d deletes acknowledged before a SIGKILL, all verified after the last restart\n",
+			len(muts.pubs), len(muts.deleted))
+	}
+
 	if o.killDead {
-		if err := killDeadPhase(o, ring, addrs, ds); err != nil {
+		if err := killDeadPhase(o, ring, addrs, ds, muts); err != nil {
 			fmt.Fprintf(os.Stderr, "lmchaos: FAIL: kill-dead: %v\n", err)
 			return 1
 		}
@@ -321,7 +349,7 @@ func realProcs(o procOpts) int {
 // counters must show the copies arrived over the bulk-transfer path
 // (aggregate Repairs > 0, RepairChunks > 0) with the point-wise
 // fallback counter at exactly zero. Any regression fails the soak.
-func killDeadPhase(o procOpts, ring *procRing, addrs []string, ds *netrt.Dataset) error {
+func killDeadPhase(o procOpts, ring *procRing, addrs []string, ds *netrt.Dataset, muts *soakMuts) error {
 	n := len(addrs)
 	wantSynced := o.replicas
 	if wantSynced > n-1 {
@@ -381,9 +409,9 @@ func killDeadPhase(o procOpts, ring *procRing, addrs []string, ds *netrt.Dataset
 		if err != nil {
 			return err
 		}
-		if !sameEntries(out.Entries, want) {
+		if got, want := muts.stable(out.Entries), muts.stable(want); !sameEntries(got, want) {
 			return fmt.Errorf("query %d on member %d: complete failover answer disagrees with brute force (%d got, %d want)",
-				q, survivors[j], len(out.Entries), len(want))
+				q, survivors[j], len(got), len(want))
 		}
 	}
 
@@ -414,14 +442,172 @@ func killDeadPhase(o procOpts, ring *procRing, addrs []string, ds *netrt.Dataset
 	ring.set(victim, p)
 	if ring.dataDirs != nil {
 		if err := assertRecovered(addrs[victim], 15*time.Second); err != nil {
-			return fmt.Errorf("victim restarted without WAL recovery: %w", err)
+			return fmt.Errorf("victim restarted without replaying its data dir: %w", err)
 		}
 	}
-	if err := waitRecovered(addrs[victim], ds, rng, 60*time.Second); err != nil {
+	if err := waitRecovered(addrs[victim], ds, muts, rng, 60*time.Second); err != nil {
 		return fmt.Errorf("victim never healed after restart: %w", err)
 	}
 	fmt.Println("lmchaos: kill-dead: victim restarted and healed")
 	return nil
+}
+
+// pubBase is the first id the durable soak publishes under — far above
+// any boot corpus, as bench/load.go does — and pubsPerKill how many
+// vectors it publishes before each SIGKILL.
+const (
+	pubBase     = int32(1) << 24
+	pubsPerKill = 8
+)
+
+// soakMuts is the durable soak's online mutations: what a data dir is
+// for, since the corpus itself is rebuilt on every boot. The boot ids it
+// deletes are drawn before traffic starts, so the query workers can
+// leave them and every published id out of their brute-force comparison
+// (stable) whenever a mutation lands; pubs and deleted are written by
+// the churn goroutine alone and read after it has ended. A nil *soakMuts
+// is a soak without mutations.
+type soakMuts struct {
+	ds      *netrt.Dataset
+	wide    float64   // a radius that covers the whole space
+	doomed  []int32   // boot ids to delete, one per churn cycle
+	pubs    []soakPub // acknowledged publishes
+	deleted []int32   // acknowledged deletes
+}
+
+type soakPub struct {
+	id  int32
+	obj []byte
+}
+
+func newSoakMuts(o procOpts, ds *netrt.Dataset) *soakMuts {
+	m := &soakMuts{ds: ds, wide: math.Sqrt(float64(o.dim)) + 1}
+	rng := rand.New(rand.NewSource(o.seed + 59))
+	for len(m.doomed) < o.churn && len(m.doomed) < ds.N() {
+		if id := int32(rng.Intn(ds.N())); !slices.Contains(m.doomed, id) {
+			m.doomed = append(m.doomed, id)
+		}
+	}
+	return m
+}
+
+// stable returns ents without the ids the soak mutates: what is left
+// must agree with brute force over the boot corpus at any moment.
+func (m *soakMuts) stable(ents []netrt.ResultEntry) []netrt.ResultEntry {
+	if m == nil {
+		return ents
+	}
+	out := make([]netrt.ResultEntry, 0, len(ents))
+	for _, e := range ents {
+		if e.Obj < pubBase && !slices.Contains(m.doomed, e.Obj) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// mutate publishes pubsPerKill fresh vectors and deletes one boot id
+// through the member at addr, keeping what was acknowledged. A refusal
+// is not a failure — the owner may be the member still coming back from
+// the last kill — but only acknowledged mutations are owed anything.
+func (m *soakMuts) mutate(addr string, members, cycle int, rng *rand.Rand) error {
+	// A member acks as owner whatever its view makes it the owner of, so
+	// one fresh from a restart must have learned the whole ring first.
+	if err := waitMembers(addr, members, 30*time.Second); err != nil {
+		return err
+	}
+	cl, err := dialRetry(addr, 15*time.Second)
+	if err != nil {
+		return err
+	}
+	defer cl.Close()
+	for j := 0; j < pubsPerKill; j++ {
+		p := soakPub{id: pubBase + int32(cycle*pubsPerKill+j), obj: m.ds.RandomQuery(rng)}
+		if cl.Publish(p.id, p.obj, 10*time.Second) == nil {
+			m.pubs = append(m.pubs, p)
+		}
+	}
+	if cycle < len(m.doomed) && cl.Delete(m.doomed[cycle], nil, 10*time.Second) == nil {
+		m.deleted = append(m.deleted, m.doomed[cycle])
+	}
+	return nil
+}
+
+// verify holds the ring to its acks once churn is over: every
+// acknowledged publish comes back from a Complete radius-0 query at its
+// vector, and a Complete query wide enough to cover the space returns no
+// acknowledged delete and otherwise equals brute force. A soak that got
+// nothing acknowledged has checked nothing and fails too.
+func (m *soakMuts) verify(addrs []string, rng *rand.Rand) error {
+	if len(m.doomed) > 0 && (len(m.pubs) == 0 || len(m.deleted) == 0) {
+		return fmt.Errorf("%d publishes and %d deletes acknowledged; the soak needs some of each", len(m.pubs), len(m.deleted))
+	}
+	cls := make([]*netrt.Client, len(addrs))
+	for i, addr := range addrs {
+		cl, err := dialRetry(addr, 15*time.Second)
+		if err != nil {
+			return err
+		}
+		defer cl.Close()
+		cls[i] = cl
+	}
+	for i, p := range m.pubs {
+		got, err := completeAnswer(cls[i%len(cls)], p.obj, 0)
+		if err != nil {
+			return fmt.Errorf("read back publish %d: %w", p.id, err)
+		}
+		if !hasEntry(got, p.id) {
+			return fmt.Errorf("acknowledged publish %d is gone: a radius-0 query at its vector through member %d returns %d entries without it",
+				p.id, i%len(cls), len(got))
+		}
+	}
+	qobj := m.ds.RandomQuery(rng)
+	want, err := m.ds.BruteForce(qobj, m.wide)
+	if err != nil {
+		return err
+	}
+	for i, cl := range cls {
+		got, err := completeAnswer(cl, qobj, m.wide)
+		if err != nil {
+			return fmt.Errorf("whole-space query through member %d: %w", i, err)
+		}
+		for _, id := range m.deleted {
+			if hasEntry(got, id) {
+				return fmt.Errorf("acknowledged delete of %d is undone: member %d answers it", id, i)
+			}
+		}
+		if got, want := m.stable(got), m.stable(want); !sameEntries(got, want) {
+			return fmt.Errorf("whole-space query through member %d disagrees with brute force (%d got, %d want)", i, len(got), len(want))
+		}
+	}
+	return nil
+}
+
+// completeAnswer repeats one query until it comes back Complete.
+func completeAnswer(cl *netrt.Client, qobj []byte, r float64) ([]netrt.ResultEntry, error) {
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		out, err := cl.Query(qobj, r, 10*time.Second)
+		if err == nil && out.Complete {
+			return out.Entries, nil
+		}
+		if time.Now().After(deadline) {
+			if err == nil {
+				err = fmt.Errorf("answers still incomplete")
+			}
+			return nil, err
+		}
+		time.Sleep(200 * time.Millisecond)
+	}
+}
+
+func hasEntry(ents []netrt.ResultEntry, id int32) bool {
+	for _, e := range ents {
+		if e.Obj == id {
+			return true
+		}
+	}
+	return false
 }
 
 // waitSyncedOwners blocks until the node at addr reports at least want
@@ -475,7 +661,7 @@ func waitDown(addr string, id uint64, window time.Duration) error {
 
 // spawn launches one lmnode for ring slot i on addr and waits for its
 // ready line. With -durable, the slot's data dir rides along so a
-// restart recovers the member's corpus from its WAL.
+// restart replays the mutations the member journaled there.
 func (r *procRing) spawn(i int, addr, join string) (*ringProc, error) {
 	args := append([]string{"-listen", addr}, r.args...)
 	if join != "" {
@@ -528,7 +714,7 @@ func (r *procRing) spawn(i int, addr, join string) (*ringProc, error) {
 }
 
 // readyTimeout bounds how long one spawned lmnode may take to print its
-// ready line (corpus build or WAL recovery included).
+// ready line (journal replay and corpus build included).
 const readyTimeout = 20 * time.Second
 
 func (r *procRing) set(i int, p *ringProc) {
@@ -581,8 +767,8 @@ func dialRetry(addr string, window time.Duration) (*netrt.Client, error) {
 }
 
 // assertRecovered dials a freshly restarted member and demands that it
-// reports Recovered=true — its corpus came off its WAL, not from a
-// regeneration fallback.
+// reports Recovered=true — it came up on the data directory its last
+// incarnation initialised, not on an empty one.
 func assertRecovered(addr string, window time.Duration) error {
 	cl, err := dialRetry(addr, window)
 	if err != nil {
@@ -627,7 +813,7 @@ func waitMembers(addr string, want int, window time.Duration) error {
 
 // waitRecovered queries one member until an answer comes back Complete
 // and brute-force exact.
-func waitRecovered(addr string, ds *netrt.Dataset, rng *rand.Rand, window time.Duration) error {
+func waitRecovered(addr string, ds *netrt.Dataset, muts *soakMuts, rng *rand.Rand, window time.Duration) error {
 	cl, err := dialRetry(addr, window)
 	if err != nil {
 		return err
@@ -643,9 +829,9 @@ func waitRecovered(addr string, ds *netrt.Dataset, rng *rand.Rand, window time.D
 			if err != nil {
 				return err
 			}
-			if !sameEntries(out.Entries, want) {
+			if got, want := muts.stable(out.Entries), muts.stable(want); !sameEntries(got, want) {
 				return fmt.Errorf("complete result disagrees with brute force (%d got, %d want)",
-					len(out.Entries), len(want))
+					len(got), len(want))
 			}
 			return nil
 		}

@@ -17,11 +17,12 @@
 // Query it from another process with landmarkdht.DialNode, or run a
 // verified multi-process soak with cmd/lmchaos -procs.
 //
-// With -data-dir the node persists its corpus to a write-ahead log in
-// that directory and a restart recovers from it instead of rebuilding
-// (the ready line reports recovered=true). Each node needs its own
-// directory; a directory written under a different corpus config is a
-// startup error.
+// With -data-dir the node journals every online publish and delete it
+// accepts as owner to a write-ahead log in that directory before
+// acknowledging it, and a restart replays them on top of the corpus it
+// rebuilds (the ready line reports recovered=true). Each node needs its
+// own directory; a directory written under a different corpus config is
+// a startup error.
 //
 // With -replicas K (same value ring-wide) each node streams its region
 // to its K ring successors and keeps the copies repaired by periodic
@@ -54,7 +55,7 @@ func realMain() int {
 		dim       = flag.Int("dim", 0, "vector dimensionality (0 = default)")
 		landmarks = flag.Int("landmarks", 0, "landmark count (0 = default)")
 		deadline  = flag.Duration("deadline", 0, "per-query deadline (0 = default)")
-		dataDir   = flag.String("data-dir", "", "durable state directory (restart recovers the corpus from it)")
+		dataDir   = flag.String("data-dir", "", "durable state directory (journals online mutations; a restart replays them)")
 		replicas  = flag.Int("replicas", 0, "ring successors holding a streamed copy of this node's region (same value ring-wide)")
 		verbose   = flag.Bool("v", false, "log membership and link events")
 	)
@@ -91,8 +92,9 @@ func realMain() int {
 
 	// The ready line is the process's contract with parents (tests,
 	// lmchaos -procs): addr is the bound address to join or dial, and
-	// recovered tells a restart-supervisor whether the corpus came off
-	// disk (true) or was built fresh (false).
+	// recovered tells a restart-supervisor whether the node replayed a
+	// data dir an earlier boot had initialised (true) or started on an
+	// empty or absent one (false).
 	fmt.Printf("lmnode: ready addr=%s id=%016x metric=%s seed=%d recovered=%v\n",
 		n.Addr(), n.ID(), *metricF, *seed, n.Recovered())
 

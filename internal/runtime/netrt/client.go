@@ -25,16 +25,19 @@ type Client struct {
 	closed  bool
 }
 
-// Info is a node's self-description.
+// Info is a node's self-description and the body of the client
+// protocol's info reply: its identity, view of the ring, and how much of
+// the corpus it currently owns. (Gob tolerates unknown fields, so adding
+// fields here stays wire-compatible across mixed versions.)
 type Info struct {
 	ID      uint64
 	Addr    string
 	Members []Member
 	Store   int
-	// Recovered reports that the node restored its corpus from its
-	// data directory instead of regenerating it; Replayed counts the
-	// durable records read. Both zero on nodes without a data dir and
-	// on a durable node's first boot.
+	// Recovered reports that an earlier boot had initialised the node's
+	// data directory, so this one replayed the mutations journaled
+	// there; Replayed counts the durable records read. Both zero on
+	// nodes without a data dir and on the boot that first uses one.
 	Recovered bool
 	Replayed  int
 	// Replication and failure-detection state: the configured factor,
@@ -206,18 +209,11 @@ func (c *Client) Info(timeout time.Duration) (Info, error) {
 	if kind != kindClientInfoR {
 		return Info{}, fmt.Errorf("netrt: unexpected reply kind %d", kind)
 	}
-	var in infoMsg
-	if err := decodeBody(body, &in); err != nil {
+	var info Info
+	if err := decodeBody(body, &info); err != nil {
 		return Info{}, err
 	}
-	return Info{
-		ID: in.ID, Addr: in.Addr, Members: in.Members, Store: in.Store,
-		Recovered: in.Recovered, Replayed: in.Replayed,
-		Replicas: in.Replicas, Down: in.Down,
-		SyncedOwners: in.SyncedOwners, Extras: in.Extras,
-		Repairs:      in.Repairs,
-		RepairChunks: in.RepairChunks, RepairFallback: in.RepairFallback,
-	}, nil
+	return info, nil
 }
 
 // Publish inserts one object under id on the ring (routed to the owner
@@ -225,16 +221,16 @@ func (c *Client) Info(timeout time.Duration) (Info, error) {
 // the owner's replicas). The id must not collide with the
 // deterministic corpus.
 func (c *Client) Publish(id int32, obj []byte, timeout time.Duration) error {
-	return c.mutate(kindClientPublish, clientPublishMsg{ID: id, Obj: obj}, timeout)
+	return c.mutate(kindClientPublish, clientMutMsg{ID: id, Obj: obj}, timeout)
 }
 
 // Delete removes one entry: a boot-corpus entry by id alone, or a
 // published entry by id plus its encoded object.
 func (c *Client) Delete(id int32, obj []byte, timeout time.Duration) error {
-	return c.mutate(kindClientDelete, clientDeleteMsg{ID: id, Obj: obj}, timeout)
+	return c.mutate(kindClientDelete, clientMutMsg{ID: id, Obj: obj}, timeout)
 }
 
-func (c *Client) mutate(kind byte, msg any, timeout time.Duration) error {
+func (c *Client) mutate(kind byte, msg clientMutMsg, timeout time.Duration) error {
 	k, body, err := c.roundTrip(kind, msg, timeout)
 	if err != nil {
 		return err

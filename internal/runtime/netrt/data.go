@@ -21,10 +21,9 @@ import (
 // DataConfig pins the deterministic corpus every ring member holds.
 // All processes must agree on every field — the handshake compares a
 // signature over the derived keys and refuses to link nodes whose
-// corpora differ. Without Config.DataDir each process regenerates the
-// corpus from the seed at startup; with it, the corpus is journaled to
-// disk on first boot and a restarted (e.g. SIGKILLed) node recovers
-// its state from the WAL instead of rebuilding it — see durable.go.
+// corpora differ. Every process derives the corpus from these fields at
+// startup; Config.DataDir only adds the online mutations a restarted
+// (e.g. SIGKILLed) node cannot re-derive — see durable.go.
 type DataConfig struct {
 	// Metric selects the object space: "euclid" (Dim-dimensional
 	// vectors, uniform in [0,1]) or "edit" (short random strings under
@@ -90,9 +89,6 @@ type corpus interface {
 	// evaluator over encoded object bytes (replica copies and published
 	// entries carry bytes, not corpus indices).
 	Dister(qobj []byte) (func(obj []byte) (float64, error), error)
-	// persist emits the durable record stream (meta, landmarks,
-	// entries) that openDurable can restore the corpus from.
-	persist(cfg DataConfig, emit func(payload []byte) error) error
 }
 
 // columns is the boot corpus' index entries, stored once, flat, in
@@ -211,7 +207,6 @@ func (c *columns) sortByKey() {
 // corpus indices); the index entries live in cols.
 type dataset[T any] struct {
 	objs   []T
-	lms    []T // landmark objects (persisted so recovery skips selection)
 	space  metric.Space[T]
 	emb    *indexspace.Embedding[T]
 	part   *lph.Partitioner
@@ -311,10 +306,17 @@ func finishDataset[T any](cfg DataConfig, objs []T, space metric.Space[T], dec f
 	if err != nil {
 		return nil, err
 	}
-	d, err := assembleDataset(cfg, objs, lms, space, dec, enc, random)
+	emb, err := indexspace.New(space, lms)
 	if err != nil {
 		return nil, err
 	}
+	part, err := emb.Partitioner(false)
+	if err != nil {
+		return nil, err
+	}
+	d := &dataset[T]{objs: objs, space: space, emb: emb, part: part, dec: dec, enc: enc, random: random}
+	k := emb.K()
+	d.cols = columns{k: k, keys: make([]lph.Key, len(objs)), pts: make([]float64, len(objs)*k)}
 	// Map every object into index space and derive its key, on every
 	// core: each index writes only its own slots of the columns and the
 	// metric spaces are stateless, so the result is byte-identical to a
@@ -347,27 +349,6 @@ func eachChunk(n int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// assembleDataset builds the embedding machinery from explicit
-// landmark objects and allocates the columns, leaving keys and points
-// for the caller to fill in corpus order before seal — shared by fresh
-// construction (finishDataset, which maps every object) and durable
-// recovery (restoreDataset, which loads the persisted keys/points
-// instead of recomputing them).
-func assembleDataset[T any](cfg DataConfig, objs, lms []T, space metric.Space[T], dec func([]byte) (T, error), enc func(T) []byte, random func(*rand.Rand) []byte) (*dataset[T], error) {
-	emb, err := indexspace.New(space, lms)
-	if err != nil {
-		return nil, err
-	}
-	part, err := emb.Partitioner(false)
-	if err != nil {
-		return nil, err
-	}
-	d := &dataset[T]{objs: objs, lms: lms, space: space, emb: emb, part: part, dec: dec, enc: enc, random: random}
-	k := emb.K()
-	d.cols = columns{k: k, keys: make([]lph.Key, len(objs)), pts: make([]float64, len(objs)*k)}
-	return d, nil
-}
-
 // protoVersion names the peer protocol and is hashed into the corpus
 // signature, so processes that speak different versions refuse to link
 // through the handshake's reject path. gob drops fields it does not
@@ -398,10 +379,16 @@ func (d *dataset[T]) seal(cfg DataConfig) {
 	d.cols.sortByKey()
 }
 
-// euclidParts returns the metric-space machinery for "euclid": the
-// space plus the object codec and random-query generator. Shared by
-// fresh construction and durable recovery.
-func euclidParts(cfg DataConfig) (metric.Space[metric.Vector], func([]byte) (metric.Vector, error), func(metric.Vector) []byte, func(*rand.Rand) []byte) {
+func buildEuclid(cfg DataConfig) (corpus, error) {
+	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x636f72707573)) // "corpus"
+	objs := make([]metric.Vector, cfg.Objects)
+	for i := range objs {
+		v := make(metric.Vector, cfg.Dim)
+		for j := range v {
+			v[j] = rng.Float64()
+		}
+		objs[i] = v
+	}
 	space := metric.EuclideanSpace("euclid", cfg.Dim, 0, 1)
 	dim := cfg.Dim
 	dec := func(b []byte) (metric.Vector, error) {
@@ -415,20 +402,6 @@ func euclidParts(cfg DataConfig) (metric.Space[metric.Vector], func([]byte) (met
 		}
 		return EncodeVectorQuery(v)
 	}
-	return space, dec, enc, random
-}
-
-func buildEuclid(cfg DataConfig) (corpus, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x636f72707573)) // "corpus"
-	objs := make([]metric.Vector, cfg.Objects)
-	for i := range objs {
-		v := make(metric.Vector, cfg.Dim)
-		for j := range v {
-			v[j] = rng.Float64()
-		}
-		objs[i] = v
-	}
-	space, dec, enc, random := euclidParts(cfg)
 	return finishDataset(cfg, objs, space, dec, enc, random)
 }
 
@@ -439,17 +412,7 @@ const editAlphabet = "abcde"
 // editMaxLen bounds string length for the "edit" metric.
 const editMaxLen = 12
 
-// editParts returns the metric-space machinery for "edit". Shared by
-// fresh construction and durable recovery.
-func editParts() (metric.Space[string], func([]byte) (string, error), func(string) []byte, func(*rand.Rand) []byte) {
-	space := metric.EditSpace("edit", editMaxLen)
-	dec := func(b []byte) (string, error) {
-		if len(b) > editMaxLen {
-			return "", fmt.Errorf("netrt: query string longer than %d", editMaxLen)
-		}
-		return string(b), nil
-	}
-	enc := func(s string) []byte { return []byte(s) }
+func buildEdit(cfg DataConfig) (corpus, error) {
 	random := func(rng *rand.Rand) []byte {
 		n := 3 + rng.Intn(editMaxLen-3)
 		b := make([]byte, n)
@@ -458,21 +421,19 @@ func editParts() (metric.Space[string], func([]byte) (string, error), func(strin
 		}
 		return b
 	}
-	return space, dec, enc, random
-}
-
-func buildEdit(cfg DataConfig) (corpus, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x636f72707573))
 	objs := make([]string, cfg.Objects)
 	for i := range objs {
-		n := 3 + rng.Intn(editMaxLen-3)
-		b := make([]byte, n)
-		for j := range b {
-			b[j] = editAlphabet[rng.Intn(len(editAlphabet))]
-		}
-		objs[i] = string(b)
+		objs[i] = string(random(rng))
 	}
-	space, dec, enc, random := editParts()
+	space := metric.EditSpace("edit", editMaxLen)
+	dec := func(b []byte) (string, error) {
+		if len(b) > editMaxLen {
+			return "", fmt.Errorf("netrt: query string longer than %d", editMaxLen)
+		}
+		return string(b), nil
+	}
+	enc := func(s string) []byte { return []byte(s) }
 	return finishDataset(cfg, objs, space, dec, enc, random)
 }
 

@@ -4,39 +4,46 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"landmarkdht/internal/wal"
 )
 
-// A second openDurable on the same directory must restore the corpus
-// bit-for-bit — same signature, keys, points — without regenerating
-// it, for both metrics.
+// bootDurable is Start's boot path without the node: open the data
+// directory, then build the corpus.
+func bootDurable(t *testing.T, dir string, cfg DataConfig) (c corpus, recovered bool, replayed int) {
+	t.Helper()
+	st, recovered, replayed, _, err := openDurable(dir, cfg)
+	if err != nil {
+		t.Fatalf("%s: open %s: %v", cfg.Metric, dir, err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c, err = buildCorpus(cfg); err != nil {
+		t.Fatal(err)
+	}
+	return c, recovered, replayed
+}
+
+// A second boot on the same directory must come up with the first
+// boot's corpus bit-for-bit — same signature, keys, points — for both
+// metrics, having read nothing but the meta record.
 func TestDurableCorpusRoundTrip(t *testing.T) {
 	for _, cfg := range []DataConfig{
 		{Metric: "euclid", Seed: 11, Objects: 512, Dim: 3, Landmarks: 4},
 		{Metric: "edit", Seed: 3, Objects: 256, Landmarks: 4},
 	} {
 		dir := t.TempDir()
-		built, st1, recovered, _, _, err := openDurable(dir, cfg)
-		if err != nil {
-			t.Fatalf("%s first boot: %v", cfg.Metric, err)
-		}
-		if err := st1.Close(); err != nil {
-			t.Fatal(err)
-		}
+		built, recovered, _ := bootDurable(t, dir, cfg)
 		if recovered {
 			t.Fatalf("%s: first boot on an empty dir claims recovery", cfg.Metric)
 		}
-		restored, st2, recovered, replayed, _, err := openDurable(dir, cfg)
-		if err != nil {
-			t.Fatalf("%s recovery: %v", cfg.Metric, err)
-		}
+		restored, recovered, replayed := bootDurable(t, dir, cfg)
 		if !recovered {
 			t.Fatalf("%s: second boot did not recover from disk", cfg.Metric)
 		}
-		if err := st2.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// meta + landmarks + entries, all snapshotted at first boot.
-		if want := 1 + 4 + cfg.Objects; replayed != want {
+		// The meta record: the corpus itself is never written.
+		if want := 1; replayed != want {
 			t.Fatalf("%s: replayed %d records, want %d", cfg.Metric, replayed, want)
 		}
 		if built.Sig() != restored.Sig() {
@@ -84,7 +91,7 @@ func TestDurableCorpusRoundTrip(t *testing.T) {
 func TestDurableConfigMismatchRefused(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testData()
-	_, st, _, _, _, err := openDurable(dir, cfg)
+	st, _, _, _, err := openDurable(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +100,7 @@ func TestDurableConfigMismatchRefused(t *testing.T) {
 	}
 	other := cfg
 	other.Seed = 999
-	if _, _, _, _, _, err := openDurable(dir, other); err == nil {
+	if _, _, _, _, err := openDurable(dir, other); err == nil {
 		t.Fatal("openDurable accepted a directory built for a different seed")
 	}
 }
@@ -185,4 +192,110 @@ func TestDurableNodeRestartRecovers(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestDurableLegacyDirectoryOpens boots a node on a directory in the
+// layout earlier versions wrote: a snapshot of the meta record, the
+// landmark objects (tag 2) and every corpus entry (tag 3), then the
+// online mutations in the log. The snapshot's corpus records are read
+// past, the mutations replay, and answers are exact.
+func TestDurableLegacyDirectoryOpens(t *testing.T) {
+	data := testData()
+	c, err := buildCorpus(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := wal.OpenStore(dir, wal.Options{Sync: wal.SyncInterval}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An entry record is a publish record under tag 3: index, ring key,
+	// point, encoded object.
+	record := func(tag byte, id int32, obj []byte) []byte {
+		key, point, err := c.MapObj(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := encodeMutation(&pubMsg{ID: id, Key: uint64(key), Obj: obj}, point)
+		rec[0] = tag
+		return rec
+	}
+	err = st.Compact(1, func(emit func([]byte) error) error {
+		if err := emit(encodeMeta(data)); err != nil {
+			return err
+		}
+		for i := 0; i < data.Landmarks; i++ {
+			if err := emit(append([]byte{recLandmark}, c.ObjBytes(i)...)); err != nil {
+				return err
+			}
+		}
+		for i := 0; i < c.N(); i++ {
+			if err := emit(record(recEntry, int32(i), c.ObjBytes(i))); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const kept, dropped, tomb = int32(10_000), int32(10_001), int32(7)
+	keptObj := EncodeVectorQuery([]float64{0.21, 0.42, 0.63})
+	droppedObj := EncodeVectorQuery([]float64{0.91, 0.13, 0.37})
+	for _, rec := range [][]byte{
+		record(recPublish, kept, keptObj),
+		record(recPublish, dropped, droppedObj),
+		encodeMutation(&pubMsg{ID: dropped, Delete: true}, nil),
+		encodeMutation(&pubMsg{ID: tomb, Delete: true}, nil),
+	} {
+		if err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := testConfig(data)
+	cfg.DataDir = dir
+	n, err := Start(cfg)
+	if err != nil {
+		t.Fatalf("start on a legacy directory: %v", err)
+	}
+	defer n.Close()
+	if want := 1 + data.Landmarks + data.Objects + 4; !n.Recovered() || n.replayed != want {
+		t.Fatalf("recovered=%v replayed=%d, want true and %d", n.Recovered(), n.replayed, want)
+	}
+	if !hasID(completeQuery(t, n, keptObj, 0), kept) {
+		t.Fatal("journaled publish not answered")
+	}
+	if hasID(completeQuery(t, n, droppedObj, 0), dropped) {
+		t.Fatal("deleted publish resurrected")
+	}
+	// A query that covers the whole space: the boot corpus minus the
+	// tombstone, plus the surviving publish.
+	want, err := (&Dataset{c: c}).BruteForce(keptObj, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exact []ResultEntry
+	for _, e := range want {
+		if e.Obj != tomb {
+			exact = append(exact, e)
+		}
+	}
+	exact = append(exact, ResultEntry{Obj: kept})
+	if got := completeQuery(t, n, keptObj, 2); len(want) != data.Objects || !sameIDs(got, exact) {
+		t.Fatalf("full-range answer has %d entries, want the %d of brute force minus the tombstone plus the publish",
+			len(got), len(want))
+	}
+
+	// The same directory under another config is still refused.
+	n.Close()
+	cfg.Data.Seed++
+	if n2, err := Start(cfg); err == nil {
+		n2.Close()
+		t.Fatal("legacy directory accepted under a different seed")
+	}
 }

@@ -2,6 +2,7 @@ package netrt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -53,6 +54,87 @@ func FuzzDecodeRepEntry(f *testing.F) {
 				t.Fatalf("re-encoding gave %x, the decoder consumed %x", again, consumed)
 			}
 			data = rest
+		}
+	})
+}
+
+// FuzzDurableRecord feeds hostile bytes to rawState.add, the one decoder
+// a data directory is read through (the WAL framing below it has checked
+// a CRC, which vouches for the disk, not for the writer). It must:
+//
+//   - never panic, and refuse empty records, unknown tags and truncated
+//     bodies with an error;
+//   - read past the corpus records of earlier versions (tags 2 and 3)
+//     and keep nothing of them — the old entry decoder grew a slice to a
+//     32-bit index taken from the record, which is the last seed;
+//   - retain no more memory than the record is long;
+//   - be the inverse of encodeMutation for what it accepts.
+func FuzzDurableRecord(f *testing.F) {
+	pub := encodeMutation(&pubMsg{ID: 1 << 24, Key: 0x0123456789abcdef, Obj: []byte("object")},
+		[]float64{0.25, 0.5, math.Inf(1)})
+	entry := append([]byte{recEntry}, pub[1:]...)
+	f.Add(encodeMeta(testData()))
+	f.Add(pub)
+	f.Add(encodeMutation(&pubMsg{ID: 7, Delete: true}, nil))
+	f.Add(append([]byte{recLandmark}, "landmark"...))
+	f.Add(entry)
+	f.Add(pub[:14])                       // header cut short
+	f.Add(pub[:len(pub)-len("object")-1]) // point cut short
+	f.Add([]byte{recDelete, 0, 0})        // id cut short
+	f.Add([]byte{})
+	f.Add([]byte{9})
+	f.Add(append([]byte{recEntry, 0xFF, 0xFF, 0xFF, 0xFF}, entry[5:]...)) // entry index 2³²−1
+
+	f.Fuzz(func(t *testing.T, p []byte) {
+		var r rawState
+		err := r.add(p)
+		retained := len(r.meta)
+		for _, m := range r.muts {
+			retained += 8*len(m.point) + len(m.obj)
+		}
+		if retained > len(p) {
+			t.Fatalf("a record of %d bytes left %d bytes behind", len(p), retained)
+		}
+		const pubHdr = 1 + 4 + 8 + 2
+		wellFormed := len(p) > 0
+		if wellFormed {
+			switch p[0] {
+			case recMeta, recLandmark, recEntry:
+			case recPublish:
+				wellFormed = len(p) >= pubHdr && len(p)-pubHdr >= 8*int(binary.BigEndian.Uint16(p[13:]))
+			case recDelete:
+				wellFormed = len(p) == 5
+			default:
+				wellFormed = false
+			}
+		}
+		if !wellFormed {
+			if err == nil || len(r.muts) != 0 || r.meta != nil {
+				t.Fatalf("malformed record %x: err %v, %d mutations, meta %x", p, err, len(r.muts), r.meta)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("well-formed record %x refused: %v", p, err)
+		}
+		switch p[0] {
+		case recMeta:
+			if !bytes.Equal(r.meta, p) || len(r.muts) != 0 {
+				t.Fatalf("meta record %x kept as %x with %d mutations", p, r.meta, len(r.muts))
+			}
+		case recLandmark, recEntry:
+			if retained != 0 || len(r.muts) != 0 {
+				t.Fatalf("legacy record %x was not skipped: %d mutations", p, len(r.muts))
+			}
+		default:
+			if len(r.muts) != 1 || r.meta != nil {
+				t.Fatalf("mutation record %x decoded to %d mutations, meta %x", p, len(r.muts), r.meta)
+			}
+			m := r.muts[0]
+			again := encodeMutation(&pubMsg{ID: m.id, Key: uint64(m.key), Obj: m.obj, Delete: m.del}, m.point)
+			if !bytes.Equal(again, p) {
+				t.Fatalf("re-encoding gave %x, the record was %x", again, p)
+			}
 		}
 	})
 }

@@ -35,10 +35,10 @@
 // key it succeeds under the current membership view. The corpus' index
 // entries are stored once, flat, sorted by key (data.go's columns), so
 // what a member owns is its arc of that order — one or two runs, found
-// by binary search on every membership change. Without Config.DataDir
-// the corpus is rebuilt from the seed at startup; with it, first boot
-// journals the corpus to disk and every later boot recovers it from
-// the WAL with zero regeneration (durable.go).
+// by binary search on every membership change. Every boot builds the
+// corpus from DataConfig; Config.DataDir adds a journal of the online
+// publishes and deletes the node accepted as owner, the one thing a
+// restart cannot re-derive, replayed on top of the build (durable.go).
 // Membership is a full member list, learned at handshake, spread by
 // join announcements and periodic gossip; members are never evicted,
 // so a SIGKILLed process that restarts with the same address (same
@@ -91,12 +91,12 @@ type Config struct {
 	Join []string
 	// Data pins the deterministic corpus (must match across the ring).
 	Data DataConfig
-	// DataDir, when set, makes node state durable: the corpus (landmark
-	// objects, entries, keys, points) is journaled to this directory on
-	// first boot, and a restart on the same address restores it from
-	// disk instead of regenerating it. Each node needs its own
-	// directory. A directory built for a different Data config is a
-	// startup error, never a silent rebuild.
+	// DataDir, when set, makes node state durable: every online publish
+	// and delete the node accepts as owner is journaled to this
+	// directory before it is acknowledged, and a restart on the same
+	// address replays them on top of the corpus it builds. Each node
+	// needs its own directory. A directory written for a different Data
+	// config, or a corrupt journal, is a startup error.
 	DataDir string
 	// Deadline bounds a query: when it expires before all credit is
 	// home, the query finishes incomplete (default 5s).
@@ -172,8 +172,8 @@ type Node struct {
 	data  corpus
 
 	// Durable-state provenance, fixed at Start.
-	recovered bool // corpus came off disk, not regenerated
-	replayed  int  // durable records read during recovery
+	recovered bool // an earlier boot initialised the data dir; its mutations were replayed
+	replayed  int  // durable records read from it
 
 	rt *livert.Runtime // protocol executor, clock, seeded rand
 	ln net.Listener
@@ -239,24 +239,28 @@ func NodeID(addr string) uint64 {
 	return h.Sum64()
 }
 
-// Start builds (or, with DataDir, recovers) the corpus, binds the
-// listener, joins the ring, and returns the running node.
+// Start opens the data directory when one is configured, builds the
+// corpus, binds the listener, joins the ring, and returns the running
+// node.
 func Start(cfg Config) (*Node, error) {
 	cfg.fillDefaults()
 	var (
-		data      corpus
 		store     *wal.Store
 		recovered bool
 		replayed  int
 		muts      []durableMut
-		err       error
 	)
 	if cfg.DataDir != "" {
-		data, store, recovered, replayed, muts, err = openDurable(cfg.DataDir, cfg.Data)
-	} else {
-		data, err = buildCorpus(cfg.Data)
+		var err error
+		if store, recovered, replayed, muts, err = openDurable(cfg.DataDir, cfg.Data); err != nil {
+			return nil, err
+		}
 	}
+	data, err := buildCorpus(cfg.Data)
 	if err != nil {
+		if store != nil {
+			_ = store.Close() // startup already failing; the build error is the signal
+		}
 		return nil, err
 	}
 	ln, err := net.Listen("tcp", cfg.Listen)
@@ -343,9 +347,9 @@ func Start(cfg Config) (*Node, error) {
 // ID returns the node's ring identity.
 func (n *Node) ID() uint64 { return n.id }
 
-// Recovered reports whether the node's corpus was restored from its
-// data directory (true only after a restart with DataDir set; the
-// first boot builds and persists, it does not recover).
+// Recovered reports whether an earlier boot had initialised the node's
+// data directory, so that this one replayed its journaled mutations
+// (false without DataDir and on the boot that first uses a directory).
 func (n *Node) Recovered() bool { return n.recovered }
 
 // Addr returns the bound listen address.

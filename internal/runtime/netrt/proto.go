@@ -208,53 +208,21 @@ type clientResultMsg struct {
 	Entries  []ResultEntry
 }
 
-// clientPublishMsg asks the node to publish one object under id (which
-// must not collide with the deterministic corpus); clientDeleteMsg
-// removes one entry — by id alone for corpus entries, or with the
-// object bytes for published ids (the bytes re-derive the ring key the
-// delete routes by). Both are answered with a clientMutRMsg.
-type clientPublishMsg struct {
-	ID  int32
-	Obj []byte
-}
-
-type clientDeleteMsg struct {
+// clientMutMsg asks the node for one mutation; the frame's kind byte
+// says which. kindClientPublish publishes one object under ID (which
+// must not collide with the deterministic corpus); kindClientDelete
+// removes one entry — by id alone for corpus entries, or with the object
+// bytes for published ids (the bytes re-derive the ring key the delete
+// routes by). Both are answered with a clientMutRMsg.
+type clientMutMsg struct {
 	ID  int32
 	Obj []byte
 }
 
 // clientMutRMsg is a finished mutation: empty Err means the owner
-// applied and journaled it.
+// journaled and applied it.
 type clientMutRMsg struct {
 	Err string
-}
-
-// infoMsg answers a client info request: the node's identity, view of
-// the ring, how much of the corpus it currently owns, and whether its
-// corpus was recovered from durable state. (Gob tolerates unknown
-// fields, so adding fields here stays wire-compatible across mixed
-// versions.)
-type infoMsg struct {
-	ID        uint64
-	Addr      string
-	Members   []Member
-	Store     int
-	Recovered bool
-	Replayed  int
-
-	// Replication and failure-detection state (PR 10): the configured
-	// replication factor, members this node's detector currently marks
-	// down, how many owners' regions this node holds synced copies of,
-	// live published entries, and the repair counters (bulk streams
-	// applied, chunks received, point-wise fallbacks — always zero, the
-	// soak asserts repairs ride the bulk path).
-	Replicas       int
-	Down           []uint64
-	SyncedOwners   int
-	Extras         int
-	Repairs        int64
-	RepairChunks   int64
-	RepairFallback int64
 }
 
 // encodeMsg builds a frame payload: kind byte + gob body.

@@ -3,11 +3,12 @@ package netrt
 // Online mutations: Publish inserts an object under a caller-chosen id
 // (disjoint from the boot corpus), Delete removes an entry. Mutations
 // route to the owner of the object's ring key exactly as queries route
-// regions; the owner applies the change to its live region, appends one
-// record to its WAL when durable (an incremental append — the corpus
-// snapshot is never recompacted online), fans the change out to its
-// replicas, and acks the origin. A restarted durable node replays its
-// mutation records on top of the recovered corpus before serving.
+// regions; the owner validates the change, appends one record to its
+// WAL when durable, applies it to its live region, fans it out to its
+// replicas, and acks the origin — in that order, so an acknowledged
+// mutation is always a journaled one and a failed append leaves nothing
+// applied. A restarted durable node replays its mutation records on top
+// of the corpus it builds before serving.
 //
 // Mutations to a down owner fail fast instead of queueing: while an
 // owner is dead its replica copies must stay static, which is exactly
@@ -94,7 +95,7 @@ func (n *Node) startMutation(id int32, obj []byte, del bool, done func(error)) {
 }
 
 // routeMutation forwards a mutation toward the owner of its ring key,
-// applying it on arrival.
+// which journals it, applies it and acks.
 //
 //lint:context executor
 func (n *Node) routeMutation(m *pubMsg) {
@@ -104,11 +105,15 @@ func (n *Node) routeMutation(m *pubMsg) {
 	}
 	owner := n.successor(m.Key)
 	if owner == n.id {
-		if err := n.applyMutation(m); err != nil {
+		point, err := n.checkMutation(m)
+		if err == nil {
+			err = n.journalMutation(m, point)
+		}
+		if err != nil {
 			n.mutAck(m, err.Error())
 			return
 		}
-		n.journalMutation(m)
+		n.applyMutation(m, point)
 		n.fanoutMutation(m)
 		n.mutAck(m, "")
 		return
@@ -122,38 +127,46 @@ func (n *Node) routeMutation(m *pubMsg) {
 	n.sendTo(n.members[owner], kindPublish, &fm)
 }
 
-// applyMutation applies one mutation to the live region, keeping the
-// region digest incrementally correct.
+// checkMutation validates one mutation against the live region before
+// anything is journaled, and maps a publish to its index-space point.
 //
 //lint:context executor
-func (n *Node) applyMutation(m *pubMsg) error {
+func (n *Node) checkMutation(m *pubMsg) ([]float64, error) {
+	boot := int(m.ID) >= 0 && int(m.ID) < n.data.N()
+	if m.Delete {
+		if _, ok := n.extras[m.ID]; !ok && !boot {
+			return nil, fmt.Errorf("netrt: delete of unknown id %d", m.ID)
+		}
+		return nil, nil
+	}
+	if boot {
+		return nil, fmt.Errorf("netrt: publish id %d collides with the boot corpus", m.ID)
+	}
+	_, point, err := n.data.MapObj(m.Obj)
+	return point, err
+}
+
+// applyMutation applies one checked mutation to the live region,
+// keeping the region digest incrementally correct.
+//
+//lint:context executor
+func (n *Node) applyMutation(m *pubMsg, point []float64) {
 	if m.Delete {
 		if e, ok := n.extras[m.ID]; ok {
 			delete(n.extras, m.ID)
 			n.mineDigest ^= e.dig
 			n.mineCount--
-			return nil
-		}
-		i := int(m.ID)
-		if i < 0 || i >= n.data.N() {
-			return fmt.Errorf("netrt: delete of unknown id %d", m.ID)
+			return
 		}
 		if _, dead := n.tombs[m.ID]; dead {
-			return nil // idempotent
+			return // idempotent
 		}
 		n.tombs[m.ID] = struct{}{}
-		if n.ownsBoot(i) {
+		if i := int(m.ID); n.ownsBoot(i) {
 			n.mineDigest ^= n.bootDigest(i)
 			n.mineCount--
 		}
-		return nil
-	}
-	if i := int(m.ID); i >= 0 && i < n.data.N() {
-		return fmt.Errorf("netrt: publish id %d collides with the boot corpus", m.ID)
-	}
-	_, point, err := n.data.MapObj(m.Obj)
-	if err != nil {
-		return err
+		return
 	}
 	e := repEntry{key: lph.Key(m.Key), point: point, obj: m.Obj}
 	e.dig = core.EntryDigest(e.key, core.Entry{Obj: core.ObjectID(m.ID), Point: point}, m.Obj)
@@ -164,7 +177,6 @@ func (n *Node) applyMutation(m *pubMsg) error {
 	n.extras[m.ID] = e
 	n.mineDigest ^= e.dig
 	n.mineCount++
-	return nil
 }
 
 // ownsBoot reports whether boot entry i is currently owned here.

@@ -146,9 +146,9 @@ func TestClientMutations(t *testing.T) {
 	}
 }
 
-// TestDurableMutationReplay is the incremental-WAL contract: online
-// mutations append records (never recompact the snapshot), and a
-// restart replays them on top of the recovered corpus.
+// TestDurableMutationReplay is the incremental-WAL contract: every
+// online mutation appends one record, and a restart replays them on top
+// of the corpus it builds.
 func TestDurableMutationReplay(t *testing.T) {
 	data := testData()
 	dir := t.TempDir()
@@ -187,11 +187,11 @@ func TestDurableMutationReplay(t *testing.T) {
 	if !n2.Recovered() {
 		t.Fatal("restart did not recover from the data dir")
 	}
-	// Snapshot (meta + landmarks + objects) plus exactly the four
-	// mutation records appended online — incremental, not recompacted.
-	base := 1 + data.Landmarks + data.Objects
+	// The meta record plus exactly the four mutation records appended
+	// online.
+	base := 1
 	if n2.replayed != base+4 {
-		t.Fatalf("replayed %d records, want snapshot %d + 4 mutations", n2.replayed, base)
+		t.Fatalf("replayed %d records, want meta %d + 4 mutations", n2.replayed, base)
 	}
 	var extras, tombs int
 	execRead(t, n2, func() { extras, tombs = len(n2.extras), len(n2.tombs) })
@@ -229,4 +229,73 @@ func TestDurableMutationReplay(t *testing.T) {
 		}
 		return
 	}
+}
+
+// TestDurableAppendFailureRefusesMutation holds an ack to what
+// clientMutRMsg says it means: a mutation whose journal append fails is
+// refused — not applied, not acknowledged, and not there after a
+// restart. Closing the store underneath the node makes every append
+// fail.
+func TestDurableAppendFailureRefusesMutation(t *testing.T) {
+	data := testData()
+	cfg := testConfig(data)
+	cfg.DataDir = t.TempDir()
+	n, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { n.Close() }()
+	execRead(t, n, func() {
+		if err := n.store.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+
+	const pubID, bootID = int32(10_000), int32(7)
+	obj := EncodeVectorQuery([]float64{0.21, 0.42, 0.63})
+	// untouched requires that neither mutation is visible through n.
+	untouched := func(when string) {
+		t.Helper()
+		c, err := Dial(n.Addr(), 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		info, err := c.Info(2 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Extras != 0 {
+			t.Fatalf("%s: node holds %d published entries, want 0", when, info.Extras)
+		}
+		if hasID(completeQuery(t, n, obj, 0), pubID) {
+			t.Fatalf("%s: refused publish is answered", when)
+		}
+		if !hasID(completeQuery(t, n, n.data.ObjBytes(int(bootID)), 0), bootID) {
+			t.Fatalf("%s: refused delete removed the boot entry", when)
+		}
+	}
+
+	c, err := Dial(n.Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Publish(pubID, obj, 5*time.Second); err == nil {
+		t.Fatal("publish acknowledged though its journal append failed")
+	}
+	if err := c.Delete(bootID, nil, 5*time.Second); err == nil {
+		t.Fatal("delete acknowledged though its journal append failed")
+	}
+	untouched("after the refusals")
+
+	cfg.Listen = n.Addr()
+	n.Close()
+	if n, err = Start(cfg); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	if !n.Recovered() || n.replayed != 1 {
+		t.Fatalf("restart: recovered=%v replayed=%d, want the meta record alone", n.Recovered(), n.replayed)
+	}
+	untouched("after a restart")
 }

@@ -50,6 +50,10 @@ const (
 	// one stream, whatever the header claims.
 	maxRepChunks = 1 << 14
 	maxRepBytes  = 64 << 20
+	// minRepEntry is the least one entry takes on the stream (8B key, 4B
+	// id, 2B point length, 4B object length), so maxRepBytes bounds the
+	// entry count a header may claim.
+	minRepEntry = 18
 )
 
 // repEntry is one self-describing replica entry: ring key, index-space
@@ -378,7 +382,8 @@ func (n *Node) dropPush(p *repPush) {
 //
 //lint:context executor
 func (n *Node) onRepBegin(peer uint64, b *repBeginMsg) {
-	if b.Owner != peer || b.Chunks <= 0 || b.Chunks > maxRepChunks || b.Entries < 0 {
+	if b.Owner != peer || b.Chunks <= 0 || b.Chunks > maxRepChunks ||
+		b.Entries < 0 || b.Entries > maxRepBytes/minRepEntry {
 		return
 	}
 	if old, ok := n.stageOwner[b.Owner]; ok {

@@ -151,10 +151,16 @@ func TestAntiEntropyRepairsDivergence(t *testing.T) {
 	nodes := startReplicatedRing(t, 2, 1, data)
 	waitSynced(t, nodes, 1)
 
+	// The ports are ephemeral and the corpus' keys cluster on the ring,
+	// so either member may own nothing: a is the one that owns entries.
 	a, b := nodes[0], nodes[1]
-	before := b.Stats().Repairs
 	var ownerEntries int
 	execRead(t, a, func() { ownerEntries = a.mineCount })
+	if ownerEntries == 0 {
+		a, b = b, a
+		execRead(t, a, func() { ownerEntries = a.mineCount })
+	}
+	before := b.Stats().Repairs
 
 	// Drop one entry from b's copy of a, keeping the copy's digest
 	// self-consistent — only the owner's advert can expose the loss.
@@ -267,5 +273,47 @@ func TestHostileRepFrameDropsLink(t *testing.T) {
 			return // dropped, as required
 		}
 		buf = next
+	}
+}
+
+// TestHostileRepBeginRefused sends a stream header claiming more
+// entries than maxRepBytes could carry — installStage sizes the copy's
+// map from that count — then an honest header for the same transfer.
+// The first must be refused, so the second is the one staged; were the
+// first accepted, the second would be taken for its retry and ignored.
+func TestHostileRepBeginRefused(t *testing.T) {
+	n, err := Start(testConfig(testData()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+
+	conn, err := net.DialTimeout("tcp", n.Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const peer = 424242
+	if _, err := dialHandshake(conn, Member{ID: peer, Addr: "127.0.0.1:9"}, n.sig, nil); err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
+	for i, entries := range []int{maxRepBytes/minRepEntry + 1, 1} {
+		err := writeFrame(conn, uint64(2+i), kindRepBegin,
+			repBeginMsg{Owner: peer, Transfer: 1, Chunks: 1, Entries: entries})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	staged := -1
+	waitFor(t, 5*time.Second, func() bool {
+		execRead(t, n, func() {
+			if st := n.staging[1]; st != nil {
+				staged = st.entries
+			}
+		})
+		return staged >= 0
+	})
+	if staged != 1 {
+		t.Fatalf("staged a stream of %d entries: the oversized header was accepted", staged)
 	}
 }

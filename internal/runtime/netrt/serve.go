@@ -190,7 +190,7 @@ func (n *Node) serveClient(conn net.Conn) {
 		case kindClientInfo:
 			reqID := id
 			n.rt.Schedule(0, func() {
-				reply(reqID, kindClientInfoR, infoMsg{
+				reply(reqID, kindClientInfoR, Info{
 					ID: n.id, Addr: n.addr, Members: n.snapshot(), Store: n.ownedBoot(),
 					Recovered: n.recovered, Replayed: n.replayed,
 					Replicas: n.cfg.Replicas, Down: n.downMembers(),
@@ -199,29 +199,14 @@ func (n *Node) serveClient(conn net.Conn) {
 					RepairChunks: n.repairChunksRx.Load(), RepairFallback: n.repairFallback.Load(),
 				})
 			})
-		case kindClientPublish:
-			var cm clientPublishMsg
+		case kindClientPublish, kindClientDelete:
+			var cm clientMutMsg
 			if decodeBody(body, &cm) != nil {
 				return
 			}
-			reqID := id
+			reqID, del := id, kind == kindClientDelete
 			n.rt.Schedule(0, func() {
-				n.startMutation(cm.ID, cm.Obj, false, func(err error) {
-					var msg clientMutRMsg
-					if err != nil {
-						msg.Err = err.Error()
-					}
-					reply(reqID, kindClientMutR, msg)
-				})
-			})
-		case kindClientDelete:
-			var cm clientDeleteMsg
-			if decodeBody(body, &cm) != nil {
-				return
-			}
-			reqID := id
-			n.rt.Schedule(0, func() {
-				n.startMutation(cm.ID, cm.Obj, true, func(err error) {
+				n.startMutation(cm.ID, cm.Obj, del, func(err error) {
 					var msg clientMutRMsg
 					if err != nil {
 						msg.Err = err.Error()

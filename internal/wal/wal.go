@@ -4,8 +4,8 @@
 //
 // The package is deliberately dumb about content: records are opaque
 // byte payloads. The policy layers above it — core's walstore (index
-// entries and region mutations) and netrt's disk dataset (the persisted
-// corpus) — define their own record encodings. What this package owns
+// entries and region mutations) and netrt's mutation journal — define
+// their own record encodings. What this package owns
 // is the failure model:
 //
 //   - A record is framed [u32 length | u32 CRC-32C | payload]. Appends

@@ -30,10 +30,11 @@ type NodeOptions struct {
 	Objects   int
 	Dim       int
 	Landmarks int
-	// DataDir, when set, makes the node's state durable: the corpus is
-	// journaled to this directory on first boot, and a process
-	// restarted on the same Listen address recovers it from the WAL
-	// instead of regenerating it. Each node needs its own directory.
+	// DataDir, when set, makes the node's state durable: every online
+	// publish and delete the node accepts as owner is journaled to this
+	// directory before it is acknowledged, and a process restarted on
+	// the same Listen address replays them on top of the corpus it
+	// builds. Each node needs its own directory.
 	DataDir string
 	// Deadline bounds each query; on expiry it finishes incomplete
 	// with the results gathered so far (default 5s).
@@ -105,8 +106,9 @@ func (n *Node) ID() uint64 { return n.inner.ID() }
 // Addr returns the bound listen address.
 func (n *Node) Addr() string { return n.inner.Addr() }
 
-// Recovered reports whether the node restored its corpus from DataDir
-// (true only after a restart; a first boot builds and persists).
+// Recovered reports whether an earlier boot had initialised DataDir, so
+// that this one replayed the mutations journaled there (false on the
+// boot that first uses the directory).
 func (n *Node) Recovered() bool { return n.inner.Recovered() }
 
 // Stats snapshots the node's link layer.
