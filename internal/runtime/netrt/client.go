@@ -65,7 +65,7 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 		closeConn(conn)
 		return nil, err
 	}
-	if err := writeFrame(conn, 1, kindClientHello, nil); err != nil {
+	if err := writeFrame(conn, 1, kindClientHello, clientWelcomeMsg{Version: protoVersion}); err != nil {
 		closeConn(conn)
 		return nil, err
 	}
@@ -75,7 +75,7 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 		return nil, err
 	}
 	kind, body, err := splitMsg(payload)
-	if err != nil || kind != kindClientWelcome {
+	if err != nil || (kind != kindClientWelcome && kind != kindReject) {
 		closeConn(conn)
 		return nil, fmt.Errorf("netrt: unexpected client handshake reply")
 	}
@@ -83,6 +83,14 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if err := decodeBody(body, &w); err != nil {
 		closeConn(conn)
 		return nil, err
+	}
+	// A node that refused this client's version says so with its own; one
+	// from before the handshake carried a version welcomes anybody and
+	// reads as version 0. Either way the binary frames past this point
+	// would be misread, so the mismatch ends the dial.
+	if kind == kindReject || w.Version != protoVersion {
+		closeConn(conn)
+		return nil, fmt.Errorf("netrt: node %s speaks protocol version %d, this client %d", addr, w.Version, protoVersion)
 	}
 	if err := conn.SetDeadline(time.Time{}); err != nil {
 		closeConn(conn)
@@ -123,8 +131,8 @@ func (c *Client) readLoop() {
 	}
 }
 
-// roundTrip sends one request and waits for its reply.
-func (c *Client) roundTrip(kind byte, msg any, timeout time.Duration) (byte, []byte, error) {
+// roundTrip sends one request payload and waits for its reply.
+func (c *Client) roundTrip(payload []byte, timeout time.Duration) (byte, []byte, error) {
 	ch := make(chan []byte, 1)
 	c.mu.Lock()
 	if c.closed {
@@ -139,11 +147,6 @@ func (c *Client) roundTrip(kind byte, msg any, timeout time.Duration) (byte, []b
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-	}
-	payload, err := encodeMsg(kind, msg)
-	if err != nil {
-		cancel()
-		return 0, nil, err
 	}
 	frame, err := wire.AppendFrame(nil, id, payload)
 	if err != nil {
@@ -182,15 +185,15 @@ func splitReply(p []byte) (byte, []byte, error) {
 // metric-specific query-object encoding (EncodeVectorQuery /
 // EncodeStringQuery), r the metric radius.
 func (c *Client) Query(qobj []byte, r float64, timeout time.Duration) (QueryOutcome, error) {
-	kind, body, err := c.roundTrip(kindClientQuery, clientQueryMsg{QObj: qobj, R: r}, timeout)
+	kind, body, err := c.roundTrip(appendClientQuery(nil, &clientQueryMsg{QObj: qobj, R: r}), timeout)
 	if err != nil {
 		return QueryOutcome{}, err
 	}
 	if kind != kindClientResult {
 		return QueryOutcome{}, fmt.Errorf("netrt: unexpected reply kind %d", kind)
 	}
-	var res clientResultMsg
-	if err := decodeBody(body, &res); err != nil {
+	res, err := decodeClientResult(body)
+	if err != nil {
 		return QueryOutcome{}, err
 	}
 	if res.Err != "" {
@@ -202,7 +205,7 @@ func (c *Client) Query(qobj []byte, r float64, timeout time.Duration) (QueryOutc
 // Info asks the node for its identity, membership view, and store
 // size.
 func (c *Client) Info(timeout time.Duration) (Info, error) {
-	kind, body, err := c.roundTrip(kindClientInfo, nil, timeout)
+	kind, body, err := c.roundTrip([]byte{kindClientInfo}, timeout)
 	if err != nil {
 		return Info{}, err
 	}
@@ -221,25 +224,25 @@ func (c *Client) Info(timeout time.Duration) (Info, error) {
 // the owner's replicas). The id must not collide with the
 // deterministic corpus.
 func (c *Client) Publish(id int32, obj []byte, timeout time.Duration) error {
-	return c.mutate(kindClientPublish, clientMutMsg{ID: id, Obj: obj}, timeout)
+	return c.mutate(kindClientPublish, &clientMutMsg{ID: id, Obj: obj}, timeout)
 }
 
 // Delete removes one entry: a boot-corpus entry by id alone, or a
 // published entry by id plus its encoded object.
 func (c *Client) Delete(id int32, obj []byte, timeout time.Duration) error {
-	return c.mutate(kindClientDelete, clientMutMsg{ID: id, Obj: obj}, timeout)
+	return c.mutate(kindClientDelete, &clientMutMsg{ID: id, Obj: obj}, timeout)
 }
 
-func (c *Client) mutate(kind byte, msg clientMutMsg, timeout time.Duration) error {
-	k, body, err := c.roundTrip(kind, msg, timeout)
+func (c *Client) mutate(kind byte, msg *clientMutMsg, timeout time.Duration) error {
+	k, body, err := c.roundTrip(appendClientMut(nil, kind, msg), timeout)
 	if err != nil {
 		return err
 	}
 	if k != kindClientMutR {
 		return fmt.Errorf("netrt: unexpected reply kind %d", k)
 	}
-	var res clientMutRMsg
-	if err := decodeBody(body, &res); err != nil {
+	res, err := decodeClientMutR(body)
+	if err != nil {
 		return err
 	}
 	if res.Err != "" {

@@ -349,14 +349,18 @@ func eachChunk(n int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// protoVersion names the peer protocol and is hashed into the corpus
+// protoVersion names the protocol. It is hashed into the corpus
 // signature, so processes that speak different versions refuse to link
-// through the handshake's reject path. gob drops fields it does not
-// know: a binary from before queryMsg carried a region set would decode
-// a zero region from one, answer nothing and still return its credit,
-// and the origin would report Complete over a partial result. Bump it
-// whenever a peer frame changes meaning.
-const protoVersion = 2
+// through the peer handshake's reject path, and it travels in the client
+// handshake, so a client and a node that disagree part at Dial with
+// both versions named. The binary frames accept exactly one length, so
+// a layout change without a bump drops links frame by frame instead;
+// the gob frames that remain (handshake, announce, repBegin, Info) drop
+// fields they do not know, so a change of meaning there would be
+// half-understood, silently. Bump it whenever a frame changes layout or
+// meaning. 2: a queryMsg carries a region set. 3: every frame a query or
+// a mutation crosses is binary (proto.go).
+const protoVersion = 3
 
 // corpusSig is the handshake signature: the protocol version, the
 // corpus parameters and every entry's ring key in corpus order.

@@ -41,15 +41,15 @@ func (n *Node) heartbeatTick() {
 			}
 		}
 		st.seq++
-		n.sendTo(n.members[id], kindPing, pingMsg{From: n.id, Seq: st.seq})
+		n.sendRaw(n.members[id], appendPing(nil, kindPing, pingMsg{From: n.id, Seq: st.seq}))
 	}
 }
 
 // onPing answers a probe with its sequence number.
 //
 //lint:context executor
-func (n *Node) onPing(p *pingMsg) {
-	n.sendTo(n.members[p.From], kindPong, pongMsg{From: n.id, Seq: p.Seq})
+func (n *Node) onPing(p pingMsg) {
+	n.sendRaw(n.members[p.From], appendPing(nil, kindPong, pingMsg{From: n.id, Seq: p.Seq}))
 }
 
 // onPong books an answered probe: suspicion decays, and a down member
@@ -57,7 +57,7 @@ func (n *Node) onPing(p *pingMsg) {
 // pong (already-acked sequence) cannot revive a re-suspected member.
 //
 //lint:context executor
-func (n *Node) onPong(p *pongMsg) {
+func (n *Node) onPong(p pingMsg) {
 	st := n.hb[p.From]
 	if st == nil || p.Seq <= st.acked {
 		return

@@ -58,6 +58,28 @@ func FuzzDecodeRepEntry(f *testing.F) {
 	})
 }
 
+// FuzzHotFrames feeds hostile bodies to the decoders of every binary
+// frame kind a query or a mutation crosses — peer frames arrive from
+// whoever passed the handshake, client frames from whoever connected.
+// which picks the decoder; the seeds are one valid encoding per kind and
+// a 40-byte result body claiming 2³²−1 entries. checkHotDecode holds
+// each decoder to: no panic; a refusal is a *wire.FrameError with the
+// zero message; an accepted body re-encodes to itself; and nothing is
+// allocated that the body's length does not account for.
+func FuzzHotFrames(f *testing.F) {
+	codecs := hotCodecs()
+	for i, c := range codecs {
+		f.Add(uint8(i), c.append(nil, c.sample)[1:])
+	}
+	hostile := appendResult(nil, &resultMsg{Epoch: 1, QID: 2, Credit: 3, From: 4})[1:]
+	binary.BigEndian.PutUint32(hostile[resultFixed-4:], math.MaxUint32)
+	f.Add(uint8(1), append(hostile, 0, 0, 0, 0))
+
+	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
+		checkHotDecode(t, codecs[int(which)%len(codecs)], body)
+	})
+}
+
 // FuzzDurableRecord feeds hostile bytes to rawState.add, the one decoder
 // a data directory is read through (the WAL framing below it has checked
 // a CRC, which vouches for the disk, not for the writer). It must:

@@ -5,11 +5,13 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"landmarkdht/internal/lph"
 	"landmarkdht/internal/query"
+	"landmarkdht/internal/wire"
 )
 
 // silent is a ticker period that never fires within a test: a ring
@@ -278,7 +280,14 @@ type sentFrame struct {
 // queued.
 func (f *groupedFixture) run(t *testing.T, msg *queryMsg) []sentFrame {
 	t.Helper()
-	execRead(t, f.n, func() { f.n.process(msg) })
+	return f.emitted(t, func() { f.n.process(msg) })
+}
+
+// emitted runs fn on the node's executor and returns every frame it
+// queued.
+func (f *groupedFixture) emitted(t *testing.T, fn func()) []sentFrame {
+	t.Helper()
+	execRead(t, f.n, fn)
 	var out []sentFrame
 	f.n.linkMu.Lock()
 	defer f.n.linkMu.Unlock()
@@ -324,8 +333,8 @@ func TestProcessSplitsCreditOncePerMessage(t *testing.T) {
 	for _, fr := range frames {
 		switch fr.kind {
 		case kindQuery:
-			var fq queryMsg
-			if err := decodeBody(fr.body, &fq); err != nil {
+			fq, err := decodeQuery(fr.body)
+			if err != nil {
 				t.Fatal(err)
 			}
 			queries[fr.to]++
@@ -342,8 +351,8 @@ func TestProcessSplitsCreditOncePerMessage(t *testing.T) {
 				}
 			}
 		case kindResult:
-			var res resultMsg
-			if err := decodeBody(fr.body, &res); err != nil {
+			res, err := decodeResult(fr.body)
+			if err != nil {
 				t.Fatal(err)
 			}
 			results++
@@ -372,8 +381,8 @@ func TestProcessSplitsCreditOncePerMessage(t *testing.T) {
 				t.Fatalf("local answer has %d entries, the node owns %d of the brute-force answer", len(res.Entries), len(want))
 			}
 		case kindDrop:
-			var d dropMsg
-			if err := decodeBody(fr.body, &d); err != nil {
+			d, err := decodeDrop(fr.body)
+			if err != nil {
 				t.Fatal(err)
 			}
 			drops++
@@ -403,9 +412,11 @@ func TestProcessSplitsCreditOncePerMessage(t *testing.T) {
 	} {
 		bad.Origin, bad.OriginAddr, bad.Regions, bad.QObj, bad.R = msg.Origin, msg.OriginAddr, f.regions, qobj, r
 		frames := f.run(t, &bad)
-		var d dropMsg
-		if len(frames) != 1 || frames[0].kind != kindDrop || decodeBody(frames[0].body, &d) != nil || d.Credit != bad.Credit {
-			t.Fatalf("%s: emitted %d frames, want one drop of the whole credit (%+v)", name, len(frames), d)
+		if len(frames) != 1 || frames[0].kind != kindDrop {
+			t.Fatalf("%s: emitted %d frames, want one drop", name, len(frames))
+		}
+		if d, err := decodeDrop(frames[0].body); err != nil || d.Credit != bad.Credit {
+			t.Fatalf("%s: the drop carries %+v (%v), want the whole credit", name, d, err)
 		}
 	}
 }
@@ -472,8 +483,8 @@ func TestOneResultFramePerMessage(t *testing.T) {
 			done: func(out QueryOutcome, _ error) { done <- out }}
 		oq.deadline = origin.rt.AfterFunc(5*time.Second, func() { origin.expire(oq.qid) })
 		origin.queries[oq.qid] = oq
-		origin.sendTo(owner.addr, kindQuery, &queryMsg{Origin: origin.id, OriginAddr: origin.addr,
-			Epoch: origin.epoch, QID: oq.qid, Credit: creditTotal, Regions: regions, QObj: qobj, R: r, TTL: 4})
+		origin.sendRaw(owner.addr, appendQuery(nil, &queryMsg{Origin: origin.id, OriginAddr: origin.addr,
+			Epoch: origin.epoch, QID: oq.qid, Credit: creditTotal, Regions: regions, QObj: qobj, R: r, TTL: 4}))
 	})
 	out := <-done
 	if !out.Complete || !slices.Equal(out.Entries, want) {
@@ -485,6 +496,126 @@ func TestOneResultFramePerMessage(t *testing.T) {
 	}
 	if got := owner.Stats().Sent - ownerBefore; got != 1 {
 		t.Fatalf("the owner wrote %d frames for one %d-region message, want 1", got, len(regions))
+	}
+}
+
+// TestSendResultSplitsOversizeAnswer: an answer of more entries than one
+// frame holds leaves as several kindResult frames, each within the frame
+// limit, the entries in order and each once, the credit shares positive
+// and summing exactly to the share the answer was given; a share too
+// small to divide comes home whole, as one drop.
+func TestSendResultSplitsOversizeAnswer(t *testing.T) {
+	f := newGroupedFixture(t)
+	q := &queryMsg{Origin: f.ids[1], OriginAddr: f.addrs[1], Epoch: 5, QID: 6}
+	ents := make([]ResultEntry, 2*maxResultEntries+5)
+	for i := range ents {
+		ents[i] = ResultEntry{Obj: int32(i), Dist: float64(i) / 8}
+	}
+	for _, tc := range []struct {
+		entries, frames int
+	}{{0, 1}, {8, 1}, {maxResultEntries, 1}, {maxResultEntries + 1, 2}, {len(ents), 3}} {
+		const credit = uint64(1_000_003)
+		var got []ResultEntry
+		var sum uint64
+		frames := f.emitted(t, func() { f.n.sendResult(q, credit, ents[:tc.entries]) })
+		for _, fr := range frames {
+			if fr.kind != kindResult || fr.to != q.OriginAddr || 1+len(fr.body) > wire.MaxFramePayload {
+				t.Fatalf("%d entries: a kind-%d frame of %d bytes to %s", tc.entries, fr.kind, 1+len(fr.body), fr.to)
+			}
+			res, err := decodeResult(fr.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Credit == 0 || res.Epoch != q.Epoch || res.QID != q.QID {
+				t.Fatalf("%d entries: a frame carries credit %d for epoch %d qid %d", tc.entries, res.Credit, res.Epoch, res.QID)
+			}
+			sum += res.Credit
+			got = append(got, res.Entries...)
+		}
+		if len(frames) != tc.frames || sum != credit || !slices.Equal(got, ents[:tc.entries]) {
+			t.Fatalf("%d entries left as %d frames (want %d) with %d entries and credit %d of %d",
+				tc.entries, len(frames), tc.frames, len(got), sum, credit)
+		}
+	}
+	frames := f.emitted(t, func() { f.n.sendResult(q, 2, ents) })
+	if len(frames) != 1 || frames[0].kind != kindDrop {
+		t.Fatalf("credit 2 over three frames: emitted %d frames, want one drop", len(frames))
+	}
+	if d, err := decodeDrop(frames[0].body); err != nil || d.Credit != 2 {
+		t.Fatalf("the drop carries %+v (%v), want the whole credit", d, err)
+	}
+}
+
+// TestOversizeAnswerCrossesTheRing: a member whose share of an answer
+// does not fit one frame still answers. Two members hold a corpus large
+// enough that the larger share is past maxResultEntries whatever ports
+// they were given; the other member asks for everything. The answer is
+// Complete, brute-force exact and back long before the deadline, and
+// nothing was shed. (When one oversize frame was built, the link shed it
+// uncounted and the query sat out its deadline with Dropped 0.)
+func TestOversizeAnswerCrossesTheRing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 180 000-object corpus three times")
+	}
+	data := DataConfig{Metric: "euclid", Seed: 7, Objects: 180_000, Dim: 2, Landmarks: 2}
+	nodes := startSilentRing(t, 2, data, func(cfg *Config) { cfg.Deadline = 5 * time.Second })
+	origin, owner := nodes[0], nodes[1]
+	var share [2]int
+	for i, n := range nodes {
+		execRead(t, n, func() { share[i] = n.ownedBoot() })
+	}
+	if share[0] > share[1] {
+		origin, owner = owner, origin
+	}
+	larger := max(share[0], share[1])
+	if larger <= maxResultEntries {
+		t.Fatalf("the larger share is %d entries: one frame holds %d", larger, maxResultEntries)
+	}
+	ds, err := BuildDataset(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qobj := ds.RandomQuery(rand.New(rand.NewSource(1)))
+	want, err := ds.BruteForce(qobj, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sentBefore := owner.Stats().Sent
+	start := time.Now()
+	out, err := origin.Query(qobj, 100, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 2500*time.Millisecond {
+		t.Fatalf("the query took %v: it ended by its deadline", took)
+	}
+	if !out.Complete || !slices.Equal(out.Entries, want) {
+		t.Fatalf("complete=%v dropped=%d with %d entries, brute force %d", out.Complete, out.Dropped, len(out.Entries), len(want))
+	}
+	if got := sentTotal([]*Node{owner}) - sentBefore; got < 2 {
+		t.Fatalf("the owner answered %d entries in %d frames", larger, got)
+	}
+	for _, n := range nodes {
+		if shed := n.Stats().Shed; shed != 0 {
+			t.Fatalf("node %016x shed %d frames", n.id, shed)
+		}
+	}
+
+	// The merged answer is past what one client frame holds, and client
+	// replies are one frame: the client is told so, with the count, at
+	// once — not left to its timeout.
+	c, err := Dial(origin.Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	start = time.Now()
+	_, err = c.Query(qobj, 100, 10*time.Second)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("answer of %d entries does not fit", len(want))) {
+		t.Fatalf("client query for %d entries: %v", len(want), err)
+	}
+	if took := time.Since(start); took > 2500*time.Millisecond {
+		t.Fatalf("the refusal took %v", took)
 	}
 }
 

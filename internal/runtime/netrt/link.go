@@ -37,11 +37,11 @@ type linkHost interface {
 	// dialPeer dials addr and completes the peer handshake, returning
 	// the connection and the remote's node ID.
 	dialPeer(addr string) (net.Conn, uint64, error)
-	// handleFrame processes one decoded peer frame. body is only valid
-	// for the duration of the call (the reader reuses its buffer) —
-	// hosts that defer work copy it first. A non-nil error proves the
-	// peer hostile (typed wire.FrameError on the binary replication
-	// frames) and drops the link.
+	// handleFrame processes one peer frame. body is only valid for the
+	// duration of the call (the reader reuses its buffer) — hosts decode
+	// it there and then, or copy it first. A non-nil error proves the
+	// peer hostile (a binary frame's typed wire.FrameError) and drops
+	// the link.
 	handleFrame(peer uint64, kind byte, body []byte) error
 	// nextFrameID returns a fresh frame id.
 	nextFrameID() uint64
@@ -54,6 +54,8 @@ type linkHost interface {
 	countFault(kind string)
 	// maxQueue is the outbound queue bound (0 = defaultMaxQueue).
 	maxQueue() int
+	// logf receives one line per frame the link refuses to write.
+	logf(format string, args ...any)
 }
 
 // link owns all traffic to one peer address: a bounded outbound queue,
@@ -80,7 +82,7 @@ type link struct {
 	closed     bool
 	done       chan struct{}
 
-	shed    atomic.Int64 // frames shed by the full queue
+	shed    atomic.Int64 // frames shed: the queue was full, or the payload over wire.MaxFramePayload
 	redials atomic.Int64 // failed dial attempts
 	sent    atomic.Int64 // frames written
 
@@ -159,7 +161,12 @@ func (l *link) writer() {
 		var err error
 		frame, err = wire.AppendFrame(frame[:0], l.host.nextFrameID(), payload)
 		if err != nil {
-			continue // oversized local frame: shed it, keep the link
+			// A payload no frame can carry: shed it like a full queue
+			// would, counted and said, and keep the link. Whatever
+			// waited on it ends by its own deadline.
+			l.shed.Add(1)
+			l.host.logf("link to %s: shed a kind-%d frame: %v", l.addr, payload[0], err)
+			continue
 		}
 		if _, err := conn.Write(frame); err != nil {
 			// The frame is lost with the connection; the next loop

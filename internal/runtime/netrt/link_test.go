@@ -16,6 +16,7 @@ import (
 type fakeHost struct {
 	id      uint64
 	frameID atomic.Uint64
+	logged  atomic.Int64
 }
 
 func (h *fakeHost) selfID() uint64 { return h.id }
@@ -39,6 +40,7 @@ func (h *fakeHost) linkFaults(peer uint64) *runtime.LinkFaults            { retu
 func (h *fakeHost) linkSeed(addr string) int64                            { return 7 }
 func (h *fakeHost) countFault(string)                                     {}
 func (h *fakeHost) maxQueue() int                                         { return 8 }
+func (h *fakeHost) logf(string, ...any)                                   { h.logged.Add(1) }
 
 // peerServer is a hand-rolled remote: it accepts connections, answers
 // the peer handshake, and forwards every received frame payload to
@@ -196,6 +198,25 @@ func TestLinkQueueSheds(t *testing.T) {
 	_, shed, _, _ := l.stats()
 	if shed < 90 {
 		t.Fatalf("shed = %d, want >= 90 of 100 over an 8-deep queue", shed)
+	}
+}
+
+// TestLinkShedsOversizePayload: a payload no frame can carry is shed
+// where the writer finds it out — counted and logged, not dropped in
+// silence — and the link goes on to deliver what follows.
+func TestLinkShedsOversizePayload(t *testing.T) {
+	srv := servePeer(t, "127.0.0.1:0")
+	defer srv.stop()
+	host := &fakeHost{id: 1}
+	l := newLink(host, srv.ln.Addr().String())
+	defer l.close()
+	l.enqueue(make([]byte, wire.MaxFramePayload+1))
+	l.enqueue([]byte{100, 1})
+	if got := collect(t, srv.recv, 1, 5*time.Second); len(got[0]) != 2 || got[0][1] != 1 {
+		t.Fatalf("delivered %v, want the frame queued behind the oversize one", got[0])
+	}
+	if _, shed, _, _ := l.stats(); shed != 1 || host.logged.Load() != 1 {
+		t.Fatalf("shed=%d logged=%d, want 1 and 1", shed, host.logged.Load())
 	}
 }
 

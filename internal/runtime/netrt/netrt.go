@@ -12,7 +12,10 @@
 // [id|len|payload] framing: membership handshake and gossip, the
 // paper's surrogate-refinement query decomposition (Algorithm 5), and
 // credit-based completion accounting replace the in-process token
-// bookkeeping. The livert executor is reused verbatim as each node's
+// bookkeeping. Every frame a query or a mutation crosses — peer and
+// client alike — is a fixed-layout, lossless binary message (proto.go);
+// gob is left on the frames sent once per connection, replica stream or
+// gossip tick. The livert executor is reused verbatim as each node's
 // single-threaded protocol goroutine, clock, and seeded random source;
 // its net.Pipe transport machinery is simply unused.
 //
@@ -22,10 +25,13 @@
 // a single active connection per peer pair (smaller-dialer-ID wins),
 // automatic reconnect with seeded exponential backoff + jitter, and a
 // bounded outbound queue that sheds (and counts) rather than ever
-// blocking the protocol executor. Queued frames survive reconnects and
-// are delivered at most once. Reader goroutines decode frames and post
-// them to the executor; a hostile or corrupt stream (typed
-// wire.FrameError) drops the link.
+// blocking the protocol executor; a payload over wire.MaxFramePayload
+// is shed the same way (an answer that large travels as several
+// frames). Queued frames survive reconnects and are delivered at most
+// once. Reader goroutines decode the binary frames themselves and post
+// the messages to the executor, so decoding is not serialised behind
+// it; a hostile or corrupt stream (typed wire.FrameError, from the
+// framing or from any binary decoder) drops the link.
 //
 // # Data and membership
 //
@@ -338,7 +344,7 @@ func Start(cfg Config) (*Node, error) {
 		if j != "" && j != n.addr {
 			// Queue an announce on the bootstrap link: the dial-on-
 			// demand handshake exchanges full membership both ways.
-			n.sendTo(j, kindAnnounce, announceMsg{Members: n.snapshot()})
+			n.sendGob(j, kindAnnounce, announceMsg{Members: n.snapshot()})
 		}
 	}
 	return n, nil
@@ -458,6 +464,9 @@ func (n *Node) dialPeer(addr string) (net.Conn, uint64, error) {
 	}
 	w, err := dialHandshake(conn, Member{ID: n.id, Addr: n.addr}, n.sig, n.snapshot())
 	if err != nil {
+		// Somebody answered and the handshake failed: say why on this
+		// side too (the link only counts a redial).
+		n.logf("link to %s: %v", addr, err)
 		closeConn(conn)
 		return nil, 0, err
 	}
@@ -470,88 +479,94 @@ func (n *Node) dialPeer(addr string) (net.Conn, uint64, error) {
 	return conn, w.From, nil
 }
 
-// handleFrame routes one peer frame onto the executor. The binary
-// replication frames are decoded synchronously — a hostile or truncated
-// stream surfaces as a typed wire.FrameError here and the reader drops
-// the link before anything is scheduled (the decoded structs own their
-// memory, so the reader's buffer reuse is safe). Gob frames are copied
-// and decoded on the executor as before; a gob that fails to decode is
-// ignored rather than fatal (gob tolerates unknown fields, so a decode
-// failure is a damaged frame, not necessarily a hostile peer).
+// handleFrame routes one peer frame onto the executor. Every binary
+// frame — all of a query's and a mutation's, the heartbeats, the replica
+// stream — is decoded right here, on the link's reader: a hostile or
+// truncated one surfaces as a typed wire.FrameError and the reader drops
+// the link before anything is scheduled, decoding stays off the one
+// executor goroutine every query on the node serialises through, and
+// the decoded structs own their memory, so the reader's buffer reuse is
+// safe. The two cold gob frames are copied and decoded on the executor;
+// a gob that fails to decode is ignored rather than fatal (gob tolerates
+// unknown fields, so a decode failure is a damaged frame, not
+// necessarily a hostile peer).
 func (n *Node) handleFrame(peer uint64, kind byte, body []byte) error {
 	switch kind {
+	case kindQuery:
+		q, err := decodeQuery(body)
+		if err != nil {
+			return err
+		}
+		n.rt.Schedule(0, func() { n.process(&q) })
+	case kindResult:
+		res, err := decodeResult(body)
+		if err != nil {
+			return err
+		}
+		n.rt.Schedule(0, func() { n.onReturn(res.Epoch, res.QID, res.Credit, res.Entries, false) })
+	case kindDrop:
+		d, err := decodeDrop(body)
+		if err != nil {
+			return err
+		}
+		n.rt.Schedule(0, func() { n.onReturn(d.Epoch, d.QID, d.Credit, nil, true) })
+	case kindPing, kindPong:
+		p, err := decodePing(body)
+		if err != nil {
+			return err
+		}
+		if kind == kindPing {
+			n.rt.Schedule(0, func() { n.onPing(p) })
+		} else {
+			n.rt.Schedule(0, func() { n.onPong(p) })
+		}
+	case kindPublish:
+		m, err := decodePub(body)
+		if err != nil {
+			return err
+		}
+		n.rt.Schedule(0, func() { n.onPublish(&m) })
+	case kindPubAck:
+		a, err := decodePubAck(body)
+		if err != nil {
+			return err
+		}
+		n.rt.Schedule(0, func() { n.onPubAck(&a) })
 	case kindRepChunk:
 		c, err := wire.DecodeChunk(body)
 		if err != nil {
 			return err
 		}
 		n.rt.Schedule(0, func() { n.onRepChunk(peer, c) })
-		return nil
 	case kindRepAck:
 		a, err := wire.DecodeAck(body)
 		if err != nil {
 			return err
 		}
 		n.rt.Schedule(0, func() { n.onRepAck(a) })
-		return nil
 	case kindRepDigest:
 		d, err := wire.DecodeDigest(body)
 		if err != nil {
 			return err
 		}
 		n.rt.Schedule(0, func() { n.onRepDigest(peer, d) })
-		return nil
-	}
-	cp := append([]byte(nil), body...)
-	n.rt.Schedule(0, func() {
-		switch kind {
-		case kindAnnounce:
+	case kindAnnounce:
+		cp := append([]byte(nil), body...)
+		n.rt.Schedule(0, func() {
 			var a announceMsg
 			if decodeBody(cp, &a) == nil {
 				n.mergeMembers(a.Members)
 			}
-		case kindQuery:
-			var q queryMsg
-			if decodeBody(cp, &q) == nil {
-				n.process(&q)
-			}
-		case kindResult:
-			var res resultMsg
-			if decodeBody(cp, &res) == nil {
-				n.onReturn(res.Epoch, res.QID, res.Credit, res.Entries, false)
-			}
-		case kindDrop:
-			var d dropMsg
-			if decodeBody(cp, &d) == nil {
-				n.onReturn(d.Epoch, d.QID, d.Credit, nil, true)
-			}
-		case kindPing:
-			var p pingMsg
-			if decodeBody(cp, &p) == nil {
-				n.onPing(&p)
-			}
-		case kindPong:
-			var p pongMsg
-			if decodeBody(cp, &p) == nil {
-				n.onPong(&p)
-			}
-		case kindRepBegin:
+		})
+	case kindRepBegin:
+		cp := append([]byte(nil), body...)
+		n.rt.Schedule(0, func() {
 			var b repBeginMsg
 			if decodeBody(cp, &b) == nil {
 				n.onRepBegin(peer, &b)
 			}
-		case kindPublish:
-			var m pubMsg
-			if decodeBody(cp, &m) == nil {
-				n.onPublish(&m)
-			}
-		case kindPubAck:
-			var a pubAckMsg
-			if decodeBody(cp, &a) == nil {
-				n.onPubAck(&a)
-			}
-		}
-	})
+		})
+	}
 	return nil
 }
 
@@ -670,7 +685,7 @@ func (n *Node) gossipTick() {
 	if peer == n.id {
 		return
 	}
-	n.sendTo(n.members[peer], kindAnnounce, announceMsg{Members: n.snapshot()})
+	n.sendGob(n.members[peer], kindAnnounce, announceMsg{Members: n.snapshot()})
 }
 
 // ---- sending ----
@@ -691,13 +706,9 @@ func (n *Node) ensureLink(addr string) *link {
 	return l
 }
 
-// sendTo encodes one message and queues it on the peer's link. Never
-// blocks; a full queue sheds the frame (the credit accounting turns
-// that into an honest incomplete query).
-func (n *Node) sendTo(addr string, kind byte, msg any) {
-	if addr == "" || addr == n.addr {
-		return
-	}
+// sendGob gob-encodes one cold message (announce, repBegin) and queues
+// it on the peer's link.
+func (n *Node) sendGob(addr string, kind byte, msg any) {
 	payload, err := encodeMsg(kind, msg)
 	if err != nil {
 		return
@@ -705,8 +716,10 @@ func (n *Node) sendTo(addr string, kind byte, msg any) {
 	n.sendRaw(addr, payload)
 }
 
-// sendRaw queues one already-encoded frame payload on the peer's link —
-// the replication path pre-encodes its binary frames once per stream.
+// sendRaw queues one encoded frame payload on the peer's link: what the
+// typed appenders built, or a replica stream's pre-encoded chunks. Never
+// blocks; a full queue sheds the frame (the credit accounting turns
+// that into an honest incomplete query).
 func (n *Node) sendRaw(addr string, payload []byte) {
 	if addr == "" || addr == n.addr {
 		return

@@ -1,11 +1,15 @@
 package netrt
 
 import (
+	"fmt"
 	"math/rand"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"landmarkdht/internal/runtime"
+	"landmarkdht/internal/wire"
 )
 
 func testData() DataConfig {
@@ -164,6 +168,112 @@ func TestRingClientProtocol(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestDialRefusesOtherVersionNode: a node that welcomes a client without
+// naming a version is a binary from before the client handshake carried
+// one, and one that rejects it names its own. Either way Dial fails
+// there and then, with both versions in the error — not at the first
+// call, with "connection lost awaiting reply".
+func TestDialRefusesOtherVersionNode(t *testing.T) {
+	type oldWelcome struct { // clientWelcomeMsg before it had a Version
+		ID   uint64
+		Addr string
+	}
+	for name, tc := range map[string]struct {
+		kind  byte
+		reply any
+		want  string
+	}{
+		"old node":   {kindClientWelcome, oldWelcome{ID: 1, Addr: "x"}, fmt.Sprintf("speaks protocol version 0, this client %d", protoVersion)},
+		"newer node": {kindReject, clientWelcomeMsg{ID: 1, Addr: "x", Version: protoVersion + 1}, fmt.Sprintf("speaks protocol version %d, this client %d", protoVersion+1, protoVersion)},
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			id, payload, _, err := wire.ReadFrame(conn, nil)
+			if err != nil || payload[0] != kindClientHello {
+				return
+			}
+			_ = writeFrame(conn, id, tc.kind, tc.reply)
+			// Hold the connection open: the refusal must be Dial's own.
+			_, _, _, _ = wire.ReadFrame(conn, nil)
+		}()
+		c, err := Dial(ln.Addr().String(), 2*time.Second)
+		if err == nil {
+			c.Close()
+			t.Fatalf("%s: Dial succeeded", name)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: Dial failed with %q, want it to say %q", name, err, tc.want)
+		}
+	}
+}
+
+// TestNodeRefusesOtherVersionClient: a client hello with no body (a
+// binary from before the handshake carried a version) or with another
+// version is answered kindReject carrying the node's version, logged
+// with both, and disconnected — before any request frame could be
+// misread.
+func TestNodeRefusesOtherVersionClient(t *testing.T) {
+	cfg := testConfig(testData())
+	logged := make(chan string, 64)
+	cfg.Logf = func(format string, args ...any) {
+		select {
+		case logged <- fmt.Sprintf(format, args...):
+		default:
+		}
+	}
+	n, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	for name, tc := range map[string]struct {
+		hello any
+		want  string
+	}{
+		"old client":   {nil, fmt.Sprintf("it speaks protocol version 0, this node %d", protoVersion)},
+		"newer client": {clientWelcomeMsg{Version: protoVersion + 1}, fmt.Sprintf("it speaks protocol version %d, this node %d", protoVersion+1, protoVersion)},
+	} {
+		conn, err := net.DialTimeout("tcp", n.Addr(), 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFrame(conn, 1, kindClientHello, tc.hello); err != nil {
+			t.Fatal(err)
+		}
+		_, payload, _, err := wire.ReadFrame(conn, nil)
+		if err != nil {
+			t.Fatalf("%s: no reply to the hello: %v", name, err)
+		}
+		var w clientWelcomeMsg
+		if payload[0] != kindReject || decodeBody(payload[1:], &w) != nil || w.Version != protoVersion {
+			t.Fatalf("%s: answered kind %d with %+v, want a reject naming version %d", name, payload[0], w, protoVersion)
+		}
+		if _, _, _, err := wire.ReadFrame(conn, nil); err == nil {
+			t.Fatalf("%s: the session stayed open after the reject", name)
+		}
+		for line := ""; !strings.Contains(line, tc.want); {
+			select {
+			case line = <-logged:
+			case <-time.After(2 * time.Second):
+				t.Fatalf("%s: no log line saying %q", name, tc.want)
+			}
 		}
 	}
 }

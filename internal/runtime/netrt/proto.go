@@ -2,51 +2,78 @@ package netrt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"math"
+	"slices"
 
+	"landmarkdht/internal/lph"
 	"landmarkdht/internal/query"
+	"landmarkdht/internal/wire"
 )
 
-// Frame payloads are self-describing: one kind byte followed by the
-// gob encoding of that kind's message struct. Unlike the simulation
-// path — where delivery callbacks carry prebound local state and the
-// wire bytes only prove the size model — a multi-process ring has no
-// shared memory, so everything a handler needs travels in the frame.
+// Frame payloads are self-describing: one kind byte, then that kind's
+// body. Unlike the simulation path — where delivery callbacks carry
+// prebound local state and the wire bytes only prove the size model — a
+// multi-process ring has no shared memory, so everything a handler
+// needs travels in the frame.
+//
+// Every frame a query or a mutation crosses has a fixed big-endian
+// body, written and read by the append…/decode… pair beside its struct:
+// an integer travels at its declared width (an int as 64 bits), a
+// float64 as its 64 bits, a bool as one bit of a flags byte, a string
+// behind a 16-bit length, a byte slice or an element count behind a
+// 32-bit one, fields in the order the pair names them. The codecs are
+// lossless on purpose. A Complete answer is held to brute-force
+// distances, and a cube re-quantised at every hop — what the paper's
+// 16-bit size model in wire.EncodeQuery does once — would widen hop by
+// hop. An appender writes the kind byte and the body in one exact-size
+// growth of dst. A decoder takes the body alone (the kind byte chose
+// it), accepts exactly one length, checks every declared count against
+// the bytes left before it allocates, copies what it keeps — the reader
+// reuses its buffer — and refuses with a *wire.FrameError and a zero
+// message, which drops the link. Both ends of these frames are netrt,
+// so the format stays in this file; a layout change needs a
+// protoVersion bump (data.go).
+//
+// gob is left where a frame is sent once per connection, per replica
+// stream or per gossip tick — helloMsg (a version mismatch must stay a
+// legible kindReject), announceMsg, repBeginMsg, clientWelcomeMsg and
+// Info: encodeMsg and decodeBody at the end of the file.
 const (
 	// Peer frames (node ↔ node).
-	kindHello    byte = 1 // dialer's handshake: identity + membership
-	kindWelcome  byte = 2 // listener's handshake response
-	kindReject   byte = 3 // handshake refusal (corpus or protocol version mismatch)
-	kindAnnounce byte = 4 // membership gossip
-	kindQuery    byte = 5 // a query's regions for one next hop, with credit
-	kindResult   byte = 6 // one node's answer: credit + entries, to origin
-	kindDrop     byte = 7 // unanswerable regions: credit back, to origin
+	kindHello    byte = 1 // dialer's handshake: identity + membership (gob helloMsg)
+	kindWelcome  byte = 2 // listener's handshake response (gob helloMsg)
+	kindReject   byte = 3 // handshake refusal: corpus or protocol version mismatch (peers: empty; clients: gob clientWelcomeMsg)
+	kindAnnounce byte = 4 // membership gossip (gob announceMsg)
+	kindQuery    byte = 5 // a query's regions for one next hop, with credit (binary queryMsg)
+	kindResult   byte = 6 // one node's answer: credit + entries, to origin (binary resultMsg)
+	kindDrop     byte = 7 // unanswerable regions: credit back, to origin (binary dropMsg)
 
-	// Failure detection and replication (node ↔ node). The Rep* stream
-	// frames carry fixed binary payloads (internal/wire's region
-	// transfer codecs), not gob: they are decoded synchronously on the
-	// reader so a hostile or truncated stream surfaces as a typed
+	// Failure detection, replication and mutations (node ↔ node). All
+	// but the stream header are binary and decoded synchronously on the
+	// reader, so a hostile or truncated stream surfaces as a typed
 	// wire.FrameError and drops the link before anything is scheduled.
-	kindPing      byte = 8  // heartbeat probe
-	kindPong      byte = 9  // heartbeat answer
+	kindPing      byte = 8  // heartbeat probe (binary pingMsg)
+	kindPong      byte = 9  // heartbeat answer (binary pingMsg)
 	kindRepBegin  byte = 10 // replica stream header (gob repBeginMsg)
 	kindRepChunk  byte = 11 // one stream chunk (binary wire.RegionChunk)
 	kindRepAck    byte = 12 // chunk acknowledgement (binary wire.RegionAck)
 	kindRepDigest byte = 13 // anti-entropy digest (binary wire.RegionDigest)
-	kindPublish   byte = 14 // online mutation routed to its owner (gob pubMsg)
-	kindPubAck    byte = 15 // mutation outcome back to its origin (gob pubAckMsg)
+	kindPublish   byte = 14 // online mutation routed to its owner (binary pubMsg)
+	kindPubAck    byte = 15 // mutation outcome back to its origin (binary pubAckMsg)
 
 	// Client frames (client ↔ node, correlated by frame id).
-	kindClientHello   byte = 16
-	kindClientWelcome byte = 17
-	kindClientQuery   byte = 18
-	kindClientResult  byte = 19
-	kindClientInfo    byte = 20
-	kindClientInfoR   byte = 21
-	kindClientPublish byte = 22
-	kindClientDelete  byte = 23
-	kindClientMutR    byte = 24
+	kindClientHello   byte = 16 // gob clientWelcomeMsg carrying the client's Version
+	kindClientWelcome byte = 17 // gob clientWelcomeMsg
+	kindClientQuery   byte = 18 // binary clientQueryMsg
+	kindClientResult  byte = 19 // binary clientResultMsg
+	kindClientInfo    byte = 20 // empty
+	kindClientInfoR   byte = 21 // gob Info
+	kindClientPublish byte = 22 // binary clientMutMsg
+	kindClientDelete  byte = 23 // binary clientMutMsg
+	kindClientMutR    byte = 24 // binary clientMutRMsg
 )
 
 // Member is one ring member: its node ID (a position on the key ring)
@@ -90,8 +117,7 @@ type announceMsg struct {
 // home via Result frames with none via Drop); QObj is the
 // metric-specific encoding of the query object so answering nodes
 // refine candidates by exact distance; TTL bounds forwarding under
-// membership-view disagreement. A change to this struct needs a
-// protoVersion bump (data.go).
+// membership-view disagreement.
 type queryMsg struct {
 	Origin     uint64
 	OriginAddr string
@@ -104,11 +130,105 @@ type queryMsg struct {
 	TTL        int
 }
 
+// Encoded sizes: what each body takes before its variable-length
+// fields (length prefixes included), and what one element of each
+// repeated field takes at least. The appenders size their one growth
+// from these, the decoders check declared counts against them, and
+// sendResult derives the most entries one frame can carry.
+const (
+	queryFixed       = 6*8 + 2 + 4 + 4     // six 64-bit fields; address, object and region-count prefixes
+	regionFixed      = 8 + 8 + 4           // PreKey, PreLen; cube-length prefix
+	boundsBytes      = 8 + 8               // Lo, Hi
+	resultFixed      = 4*8 + 4             // four 64-bit fields; entry-count prefix
+	resultEntryBytes = 4 + 8               // Obj, Dist
+	dropFixed        = 4*8 + 2             // four 64-bit fields; reason prefix
+	pingBytes        = 8 + 8               // From, Seq
+	pubFixed         = 6*8 + 4 + 1 + 2 + 4 // six 64-bit fields, ID, flags; address and object prefixes
+	pubAckFixed      = 2*8 + 2             // Epoch, RID; error prefix
+	clientQueryFixed = 8 + 4               // R; object prefix
+	clientResFixed   = 1 + 8 + 2 + 4       // flags, Dropped; error and entry-count prefixes
+	clientMutFixed   = 4 + 4               // ID; object prefix
+	clientMutRFixed  = 2                   // error prefix
+)
+
+// appendQuery appends a kindQuery payload: Origin, Epoch, QID, Credit,
+// R, TTL, OriginAddr, QObj, then the regions, each PreKey, PreLen and
+// its cube's (Lo, Hi) pairs. A region travels as it is, whatever its
+// cube's length: what process refuses as malformed must arrive as that.
+func appendQuery(dst []byte, q *queryMsg) []byte {
+	size := 1 + queryFixed + len(q.OriginAddr) + len(q.QObj)
+	for i := range q.Regions {
+		size += regionFixed + boundsBytes*len(q.Regions[i].Cube)
+	}
+	dst = append(slices.Grow(dst, size), kindQuery)
+	dst = appendU64(dst, q.Origin)
+	dst = appendU64(dst, q.Epoch)
+	dst = appendU64(dst, q.QID)
+	dst = appendU64(dst, q.Credit)
+	dst = appendF64(dst, q.R)
+	dst = appendInt(dst, q.TTL)
+	dst = appendStr(dst, q.OriginAddr)
+	dst = appendBytes(dst, q.QObj)
+	dst = appendU32(dst, uint32(len(q.Regions)))
+	for i := range q.Regions {
+		reg := &q.Regions[i]
+		dst = appendU64(dst, reg.PreKey)
+		dst = appendInt(dst, reg.PreLen)
+		dst = appendU32(dst, uint32(len(reg.Cube)))
+		for _, b := range reg.Cube {
+			dst = appendF64(dst, b.Lo)
+			dst = appendF64(dst, b.Hi)
+		}
+	}
+	return dst
+}
+
+func decodeQuery(body []byte) (queryMsg, error) {
+	r := bodyReader{b: body}
+	q := queryMsg{Origin: r.u64(), Epoch: r.u64(), QID: r.u64(), Credit: r.u64(),
+		R: r.f64(), TTL: r.int(), OriginAddr: r.str(), QObj: r.bytes()}
+	if n := r.count(regionFixed); n > 0 {
+		q.Regions = make([]query.Region, n)
+	}
+	for i := range q.Regions {
+		reg := &q.Regions[i]
+		reg.PreKey, reg.PreLen = r.u64(), r.int()
+		if k := r.count(boundsBytes); k > 0 {
+			reg.Cube = make([]lph.Bounds, k)
+		}
+		for j := range reg.Cube {
+			reg.Cube[j] = lph.Bounds{Lo: r.f64(), Hi: r.f64()}
+		}
+	}
+	return decoded(&r, q, "query")
+}
+
 // ResultEntry is one matching object: its corpus index and exact
 // metric distance to the query.
 type ResultEntry struct {
 	Obj  int32
 	Dist float64
+}
+
+func appendEntries(dst []byte, ents []ResultEntry) []byte {
+	dst = appendU32(dst, uint32(len(ents)))
+	for _, e := range ents {
+		dst = appendU32(dst, uint32(e.Obj))
+		dst = appendF64(dst, e.Dist)
+	}
+	return dst
+}
+
+func (r *bodyReader) entries() []ResultEntry {
+	n := r.count(resultEntryBytes)
+	if n == 0 {
+		return nil
+	}
+	ents := make([]ResultEntry, n)
+	for i := range ents {
+		ents[i] = ResultEntry{Obj: int32(r.u32()), Dist: r.f64()}
+	}
+	return ents
 }
 
 // resultMsg returns one node's answer to one queryMsg — its credit
@@ -120,6 +240,23 @@ type resultMsg struct {
 	Credit  uint64
 	From    uint64
 	Entries []ResultEntry
+}
+
+// appendResult appends a kindResult payload: Epoch, QID, Credit, From,
+// then the entries, each Obj and Dist.
+func appendResult(dst []byte, m *resultMsg) []byte {
+	dst = append(slices.Grow(dst, 1+resultFixed+resultEntryBytes*len(m.Entries)), kindResult)
+	dst = appendU64(dst, m.Epoch)
+	dst = appendU64(dst, m.QID)
+	dst = appendU64(dst, m.Credit)
+	dst = appendU64(dst, m.From)
+	return appendEntries(dst, m.Entries)
+}
+
+func decodeResult(body []byte) (resultMsg, error) {
+	r := bodyReader{b: body}
+	m := resultMsg{Epoch: r.u64(), QID: r.u64(), Credit: r.u64(), From: r.u64(), Entries: r.entries()}
+	return decoded(&r, m, "result")
 }
 
 // dropMsg returns a credit share without an answer — the regions of a
@@ -134,17 +271,42 @@ type dropMsg struct {
 	Reason string
 }
 
-// pingMsg probes a member's liveness; pongMsg answers it. Seq pairs an
-// answer with its probe so a late pong cannot revive a member the
-// detector has since re-suspected.
+// appendDrop appends a kindDrop payload: Epoch, QID, Credit, From,
+// Reason.
+func appendDrop(dst []byte, m *dropMsg) []byte {
+	dst = append(slices.Grow(dst, 1+dropFixed+len(m.Reason)), kindDrop)
+	dst = appendU64(dst, m.Epoch)
+	dst = appendU64(dst, m.QID)
+	dst = appendU64(dst, m.Credit)
+	dst = appendU64(dst, m.From)
+	return appendStr(dst, m.Reason)
+}
+
+func decodeDrop(body []byte) (dropMsg, error) {
+	r := bodyReader{b: body}
+	m := dropMsg{Epoch: r.u64(), QID: r.u64(), Credit: r.u64(), From: r.u64(), Reason: r.str()}
+	return decoded(&r, m, "drop")
+}
+
+// pingMsg probes a member's liveness and, echoed under kindPong,
+// answers the probe. Seq pairs an answer with its probe so a late pong
+// cannot revive a member the detector has since re-suspected.
 type pingMsg struct {
 	From uint64
 	Seq  uint64
 }
 
-type pongMsg struct {
-	From uint64
-	Seq  uint64
+// appendPing appends a kindPing or kindPong payload: From, Seq.
+func appendPing(dst []byte, kind byte, m pingMsg) []byte {
+	dst = append(slices.Grow(dst, 1+pingBytes), kind)
+	dst = appendU64(dst, m.From)
+	return appendU64(dst, m.Seq)
+}
+
+func decodePing(body []byte) (pingMsg, error) {
+	r := bodyReader{b: body}
+	m := pingMsg{From: r.u64(), Seq: r.u64()}
+	return decoded(&r, m, "ping")
 }
 
 // repBeginMsg opens one replica stream: the owner's region follows as
@@ -179,6 +341,44 @@ type pubMsg struct {
 	TTL        int
 }
 
+const (
+	pubFlagDelete  = 1 << 0
+	pubFlagReplica = 1 << 1
+)
+
+// appendPub appends a kindPublish payload: Origin, Epoch, RID, Key,
+// Owner, TTL, ID, the Delete and Replica flags, OriginAddr, Obj.
+func appendPub(dst []byte, m *pubMsg) []byte {
+	dst = append(slices.Grow(dst, 1+pubFixed+len(m.OriginAddr)+len(m.Obj)), kindPublish)
+	dst = appendU64(dst, m.Origin)
+	dst = appendU64(dst, m.Epoch)
+	dst = appendU64(dst, m.RID)
+	dst = appendU64(dst, m.Key)
+	dst = appendU64(dst, m.Owner)
+	dst = appendInt(dst, m.TTL)
+	dst = appendU32(dst, uint32(m.ID))
+	var flags byte
+	if m.Delete {
+		flags |= pubFlagDelete
+	}
+	if m.Replica {
+		flags |= pubFlagReplica
+	}
+	dst = append(dst, flags)
+	dst = appendStr(dst, m.OriginAddr)
+	return appendBytes(dst, m.Obj)
+}
+
+func decodePub(body []byte) (pubMsg, error) {
+	r := bodyReader{b: body}
+	m := pubMsg{Origin: r.u64(), Epoch: r.u64(), RID: r.u64(), Key: r.u64(), Owner: r.u64(),
+		TTL: r.int(), ID: int32(r.u32())}
+	flags := r.flags(pubFlagDelete | pubFlagReplica)
+	m.Delete, m.Replica = flags&pubFlagDelete != 0, flags&pubFlagReplica != 0
+	m.OriginAddr, m.Obj = r.str(), r.bytes()
+	return decoded(&r, m, "publish")
+}
+
 // pubAckMsg reports one mutation's outcome to its origin.
 type pubAckMsg struct {
 	Epoch uint64
@@ -186,16 +386,49 @@ type pubAckMsg struct {
 	Err   string
 }
 
-// clientWelcomeMsg answers a client handshake.
+// appendPubAck appends a kindPubAck payload: Epoch, RID, Err.
+func appendPubAck(dst []byte, m *pubAckMsg) []byte {
+	dst = append(slices.Grow(dst, 1+pubAckFixed+len(m.Err)), kindPubAck)
+	dst = appendU64(dst, m.Epoch)
+	dst = appendU64(dst, m.RID)
+	return appendStr(dst, m.Err)
+}
+
+func decodePubAck(body []byte) (pubAckMsg, error) {
+	r := bodyReader{b: body}
+	m := pubAckMsg{Epoch: r.u64(), RID: r.u64(), Err: r.str()}
+	return decoded(&r, m, "publish ack")
+}
+
+// clientWelcomeMsg is both sides of the client handshake. The client's
+// hello carries only Version; the node answers kindClientWelcome with
+// its identity and its own Version, or kindReject with the same body
+// when the two differ, so that either side can name both versions. An
+// empty hello body, or a welcome without the field, is a binary from
+// before the client handshake was versioned and reads as version 0.
 type clientWelcomeMsg struct {
-	ID   uint64
-	Addr string
+	ID      uint64
+	Addr    string
+	Version int
 }
 
 // clientQueryMsg asks the node to run one range query.
 type clientQueryMsg struct {
 	QObj []byte
 	R    float64
+}
+
+// appendClientQuery appends a kindClientQuery payload: R, QObj.
+func appendClientQuery(dst []byte, m *clientQueryMsg) []byte {
+	dst = append(slices.Grow(dst, 1+clientQueryFixed+len(m.QObj)), kindClientQuery)
+	dst = appendF64(dst, m.R)
+	return appendBytes(dst, m.QObj)
+}
+
+func decodeClientQuery(body []byte) (clientQueryMsg, error) {
+	r := bodyReader{b: body}
+	m := clientQueryMsg{R: r.f64(), QObj: r.bytes()}
+	return decoded(&r, m, "client query")
 }
 
 // clientResultMsg is a finished query: Complete ⇒ Entries is the exact
@@ -206,6 +439,29 @@ type clientResultMsg struct {
 	Dropped  int
 	Err      string
 	Entries  []ResultEntry
+}
+
+const clientResFlagComplete = 1 << 0
+
+// appendClientResult appends a kindClientResult payload: the Complete
+// flag, Dropped, Err, then the entries, each Obj and Dist.
+func appendClientResult(dst []byte, m *clientResultMsg) []byte {
+	dst = append(slices.Grow(dst, 1+clientResFixed+len(m.Err)+resultEntryBytes*len(m.Entries)), kindClientResult)
+	var flags byte
+	if m.Complete {
+		flags |= clientResFlagComplete
+	}
+	dst = append(dst, flags)
+	dst = appendInt(dst, m.Dropped)
+	dst = appendStr(dst, m.Err)
+	return appendEntries(dst, m.Entries)
+}
+
+func decodeClientResult(body []byte) (clientResultMsg, error) {
+	r := bodyReader{b: body}
+	m := clientResultMsg{Complete: r.flags(clientResFlagComplete) != 0,
+		Dropped: r.int(), Err: r.str(), Entries: r.entries()}
+	return decoded(&r, m, "client result")
 }
 
 // clientMutMsg asks the node for one mutation; the frame's kind byte
@@ -219,13 +475,158 @@ type clientMutMsg struct {
 	Obj []byte
 }
 
+// appendClientMut appends a kindClientPublish or kindClientDelete
+// payload: ID, Obj.
+func appendClientMut(dst []byte, kind byte, m *clientMutMsg) []byte {
+	dst = append(slices.Grow(dst, 1+clientMutFixed+len(m.Obj)), kind)
+	dst = appendU32(dst, uint32(m.ID))
+	return appendBytes(dst, m.Obj)
+}
+
+func decodeClientMut(body []byte) (clientMutMsg, error) {
+	r := bodyReader{b: body}
+	m := clientMutMsg{ID: int32(r.u32()), Obj: r.bytes()}
+	return decoded(&r, m, "client mutation")
+}
+
 // clientMutRMsg is a finished mutation: empty Err means the owner
 // journaled and applied it.
 type clientMutRMsg struct {
 	Err string
 }
 
-// encodeMsg builds a frame payload: kind byte + gob body.
+// appendClientMutR appends a kindClientMutR payload: Err.
+func appendClientMutR(dst []byte, m *clientMutRMsg) []byte {
+	dst = append(slices.Grow(dst, 1+clientMutRFixed+len(m.Err)), kindClientMutR)
+	return appendStr(dst, m.Err)
+}
+
+func decodeClientMutR(body []byte) (clientMutRMsg, error) {
+	r := bodyReader{b: body}
+	m := clientMutRMsg{Err: r.str()}
+	return decoded(&r, m, "client mutation reply")
+}
+
+// ---- binary primitives ----
+
+func appendU32(dst []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(dst, v) }
+func appendU64(dst []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(dst, v) }
+func appendInt(dst []byte, v int) []byte    { return appendU64(dst, uint64(int64(v))) }
+func appendF64(dst []byte, v float64) []byte {
+	return appendU64(dst, math.Float64bits(v))
+}
+
+// appendStr appends a string behind its 16-bit length. The strings on
+// these frames are a node's TCP listen address and diagnostic text; one
+// that outgrows the prefix is cut there rather than refused.
+func appendStr(dst []byte, s string) []byte {
+	if len(s) > math.MaxUint16 {
+		s = s[:math.MaxUint16]
+	}
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(s)))
+	return append(dst, s...)
+}
+
+// appendBytes appends a byte slice behind its 32-bit length (a frame
+// holds at most wire.MaxFramePayload bytes, so the prefix cannot
+// overflow on a payload the link would carry).
+func appendBytes(dst, p []byte) []byte {
+	return append(appendU32(dst, uint32(len(p))), p...)
+}
+
+// bodyReader walks a frame body for the decoders. A take the bytes left
+// cannot cover uses the body up and sets short instead of indexing past
+// it, so a decoder reads straight through and checks once, in decoded.
+type bodyReader struct {
+	b     []byte
+	off   int
+	short bool
+}
+
+// take returns the next n bytes, or nil when fewer are left.
+func (r *bodyReader) take(n int) []byte {
+	if n < 0 || n > len(r.b)-r.off {
+		r.off, r.short = len(r.b), true
+		return nil
+	}
+	p := r.b[r.off : r.off+n]
+	r.off += n
+	return p
+}
+
+func (r *bodyReader) u16() uint16 {
+	if p := r.take(2); p != nil {
+		return binary.BigEndian.Uint16(p)
+	}
+	return 0
+}
+
+func (r *bodyReader) u32() uint32 {
+	if p := r.take(4); p != nil {
+		return binary.BigEndian.Uint32(p)
+	}
+	return 0
+}
+
+func (r *bodyReader) u64() uint64 {
+	if p := r.take(8); p != nil {
+		return binary.BigEndian.Uint64(p)
+	}
+	return 0
+}
+
+func (r *bodyReader) int() int     { return int(int64(r.u64())) }
+func (r *bodyReader) f64() float64 { return math.Float64frombits(r.u64()) }
+
+// flags reads a flags byte and refuses bits outside known, so that what
+// a decoder accepts re-encodes to the same bytes.
+func (r *bodyReader) flags(known byte) byte {
+	p := r.take(1)
+	if p == nil || p[0]&^known != 0 {
+		r.off, r.short = len(r.b), true
+		return 0
+	}
+	return p[0]
+}
+
+// str and bytes copy out a length-prefixed field; the length is checked
+// against the bytes left before anything is copied.
+func (r *bodyReader) str() string { return string(r.take(int(r.u16()))) }
+
+func (r *bodyReader) bytes() []byte {
+	p := r.take(int(r.u32()))
+	if len(p) == 0 {
+		return nil
+	}
+	return bytes.Clone(p)
+}
+
+// count reads an element count and checks that so many elements, of at
+// least each bytes, are still there: a decoder makes nothing a
+// hostile count asks for.
+func (r *bodyReader) count(each int) int {
+	n := int(r.u32())
+	if n < 0 || n > (len(r.b)-r.off)/each {
+		r.off, r.short = len(r.b), true
+		return 0
+	}
+	return n
+}
+
+// decoded is every decoder's last step: m when no take came up short
+// and nothing is left over, the zero message and the refusal otherwise.
+func decoded[M any](r *bodyReader, m M, what string) (M, error) {
+	if r.short || r.off != len(r.b) {
+		var zero M
+		return zero, &wire.FrameError{Reason: "malformed " + what, Size: len(r.b)}
+	}
+	return m, nil
+}
+
+// ---- gob, for the cold frames ----
+
+// encodeMsg builds a cold frame's payload: kind byte + gob body (none
+// for a nil v).
 func encodeMsg(kind byte, v any) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.WriteByte(kind)
@@ -253,7 +654,7 @@ func splitMsg(payload []byte) (kind byte, body []byte, err error) {
 	return payload[0], payload[1:], nil
 }
 
-// decodeBody parses a gob body into v.
+// decodeBody parses a cold frame's gob body into v.
 func decodeBody(body []byte, v any) error {
 	return gob.NewDecoder(bytes.NewReader(body)).Decode(v)
 }

@@ -124,7 +124,7 @@ func (n *Node) routeMutation(m *pubMsg) {
 	}
 	fm := *m
 	fm.TTL--
-	n.sendTo(n.members[owner], kindPublish, &fm)
+	n.sendRaw(n.members[owner], appendPub(nil, &fm))
 }
 
 // checkMutation validates one mutation against the live region before
@@ -199,14 +199,17 @@ func (n *Node) bootDigest(i int) uint64 {
 //
 //lint:context executor
 func (n *Node) fanoutMutation(m *pubMsg) {
-	for _, t := range n.replicaTargets(n.id) {
-		if t == n.id || n.isDown(t) {
-			continue
+	targets := n.replicaTargets(n.id)
+	if len(targets) == 0 {
+		return
+	}
+	fm := *m
+	fm.Replica, fm.Owner = true, n.id
+	payload := appendPub(nil, &fm) // queued payloads are read-only: every replica's link shares the one encoding
+	for _, t := range targets {
+		if t != n.id && !n.isDown(t) {
+			n.sendRaw(n.members[t], payload)
 		}
-		fm := *m
-		fm.Replica = true
-		fm.Owner = n.id
-		n.sendTo(n.members[t], kindPublish, &fm)
 	}
 }
 
@@ -256,11 +259,12 @@ func (n *Node) applyToCopy(m *pubMsg) {
 //
 //lint:context executor
 func (n *Node) mutAck(m *pubMsg, errstr string) {
+	ack := pubAckMsg{Epoch: m.Epoch, RID: m.RID, Err: errstr}
 	if m.Origin == n.id {
-		n.onPubAck(&pubAckMsg{Epoch: m.Epoch, RID: m.RID, Err: errstr})
+		n.onPubAck(&ack)
 		return
 	}
-	n.sendTo(m.OriginAddr, kindPubAck, pubAckMsg{Epoch: m.Epoch, RID: m.RID, Err: errstr})
+	n.sendRaw(m.OriginAddr, appendPubAck(nil, &ack))
 }
 
 // onPubAck completes one pending mutation. Epoch routing keeps acks

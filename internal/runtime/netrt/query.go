@@ -8,6 +8,7 @@ import (
 	"landmarkdht/internal/lph"
 	"landmarkdht/internal/query"
 	"landmarkdht/internal/runtime"
+	"landmarkdht/internal/wire"
 )
 
 // creditTotal is a query's initial credit. Credit is conserved: every
@@ -215,7 +216,7 @@ func (n *Node) process(q *queryMsg) {
 		fq := *q
 		fq.Regions, fq.Credit, fq.TTL = h.regions, shares[0], q.TTL-1
 		shares = shares[1:]
-		n.sendTo(n.members[h.key], kindQuery, &fq)
+		n.sendRaw(n.members[h.key], appendQuery(nil, &fq))
 	}
 	if lost != "" {
 		n.returnDrop(q, shares[0], lost)
@@ -364,14 +365,31 @@ func matchEntries(ents []ResultEntry, entries map[int32]repEntry, regions []quer
 	return ents, nil
 }
 
+// maxResultEntries is the most entries one kindResult frame carries.
+const maxResultEntries = (wire.MaxFramePayload - 1 - resultFixed) / resultEntryBytes
+
 // sendResult returns this node's answer to one message, with its credit
-// share, to the origin.
+// share, to the origin. An answer too large for one frame travels as
+// several, the share split across them like any other credit: the link
+// would shed an oversize frame, and the origin would wait out its
+// deadline for credit that never comes home.
 func (n *Node) sendResult(q *queryMsg, credit uint64, ents []ResultEntry) {
 	if q.Origin == n.id {
 		n.onReturn(q.Epoch, q.QID, credit, ents, false)
 		return
 	}
-	n.sendTo(q.OriginAddr, kindResult, resultMsg{Epoch: q.Epoch, QID: q.QID, Credit: credit, From: n.id, Entries: ents})
+	frames := max(1, (len(ents)+maxResultEntries-1)/maxResultEntries)
+	shares := splitCredit(credit, frames)
+	if shares == nil {
+		n.returnDrop(q, credit, "credit exhausted")
+		return
+	}
+	for _, share := range shares {
+		part := ents[:min(len(ents), maxResultEntries)]
+		ents = ents[len(part):]
+		n.sendRaw(q.OriginAddr, appendResult(nil,
+			&resultMsg{Epoch: q.Epoch, QID: q.QID, Credit: share, From: n.id, Entries: part}))
+	}
 }
 
 // returnDrop sends a credit share home unanswered.
@@ -380,7 +398,8 @@ func (n *Node) returnDrop(q *queryMsg, credit uint64, reason string) {
 		n.onReturn(q.Epoch, q.QID, credit, nil, true)
 		return
 	}
-	n.sendTo(q.OriginAddr, kindDrop, dropMsg{Epoch: q.Epoch, QID: q.QID, Credit: credit, From: n.id, Reason: reason})
+	n.sendRaw(q.OriginAddr, appendDrop(nil,
+		&dropMsg{Epoch: q.Epoch, QID: q.QID, Credit: credit, From: n.id, Reason: reason}))
 }
 
 // onReturn books one credit share coming home (executor only). Late

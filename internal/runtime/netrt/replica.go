@@ -219,7 +219,7 @@ func (n *Node) startPush(to uint64) {
 	}
 	n.pushes[to] = p
 	n.pushByXfer[p.transfer] = p
-	n.sendTo(addr, kindRepBegin, repBeginMsg{Owner: n.id, Transfer: p.transfer,
+	n.sendGob(addr, kindRepBegin, repBeginMsg{Owner: n.id, Transfer: p.transfer,
 		Chunks: len(p.chunks), Entries: p.entries, Digest: p.digest})
 	n.pumpPush(p)
 	p.timer = n.rt.AfterFunc(repRetryDelay, func() { n.retryPush(p) })
@@ -331,7 +331,7 @@ func (n *Node) retryPush(p *repPush) {
 		n.logf("replica push to %016x abandoned after %d retries (transfer %d)", p.to, p.retries-1, p.transfer)
 		return
 	}
-	n.sendTo(p.addr, kindRepBegin, repBeginMsg{Owner: n.id, Transfer: p.transfer,
+	n.sendGob(p.addr, kindRepBegin, repBeginMsg{Owner: n.id, Transfer: p.transfer,
 		Chunks: len(p.chunks), Entries: p.entries, Digest: p.digest})
 	for i := 0; i < p.sent; i++ {
 		if !p.acked[i] {

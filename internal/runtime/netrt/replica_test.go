@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"landmarkdht/internal/query"
 	"landmarkdht/internal/wire"
 )
 
@@ -273,6 +274,104 @@ func TestHostileRepFrameDropsLink(t *testing.T) {
 			return // dropped, as required
 		}
 		buf = next
+	}
+}
+
+// TestHostileQueryFrameDropsLink: the frames of a query are decoded on
+// the link's reader, as the replication frames are. A handshaken peer
+// sends a whole kindQuery — the node answers it, so the path is live —
+// and then one cut five bytes short: the node drops the link, and
+// nothing of the second query reached the executor, which would have
+// answered it or returned its credit.
+func TestHostileQueryFrameDropsLink(t *testing.T) {
+	cfg := testConfig(testData())
+	cfg.GossipPeriod, cfg.HeartbeatPeriod, cfg.AntiEntropyPeriod = silent, silent, silent
+	n, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+
+	conn, err := net.DialTimeout("tcp", n.Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const peer, peerAddr = 424242, "127.0.0.1:9"
+	if _, err := dialHandshake(conn, Member{ID: peer, Addr: peerAddr}, n.sig, nil); err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
+	ds, err := BuildDataset(testData())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := queryMsg{Origin: peer, OriginAddr: peerAddr, Epoch: 1, QID: 1, Credit: creditTotal,
+		Regions: []query.Region{{Cube: n.data.Part().AllBounds()}},
+		QObj:    ds.RandomQuery(rand.New(rand.NewSource(2))), R: 0.5, TTL: 4}
+	send := func(id uint64, payload []byte) {
+		t.Helper()
+		frame, err := wire.AppendFrame(nil, id, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Everything the node sends this peer comes down the same connection.
+	// next reads one frame and says which query it belongs to.
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	next := func() (qid uint64, err error) {
+		_, payload, nb, err := wire.ReadFrame(conn, buf)
+		if err != nil {
+			return 0, err
+		}
+		buf = nb
+		switch payload[0] {
+		case kindQuery:
+			fq, err := decodeQuery(payload[1:])
+			return fq.QID, err
+		case kindResult:
+			res, err := decodeResult(payload[1:])
+			return res.QID, err
+		case kindDrop:
+			d, err := decodeDrop(payload[1:])
+			return d.QID, err
+		}
+		return 0, nil
+	}
+	send(2, appendQuery(nil, &q))
+	for {
+		qid, err := next()
+		if err != nil {
+			t.Fatalf("awaiting the answer to the whole query: %v", err)
+		}
+		if qid == q.QID {
+			break
+		}
+	}
+	q.QID = 2
+	cut := appendQuery(nil, &q)
+	send(3, cut[:len(cut)-5])
+	for {
+		qid, err := next()
+		if nerr, ok := err.(net.Error); ok && nerr.Timeout() {
+			t.Fatal("link survived a truncated query frame")
+		}
+		if err != nil {
+			break // dropped, as required
+		}
+		if qid == q.QID {
+			t.Fatal("the truncated query was answered")
+		}
+	}
+	var running int
+	execRead(t, n, func() { running = len(n.queries) })
+	if s := n.Stats(); running != 0 || s.Queued != 0 {
+		t.Fatalf("after the drop: %d queries running, %d frames queued", running, s.Queued)
 	}
 }
 

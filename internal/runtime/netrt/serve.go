@@ -1,6 +1,7 @@
 package netrt
 
 import (
+	"fmt"
 	"net"
 	"time"
 
@@ -31,7 +32,24 @@ func (n *Node) serveConn(conn net.Conn) {
 	case kindHello:
 		n.acceptPeer(conn, body)
 	case kindClientHello:
-		if writeFrame(conn, id, kindClientWelcome, clientWelcomeMsg{ID: n.id, Addr: n.addr}) != nil {
+		// An empty body is a client from before the handshake carried a
+		// version: it stays version 0.
+		var h clientWelcomeMsg
+		if len(body) > 0 && decodeBody(body, &h) != nil {
+			closeConn(conn)
+			return
+		}
+		w := clientWelcomeMsg{ID: n.id, Addr: n.addr, Version: protoVersion}
+		if h.Version != protoVersion {
+			// Refuse at the handshake, with this node's version in the
+			// body: past it the client's first binary frame would be
+			// misread, and it would learn only that the connection died.
+			_ = writeFrame(conn, id, kindReject, w) //lint:allow errdrop courtesy reject on a connection being dropped; failure changes nothing
+			n.logf("rejected client %s: it speaks protocol version %d, this node %d", conn.RemoteAddr(), h.Version, protoVersion)
+			closeConn(conn)
+			return
+		}
+		if writeFrame(conn, id, kindClientWelcome, w) != nil {
 			closeConn(conn)
 			return
 		}
@@ -93,7 +111,7 @@ func closeConn(conn net.Conn) {
 	_ = conn.Close() //lint:allow errdrop best-effort teardown of an abandoned conn
 }
 
-// writeFrame encodes and writes one framed message.
+// writeFrame gob-encodes and writes one framed handshake message.
 func writeFrame(conn net.Conn, id uint64, kind byte, msg any) error {
 	payload, err := encodeMsg(kind, msg)
 	if err != nil {
@@ -145,13 +163,10 @@ func (n *Node) serveClient(conn net.Conn) {
 			}
 		}
 	}()
-	reply := func(id uint64, kind byte, msg any) {
-		payload, err := encodeMsg(kind, msg)
-		if err != nil {
-			return
-		}
+	reply := func(id uint64, payload []byte) {
 		frame, err := wire.AppendFrame(nil, id, payload)
 		if err != nil {
+			n.logf("client %s: reply %d of kind %d not sent: %v", conn.RemoteAddr(), id, payload[0], err)
 			return
 		}
 		select {
@@ -173,8 +188,8 @@ func (n *Node) serveClient(conn net.Conn) {
 		}
 		switch kind {
 		case kindClientQuery:
-			var cq clientQueryMsg
-			if decodeBody(body, &cq) != nil {
+			cq, err := decodeClientQuery(body)
+			if err != nil {
 				return
 			}
 			reqID := id
@@ -184,13 +199,20 @@ func (n *Node) serveClient(conn net.Conn) {
 					if err != nil {
 						msg.Err = err.Error()
 					}
-					reply(reqID, kindClientResult, msg)
+					enc := appendClientResult(nil, &msg)
+					if len(enc) > wire.MaxFramePayload {
+						// Say so: a reply that cannot be framed would
+						// otherwise leave the client waiting for nothing.
+						enc = appendClientResult(nil, &clientResultMsg{Err: fmt.Sprintf(
+							"answer of %d entries does not fit one %d-byte frame", len(out.Entries), wire.MaxFramePayload)})
+					}
+					reply(reqID, enc)
 				})
 			})
 		case kindClientInfo:
 			reqID := id
 			n.rt.Schedule(0, func() {
-				reply(reqID, kindClientInfoR, Info{
+				enc, err := encodeMsg(kindClientInfoR, Info{
 					ID: n.id, Addr: n.addr, Members: n.snapshot(), Store: n.ownedBoot(),
 					Recovered: n.recovered, Replayed: n.replayed,
 					Replicas: n.cfg.Replicas, Down: n.downMembers(),
@@ -198,10 +220,15 @@ func (n *Node) serveClient(conn net.Conn) {
 					Repairs:      n.repairsApplied.Load(),
 					RepairChunks: n.repairChunksRx.Load(), RepairFallback: n.repairFallback.Load(),
 				})
+				if err != nil {
+					n.logf("client %s: info reply %d not sent: %v", conn.RemoteAddr(), reqID, err)
+					return
+				}
+				reply(reqID, enc)
 			})
 		case kindClientPublish, kindClientDelete:
-			var cm clientMutMsg
-			if decodeBody(body, &cm) != nil {
+			cm, err := decodeClientMut(body)
+			if err != nil {
 				return
 			}
 			reqID, del := id, kind == kindClientDelete
@@ -211,7 +238,7 @@ func (n *Node) serveClient(conn net.Conn) {
 					if err != nil {
 						msg.Err = err.Error()
 					}
-					reply(reqID, kindClientMutR, msg)
+					reply(reqID, appendClientMutR(nil, &msg))
 				})
 			})
 		default:
