@@ -86,9 +86,13 @@ durability-smoke:
 # phase — one member is SIGKILLed and stays dead while every query must
 # come back Complete and brute-force exact from the streamed replica
 # copies, with the repair counters proving the copies rode the
-# bulk-transfer path (point-wise fallback counter must be zero).
+# bulk-transfer path (point-wise fallback counter must be zero). The
+# failover exactness tests run twenty times over: what they caught once
+# (a former replica answering from a copy nobody updates any more)
+# failed one run in twelve, and a rerun would have hidden it.
 repair-smoke:
 	$(GO) test -race -count=1 -run 'Replica|AntiEntropy|FailureDetector|Publish|ClientMut|HostileRep' ./internal/runtime/netrt
+	$(GO) test -race -count=20 -run 'TestGroupedExactness|TestFormerReplicaDoesNotServeStaleCopy' ./internal/runtime/netrt
 	$(GO) run -race ./cmd/lmchaos -procs 4 -objects 1024 -dim 4 -queries 120 -clients 6 -churn 3 -replicas 1 -kill-dead
 
 # One iteration of every kernel benchmark under internal/*: catches a

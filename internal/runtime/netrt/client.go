@@ -53,6 +53,14 @@ type Info struct {
 	Repairs        int64
 	RepairChunks   int64
 	RepairFallback int64
+	// The work of answering, counted where it is done and cumulative
+	// since boot: Tested is the boot entries whose points were compared
+	// with a query cube at the leaves of the k-d descent, Refined the
+	// ones that were inside and alive, i.e. the exact distances computed.
+	// Published extras and replica copies, walked as maps, are in
+	// neither.
+	Tested  uint64
+	Refined uint64
 }
 
 // Dial connects to a node and completes the client handshake.

@@ -57,12 +57,16 @@ func (c *DataConfig) fillDefaults() {
 // corpus is what a node needs from the dataset, independent of the
 // object type: ring placement of every entry, index-space points for
 // region scans, exact distances for refinement, and query-region
-// construction.
+// construction. Everything an answer or a replica stream walks is
+// addressed by sorted position j (Cols, Evaluator, ObjBytes); a corpus
+// id i — what the wire, tombstones and delete routing carry — reaches
+// its entry through Cols().pos, as Key and Point do.
 type corpus interface {
 	N() int
-	// Key returns entry i's ring key (rotation applied).
+	// Key returns the ring key (rotation applied) of the entry with
+	// corpus id i.
 	Key(i int) lph.Key
-	// Point returns entry i's index-space point.
+	// Point returns the index-space point of the entry with corpus id i.
 	Point(i int) []float64
 	// Cols returns the corpus in key order, for region answers and
 	// ownership runs.
@@ -73,14 +77,15 @@ type corpus interface {
 	// query object and radius.
 	QueryRegion(qobj []byte, r float64) (query.Region, error)
 	// Evaluator decodes a query object once and returns the exact
-	// distance to entry i.
-	Evaluator(qobj []byte) (func(i int) float64, error)
+	// distance to the object at sorted position j.
+	Evaluator(qobj []byte) (func(j int) float64, error)
 	// RandomQuery draws a random encoded query object from rng.
 	RandomQuery(rng *rand.Rand) []byte
-	// ObjBytes returns entry i's encoded object — replica streams and
-	// digests are self-describing, so copies answer exact distances
-	// without assuming the holder can re-derive the object.
-	ObjBytes(i int) []byte
+	// ObjBytes appends the encoded object at sorted position j to dst —
+	// replica streams and digests are self-describing, so copies answer
+	// exact distances without assuming the holder can re-derive the
+	// object.
+	ObjBytes(dst []byte, j int) []byte
 	// MapObj maps an encoded object into the index: its ring key (the
 	// routing position an online publish or delete goes to) and its
 	// index-space point.
@@ -96,8 +101,10 @@ type corpus interface {
 // bisection, so a key is its entry's root-to-leaf path and the sorted
 // column is the k-d tree laid flat: the entries under a region's prefix
 // are one contiguous run (query.Descend walks it), and the ring arc a
-// member owns is at most two (arc). Until seal sorts them the columns
-// are in corpus order and ids/pos are unset.
+// member owns is at most two (arc). The dataset's objects sit in the
+// same order (dataset.at), so a sorted position names an entry's key,
+// id, point and object alike; pos alone is indexed by corpus id. Until
+// seal sorts them the columns are in corpus order and ids/pos are unset.
 type columns struct {
 	k    int
 	keys []lph.Key // ascending
@@ -154,11 +161,11 @@ func (c *columns) arc(part *lph.Partitioner, pred, me uint64) [2]run {
 
 // sortByKey turns corpus order into key order. The (key, id) pairs are
 // sorted aside — the sorted keys and ids fall out of them directly —
-// and the points are then permuted in place, one cycle at a time, so
-// the build never holds a second copy of the coordinates (on the
-// prototype of this layout a key-ordered copy beside the corpus-ordered
-// one read +31 % rss_mb on bench's ring-scan, and dropping the old one
-// afterwards still +19 %: VmHWM is a peak; in place it reads −6 %).
+// and the points are then permuted in place, so the build never holds a
+// second copy of the coordinates (on the prototype of this layout a
+// key-ordered copy beside the corpus-ordered one read +31 % rss_mb on
+// bench's ring-scan, and dropping the old one afterwards still +19 %:
+// VmHWM is a peak; in place it reads −6 %).
 func (c *columns) sortByKey() {
 	type pair struct {
 		key lph.Key
@@ -179,45 +186,58 @@ func (c *columns) sortByKey() {
 	for j, p := range pairs {
 		c.keys[j], c.ids[j], c.pos[p.id] = p.key, p.id, int32(j)
 	}
-	// Position j takes the row that sat at ids[j]. Walking a cycle from
-	// s, every source row is still untouched when it is read; only s's
-	// own row has to be kept aside.
-	placed := make([]bool, len(pairs))
-	kept := make([]float64, c.k)
+	permuteRows(c.pts, c.k, c.ids)
+}
+
+// permuteRows reorders rows, len(ids) rows of width elements each, in
+// place: row j takes the row that sat at ids[j]. Walking a cycle from s,
+// every source row is still untouched when it is read; only s's own row
+// has to be kept aside.
+func permuteRows[E any](rows []E, width int, ids []int32) {
+	row := func(j int) []E { return rows[j*width : (j+1)*width] }
+	placed := make([]bool, len(ids))
+	kept := make([]E, width)
 	for s := range placed {
 		if placed[s] {
 			continue
 		}
-		copy(kept, c.point(s))
+		copy(kept, row(s))
 		for j := s; ; {
 			placed[j] = true
-			src := int(c.ids[j])
+			src := int(ids[j])
 			if src == s {
-				copy(c.point(j), kept)
+				copy(row(j), kept)
 				break
 			}
-			copy(c.point(j), c.point(src))
+			copy(row(j), row(src))
 			j = src
 		}
 	}
 }
 
 // dataset is the generic corpus implementation over one metric space.
-// objs stays in corpus order (ids on the wire and in BruteForce are
-// corpus indices); the index entries live in cols.
+// Nothing of it is kept in corpus order: the index entries live in cols
+// and the objects beside them, both in key order, so refinement reads
+// memory in the order the descent produces candidates. A corpus id (what
+// the wire and BruteForce speak) is cols.ids[j] going out and
+// cols.pos[i] coming in.
 type dataset[T any] struct {
-	objs   []T
+	n int
+	// at returns the object at sorted position j — at corpus index j
+	// until seal has run. The objects are one allocation (buildEuclid,
+	// buildEdit) and at views it; no per-object header is kept.
+	at     func(j int) T
 	space  metric.Space[T]
 	emb    *indexspace.Embedding[T]
 	part   *lph.Partitioner
 	cols   columns
 	sig    uint64
 	dec    func([]byte) (T, error)
-	enc    func(T) []byte
+	enc    func(dst []byte, o T) []byte // appends o's encoding
 	random func(rng *rand.Rand) []byte
 }
 
-func (d *dataset[T]) N() int                 { return len(d.objs) }
+func (d *dataset[T]) N() int                 { return d.n }
 func (d *dataset[T]) Key(i int) lph.Key      { return d.part.Ring(d.cols.keys[d.cols.pos[i]]) }
 func (d *dataset[T]) Point(i int) []float64  { return d.cols.point(int(d.cols.pos[i])) }
 func (d *dataset[T]) Cols() *columns         { return &d.cols }
@@ -243,17 +263,18 @@ func (d *dataset[T]) QueryRegion(qobj []byte, r float64) (query.Region, error) {
 	return query.New(d.part, cube)
 }
 
-func (d *dataset[T]) Evaluator(qobj []byte) (func(i int) float64, error) {
+func (d *dataset[T]) Evaluator(qobj []byte) (func(j int) float64, error) {
 	q, err := d.dec(qobj)
 	if err != nil {
 		return nil, err
 	}
-	return func(i int) float64 { return d.space.Dist(q, d.objs[i]) }, nil
+	dist, at := d.space.Dist, d.at
+	return func(j int) float64 { return dist(q, at(j)) }, nil
 }
 
 func (d *dataset[T]) RandomQuery(rng *rand.Rand) []byte { return d.random(rng) }
 
-func (d *dataset[T]) ObjBytes(i int) []byte { return d.enc(d.objs[i]) }
+func (d *dataset[T]) ObjBytes(dst []byte, j int) []byte { return d.enc(dst, d.at(j)) }
 
 func (d *dataset[T]) MapObj(obj []byte) (lph.Key, []float64, error) {
 	o, err := d.dec(obj)
@@ -293,40 +314,52 @@ func buildCorpus(cfg DataConfig) (corpus, error) {
 	}
 }
 
+// landmarkSample is how many objects, the first in corpus order, the
+// landmarks are picked from.
+const landmarkSample = 2000
+
 // finishDataset runs the metric-independent tail of corpus
-// construction: landmark selection, embedding, mapping, keys,
-// signature.
-func finishDataset[T any](cfg DataConfig, objs []T, space metric.Space[T], dec func([]byte) (T, error), enc func(T) []byte, random func(*rand.Rand) []byte) (*dataset[T], error) {
-	sample := objs
-	if len(sample) > 2000 {
-		sample = sample[:2000]
+// construction on a dataset that has its objects (n, at — in corpus
+// order), space and codecs: landmark selection, embedding, mapping,
+// keys, signature, and the move into key order. permute reorders the
+// storage behind d.at the way permuteRows reorders rows.
+func finishDataset[T any](cfg DataConfig, d *dataset[T], permute func(ids []int32)) (*dataset[T], error) {
+	sample := make([]T, min(d.n, landmarkSample))
+	for i := range sample {
+		sample[i] = d.at(i)
 	}
 	lrng := rand.New(rand.NewSource(cfg.Seed ^ 0x6c616e646d61726b)) // "landmark"
-	lms, err := landmark.Greedy(lrng, sample, cfg.Landmarks, space.Dist)
+	lms, err := landmark.Greedy(lrng, sample, cfg.Landmarks, d.space.Dist)
 	if err != nil {
 		return nil, err
 	}
-	emb, err := indexspace.New(space, lms)
-	if err != nil {
+	// The picks are views of the storage seal is about to permute, and
+	// an embedding built on them would measure against whatever rows end
+	// up there. They leave it the way an object leaves the process:
+	// encoded, and decoded into memory of their own.
+	for i, lm := range lms {
+		if lms[i], err = d.dec(d.enc(nil, lm)); err != nil {
+			return nil, err
+		}
+	}
+	if d.emb, err = indexspace.New(d.space, lms); err != nil {
 		return nil, err
 	}
-	part, err := emb.Partitioner(false)
-	if err != nil {
+	if d.part, err = d.emb.Partitioner(false); err != nil {
 		return nil, err
 	}
-	d := &dataset[T]{objs: objs, space: space, emb: emb, part: part, dec: dec, enc: enc, random: random}
-	k := emb.K()
-	d.cols = columns{k: k, keys: make([]lph.Key, len(objs)), pts: make([]float64, len(objs)*k)}
+	k := d.emb.K()
+	d.cols = columns{k: k, keys: make([]lph.Key, d.n), pts: make([]float64, d.n*k)}
 	// Map every object into index space and derive its key, on every
 	// core: each index writes only its own slots of the columns and the
 	// metric spaces are stateless, so the result is byte-identical to a
 	// serial build.
-	eachChunk(len(objs), func(lo, hi int) {
+	eachChunk(d.n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			d.cols.keys[i] = d.part.Hash(d.emb.MapInto(objs[i], d.cols.point(i)))
+			d.cols.keys[i] = d.part.Hash(d.emb.MapInto(d.at(i), d.cols.point(i)))
 		}
 	})
-	d.seal(cfg)
+	d.seal(cfg, permute)
 	return d, nil
 }
 
@@ -375,38 +408,49 @@ func corpusSig(version int, cfg DataConfig, part *lph.Partitioner, keys []lph.Ke
 	return h.Sum64()
 }
 
-// seal finishes a dataset whose columns hold every entry's unrotated
-// key and point in corpus order: the signature is taken over that
-// order, then the columns are sorted by key.
-func (d *dataset[T]) seal(cfg DataConfig) {
-	d.sig = corpusSig(protoVersion, cfg, d.part, d.cols.keys)
-	d.cols.sortByKey()
+// corpusRand is the generator a corpus' objects are drawn from, in
+// corpus order.
+func corpusRand(cfg DataConfig) *rand.Rand {
+	return rand.New(rand.NewSource(cfg.Seed ^ 0x636f72707573)) // "corpus"
 }
 
+// seal finishes a dataset whose columns and objects are in corpus
+// order: the signature is taken over that order, then the columns are
+// sorted by key and the objects follow them, row for row.
+func (d *dataset[T]) seal(cfg DataConfig, permute func(ids []int32)) {
+	d.sig = corpusSig(protoVersion, cfg, d.part, d.cols.keys)
+	d.cols.sortByKey()
+	permute(d.cols.ids)
+}
+
+// buildEuclid draws the vectors into one slab of Objects·Dim floats,
+// object by object — the draw order of one allocation per vector, so
+// the corpus is the same — and an object is a view of its row, its
+// capacity cut at the row's end so that nothing appended to one can
+// reach the next.
 func buildEuclid(cfg DataConfig) (corpus, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x636f72707573)) // "corpus"
-	objs := make([]metric.Vector, cfg.Objects)
-	for i := range objs {
-		v := make(metric.Vector, cfg.Dim)
-		for j := range v {
-			v[j] = rng.Float64()
-		}
-		objs[i] = v
-	}
-	space := metric.EuclideanSpace("euclid", cfg.Dim, 0, 1)
 	dim := cfg.Dim
-	dec := func(b []byte) (metric.Vector, error) {
-		return DecodeVectorQuery(b, dim)
+	rng := corpusRand(cfg)
+	slab := make([]float64, cfg.Objects*dim)
+	for i := range slab {
+		slab[i] = rng.Float64()
 	}
-	enc := func(v metric.Vector) []byte { return EncodeVectorQuery(v) }
-	random := func(rng *rand.Rand) []byte {
-		v := make([]float64, dim)
-		for j := range v {
-			v[j] = rng.Float64()
-		}
-		return EncodeVectorQuery(v)
-	}
-	return finishDataset(cfg, objs, space, dec, enc, random)
+	return finishDataset(cfg, &dataset[metric.Vector]{
+		n:     cfg.Objects,
+		at:    func(j int) metric.Vector { return slab[j*dim : (j+1)*dim : (j+1)*dim] },
+		space: metric.EuclideanSpace("euclid", dim, 0, 1),
+		dec: func(b []byte) (metric.Vector, error) {
+			return DecodeVectorQuery(b, dim)
+		},
+		enc: appendVector,
+		random: func(rng *rand.Rand) []byte {
+			v := make([]float64, dim)
+			for j := range v {
+				v[j] = rng.Float64()
+			}
+			return EncodeVectorQuery(v)
+		},
+	}, func(ids []int32) { permuteRows(slab, dim, ids) })
 }
 
 // editAlphabet is small on purpose: short strings over few letters
@@ -425,30 +469,37 @@ func buildEdit(cfg DataConfig) (corpus, error) {
 		}
 		return b
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x636f72707573))
-	objs := make([]string, cfg.Objects)
-	for i := range objs {
-		objs[i] = string(random(rng))
+	rng := corpusRand(cfg)
+	strs := make([]string, cfg.Objects)
+	for i := range strs {
+		strs[i] = string(random(rng))
 	}
-	space := metric.EditSpace("edit", editMaxLen)
-	dec := func(b []byte) (string, error) {
-		if len(b) > editMaxLen {
-			return "", fmt.Errorf("netrt: query string longer than %d", editMaxLen)
-		}
-		return string(b), nil
-	}
-	enc := func(s string) []byte { return []byte(s) }
-	return finishDataset(cfg, objs, space, dec, enc, random)
+	return finishDataset(cfg, &dataset[string]{
+		n:     cfg.Objects,
+		at:    func(j int) string { return strs[j] },
+		space: metric.EditSpace("edit", editMaxLen),
+		dec: func(b []byte) (string, error) {
+			if len(b) > editMaxLen {
+				return "", fmt.Errorf("netrt: query string longer than %d", editMaxLen)
+			}
+			return string(b), nil
+		},
+		enc:    func(dst []byte, s string) []byte { return append(dst, s...) },
+		random: random,
+	}, func(ids []int32) { permuteRows(strs, 1, ids) })
 }
 
 // EncodeVectorQuery encodes a vector query object for the "euclid"
 // metric: 8 big-endian bytes per component.
 func EncodeVectorQuery(v []float64) []byte {
-	out := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.BigEndian.PutUint64(out[8*i:], math.Float64bits(x))
+	return appendVector(make([]byte, 0, 8*len(v)), v)
+}
+
+func appendVector(dst []byte, v metric.Vector) []byte {
+	for _, x := range v {
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(x))
 	}
-	return out
+	return dst
 }
 
 // DecodeVectorQuery inverts EncodeVectorQuery, checking dimensionality.
@@ -501,10 +552,11 @@ func (d *Dataset) BruteForce(qobj []byte, r float64) ([]ResultEntry, error) {
 		return nil, err
 	}
 	var out []ResultEntry
-	for i := 0; i < d.c.N(); i++ {
-		if dist := eval(i); dist <= r {
-			out = append(out, ResultEntry{Obj: int32(i), Dist: dist})
+	for j, id := range d.c.Cols().ids {
+		if dist := eval(j); dist <= r {
+			out = append(out, ResultEntry{Obj: id, Dist: dist})
 		}
 	}
+	slices.SortFunc(out, func(a, b ResultEntry) int { return cmp.Compare(a.Obj, b.Obj) })
 	return out, nil
 }

@@ -78,9 +78,9 @@ func TestDurableCorpusRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < built.N(); i++ {
-			if be(i) != re(i) {
-				t.Fatalf("%s: entry %d distance diverged after recovery", cfg.Metric, i)
+		for j := 0; j < built.N(); j++ {
+			if be(j) != re(j) {
+				t.Fatalf("%s: position %d distance diverged after recovery", cfg.Metric, j)
 			}
 		}
 	}
@@ -225,13 +225,13 @@ func TestDurableLegacyDirectoryOpens(t *testing.T) {
 		if err := emit(encodeMeta(data)); err != nil {
 			return err
 		}
-		for i := 0; i < data.Landmarks; i++ {
-			if err := emit(append([]byte{recLandmark}, c.ObjBytes(i)...)); err != nil {
+		for j := 0; j < data.Landmarks; j++ {
+			if err := emit(c.ObjBytes([]byte{recLandmark}, j)); err != nil {
 				return err
 			}
 		}
-		for i := 0; i < c.N(); i++ {
-			if err := emit(record(recEntry, int32(i), c.ObjBytes(i))); err != nil {
+		for j, id := range c.Cols().ids {
+			if err := emit(record(recEntry, id, c.ObjBytes(nil, j))); err != nil {
 				return err
 			}
 		}

@@ -71,7 +71,10 @@ func markDown(t *testing.T, n *Node, id uint64) {
 			st = &hbState{}
 			n.hb[id] = st
 		}
-		st.down, st.susp = true, n.cfg.SuspectAfter
+		// Every probe so far counts as answered: a pong still in flight
+		// from a member that has only just been closed must not halve the
+		// suspicion and revive it.
+		st.down, st.susp, st.acked = true, n.cfg.SuspectAfter, st.seq
 	})
 }
 
@@ -207,17 +210,7 @@ func groupedExactness(t *testing.T, size int, data DataConfig) {
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].id < nodes[j].id })
 	v := rng.Intn(size)
 	victim, holder := nodes[v], nodes[(v+1)%size]
-	waitFor(t, 20*time.Second, func() bool {
-		var dig uint64
-		var cnt int
-		execRead(t, victim, func() { dig, cnt = victim.mineDigest, victim.mineCount })
-		caughtUp := false
-		execRead(t, holder, func() {
-			c := holder.copies[victim.id]
-			caughtUp = c != nil && c.synced && c.digest == dig && len(c.entries) == cnt
-		})
-		return caughtUp
-	})
+	waitCaughtUp(t, victim, holder)
 	victim.Close()
 	live := slices.Delete(slices.Clone(nodes), v, v+1)
 	for _, n := range live {

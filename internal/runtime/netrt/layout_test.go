@@ -2,8 +2,10 @@ package netrt
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"landmarkdht/internal/lph"
 	"landmarkdht/internal/metric"
@@ -11,19 +13,27 @@ import (
 )
 
 // checkBuiltColumns holds a built dataset against a serial rebuild of
-// the same entries: the parallel map-and-hash, the pair sort and the
-// in-place permutation must leave every entry's key and point exactly
-// what mapping it alone gives, in ascending key order with ties by id,
-// under the signature of the corpus-order keys.
-func checkBuiltColumns[T any](t *testing.T, cfg DataConfig, d *dataset[T]) {
+// the same entries from ref, the corpus' objects in corpus order as the
+// test drew them itself: the parallel map-and-hash, the pair sort and
+// the in-place permutations must leave every entry's key and point
+// exactly what mapping its object alone gives, in ascending key order
+// with ties by id, under the signature of the corpus-order keys — and
+// the object found at a sorted position must be the one whose key and
+// point are there.
+func checkBuiltColumns[T any](t *testing.T, cfg DataConfig, d *dataset[T], ref []T) {
 	t.Helper()
 	c := &d.cols
-	n := len(d.objs)
-	if len(c.keys) != n || len(c.ids) != n || len(c.pos) != n || len(c.pts) != n*c.k {
-		t.Fatalf("column lengths %d/%d/%d/%d for %d entries of %d coordinates", len(c.keys), len(c.ids), len(c.pos), len(c.pts), n, c.k)
+	n := len(ref)
+	if d.n != n || len(c.keys) != n || len(c.ids) != n || len(c.pos) != n || len(c.pts) != n*c.k {
+		t.Fatalf("column lengths %d/%d/%d/%d/%d for %d entries of %d coordinates", d.n, len(c.keys), len(c.ids), len(c.pos), len(c.pts), n, c.k)
 	}
 	serial := make([]lph.Key, n)
-	for i, o := range d.objs {
+	for i, o := range ref {
+		// ref shares no memory with the dataset, so this is the point
+		// the embedding gives now, after seal moved the objects. The
+		// stored one was computed before: landmarks that still viewed
+		// the storage would have changed under the move, and the two
+		// would differ everywhere.
 		p := d.emb.Map(o)
 		serial[i] = d.part.Hash(p)
 		if !slices.Equal(d.Point(i), p) {
@@ -32,8 +42,12 @@ func checkBuiltColumns[T any](t *testing.T, cfg DataConfig, d *dataset[T]) {
 		if d.Key(i) != d.part.MapPoint(p) {
 			t.Fatalf("entry %d: key %x, mapping it gives %x", i, d.Key(i), d.part.MapPoint(p))
 		}
-		if j := c.pos[i]; c.ids[j] != int32(i) {
+		j := int(c.pos[i])
+		if c.ids[j] != int32(i) {
 			t.Fatalf("pos[%d] = %d but ids[%d] = %d", i, j, j, c.ids[j])
+		}
+		if got := d.at(j); !reflect.DeepEqual(got, o) {
+			t.Fatalf("position %d holds object %v, entry %d is %v", j, got, i, o)
 		}
 	}
 	for j := 1; j < n; j++ {
@@ -52,7 +66,39 @@ func TestBuiltColumnsMatchSerialBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkBuiltColumns(t, euclid, c.(*dataset[metric.Vector]))
+	// One allocation per vector, component by component: the draws of
+	// the layout the slab replaced.
+	rng := corpusRand(euclid)
+	vecs := make([]metric.Vector, euclid.Objects)
+	for i := range vecs {
+		vecs[i] = make(metric.Vector, euclid.Dim)
+		for j := range vecs[i] {
+			vecs[i][j] = rng.Float64()
+		}
+	}
+	ed := c.(*dataset[metric.Vector])
+	checkBuiltColumns(t, euclid, ed, vecs)
+	// The vectors are the rows of one slab, each view cut at its row's
+	// end, and the landmarks are not among them.
+	dim := euclid.Dim
+	addr := func(v metric.Vector) uintptr { return uintptr(unsafe.Pointer(&v[0])) }
+	for j := 0; j+1 < ed.n; j++ {
+		row, next := ed.at(j), ed.at(j+1)
+		if len(row) != dim || cap(row) != dim || addr(next)-addr(row) != uintptr(dim)*unsafe.Sizeof(row[0]) {
+			t.Fatalf("position %d: a view of %d/%d floats, %d bytes before the next", j, len(row), cap(row), addr(next)-addr(row))
+		}
+		keep := next[0]
+		if grown := append(row, keep+1); next[0] != keep || addr(grown) == addr(row) {
+			t.Fatalf("position %d: an append to its view wrote the next row", j)
+		}
+	}
+	lo, hi := addr(ed.at(0)), addr(ed.at(ed.n-1))
+	for i, lm := range ed.emb.Landmarks() {
+		if a := addr(lm); a >= lo && a <= hi {
+			t.Fatalf("landmark %d views the slab", i)
+		}
+	}
+
 	// Edit distances are small integers: the keys collide by the dozen,
 	// so the id tie-break and duplicate keys are exercised for real.
 	edit := DataConfig{Metric: "edit", Seed: 3, Objects: 700, Landmarks: 3}
@@ -61,10 +107,84 @@ func TestBuiltColumnsMatchSerialBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rng = corpusRand(edit)
+	strs := make([]string, edit.Objects)
+	for i := range strs {
+		strs[i] = string(c.RandomQuery(rng))
+	}
 	d := c.(*dataset[string])
-	checkBuiltColumns(t, edit, d)
+	checkBuiltColumns(t, edit, d, strs)
 	if keys := slices.Compact(slices.Clone(d.cols.keys)); len(keys) == len(d.cols.keys) {
 		t.Fatal("the edit corpus has no duplicate keys: the tie-break is not exercised")
+	}
+}
+
+// TestCorpusSignatureStable pins the handshake signature of three
+// corpora — testData, the edit corpus above, bench's ring-selective — to
+// what the commit before the objects moved into key order computes. The
+// signature covers every key in corpus order, so a draw that changed
+// order, or a landmark that changed under the permutation, shows here
+// even though a ring of one build would still agree with itself; and a
+// member of that commit still links with one of this.
+func TestCorpusSignatureStable(t *testing.T) {
+	for _, tc := range []struct {
+		cfg DataConfig
+		sig uint64
+	}{
+		{testData(), 0xa33e2c25e2f97fbb},
+		{DataConfig{Metric: "edit", Seed: 3, Objects: 700, Landmarks: 3}, 0x7b3537cd71e3842f},
+		{DataConfig{Metric: "euclid", Seed: 1, Objects: 8192, Dim: 8, Landmarks: 6}, 0x9b68712dd3be061},
+	} {
+		c, err := buildCorpus(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Sig() != tc.sig {
+			t.Fatalf("%+v: signature %#x, want %#x", tc.cfg, c.Sig(), tc.sig)
+		}
+	}
+}
+
+// TestBruteForceMatchesByIDReference: BruteForce walks the corpus in key
+// order; what it returns is still the answer in id order, every distance
+// the bits a walk by id computes from the encoded objects.
+func TestBruteForceMatchesByIDReference(t *testing.T) {
+	for _, tc := range []struct {
+		cfg DataConfig
+		r   float64
+	}{
+		{testData(), 0.4},
+		{DataConfig{Metric: "edit", Seed: 3, Objects: 700, Landmarks: 3}, 4},
+	} {
+		ds, err := BuildDataset(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(9))
+		for q := 0; q < 8; q++ {
+			qobj := ds.RandomQuery(rng)
+			dist, err := ds.c.Dister(qobj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []ResultEntry
+			for i := 0; i < ds.N(); i++ {
+				d, err := dist(ds.c.ObjBytes(nil, int(ds.c.Cols().pos[i])))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d <= tc.r {
+					want = append(want, ResultEntry{Obj: int32(i), Dist: d})
+				}
+			}
+			got, err := ds.BruteForce(qobj, tc.r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 || len(want) == ds.N() || !slices.Equal(got, want) {
+				t.Fatalf("%s query %d: brute force returns %d entries, the walk by id %d of %d", tc.cfg.Metric, q, len(got), len(want), ds.N())
+			}
+		}
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // share's owner whatever port it was given: the position decides how
 // many sub-cuboids Algorithm 5 cuts, so an ephemeral one would make
 // every run a different benchmark. The returned function runs the next
-// query.
-func localQueryFixture(tb testing.TB) func() {
+// query on the returned node.
+func localQueryFixture(tb testing.TB) (*Node, func()) {
 	tb.Helper()
 	data := DataConfig{Metric: "euclid", Seed: 1, Objects: 57409, Dim: 8, Landmarks: 6}
 	n, err := Start(Config{Listen: "127.0.0.1:0", Data: data,
@@ -25,12 +25,12 @@ func localQueryFixture(tb testing.TB) func() {
 	tb.Cleanup(n.Close)
 	pinID(tb, n, NodeID("127.0.0.1:52268"))
 	rng := rand.New(rand.NewSource(1))
-	queries := make([][]byte, 256)
+	queries := make([][]byte, localQueryCycle)
 	for i := range queries {
 		queries[i] = n.data.RandomQuery(rng)
 	}
 	next := 0
-	return func() {
+	return n, func() {
 		out, err := n.Query(queries[next%len(queries)], 0.30, 5*time.Second)
 		if err != nil || !out.Complete {
 			tb.Fatalf("query %d: complete=%v err=%v", next, out.Complete, err)
@@ -39,14 +39,50 @@ func localQueryFixture(tb testing.TB) func() {
 	}
 }
 
+// localQueryCycle is the length of the fixture's query sequence.
+const localQueryCycle = 256
+
+// answerWork reads the node's cumulative answer counters.
+func answerWork(tb testing.TB, n *Node) (tested, refined uint64) {
+	tb.Helper()
+	if err := n.rt.Do(func() { tested, refined = n.tested, n.refined }); err != nil {
+		tb.Fatal(err)
+	}
+	return tested, refined
+}
+
 // BenchmarkLocalQuery is one member's whole share of a range query —
 // region, decomposition, descent, refinement, merge — with no peers.
+// tested/op and refined/op are the entries compared with a cube and the
+// exact distances computed per query: ns/op over refined/op bounds what
+// one candidate costs, and a change that moves ns/op but not the counts
+// changed what a candidate costs, not which candidates there are.
 func BenchmarkLocalQuery(b *testing.B) {
-	query := localQueryFixture(b)
+	n, query := localQueryFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		query()
+	}
+	tested, refined := answerWork(b, n)
+	b.ReportMetric(float64(tested)/float64(b.N), "tested/op")
+	b.ReportMetric(float64(refined)/float64(b.N), "refined/op")
+}
+
+// TestLocalQueryWorkPinned pins the two counters over one cycle of the
+// fixture's queries. They are a property of the corpus, the ring
+// position, the queries and leafEntries — nothing timed — so they repeat
+// exactly, and a change to where a candidate's bytes live must leave
+// them where the by-id layout before it had them (the same test against
+// that commit, instrumented, reads these two numbers).
+func TestLocalQueryWorkPinned(t *testing.T) {
+	n, query := localQueryFixture(t)
+	for i := 0; i < localQueryCycle; i++ {
+		query()
+	}
+	const wantTested, wantRefined = 3_271_638, 977_533
+	if tested, refined := answerWork(t, n); tested != wantTested || refined != wantRefined {
+		t.Fatalf("one cycle tested %d entries and refined %d, want %d and %d", tested, refined, wantTested, wantRefined)
 	}
 }
 
@@ -65,11 +101,11 @@ const localQueryAllocsCeiling = 110
 // bisects thousands of times and tests tens of thousands of points per
 // query).
 func TestLocalQueryAllocsCeiling(t *testing.T) {
-	query := localQueryFixture(t)
-	for i := 0; i < 256; i++ {
+	_, query := localQueryFixture(t)
+	for i := 0; i < localQueryCycle; i++ {
 		query()
 	}
-	allocs := testing.AllocsPerRun(256, query)
+	allocs := testing.AllocsPerRun(localQueryCycle, query)
 	t.Logf("%.0f allocs per local query (ceiling %d)", allocs, localQueryAllocsCeiling)
 	if allocs > localQueryAllocsCeiling {
 		t.Fatalf("%.0f allocs per local query, ceiling %d", allocs, localQueryAllocsCeiling)

@@ -39,9 +39,10 @@
 // handshake's signature, over the corpus and the protocol version,
 // refuses to link disagreeing nodes) and owns the entries whose ring
 // key it succeeds under the current membership view. The corpus' index
-// entries are stored once, flat, sorted by key (data.go's columns), so
-// what a member owns is its arc of that order — one or two runs, found
-// by binary search on every membership change. Every boot builds the
+// entries, and its objects beside them, are stored once, flat, sorted by
+// key (data.go's columns and dataset), so what a member owns is its arc
+// of that order — one or two runs, found by binary search on every
+// membership change — and what a query refines there it reads in order. Every boot builds the
 // corpus from DataConfig; Config.DataDir adds a journal of the online
 // publishes and deletes the node accepted as owner, the one thing a
 // restart cannot re-derive, replayed on top of the build (durable.go).
@@ -190,6 +191,8 @@ type Node struct {
 	runs      [2]run   // the boot entries this node owns under members: its arc of the key-ordered columns
 	queries   map[uint64]*originQuery
 	nextQID   uint64
+	tested    uint64 // boot entries tested against a query cube at the descent's leaves, cumulative
+	refined   uint64 // of those, the ones inside it and alive: exact distances computed, cumulative
 	gossip    *runtime.Ticker
 	announceB []byte // scratch: encoded announce payload
 
@@ -310,9 +313,11 @@ func Start(cfg Config) (*Node, error) {
 	// two lookups and one entry's is digPre[j+1]^digPre[j].
 	part, cols := data.Part(), data.Cols()
 	n.digPre = make([]uint64, data.N()+1)
+	var obj []byte
 	for j, id := range cols.ids {
+		obj = data.ObjBytes(obj[:0], j)
 		n.digPre[j+1] = n.digPre[j] ^ core.EntryDigest(part.Ring(cols.keys[j]),
-			core.Entry{Obj: core.ObjectID(id), Point: cols.point(j)}, data.ObjBytes(int(id)))
+			core.Entry{Obj: core.ObjectID(id), Point: cols.point(j)}, obj)
 	}
 	n.rt = livert.New(livert.Config{Seed: cfg.Data.Seed ^ int64(n.id)})
 	if err := n.rt.Do(func() {
@@ -608,8 +613,9 @@ func (n *Node) mergeMembers(ms []Member) {
 	}
 }
 
-// rebuildView refreshes the sorted ring, the owned runs, and the
-// handshake snapshot after any membership change.
+// rebuildView refreshes the sorted ring, the owned runs, the set of
+// replica copies worth keeping, and the handshake snapshot after any
+// membership change.
 func (n *Node) rebuildView() {
 	n.ring = n.ring[:0]
 	for id := range n.members {
@@ -641,6 +647,7 @@ func (n *Node) rebuildView() {
 		cnt++
 	}
 	n.mineDigest, n.mineCount = dig, cnt
+	n.dropForeignCopies()
 	snap := make([]Member, len(n.ring))
 	for i, id := range n.ring {
 		snap[i] = Member{ID: id, Addr: n.members[id]}

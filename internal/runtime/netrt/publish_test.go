@@ -271,7 +271,7 @@ func TestDurableAppendFailureRefusesMutation(t *testing.T) {
 		if hasID(completeQuery(t, n, obj, 0), pubID) {
 			t.Fatalf("%s: refused publish is answered", when)
 		}
-		if !hasID(completeQuery(t, n, n.data.ObjBytes(int(bootID)), 0), bootID) {
+		if !hasID(completeQuery(t, n, n.data.ObjBytes(nil, int(n.data.Cols().pos[bootID])), 0), bootID) {
 			t.Fatalf("%s: refused delete removed the boot entry", when)
 		}
 	}

@@ -168,22 +168,25 @@ func (n *Node) process(q *queryMsg) {
 			hops = addTo(hops, owner, reg)
 			continue
 		}
-		// The owner is down. A synced copy of its region answers the
-		// region right here — decomposed at the owner's ring position, so
-		// the sub-cuboids route exactly as they would have from the owner.
-		// Members are never evicted, so the ring only grows and a dead
-		// owner's region can only have shrunk since the copy synced: the
-		// copy covers the routed region, over-coverage is merged away per
-		// object at the origin, and mutations to a down owner are refused
-		// (publish.go), so the copy is static while the owner is dead —
-		// the failover answer is exact.
-		if c := n.copies[owner]; c != nil && c.synced {
+		// The owner is down. A synced copy of its region, held here as
+		// one of its replicas, answers the region on the spot — decomposed
+		// at the owner's ring position, so the sub-cuboids route exactly as
+		// they would have from the owner. Members are never evicted, so
+		// the ring only grows and a dead owner's region can only have
+		// shrunk since the copy synced: the copy covers the routed region
+		// and over-coverage is merged away per object at the origin. This
+		// node is still in the owner's replica set, so every mutation the
+		// owner applied since the sync was fanned out to it (a missed one
+		// unsyncs the copy at the next advert), and mutations to a down
+		// owner are refused (publish.go), so the copy is static while the
+		// owner is dead — the failover answer is exact.
+		if c := n.servingCopy(owner); c != nil {
 			_, work = n.refine(reg, owner, work)
 			copies = addTo(copies, c, reg)
 			continue
 		}
-		// No copy here: hand the region to a live replica that may hold
-		// one. TTL bounds any ping-pong between unsynced replicas.
+		// No copy to serve here: hand the region to a live replica that
+		// may hold one. TTL bounds any ping-pong between unsynced replicas.
 		routed := false
 		for _, t := range n.replicaTargets(owner) {
 			if t != n.id && !n.isDown(t) {
@@ -282,8 +285,11 @@ func splitCredit(credit uint64, parts int) []uint64 {
 // columns, up to its cut — the cube is tested only at the leaves,
 // tombstones and the exact distance only on what the cube lets through
 // — and the published extras and every down owner's copy are maps,
-// walked once against their region set. Over-coverage under
-// membership-view skew is harmless: the origin merges per object.
+// walked once against their region set. The descent hands out sorted
+// positions and the objects are stored by sorted position, so the exact
+// distances of a leaf read one stretch of memory front to back; the
+// corpus id is looked up only for what goes on the wire. Over-coverage
+// under membership-view skew is harmless: the origin merges per object.
 //
 //lint:context executor
 func (n *Node) answer(q *queryMsg, mine []query.Region, cuts []int, copies []group[*replicaCopy]) ([]ResultEntry, error) {
@@ -296,6 +302,7 @@ func (n *Node) answer(q *queryMsg, mine []query.Region, cuts []int, copies []gro
 		part, cols := n.data.Part(), n.data.Cols()
 		var cube []lph.Bounds
 		leaf := func(a, b int) {
+			n.tested += uint64(b - a)
 			for j := a; j < b; j++ {
 				if !cols.inside(j, cube) {
 					continue
@@ -304,7 +311,8 @@ func (n *Node) answer(q *queryMsg, mine []query.Region, cuts []int, copies []gro
 				if _, dead := n.tombs[id]; dead {
 					continue
 				}
-				if d := eval(int(id)); d <= q.R {
+				n.refined++
+				if d := eval(j); d <= q.R {
 					ents = append(ents, ResultEntry{Obj: id, Dist: d})
 				}
 			}

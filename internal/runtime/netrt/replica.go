@@ -13,8 +13,9 @@ package netrt
 // advertises (count, XOR-of-entry-digests) to each replica; a replica
 // whose copy disagrees answers with its own digest, and the owner
 // responds by re-streaming the region. The same exchange confirms
-// agreement — a matching advert marks the copy synced, and only synced
-// copies serve queries. A torn or divergent stream is discarded after
+// agreement — a matching advert marks the copy synced, and only a synced
+// copy whose holder is still in the owner's replica set serves queries
+// (servingCopy). A torn or divergent stream is discarded after
 // the end-to-end digest check and repaired by the next exchange; there
 // is no point-wise fallback path, so every repair is a counted bulk
 // stream (LinkStats.Repairs / RepairChunks; RepairFallback stays 0).
@@ -22,6 +23,7 @@ package netrt
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -232,7 +234,7 @@ func (n *Node) startPush(to uint64) {
 //
 //lint:context executor
 func (n *Node) encodeMine() []byte {
-	var out []byte
+	var out, obj []byte
 	part, cols := n.data.Part(), n.data.Cols()
 	for _, r := range n.runs {
 		for j := r.a; j < r.b; j++ {
@@ -240,8 +242,9 @@ func (n *Node) encodeMine() []byte {
 			if _, dead := n.tombs[id]; dead {
 				continue
 			}
+			obj = n.data.ObjBytes(obj[:0], j)
 			out = appendRepEntry(out, part.Ring(cols.keys[j]),
-				core.Entry{Obj: core.ObjectID(id), Point: cols.point(j)}, n.data.ObjBytes(int(id)))
+				core.Entry{Obj: core.ObjectID(id), Point: cols.point(j)}, obj)
 		}
 	}
 	for id, e := range n.extras {
@@ -467,14 +470,57 @@ func (n *Node) installStage(st *repStage) {
 	n.logf("installed replica copy of %016x: %d entries from %d chunks", st.owner, len(entries), len(st.got))
 }
 
-// syncedOwners counts the owners whose regions this node holds synced
-// copies of.
+// replicates reports whether this node is one of owner's replicas under
+// the current view.
+//
+//lint:context executor
+func (n *Node) replicates(owner uint64) bool {
+	return slices.Contains(n.replicaTargets(owner), n.id)
+}
+
+// servingCopy returns the copy of owner's region this node may answer
+// from, or nil: it must be synced, and this node must still replicate
+// owner. A ring that grows moves replica sets; a former holder's copy
+// stays internally consistent and says synced, but the owner's adverts
+// and fan-out go elsewhere now, so it lacks every later publish and
+// still holds every later delete.
+//
+//lint:context executor
+func (n *Node) servingCopy(owner uint64) *replicaCopy {
+	if c := n.copies[owner]; c != nil && c.synced && n.replicates(owner) {
+		return c
+	}
+	return nil
+}
+
+// dropForeignCopies forgets the copies and the inbound streams of owners
+// this node does not replicate (any more) — rebuildView calls it, so a
+// copy is not kept, nor counted as synced, past the view change that
+// moved its owner's replica set away.
+//
+//lint:context executor
+func (n *Node) dropForeignCopies() {
+	for owner := range n.copies {
+		if !n.replicates(owner) {
+			delete(n.copies, owner)
+		}
+	}
+	for owner, xfer := range n.stageOwner {
+		if !n.replicates(owner) {
+			delete(n.staging, xfer)
+			delete(n.stageOwner, owner)
+		}
+	}
+}
+
+// syncedOwners counts the owners whose regions this node could answer
+// for right now.
 //
 //lint:context executor
 func (n *Node) syncedOwners() int {
 	cnt := 0
-	for _, c := range n.copies {
-		if c.synced {
+	for owner := range n.copies {
+		if n.servingCopy(owner) != nil {
 			cnt++
 		}
 	}

@@ -1,11 +1,14 @@
 package netrt
 
 import (
+	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
+	"landmarkdht/internal/lph"
 	"landmarkdht/internal/query"
 	"landmarkdht/internal/wire"
 )
@@ -76,6 +79,136 @@ func waitSynced(t *testing.T, nodes []*Node, wantOwners int) {
 		}
 		return true
 	})
+}
+
+// waitCaughtUp waits until holder's copy of owner's region is synced at
+// owner's current digest and count: every mutation owner has applied is
+// in it.
+func waitCaughtUp(t *testing.T, owner, holder *Node) {
+	t.Helper()
+	waitFor(t, 20*time.Second, func() bool {
+		var dig uint64
+		var cnt int
+		execRead(t, owner, func() { dig, cnt = owner.mineDigest, owner.mineCount })
+		caughtUp := false
+		execRead(t, holder, func() {
+			c := holder.copies[owner.id]
+			caughtUp = c != nil && c.synced && c.digest == dig && len(c.entries) == cnt
+		})
+		return caughtUp
+	})
+}
+
+// startWhere starts a node on the first free loopback port whose NodeID
+// satisfies ok. Where a member sits on the ring decides what it owns and
+// whom it replicates, so a test about one ring shape picks positions;
+// the ports tried are below the range the kernel hands out to everybody
+// else, and one that is taken all the same is skipped.
+func startWhere(t *testing.T, cfg Config, ok func(id uint64) bool) *Node {
+	t.Helper()
+	for port := 20000; port < 32768; port++ {
+		cfg.Listen = fmt.Sprintf("127.0.0.1:%d", port)
+		if !ok(NodeID(cfg.Listen)) {
+			continue
+		}
+		if n, err := Start(cfg); err == nil {
+			return n
+		}
+	}
+	t.Fatal("no free port gives a node id where the test wants one")
+	return nil
+}
+
+// TestFormerReplicaDoesNotServeStaleCopy: a ring that grows moves
+// replica sets. Two members replicate each other; a third joins behind
+// the second, which from then on streams, adverts and fans out to the
+// newcomer — the first member's copy of it is never touched again and
+// goes on saying synced. After a publish into and a delete from the
+// second member's region it dies, and the first member is asked: the
+// answer must come from the newcomer's copy, which has both mutations,
+// not from the one left behind here, which has neither.
+func TestFormerReplicaDoesNotServeStaleCopy(t *testing.T) {
+	data := testData()
+	ds, err := BuildDataset(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// below is the share of the corpus at or under a ring position.
+	below := func(id uint64) float64 {
+		return float64(ds.c.Cols().above(ds.c.Part().Unring(lph.Key(id)))) / float64(ds.N())
+	}
+	var nodes []*Node
+	t.Cleanup(func() {
+		for _, n := range nodes {
+			n.Close()
+		}
+	})
+	start := func(ok func(id uint64) bool) *Node {
+		var join []string
+		if len(nodes) > 0 {
+			join = []string{nodes[0].Addr()}
+		}
+		n := startWhere(t, replicatedConfig(data, 1, join...), ok)
+		nodes = append(nodes, n)
+		waitConverged(t, nodes, len(nodes))
+		return n
+	}
+	// former < victim < newcomer on the ring, and victim owns the tenth
+	// of the corpus between the two bands at least.
+	former := start(func(id uint64) bool { return below(id) > 0.2 && below(id) < 0.45 })
+	victim := start(func(id uint64) bool { return below(id) > 0.55 && below(id) < 0.8 })
+	waitCaughtUp(t, victim, former)
+	newcomer := start(func(id uint64) bool { return id > victim.id })
+	waitCaughtUp(t, victim, newcomer)
+
+	or := &oracle{ds: ds, deleted: map[int32]bool{}, published: map[int32][]byte{}}
+	rng := rand.New(rand.NewSource(1))
+	pubID, obj := int32(ds.N()), []byte(nil)
+	for owned := false; !owned; {
+		obj = ds.RandomQuery(rng)
+		key, _, err := ds.c.MapObj(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		execRead(t, victim, func() { owned = victim.successor(uint64(key)) == victim.id })
+	}
+	if err := former.Publish(pubID, obj, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	or.published[pubID] = obj
+	var delID int32
+	execRead(t, victim, func() { delID = victim.data.Cols().ids[victim.runs[0].a] })
+	if err := former.Delete(delID, nil, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	or.deleted[delID] = true
+	waitCaughtUp(t, victim, newcomer)
+	waitCaughtUp(t, newcomer, former)
+
+	victim.Close()
+	markDown(t, former, victim.id)
+	markDown(t, newcomer, victim.id)
+	// Radius 2 is everything in the unit cube: the publish must be in
+	// the answer and the delete must not, whatever the query.
+	for _, r := range []float64{2, 0.4} {
+		qobj := ds.RandomQuery(rng)
+		out, err := former.Query(qobj, r, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.Complete {
+			t.Fatalf("radius %v: incomplete (dropped %d)", r, out.Dropped)
+		}
+		if want := or.answer(t, qobj, r); !slices.Equal(out.Entries, want) {
+			t.Fatalf("radius %v: complete but wrong: %d entries (published id present: %v, deleted id present: %v), the oracle has %d",
+				r, len(out.Entries), hasID(out.Entries, pubID), hasID(out.Entries, delID), len(want))
+		}
+	}
+	var synced int
+	execRead(t, former, func() { synced = former.syncedOwners() })
+	if synced != 1 {
+		t.Fatalf("the former holder counts %d synced owners, it replicates one", synced)
+	}
 }
 
 // TestReplicaFailoverExactQueries is the tentpole contract: with

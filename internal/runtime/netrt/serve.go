@@ -217,6 +217,7 @@ func (n *Node) serveClient(conn net.Conn) {
 					Recovered: n.recovered, Replayed: n.replayed,
 					Replicas: n.cfg.Replicas, Down: n.downMembers(),
 					SyncedOwners: n.syncedOwners(), Extras: len(n.extras),
+					Tested: n.tested, Refined: n.refined,
 					Repairs:      n.repairsApplied.Load(),
 					RepairChunks: n.repairChunksRx.Load(), RepairFallback: n.repairFallback.Load(),
 				})
