@@ -51,10 +51,9 @@ live-race:
 	$(GO) run -race ./cmd/lmlive -nodes 24 -objects 1500 -queries 80 -clients 8
 
 # The chaos soak (cmd/lmchaos) under the race detector: concurrent
-# clients on the live runtime under message loss, duplication, frame
-# drops, connection kills and churn; every Complete result is verified
-# against brute force and every incomplete result must be honestly
-# flagged.
+# clients on the live runtime under message loss, duplication and
+# churn; every Complete result is verified against brute force and
+# every incomplete result must be honestly flagged.
 chaos:
 	$(GO) run -race ./cmd/lmchaos
 
@@ -86,7 +85,7 @@ durability-smoke:
 # phase — one member is SIGKILLed and stays dead while every query must
 # come back Complete and brute-force exact from the streamed replica
 # copies, with the repair counters proving the copies rode the
-# bulk-transfer path (point-wise fallback counter must be zero). The
+# bulk-transfer path (repairs and chunks both non-zero). The
 # failover exactness tests run twenty times over: what they caught once
 # (a former replica answering from a copy nobody updates any more)
 # failed one run in twelve, and a rerun would have hidden it.

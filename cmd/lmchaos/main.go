@@ -1,9 +1,10 @@
 // Command lmchaos is the chaos soak: it runs the landmark index over
-// the live concurrent runtime under sustained fault injection at every
-// layer — overlay message loss and duplication, live-transport frame
-// drops and connection kills, and membership churn (one-at-a-time
+// the live concurrent runtime under sustained fault injection — overlay
+// message loss and duplication, and membership churn (one-at-a-time
 // crashes and joins) — while concurrent clients issue range queries
-// with retries, hedging and a per-query deadline.
+// with retries, hedging and a per-query deadline. The in-process
+// runtime has no transport to break; with -procs the members are real
+// processes and the faults are real too (SIGKILL, dead TCP links).
 //
 // The soak's contract is the completeness accounting itself:
 //
@@ -33,9 +34,9 @@
 // With -replicas K the processes stream region copies to their ring
 // successors; adding -kill-dead appends a kill-without-restart phase
 // that SIGKILLs one member and leaves it dead while brute-force-
-// verifying that every query stays Complete and exact, that the
-// repairs rode the bulk-transfer path (aggregate Repairs > 0), and
-// that the point-wise fallback counter stayed zero:
+// verifying that every query stays Complete and exact and that the
+// repairs rode the bulk-transfer path (aggregate Repairs > 0 and
+// RepairChunks > 0):
 //
 //	go run -race ./cmd/lmchaos -procs 4 -replicas 1 -kill-dead
 package main
@@ -68,8 +69,6 @@ func realMain() int {
 		churn    = flag.Int("churn", 6, "crash/join cycles during the soak")
 		drop     = flag.Float64("drop", 0.05, "overlay message loss probability")
 		dup      = flag.Float64("dup", 0.02, "query/ack duplication probability")
-		frame    = flag.Float64("framedrop", 0.02, "live-transport frame drop probability")
-		killconn = flag.Float64("killconn", 0.002, "per-frame connection kill probability")
 		procs    = flag.Int("procs", 0, "run the soak over this many real lmnode OS processes instead (SIGKILL churn; see procs.go)")
 		durable  = flag.Bool("durable", false, "with -procs: give each member a data dir, publish and delete before every SIGKILL; restarted members must replay their journal (Recovered=true) and every acknowledged mutation must survive, or the soak fails")
 		replicas = flag.Int("replicas", 0, "with -procs: each member streams its region to this many ring successors")
@@ -106,9 +105,6 @@ func realMain() int {
 		Faults: &lm.FaultOptions{
 			Drop:      *drop,
 			Duplicate: *dup,
-			FrameDrop: *frame,
-			KillConn:  *killconn,
-			Seed:      *seed + 11,
 		},
 		Retry:            lm.RetryConfig{MaxRetries: 3},
 		Deadline:         10 * time.Second,
@@ -145,8 +141,8 @@ func realMain() int {
 	}
 	fmt.Printf("lmchaos: %d nodes, %d objects (dim %d), %d clients, 3-way replicated\n",
 		p.Nodes(), ix.Len(), *dim, *clients)
-	fmt.Printf("lmchaos: faults: drop %.0f%%, dup %.0f%%, frame drop %.0f%%, conn kill %.2f%%, %d crash/join cycles\n",
-		*drop*100, *dup*100, *frame*100, *killconn*100, *churn)
+	fmt.Printf("lmchaos: faults: drop %.0f%%, dup %.0f%%, %d crash/join cycles\n",
+		*drop*100, *dup*100, *churn)
 
 	// The churn goroutine crashes one node and joins one replacement
 	// per cycle, spread over the soak. Membership changes run on the
@@ -293,15 +289,14 @@ func realMain() int {
 	}
 	fmt.Printf("lmchaos: %d complete (all verified exact), %d incomplete (all honestly flagged)\n",
 		agg.complete, agg.incomplete)
-	fmt.Printf("lmchaos: injected: %d msgs dropped, %d duplicated, %d frames dropped, %d conns killed\n",
-		fs.MessagesDropped, fs.MessagesDuplicated, fs.FramesDropped, fs.ConnsKilled)
+	fmt.Printf("lmchaos: injected: %d msgs dropped, %d duplicated\n",
+		fs.MessagesDropped, fs.MessagesDuplicated)
 	fmt.Printf("lmchaos: recovery: %d retransmissions, %d recovered, %d hedges, %d subqueries lost for good\n",
 		rel.RetriesIssued, rel.Recovered, rel.Hedges, rel.Dropped)
 	fmt.Printf("lmchaos: backpressure: %d admission rejections, %d transport sheds\n",
 		rel.AdmissionRejected, rel.TransportShed)
 
-	injected := fs.MessagesDropped + fs.MessagesDuplicated + fs.FramesDropped + fs.ConnsKilled
-	if injected == 0 && (*drop > 0 || *dup > 0 || *frame > 0 || *killconn > 0) {
+	if fs.MessagesDropped+fs.MessagesDuplicated == 0 && (*drop > 0 || *dup > 0) {
 		fmt.Fprintln(os.Stderr, "lmchaos: FAIL: fault knobs set but nothing was injected")
 		return 1
 	}

@@ -1,8 +1,10 @@
 // Command lmlive runs the landmark index over the live concurrent
-// runtime: N node inbox goroutines carry real wire-encoded messages
-// over in-process connections while client goroutines issue range and
-// kNN queries concurrently. It spot-checks every range result against
-// a brute-force scan and reports throughput, latency and traffic.
+// runtime: the protocol executes in real time on one executor
+// goroutine, every query and result going through the wire codec
+// (encoded, charged by its length and decoded again — nothing is
+// transported in-process), while client goroutines issue range and kNN
+// queries concurrently. It spot-checks every range result against a
+// brute-force scan and reports throughput, latency and traffic.
 //
 // The ring is fault-free and queries carry no deadline, so the run
 // exits 1 not only on a brute-force mismatch but on any incomplete

@@ -8,12 +8,12 @@ import (
 )
 
 // TestCrossRuntimeEquivalence runs the same seed and workload once over
-// the simulated runtime and once over the live concurrent transport and
+// the simulated runtime and once over the live concurrent runtime and
 // requires identical result sets (order-normalized). Both modes are
 // exact — landmark pruning plus refinement, with the same wire
 // quantization — so any divergence means one runtime dropped, doubled,
 // or corrupted a message. The test only runs under -race (the CI
-// live-race step): its point is putting the live transport's
+// live-race step): its point is putting the live runtime's
 // goroutines under the detector, not re-checking search correctness.
 func TestCrossRuntimeEquivalence(t *testing.T) {
 	if !raceDetectorEnabled {

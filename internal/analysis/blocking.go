@@ -11,8 +11,8 @@
 //   - net dials and listens (net.Dial, net.DialTimeout, net.Listen, …)
 //   - network I/O methods: Read/Write/Accept/Close/ReadFrom/WriteTo on
 //     any net type (net.Conn, net.TCPConn, net.Listener, …). Close is
-//     included: it can block on linger/handshake teardown, and on
-//     net.Pipe it synchronizes with the peer.
+//     included: it can block on linger/handshake teardown, and on an
+//     in-memory pipe it synchronizes with the peer.
 //   - wire.ReadFrame (a connection read in disguise)
 //   - Runtime.Do / Runtime.Await (the live runtime's blocking bridges:
 //     they wait for the protocol executor, so calling them FROM the

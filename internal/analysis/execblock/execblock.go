@@ -10,16 +10,16 @@
 //
 // Executor context is declared at the roots, not inferred: entry
 // points that run on the executor carry a //lint:context executor
-// annotation (livert's Transport/NodeRegistry surface, netrt's
+// annotation (livert's Transport/Clock surface, netrt's
 // executor-owned protocol steps). The analyzer builds the package call
 // graph (analysis.NewCallGraph) and reports every blocking operation
 // — per analysis.BlockingOp — in any function reachable from a root,
 // excluding code severed onto fresh goroutines by `go` statements.
 //
 // Bounded, provably safe sites (a queue mutex whose holders never
-// block, a net.Pipe write serviced by a dedicated reader) are
-// annotated //lint:allow execblock <reason>; the lockheld analyzer
-// mechanically checks the "holders never block" half of such claims.
+// block) are annotated //lint:allow execblock <reason>; the lockheld
+// analyzer mechanically checks the "holders never block" half of such
+// claims.
 package execblock
 
 import (

@@ -198,7 +198,6 @@ func (n *Network) AddNode(id ID, host int) (*Node, error) {
 	n.ring = append(n.ring, 0)
 	copy(n.ring[i+1:], n.ring[i:])
 	n.ring[i] = id
-	runtime.RegisterNode(n.tr, uint64(id))
 	return node, nil
 }
 
@@ -216,7 +215,6 @@ func (n *Network) RemoveNode(id ID) error {
 	if i < len(n.ring) && n.ring[i] == id {
 		n.ring = append(n.ring[:i], n.ring[i+1:]...)
 	}
-	runtime.UnregisterNode(n.tr, uint64(id))
 	return nil
 }
 
@@ -288,25 +286,10 @@ func (n *Network) Send(from *Node, to ID, kind MsgKind, bytes int, deliver func(
 // SendOrFail is Send with an explicit loss callback: failed runs (at
 // send time or at the would-be delivery time) when the destination is
 // unknown, either endpoint crashes while the message is in flight, or
-// the network's FaultPlan drops the message.
+// the network's FaultPlan drops the message. It is the one send path:
+// traffic accounting, fault injection, and handoff to the transport
+// with the pooled inflight record as the prebound delivery argument.
 func (n *Network) SendOrFail(from *Node, to ID, kind MsgKind, bytes int, deliver func(dst *Node), failed func()) {
-	n.send(from, to, kind, bytes, nil, deliver, failed)
-}
-
-// SendPayload sends a message whose wire encoding is already in hand:
-// the payload bytes travel through the transport (a live transport
-// frames and ships them on the destination's connection; the simulated
-// transport has charged their size and ignores the content). deliver
-// still receives the destination node — the payload reaches the callback
-// through its own prebound state, exactly as with SendOrFail.
-func (n *Network) SendPayload(from *Node, to ID, kind MsgKind, payload []byte, deliver func(dst *Node), failed func()) {
-	n.send(from, to, kind, len(payload), payload, deliver, failed)
-}
-
-// send is the common path: traffic accounting, fault injection, and
-// handoff to the transport with the pooled inflight record as the
-// prebound delivery argument.
-func (n *Network) send(from *Node, to ID, kind MsgKind, bytes int, payload []byte, deliver func(dst *Node), failed func()) {
 	n.traffic.Add(kind, bytes)
 	dst, ok := n.nodes[to]
 	if !ok {
@@ -333,7 +316,7 @@ func (n *Network) send(from *Node, to ID, kind MsgKind, bytes int, payload []byt
 	}
 	m := n.acquireInflight()
 	m.net, m.from, m.to, m.deliver, m.failed = n, from, to, deliver, failed
-	n.tr.Send(uint64(to), delay, payload, runInflight, m)
+	n.tr.Send(uint64(to), delay, runInflight, m)
 	if f := n.cfg.Faults; f != nil && f.duplicated(n.rt.Rand(), kind) {
 		// A spurious retransmission: the copy is charged like any other
 		// message and arrives after twice the original's delay, on its
@@ -343,7 +326,7 @@ func (n *Network) send(from *Node, to ID, kind MsgKind, bytes int, payload []byt
 		n.traffic.Add(kind, bytes)
 		d := n.acquireInflight()
 		d.net, d.from, d.to, d.deliver, d.failed = n, from, to, deliver, nil
-		n.tr.Send(uint64(to), 2*delay, payload, runInflight, d)
+		n.tr.Send(uint64(to), 2*delay, runInflight, d)
 	}
 }
 

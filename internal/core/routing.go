@@ -527,22 +527,11 @@ func (s *System) ship(n *IndexNode, aq *activeQuery, dest chord.ID, surrogate bo
 			}
 		}
 	}
-	// With EncodeWire on, the message's binary encoding travels through
-	// the transport (live transports frame and ship it; the simulated
-	// transport has charged its size). Without it only the size model's
-	// byte count exists.
-	sendQuery := func(onDeliver func(*chord.Node), onFail func()) {
-		if payload != nil {
-			s.net.SendPayload(n.node, dest, chord.KindQuery, payload, onDeliver, onFail)
-		} else {
-			s.net.SendOrFail(n.node, dest, chord.KindQuery, bytes, onDeliver, onFail)
-		}
-	}
 	if attempt == 0 && !hedge && s.cfg.Hedge.Enabled() {
 		s.armHedge(n, aq, dest, live, hops)
 	}
 	if !s.cfg.Retry.Enabled() {
-		sendQuery(deliver, func() {
+		s.net.SendOrFail(n.node, dest, chord.KindQuery, bytes, deliver, func() {
 			for _, u := range live {
 				if !u.delivered {
 					u.delivered = true
@@ -555,7 +544,7 @@ func (s *System) ship(n *IndexNode, aq *activeQuery, dest chord.ID, surrogate bo
 	timer := s.rt.AfterFunc(s.retryTimeout(attempt), func() {
 		s.shipTimeout(n, aq, dest, live, hops, attempt)
 	})
-	sendQuery(func(dst *chord.Node) {
+	s.net.SendOrFail(n.node, dest, chord.KindQuery, bytes, func(dst *chord.Node) {
 		// Acknowledge first (duplicates too: the sender's timer must
 		// stop either way), then process the undelivered units.
 		s.net.SendOrFail(dst, n.node.ID(), chord.KindAck, s.cfg.Retry.AckBytes, func(*chord.Node) {
@@ -786,7 +775,6 @@ func (s *System) answerDone(n *IndexNode, aq *activeQuery, q query.Region, hops 
 		return
 	}
 	var bytes int
-	var payload []byte
 	if s.cfg.EncodeWire && aq.ix.MaxDist > 0 {
 		// Real binary encoding: distances are quantized against the
 		// index's maximum distance (rounded up, never understated).
@@ -801,7 +789,7 @@ func (s *System) answerDone(n *IndexNode, aq *activeQuery, q query.Region, hops 
 					local[i] = Result{Obj: ObjectID(e.Obj), Dist: e.Dist}
 				}
 			}
-			payload, bytes = data, len(data)
+			bytes = len(data)
 		} else {
 			bytes = s.cfg.Msg.ResultMsgBytes(len(local))
 		}
@@ -811,10 +799,10 @@ func (s *System) answerDone(n *IndexNode, aq *activeQuery, q query.Region, hops 
 	aq.stats.ResultMsgs++
 	aq.stats.ResultBytes += int64(bytes)
 	if s.cfg.Retry.Enabled() {
-		s.sendResultReliably(n, aq, nodeID, local, q, tok, payload, bytes)
+		s.sendResultReliably(n, aq, nodeID, local, q, tok, bytes)
 		return
 	}
-	s.sendResult(n, aq, payload, bytes, func(*chord.Node) {
+	s.net.SendOrFail(n.node, aq.srcID, chord.KindResult, bytes, func(*chord.Node) {
 		s.mergeResult(aq, nodeID, local, tok)
 	}, func() {
 		// The querier itself left (only possible under heavy churn).
@@ -822,22 +810,12 @@ func (s *System) answerDone(n *IndexNode, aq *activeQuery, q query.Region, hops 
 	})
 }
 
-// sendResult ships one result message to the querier, through the
-// transport with its wire encoding when one exists.
-func (s *System) sendResult(n *IndexNode, aq *activeQuery, payload []byte, bytes int, deliver func(*chord.Node), failed func()) {
-	if payload != nil {
-		s.net.SendPayload(n.node, aq.srcID, chord.KindResult, payload, deliver, failed)
-		return
-	}
-	s.net.SendOrFail(n.node, aq.srcID, chord.KindResult, bytes, deliver, failed)
-}
-
 // sendResultReliably ships one result message to the querier with the
 // ack/timeout/retry state machine. Unlike subqueries the destination is
 // fixed — a result only makes sense at the querier — so exhausted
 // retries (the querier or the answering node died) surface as a dropped
 // subquery.
-func (s *System) sendResultReliably(n *IndexNode, aq *activeQuery, from chord.ID, local []Result, q query.Region, tok int, payload []byte, bytes int) {
+func (s *System) sendResultReliably(n *IndexNode, aq *activeQuery, from chord.ID, local []Result, q query.Region, tok int, bytes int) {
 	delivered := false
 	var send func(attempt int)
 	send = func(attempt int) {
@@ -862,7 +840,7 @@ func (s *System) sendResultReliably(n *IndexNode, aq *activeQuery, from chord.ID
 			}
 			send(attempt + 1)
 		})
-		s.sendResult(n, aq, payload, bytes, func(dst *chord.Node) {
+		s.net.SendOrFail(n.node, aq.srcID, chord.KindResult, bytes, func(dst *chord.Node) {
 			s.net.SendOrFail(dst, n.node.ID(), chord.KindAck, s.cfg.Retry.AckBytes, func(*chord.Node) {
 				timer.Stop()
 			}, nil)

@@ -56,14 +56,6 @@ type Config struct {
 	// re-derivable). A durable deployment installs a walstore factory
 	// here so every node's region survives a restart.
 	Store StoreFactory
-	// TransferChunkBytes is the target payload size of one bulk
-	// region-transfer chunk (internal/core/transfer.go). Zero uses the
-	// 8 KiB default.
-	TransferChunkBytes int
-	// TransferWindow is the bulk transfer credit window: chunks in
-	// flight before the stream stalls on an acknowledgement. Zero uses
-	// the default of 4.
-	TransferWindow int
 }
 
 // RetryConfig tunes the reliable-delivery layer: every subquery and

@@ -14,8 +14,8 @@ import (
 // chunked, credit-acked streams instead of republishing entry-at-a-time
 // (one reliable round-trip per object). A stream serializes its region
 // with the region codec, packs entries greedily into chunks of about
-// Config.TransferChunkBytes, and keeps at most Config.TransferWindow
-// chunks in flight; every chunk is individually acknowledged, returning
+// transferChunkBytes, and keeps at most transferWindow chunks in
+// flight; every chunk is individually acknowledged, returning
 // its credit, and a chunk whose ack does not arrive in time is
 // retransmitted to the current successor of the destination's ring
 // position — the stream resumes at chunk granularity, it never
@@ -32,13 +32,13 @@ import (
 // rerouted to that owner.
 
 const (
-	// defaultTransferChunk is the target chunk payload size. Far below
+	// transferChunkBytes is the target chunk payload size. Far below
 	// wire.MaxChunkData: small enough to interleave with query traffic,
 	// large enough that per-chunk overhead is negligible.
-	defaultTransferChunk = 8 << 10
-	// defaultTransferWindow is the credit window: chunks in flight
-	// before the first unacknowledged one stalls the stream.
-	defaultTransferWindow = 4
+	transferChunkBytes = 8 << 10
+	// transferWindow is the credit window: chunks in flight before the
+	// first unacknowledged one stalls the stream.
+	transferWindow = 4
 	// transferMaxRetries bounds per-chunk retransmissions when the
 	// reliability layer is not configured.
 	transferMaxRetries = 3
@@ -98,22 +98,6 @@ type outTransfer struct {
 	ended  bool
 }
 
-// chunkTargetBytes returns the configured chunk payload target.
-func (s *System) chunkTargetBytes() int {
-	if s.cfg.TransferChunkBytes > 0 {
-		return s.cfg.TransferChunkBytes
-	}
-	return defaultTransferChunk
-}
-
-// transferWindow returns the configured credit window.
-func (s *System) transferWindow() int {
-	if s.cfg.TransferWindow > 0 {
-		return s.cfg.TransferWindow
-	}
-	return defaultTransferWindow
-}
-
 // serializationDelay models pushing n bytes through the configured
 // transfer bandwidth.
 func (s *System) serializationDelay(bytes int) time.Duration {
@@ -131,10 +115,9 @@ func (s *System) accountPointwise(index string, entries []Entry) {
 	}
 }
 
-// buildChunks serializes a region into greedy chunks of about the
-// configured target size (at least one entry per chunk).
+// buildChunks serializes a region into greedy chunks of about
+// transferChunkBytes (at least one entry per chunk).
 func (s *System) buildChunks(id uint64, index string, keys []lph.Key, entries []Entry) []transferChunk {
-	target := s.chunkTargetBytes()
 	var chunks []transferChunk
 	start := 0
 	size := 0
@@ -163,7 +146,7 @@ func (s *System) buildChunks(id uint64, index string, keys []lph.Key, entries []
 	}
 	for i := range entries {
 		esz := EncodedEntrySize(entries[i])
-		if size > 0 && size+esz > target {
+		if size > 0 && size+esz > transferChunkBytes {
 			flush(i, false)
 		}
 		size += esz
@@ -199,7 +182,7 @@ func (s *System) streamRegion(src *IndexNode, dst chord.ID, index string, keys [
 
 // pumpTransfer ships chunks while credit remains.
 func (s *System) pumpTransfer(tr *outTransfer) {
-	for !tr.ended && tr.flight < s.transferWindow() && tr.next < len(tr.chunks) {
+	for !tr.ended && tr.flight < transferWindow && tr.next < len(tr.chunks) {
 		i := tr.next
 		tr.next++
 		tr.flight++
@@ -402,7 +385,6 @@ func (s *System) accountBulk(index string, keys []lph.Key, entries []Entry) int 
 		return 0
 	}
 	s.accountPointwise(index, entries)
-	target := s.chunkTargetBytes()
 	chunkBytes, size, msgs, total := 0, 0, 0, 0
 	flushOverhead := wire.PacketHeader + wire.ChunkHeaderBytes + len(index)
 	flush := func() {
@@ -416,7 +398,7 @@ func (s *System) accountBulk(index string, keys []lph.Key, entries []Entry) int 
 	}
 	for i := range entries {
 		esz := EncodedEntrySize(entries[i])
-		if size > 0 && size+esz > target {
+		if size > 0 && size+esz > transferChunkBytes {
 			flush()
 		}
 		size += esz

@@ -5,16 +5,17 @@ import (
 	"time"
 )
 
-// FaultPolicy is the runtime-agnostic fault description: one value
-// drives fault injection on both runtimes. The protocol-level faults
-// (Drop, Duplicate, Jitter/Spike, Partitions) are injected by the
-// overlay — chord.FaultPlanFromPolicy translates them into a
-// chord.FaultPlan whose decisions draw from the driving runtime's
-// seeded random source, so they behave identically over the simulated
-// and the live transport (and byte-identically to no plan at all when
-// every field is zero). The transport-level faults (FrameDrop,
-// KillConn) have no simulated analogue — they model failures below
-// the protocol — and are consumed by the live transport's inbox path.
+// FaultPolicy is the runtime-agnostic fault description. The
+// protocol-level faults (Drop, Duplicate, Jitter/Spike, Partitions) are
+// injected by the overlay — chord.FaultPlanFromPolicy translates them
+// into a chord.FaultPlan whose decisions draw from the driving
+// runtime's seeded random source, so they behave identically over the
+// simulated and the live runtime (and byte-identically to no plan at
+// all when every field is zero). The transport-level faults (FrameDrop,
+// KillConn, Seed) model failures below the protocol and need a
+// transport to act on: netrt's TCP links consume them through
+// LinkFaults; the in-process runtimes move no bytes, and the public
+// constructor rejects the two fields there.
 type FaultPolicy struct {
 	// Drop is the per-message loss probability (every message kind).
 	Drop float64
@@ -31,17 +32,17 @@ type FaultPolicy struct {
 	// Partitions are timed windows during which messages crossing a
 	// host-group boundary are all lost.
 	Partitions []PartitionWindow
-	// FrameDrop is the live transport's probability of discarding a
-	// received payload frame after it crossed the connection (an inbox
-	// failure the sender cannot observe).
+	// FrameDrop is a link reader's probability of discarding a
+	// received frame after it crossed the connection (a failure the
+	// sender cannot observe).
 	FrameDrop float64
-	// KillConn is the live transport's probability, per received
-	// frame, of killing and re-establishing the receiving node's
-	// connection — every message in flight on it is lost.
+	// KillConn is a link reader's probability, per received frame, of
+	// killing its connection — every frame in flight on it is lost and
+	// the link redials.
 	KillConn float64
-	// Seed seeds the live transport's fault source (frame drops and
-	// connection kills happen on reader goroutines, outside the
-	// protocol's single-threaded random source).
+	// Seed seeds the links' fault sources (frame drops and connection
+	// kills happen on reader goroutines, outside the protocol's
+	// single-threaded random source).
 	Seed int64
 }
 
@@ -67,12 +68,11 @@ func (w PartitionWindow) Active(now time.Duration) bool {
 	return now < w.To
 }
 
-// LinkFaults is the one frame-drop / connection-kill decision path
-// shared by every live transport's read loop (livert's in-process
-// inboxes and netrt's TCP links). Each reader owns one LinkFaults
+// LinkFaults is the frame-drop / connection-kill decision path of a
+// link's read loop (netrt's TCP links). Each reader owns one LinkFaults
 // seeded by the policy's Seed XOR the peer's identity, so decisions
 // never touch the executor's protocol random source and a given
-// (seed, peer) pair draws the same fault sequence on both runtimes.
+// (seed, peer) pair always draws the same fault sequence.
 //
 // A nil *LinkFaults is valid and injects nothing, so read loops call
 // DropFrame/KillConn unconditionally.

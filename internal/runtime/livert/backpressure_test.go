@@ -16,14 +16,13 @@ func TestInboxShedsUnderBacklog(t *testing.T) {
 	const maxInbox = 4
 	rt := livert.New(livert.Config{Seed: 1, MaxInbox: maxInbox})
 	defer rt.Close()
-	rt.Register(1)
 
 	// Stall the executor on its first delivery so everything behind it
 	// backs up in the inbox.
 	stalled := make(chan struct{})
 	release := make(chan struct{})
 	var delivered atomic.Int64
-	rt.Send(1, 0, []byte("plug"), func(any) {
+	rt.Send(1, 0, func(any) {
 		close(stalled)
 		<-release
 	}, nil)
@@ -31,7 +30,7 @@ func TestInboxShedsUnderBacklog(t *testing.T) {
 
 	const flood = 200
 	for i := 0; i < flood; i++ {
-		rt.Send(1, 0, []byte("m"), func(any) { delivered.Add(1) }, nil)
+		rt.Send(1, 0, func(any) { delivered.Add(1) }, nil)
 	}
 	// Wait for the flood to be fully adjudicated (queued or shed) while
 	// the executor is still stalled: from here on no new sheds happen.
@@ -72,18 +71,17 @@ func TestInboxShedsUnderBacklog(t *testing.T) {
 func TestInboxUnbounded(t *testing.T) {
 	rt := livert.New(livert.Config{Seed: 1, MaxInbox: -1})
 	defer rt.Close()
-	rt.Register(1)
 	stalled := make(chan struct{})
 	release := make(chan struct{})
 	var delivered atomic.Int64
-	rt.Send(1, 0, []byte("plug"), func(any) {
+	rt.Send(1, 0, func(any) {
 		close(stalled)
 		<-release
 	}, nil)
 	<-stalled
 	const flood = 500
 	for i := 0; i < flood; i++ {
-		rt.Send(1, 0, []byte("m"), func(any) { delivered.Add(1) }, nil)
+		rt.Send(1, 0, func(any) { delivered.Add(1) }, nil)
 	}
 	close(release)
 	deadline := time.Now().Add(10 * time.Second)

@@ -2,6 +2,7 @@ package livert_test
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,42 +16,110 @@ func newRT(t *testing.T) *livert.Runtime {
 	return rt
 }
 
-// TestSendDeliversPayloadFrame sends a framed payload to a registered
-// node and checks the delivery callback runs with its prebound arg.
-func TestSendDeliversPayloadFrame(t *testing.T) {
-	rt := newRT(t)
-	rt.Register(7)
-	done := make(chan any, 1)
-	rt.Send(7, 0, []byte("wire bytes"), func(arg any) { done <- arg }, "state")
-	select {
-	case got := <-done:
-		if got != "state" {
-			t.Fatalf("delivered arg %v, want %q", got, "state")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("payload delivery never ran")
-	}
-}
+// TestSendContract pins what runtime.Transport promises of Send on the
+// live runtime: deliver(arg) never runs inside Send, runs on the
+// executor, not before delay × LatencyScale (scale 0: as the next
+// task), and is the only kind of task a full inbox sheds.
+func TestSendContract(t *testing.T) {
+	const wait = 10 * time.Second
 
-// TestSendWithoutEndpointFallsBack covers the degraded paths: nil
-// payload and unregistered destination both deliver via the timer path.
-func TestSendWithoutEndpointFallsBack(t *testing.T) {
-	rt := newRT(t)
-	done := make(chan int, 2)
-	rt.Send(1, 0, nil, func(arg any) { done <- arg.(int) }, 10)         // no payload
-	rt.Send(2, 0, []byte("x"), func(arg any) { done <- arg.(int) }, 20) // no endpoint
-	got := map[int]bool{}
-	for i := 0; i < 2; i++ {
-		select {
-		case v := <-done:
-			got[v] = true
-		case <-time.After(5 * time.Second):
-			t.Fatalf("only %d of 2 fallback deliveries ran", i)
+	t.Run("next task on the executor", func(t *testing.T) {
+		rt := newRT(t)
+		var order []string
+		var inside bool
+		if err := rt.Do(func() {
+			ran := false
+			rt.Send(7, time.Hour, func(arg any) {
+				ran = true
+				order = append(order, arg.(string))
+			}, "deliver")
+			inside = ran
+			rt.Schedule(0, func() { order = append(order, "after") })
+		}); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !got[10] || !got[20] {
-		t.Fatalf("deliveries seen: %v", got)
-	}
+		// order is only ever touched by executor tasks (the race
+		// detector holds that); an empty Do drains what was queued.
+		if err := rt.Do(func() {}); err != nil {
+			t.Fatal(err)
+		}
+		if inside {
+			t.Fatal("deliver ran inside Send")
+		}
+		if len(order) != 2 || order[0] != "deliver" || order[1] != "after" {
+			t.Fatalf("task order %v, want [deliver after]", order)
+		}
+	})
+
+	t.Run("scaled latency", func(t *testing.T) {
+		rt := livert.New(livert.Config{Seed: 1, LatencyScale: 0.5})
+		defer rt.Close()
+		const delay = 80 * time.Millisecond
+		at := make(chan time.Duration, 1)
+		start := time.Now()
+		rt.Send(7, delay, func(any) { at <- time.Since(start) }, nil)
+		select {
+		case got := <-at:
+			if got < delay/2 {
+				t.Fatalf("delivered after %v, before the scaled latency %v", got, delay/2)
+			}
+		case <-time.After(wait):
+			t.Fatal("delivery never ran")
+		}
+	})
+
+	t.Run("shedding", func(t *testing.T) {
+		rt := livert.New(livert.Config{Seed: 1, MaxInbox: 1})
+		defer rt.Close()
+		stalled, release := make(chan struct{}), make(chan struct{})
+		rt.Schedule(0, func() {
+			close(stalled)
+			<-release
+		})
+		<-stalled
+		// The executor is parked: everything below queues behind it.
+		var delivered atomic.Int64
+		const flood = 10
+		for i := 0; i < flood; i++ {
+			rt.Send(7, 0, func(any) { delivered.Add(1) }, nil)
+		}
+		if depth, shed := rt.QueueStats(); depth != 1 || shed != flood-1 {
+			t.Fatalf("after %d sends into a 1-deep inbox: depth %d, shed %d; want 1, %d", flood, depth, shed, flood-1)
+		}
+		// Timers and client work posted into the full inbox all run.
+		ran := make(chan string, 4)
+		rt.Schedule(0, func() { ran <- "Schedule" })
+		rt.ScheduleArg(0, func(arg any) { ran <- arg.(string) }, "ScheduleArg")
+		rt.AfterFunc(0, func() { ran <- "AfterFunc" })
+		go func() {
+			if rt.Do(func() {}) == nil {
+				ran <- "Do"
+			}
+		}()
+		// All four must be queued behind the one delivery before the
+		// executor moves again (AfterFunc and Do post from goroutines).
+		for deadline := time.Now().Add(wait); ; time.Sleep(time.Millisecond) {
+			if depth, _ := rt.QueueStats(); depth == 5 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("timers and Do were not all queued into the full inbox")
+			}
+		}
+		close(release)
+		got := map[string]bool{}
+		for len(got) < 4 {
+			select {
+			case name := <-ran:
+				got[name] = true
+			case <-time.After(wait):
+				t.Fatalf("with the inbox full only %v ran; timers and Do must never be shed", got)
+			}
+		}
+		if _, shed := rt.QueueStats(); delivered.Load() != 1 || shed != flood-1 {
+			t.Fatalf("delivered %d, shed %d; want 1 and %d", delivered.Load(), shed, flood-1)
+		}
+	})
 }
 
 // TestDeliveriesSerializeOnExecutor floods one node with concurrent
@@ -58,7 +127,6 @@ func TestSendWithoutEndpointFallsBack(t *testing.T) {
 // the single-threaded protocol contract.
 func TestDeliveriesSerializeOnExecutor(t *testing.T) {
 	rt := newRT(t)
-	rt.Register(3)
 	const senders, perSender = 8, 25
 	var (
 		inFlight, overlaps, delivered int
@@ -86,7 +154,7 @@ func TestDeliveriesSerializeOnExecutor(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perSender; i++ {
-				rt.Send(3, 0, []byte("m"), deliver, nil)
+				rt.Send(3, 0, deliver, nil)
 			}
 		}()
 	}
@@ -160,7 +228,6 @@ func (e errAwait) Error() string { return string(e) }
 // that Close is idempotent.
 func TestCloseRejectsWork(t *testing.T) {
 	rt := livert.New(livert.Config{Seed: 1})
-	rt.Register(1)
 	rt.Close()
 	rt.Close()
 	if err := rt.Do(func() {}); err != livert.ErrClosed {
@@ -168,34 +235,5 @@ func TestCloseRejectsWork(t *testing.T) {
 	}
 	if err := rt.Await(time.Second, func(func()) error { return nil }); err != livert.ErrClosed {
 		t.Fatalf("Await after Close: %v", err)
-	}
-}
-
-// TestUnregisterMidTraffic tears a node down while sends race in;
-// every delivery must still run (the overlay, not the transport, is
-// responsible for deciding a dead node's messages fail).
-func TestUnregisterMidTraffic(t *testing.T) {
-	rt := newRT(t)
-	rt.Register(9)
-	const n = 50
-	done := make(chan struct{}, n)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < n; i++ {
-			rt.Send(9, 0, []byte("m"), func(any) { done <- struct{}{} }, nil)
-			if i == n/2 {
-				rt.Unregister(9)
-			}
-		}
-	}()
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("only %d of %d deliveries ran after mid-traffic unregister", i, n)
-		}
 	}
 }

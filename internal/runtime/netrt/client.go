@@ -44,15 +44,13 @@ type Info struct {
 	// the members this node's detector currently marks down, the owners
 	// whose regions it holds synced copies of, its live published
 	// entries, and the repair counters (bulk streams installed, chunks
-	// received, point-wise fallbacks — always zero; the chaos soak
-	// asserts repairs ride the bulk path by checking it).
-	Replicas       int
-	Down           []uint64
-	SyncedOwners   int
-	Extras         int
-	Repairs        int64
-	RepairChunks   int64
-	RepairFallback int64
+	// received; the chaos soak requires both non-zero after a kill).
+	Replicas     int
+	Down         []uint64
+	SyncedOwners int
+	Extras       int
+	Repairs      int64
+	RepairChunks int64
 	// The work of answering, counted where it is done and cumulative
 	// since boot: Tested is the boot entries whose points were compared
 	// with a query cube at the leaves of the k-d descent, Refined the

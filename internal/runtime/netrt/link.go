@@ -21,11 +21,11 @@ const (
 	backoffCap       = 2 * time.Second
 	dialTimeout      = 2 * time.Second
 	handshakeTimeout = 3 * time.Second
-	// defaultMaxQueue bounds a link's outbound frame queue. A full
-	// queue sheds the newest frame (counted, never blocking the
+	// linkQueueBound bounds a node's outbound frame queue per link. A
+	// full queue sheds the newest frame (counted, never blocking the
 	// protocol executor); the query layer's credit accounting turns the
 	// loss into an honest incomplete result.
-	defaultMaxQueue = 256
+	linkQueueBound = 256
 )
 
 // linkHost is what a link needs from its owning node. It is an
@@ -52,7 +52,7 @@ type linkHost interface {
 	linkSeed(addr string) int64
 	// countFault records an injected transport fault ("drop"/"kill").
 	countFault(kind string)
-	// maxQueue is the outbound queue bound (0 = defaultMaxQueue).
+	// maxQueue is the outbound queue bound.
 	maxQueue() int
 	// logf receives one line per frame the link refuses to write.
 	logf(format string, args ...any)
@@ -105,9 +105,6 @@ func newLink(host linkHost, addr string) *link {
 // blocks: a full queue sheds the frame and counts it.
 func (l *link) enqueue(payload []byte) {
 	max := l.host.maxQueue()
-	if max <= 0 {
-		max = defaultMaxQueue
-	}
 	l.mu.Lock() //lint:allow execblock bounded critical section: the queue mutex; holders only append/pop and signal (lockheld-checked)
 	if l.closed {
 		l.mu.Unlock()

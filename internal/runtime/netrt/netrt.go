@@ -16,8 +16,7 @@
 // client alike — is a fixed-layout, lossless binary message (proto.go);
 // gob is left on the frames sent once per connection, replica stream or
 // gossip tick. The livert executor is reused verbatim as each node's
-// single-threaded protocol goroutine, clock, and seeded random source;
-// its net.Pipe transport machinery is simply unused.
+// single-threaded protocol goroutine, clock, and seeded random source.
 //
 // # Link layer
 //
@@ -133,11 +132,9 @@ type Config struct {
 	// (default 1s). Divergence detected by an exchange schedules a bulk
 	// re-stream of the owner's region.
 	AntiEntropyPeriod time.Duration
-	// Faults injects transport-level failures into peer links through
-	// the shared runtime.LinkFaults path, exactly as on livert.
+	// Faults injects transport-level failures (frame drops, connection
+	// kills) into peer links through runtime.LinkFaults.
 	Faults *runtime.FaultPolicy
-	// MaxQueue bounds each link's outbound queue (default 256).
-	MaxQueue int
 	// Logf, when set, receives one line per membership and link event.
 	Logf func(format string, args ...any)
 }
@@ -234,7 +231,6 @@ type Node struct {
 	repairsApplied atomic.Int64 // bulk replica streams installed here
 	repairChunksRx atomic.Int64 // chunks received on installed streams
 	repairsSent    atomic.Int64 // bulk streams fully acked as the sender
-	repairFallback atomic.Int64 // point-wise repairs (no such path exists; stays 0)
 
 	closed atomic.Bool
 	wg     sync.WaitGroup
@@ -458,7 +454,7 @@ func (n *Node) countFault(kind string) {
 	}
 }
 
-func (n *Node) maxQueue() int { return n.cfg.MaxQueue }
+func (n *Node) maxQueue() int { return linkQueueBound }
 
 // dialPeer dials a peer and completes the handshake; membership learned
 // from the Welcome merges on the executor.
@@ -760,14 +756,10 @@ type LinkStats struct {
 	FramesDropped int64
 	ConnsKilled   int64
 
-	// Repair counters (see replica.go). RepairFallback counts point-wise
-	// repairs; no such path exists, so it stays 0 — the chaos soak
-	// asserts repairs ride the bulk-transfer path by checking exactly
-	// this.
-	Repairs        int64 // bulk replica streams installed at this node
-	RepairChunks   int64 // chunks received on installed streams
-	RepairsSent    int64 // bulk streams fully acked as the sender
-	RepairFallback int64
+	// Repair counters (see replica.go).
+	Repairs      int64 // bulk replica streams installed at this node
+	RepairChunks int64 // chunks received on installed streams
+	RepairsSent  int64 // bulk streams fully acked as the sender
 }
 
 // Stats snapshots the link layer. Safe from any goroutine.
@@ -789,6 +781,5 @@ func (n *Node) Stats() LinkStats {
 	s.Repairs = n.repairsApplied.Load()
 	s.RepairChunks = n.repairChunksRx.Load()
 	s.RepairsSent = n.repairsSent.Load()
-	s.RepairFallback = n.repairFallback.Load()
 	return s
 }

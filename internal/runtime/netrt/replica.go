@@ -18,7 +18,7 @@ package netrt
 // (servingCopy). A torn or divergent stream is discarded after
 // the end-to-end digest check and repaired by the next exchange; there
 // is no point-wise fallback path, so every repair is a counted bulk
-// stream (LinkStats.Repairs / RepairChunks; RepairFallback stays 0).
+// stream (LinkStats.Repairs / RepairChunks).
 
 import (
 	"encoding/binary"

@@ -215,7 +215,7 @@ func TestFormerReplicaDoesNotServeStaleCopy(t *testing.T) {
 // Replicas=1, a member dying permanently must not cost completeness or
 // exactness — once the survivors' detectors mark it down, every query
 // is Complete and matches brute force, answered from bulk-streamed
-// replica copies (Repairs > 0, RepairFallback == 0).
+// replica copies (Repairs > 0).
 func TestReplicaFailoverExactQueries(t *testing.T) {
 	data := testData()
 	nodes := startReplicatedRing(t, 3, 1, data)
@@ -264,17 +264,12 @@ func TestReplicaFailoverExactQueries(t *testing.T) {
 		}
 	}
 
-	var repairs, fallback int64
+	var repairs int64
 	for _, n := range survivors {
-		s := n.Stats()
-		repairs += s.Repairs
-		fallback += s.RepairFallback
+		repairs += n.Stats().Repairs
 	}
 	if repairs == 0 {
 		t.Fatal("no bulk repair stream was installed on any survivor")
-	}
-	if fallback != 0 {
-		t.Fatalf("repairs took the point-wise fallback path %d times", fallback)
 	}
 }
 

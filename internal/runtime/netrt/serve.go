@@ -218,8 +218,7 @@ func (n *Node) serveClient(conn net.Conn) {
 					Replicas: n.cfg.Replicas, Down: n.downMembers(),
 					SyncedOwners: n.syncedOwners(), Extras: len(n.extras),
 					Tested: n.tested, Refined: n.refined,
-					Repairs:      n.repairsApplied.Load(),
-					RepairChunks: n.repairChunksRx.Load(), RepairFallback: n.repairFallback.Load(),
+					Repairs: n.repairsApplied.Load(), RepairChunks: n.repairChunksRx.Load(),
 				})
 				if err != nil {
 					n.logf("client %s: info reply %d not sent: %v", conn.RemoteAddr(), reqID, err)

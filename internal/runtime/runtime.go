@@ -8,19 +8,27 @@
 //   - Transport: the messaging seam (move one message to a node and run
 //     its delivery callback on that node's execution context).
 //
-// Two implementations exist:
+// Two in-process implementations exist, and both only schedule — a
+// message is a prebound callback that runs later, its size charged by
+// the overlay's §4.1 model (or, under EncodeWire, by the length of the
+// encoding the protocol itself produces and decodes); no byte crosses
+// either of them:
 //
 //   - runtime/simrt wraps a sim.Engine: virtual time, deterministic
 //     event ordering, zero-allocation scheduling. Every existing
 //     simulation and experiment runs through it unchanged.
-//   - runtime/livert runs the same protocol code in real time over real
-//     in-process connections (net.Pipe), with per-node inbox goroutines
-//     and time.Timer-backed retries, serving concurrent queries.
+//   - runtime/livert runs the same protocol code in real time: one
+//     executor goroutine, time.Timer-backed delays and retries, a
+//     bounded delivery inbox, serving concurrent queries.
+//
+// Bytes cross a boundary in runtime/netrt only, whose nodes are
+// separate processes joined by TCP links and which reuses livert's
+// executor for everything else.
 //
 // Protocol code stays single-threaded by contract in both runtimes: a
 // callback runs to completion before the next one starts (the sim
 // engine is single-threaded; the live runtime serializes callbacks on
-// one protocol goroutine while its transport and timers run
+// one protocol goroutine while its timers and clients run
 // concurrently). That contract is what cmd/lmlint's analyzers enforce
 // for the engine-owned packages.
 package runtime
@@ -78,41 +86,18 @@ type Runtime interface {
 // it: deliver(arg) must run on the destination's protocol execution
 // context no earlier than delay from now.
 //
-// payload, when non-nil, is the message's wire encoding: a live
-// transport ships exactly those bytes over the destination node's
-// connection; the simulated transport has already charged their size
-// and ignores the content. deliver/arg mirror Clock.ScheduleArg so the
-// per-message hot path allocates no closures.
+// deliver/arg mirror Clock.ScheduleArg so the per-message hot path
+// allocates no closures. to names the destination for a transport that
+// keeps per-node state; neither in-process transport does.
 //
-// Send never fails synchronously. Loss is modeled above the transport
-// (fault plans, delivery-time liveness checks in the overlay), so a
-// transport that cannot reach the node's inbox still runs deliver —
-// the overlay's own checks then turn the delivery into a failure.
+// Send never fails synchronously and never runs deliver inside the
+// call. Loss is modeled above the transport (fault plans,
+// delivery-time liveness checks in the overlay); a transport may shed a
+// delivery under overload (livert's bounded inbox), which the protocol
+// sees as a loss: deliver never runs and the reliability layer's
+// timeout surfaces it.
 type Transport interface {
-	Send(to uint64, delay time.Duration, payload []byte, deliver func(any), arg any)
-}
-
-// NodeRegistry is implemented by transports that keep per-node state —
-// livert opens one connection and inbox goroutine per node. The
-// overlay informs the transport of membership changes; transports
-// without per-node state (simrt) simply do not implement it.
-type NodeRegistry interface {
-	Register(node uint64)
-	Unregister(node uint64)
-}
-
-// RegisterNode tells tr about a new node if it keeps per-node state.
-func RegisterNode(tr Transport, node uint64) {
-	if reg, ok := tr.(NodeRegistry); ok {
-		reg.Register(node)
-	}
-}
-
-// UnregisterNode tells tr a node left if it keeps per-node state.
-func UnregisterNode(tr Transport, node uint64) {
-	if reg, ok := tr.(NodeRegistry); ok {
-		reg.Unregister(node)
-	}
+	Send(to uint64, delay time.Duration, deliver func(any), arg any)
 }
 
 // Ticker repeatedly invokes fn every period until Stop is called. It is

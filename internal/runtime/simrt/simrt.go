@@ -55,11 +55,8 @@ func (r *RT) AfterFunc(delay time.Duration, fn func()) runtime.Timer {
 func (r *RT) Rand() *rand.Rand { return r.eng.Rand() }
 
 // Send implements runtime.Transport: delivery is one engine event at
-// now+delay. The payload is ignored — the simulation charges message
-// sizes through the overlay's traffic accounting, and the deliver
-// callback already holds (or re-decodes) the encoded bytes.
-func (r *RT) Send(to uint64, delay time.Duration, payload []byte, deliver func(any), arg any) {
-	_ = to
-	_ = payload
+// now+delay. Message sizes are charged by the overlay's traffic
+// accounting before Send is reached.
+func (r *RT) Send(_ uint64, delay time.Duration, deliver func(any), arg any) {
 	r.eng.ScheduleArg(delay, deliver, arg)
 }

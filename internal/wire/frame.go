@@ -6,16 +6,16 @@ import (
 	"io"
 )
 
-// Frame layout shared by every live transport (runtime/livert's
-// in-process pipes and runtime/netrt's TCP links):
+// Frame layout of the one transport that moves bytes, runtime/netrt's
+// TCP links (peer and client alike):
 //
 //	[8-byte big-endian message id | 4-byte big-endian payload length | payload]
 //
 // The message id correlates a frame with the sender's in-flight state
-// (a pending delivery callback in livert, a query or request waiter in
-// netrt). The length is validated against MaxFramePayload before any
-// allocation, so a hostile or corrupt peer can make a reader drop the
-// connection but can never make it allocate unbounded memory or panic.
+// (a query or request waiter). The length is validated against
+// MaxFramePayload before any allocation, so a hostile or corrupt peer
+// can make a reader drop the connection but can never make it allocate
+// unbounded memory or panic.
 const (
 	// FrameHeader is the fixed frame header size in bytes.
 	FrameHeader = 12

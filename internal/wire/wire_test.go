@@ -263,8 +263,8 @@ func BenchmarkEncodeQuery(b *testing.B) {
 }
 
 // The encoders must produce exactly the byte counts the size formulas
-// promise — the traffic accounting charges QuerySize/ResultSize, and a
-// live transport frames the encoder's actual output.
+// promise — the traffic accounting charges QuerySize/ResultSize, and
+// EncodeWire mode charges the encoder's actual output.
 func TestEncodedLengthMatchesSizeFormulas(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, k := range []int{1, 2, 5, 10} {

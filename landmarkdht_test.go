@@ -3,6 +3,7 @@ package landmarkdht
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -54,6 +55,35 @@ func TestNewPlatform(t *testing.T) {
 	}
 	if len(p.Indexes()) != 0 {
 		t.Fatal("fresh platform has indexes")
+	}
+}
+
+// TestNewRejectsTransportFaults: an in-process platform, simulated or
+// live, has no transport for FrameDrop/KillConn to act on, and says so
+// instead of ignoring them; the overlay-level fields stay accepted.
+func TestNewRejectsTransportFaults(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		faults FaultOptions
+		ok     bool
+	}{
+		{"drop only", FaultOptions{Drop: 0.1}, true},
+		{"frame drop", FaultOptions{Drop: 0.1, FrameDrop: 0.02}, false},
+		{"conn kill", FaultOptions{KillConn: 0.002}, false},
+	} {
+		for _, live := range []bool{false, true} {
+			faults := tc.faults
+			p, err := New(Options{Nodes: 8, Live: live, Faults: &faults})
+			if p != nil {
+				p.Close()
+			}
+			if tc.ok != (err == nil) {
+				t.Errorf("%s, Live=%v: err = %v, want ok=%v", tc.name, live, err, tc.ok)
+			}
+			if err != nil && !strings.Contains(err.Error(), "NodeOptions.Faults") {
+				t.Errorf("%s, Live=%v: error %q does not point at NodeOptions.Faults", tc.name, live, err)
+			}
+		}
 	}
 }
 

@@ -48,9 +48,10 @@ type NodeOptions struct {
 	// once the failure detector marks it down: its shards are answered
 	// from the synced copies. Every member should use the same value.
 	Replicas int
-	// Faults injects frame drops and connection kills into the node's
-	// peer links — the same policy knobs as Options.Faults, applied at
-	// the TCP transport.
+	// Faults injects frame drops and connection kills (FrameDrop,
+	// KillConn, Seed) into the node's peer links, the one place a
+	// transport exists; the policy's overlay-level fields are not read
+	// here.
 	Faults *FaultOptions
 	// Logf, when set, receives one line per membership and link event.
 	Logf func(format string, args ...any)
@@ -127,7 +128,6 @@ func (n *Node) Reliability() ReliabilityStats {
 		Reconnects:     s.Redials,
 		ReplicaRepairs: s.Repairs,
 		RepairChunks:   s.RepairChunks,
-		RepairFallback: s.RepairFallback,
 	}
 }
 

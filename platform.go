@@ -37,12 +37,13 @@ type Options struct {
 	// Jitter adds a uniform random extra delay in [0, Jitter) to every
 	// message.
 	Jitter time.Duration
-	// Faults is the full runtime-agnostic fault policy: message loss,
-	// duplication, latency faults and timed partitions inject at the
-	// overlay (identically on both runtimes); frame drops and
-	// connection kills inject at the live transport. When set it
-	// supersedes LossRate/Jitter (which remain as shorthands for
-	// loss-and-jitter-only policies).
+	// Faults is the fault policy: message loss, duplication, latency
+	// faults and timed partitions inject at the overlay, identically on
+	// the simulated and the live runtime. When set it supersedes
+	// LossRate/Jitter (which remain as shorthands for loss-and-jitter-
+	// only policies). FrameDrop and KillConn need a transport, which an
+	// in-process platform does not have: New rejects them — set them on
+	// NodeOptions.Faults.
 	Faults *FaultOptions
 	// Retry configures reliable subquery/result delivery (ack, timeout,
 	// bounded retransmission with successor failover). The zero value
@@ -64,9 +65,10 @@ type Options struct {
 	// Zero means unlimited.
 	MaxActiveQueries int
 	// Live runs the platform over the live concurrent runtime instead of
-	// the discrete-event simulator: node inboxes are real goroutines and
-	// connections, retry timers are real timers, and searches may be
-	// issued from many goroutines concurrently. Call Close when done.
+	// the discrete-event simulator: the protocol runs in real time on
+	// one executor goroutine, retry timers are real timers, and searches
+	// may be issued from many goroutines concurrently. Call Close when
+	// done.
 	Live bool
 	// LiveLatencyScale multiplies the modeled network latency in live
 	// mode (0, the default, delivers messages as fast as the machine
@@ -152,6 +154,9 @@ type Platform struct {
 
 // New builds a stabilized overlay of opts.Nodes nodes.
 func New(opts Options) (*Platform, error) {
+	if f := opts.Faults; f != nil && (f.FrameDrop != 0 || f.KillConn != 0) {
+		return nil, fmt.Errorf("landmarkdht: transport faults need a transport: set them on NodeOptions.Faults")
+	}
 	opts.fillDefaults()
 	model, err := netmodel.NewSyntheticKing(netmodel.KingConfig{
 		N: opts.Nodes, MeanRTT: opts.MeanRTT, Seed: opts.Seed,
@@ -175,8 +180,7 @@ func New(opts Options) (*Platform, error) {
 	p := &Platform{opts: opts, plan: cfg.Chord.Faults}
 	if opts.Live {
 		p.live = livert.New(livert.Config{
-			Seed: opts.Seed, LatencyScale: opts.LiveLatencyScale, Faults: opts.Faults,
-			MaxInbox: opts.MaxInbox,
+			Seed: opts.Seed, LatencyScale: opts.LiveLatencyScale, MaxInbox: opts.MaxInbox,
 		})
 	} else {
 		p.eng = sim.NewEngine(opts.Seed)
@@ -222,8 +226,8 @@ func New(opts Options) (*Platform, error) {
 }
 
 // Close releases the platform's resources. In live mode it stops the
-// executor, node inbox goroutines and connections; on a simulated
-// platform it is a no-op. The platform is unusable afterwards.
+// executor; on a simulated platform it is a no-op. The platform is
+// unusable afterwards.
 func (p *Platform) Close() {
 	if p.live != nil {
 		p.live.Close()
@@ -368,14 +372,10 @@ type ReliabilityStats struct {
 	Reconnects int64
 	// ReplicaRepairs counts replica-region bulk streams installed on a
 	// deployed Node (anti-entropy repairs and initial syncs);
-	// RepairChunks counts the stream chunks received. RepairFallback
-	// counts repairs that fell back to point-wise transfer — by
-	// construction always zero (the soak asserts it), kept as a counter
-	// so a future regression is observable rather than silent. All zero
-	// on simulated and in-process platforms.
+	// RepairChunks counts the stream chunks received. Both zero on
+	// simulated and in-process platforms.
 	ReplicaRepairs int64
 	RepairChunks   int64
-	RepairFallback int64
 }
 
 // Reliability returns the platform's loss/retry counters.
@@ -397,17 +397,12 @@ func (p *Platform) Reliability() ReliabilityStats {
 	return rs
 }
 
-// FaultStats counts the faults the platform injected, at both layers.
+// FaultStats counts the faults the platform's overlay injected.
 type FaultStats struct {
-	// MessagesDropped / MessagesDuplicated count overlay-level injected
-	// losses (including partition casualties) and duplications.
+	// MessagesDropped / MessagesDuplicated count injected losses
+	// (including partition casualties) and duplications.
 	MessagesDropped    int64
 	MessagesDuplicated int64
-	// FramesDropped / ConnsKilled count live-transport faults (always
-	// zero on a simulated platform, which has no transport below the
-	// overlay).
-	FramesDropped int64
-	ConnsKilled   int64
 }
 
 // Faults returns the cumulative injected-fault counters.
@@ -420,11 +415,6 @@ func (p *Platform) Faults() FaultStats {
 		}
 		return nil
 	})
-	if p.live != nil {
-		ls := p.live.FaultStats()
-		fs.FramesDropped = ls.FramesDropped
-		fs.ConnsKilled = ls.ConnsKilled
-	}
 	return fs
 }
 
