@@ -1,6 +1,9 @@
 package landmarkdht
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // searchAllocsCeiling bounds the heap allocations of one range search
 // through the public facade on the simulated runtime. Measured 48–49
@@ -38,4 +41,85 @@ func TestSearchAllocsCeiling(t *testing.T) {
 	if allocs > searchAllocsCeiling {
 		t.Fatalf("%.0f allocs per search, ceiling %d", allocs, searchAllocsCeiling)
 	}
+}
+
+// wideSearchAllocsCeiling bounds the allocations of one search at the
+// shape of the benchmark's sim-search workload, where a query is ≈ 290
+// messages and ≈ 100 local scans: measured 1303 per search, + 10 %.
+// TestSearchAllocsCeiling's query sends a handful of messages and
+// cannot see per-message work; this one read 4295 while surrogate
+// refinement cloned the cube for every zero bit of the node's id.
+const wideSearchAllocsCeiling = 1433
+
+// wideSearchFixture is sim-search's shape (bench/run.go): 256 nodes,
+// 20 000 uniform 8-d objects in [0, 1)⁸, 6 landmarks, radius-0.4 queries
+// drawn the same way.
+func wideSearchFixture(tb testing.TB) (*Index[Vector], []Vector) {
+	tb.Helper()
+	uniform := func(rng *rand.Rand, n int) []Vector {
+		out := make([]Vector, n)
+		for i := range out {
+			out[i] = make(Vector, 8)
+			for j := range out[i] {
+				out[i][j] = rng.Float64()
+			}
+		}
+		return out
+	}
+	p, err := New(Options{Nodes: 256, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(p.Close)
+	ix, err := AddIndex(p, EuclideanSpace("wide", 8, 0, 1), uniform(rand.New(rand.NewSource(1)), 20000), nil,
+		IndexOptions{Landmarks: 6})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ix, uniform(rand.New(rand.NewSource(2)), 512)
+}
+
+const wideSearchRadius = 0.4
+
+func TestWideSearchAllocsCeiling(t *testing.T) {
+	ix, queries := wideSearchFixture(t)
+	if _, _, err := ix.RangeSearch(queries[0], wideSearchRadius); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, _, err := ix.RangeSearch(queries[i%len(queries)], wideSearchRadius); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	t.Logf("%.0f allocs per search (ceiling %d)", allocs, wideSearchAllocsCeiling)
+	if allocs > wideSearchAllocsCeiling {
+		t.Fatalf("%.0f allocs per search, ceiling %d", allocs, wideSearchAllocsCeiling)
+	}
+}
+
+// BenchmarkRangeSearchWide times the same search loop and reports the
+// protocol counts beside it, so a change meant to make a message
+// cheaper can show it left the messages alone.
+func BenchmarkRangeSearchWide(b *testing.B) {
+	ix, queries := wideSearchFixture(b)
+	var cands, hops, qmsgs, rmsgs int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, st, err := ix.RangeSearch(queries[i%len(queries)], wideSearchRadius)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cands += st.Candidates
+		hops += st.Hops
+		qmsgs += st.QueryMessages
+		rmsgs += st.ResultMessages
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(cands)/n, "cands/op")
+	b.ReportMetric(float64(hops)/n, "hops/op")
+	b.ReportMetric(float64(qmsgs)/n, "qmsgs/op")
+	b.ReportMetric(float64(rmsgs)/n, "rmsgs/op")
 }

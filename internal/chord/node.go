@@ -70,31 +70,48 @@ func (nd *Node) OwnsKey(key ID) bool {
 	return InOpenClosed(nd.pred, key, nd.id)
 }
 
+// Table iterates over the node's routing table in table order: the
+// successor list, then the fingers from the nearest up, each run of
+// equal consecutive fingers once. Most of a finger table is one run —
+// every finger whose interval holds no node is the same successor, ≈ 56
+// of 64 on a 256-node ring. What is left may still repeat (the first
+// finger, a far finger that is also a successor), may be dead, and is
+// the zero ID where a table was never filled: a caller deals with those
+// as it would entry by entry.
+func (nd *Node) Table(yield func(ID) bool) {
+	for _, s := range nd.succ {
+		if !yield(s) {
+			return
+		}
+	}
+	for i, f := range nd.fingers {
+		if i > 0 && f == nd.fingers[i-1] {
+			continue
+		}
+		if !yield(f) {
+			return
+		}
+	}
+}
+
 // NextHop implements the paper's footnote 4: the routing-table entry
 // (fingers ∪ successor list ∪ self) whose identifier is immediately
 // before key on the ring. It returns the node's own id when no table
 // entry improves on it — the caller then hands the query to the
 // successor for surrogate refinement.
+//
+// Distinct ids are at distinct distances from key, so the answer is the
+// strict minimum over the live entries whatever the order: liveness is
+// probed only for an entry that would beat the best so far.
 func (nd *Node) NextHop(key ID) ID {
 	best := nd.id
 	bestDist := Dist(nd.id, key) // clockwise distance remaining after hop
-	consider := func(c ID) {
-		if c == key {
-			return // that node *is* the successor, not the predecessor
-		}
-		if _, live := nd.net.nodes[c]; !live {
-			return
-		}
-		if d := Dist(c, key); d < bestDist {
-			best, bestDist = c, d
-		}
-	}
-	for _, s := range nd.succ {
-		consider(s)
-	}
-	for _, f := range nd.fingers {
-		if f != 0 || nd.net.Node(0) != nil {
-			consider(f)
+	for c := range nd.Table {
+		// c == key: that node *is* the successor, not the predecessor.
+		if d := Dist(c, key); d < bestDist && c != key {
+			if _, live := nd.net.nodes[c]; live {
+				best, bestDist = c, d
+			}
 		}
 	}
 	return best

@@ -108,18 +108,7 @@ func (lb *lbController) probeNeighbors(in *IndexNode) map[chord.ID]int {
 	for level := 0; level < lb.cfg.ProbeLevel; level++ {
 		var next []*IndexNode
 		for _, cur := range frontier {
-			for _, id := range cur.node.SuccessorList() {
-				if seen[id] {
-					continue
-				}
-				seen[id] = true
-				if nb := s.nodes[id]; nb != nil && nb.node.Alive() {
-					loads[id] = nb.Load()
-					next = append(next, nb)
-				}
-			}
-			for i := 0; i < 64; i++ {
-				id := cur.node.Finger(i)
+			for id := range cur.node.Table {
 				if seen[id] {
 					continue
 				}

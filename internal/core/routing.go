@@ -689,7 +689,8 @@ func (s *System) shipTimeout(n *IndexNode, aq *activeQuery, dest chord.ID, units
 // keys of the query cuboid above vid are exactly the union, over every
 // zero-bit position z of vid past the prefix, of the sibling cuboid
 // obtained by setting bit z (Algorithm 5 lines 5–18 walk these
-// positions one at a time). Each sibling is clipped to the query cube
+// positions one at a time; query.Refine, shared with netrt, finds them
+// in one walk down vid's bits). Each sibling is clipped to the query cube
 // and re-enters QueryRouting; everything else is covered by this node.
 // Unlike the paper's pseudocode — which retags the query to
 // prefix(vid, j-1) and thereby drops the cube's extent inside the
@@ -707,21 +708,15 @@ func (s *System) surrogateRefine(n *IndexNode, aq *activeQuery, q query.Region, 
 		PreKey: q.PreKey, PreLen: q.PreLen, Hops: hops})
 	part := aq.ix.Part
 	vid := part.Unring(n.node.ID()) // node id in this index's unrotated key space
-	if lph.SamePrefix(q.PreKey, vid, q.PreLen) {
-		// The node sits inside the query cuboid: keys above vid belong
-		// to other nodes. Route each maximal sub-cuboid above vid.
-		for z := lph.FirstZeroBitAfter(vid, q.PreLen); z != 0; z = lph.FirstZeroBitAfter(vid, z) {
-			upper := lph.SetBit(lph.Prefix(vid, z-1), z)
-			if sub, ok := query.Restrict(part, q, upper, z); ok {
-				subTok := aq.newToken(sub)
-				s.routeAt(n, aq, sub, hops, subTok)
-			}
-		}
-	}
-	// When the prefixes differ, successor(prekey) lies beyond the
-	// cuboid, so no node exists inside it and this node covers the
-	// whole region (Algorithm 5 lines 1–3). Either way, answer the
-	// covered part locally.
+	// When the node sits inside the query cuboid, keys above vid belong
+	// to other nodes: route each maximal sub-cuboid above vid the cube
+	// touches. When the prefixes differ, successor(prekey) lies beyond
+	// the cuboid, so no node exists inside it, Refine emits nothing and
+	// this node covers the whole region (Algorithm 5 lines 1–3). Either
+	// way, answer the covered part locally.
+	query.Refine(part, q, vid, func(sub query.Region) {
+		s.routeAt(n, aq, sub, hops, aq.newToken(sub))
+	})
 	s.answerLocal(n, aq, q, hops, tok)
 }
 

@@ -19,12 +19,20 @@ import (
 // state, a store belongs to the protocol executor and is only touched
 // from it.
 //
-// Mutating methods return an error so a durable backend can surface a
-// failed journal write; memstore never fails. On error the in-memory
-// state still reflects the mutation (reads stay coherent within the
-// process), but durability of that mutation is not guaranteed — the
-// system counts these in System.StoreErrors rather than silently
-// dropping them.
+// An index has one point length — its partitioner's K: every entry
+// stored under it carries a point of that many coordinates, fixed by
+// the first entry an empty index receives. Put, PutBatch and
+// ApplyRegion refuse an entry (and with it the whole batch) whose point
+// has another length and store nothing: no cube could ever contain it,
+// so it would be kept where no query can return it. The system
+// validates against Part.K() before it stores (BulkLoad, Publish), so
+// this is a backstop for callers that reach a store directly.
+//
+// Mutating methods also return an error so a durable backend can
+// surface a failed journal write. On that error the in-memory state
+// still reflects the mutation (reads stay coherent within the process),
+// but durability of that mutation is not guaranteed — the system counts
+// these in System.StoreErrors rather than silently dropping them.
 type Store interface {
 	// Put appends one entry under an index scheme.
 	Put(index string, key lph.Key, e Entry) error
@@ -35,7 +43,9 @@ type Store interface {
 	Delete(index string, key lph.Key, obj ObjectID) (bool, error)
 
 	// Scan appends the entries of one index whose points fall inside
-	// the region's cube to buf and returns it. Hot callers pass a
+	// the region's cube to buf and returns it, in storage order; a cube
+	// of another length than the index's points contains none of them
+	// (Region.Contains). Hot callers pass a
 	// reusable buffer (buf[:0]) — the scan must not allocate when the
 	// buffer has capacity, and the result must be fully consumed
 	// before the buffer is reused.
@@ -57,7 +67,7 @@ type Store interface {
 	RegionSnapshot(index string) ([]lph.Key, []Entry)
 	// ApplyRegion replaces one index's contents wholesale (the receive
 	// side of bulk transfer and replica repair). Empty input clears the
-	// index.
+	// index; a refused replacement leaves it as it was.
 	ApplyRegion(index string, keys []lph.Key, entries []Entry) error
 
 	// ExtractUpTo removes and returns the entries whose ring key lies

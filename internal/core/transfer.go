@@ -292,17 +292,28 @@ func (s *System) applyChunk(tr *outTransfer, dstNode *chord.Node, keys []lph.Key
 		s.reinsert(tr.index, keys, entries)
 		return
 	}
-	for i, key := range keys {
+	keeps := func(key lph.Key) bool {
 		if dstNode.OwnsKey(key) {
-			s.noteStoreErr(rx.st.Put(tr.index, key, entries[i]))
-			continue
+			return true
 		}
 		owner, err := s.net.SuccessorID(key)
-		if err == nil && owner == tr.src.ID() {
-			s.noteStoreErr(rx.st.Put(tr.index, key, entries[i]))
+		return err == nil && owner == tr.src.ID()
+	}
+	// What the receiver keeps goes to its store a run at a time — as a
+	// rule the whole chunk — so the store's columns grow per chunk, not
+	// per entry.
+	for i := 0; i < len(keys); {
+		j := i
+		for j < len(keys) && keeps(keys[j]) {
+			j++
+		}
+		if j == i {
+			s.reinsert(tr.index, keys[i:i+1], entries[i:i+1])
+			i++
 			continue
 		}
-		s.reinsert(tr.index, keys[i:i+1], entries[i:i+1])
+		s.noteStoreErr(rx.st.PutBatch(tr.index, keys[i:j], entries[i:j]))
+		i = j
 	}
 }
 

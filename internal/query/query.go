@@ -142,8 +142,9 @@ func Split(p *lph.Partitioner, q Region, pos int) []Region {
 
 // Restrict clips the region's cube to the cuboid identified by
 // (prekey, prelen) and retags it. It returns false when the
-// intersection is empty. Surrogate refinement uses it to prune a
-// query to the portion a node covers.
+// intersection is empty. It is the definition Refine is held to: the
+// sub-cuboids of a surrogate refinement are, one by one, what Restrict
+// yields for them.
 func Restrict(p *lph.Partitioner, q Region, prekey lph.Key, prelen int) (Region, bool) {
 	cu := p.Cuboid(prekey, prelen)
 	nq := q.Clone()
@@ -161,6 +162,100 @@ func Restrict(p *lph.Partitioner, q Region, prekey lph.Key, prelen int) (Region,
 		}
 	}
 	return nq, true
+}
+
+// Refine is the decomposition of Algorithm 5 (SurrogateRefine) at the
+// node whose identifier is vid in the index's unrotated key space. The
+// keys of q's cuboid above vid belong to other nodes, and they are
+// exactly the union, over every zero bit z of vid past q's prefix, of
+// the sibling cuboid (vid's first z-1 bits, then a one). Refine calls
+// emit, in ascending z, with q restricted to each sibling its cube
+// touches — region for region what
+//
+//	Restrict(p, q, SetBit(Prefix(vid, z-1), z), z)
+//
+// yields for those z, floats bit-identical — and does nothing when vid
+// lies outside q's cuboid (no key of the cuboid is above the node: it
+// covers all of it). q's cube must have p.K() dimensions.
+//
+// It is one walk down vid's bits instead of a walk from the root per
+// zero bit. cu is the cuboid of vid's path, narrowed one dimension a
+// level by the (Lo+Hi)/2 sequence Cuboid performs; a sibling differs
+// from it in that level's dimension only, so clip — the cube cut to cu,
+// kept per dimension — is the sibling's restriction everywhere else, and
+// a cube is allocated only for a sibling that survives. Intervals are
+// closed and a deeper cuboid lies inside a shallower one in every
+// dimension, so once clip is empty in any dimension every deeper
+// sibling's restriction is empty too and the walk stops: a path that
+// leaves the cube, as most do within a few levels, costs those levels.
+func Refine(p *lph.Partitioner, q Region, vid lph.Key, emit func(Region)) {
+	if !lph.SamePrefix(q.PreKey, vid, q.PreLen) {
+		return
+	}
+	k := p.K()
+	var local [32]lph.Bounds
+	scratch := local[:]
+	if 2*k > len(local) {
+		scratch = make([]lph.Bounds, 2*k)
+	}
+	cu, clip := scratch[:k], scratch[k:2*k]
+	for j := range cu {
+		cu[j] = p.Bounds(j)
+	}
+	j := 0
+	for i := 1; i <= q.PreLen; i++ {
+		mid := cu[j].Mid()
+		if lph.GetBit(vid, i) == 1 {
+			cu[j].Lo = mid
+		} else {
+			cu[j].Hi = mid
+		}
+		if j++; j == k {
+			j = 0
+		}
+	}
+	for d := range clip {
+		var ok bool
+		if clip[d], ok = clipTo(q.Cube[d], cu[d]); !ok {
+			return
+		}
+	}
+	for z := q.PreLen + 1; z <= lph.M; z++ {
+		mid := cu[j].Mid()
+		if lph.GetBit(vid, z) == 1 {
+			cu[j].Lo = mid
+		} else {
+			if b, ok := clipTo(q.Cube[j], lph.Bounds{Lo: mid, Hi: cu[j].Hi}); ok {
+				cube := make([]lph.Bounds, k)
+				copy(cube, clip)
+				cube[j] = b
+				emit(Region{Cube: cube, PreKey: lph.SetBit(lph.Prefix(vid, z-1), z), PreLen: z})
+			}
+			cu[j].Hi = mid
+		}
+		var ok bool
+		if clip[j], ok = clipTo(q.Cube[j], cu[j]); !ok {
+			return
+		}
+		if j++; j == k {
+			j = 0
+		}
+	}
+}
+
+// clipTo is Restrict's per-dimension step, comparison for comparison: b
+// cut to the cuboid side cu, and whether anything is left.
+func clipTo(b, cu lph.Bounds) (lph.Bounds, bool) {
+	if b.Lo < cu.Lo {
+		b.Lo = cu.Lo
+	}
+	if b.Hi > cu.Hi {
+		b.Hi = cu.Hi
+	}
+	if b.Hi < b.Lo {
+		return b, false
+	}
+	return b, true
 }
 
 // Leaves fully refines the region to depth lph.M and returns the leaf

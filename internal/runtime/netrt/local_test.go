@@ -87,14 +87,16 @@ func TestLocalQueryWorkPinned(t *testing.T) {
 }
 
 // localQueryAllocsCeiling bounds the heap allocations of one local
-// query on the fixture above. Measured 92, the same on every run, with
-// and without the race detector: three per sub-cuboid Algorithm 5 cuts
-// at the fixture's position (Restrict's clone and cuboid, the descent's
-// cuboid; ≈ 24 of them), the executor hand-off, the deadline timer, and
-// the doubling of the result slice and of the origin's merge map —
-// nothing per descent step and nothing per candidate. The ceiling is
-// the measurement plus 20 %.
-const localQueryAllocsCeiling = 110
+// query on the fixture above. Measured 45, the same on every run, with
+// and without the race detector: two per sub-cuboid Algorithm 5 cuts at
+// the fixture's position that the cube reaches (query.Refine's cube, the
+// descent's cuboid), the executor hand-off, the deadline timer, and the
+// doubling of the result slice and of the origin's merge map — nothing
+// per descent step, nothing per candidate, and nothing per zero bit of
+// the node's id (92 while a Restrict per bit cloned the cube and rebuilt
+// its cuboid whether or not the cube reached it). The ceiling is the
+// measurement plus 20 %.
+const localQueryAllocsCeiling = 54
 
 // TestLocalQueryAllocsCeiling fails when the local answer starts
 // allocating per descent step or per candidate again (the fixture

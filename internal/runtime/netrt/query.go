@@ -240,8 +240,9 @@ func (n *Node) process(q *queryMsg) {
 // one region at surrogate's ring position: keys of the region's cuboid
 // at or below the surrogate's virtual id are the surrogate's local
 // share, and every maximal sub-cuboid above it (one per zero bit past
-// the prefix) is clipped to the query cube and appended to work, to be
-// routed to its own owner. It returns the top key of the local share —
+// the prefix; query.Refine, the decomposition core runs too) is clipped
+// to the query cube and appended to work, to be routed to its own owner.
+// It returns the top key of the local share —
 // the virtual id, or the top of the key space when the cuboid does not
 // contain it and the whole cuboid is local. The local shares and
 // sub-cuboids of one message are therefore disjoint in key space: no
@@ -256,12 +257,7 @@ func (n *Node) refine(reg query.Region, surrogate uint64, work []query.Region) (
 	if !lph.SamePrefix(reg.PreKey, vid, reg.PreLen) {
 		return ^lph.Key(0), work
 	}
-	for z := lph.FirstZeroBitAfter(vid, reg.PreLen); z != 0; z = lph.FirstZeroBitAfter(vid, z) {
-		upper := lph.SetBit(lph.Prefix(vid, z-1), z)
-		if sub, ok := query.Restrict(part, reg, upper, z); ok {
-			work = append(work, sub)
-		}
-	}
+	query.Refine(part, reg, vid, func(sub query.Region) { work = append(work, sub) })
 	return vid, work
 }
 
