@@ -21,10 +21,15 @@ vet:
 # (no blocking on the protocol executor, no mutex held across a
 # blocking call, no dropped errors on wire paths, no stale or
 # unexplained suppressions). The analyzer suite's own tests run first
-# so a broken analyzer can't silently pass the module.
+# so a broken analyzer can't silently pass the module. Last, lmnode's
+# dependency closure must not name encoding/gob: every frame netrt reads
+# off a socket goes through a bounded, fuzzed decoder (netrt/proto.go).
 lint:
 	$(GO) test ./internal/analysis/...
 	$(GO) run ./cmd/lmlint ./...
+	@if $(GO) list -deps ./cmd/lmnode | grep -qx encoding/gob; then \
+		echo "cmd/lmnode depends on encoding/gob" >&2; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

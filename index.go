@@ -379,34 +379,19 @@ func (ix *Index[T]) Object(id int) T { return ix.objects[id] }
 // inserts on the same index (searches are fine in live mode).
 func (ix *Index[T]) Insert(obj T) (int, error) {
 	id := len(ix.objects)
-	if ix.p.live != nil {
-		// The objects slice is read by Dist closures on the protocol
-		// executor; publish the append through Do so the executor
-		// observes it before the entry can land anywhere.
-		if err := ix.p.live.Do(func() { ix.objects = append(ix.objects, obj) }); err != nil {
-			return 0, err
-		}
-		entry := core.Entry{Obj: core.ObjectID(id), Point: ix.emb.Map(obj)}
-		err := ix.p.live.Await(liveOpTimeout, func(finish func()) error {
-			return ix.p.sys.Publish(ix.name, ix.p.randomNode(), entry,
-				func(chordID uint64, hops int) { finish() })
-		})
-		if err != nil {
-			ix.p.live.Do(func() { ix.objects = ix.objects[:id] })
-			return 0, err
-		}
-		return id, nil
-	}
-	ix.objects = append(ix.objects, obj)
-	entry := core.Entry{Obj: core.ObjectID(id), Point: ix.emb.Map(obj)}
-	placed := false
-	err := ix.p.sys.Publish(ix.name, ix.p.randomNode(), entry,
-		func(chordID uint64, hops int) { placed = true })
-	if err != nil {
-		ix.objects = ix.objects[:id]
+	// The objects slice is read by Dist closures on the protocol
+	// executor; publish the append through Do so the executor observes
+	// it before the entry can land anywhere.
+	if err := ix.p.rt.Do(func() { ix.objects = append(ix.objects, obj) }); err != nil {
 		return 0, err
 	}
-	if err := ix.p.drive(func() bool { return placed }); err != nil {
+	entry := core.Entry{Obj: core.ObjectID(id), Point: ix.emb.Map(obj)}
+	err := ix.p.rt.Await(ix.p.opTimeout, func(finish func()) error {
+		return ix.p.sys.Publish(ix.name, ix.p.randomNode(), entry,
+			func(chordID uint64, hops int) { finish() })
+	})
+	if err != nil {
+		ix.p.rt.Do(func() { ix.objects = ix.objects[:id] })
 		return 0, err
 	}
 	return id, nil
@@ -420,24 +405,7 @@ type QueryTrace = core.Trace
 // returned trace reconstructs how the query travelled the embedded
 // DHT trees (which nodes routed, split, refined and answered it).
 func (ix *Index[T]) RangeSearchTraced(q T, r float64) ([]Match[T], SearchStats, *QueryTrace, error) {
-	if ix.p.live != nil {
-		return ix.liveSearch(q, r, core.QueryOpts{Trace: true})
-	}
-	center := ix.mapCenter(q)
-	var result *core.QueryResult
-	err := ix.p.sys.RangeQuery(ix.name, ix.p.randomNode(), q, center, r,
-		core.QueryOpts{Trace: true}, func(qr *core.QueryResult) { result = qr })
-	if err != nil {
-		return nil, SearchStats{}, nil, err
-	}
-	if err := ix.p.drive(func() bool { return result != nil }); err != nil {
-		return nil, SearchStats{}, nil, err
-	}
-	matches := make([]Match[T], len(result.Results))
-	for i, res := range result.Results {
-		matches[i] = Match[T]{ID: int(res.Obj), Object: ix.objects[res.Obj], Distance: res.Dist}
-	}
-	return matches, searchStats(result), result.Trace, nil
+	return ix.search(q, r, core.QueryOpts{Trace: true})
 }
 
 // RangeSearch returns every object within distance r of q, exactly
@@ -445,7 +413,8 @@ func (ix *Index[T]) RangeSearchTraced(q T, r float64) ([]Match[T], SearchStats, 
 // refinement removes false positives). The query is issued from a
 // random node, as in the paper's workloads.
 func (ix *Index[T]) RangeSearch(q T, r float64) ([]Match[T], SearchStats, error) {
-	return ix.search(q, r, core.QueryOpts{})
+	matches, stats, _, err := ix.search(q, r, core.QueryOpts{})
+	return matches, stats, err
 }
 
 // NearestSearch implements the paper's recall protocol: every index
@@ -456,7 +425,8 @@ func (ix *Index[T]) NearestSearch(q T, k int, r float64) ([]Match[T], SearchStat
 	if k <= 0 {
 		return nil, SearchStats{}, fmt.Errorf("landmarkdht: k must be positive")
 	}
-	return ix.search(q, r, core.QueryOpts{TopK: k})
+	matches, stats, _, err := ix.search(q, r, core.QueryOpts{TopK: k})
+	return matches, stats, err
 }
 
 // NearestK finds the exact k nearest neighbors by iterative range
@@ -473,7 +443,7 @@ func (ix *Index[T]) NearestK(q T, k int) ([]Match[T], SearchStats, error) {
 	}
 	agg := SearchStats{Complete: true}
 	for {
-		matches, stats, err := ix.search(q, r, core.QueryOpts{})
+		matches, stats, _, err := ix.search(q, r, core.QueryOpts{})
 		aggAdd(&agg, stats)
 		if err != nil {
 			return nil, agg, err
@@ -514,46 +484,14 @@ func aggAdd(agg *SearchStats, s SearchStats) {
 	agg.UncoveredRegions += s.UncoveredRegions
 }
 
-func (ix *Index[T]) search(q T, r float64, opts core.QueryOpts) ([]Match[T], SearchStats, error) {
-	if ix.p.live != nil {
-		matches, stats, _, err := ix.liveSearch(q, r, opts)
-		return matches, stats, err
-	}
-	center := ix.mapCenter(q)
-	var result *core.QueryResult
-	err := ix.p.sys.RangeQuery(ix.name, ix.p.randomNode(), q, center, r, opts,
-		func(qr *core.QueryResult) { result = qr })
-	if err != nil {
-		return nil, SearchStats{}, err
-	}
-	if err := ix.p.drive(func() bool { return result != nil }); err != nil {
-		return nil, SearchStats{}, err
-	}
-	matches := make([]Match[T], len(result.Results))
-	for i, res := range result.Results {
-		matches[i] = Match[T]{
-			ID:       int(res.Obj),
-			Object:   ix.objects[res.Obj],
-			Distance: res.Dist,
-		}
-	}
-	return matches, searchStats(result), nil
-}
-
-// liveOpTimeout bounds one protocol operation on a live platform. Far
-// above any real completion time; it exists so a lost completion (all
-// retries exhausted under injected faults with no reliability layer)
-// surfaces as an error instead of a hang.
-const liveOpTimeout = 30 * time.Second
-
-// liveSearch issues one query on a live platform: the query starts on
-// the protocol executor and the calling goroutine blocks until the
-// merged result arrives. The query embedding and source draw run on the
-// executor too, so concurrent searches from many goroutines stay
+// search issues one query: it starts on the platform's protocol
+// execution context and the caller waits there until the merged result
+// arrives. The query embedding and source draw run on that context too,
+// so concurrent searches from many goroutines on a live platform stay
 // serialized over the index's shared buffers and the platform RNG.
-func (ix *Index[T]) liveSearch(q T, r float64, opts core.QueryOpts) ([]Match[T], SearchStats, *QueryTrace, error) {
+func (ix *Index[T]) search(q T, r float64, opts core.QueryOpts) ([]Match[T], SearchStats, *QueryTrace, error) {
 	var result *core.QueryResult
-	err := ix.p.live.Await(liveOpTimeout, func(finish func()) error {
+	err := ix.p.rt.Await(ix.p.opTimeout, func(finish func()) error {
 		center := ix.mapCenter(q)
 		return ix.p.sys.RangeQuery(ix.name, ix.p.randomNode(), q, center, r, opts,
 			func(qr *core.QueryResult) { result = qr; finish() })

@@ -14,7 +14,8 @@
 //     included: it can block on linger/handshake teardown, and on an
 //     in-memory pipe it synchronizes with the peer.
 //   - wire.ReadFrame (a connection read in disguise)
-//   - Runtime.Do / Runtime.Await (the live runtime's blocking bridges:
+//   - Runtime.Do / Runtime.Await, and the same two called through the
+//     runtime.Driver interface (the live runtime's blocking bridges:
 //     they wait for the protocol executor, so calling them FROM the
 //     executor self-deadlocks)
 //
@@ -109,9 +110,11 @@ func blockingCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 		}
 	default:
 		// The live runtime's blocking bridges: Do and Await park the
-		// caller until the protocol executor serves it.
-		if (name == "Do" || name == "Await") && recvTypeName(fn) == "Runtime" {
-			return "Runtime." + name + " (waits on the protocol executor)", true
+		// caller until the protocol executor serves it — called on the
+		// concrete livert.Runtime or through runtime.Driver, the
+		// interface that names them.
+		if recv := recvTypeName(fn); (name == "Do" || name == "Await") && (recv == "Runtime" || recv == "Driver") {
+			return recv + "." + name + " (waits on the protocol executor)", true
 		}
 	}
 	return "", false

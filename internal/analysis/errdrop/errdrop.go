@@ -20,7 +20,7 @@
 //     operation (Create, OpenFile, Rename, Remove, ...),
 //   - a same-package function that transitively performs one of the
 //     above AND returns an error — the call-graph summary that makes
-//     local wrappers like writeFrame or dialHandshake first-class I/O
+//     local wrappers like writePayload or dialHandshake first-class I/O
 //     calls. (A wrapper that swallows the error internally is flagged
 //     at the swallowing site, not at its callers.)
 //

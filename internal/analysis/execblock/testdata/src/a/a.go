@@ -48,9 +48,18 @@ func Step(conn net.Conn, buf []byte) {
 	mu.Unlock()
 }
 
+// Driver mimics runtime.Driver: the interface a Platform or a node holds
+// its runtime through. The bridges block whatever implements them.
+type Driver interface {
+	Do(f func())
+	Await(op func(finish func()))
+}
+
 //lint:context executor
-func StepDo(rt *Runtime) {
-	rt.Do(func() {}) // want "Runtime.Do"
+func StepDo(rt *Runtime, d Driver) {
+	rt.Do(func() {})         // want "Runtime.Do"
+	d.Do(func() {})          // want "Driver.Do"
+	d.Await(func(func()) {}) // want "Driver.Await"
 }
 
 func helper() {

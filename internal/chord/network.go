@@ -81,14 +81,9 @@ type Config struct {
 	NumSuccessors int
 	// PNS enables proximity neighbor selection for fingers.
 	PNS bool
-	// PNSSample is the number of ring-order candidates examined per
-	// finger when PNS is on (Chord-PNS(16)).
-	PNSSample int
 	// StabilizeEvery enables message-driven maintenance with the given
 	// period when positive; zero relies on the oracle fast path.
 	StabilizeEvery time.Duration
-	// MaintenanceBytes is the nominal size of one maintenance message.
-	MaintenanceBytes int
 	// Faults, when non-nil, injects deterministic message-level
 	// failures (loss, latency jitter/spikes, partitions) into every
 	// Send. Decisions are drawn from the engine RNG, so trials stay
@@ -98,18 +93,12 @@ type Config struct {
 
 // DefaultConfig returns the paper's parameters.
 func DefaultConfig() Config {
-	return Config{NumSuccessors: 16, PNS: true, PNSSample: 16, MaintenanceBytes: 40}
+	return Config{NumSuccessors: 16, PNS: true}
 }
 
 func (c *Config) fillDefaults() {
 	if c.NumSuccessors <= 0 {
 		c.NumSuccessors = 16
-	}
-	if c.PNSSample <= 0 {
-		c.PNSSample = 16
-	}
-	if c.MaintenanceBytes <= 0 {
-		c.MaintenanceBytes = 40
 	}
 }
 
@@ -449,9 +438,13 @@ func (n *Network) BuildTables(node *Node) {
 	node.tablesBuilt = true
 }
 
+// pnsSample is the number of ring-order candidates examined per finger
+// when PNS is on (Chord-PNS(16)).
+const pnsSample = 16
+
 // pickFinger returns the finger for interval [start, end): without PNS
 // the successor of start; with PNS the lowest-latency node among the
-// first PNSSample ring-order candidates inside the interval.
+// first pnsSample ring-order candidates inside the interval.
 func (n *Network) pickFinger(node *Node, start, end ID) ID {
 	idx := n.successorIndex(start)
 	first := n.ring[idx]
@@ -465,7 +458,7 @@ func (n *Network) pickFinger(node *Node, start, end ID) ID {
 	}
 	bestLat := n.model.Latency(node.host, n.nodes[first].host)
 	ln := len(n.ring)
-	for c := 1; c < n.cfg.PNSSample && c < ln; c++ {
+	for c := 1; c < pnsSample && c < ln; c++ {
 		cand := n.ring[(idx+c)%ln]
 		if !InOpenClosed(start-1, cand, end-1) {
 			break

@@ -17,6 +17,9 @@ import (
 // would sample the owner's successor list, which the simulator's
 // oracle reproduces exactly).
 
+// maintenanceBytes is the nominal size of one maintenance message.
+const maintenanceBytes = 40
+
 // JoinVia performs a protocol join through the bootstrap node: it
 // resolves successor(id) with an iterative lookup, adopts it as the
 // first successor, and starts maintenance if the network has a
@@ -36,8 +39,8 @@ func (nd *Node) JoinVia(bootstrap ID, done func()) {
 	}
 	// The join request travels to the bootstrap, which resolves the
 	// successor of the joiner's identifier.
-	nd.net.Send(nd, bootstrap, KindMaintenance, nd.net.cfg.MaintenanceBytes, func(b *Node) {
-		b.FindSuccessor(nd.id, nd.net.cfg.MaintenanceBytes, func(owner ID, _ int) {
+	nd.net.Send(nd, bootstrap, KindMaintenance, maintenanceBytes, func(b *Node) {
+		b.FindSuccessor(nd.id, maintenanceBytes, func(owner ID, _ int) {
 			if owner == nd.id {
 				owner = b.id
 			}
@@ -83,12 +86,11 @@ func (nd *Node) stabilize() {
 		}
 		return
 	}
-	mb := nd.net.cfg.MaintenanceBytes
-	nd.net.Send(nd, succ, KindMaintenance, mb, func(s *Node) {
+	nd.net.Send(nd, succ, KindMaintenance, maintenanceBytes, func(s *Node) {
 		sPred, sHas := s.pred, s.hasPred
 		sList := s.SuccessorList()
 		// Reply travels back.
-		nd.net.Send(s, nd.id, KindMaintenance, mb, func(me *Node) {
+		nd.net.Send(s, nd.id, KindMaintenance, maintenanceBytes, func(me *Node) {
 			cur := me.Successor()
 			if sHas && InOpen(me.id, sPred, cur) {
 				if nd.net.Node(sPred) != nil {
@@ -101,7 +103,7 @@ func (nd *Node) stabilize() {
 			// Notify the (possibly new) successor.
 			target := me.Successor()
 			if target != me.id {
-				nd.net.Send(me, target, KindMaintenance, mb, func(t *Node) {
+				nd.net.Send(me, target, KindMaintenance, maintenanceBytes, func(t *Node) {
 					t.notify(me.id)
 				})
 			}
@@ -124,7 +126,7 @@ func (nd *Node) notify(candidate ID) {
 // fixFinger refreshes finger i by looking up successor(id + 2^i).
 func (nd *Node) fixFinger(i int) {
 	target := nd.id + 1<<uint(i)
-	nd.FindSuccessor(target, nd.net.cfg.MaintenanceBytes, func(owner ID, _ int) {
+	nd.FindSuccessor(target, maintenanceBytes, func(owner ID, _ int) {
 		if nd.alive {
 			nd.fingers[i] = owner
 		}

@@ -22,15 +22,16 @@ type LBConfig struct {
 	Period time.Duration
 	// MinLoad suppresses migrations on nearly empty nodes.
 	MinLoad int
-	// ProbeBytes is the nominal size of a load-probe message. The
-	// paper piggybacks load information on routing-table maintenance;
-	// the cost is accounted as maintenance traffic.
-	ProbeBytes int
 }
+
+// probeBytes is the nominal size of a load-probe message. The paper
+// piggybacks load information on routing-table maintenance; the cost is
+// accounted as maintenance traffic.
+const probeBytes = 16
 
 // DefaultLBConfig returns the paper's maximum-effect setting.
 func DefaultLBConfig() LBConfig {
-	return LBConfig{Delta: 0, ProbeLevel: 4, Period: 30 * time.Second, MinLoad: 4, ProbeBytes: 16}
+	return LBConfig{Delta: 0, ProbeLevel: 4, Period: 30 * time.Second, MinLoad: 4}
 }
 
 type lbController struct {
@@ -59,9 +60,6 @@ func (s *System) EnableLoadBalancing(cfg LBConfig) error {
 	}
 	if cfg.MinLoad < 2 {
 		cfg.MinLoad = 2
-	}
-	if cfg.ProbeBytes <= 0 {
-		cfg.ProbeBytes = 16
 	}
 	if s.hasReplicas() {
 		return fmt.Errorf("core: dynamic load migration cannot run on a replicated deployment")
@@ -121,7 +119,7 @@ func (lb *lbController) probeNeighbors(in *IndexNode) map[chord.ID]int {
 		}
 		// One piggybacked probe exchange (request + response) per
 		// newly discovered neighbor per level.
-		s.net.RecordTraffic(chord.KindMaintenance, 2*lb.cfg.ProbeBytes*len(next))
+		s.net.RecordTraffic(chord.KindMaintenance, 2*probeBytes*len(next))
 		frontier = next
 		if len(frontier) == 0 {
 			break

@@ -9,9 +9,9 @@ import (
 // node's own routing table, higher levels see neighbors-of-neighbors.
 func TestProbeLevelsWiden(t *testing.T) {
 	f := buildFixture(t, 64, 1000, 2, false)
-	lb1 := &lbController{sys: f.sys, cfg: LBConfig{ProbeLevel: 1, ProbeBytes: 16}}
-	lb2 := &lbController{sys: f.sys, cfg: LBConfig{ProbeLevel: 2, ProbeBytes: 16}}
-	lb4 := &lbController{sys: f.sys, cfg: LBConfig{ProbeLevel: 4, ProbeBytes: 16}}
+	lb1 := &lbController{sys: f.sys, cfg: LBConfig{ProbeLevel: 1}}
+	lb2 := &lbController{sys: f.sys, cfg: LBConfig{ProbeLevel: 2}}
+	lb4 := &lbController{sys: f.sys, cfg: LBConfig{ProbeLevel: 4}}
 	in := f.sys.Nodes()[0]
 	n1 := len(lb1.probeNeighbors(in))
 	n2 := len(lb2.probeNeighbors(in))
@@ -39,7 +39,7 @@ func TestProbeLevelsWiden(t *testing.T) {
 func TestProbeChargesTraffic(t *testing.T) {
 	f := buildFixture(t, 32, 500, 2, false)
 	before := f.sys.net.Traffic()
-	lb := &lbController{sys: f.sys, cfg: LBConfig{ProbeLevel: 2, ProbeBytes: 16}}
+	lb := &lbController{sys: f.sys, cfg: LBConfig{ProbeLevel: 2}}
 	lb.probeNeighbors(f.sys.Nodes()[0])
 	after := f.sys.net.Traffic()
 	if after.Bytes[0] <= before.Bytes[0] { // KindMaintenance == 0

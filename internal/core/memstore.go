@@ -160,7 +160,12 @@ func (m *MemStore) Put(index string, key lph.Key, e Entry) error {
 
 // PutBatch implements Store.
 func (m *MemStore) PutBatch(index string, keys []lph.Key, entries []Entry) error {
-	return m.region(index).add(index, keys, entries)
+	_, existed := m.regions[index]
+	err := m.region(index).add(index, keys, entries)
+	if err != nil && !existed {
+		delete(m.regions, index) // a refused batch does not leave the index it named behind, empty
+	}
+	return err
 }
 
 // Delete implements Store.
@@ -240,11 +245,15 @@ func (m *MemStore) ApplyRegion(index string, keys []lph.Key, entries []Entry) er
 		delete(m.regions, index)
 		return nil
 	}
+	_, existed := m.regions[index]
 	st := m.region(index)
 	was := *st
 	st.truncate(0)
 	if err := st.add(index, keys, entries); err != nil {
 		*st = was // a refused replacement leaves the index as it was
+		if !existed {
+			delete(m.regions, index)
+		}
 		return err
 	}
 	return nil

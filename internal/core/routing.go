@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -185,7 +184,7 @@ func (s *System) RangeQuery(indexName string, srcID chord.ID, payload any, cente
 	if r < 0 {
 		return fmt.Errorf("core: negative query range %v", r)
 	}
-	region, err := queryRegion(ix, center, r)
+	region, err := query.Around(ix.Part, center, r)
 	if err != nil {
 		return err
 	}
@@ -266,26 +265,13 @@ func (s *System) expireQuery(aq *activeQuery) {
 	s.finish(aq)
 }
 
-// queryRegion converts a query center and range into the index-space
-// hypercube region. The cube is widened by a relative epsilon: the
-// contractive-mapping guarantee |d(x,l_i) - d(q,l_i)| <= d(x,q) holds
-// exactly in real arithmetic but can be violated by one ulp in floats,
-// and the exact-distance refinement removes any false positives the
-// widening admits.
-func queryRegion(ix *Index, center []float64, r float64) (query.Region, error) {
-	cube := make([]lph.Bounds, len(center))
-	for j, c := range center {
-		b := ix.Part.Bounds(j)
-		eps := 1e-9 * (1 + math.Abs(c) + r)
-		cube[j] = lph.Bounds{Lo: b.Clamp(c - r - eps), Hi: b.Clamp(c + r + eps)}
-	}
-	return query.New(ix.Part, cube)
-}
+// maxHops bounds a subquery's path length as a routing-loop guard.
+const maxHops = 512
 
 // routeAt is Algorithm 3 (QueryRouting) executing at node n with the
 // query q at hop depth hops.
 func (s *System) routeAt(n *IndexNode, aq *activeQuery, q query.Region, hops int, tok int) {
-	if hops > s.cfg.MaxHops {
+	if hops > maxHops {
 		aq.trace.add(TraceEvent{At: s.rt.Now(), Node: n.node.ID(), Action: TraceDrop,
 			PreKey: q.PreKey, PreLen: q.PreLen, Hops: hops})
 		s.dropSubquery(aq, q, tok)
@@ -368,11 +354,11 @@ func (s *System) dispatch(n *IndexNode, aq *activeQuery, list []pendingRegion, h
 		} else {
 			d = destKey{id: nh, surrogate: false}
 		}
-		if s.cfg.Hedge.Enabled() && s.suspicion[d.id] >= s.cfg.Hedge.SuspicionThreshold {
+		if s.cfg.Hedge.Enabled() && s.suspicion[d.id] >= suspicionThreshold {
 			if alt, ok := s.suspectAlternate(aq, d); ok {
 				// Each avoidance spends one unit of suspicion, so a
 				// recovered node is probed again after at most
-				// SuspicionThreshold redirections.
+				// suspicionThreshold redirections.
 				s.suspicion[d.id]--
 				d = alt
 			}
@@ -547,7 +533,7 @@ func (s *System) ship(n *IndexNode, aq *activeQuery, dest chord.ID, surrogate bo
 	s.net.SendOrFail(n.node, dest, chord.KindQuery, bytes, func(dst *chord.Node) {
 		// Acknowledge first (duplicates too: the sender's timer must
 		// stop either way), then process the undelivered units.
-		s.net.SendOrFail(dst, n.node.ID(), chord.KindAck, s.cfg.Retry.AckBytes, func(*chord.Node) {
+		s.net.SendOrFail(dst, n.node.ID(), chord.KindAck, retryAckBytes, func(*chord.Node) {
 			timer.Stop()
 			s.unsuspect(dest)
 		}, nil)
@@ -698,7 +684,7 @@ func (s *System) shipTimeout(n *IndexNode, aq *activeQuery, dest chord.ID, units
 // full incoming cube. Entries are partitioned across nodes by key, so
 // the wider local scan cannot duplicate results from other nodes.
 func (s *System) surrogateRefine(n *IndexNode, aq *activeQuery, q query.Region, hops int, tok int) {
-	if hops > s.cfg.MaxHops {
+	if hops > maxHops {
 		aq.trace.add(TraceEvent{At: s.rt.Now(), Node: n.node.ID(), Action: TraceDrop,
 			PreKey: q.PreKey, PreLen: q.PreLen, Hops: hops})
 		s.dropSubquery(aq, q, tok)
@@ -836,7 +822,7 @@ func (s *System) sendResultReliably(n *IndexNode, aq *activeQuery, from chord.ID
 			send(attempt + 1)
 		})
 		s.net.SendOrFail(n.node, aq.srcID, chord.KindResult, bytes, func(dst *chord.Node) {
-			s.net.SendOrFail(dst, n.node.ID(), chord.KindAck, s.cfg.Retry.AckBytes, func(*chord.Node) {
+			s.net.SendOrFail(dst, n.node.ID(), chord.KindAck, retryAckBytes, func(*chord.Node) {
 				timer.Stop()
 			}, nil)
 			if delivered {
@@ -970,7 +956,7 @@ func (s *System) NaiveRangeQuery(indexName string, srcID chord.ID, payload any, 
 	if !ok {
 		return fmt.Errorf("core: unknown source node %#x", srcID)
 	}
-	region, err := queryRegion(ix, center, r)
+	region, err := query.Around(ix.Part, center, r)
 	if err != nil {
 		return err
 	}

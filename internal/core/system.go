@@ -19,12 +19,6 @@ type Config struct {
 	Chord chord.Config
 	// Msg is the message-size model (§4.1).
 	Msg MessageModel
-	// MaxHops bounds a subquery's path length as a routing-loop guard.
-	MaxHops int
-	// TransferBytesPerSec is the bandwidth assumed for load-migration
-	// entry transfers (affects how long migrated entries are in
-	// flight; queries during that window can miss them).
-	TransferBytesPerSec float64
 	// EncodeWire runs query and result messages through the real
 	// binary codec (internal/wire) instead of size accounting alone:
 	// subquery cubes are quantized to the paper's 2-byte bounds in
@@ -72,12 +66,16 @@ type RetryConfig struct {
 	// the path RTT only costs duplicate messages: receivers
 	// deduplicate delivered subqueries.
 	Timeout time.Duration
-	// Backoff multiplies the timeout after each attempt (default 2).
-	Backoff float64
-	// AckBytes is the size of an acknowledgement message (default 20,
-	// a bare packet header in the paper's size model).
-	AckBytes int
 }
+
+const (
+	// retryBackoff multiplies the retransmission timeout after each
+	// attempt.
+	retryBackoff = 2
+	// retryAckBytes is the size of an acknowledgement message: a bare
+	// packet header in the paper's size model.
+	retryAckBytes = 20
+)
 
 // Enabled reports whether the reliability layer is active.
 func (rc RetryConfig) Enabled() bool { return rc.MaxRetries > 0 }
@@ -92,10 +90,10 @@ func (rc RetryConfig) Enabled() bool { return rc.MaxRetries > 0 }
 //
 // Hedging also feeds a per-node suspicion counter: every hedge fire
 // and every acknowledgement timeout against a node increments it, and
-// once it crosses SuspicionThreshold the router prefers the node's
+// once it crosses suspicionThreshold the router prefers the node's
 // successor as the next hop. Successful deliveries decrement the
 // counter, and so does every avoidance decision, so a recovering node
-// is probed again after at most SuspicionThreshold redirections —
+// is probed again after at most suspicionThreshold redirections —
 // suspicion is a bias, never a permanent blacklist.
 type HedgeConfig struct {
 	// Delay is how long a subquery may stay outstanding before it is
@@ -105,10 +103,11 @@ type HedgeConfig struct {
 	Delay time.Duration
 	// MaxPerQuery bounds hedged messages per query (default 16).
 	MaxPerQuery int
-	// SuspicionThreshold is the consecutive-failure count after which
-	// the router avoids a node (default 3).
-	SuspicionThreshold int
 }
+
+// suspicionThreshold is the consecutive-failure count after which the
+// router avoids a node.
+const suspicionThreshold = 3
 
 // Enabled reports whether hedging is active.
 func (hc HedgeConfig) Enabled() bool { return hc.Delay > 0 }
@@ -120,9 +119,6 @@ func (hc *HedgeConfig) fillDefaults() {
 	if hc.MaxPerQuery <= 0 {
 		hc.MaxPerQuery = 16
 	}
-	if hc.SuspicionThreshold <= 0 {
-		hc.SuspicionThreshold = 3
-	}
 }
 
 func (rc *RetryConfig) fillDefaults() {
@@ -132,21 +128,13 @@ func (rc *RetryConfig) fillDefaults() {
 	if rc.Timeout <= 0 {
 		rc.Timeout = time.Second
 	}
-	if rc.Backoff < 1 {
-		rc.Backoff = 2
-	}
-	if rc.AckBytes <= 0 {
-		rc.AckBytes = 20
-	}
 }
 
 // DefaultConfig returns the paper's simulation parameters.
 func DefaultConfig() Config {
 	return Config{
-		Chord:               chord.DefaultConfig(),
-		Msg:                 DefaultMessageModel(),
-		MaxHops:             512,
-		TransferBytesPerSec: 1 << 20, // 1 MiB/s
+		Chord: chord.DefaultConfig(),
+		Msg:   DefaultMessageModel(),
 	}
 }
 
@@ -230,12 +218,6 @@ func NewSystem(eng *sim.Engine, model netmodel.Model, cfg Config) *System {
 // NewSystemRuntime creates an empty system over explicit runtime seams
 // (simulated or live).
 func NewSystemRuntime(rt runtime.Runtime, tr runtime.Transport, model netmodel.Model, cfg Config) *System {
-	if cfg.MaxHops <= 0 {
-		cfg.MaxHops = 512
-	}
-	if cfg.TransferBytesPerSec <= 0 {
-		cfg.TransferBytesPerSec = 1 << 20
-	}
 	if cfg.Msg == (MessageModel{}) {
 		cfg.Msg = DefaultMessageModel()
 	}
@@ -479,7 +461,7 @@ func (s *System) publishReliably(src *IndexNode, owner chord.ID, key lph.Key, in
 			send(cur, attempt+1)
 		})
 		s.net.SendOrFail(src.node, dest, chord.KindLookup, entryBytes, func(dst *chord.Node) {
-			s.net.SendOrFail(dst, src.node.ID(), chord.KindAck, s.cfg.Retry.AckBytes, func(*chord.Node) {
+			s.net.SendOrFail(dst, src.node.ID(), chord.KindAck, retryAckBytes, func(*chord.Node) {
 				timer.Stop()
 			}, nil)
 			if delivered {
@@ -562,7 +544,7 @@ func (s *System) JoinNode(id chord.ID, host int) (*IndexNode, error) {
 func (s *System) retryTimeout(attempt int) time.Duration {
 	d := float64(s.cfg.Retry.Timeout)
 	for i := 0; i < attempt; i++ {
-		d *= s.cfg.Retry.Backoff
+		d *= retryBackoff
 	}
 	return time.Duration(d)
 }

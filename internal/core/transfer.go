@@ -98,10 +98,14 @@ type outTransfer struct {
 	ended  bool
 }
 
-// serializationDelay models pushing n bytes through the configured
-// transfer bandwidth.
+// transferBytesPerSec is the bandwidth assumed for region transfers,
+// 1 MiB/s: it decides how long migrated entries are in flight, and
+// queries during that window can miss them.
+const transferBytesPerSec = 1 << 20
+
+// serializationDelay models pushing n bytes through that bandwidth.
 func (s *System) serializationDelay(bytes int) time.Duration {
-	return time.Duration(float64(time.Second) * float64(bytes) / s.cfg.TransferBytesPerSec)
+	return time.Duration(float64(time.Second) * float64(bytes) / transferBytesPerSec)
 }
 
 // accountPointwise adds the counterfactual point-wise cost of a region

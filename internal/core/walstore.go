@@ -95,15 +95,30 @@ func (st *WALStore) Recovery() RecoveryStats {
 	return st.rec
 }
 
-// applyRecord replays one journal or snapshot record into the image.
+// recordError is applyRecord's refusal: bytes that passed the log's CRC
+// — which vouches for the disk, not for the writer — and are not a record
+// this store writes, or not one its image can take.
+type recordError string
+
+func (e recordError) Error() string { return "core: journal record: " + string(e) }
+
+// applyRecord replays one journal or snapshot record into the image, or
+// refuses it with a recordError and leaves the image as it was.
 func (st *WALStore) applyRecord(p []byte) error {
+	if err := st.replay(p); err != nil {
+		return recordError(err.Error())
+	}
+	return nil
+}
+
+func (st *WALStore) replay(p []byte) error {
 	if len(p) < 2 {
-		return fmt.Errorf("core: journal record of %d bytes", len(p))
+		return fmt.Errorf("%d bytes", len(p))
 	}
 	op := p[0]
 	nameLen := int(p[1])
 	if len(p) < 2+nameLen {
-		return fmt.Errorf("core: journal record truncates its index name")
+		return fmt.Errorf("truncated index name")
 	}
 	index := string(p[2 : 2+nameLen])
 	body := p[2+nameLen:]
@@ -114,12 +129,12 @@ func (st *WALStore) applyRecord(p []byte) error {
 			return err
 		}
 		if len(rest) != 0 {
-			return fmt.Errorf("core: %d trailing bytes after put record", len(rest))
+			return fmt.Errorf("%d trailing bytes after a put", len(rest))
 		}
 		return st.mem.Put(index, key, e)
 	case opDelete:
 		if len(body) != 12 {
-			return fmt.Errorf("core: delete record body of %d bytes", len(body))
+			return fmt.Errorf("delete body of %d bytes", len(body))
 		}
 		key := binary.BigEndian.Uint64(body[0:8])
 		obj := ObjectID(int32(binary.BigEndian.Uint32(body[8:12])))
@@ -136,11 +151,11 @@ func (st *WALStore) applyRecord(p []byte) error {
 		return st.mem.PutBatch(index, keys, entries)
 	case opDrop:
 		if len(body) != 0 {
-			return fmt.Errorf("core: %d trailing bytes after drop record", len(body))
+			return fmt.Errorf("%d trailing bytes after a drop", len(body))
 		}
 		return st.mem.DropIndex(index)
 	default:
-		return fmt.Errorf("core: unknown journal op %d", op)
+		return fmt.Errorf("unknown op %d", op)
 	}
 }
 

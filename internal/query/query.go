@@ -7,6 +7,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 
 	"landmarkdht/internal/lph"
 )
@@ -63,6 +64,23 @@ func (r Region) Validate(p *lph.Partitioner) error {
 		}
 	}
 	return nil
+}
+
+// Around builds the region of a range query: the index-space hypercube
+// of half-side r around a mapped query point, clamped to the
+// partitioner's boundary. The cube is widened by a relative epsilon: the
+// contractive-mapping guarantee |d(x,l_i) - d(q,l_i)| <= d(x,q) holds
+// exactly in real arithmetic but can be violated by one ulp in floats,
+// and the exact-distance refinement removes any false positives the
+// widening admits.
+func Around(p *lph.Partitioner, center []float64, r float64) (Region, error) {
+	cube := make([]lph.Bounds, len(center))
+	for j, c := range center {
+		b := p.Bounds(j)
+		eps := 1e-9 * (1 + math.Abs(c) + r)
+		cube[j] = lph.Bounds{Lo: b.Clamp(c - r - eps), Hi: b.Clamp(c + r + eps)}
+	}
+	return New(p, cube)
 }
 
 // New builds the initial query region for a cube: it computes the

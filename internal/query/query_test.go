@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -296,4 +297,54 @@ func TestSplitPanicsOnBadPos(t *testing.T) {
 		}
 	}()
 	Split(p, r, 0)
+}
+
+// aroundReference is the loop core's queryRegion and netrt's
+// dataset.QueryRegion each carried before Around replaced both.
+func aroundReference(p *lph.Partitioner, center []float64, r float64) (Region, error) {
+	cube := make([]lph.Bounds, len(center))
+	for j, c := range center {
+		b := p.Bounds(j)
+		eps := 1e-9 * (1 + math.Abs(c) + r)
+		cube[j] = lph.Bounds{Lo: b.Clamp(c - r - eps), Hi: b.Clamp(c + r + eps)}
+	}
+	return New(p, cube)
+}
+
+// TestAroundMatchesReference holds Around to the loop it replaced, every
+// bound by its bits: centres inside, on and beyond the boundary, radii
+// from zero to infinity and NaN, over bounds that are not dyadic. It also
+// holds what the widening is for: a point whose every coordinate is
+// within r of the centre's is inside the region.
+func TestAroundMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, k := range []int{1, 2, 3, 6, 10} {
+		p := refinePart(t, k)
+		for i := 0; i < 4000; i++ {
+			center, inside := make([]float64, k), make([]float64, k)
+			r := []float64{0, 1e-12, rng.Float64(), 20 * rng.Float64(), 1e6, math.Inf(1), math.NaN()}[rng.Intn(7)]
+			for j := range center {
+				b := p.Bounds(j)
+				center[j] = b.Lo + (1.4*rng.Float64()-0.2)*(b.Hi-b.Lo)
+				if i%5 == 0 {
+					center[j] = []float64{b.Lo, b.Hi, (b.Lo + b.Hi) / 2}[rng.Intn(3)]
+				}
+				inside[j] = b.Clamp(center[j] + (2*rng.Float64()-1)*r)
+			}
+			got, gotErr := Around(p, center, r)
+			want, wantErr := aroundReference(p, center, r)
+			if (gotErr == nil) != (wantErr == nil) || got.PreKey != want.PreKey || got.PreLen != want.PreLen || len(got.Cube) != len(want.Cube) {
+				t.Fatalf("k=%d center %v r %v: got %+v (%v), the loop it replaced gives %+v (%v)", k, center, r, got, gotErr, want, wantErr)
+			}
+			for j := range got.Cube {
+				if math.Float64bits(got.Cube[j].Lo) != math.Float64bits(want.Cube[j].Lo) ||
+					math.Float64bits(got.Cube[j].Hi) != math.Float64bits(want.Cube[j].Hi) {
+					t.Fatalf("k=%d center %v r %v dim %d: got %+v, want %+v", k, center, r, j, got.Cube[j], want.Cube[j])
+				}
+			}
+			if gotErr == nil && !math.IsNaN(r) && !got.Contains(inside) {
+				t.Fatalf("k=%d center %v r %v: %v is within r in every dimension and outside %+v", k, center, r, inside, got.Cube)
+			}
+		}
+	}
 }

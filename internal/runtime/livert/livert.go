@@ -77,8 +77,9 @@ type task struct {
 	sheddable bool
 }
 
-// Runtime implements runtime.Runtime and runtime.Transport over one
-// executor goroutine and real timers.
+// Runtime implements runtime.Driver — the Runtime and Transport seams
+// and the bridges onto them — over one executor goroutine and real
+// timers.
 type Runtime struct {
 	latencyScale float64
 	start        time.Time

@@ -15,7 +15,6 @@ import (
 type Client struct {
 	conn net.Conn
 	node uint64
-	addr string
 
 	wmu sync.Mutex // serializes frame writes
 
@@ -26,9 +25,8 @@ type Client struct {
 }
 
 // Info is a node's self-description and the body of the client
-// protocol's info reply: its identity, view of the ring, and how much of
-// the corpus it currently owns. (Gob tolerates unknown fields, so adding
-// fields here stays wire-compatible across mixed versions.)
+// protocol's info reply (appendInfo, proto.go): its identity, view of the
+// ring, and how much of the corpus it currently owns.
 type Info struct {
 	ID      uint64
 	Addr    string
@@ -71,38 +69,38 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 		closeConn(conn)
 		return nil, err
 	}
-	if err := writeFrame(conn, 1, kindClientHello, clientWelcomeMsg{Version: protoVersion}); err != nil {
+	if err := writePayload(conn, 1, appendClientWelcome(nil, kindClientHello, &clientWelcomeMsg{Version: protoVersion})); err != nil {
 		closeConn(conn)
 		return nil, err
 	}
 	_, payload, _, err := wire.ReadFrame(conn, nil)
 	if err != nil {
 		closeConn(conn)
-		return nil, err
+		return nil, fmt.Errorf("netrt: client handshake read: %w", err)
 	}
 	kind, body, err := splitMsg(payload)
 	if err != nil || (kind != kindClientWelcome && kind != kindReject) {
 		closeConn(conn)
 		return nil, fmt.Errorf("netrt: unexpected client handshake reply")
 	}
-	var w clientWelcomeMsg
-	if err := decodeBody(body, &w); err != nil {
+	// A node that refused this client's version says so with its own, and
+	// one that welcomed it names the same one; past another version's
+	// prefix nothing is this side's to read, and every later frame would
+	// be misread, so the mismatch ends the dial.
+	if v := bodyVersion(body); kind == kindReject || v != protoVersion {
+		closeConn(conn)
+		return nil, fmt.Errorf("netrt: node %s speaks protocol version %d, this client %d", addr, v, protoVersion)
+	}
+	w, err := decodeClientWelcome(body)
+	if err != nil {
 		closeConn(conn)
 		return nil, err
-	}
-	// A node that refused this client's version says so with its own; one
-	// from before the handshake carried a version welcomes anybody and
-	// reads as version 0. Either way the binary frames past this point
-	// would be misread, so the mismatch ends the dial.
-	if kind == kindReject || w.Version != protoVersion {
-		closeConn(conn)
-		return nil, fmt.Errorf("netrt: node %s speaks protocol version %d, this client %d", addr, w.Version, protoVersion)
 	}
 	if err := conn.SetDeadline(time.Time{}); err != nil {
 		closeConn(conn)
 		return nil, err
 	}
-	c := &Client{conn: conn, node: w.ID, addr: w.Addr, nextID: 1, pending: make(map[uint64]chan []byte)}
+	c := &Client{conn: conn, node: NodeID(w.Addr), nextID: 1, pending: make(map[uint64]chan []byte)}
 	go c.readLoop()
 	return c, nil
 }
@@ -172,19 +170,11 @@ func (c *Client) roundTrip(payload []byte, timeout time.Duration) (byte, []byte,
 		if !ok {
 			return 0, nil, fmt.Errorf("netrt: connection lost awaiting reply")
 		}
-		return splitReply(p)
+		return splitMsg(p)
 	case <-time.After(timeout):
 		cancel()
 		return 0, nil, fmt.Errorf("netrt: request timed out after %v", timeout)
 	}
-}
-
-func splitReply(p []byte) (byte, []byte, error) {
-	kind, body, err := splitMsg(p)
-	if err != nil {
-		return 0, nil, err
-	}
-	return kind, body, nil
 }
 
 // Query runs one range query on the connected node: qobj is the
@@ -218,11 +208,7 @@ func (c *Client) Info(timeout time.Duration) (Info, error) {
 	if kind != kindClientInfoR {
 		return Info{}, fmt.Errorf("netrt: unexpected reply kind %d", kind)
 	}
-	var info Info
-	if err := decodeBody(body, &info); err != nil {
-		return Info{}, err
-	}
-	return info, nil
+	return decodeInfo(body)
 }
 
 // Publish inserts one object under id on the ring (routed to the owner

@@ -244,23 +244,14 @@ func (d *dataset[T]) Cols() *columns         { return &d.cols }
 func (d *dataset[T]) Part() *lph.Partitioner { return d.part }
 func (d *dataset[T]) Sig() uint64            { return d.sig }
 
-// QueryRegion mirrors core.queryRegion: the cube around the mapped
-// query point is widened by a relative epsilon (the contractive-mapping
-// guarantee can be violated by one ulp in floats; exact refinement
-// removes any false positives the widening admits).
+// QueryRegion is the region core's queries start from too: query.Around
+// the mapped query point.
 func (d *dataset[T]) QueryRegion(qobj []byte, r float64) (query.Region, error) {
 	q, err := d.dec(qobj)
 	if err != nil {
 		return query.Region{}, err
 	}
-	center := d.emb.Map(q)
-	cube := make([]lph.Bounds, len(center))
-	for j, c := range center {
-		b := d.part.Bounds(j)
-		eps := 1e-9 * (1 + math.Abs(c) + r)
-		cube[j] = lph.Bounds{Lo: b.Clamp(c - r - eps), Hi: b.Clamp(c + r + eps)}
-	}
-	return query.New(d.part, cube)
+	return query.Around(d.part, d.emb.Map(q), r)
 }
 
 func (d *dataset[T]) Evaluator(qobj []byte) (func(j int) float64, error) {
@@ -382,18 +373,15 @@ func eachChunk(n int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// protoVersion names the protocol. It is hashed into the corpus
-// signature, so processes that speak different versions refuse to link
-// through the peer handshake's reject path, and it travels in the client
-// handshake, so a client and a node that disagree part at Dial with
-// both versions named. The binary frames accept exactly one length, so
-// a layout change without a bump drops links frame by frame instead;
-// the gob frames that remain (handshake, announce, repBegin, Info) drop
-// fields they do not know, so a change of meaning there would be
-// half-understood, silently. Bump it whenever a frame changes layout or
-// meaning. 2: a queryMsg carries a region set. 3: every frame a query or
-// a mutation crosses is binary (proto.go).
-const protoVersion = 3
+// protoVersion names the protocol. It opens both handshakes, where no
+// version may move it (proto.go), so a node or a client that speaks
+// another parts there with both versions named; it is also hashed into
+// the corpus signature. Every frame accepts exactly one length, so a
+// layout change without a bump drops links frame by frame instead. Bump
+// it whenever a frame changes layout or meaning. 2: a queryMsg carries a
+// region set. 3: every frame a query or a mutation crosses is binary
+// (proto.go). 4: no frame is gob; a member travels as its address.
+const protoVersion = 4
 
 // corpusSig is the handshake signature: the protocol version, the
 // corpus parameters and every entry's ring key in corpus order.

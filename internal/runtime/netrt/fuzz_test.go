@@ -58,25 +58,30 @@ func FuzzDecodeRepEntry(f *testing.F) {
 	})
 }
 
-// FuzzHotFrames feeds hostile bodies to the decoders of every binary
-// frame kind a query or a mutation crosses — peer frames arrive from
-// whoever passed the handshake, client frames from whoever connected.
-// which picks the decoder; the seeds are one valid encoding per kind and
-// a 40-byte result body claiming 2³²−1 entries. checkHotDecode holds
-// each decoder to: no panic; a refusal is a *wire.FrameError with the
-// zero message; an accepted body re-encodes to itself; and nothing is
-// allocated that the body's length does not account for.
+// FuzzHotFrames feeds hostile bodies to the decoder of every frame kind
+// proto.go encodes — peer frames arrive from whoever passed the
+// handshake, handshake and client frames from whoever connected. which
+// picks the decoder; the seeds are one valid encoding per kind, a
+// 40-byte result body claiming 2³²−1 entries and an announce claiming as
+// many members. checkDecode holds each decoder to: no panic; a refusal
+// is a *wire.FrameError with the zero message; an accepted body
+// re-encodes to itself and names no member whose ID is not its
+// address's; and nothing is allocated that the body's length does not
+// account for.
 func FuzzHotFrames(f *testing.F) {
-	codecs := hotCodecs()
+	codecs := frameCodecs()
+	index := map[string]uint8{}
 	for i, c := range codecs {
+		index[c.name] = uint8(i)
 		f.Add(uint8(i), c.append(nil, c.sample)[1:])
 	}
 	hostile := appendResult(nil, &resultMsg{Epoch: 1, QID: 2, Credit: 3, From: 4})[1:]
 	binary.BigEndian.PutUint32(hostile[resultFixed-4:], math.MaxUint32)
-	f.Add(uint8(1), append(hostile, 0, 0, 0, 0))
+	f.Add(index["result"], append(hostile, 0, 0, 0, 0))
+	f.Add(index["announce"], []byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 1, 'a'})
 
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
-		checkHotDecode(t, codecs[int(which)%len(codecs)], body)
+		checkDecode(t, codecs[int(which)%len(codecs)], body)
 	})
 }
 

@@ -124,8 +124,9 @@ func TestBuiltColumnsMatchSerialBuild(t *testing.T) {
 // what the commit before the objects moved into key order computes. The
 // signature covers every key in corpus order, so a draw that changed
 // order, or a landmark that changed under the permutation, shows here
-// even though a ring of one build would still agree with itself; and a
-// member of that commit still links with one of this.
+// even though a ring of one build would still agree with itself. That
+// commit spoke protocol version 3, so the pins are the corpora as version
+// 3 signs them; what a node presents is the same keys under protoVersion.
 func TestCorpusSignatureStable(t *testing.T) {
 	for _, tc := range []struct {
 		cfg DataConfig
@@ -139,8 +140,17 @@ func TestCorpusSignatureStable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.Sig() != tc.sig {
-			t.Fatalf("%+v: signature %#x, want %#x", tc.cfg, c.Sig(), tc.sig)
+		cols := c.Cols()
+		serial := make([]lph.Key, len(cols.keys))
+		for j, id := range cols.ids {
+			serial[id] = cols.keys[j]
+		}
+		tc.cfg.fillDefaults()
+		if got := corpusSig(3, tc.cfg, c.Part(), serial); got != tc.sig {
+			t.Fatalf("%+v: version 3 signs it %#x, want %#x", tc.cfg, got, tc.sig)
+		}
+		if want := corpusSig(protoVersion, tc.cfg, c.Part(), serial); c.Sig() != want {
+			t.Fatalf("%+v: the corpus presents %#x, its keys sign as %#x", tc.cfg, c.Sig(), want)
 		}
 	}
 }

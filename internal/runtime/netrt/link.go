@@ -39,9 +39,8 @@ type linkHost interface {
 	dialPeer(addr string) (net.Conn, uint64, error)
 	// handleFrame processes one peer frame. body is only valid for the
 	// duration of the call (the reader reuses its buffer) — hosts decode
-	// it there and then, or copy it first. A non-nil error proves the
-	// peer hostile (a binary frame's typed wire.FrameError) and drops
-	// the link.
+	// it there and then. A non-nil error proves the peer hostile (a
+	// decoder's typed wire.FrameError) and drops the link.
 	handleFrame(peer uint64, kind byte, body []byte) error
 	// nextFrameID returns a fresh frame id.
 	nextFrameID() uint64
@@ -320,22 +319,16 @@ func (l *link) close() {
 	}
 }
 
-// dialHandshake runs the dialer side of the peer handshake on conn:
-// send Hello, await Welcome, verify the corpus signature. Used by the
-// node's dialPeer and by test harnesses.
-func dialHandshake(conn net.Conn, self Member, sig uint64, members []Member) (*helloMsg, error) {
+// dialHandshake runs the dialer side of the peer handshake on conn for
+// the node listening at self: send Hello, await Welcome, compare the
+// protocol version and then the corpus signature. Used by the node's
+// dialPeer and by test harnesses.
+func dialHandshake(conn net.Conn, self string, sig uint64, members []Member) (*helloMsg, error) {
 	if err := conn.SetDeadline(time.Now().Add(handshakeTimeout)); err != nil {
 		return nil, err
 	}
-	hello, err := encodeMsg(kindHello, helloMsg{From: self.ID, Addr: self.Addr, Sig: sig, Members: members})
-	if err != nil {
-		return nil, err
-	}
-	frame, err := wire.AppendFrame(nil, 1, hello)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := conn.Write(frame); err != nil {
+	hello := helloMsg{Version: protoVersion, Sig: sig, Self: memberAt(self), Members: members}
+	if err := writePayload(conn, 1, appendHello(nil, kindHello, &hello)); err != nil {
 		return nil, err
 	}
 	_, payload, _, err := wire.ReadFrame(conn, nil)
@@ -346,22 +339,34 @@ func dialHandshake(conn net.Conn, self Member, sig uint64, members []Member) (*h
 	if err != nil {
 		return nil, err
 	}
-	switch kind {
-	case kindWelcome:
-	case kindReject:
-		return nil, fmt.Errorf("netrt: peer %s rejected handshake (corpus or protocol version mismatch)", conn.RemoteAddr())
-	default:
+	if kind != kindWelcome && kind != kindReject {
 		return nil, fmt.Errorf("netrt: unexpected handshake frame kind %d", kind)
 	}
-	var w helloMsg
-	if err := decodeBody(body, &w); err != nil {
+	// A welcome and a reject open alike; past another version's prefix
+	// nothing is this side's to read.
+	if v := bodyVersion(body); v != protoVersion {
+		return nil, fmt.Errorf("netrt: peer %s speaks protocol version %d, this node %d", conn.RemoteAddr(), v, protoVersion)
+	}
+	w, err := decodeHello(body)
+	if err != nil {
 		return nil, err
 	}
-	if w.Sig != sig {
-		return nil, fmt.Errorf("netrt: corpus or protocol version mismatch with %s", conn.RemoteAddr())
+	if kind == kindReject || w.Sig != sig {
+		return nil, fmt.Errorf("netrt: corpus mismatch with %s: it signs %016x, this node %016x", conn.RemoteAddr(), w.Sig, sig)
 	}
 	if err := conn.SetDeadline(time.Time{}); err != nil {
 		return nil, err
 	}
 	return &w, nil
+}
+
+// writePayload frames one payload and writes it to conn: both sides of
+// both handshakes, before a link or a session owns the connection.
+func writePayload(conn net.Conn, id uint64, payload []byte) error {
+	frame, err := wire.AppendFrame(nil, id, payload)
+	if err != nil {
+		return err
+	}
+	_, err = conn.Write(frame)
+	return err
 }

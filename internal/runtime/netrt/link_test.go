@@ -26,12 +26,12 @@ func (h *fakeHost) dialPeer(addr string) (net.Conn, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	w, err := dialHandshake(conn, Member{ID: h.id, Addr: "fake"}, 42, nil)
+	w, err := dialHandshake(conn, "fake", 42, nil)
 	if err != nil {
 		conn.Close()
 		return nil, 0, err
 	}
-	return conn, w.From, nil
+	return conn, w.Self.ID, nil
 }
 
 func (h *fakeHost) handleFrame(peer uint64, kind byte, body []byte) error { return nil }
@@ -75,7 +75,8 @@ func servePeer(t *testing.T, addr string) *peerServer {
 				if err != nil || len(payload) == 0 || payload[0] != kindHello {
 					return
 				}
-				if writeFrame(conn, 1, kindWelcome, helloMsg{From: 9999, Addr: addr, Sig: 42}) != nil {
+				welcome := helloMsg{Version: protoVersion, Sig: 42, Self: memberAt(addr)}
+				if writePayload(conn, 1, appendHello(nil, kindWelcome, &welcome)) != nil {
 					return
 				}
 				var buf []byte

@@ -12,10 +12,9 @@
 // [id|len|payload] framing: membership handshake and gossip, the
 // paper's surrogate-refinement query decomposition (Algorithm 5), and
 // credit-based completion accounting replace the in-process token
-// bookkeeping. Every frame a query or a mutation crosses — peer and
-// client alike — is a fixed-layout, lossless binary message (proto.go);
-// gob is left on the frames sent once per connection, replica stream or
-// gossip tick. The livert executor is reused verbatim as each node's
+// bookkeeping. Every frame — peer and client alike, handshakes and
+// gossip included — is a fixed-layout, lossless binary message
+// (proto.go). The livert executor is reused verbatim as each node's
 // single-threaded protocol goroutine, clock, and seeded random source.
 //
 // # Link layer
@@ -107,9 +106,6 @@ type Config struct {
 	// Deadline bounds a query: when it expires before all credit is
 	// home, the query finishes incomplete (default 5s).
 	Deadline time.Duration
-	// TTL bounds per-subquery forwarding under membership-view
-	// disagreement (default 48).
-	TTL int
 	// GossipPeriod is the anti-entropy interval (default 500ms).
 	GossipPeriod time.Duration
 	// Replicas is the replication factor: every member streams a full
@@ -143,9 +139,6 @@ func (c *Config) fillDefaults() {
 	c.Data.fillDefaults()
 	if c.Deadline <= 0 {
 		c.Deadline = 5 * time.Second
-	}
-	if c.TTL <= 0 {
-		c.TTL = 48
 	}
 	if c.GossipPeriod <= 0 {
 		c.GossipPeriod = 500 * time.Millisecond
@@ -183,15 +176,14 @@ type Node struct {
 	ln net.Listener
 
 	// Executor-owned state (only touched on rt's protocol goroutine).
-	members   map[uint64]string
-	ring      []uint64 // sorted member IDs
-	runs      [2]run   // the boot entries this node owns under members: its arc of the key-ordered columns
-	queries   map[uint64]*originQuery
-	nextQID   uint64
-	tested    uint64 // boot entries tested against a query cube at the descent's leaves, cumulative
-	refined   uint64 // of those, the ones inside it and alive: exact distances computed, cumulative
-	gossip    *runtime.Ticker
-	announceB []byte // scratch: encoded announce payload
+	members map[uint64]string
+	ring    []uint64 // sorted member IDs
+	runs    [2]run   // the boot entries this node owns under members: its arc of the key-ordered columns
+	queries map[uint64]*originQuery
+	nextQID uint64
+	tested  uint64 // boot entries tested against a query cube at the descent's leaves, cumulative
+	refined uint64 // of those, the ones inside it and alive: exact distances computed, cumulative
+	gossip  *runtime.Ticker
 
 	// Replication and failure detection (executor-owned; see failure.go,
 	// replica.go, publish.go).
@@ -345,7 +337,7 @@ func Start(cfg Config) (*Node, error) {
 		if j != "" && j != n.addr {
 			// Queue an announce on the bootstrap link: the dial-on-
 			// demand handshake exchanges full membership both ways.
-			n.sendGob(j, kindAnnounce, announceMsg{Members: n.snapshot()})
+			n.sendRaw(j, appendAnnounce(nil, &announceMsg{Members: n.snapshot()}))
 		}
 	}
 	return n, nil
@@ -463,7 +455,7 @@ func (n *Node) dialPeer(addr string) (net.Conn, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	w, err := dialHandshake(conn, Member{ID: n.id, Addr: n.addr}, n.sig, n.snapshot())
+	w, err := dialHandshake(conn, n.addr, n.sig, n.snapshot())
 	if err != nil {
 		// Somebody answered and the handshake failed: say why on this
 		// side too (the link only counts a redial).
@@ -471,103 +463,57 @@ func (n *Node) dialPeer(addr string) (net.Conn, uint64, error) {
 		closeConn(conn)
 		return nil, 0, err
 	}
-	members := w.Members
 	n.rt.Schedule(0, func() {
-		n.addMember(w.From, w.Addr)
-		n.mergeMembers(members)
+		n.addMember(w.Self.ID, w.Self.Addr)
+		n.mergeMembers(w.Members)
 	})
-	n.logf("link up to %s (node %016x, dialed)", addr, w.From)
-	return conn, w.From, nil
+	n.logf("link up to %s (node %016x, dialed)", addr, w.Self.ID)
+	return conn, w.Self.ID, nil
 }
 
-// handleFrame routes one peer frame onto the executor. Every binary
-// frame — all of a query's and a mutation's, the heartbeats, the replica
-// stream — is decoded right here, on the link's reader: a hostile or
-// truncated one surfaces as a typed wire.FrameError and the reader drops
-// the link before anything is scheduled, decoding stays off the one
-// executor goroutine every query on the node serialises through, and
-// the decoded structs own their memory, so the reader's buffer reuse is
-// safe. The two cold gob frames are copied and decoded on the executor;
-// a gob that fails to decode is ignored rather than fatal (gob tolerates
-// unknown fields, so a decode failure is a damaged frame, not
-// necessarily a hostile peer).
+// handleFrame routes one peer frame onto the executor, every kind the
+// same way (deliver): the body is decoded right here, on the link's
+// reader, and what the message means is scheduled. A hostile or
+// truncated frame surfaces as a typed wire.FrameError and the reader
+// drops the link before anything is scheduled, decoding stays off the
+// one executor goroutine every query on the node serialises through, and
+// the decoded structs own their memory, so the reader may reuse its buffer.
 func (n *Node) handleFrame(peer uint64, kind byte, body []byte) error {
 	switch kind {
 	case kindQuery:
-		q, err := decodeQuery(body)
-		if err != nil {
-			return err
-		}
-		n.rt.Schedule(0, func() { n.process(&q) })
+		return deliver(n, body, decodeQuery, (*Node).process)
 	case kindResult:
-		res, err := decodeResult(body)
-		if err != nil {
-			return err
-		}
-		n.rt.Schedule(0, func() { n.onReturn(res.Epoch, res.QID, res.Credit, res.Entries, false) })
+		return deliver(n, body, decodeResult, func(n *Node, m *resultMsg) { n.onReturn(m.Epoch, m.QID, m.Credit, m.Entries, false) })
 	case kindDrop:
-		d, err := decodeDrop(body)
-		if err != nil {
-			return err
-		}
-		n.rt.Schedule(0, func() { n.onReturn(d.Epoch, d.QID, d.Credit, nil, true) })
-	case kindPing, kindPong:
-		p, err := decodePing(body)
-		if err != nil {
-			return err
-		}
-		if kind == kindPing {
-			n.rt.Schedule(0, func() { n.onPing(p) })
-		} else {
-			n.rt.Schedule(0, func() { n.onPong(p) })
-		}
+		return deliver(n, body, decodeDrop, func(n *Node, m *dropMsg) { n.onReturn(m.Epoch, m.QID, m.Credit, nil, true) })
+	case kindPing:
+		return deliver(n, body, decodePing, func(n *Node, m *pingMsg) { n.onPing(*m) })
+	case kindPong:
+		return deliver(n, body, decodePing, func(n *Node, m *pingMsg) { n.onPong(*m) })
 	case kindPublish:
-		m, err := decodePub(body)
-		if err != nil {
-			return err
-		}
-		n.rt.Schedule(0, func() { n.onPublish(&m) })
+		return deliver(n, body, decodePub, (*Node).onPublish)
 	case kindPubAck:
-		a, err := decodePubAck(body)
-		if err != nil {
-			return err
-		}
-		n.rt.Schedule(0, func() { n.onPubAck(&a) })
-	case kindRepChunk:
-		c, err := wire.DecodeChunk(body)
-		if err != nil {
-			return err
-		}
-		n.rt.Schedule(0, func() { n.onRepChunk(peer, c) })
-	case kindRepAck:
-		a, err := wire.DecodeAck(body)
-		if err != nil {
-			return err
-		}
-		n.rt.Schedule(0, func() { n.onRepAck(a) })
-	case kindRepDigest:
-		d, err := wire.DecodeDigest(body)
-		if err != nil {
-			return err
-		}
-		n.rt.Schedule(0, func() { n.onRepDigest(peer, d) })
-	case kindAnnounce:
-		cp := append([]byte(nil), body...)
-		n.rt.Schedule(0, func() {
-			var a announceMsg
-			if decodeBody(cp, &a) == nil {
-				n.mergeMembers(a.Members)
-			}
-		})
+		return deliver(n, body, decodePubAck, (*Node).onPubAck)
 	case kindRepBegin:
-		cp := append([]byte(nil), body...)
-		n.rt.Schedule(0, func() {
-			var b repBeginMsg
-			if decodeBody(cp, &b) == nil {
-				n.onRepBegin(peer, &b)
-			}
-		})
+		return deliver(n, body, decodeRepBegin, func(n *Node, m *repBeginMsg) { n.onRepBegin(peer, m) })
+	case kindRepChunk:
+		return deliver(n, body, wire.DecodeChunk, func(n *Node, m *wire.RegionChunk) { n.onRepChunk(peer, *m) })
+	case kindRepAck:
+		return deliver(n, body, wire.DecodeAck, func(n *Node, m *wire.RegionAck) { n.onRepAck(*m) })
+	case kindRepDigest:
+		return deliver(n, body, wire.DecodeDigest, func(n *Node, m *wire.RegionDigest) { n.onRepDigest(peer, *m) })
+	case kindAnnounce:
+		return deliver(n, body, decodeAnnounce, func(n *Node, m *announceMsg) { n.mergeMembers(m.Members) })
 	}
+	return nil
+}
+
+func deliver[M any](n *Node, body []byte, decode func([]byte) (M, error), handle func(*Node, *M)) error {
+	m, err := decode(body)
+	if err != nil {
+		return err
+	}
+	n.rt.Schedule(0, func() { handle(n, &m) })
 	return nil
 }
 
@@ -688,7 +634,7 @@ func (n *Node) gossipTick() {
 	if peer == n.id {
 		return
 	}
-	n.sendGob(n.members[peer], kindAnnounce, announceMsg{Members: n.snapshot()})
+	n.sendRaw(n.members[peer], appendAnnounce(nil, &announceMsg{Members: n.snapshot()}))
 }
 
 // ---- sending ----
@@ -707,16 +653,6 @@ func (n *Node) ensureLink(addr string) *link {
 	l := newLink(n, addr)
 	n.links[addr] = l
 	return l
-}
-
-// sendGob gob-encodes one cold message (announce, repBegin) and queues
-// it on the peer's link.
-func (n *Node) sendGob(addr string, kind byte, msg any) {
-	payload, err := encodeMsg(kind, msg)
-	if err != nil {
-		return
-	}
-	n.sendRaw(addr, payload)
 }
 
 // sendRaw queues one encoded frame payload on the peer's link: what the

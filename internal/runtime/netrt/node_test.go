@@ -172,23 +172,25 @@ func TestRingClientProtocol(t *testing.T) {
 	}
 }
 
-// TestDialRefusesOtherVersionNode: a node that welcomes a client without
-// naming a version is a binary from before the client handshake carried
-// one, and one that rejects it names its own. Either way Dial fails
-// there and then, with both versions in the error — not at the first
-// call, with "connection lost awaiting reply".
+// otherVersionTail stands for whatever another protocol version puts
+// behind the handshake prefix: bytes this version's decoders refuse, so a
+// side that looked past the prefix would report a malformed frame, not
+// the two versions.
+var otherVersionTail = []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF}
+
+// TestDialRefusesOtherVersionNode: a node of another version that
+// rejects the client names its own, and one that welcomes it anyway
+// names it too. Either way Dial fails there and then, with both versions
+// in the error — not at the first call, with "connection lost awaiting
+// reply" — and without reading past the version.
 func TestDialRefusesOtherVersionNode(t *testing.T) {
-	type oldWelcome struct { // clientWelcomeMsg before it had a Version
-		ID   uint64
-		Addr string
-	}
 	for name, tc := range map[string]struct {
-		kind  byte
-		reply any
-		want  string
+		kind    byte
+		version uint32
 	}{
-		"old node":   {kindClientWelcome, oldWelcome{ID: 1, Addr: "x"}, fmt.Sprintf("speaks protocol version 0, this client %d", protoVersion)},
-		"newer node": {kindReject, clientWelcomeMsg{ID: 1, Addr: "x", Version: protoVersion + 1}, fmt.Sprintf("speaks protocol version %d, this client %d", protoVersion+1, protoVersion)},
+		"older node welcomes": {kindClientWelcome, protoVersion - 1},
+		"older node rejects":  {kindReject, protoVersion - 1},
+		"newer node rejects":  {kindReject, protoVersion + 1},
 	} {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -205,7 +207,8 @@ func TestDialRefusesOtherVersionNode(t *testing.T) {
 			if err != nil || payload[0] != kindClientHello {
 				return
 			}
-			_ = writeFrame(conn, id, tc.kind, tc.reply)
+			reply := appendClientWelcome(nil, tc.kind, &clientWelcomeMsg{Version: tc.version, Addr: "x"})
+			_ = writePayload(conn, id, append(reply, otherVersionTail...))
 			// Hold the connection open: the refusal must be Dial's own.
 			_, _, _, _ = wire.ReadFrame(conn, nil)
 		}()
@@ -214,38 +217,50 @@ func TestDialRefusesOtherVersionNode(t *testing.T) {
 			c.Close()
 			t.Fatalf("%s: Dial succeeded", name)
 		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("%s: Dial failed with %q, want it to say %q", name, err, tc.want)
+		if want := fmt.Sprintf("speaks protocol version %d, this client %d", tc.version, protoVersion); !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: Dial failed with %q, want it to say %q", name, err, want)
 		}
 	}
 }
 
-// TestNodeRefusesOtherVersionClient: a client hello with no body (a
-// binary from before the handshake carried a version) or with another
-// version is answered kindReject carrying the node's version, logged
-// with both, and disconnected — before any request frame could be
-// misread.
-func TestNodeRefusesOtherVersionClient(t *testing.T) {
-	cfg := testConfig(testData())
+// logLines returns a Config.Logf that keeps the node's lines, and a wait
+// for one containing want.
+func logLines(t *testing.T) (logf func(string, ...any), await func(name, want string)) {
 	logged := make(chan string, 64)
-	cfg.Logf = func(format string, args ...any) {
+	logf = func(format string, args ...any) {
 		select {
 		case logged <- fmt.Sprintf(format, args...):
 		default:
 		}
 	}
+	await = func(name, want string) {
+		t.Helper()
+		for line := ""; !strings.Contains(line, want); {
+			select {
+			case line = <-logged:
+			case <-time.After(2 * time.Second):
+				t.Fatalf("%s: no log line saying %q", name, want)
+			}
+		}
+	}
+	return logf, await
+}
+
+// TestNodeRefusesOtherVersionClient: a client hello of another version,
+// whatever follows the version — or too short to name one, which reads
+// as version 0 — is answered kindReject carrying the node's version,
+// logged with both, and disconnected — before any request frame could be
+// misread.
+func TestNodeRefusesOtherVersionClient(t *testing.T) {
+	cfg := testConfig(testData())
+	var awaitLog func(name, want string)
+	cfg.Logf, awaitLog = logLines(t)
 	n, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	for name, tc := range map[string]struct {
-		hello any
-		want  string
-	}{
-		"old client":   {nil, fmt.Sprintf("it speaks protocol version 0, this node %d", protoVersion)},
-		"newer client": {clientWelcomeMsg{Version: protoVersion + 1}, fmt.Sprintf("it speaks protocol version %d, this node %d", protoVersion+1, protoVersion)},
-	} {
+	for name, version := range map[string]uint32{"older client": protoVersion - 1, "newer client": protoVersion + 1, "versionless client": 0} {
 		conn, err := net.DialTimeout("tcp", n.Addr(), 2*time.Second)
 		if err != nil {
 			t.Fatal(err)
@@ -254,26 +269,101 @@ func TestNodeRefusesOtherVersionClient(t *testing.T) {
 		if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
 			t.Fatal(err)
 		}
-		if err := writeFrame(conn, 1, kindClientHello, tc.hello); err != nil {
+		hello := append(appendClientWelcome(nil, kindClientHello, &clientWelcomeMsg{Version: version}), otherVersionTail...)
+		if version == 0 {
+			hello = hello[:3] // the kind byte and half a version
+		}
+		if err := writePayload(conn, 1, hello); err != nil {
 			t.Fatal(err)
 		}
 		_, payload, _, err := wire.ReadFrame(conn, nil)
 		if err != nil {
 			t.Fatalf("%s: no reply to the hello: %v", name, err)
 		}
-		var w clientWelcomeMsg
-		if payload[0] != kindReject || decodeBody(payload[1:], &w) != nil || w.Version != protoVersion {
-			t.Fatalf("%s: answered kind %d with %+v, want a reject naming version %d", name, payload[0], w, protoVersion)
+		if w, err := decodeClientWelcome(payload[1:]); payload[0] != kindReject || err != nil || w.Version != protoVersion {
+			t.Fatalf("%s: answered kind %d with %+v (%v), want a reject naming version %d", name, payload[0], w, err, protoVersion)
 		}
 		if _, _, _, err := wire.ReadFrame(conn, nil); err == nil {
 			t.Fatalf("%s: the session stayed open after the reject", name)
 		}
-		for line := ""; !strings.Contains(line, tc.want); {
-			select {
-			case line = <-logged:
-			case <-time.After(2 * time.Second):
-				t.Fatalf("%s: no log line saying %q", name, tc.want)
+		awaitLog(name, fmt.Sprintf("it speaks protocol version %d, this node %d", version, protoVersion))
+	}
+}
+
+// TestPeerHandshakeRefusesOtherVersion is the same refusal between
+// nodes, in both directions: a hello of another version is answered
+// kindReject opening with this node's version and signature and logged
+// with both versions; a welcome or a reject of another version fails
+// dialHandshake with both in the error. Neither side reads past the
+// prefix, and the node's view stays its own.
+func TestPeerHandshakeRefusesOtherVersion(t *testing.T) {
+	cfg := testConfig(testData())
+	var awaitLog func(name, want string)
+	cfg.Logf, awaitLog = logLines(t)
+	n, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	for name, version := range map[string]uint32{"older dialer": protoVersion - 1, "newer dialer": protoVersion + 1} {
+		conn, err := net.DialTimeout("tcp", n.Addr(), 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		hello := appendHello(nil, kindHello, &helloMsg{Version: version, Sig: n.sig, Self: memberAt("127.0.0.1:9")})
+		if err := writePayload(conn, 1, append(hello, otherVersionTail...)); err != nil {
+			t.Fatal(err)
+		}
+		_, payload, _, err := wire.ReadFrame(conn, nil)
+		if err != nil {
+			t.Fatalf("%s: no reply to the hello: %v", name, err)
+		}
+		if w, err := decodeHello(payload[1:]); payload[0] != kindReject || err != nil || w.Version != protoVersion || w.Sig != n.sig {
+			t.Fatalf("%s: answered kind %d with %+v (%v), want a reject naming version %d", name, payload[0], w, err, protoVersion)
+		}
+		awaitLog(name, fmt.Sprintf("it speaks protocol version %d, this node %d", version, protoVersion))
+	}
+	if got := len(n.snapshot()); got != 1 {
+		t.Fatalf("the refused dialers left the node with %d members", got)
+	}
+
+	for name, tc := range map[string]struct {
+		kind    byte
+		version uint32
+	}{
+		"older listener welcomes": {kindWelcome, protoVersion - 1},
+		"newer listener rejects":  {kindReject, protoVersion + 1},
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
 			}
+			defer conn.Close()
+			if _, _, _, err := wire.ReadFrame(conn, nil); err != nil {
+				return
+			}
+			reply := appendHello(nil, tc.kind, &helloMsg{Version: tc.version, Sig: n.sig, Self: memberAt(ln.Addr().String())})
+			_ = writePayload(conn, 1, append(reply, otherVersionTail...))
+			_, _, _, _ = wire.ReadFrame(conn, nil)
+		}()
+		conn, err := net.DialTimeout("tcp", ln.Addr().String(), 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		_, err = dialHandshake(conn, n.Addr(), n.sig, nil)
+		if want := fmt.Sprintf("speaks protocol version %d, this node %d", tc.version, protoVersion); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: handshake returned %v, want an error saying %q", name, err, want)
 		}
 	}
 }
@@ -462,6 +552,42 @@ func TestCorpusSignatureMismatch(t *testing.T) {
 	time.Sleep(500 * time.Millisecond)
 	if len(a.snapshot()) != 1 || len(b.snapshot()) != 1 {
 		t.Fatalf("mismatched corpora linked anyway: a=%d b=%d members", len(a.snapshot()), len(b.snapshot()))
+	}
+}
+
+// TestHostileAnnounceCannotRepointAMember: any process that knows the
+// corpus parameters passes the handshake. One that then claims, in its
+// hello and in an announce, that another member's ring position lives at
+// addresses of its choosing changes nothing about that member: the frames
+// carry the addresses alone, so the receiver files them under their own
+// positions, and every region and mutation routed to the victim still
+// goes to the victim.
+func TestHostileAnnounceCannotRepointAMember(t *testing.T) {
+	nodes := startRing(t, 2, testData())
+	n, victim := nodes[0], nodes[1]
+	conn, err := net.DialTimeout("tcp", n.Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const helloAddr, announceAddr = "127.0.0.1:9", "127.0.0.1:10"
+	if _, err := dialHandshake(conn, helloAddr, n.sig, []Member{{ID: victim.id, Addr: helloAddr}}); err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
+	claim := announceMsg{Members: []Member{{ID: victim.id, Addr: announceAddr}}}
+	if err := writePayload(conn, 2, appendAnnounce(nil, &claim)); err != nil {
+		t.Fatal(err)
+	}
+	// The announce has been merged once its address shows up, at the
+	// position that is its own.
+	var at string
+	waitFor(t, 5*time.Second, func() bool {
+		var merged bool
+		execRead(t, n, func() { _, merged = n.members[NodeID(announceAddr)]; at = n.members[victim.id] })
+		return merged
+	})
+	if at != victim.addr {
+		t.Fatalf("the victim's position %016x now points at %s, the victim listens at %s", victim.id, at, victim.addr)
 	}
 }
 

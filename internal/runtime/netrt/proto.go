@@ -3,7 +3,6 @@ package netrt
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"slices"
@@ -19,7 +18,7 @@ import (
 // multi-process ring has no shared memory, so everything a handler
 // needs travels in the frame.
 //
-// Every frame a query or a mutation crosses has a fixed big-endian
+// Every frame, the handshakes' and gossip's included, has a fixed big-endian
 // body, written and read by the append…/decode… pair beside its struct:
 // an integer travels at its declared width (an int as 64 bits), a
 // float64 as its 64 bits, a bool as one bit of a flags byte, a string
@@ -37,64 +36,130 @@ import (
 // so the format stays in this file; a layout change needs a
 // protoVersion bump (data.go).
 //
-// gob is left where a frame is sent once per connection, per replica
-// stream or per gossip tick — helloMsg (a version mismatch must stay a
-// legible kindReject), announceMsg, repBeginMsg, clientWelcomeMsg and
-// Info: encodeMsg and decodeBody at the end of the file.
+// A ring member travels as its listen address and nothing else: its
+// position on the ring is NodeID of that address, derived by the
+// decoder, so no frame can name a position and point it somewhere else.
+//
+// The handshake bodies — hello, welcome and reject, peer and client —
+// open with the one piece of layout no version may move: the sender's
+// protoVersion as 32 bits (bodyVersion reads it; on the peer handshake
+// the signature follows). A side that reads another version there looks
+// at nothing behind it, and refuses by naming both.
 const (
 	// Peer frames (node ↔ node).
-	kindHello    byte = 1 // dialer's handshake: identity + membership (gob helloMsg)
-	kindWelcome  byte = 2 // listener's handshake response (gob helloMsg)
-	kindReject   byte = 3 // handshake refusal: corpus or protocol version mismatch (peers: empty; clients: gob clientWelcomeMsg)
-	kindAnnounce byte = 4 // membership gossip (gob announceMsg)
-	kindQuery    byte = 5 // a query's regions for one next hop, with credit (binary queryMsg)
-	kindResult   byte = 6 // one node's answer: credit + entries, to origin (binary resultMsg)
-	kindDrop     byte = 7 // unanswerable regions: credit back, to origin (binary dropMsg)
+	kindHello    byte = 1 // dialer's handshake: identity + membership (helloMsg)
+	kindWelcome  byte = 2 // listener's handshake response (helloMsg)
+	kindReject   byte = 3 // handshake refusal, as the refuser's own welcome would open (peers: helloMsg; clients: clientWelcomeMsg)
+	kindAnnounce byte = 4 // membership gossip (announceMsg)
+	kindQuery    byte = 5 // a query's regions for one next hop, with credit (queryMsg)
+	kindResult   byte = 6 // one node's answer: credit + entries, to origin (resultMsg)
+	kindDrop     byte = 7 // unanswerable regions: credit back, to origin (dropMsg)
 
-	// Failure detection, replication and mutations (node ↔ node). All
-	// but the stream header are binary and decoded synchronously on the
-	// reader, so a hostile or truncated stream surfaces as a typed
-	// wire.FrameError and drops the link before anything is scheduled.
-	kindPing      byte = 8  // heartbeat probe (binary pingMsg)
-	kindPong      byte = 9  // heartbeat answer (binary pingMsg)
-	kindRepBegin  byte = 10 // replica stream header (gob repBeginMsg)
-	kindRepChunk  byte = 11 // one stream chunk (binary wire.RegionChunk)
-	kindRepAck    byte = 12 // chunk acknowledgement (binary wire.RegionAck)
-	kindRepDigest byte = 13 // anti-entropy digest (binary wire.RegionDigest)
-	kindPublish   byte = 14 // online mutation routed to its owner (binary pubMsg)
-	kindPubAck    byte = 15 // mutation outcome back to its origin (binary pubAckMsg)
+	// Failure detection, replication and mutations (node ↔ node). Like
+	// every peer frame they are decoded synchronously on the reader, so a
+	// hostile or truncated stream surfaces as a typed wire.FrameError and
+	// drops the link before anything is scheduled.
+	kindPing      byte = 8  // heartbeat probe (pingMsg)
+	kindPong      byte = 9  // heartbeat answer (pingMsg)
+	kindRepBegin  byte = 10 // replica stream header (repBeginMsg)
+	kindRepChunk  byte = 11 // one stream chunk (wire.RegionChunk)
+	kindRepAck    byte = 12 // chunk acknowledgement (wire.RegionAck)
+	kindRepDigest byte = 13 // anti-entropy digest (wire.RegionDigest)
+	kindPublish   byte = 14 // online mutation routed to its owner (pubMsg)
+	kindPubAck    byte = 15 // mutation outcome back to its origin (pubAckMsg)
 
 	// Client frames (client ↔ node, correlated by frame id).
-	kindClientHello   byte = 16 // gob clientWelcomeMsg carrying the client's Version
-	kindClientWelcome byte = 17 // gob clientWelcomeMsg
-	kindClientQuery   byte = 18 // binary clientQueryMsg
-	kindClientResult  byte = 19 // binary clientResultMsg
+	kindClientHello   byte = 16 // clientWelcomeMsg carrying the client's Version
+	kindClientWelcome byte = 17 // clientWelcomeMsg
+	kindClientQuery   byte = 18 // clientQueryMsg
+	kindClientResult  byte = 19 // clientResultMsg
 	kindClientInfo    byte = 20 // empty
-	kindClientInfoR   byte = 21 // gob Info
-	kindClientPublish byte = 22 // binary clientMutMsg
-	kindClientDelete  byte = 23 // binary clientMutMsg
-	kindClientMutR    byte = 24 // binary clientMutRMsg
+	kindClientInfoR   byte = 21 // Info
+	kindClientPublish byte = 22 // clientMutMsg
+	kindClientDelete  byte = 23 // clientMutMsg
+	kindClientMutR    byte = 24 // clientMutRMsg
 )
 
-// Member is one ring member: its node ID (a position on the key ring)
-// and the TCP address its listener is reachable at.
+// Member is one ring member: the TCP address its listener is reachable
+// at and its node ID, its position on the key ring — always
+// NodeID(Addr), which is why only the address travels.
 type Member struct {
 	ID   uint64
 	Addr string
 }
 
+// memberAt is the member listening at addr.
+func memberAt(addr string) Member { return Member{ID: NodeID(addr), Addr: addr} }
+
+// appendMembers appends a member list: a count, then each address.
+func appendMembers(dst []byte, ms []Member) []byte {
+	dst = appendU32(dst, uint32(len(ms)))
+	for _, m := range ms {
+		dst = appendStr(dst, m.Addr)
+	}
+	return dst
+}
+
+func membersSize(ms []Member) int {
+	size := 0
+	for _, m := range ms {
+		size += memberMin + len(m.Addr)
+	}
+	return size
+}
+
+func (r *bodyReader) members() []Member {
+	n := r.count(memberMin)
+	if n == 0 {
+		return nil
+	}
+	ms := make([]Member, n)
+	for i := range ms {
+		ms[i] = memberAt(r.str())
+	}
+	return ms
+}
+
 // helloMsg is both sides of the peer handshake (Hello and Welcome
-// share the shape): identity, listen address, corpus signature, and a
-// full membership snapshot. The signature pins the deterministic
-// corpus parameters and the protocol version (corpusSig) — two nodes
-// built from different seeds would silently disagree on ownership and
-// landmarks, and two versions on what a frame means, so they refuse to
-// link.
+// share the shape) and its refusal: the sender's protocol version and
+// corpus signature — the prefix bodyVersion documents — then its listen
+// address and a full membership snapshot. The signature pins the
+// deterministic corpus parameters and the protocol version (corpusSig) —
+// two nodes built from different seeds would silently disagree on
+// ownership and landmarks, and two versions on what a frame means, so
+// they refuse to link. A kindReject is the refuser's hello without its
+// view: all its reader needs is the prefix.
 type helloMsg struct {
-	From    uint64
-	Addr    string
+	Version uint32
 	Sig     uint64
+	Self    Member
 	Members []Member
+}
+
+// appendHello appends a kindHello, kindWelcome or kindReject payload:
+// Version, Sig, Self's address, Members.
+func appendHello(dst []byte, kind byte, h *helloMsg) []byte {
+	dst = append(slices.Grow(dst, 1+helloFixed+len(h.Self.Addr)+membersSize(h.Members)), kind)
+	dst = appendU32(dst, h.Version)
+	dst = appendU64(dst, h.Sig)
+	dst = appendStr(dst, h.Self.Addr)
+	return appendMembers(dst, h.Members)
+}
+
+func decodeHello(body []byte) (helloMsg, error) {
+	r := bodyReader{b: body}
+	h := helloMsg{Version: r.u32(), Sig: r.u64(), Self: memberAt(r.str()), Members: r.members()}
+	return decoded(&r, h, "hello")
+}
+
+// bodyVersion reads the protoVersion a handshake body opens with,
+// whatever follows it. A body too short to hold one reads as version 0,
+// which nothing speaks.
+func bodyVersion(body []byte) uint32 {
+	if len(body) < 4 {
+		return 0
+	}
+	return binary.BigEndian.Uint32(body)
 }
 
 // announceMsg is the anti-entropy gossip payload: the sender's full
@@ -102,6 +167,18 @@ type helloMsg struct {
 // SIGKILLed process restarts with the same address and identity).
 type announceMsg struct {
 	Members []Member
+}
+
+// appendAnnounce appends a kindAnnounce payload: Members.
+func appendAnnounce(dst []byte, a *announceMsg) []byte {
+	dst = append(slices.Grow(dst, 1+announceFixed+membersSize(a.Members)), kindAnnounce)
+	return appendMembers(dst, a.Members)
+}
+
+func decodeAnnounce(body []byte) (announceMsg, error) {
+	r := bodyReader{b: body}
+	a := announceMsg{Members: r.members()}
+	return decoded(&r, a, "announce")
 }
 
 // queryMsg carries every region of one query bound for one next hop
@@ -136,19 +213,25 @@ type queryMsg struct {
 // from these, the decoders check declared counts against them, and
 // sendResult derives the most entries one frame can carry.
 const (
-	queryFixed       = 6*8 + 2 + 4 + 4     // six 64-bit fields; address, object and region-count prefixes
-	regionFixed      = 8 + 8 + 4           // PreKey, PreLen; cube-length prefix
-	boundsBytes      = 8 + 8               // Lo, Hi
-	resultFixed      = 4*8 + 4             // four 64-bit fields; entry-count prefix
-	resultEntryBytes = 4 + 8               // Obj, Dist
-	dropFixed        = 4*8 + 2             // four 64-bit fields; reason prefix
-	pingBytes        = 8 + 8               // From, Seq
-	pubFixed         = 6*8 + 4 + 1 + 2 + 4 // six 64-bit fields, ID, flags; address and object prefixes
-	pubAckFixed      = 2*8 + 2             // Epoch, RID; error prefix
-	clientQueryFixed = 8 + 4               // R; object prefix
-	clientResFixed   = 1 + 8 + 2 + 4       // flags, Dropped; error and entry-count prefixes
-	clientMutFixed   = 4 + 4               // ID; object prefix
-	clientMutRFixed  = 2                   // error prefix
+	helloFixed       = 4 + 8 + 2 + 4        // Version, Sig; own-address and member-count prefixes
+	memberMin        = 2                    // a member is its address: the length prefix
+	announceFixed    = 4                    // member-count prefix
+	queryFixed       = 6*8 + 2 + 4 + 4      // six 64-bit fields; address, object and region-count prefixes
+	regionFixed      = 8 + 8 + 4            // PreKey, PreLen; cube-length prefix
+	boundsBytes      = 8 + 8                // Lo, Hi
+	resultFixed      = 4*8 + 4              // four 64-bit fields; entry-count prefix
+	resultEntryBytes = 4 + 8                // Obj, Dist
+	dropFixed        = 4*8 + 2              // four 64-bit fields; reason prefix
+	pingBytes        = 8 + 8                // From, Seq
+	repBeginBytes    = 5 * 8                // five 64-bit fields
+	pubFixed         = 6*8 + 4 + 1 + 2 + 4  // six 64-bit fields, ID, flags; address and object prefixes
+	pubAckFixed      = 2*8 + 2              // Epoch, RID; error prefix
+	clientHelloFixed = 4 + 2                // Version; address prefix
+	clientQueryFixed = 8 + 4                // R; object prefix
+	clientResFixed   = 1 + 8 + 2 + 4        // flags, Dropped; error and entry-count prefixes
+	clientMutFixed   = 4 + 4                // ID; object prefix
+	clientMutRFixed  = 2                    // error prefix
+	infoFixed        = 10*8 + 1 + 2 + 4 + 4 // ten 64-bit fields, flags; address, member- and down-count prefixes
 )
 
 // appendQuery appends a kindQuery payload: Origin, Epoch, QID, Credit,
@@ -322,6 +405,23 @@ type repBeginMsg struct {
 	Digest   uint64
 }
 
+// appendRepBegin appends a kindRepBegin payload: Owner, Transfer,
+// Chunks, Entries, Digest.
+func appendRepBegin(dst []byte, m *repBeginMsg) []byte {
+	dst = append(slices.Grow(dst, 1+repBeginBytes), kindRepBegin)
+	dst = appendU64(dst, m.Owner)
+	dst = appendU64(dst, m.Transfer)
+	dst = appendInt(dst, m.Chunks)
+	dst = appendInt(dst, m.Entries)
+	return appendU64(dst, m.Digest)
+}
+
+func decodeRepBegin(body []byte) (repBeginMsg, error) {
+	r := bodyReader{b: body}
+	m := repBeginMsg{Owner: r.u64(), Transfer: r.u64(), Chunks: r.int(), Entries: r.int(), Digest: r.u64()}
+	return decoded(&r, m, "replica stream header")
+}
+
 // pubMsg routes one online mutation (publish or delete) to the owner
 // of its ring key, exactly as queries route regions. Replica marks the
 // owner's fan-out copy to its replica set (applied to the local copy
@@ -400,16 +500,29 @@ func decodePubAck(body []byte) (pubAckMsg, error) {
 	return decoded(&r, m, "publish ack")
 }
 
-// clientWelcomeMsg is both sides of the client handshake. The client's
-// hello carries only Version; the node answers kindClientWelcome with
-// its identity and its own Version, or kindReject with the same body
-// when the two differ, so that either side can name both versions. An
-// empty hello body, or a welcome without the field, is a binary from
-// before the client handshake was versioned and reads as version 0.
+// clientWelcomeMsg is both sides of the client handshake, and opens
+// with the version as every handshake body does (bodyVersion). The
+// client's hello carries only Version; the node answers
+// kindClientWelcome with its own Version and its listen address — its
+// identity is NodeID of that — or kindReject with the same body when the
+// versions differ, so that either side can name both.
 type clientWelcomeMsg struct {
-	ID      uint64
+	Version uint32
 	Addr    string
-	Version int
+}
+
+// appendClientWelcome appends a kindClientHello, kindClientWelcome or
+// kindReject payload: Version, Addr.
+func appendClientWelcome(dst []byte, kind byte, m *clientWelcomeMsg) []byte {
+	dst = append(slices.Grow(dst, 1+clientHelloFixed+len(m.Addr)), kind)
+	dst = appendU32(dst, m.Version)
+	return appendStr(dst, m.Addr)
+}
+
+func decodeClientWelcome(body []byte) (clientWelcomeMsg, error) {
+	r := bodyReader{b: body}
+	m := clientWelcomeMsg{Version: r.u32(), Addr: r.str()}
+	return decoded(&r, m, "client handshake")
 }
 
 // clientQueryMsg asks the node to run one range query.
@@ -505,6 +618,51 @@ func decodeClientMutR(body []byte) (clientMutRMsg, error) {
 	r := bodyReader{b: body}
 	m := clientMutRMsg{Err: r.str()}
 	return decoded(&r, m, "client mutation reply")
+}
+
+const infoFlagRecovered = 1 << 0
+
+// appendInfo appends a kindClientInfoR payload: Info's fields in the
+// order the struct declares them (client.go), Recovered as a flag.
+func appendInfo(dst []byte, m *Info) []byte {
+	dst = append(slices.Grow(dst, 1+infoFixed+len(m.Addr)+membersSize(m.Members)+8*len(m.Down)), kindClientInfoR)
+	dst = appendU64(dst, m.ID)
+	dst = appendStr(dst, m.Addr)
+	dst = appendMembers(dst, m.Members)
+	dst = appendInt(dst, m.Store)
+	var flags byte
+	if m.Recovered {
+		flags |= infoFlagRecovered
+	}
+	dst = append(dst, flags)
+	dst = appendInt(dst, m.Replayed)
+	dst = appendInt(dst, m.Replicas)
+	dst = appendU32(dst, uint32(len(m.Down)))
+	for _, id := range m.Down {
+		dst = appendU64(dst, id)
+	}
+	dst = appendInt(dst, m.SyncedOwners)
+	dst = appendInt(dst, m.Extras)
+	dst = appendU64(dst, uint64(m.Repairs))
+	dst = appendU64(dst, uint64(m.RepairChunks))
+	dst = appendU64(dst, m.Tested)
+	return appendU64(dst, m.Refined)
+}
+
+func decodeInfo(body []byte) (Info, error) {
+	r := bodyReader{b: body}
+	m := Info{ID: r.u64(), Addr: r.str(), Members: r.members(), Store: r.int(),
+		Recovered: r.flags(infoFlagRecovered) != 0, Replayed: r.int(), Replicas: r.int()}
+	if n := r.count(8); n > 0 {
+		m.Down = make([]uint64, n)
+	}
+	for i := range m.Down {
+		m.Down[i] = r.u64()
+	}
+	m.SyncedOwners, m.Extras = r.int(), r.int()
+	m.Repairs, m.RepairChunks = int64(r.u64()), int64(r.u64())
+	m.Tested, m.Refined = r.u64(), r.u64()
+	return decoded(&r, m, "info")
 }
 
 // ---- binary primitives ----
@@ -623,38 +781,10 @@ func decoded[M any](r *bodyReader, m M, what string) (M, error) {
 	return m, nil
 }
 
-// ---- gob, for the cold frames ----
-
-// encodeMsg builds a cold frame's payload: kind byte + gob body (none
-// for a nil v).
-func encodeMsg(kind byte, v any) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte(kind)
-	if v != nil {
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			return nil, fmt.Errorf("netrt: encode kind %d: %w", kind, err)
-		}
-	}
-	return buf.Bytes(), nil
-}
-
-// encodeRaw builds a frame payload whose body is already binary (the
-// wire region-transfer codecs): kind byte + body, no gob.
-func encodeRaw(kind byte, body []byte) []byte {
-	out := make([]byte, 0, 1+len(body))
-	out = append(out, kind)
-	return append(out, body...)
-}
-
 // splitMsg separates a frame payload into kind and body.
 func splitMsg(payload []byte) (kind byte, body []byte, err error) {
 	if len(payload) == 0 {
 		return 0, nil, fmt.Errorf("netrt: empty frame payload")
 	}
 	return payload[0], payload[1:], nil
-}
-
-// decodeBody parses a cold frame's gob body into v.
-func decodeBody(body []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(body)).Decode(v)
 }

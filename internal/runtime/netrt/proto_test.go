@@ -3,10 +3,14 @@ package netrt
 import (
 	"bytes"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -15,10 +19,10 @@ import (
 	"landmarkdht/internal/wire"
 )
 
-// hotCodec is one binary frame kind behind an untyped face, so the
+// frameCodec is one frame kind behind an untyped face, so the
 // round-trip, truncation, allocation and fuzz tests run over all of them
 // alike. Messages are handled as pointers to their struct.
-type hotCodec struct {
+type frameCodec struct {
 	name   string
 	kind   byte
 	sample any // one valid message
@@ -27,8 +31,8 @@ type hotCodec struct {
 	decode func(body []byte) (any, error)
 }
 
-func newHotCodec[M any](name string, kind byte, sample M, app func([]byte, *M) []byte, dec func([]byte) (M, error)) hotCodec {
-	return hotCodec{
+func newFrameCodec[M any](name string, kind byte, sample M, app func([]byte, *M) []byte, dec func([]byte) (M, error)) frameCodec {
+	return frameCodec{
 		name: name, kind: kind, sample: &sample,
 		fresh:  func() any { return new(M) },
 		append: func(dst []byte, m any) []byte { return app(dst, m.(*M)) },
@@ -64,29 +68,51 @@ func sampleResult() resultMsg {
 	return m
 }
 
-// hotCodecs lists every frame kind proto.go encodes in binary.
-func hotCodecs() []hotCodec {
+// sampleMembers is a four-member view, as the ring-* workloads gossip.
+func sampleMembers() []Member {
+	return []Member{memberAt("127.0.0.1:41267"), memberAt("127.0.0.1:52268"), memberAt("127.0.0.1:26840"), memberAt("127.0.0.1:48942")}
+}
+
+// as binds an appender that serves several kinds to one of them.
+func as[M any](kind byte, app func([]byte, byte, *M) []byte) func([]byte, *M) []byte {
+	return func(dst []byte, m *M) []byte { return app(dst, kind, m) }
+}
+
+// frameCodecs lists every frame kind proto.go encodes: every kind with a
+// body but the three replica-stream kinds whose bodies are internal/wire's
+// (TestEveryKindHasACodec holds the list to the kind constants).
+func frameCodecs() []frameCodec {
 	ping := func(kind byte) func([]byte, *pingMsg) []byte {
 		return func(dst []byte, m *pingMsg) []byte { return appendPing(dst, kind, *m) }
 	}
-	mut := func(kind byte) func([]byte, *clientMutMsg) []byte {
-		return func(dst []byte, m *clientMutMsg) []byte { return appendClientMut(dst, kind, m) }
-	}
-	return []hotCodec{
-		newHotCodec("query", kindQuery, sampleQuery(), appendQuery, decodeQuery),
-		newHotCodec("result", kindResult, sampleResult(), appendResult, decodeResult),
-		newHotCodec("drop", kindDrop, dropMsg{Epoch: 5, QID: 6, Credit: 7, From: 8, Reason: "ttl exhausted"}, appendDrop, decodeDrop),
-		newHotCodec("ping", kindPing, pingMsg{From: 9, Seq: 10}, ping(kindPing), decodePing),
-		newHotCodec("pong", kindPong, pingMsg{From: 11, Seq: 10}, ping(kindPong), decodePing),
-		newHotCodec("publish", kindPublish, pubMsg{Origin: 1, OriginAddr: "127.0.0.1:52268", Epoch: 2, RID: 3, ID: 1 << 24,
+	hello := helloMsg{Version: protoVersion, Sig: 0xa33e2c25e2f97fbb, Self: memberAt("127.0.0.1:41267"), Members: sampleMembers()}
+	welcome := clientWelcomeMsg{Version: protoVersion, Addr: "127.0.0.1:41267"}
+	return []frameCodec{
+		newFrameCodec("hello", kindHello, hello, as(kindHello, appendHello), decodeHello),
+		newFrameCodec("welcome", kindWelcome, hello, as(kindWelcome, appendHello), decodeHello),
+		newFrameCodec("peerReject", kindReject, helloMsg{Version: protoVersion, Sig: 0xa33e2c25e2f97fbb, Self: hello.Self}, as(kindReject, appendHello), decodeHello),
+		newFrameCodec("announce", kindAnnounce, announceMsg{Members: sampleMembers()}, appendAnnounce, decodeAnnounce),
+		newFrameCodec("query", kindQuery, sampleQuery(), appendQuery, decodeQuery),
+		newFrameCodec("result", kindResult, sampleResult(), appendResult, decodeResult),
+		newFrameCodec("drop", kindDrop, dropMsg{Epoch: 5, QID: 6, Credit: 7, From: 8, Reason: "ttl exhausted"}, appendDrop, decodeDrop),
+		newFrameCodec("ping", kindPing, pingMsg{From: 9, Seq: 10}, ping(kindPing), decodePing),
+		newFrameCodec("pong", kindPong, pingMsg{From: 11, Seq: 10}, ping(kindPong), decodePing),
+		newFrameCodec("repBegin", kindRepBegin, repBeginMsg{Owner: 12, Transfer: 13, Chunks: 14, Entries: 15, Digest: 16}, appendRepBegin, decodeRepBegin),
+		newFrameCodec("publish", kindPublish, pubMsg{Origin: 1, OriginAddr: "127.0.0.1:52268", Epoch: 2, RID: 3, ID: 1 << 24,
 			Obj: []byte("object"), Key: 4, Replica: true, Owner: 5, TTL: 48}, appendPub, decodePub),
-		newHotCodec("pubAck", kindPubAck, pubAckMsg{Epoch: 2, RID: 3, Err: "owner down"}, appendPubAck, decodePubAck),
-		newHotCodec("clientQuery", kindClientQuery, clientQueryMsg{QObj: []byte("object"), R: 0.3}, appendClientQuery, decodeClientQuery),
-		newHotCodec("clientResult", kindClientResult, clientResultMsg{Complete: true, Dropped: 2, Err: "late",
+		newFrameCodec("pubAck", kindPubAck, pubAckMsg{Epoch: 2, RID: 3, Err: "owner down"}, appendPubAck, decodePubAck),
+		newFrameCodec("clientHello", kindClientHello, clientWelcomeMsg{Version: protoVersion}, as(kindClientHello, appendClientWelcome), decodeClientWelcome),
+		newFrameCodec("clientWelcome", kindClientWelcome, welcome, as(kindClientWelcome, appendClientWelcome), decodeClientWelcome),
+		newFrameCodec("clientReject", kindReject, welcome, as(kindReject, appendClientWelcome), decodeClientWelcome),
+		newFrameCodec("clientQuery", kindClientQuery, clientQueryMsg{QObj: []byte("object"), R: 0.3}, appendClientQuery, decodeClientQuery),
+		newFrameCodec("clientResult", kindClientResult, clientResultMsg{Complete: true, Dropped: 2, Err: "late",
 			Entries: sampleResult().Entries}, appendClientResult, decodeClientResult),
-		newHotCodec("clientPublish", kindClientPublish, clientMutMsg{ID: 1 << 24, Obj: []byte("object")}, mut(kindClientPublish), decodeClientMut),
-		newHotCodec("clientDelete", kindClientDelete, clientMutMsg{ID: 7}, mut(kindClientDelete), decodeClientMut),
-		newHotCodec("clientMutR", kindClientMutR, clientMutRMsg{Err: "collides with the boot corpus"}, appendClientMutR, decodeClientMutR),
+		newFrameCodec("info", kindClientInfoR, Info{ID: NodeID("127.0.0.1:41267"), Addr: "127.0.0.1:41267", Members: sampleMembers(),
+			Store: 2979, Recovered: true, Replayed: 27, Replicas: 1, Down: []uint64{NodeID("127.0.0.1:48942")}, SyncedOwners: 1,
+			Extras: 24, Repairs: 2, RepairChunks: 9, Tested: 3271638, Refined: 977533}, appendInfo, decodeInfo),
+		newFrameCodec("clientPublish", kindClientPublish, clientMutMsg{ID: 1 << 24, Obj: []byte("object")}, as(kindClientPublish, appendClientMut), decodeClientMut),
+		newFrameCodec("clientDelete", kindClientDelete, clientMutMsg{ID: 7}, as(kindClientDelete, appendClientMut), decodeClientMut),
+		newFrameCodec("clientMutR", kindClientMutR, clientMutRMsg{Err: "collides with the boot corpus"}, appendClientMutR, decodeClientMutR),
 	}
 }
 
@@ -118,9 +144,9 @@ func sameBits(a, b reflect.Value) bool {
 		return a.String() == b.String()
 	case reflect.Bool:
 		return a.Bool() == b.Bool()
-	case reflect.Int, reflect.Int32:
+	case reflect.Int, reflect.Int32, reflect.Int64:
 		return a.Int() == b.Int()
-	case reflect.Uint8, reflect.Uint64:
+	case reflect.Uint8, reflect.Uint32, reflect.Uint64:
 		return a.Uint() == b.Uint()
 	}
 	panic("sameBits: a message grew a field of kind " + a.Kind().String())
@@ -145,7 +171,13 @@ func fillRandom(rng *rand.Rand, v reflect.Value) {
 		}
 	case reflect.Uint8:
 		v.SetUint(uint64(rng.Intn(256)))
-	case reflect.Int:
+	case reflect.Uint32:
+		if edge {
+			v.SetUint([]uint64{0, 1, protoVersion, math.MaxUint32}[rng.Intn(4)])
+		} else {
+			v.SetUint(uint64(rng.Uint32()))
+		}
+	case reflect.Int, reflect.Int64:
 		if edge {
 			v.SetInt([]int64{0, -1, math.MaxInt64, math.MinInt64}[rng.Intn(4)])
 		} else {
@@ -200,7 +232,7 @@ func fillRandom(rng *rand.Rand, v reflect.Value) {
 // bit for bit, and what was decoded encodes to the same bytes again.
 func TestHotFrameRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	check := func(c hotCodec, m any) {
+	check := func(c frameCodec, m any) {
 		t.Helper()
 		enc := c.append(nil, m)
 		if enc[0] != c.kind {
@@ -217,15 +249,22 @@ func TestHotFrameRoundTrip(t *testing.T) {
 			t.Fatalf("%s: re-encoding gave %x, first encoding %x", c.name, again, enc)
 		}
 	}
-	byName := map[string]hotCodec{}
-	for _, c := range hotCodecs() {
+	byName := map[string]frameCodec{}
+	for _, c := range frameCodecs() {
 		byName[c.name] = c
 		check(c, c.sample)
-		check(c, c.fresh()) // the zero message: nothing but zero counts and empty strings
+		// A frame carries a member's address and nothing else, so the only
+		// members a round trip can be asked to preserve are those whose ID
+		// is their address's.
+		deriveIDs := func(m any) any {
+			eachMember(reflect.ValueOf(m).Elem(), func(mem *Member) { *mem = memberAt(mem.Addr) })
+			return m
+		}
+		check(c, deriveIDs(c.fresh())) // the zero message: nothing but zero counts and empty strings
 		for i := 0; i < 500; i++ {
 			m := c.fresh()
 			fillRandom(rng, reflect.ValueOf(m).Elem())
-			check(c, m)
+			check(c, deriveIDs(m))
 		}
 	}
 
@@ -257,19 +296,39 @@ func allocatedBy(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// checkHotDecode is what every decoder owes any body at all: no panic;
+// eachMember calls fn for every Member an addressable message holds, at
+// any depth.
+func eachMember(v reflect.Value, fn func(*Member)) {
+	if m, ok := v.Addr().Interface().(*Member); ok {
+		fn(m)
+		return
+	}
+	switch v.Kind() {
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			eachMember(v.Index(i), fn)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			eachMember(v.Field(i), fn)
+		}
+	}
+}
+
+// checkDecode is what every decoder owes any body at all: no panic;
 // a refusal is a *wire.FrameError with the zero message; an accepted
-// body is exactly what the decoded message encodes to; and either way
+// body is exactly what the decoded message encodes to, and every member
+// it names sits at the ring position of its own address; and either way
 // the decoder allocated no more than the body's length accounts for —
 // a count field is checked against the bytes left before it sizes a
-// make. (A decoded Region is 40 bytes for at least 20 on the wire, an
-// entry 16 for 12; the slack covers the message struct and allocations
-// of the test binary's own.)
-func checkHotDecode(t *testing.T, c hotCodec, body []byte) {
+// make. (A decoded Member is 24 bytes for at least 2 on the wire, a
+// Region 40 for at least 20, an entry 16 for 12; the slack covers the
+// message struct and allocations of the test binary's own.)
+func checkDecode(t *testing.T, c frameCodec, body []byte) {
 	t.Helper()
 	var m any
 	var err error
-	if used, limit := allocatedBy(func() { m, err = c.decode(body) }), uint64(4*len(body)+64<<10); used > limit {
+	if used, limit := allocatedBy(func() { m, err = c.decode(body) }), uint64(12*len(body)+64<<10); used > limit {
 		t.Fatalf("%s: decoding %d bytes allocated %d", c.name, len(body), used)
 	}
 	if err != nil {
@@ -285,6 +344,98 @@ func checkHotDecode(t *testing.T, c hotCodec, body []byte) {
 	if again := c.append(nil, m); again[0] != c.kind || !bytes.Equal(again[1:], body) {
 		t.Fatalf("%s: accepted %x, which re-encodes to %x", c.name, body, again[1:])
 	}
+	eachMember(reflect.ValueOf(m).Elem(), func(mem *Member) {
+		if mem.ID != NodeID(mem.Addr) {
+			t.Fatalf("%s: decoded member %016x @ %q, whose address hashes to %016x", c.name, mem.ID, mem.Addr, NodeID(mem.Addr))
+		}
+	})
+}
+
+// TestDecodedMemberIdentityIsDerived: a sender that pairs another
+// member's ring position with an address of its own choosing cannot say
+// so. Whatever ID a hello, an announce or an Info is built with, only
+// addresses reach the wire, and every member the receiver decodes —
+// hello's sender included — sits at NodeID of its address.
+func TestDecodedMemberIdentityIsDerived(t *testing.T) {
+	victim := memberAt("127.0.0.1:41267")
+	lie := []Member{{ID: victim.ID, Addr: "10.6.6.6:1"}, {ID: 0, Addr: "10.6.6.6:2"}, victim}
+	byName := map[string]frameCodec{}
+	for _, c := range frameCodecs() {
+		byName[c.name] = c
+	}
+	for name, msg := range map[string]any{
+		"hello":    &helloMsg{Version: protoVersion, Self: lie[0], Members: lie},
+		"announce": &announceMsg{Members: lie},
+		"info":     &Info{Members: lie},
+	} {
+		c := byName[name]
+		m, err := c.decode(c.append(nil, msg)[1:])
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		seen := 0
+		eachMember(reflect.ValueOf(m).Elem(), func(mem *Member) {
+			seen++
+			if mem.ID != NodeID(mem.Addr) || (mem.ID == victim.ID && mem.Addr != victim.Addr) {
+				t.Errorf("%s: decoded member %016x @ %q", name, mem.ID, mem.Addr)
+			}
+		})
+		if seen < len(lie) {
+			t.Errorf("%s: decoded %d members of the %d sent", name, seen, len(lie))
+		}
+	}
+}
+
+// TestEveryKindHasACodec reads the kind constants out of proto.go and
+// holds the codec table to them: a kind with a body and no row is a
+// decoder of socket bytes that the round-trip, truncation and fuzz tests
+// above never see.
+func TestEveryKindHasACodec(t *testing.T) {
+	elsewhere := map[string]string{
+		"kindClientInfo": "no body",
+		"kindRepChunk":   "internal/wire's codec, under its FuzzDecode",
+		"kindRepAck":     "internal/wire's codec, under its FuzzDecode",
+		"kindRepDigest":  "internal/wire's codec, under its FuzzDecode",
+	}
+	file, err := parser.ParseFile(token.NewFileSet(), "proto.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[byte]string{}
+	ast.Inspect(file, func(n ast.Node) bool {
+		spec, ok := n.(*ast.ValueSpec)
+		if !ok || len(spec.Names) != 1 || !strings.HasPrefix(spec.Names[0].Name, "kind") || len(spec.Values) != 1 {
+			return true
+		}
+		lit, ok := spec.Values[0].(*ast.BasicLit)
+		if !ok {
+			t.Fatalf("%s is not a literal: this test cannot read it", spec.Names[0].Name)
+		}
+		v, err := strconv.ParseUint(lit.Value, 0, 8)
+		if err != nil {
+			t.Fatalf("%s = %s: %v", spec.Names[0].Name, lit.Value, err)
+		}
+		if other, dup := kinds[byte(v)]; dup {
+			t.Fatalf("%s and %s are both %d", other, spec.Names[0].Name, v)
+		}
+		kinds[byte(v)] = spec.Names[0].Name
+		return true
+	})
+	if len(kinds) < 24 {
+		t.Fatalf("read %d kind constants out of proto.go, there were 24 when this was written", len(kinds))
+	}
+	rows := map[byte]bool{}
+	for _, c := range frameCodecs() {
+		if _, known := kinds[c.kind]; !known {
+			t.Errorf("codec row %s is of kind %d, which proto.go does not declare", c.name, c.kind)
+		}
+		rows[c.kind] = true
+	}
+	for v, name := range kinds {
+		if _, exempt := elsewhere[name]; exempt == rows[v] {
+			t.Errorf("%s (%d): in the codec table %v, listed as covered elsewhere %v — want exactly one", name, v, rows[v], exempt)
+		}
+	}
 }
 
 // TestHostileHotFrameSweep is TestHostileTransferFrameSweep for the
@@ -293,7 +444,7 @@ func checkHotDecode(t *testing.T, c hotCodec, body []byte) {
 // 4-byte windows overwritten by 2³²−1 — wherever a count or a length
 // sits — it is refused or read as what it then says, never sized from.
 func TestHostileHotFrameSweep(t *testing.T) {
-	for _, c := range hotCodecs() {
+	for _, c := range frameCodecs() {
 		enc := c.append(nil, c.sample)[1:]
 		if _, err := c.decode(enc); err != nil {
 			t.Fatalf("%s: intact encoding refused: %v", c.name, err)
@@ -302,19 +453,19 @@ func TestHostileHotFrameSweep(t *testing.T) {
 			if _, err := c.decode(enc[:cut]); err == nil {
 				t.Fatalf("%s: accepted its encoding cut at %d of %d", c.name, cut, len(enc))
 			}
-			checkHotDecode(t, c, enc[:cut])
+			checkDecode(t, c, enc[:cut])
 		}
 		for _, extra := range []int{1, 7, 1024} {
 			junk := append(bytes.Clone(enc), bytes.Repeat([]byte{0xFF}, extra)...)
 			if _, err := c.decode(junk); err == nil {
 				t.Fatalf("%s: accepted %d trailing bytes", c.name, extra)
 			}
-			checkHotDecode(t, c, junk)
+			checkDecode(t, c, junk)
 		}
 		for off := 0; off+4 <= len(enc); off++ {
 			mut := bytes.Clone(enc)
 			copy(mut[off:], []byte{0xFF, 0xFF, 0xFF, 0xFF})
-			checkHotDecode(t, c, mut)
+			checkDecode(t, c, mut)
 		}
 	}
 }
@@ -335,7 +486,7 @@ var sinkResult resultMsg
 // field, per entry or per call again (gob's did: 290 allocations for
 // this query, 224 for this result).
 func TestHotFrameAllocsCeiling(t *testing.T) {
-	for _, c := range hotCodecs() {
+	for _, c := range frameCodecs() {
 		buf := c.append(nil, c.sample)
 		if allocs := testing.AllocsPerRun(100, func() { buf = c.append(buf[:0], c.sample) }); allocs != 0 {
 			t.Errorf("%s: appending into a buffer with room allocated %.0f times", c.name, allocs)

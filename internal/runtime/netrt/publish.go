@@ -90,7 +90,7 @@ func (n *Node) startMutation(id int32, obj []byte, del bool, done func(error)) {
 	})
 	n.routeMutation(&pubMsg{
 		Origin: n.id, OriginAddr: n.addr, Epoch: n.epoch, RID: rid,
-		ID: id, Obj: obj, Key: uint64(key), Delete: del, TTL: n.cfg.TTL,
+		ID: id, Obj: obj, Key: uint64(key), Delete: del, TTL: forwardTTL,
 	})
 }
 

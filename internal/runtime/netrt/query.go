@@ -18,6 +18,11 @@ import (
 // share could hit zero; real decompositions split a few dozen times.
 const creditTotal = uint64(1) << 62
 
+// forwardTTL is how many times a query's regions, or a mutation, may be
+// forwarded: it bounds the bouncing that membership views in
+// disagreement can cause, and no honest route on a full view comes near.
+const forwardTTL = 48
+
 // originQuery is the origin-side state of one running query.
 type originQuery struct {
 	qid        uint64
@@ -63,7 +68,7 @@ func (n *Node) startQuery(qobj []byte, r float64, done func(QueryOutcome, error)
 	oq.deadline = n.rt.AfterFunc(n.cfg.Deadline, func() { n.expire(qid) })
 	n.process(&queryMsg{
 		Origin: n.id, OriginAddr: n.addr, Epoch: n.epoch, QID: qid,
-		Credit: creditTotal, Regions: []query.Region{reg}, QObj: qobj, R: r, TTL: n.cfg.TTL,
+		Credit: creditTotal, Regions: []query.Region{reg}, QObj: qobj, R: r, TTL: forwardTTL,
 	})
 }
 

@@ -137,9 +137,9 @@ func (n *Node) antiEntropyTick() {
 	if len(targets) == 0 {
 		return
 	}
-	adv := encodeRaw(kindRepDigest, wire.AppendDigest(nil, wire.RegionDigest{
+	adv := wire.AppendDigest([]byte{kindRepDigest}, wire.RegionDigest{
 		Owner: n.id, Entries: uint32(n.mineCount), Digest: n.mineDigest,
-	}))
+	})
 	for _, t := range targets {
 		if t == n.id || n.isDown(t) {
 			continue
@@ -185,7 +185,7 @@ func (n *Node) onRepDigest(peer uint64, d wire.RegionDigest) {
 		c.synced = synced
 	}
 	if !synced {
-		n.sendRaw(n.members[d.Owner], encodeRaw(kindRepDigest, wire.AppendDigest(nil, have)))
+		n.sendRaw(n.members[d.Owner], wire.AppendDigest([]byte{kindRepDigest}, have))
 	}
 }
 
@@ -213,20 +213,28 @@ func (n *Node) startPush(to uint64) {
 	for i, d := range raw {
 		c := wire.RegionChunk{Transfer: p.transfer, Index: repIndexName,
 			Seq: uint32(i), Last: i == len(raw)-1, Data: d}
-		enc, err := wire.AppendChunk(nil, &c)
+		var err error
+		p.chunks[i], err = wire.AppendChunk(append(make([]byte, 0, 1+c.EncodedSize()), kindRepChunk), &c)
 		if err != nil {
 			return // unreachable: name and chunk sizes are in range by construction
 		}
-		p.chunks[i] = encodeRaw(kindRepChunk, enc)
 	}
 	n.pushes[to] = p
 	n.pushByXfer[p.transfer] = p
-	n.sendGob(addr, kindRepBegin, repBeginMsg{Owner: n.id, Transfer: p.transfer,
-		Chunks: len(p.chunks), Entries: p.entries, Digest: p.digest})
+	n.sendRepBegin(p)
 	n.pumpPush(p)
 	p.timer = n.rt.AfterFunc(repRetryDelay, func() { n.retryPush(p) })
 	n.logf("replica push to %016x: %d entries in %d chunks (transfer %d)",
 		to, p.entries, len(p.chunks), p.transfer)
+}
+
+// sendRepBegin announces (or, on a retry, re-announces) the stream to its
+// target.
+//
+//lint:context executor
+func (n *Node) sendRepBegin(p *repPush) {
+	n.sendRaw(p.addr, appendRepBegin(nil, &repBeginMsg{Owner: n.id, Transfer: p.transfer,
+		Chunks: len(p.chunks), Entries: p.entries, Digest: p.digest}))
 }
 
 // encodeMine serializes the live region: owned boot entries minus
@@ -334,8 +342,7 @@ func (n *Node) retryPush(p *repPush) {
 		n.logf("replica push to %016x abandoned after %d retries (transfer %d)", p.to, p.retries-1, p.transfer)
 		return
 	}
-	n.sendGob(p.addr, kindRepBegin, repBeginMsg{Owner: n.id, Transfer: p.transfer,
-		Chunks: len(p.chunks), Entries: p.entries, Digest: p.digest})
+	n.sendRepBegin(p)
 	for i := 0; i < p.sent; i++ {
 		if !p.acked[i] {
 			n.sendRaw(p.addr, p.chunks[i])
@@ -421,8 +428,8 @@ func (n *Node) onRepChunk(peer uint64, c wire.RegionChunk) {
 		st.have++
 		st.bytes += len(c.Data)
 	}
-	n.sendRaw(n.members[st.owner], encodeRaw(kindRepAck,
-		wire.AppendAck(nil, wire.RegionAck{Transfer: c.Transfer, Seq: c.Seq})))
+	n.sendRaw(n.members[st.owner],
+		wire.AppendAck([]byte{kindRepAck}, wire.RegionAck{Transfer: c.Transfer, Seq: c.Seq}))
 	if st.have == len(st.got) {
 		n.installStage(st)
 	}

@@ -362,9 +362,10 @@ func TestFailureDetectorRecovery(t *testing.T) {
 }
 
 // TestHostileRepFrameDropsLink feeds a handshaked peer connection a
-// truncated binary replication frame: the node must drop the link
-// (typed wire.FrameError surfaced by the synchronous decode) — never
-// panic, never keep reading the poisoned stream.
+// truncated replication or membership frame: the node must drop the
+// link (typed wire.FrameError surfaced by the synchronous decode) —
+// never panic, never keep reading the poisoned stream — and nothing of
+// the frame reaches the executor.
 func TestHostileRepFrameDropsLink(t *testing.T) {
 	n, err := Start(testConfig(testData()))
 	if err != nil {
@@ -372,37 +373,47 @@ func TestHostileRepFrameDropsLink(t *testing.T) {
 	}
 	defer n.Close()
 
-	conn, err := net.DialTimeout("tcp", n.Addr(), 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := dialHandshake(conn, Member{ID: 424242, Addr: "127.0.0.1:9"}, n.sig, nil); err != nil {
-		t.Fatalf("handshake: %v", err)
-	}
-	frame, err := wire.AppendFrame(nil, 2, encodeRaw(kindRepChunk, []byte{0xDE, 0xAD, 0xBE}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	// The node closes the connection; anything it sent beforehand
-	// (heartbeats) may still be buffered, so read until the drop.
-	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	var buf []byte
-	for {
-		_, _, next, err := wire.ReadFrame(conn, buf)
+	const peerAddr, namedAddr = "127.0.0.1:9", "127.0.0.1:10"
+	announce := appendAnnounce(nil, &announceMsg{Members: []Member{memberAt(namedAddr)}})
+	begin := appendRepBegin(nil, &repBeginMsg{Owner: NodeID(peerAddr), Transfer: 1, Chunks: 1, Entries: 1})
+	for name, payload := range map[string][]byte{
+		"chunk":    {kindRepChunk, 0xDE, 0xAD, 0xBE},
+		"announce": announce[:len(announce)-1],
+		"repBegin": begin[:len(begin)-1],
+	} {
+		conn, err := net.DialTimeout("tcp", n.Addr(), 2*time.Second)
 		if err != nil {
-			if nerr, ok := err.(net.Error); ok && nerr.Timeout() {
-				t.Fatal("link survived a hostile replication frame")
-			}
-			return // dropped, as required
+			t.Fatal(err)
 		}
-		buf = next
+		defer conn.Close()
+		if _, err := dialHandshake(conn, peerAddr, n.sig, nil); err != nil {
+			t.Fatalf("%s: handshake: %v", name, err)
+		}
+		if err := writePayload(conn, 2, payload); err != nil {
+			t.Fatal(err)
+		}
+		// The node closes the connection; anything it sent beforehand
+		// (heartbeats) may still be buffered, so read until the drop.
+		if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		var buf []byte
+		for {
+			_, _, next, err := wire.ReadFrame(conn, buf)
+			if nerr, ok := err.(net.Error); ok && nerr.Timeout() {
+				t.Fatalf("%s: link survived a truncated frame", name)
+			}
+			if err != nil {
+				break // dropped, as required
+			}
+			buf = next
+		}
 	}
+	execRead(t, n, func() {
+		if _, merged := n.members[NodeID(namedAddr)]; merged || len(n.staging) != 0 {
+			t.Errorf("a truncated frame was acted on: named member merged %v, %d streams staged", merged, len(n.staging))
+		}
+	})
 }
 
 // TestHostileQueryFrameDropsLink: the frames of a query are decoded on
@@ -425,8 +436,9 @@ func TestHostileQueryFrameDropsLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	const peer, peerAddr = 424242, "127.0.0.1:9"
-	if _, err := dialHandshake(conn, Member{ID: peer, Addr: peerAddr}, n.sig, nil); err != nil {
+	const peerAddr = "127.0.0.1:9"
+	peer := NodeID(peerAddr)
+	if _, err := dialHandshake(conn, peerAddr, n.sig, nil); err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
 	ds, err := BuildDataset(testData())
@@ -520,13 +532,13 @@ func TestHostileRepBeginRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	const peer = 424242
-	if _, err := dialHandshake(conn, Member{ID: peer, Addr: "127.0.0.1:9"}, n.sig, nil); err != nil {
+	const peerAddr = "127.0.0.1:9"
+	if _, err := dialHandshake(conn, peerAddr, n.sig, nil); err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
 	for i, entries := range []int{maxRepBytes/minRepEntry + 1, 1} {
-		err := writeFrame(conn, uint64(2+i), kindRepBegin,
-			repBeginMsg{Owner: peer, Transfer: 1, Chunks: 1, Entries: entries})
+		err := writePayload(conn, uint64(2+i), appendRepBegin(nil,
+			&repBeginMsg{Owner: NodeID(peerAddr), Transfer: 1, Chunks: 1, Entries: entries}))
 		if err != nil {
 			t.Fatal(err)
 		}

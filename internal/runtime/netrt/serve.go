@@ -32,28 +32,19 @@ func (n *Node) serveConn(conn net.Conn) {
 	case kindHello:
 		n.acceptPeer(conn, body)
 	case kindClientHello:
-		// An empty body is a client from before the handshake carried a
-		// version: it stays version 0.
-		var h clientWelcomeMsg
-		if len(body) > 0 && decodeBody(body, &h) != nil {
-			closeConn(conn)
-			return
-		}
-		w := clientWelcomeMsg{ID: n.id, Addr: n.addr, Version: protoVersion}
-		if h.Version != protoVersion {
+		w := clientWelcomeMsg{Version: protoVersion, Addr: n.addr}
+		if v := bodyVersion(body); v != protoVersion {
 			// Refuse at the handshake, with this node's version in the
-			// body: past it the client's first binary frame would be
-			// misread, and it would learn only that the connection died.
-			_ = writeFrame(conn, id, kindReject, w) //lint:allow errdrop courtesy reject on a connection being dropped; failure changes nothing
-			n.logf("rejected client %s: it speaks protocol version %d, this node %d", conn.RemoteAddr(), h.Version, protoVersion)
+			// body: past it the client's first frame would be misread,
+			// and it would learn only that the connection died.
+			_ = writePayload(conn, id, appendClientWelcome(nil, kindReject, &w)) //lint:allow errdrop courtesy reject on a connection being dropped; failure changes nothing
+			n.logf("rejected client %s: it speaks protocol version %d, this node %d", conn.RemoteAddr(), v, protoVersion)
 			closeConn(conn)
 			return
 		}
-		if writeFrame(conn, id, kindClientWelcome, w) != nil {
-			closeConn(conn)
-			return
-		}
-		if conn.SetDeadline(time.Time{}) != nil {
+		_, err := decodeClientWelcome(body)
+		if err != nil || writePayload(conn, id, appendClientWelcome(nil, kindClientWelcome, &w)) != nil ||
+			conn.SetDeadline(time.Time{}) != nil {
 			closeConn(conn)
 			return
 		}
@@ -66,41 +57,45 @@ func (n *Node) serveConn(conn net.Conn) {
 // acceptPeer completes the listener side of the peer handshake and
 // attaches the connection to the peer's link.
 func (n *Node) acceptPeer(conn net.Conn, body []byte) {
-	var h helloMsg
-	if decodeBody(body, &h) != nil || h.Addr == "" {
+	// refuse says why before it drops the connection, so the dialer logs
+	// the real cause instead of a silent disconnect: a node speaking
+	// another protocol version would misread every frame, and one built
+	// from a different seed can never agree on ownership.
+	refuse := func(format string, args ...any) {
+		reject := helloMsg{Version: protoVersion, Sig: n.sig, Self: memberAt(n.addr)}
+		_ = writePayload(conn, 1, appendHello(nil, kindReject, &reject)) //lint:allow errdrop courtesy reject on a connection being dropped; failure changes nothing
+		n.logf("rejected "+format, args...)
+		closeConn(conn)
+	}
+	if v := bodyVersion(body); v != protoVersion {
+		refuse("%s: it speaks protocol version %d, this node %d", conn.RemoteAddr(), v, protoVersion)
+		return
+	}
+	h, err := decodeHello(body)
+	if err != nil || h.Self.Addr == "" {
 		closeConn(conn)
 		return
 	}
 	if h.Sig != n.sig {
-		// Refuse explicitly so the dialer logs the real cause instead
-		// of a silent disconnect, then drop: a node built from a
-		// different seed can never agree on ownership, and one speaking
-		// another protocol version would misread query frames.
-		_ = writeFrame(conn, 1, kindReject, nil) //lint:allow errdrop courtesy reject on a connection being dropped; failure changes nothing
-		n.logf("rejected %s: corpus or protocol version mismatch", h.Addr)
+		refuse("%s: corpus mismatch: it signs %016x, this node %016x", h.Self.Addr, h.Sig, n.sig)
+		return
+	}
+	welcome := helloMsg{Version: protoVersion, Sig: n.sig, Self: memberAt(n.addr), Members: n.snapshot()}
+	if writePayload(conn, 1, appendHello(nil, kindWelcome, &welcome)) != nil || conn.SetDeadline(time.Time{}) != nil {
 		closeConn(conn)
 		return
 	}
-	if writeFrame(conn, 1, kindWelcome, helloMsg{From: n.id, Addr: n.addr, Sig: n.sig, Members: n.snapshot()}) != nil {
-		closeConn(conn)
-		return
-	}
-	if conn.SetDeadline(time.Time{}) != nil {
-		closeConn(conn)
-		return
-	}
-	members := h.Members
 	n.rt.Schedule(0, func() {
-		n.addMember(h.From, h.Addr)
-		n.mergeMembers(members)
+		n.addMember(h.Self.ID, h.Self.Addr)
+		n.mergeMembers(h.Members)
 	})
-	n.logf("link up from %s (node %016x, accepted)", h.Addr, h.From)
-	l := n.ensureLink(h.Addr)
+	n.logf("link up from %s (node %016x, accepted)", h.Self.Addr, h.Self.ID)
+	l := n.ensureLink(h.Self.Addr)
 	if l == nil {
 		closeConn(conn)
 		return
 	}
-	l.attach(conn, h.From, h.From)
+	l.attach(conn, h.Self.ID, h.Self.ID)
 }
 
 // closeConn is best-effort teardown of a connection that is already
@@ -109,20 +104,6 @@ func (n *Node) acceptPeer(conn net.Conn, body []byte) {
 // Close error on a dying connection carries no further signal.
 func closeConn(conn net.Conn) {
 	_ = conn.Close() //lint:allow errdrop best-effort teardown of an abandoned conn
-}
-
-// writeFrame gob-encodes and writes one framed handshake message.
-func writeFrame(conn net.Conn, id uint64, kind byte, msg any) error {
-	payload, err := encodeMsg(kind, msg)
-	if err != nil {
-		return err
-	}
-	frame, err := wire.AppendFrame(nil, id, payload)
-	if err != nil {
-		return err
-	}
-	_, err = conn.Write(frame)
-	return err
 }
 
 // serveClient runs one client session: queries and info requests,
@@ -212,19 +193,14 @@ func (n *Node) serveClient(conn net.Conn) {
 		case kindClientInfo:
 			reqID := id
 			n.rt.Schedule(0, func() {
-				enc, err := encodeMsg(kindClientInfoR, Info{
+				reply(reqID, appendInfo(nil, &Info{
 					ID: n.id, Addr: n.addr, Members: n.snapshot(), Store: n.ownedBoot(),
 					Recovered: n.recovered, Replayed: n.replayed,
 					Replicas: n.cfg.Replicas, Down: n.downMembers(),
 					SyncedOwners: n.syncedOwners(), Extras: len(n.extras),
 					Tested: n.tested, Refined: n.refined,
 					Repairs: n.repairsApplied.Load(), RepairChunks: n.repairChunksRx.Load(),
-				})
-				if err != nil {
-					n.logf("client %s: info reply %d not sent: %v", conn.RemoteAddr(), reqID, err)
-					return
-				}
-				reply(reqID, enc)
+				}))
 			})
 		case kindClientPublish, kindClientDelete:
 			cm, err := decodeClientMut(body)

@@ -100,6 +100,31 @@ type Transport interface {
 	Send(to uint64, delay time.Duration, deliver func(any), arg any)
 }
 
+// Driver is a runtime as the code that drives a protocol holds it (a
+// Platform, a test): the two seams the protocol is written against, and
+// the bridges by which a caller outside the protocol's execution context
+// gets onto it and waits for what it started there. simrt's caller is
+// that context, so its bridges run inline and spend simulated time;
+// livert's hand the work to the executor and block in real time.
+type Driver interface {
+	Runtime
+	Transport
+	// Do runs fn on the protocol's execution context and returns once it
+	// has run. It fails only on a closed runtime.
+	Do(fn func()) error
+	// Await runs op there and returns once the completion callback op
+	// was handed has been called, op has returned an error (which Await
+	// returns), or timeout of the runtime's own time has passed.
+	Await(timeout time.Duration, op func(finish func()) error) error
+	// Sleep lets d of the runtime's own time pass.
+	Sleep(d time.Duration)
+	// QueueStats reports the depth of the delivery queue and how many
+	// deliveries its bound has shed; both zero where nothing is bounded.
+	QueueStats() (depth int, shed int64)
+	// Close releases the runtime; nothing may be scheduled afterwards.
+	Close()
+}
+
 // Ticker repeatedly invokes fn every period until Stop is called. It is
 // the building block for protocol maintenance timers (stabilize,
 // fix-fingers, load probing) and works over any Clock; the tick

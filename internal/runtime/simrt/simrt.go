@@ -11,9 +11,14 @@
 // contract of the engine's hot paths is preserved: the adapter is
 // pointer-shaped (it boxes into the interfaces without allocating)
 // and Send passes the prebound deliver/arg pair straight through.
+//
+// The bridges of runtime.Driver (Do, Await, Sleep) run inline and spend
+// simulated time: the goroutine driving a simulation is the protocol's
+// execution context.
 package simrt
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -21,17 +26,14 @@ import (
 	"landmarkdht/internal/sim"
 )
 
-// RT wraps one engine as a runtime.Runtime and runtime.Transport.
+// RT wraps one engine as a runtime.Driver: the Runtime and Transport the
+// protocol is written against, and the bridges its driver uses.
 type RT struct {
 	eng *sim.Engine
 }
 
 // New returns the adapter for eng.
 func New(eng *sim.Engine) *RT { return &RT{eng: eng} }
-
-// Engine returns the wrapped engine (drivers need Run/RunUntil, which
-// are deliberately not part of the runtime seams).
-func (r *RT) Engine() *sim.Engine { return r.eng }
 
 // Now returns the current simulated time.
 func (r *RT) Now() time.Duration { return r.eng.Now() }
@@ -60,3 +62,39 @@ func (r *RT) Rand() *rand.Rand { return r.eng.Rand() }
 func (r *RT) Send(_ uint64, delay time.Duration, deliver func(any), arg any) {
 	r.eng.ScheduleArg(delay, deliver, arg)
 }
+
+// Do runs fn at once.
+func (r *RT) Do(fn func()) error {
+	fn()
+	return nil
+}
+
+// Await runs op at once, then advances the engine until op's completion
+// callback has fired or timeout of simulated time has passed. The clock
+// moves in whole seconds so that background timers (load balancing)
+// cannot stall completion detection, and so it stands a little past the
+// completion when Await returns.
+func (r *RT) Await(timeout time.Duration, op func(finish func()) error) error {
+	done := false
+	if err := op(func() { done = true }); err != nil {
+		return err
+	}
+	deadline := r.eng.Now()
+	for end := deadline + timeout; !done; {
+		if deadline >= end {
+			return fmt.Errorf("simrt: operation did not complete within %v of simulated time", timeout)
+		}
+		deadline += time.Second
+		r.eng.RunUntil(deadline)
+	}
+	return nil
+}
+
+// Sleep lets d of simulated time pass.
+func (r *RT) Sleep(d time.Duration) { r.eng.RunFor(d) }
+
+// QueueStats is always zero: the event heap sheds nothing.
+func (r *RT) QueueStats() (depth int, shed int64) { return 0, 0 }
+
+// Close does nothing: an engine holds no goroutine, timer or file.
+func (r *RT) Close() {}

@@ -222,6 +222,32 @@ func TestInsertThenSearch(t *testing.T) {
 	}
 }
 
+// TestInsertRollsBackWhenNeverPlaced: an insert whose publish is lost
+// (every message dropped, no reliability layer) gives up after the
+// platform's bound and leaves the index as it was — the id it would have
+// had goes to the next insert that lands. Simulated and live alike.
+func TestInsertRollsBackWhenNeverPlaced(t *testing.T) {
+	for _, live := range []bool{false, true} {
+		p, err := New(Options{Nodes: 48, Seed: 1, LossRate: 1, Live: live})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		p.opTimeout = 50 * time.Millisecond // live: real time; simulated: one step of the clock
+		ix, err := AddIndex(p, EuclideanSpace("vecs", 8, -100, 200), testData(100, 8, 2), DenseMean,
+			IndexOptions{Landmarks: 4, SampleSize: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ix.Insert(make(Vector, 8)); err == nil {
+			t.Fatalf("live=%v: an insert whose every message is dropped succeeded", live)
+		}
+		if ix.Len() != 100 {
+			t.Fatalf("live=%v: the failed insert left %d objects, want 100", live, ix.Len())
+		}
+	}
+}
+
 func TestMultipleIndexesOnePlatform(t *testing.T) {
 	p, err := New(Options{Nodes: 32, Seed: 2})
 	if err != nil {

@@ -115,22 +115,6 @@ func (n *Node) Recovered() bool { return n.inner.Recovered() }
 // Stats snapshots the node's link layer.
 func (n *Node) Stats() NodeStats { return n.inner.Stats() }
 
-// Reliability maps the node's link-layer counters into the platform's
-// ReliabilityStats shape: sheds from the bounded per-link send queues,
-// the instantaneous queued-frame depth, and link re-dials. The
-// query-layer counters (retries, hedges, admission) stay zero here —
-// a deployed node reports those per query in NodeResult.
-func (n *Node) Reliability() ReliabilityStats {
-	s := n.inner.Stats()
-	return ReliabilityStats{
-		TransportShed:  s.Shed,
-		QueueDepth:     s.Queued,
-		Reconnects:     s.Redials,
-		ReplicaRepairs: s.Repairs,
-		RepairChunks:   s.RepairChunks,
-	}
-}
-
 // Close shuts the node down: listener, client connections, peer links,
 // and the protocol executor.
 func (n *Node) Close() { n.inner.Close() }

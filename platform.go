@@ -10,6 +10,7 @@ import (
 	"landmarkdht/internal/netmodel"
 	"landmarkdht/internal/runtime"
 	"landmarkdht/internal/runtime/livert"
+	"landmarkdht/internal/runtime/simrt"
 	"landmarkdht/internal/sim"
 	"landmarkdht/internal/wal"
 )
@@ -144,13 +145,23 @@ func (o *Options) fillDefaults() {
 // the protocol on its own executor goroutine and serves searches from
 // any number of client goroutines concurrently; call Close when done.
 type Platform struct {
-	eng  *sim.Engine     // simulated mode (nil in live mode)
-	live *livert.Runtime // live mode (nil in simulated mode)
-	sys  *core.System
-	rng  *rand.Rand
-	opts Options
-	plan *chord.FaultPlan // overlay fault plan (nil when no faults)
+	// rt is the runtime under the protocol, simulated or live: New's
+	// choice, with the bound on one Await in that runtime's own time.
+	rt        runtime.Driver
+	opTimeout time.Duration
+	sys       *core.System
+	rng       *rand.Rand
+	opts      Options
+	plan      *chord.FaultPlan // overlay fault plan (nil when no faults)
 }
+
+// One protocol operation may take this long, far above any real
+// completion time: a lost completion (all retries exhausted under
+// injected faults with no reliability layer) is an error, not a hang.
+const (
+	simOpTimeout  = 10 * time.Minute // of simulated time
+	liveOpTimeout = 30 * time.Second
+)
 
 // New builds a stabilized overlay of opts.Nodes nodes.
 func New(opts Options) (*Platform, error) {
@@ -179,30 +190,20 @@ func New(opts Options) (*Platform, error) {
 	cfg.MaxActiveQueries = opts.MaxActiveQueries
 	p := &Platform{opts: opts, plan: cfg.Chord.Faults}
 	if opts.Live {
-		p.live = livert.New(livert.Config{
+		p.rt, p.opTimeout = livert.New(livert.Config{
 			Seed: opts.Seed, LatencyScale: opts.LiveLatencyScale, MaxInbox: opts.MaxInbox,
-		})
+		}), liveOpTimeout
 	} else {
-		p.eng = sim.NewEngine(opts.Seed)
+		p.rt, p.opTimeout = simrt.New(sim.NewEngine(opts.Seed)), simOpTimeout
 	}
 	if opts.DataDir != "" {
 		// Compaction stamps come from the platform clock (virtual in
 		// simulated mode) so durable runs replay deterministically.
-		now := func() int64 {
-			if p.live != nil {
-				return int64(p.live.Now())
-			}
-			return int64(p.eng.Now())
-		}
 		cfg.Store = core.WALStoreFactory(opts.DataDir, core.WALStoreOptions{
-			Sync: opts.DataSync, Now: now,
+			Sync: opts.DataSync, Now: func() int64 { return int64(p.rt.Now()) },
 		})
 	}
-	if opts.Live {
-		p.sys = core.NewSystemRuntime(p.live, p.live, model, cfg)
-	} else {
-		p.sys = core.NewSystem(p.eng, model, cfg)
-	}
+	p.sys = core.NewSystemRuntime(p.rt, p.rt, model, cfg)
 	p.rng = rand.New(rand.NewSource(opts.Seed + 99))
 	if err := p.protocol(func() error {
 		used := map[chord.ID]bool{}
@@ -228,22 +229,15 @@ func New(opts Options) (*Platform, error) {
 // Close releases the platform's resources. In live mode it stops the
 // executor; on a simulated platform it is a no-op. The platform is
 // unusable afterwards.
-func (p *Platform) Close() {
-	if p.live != nil {
-		p.live.Close()
-	}
-}
+func (p *Platform) Close() { p.rt.Close() }
 
 // protocol runs fn on the platform's protocol execution context:
 // synchronously on a simulated platform (the caller's goroutine is the
 // context), via the executor on a live one. Every touch of overlay or
 // system state goes through it.
 func (p *Platform) protocol(fn func() error) error {
-	if p.live == nil {
-		return fn()
-	}
 	var err error
-	if derr := p.live.Do(func() { err = fn() }); derr != nil {
+	if derr := p.rt.Do(func() { err = fn() }); derr != nil {
 		return derr
 	}
 	return err
@@ -292,13 +286,7 @@ func (p *Platform) Migrations() (done, aborted int) {
 // Run lets d of platform time pass (useful to let load balancing settle
 // between searches): simulated time on a simulated platform, real time
 // on a live one.
-func (p *Platform) Run(d time.Duration) {
-	if p.live != nil {
-		p.live.Sleep(d)
-		return
-	}
-	p.eng.RunFor(d)
-}
+func (p *Platform) Run(d time.Duration) { p.rt.Sleep(d) }
 
 // Crash abruptly removes n random nodes (failure injection): in-flight
 // messages from the victims are lost with them, routing state is
@@ -362,20 +350,12 @@ type ReliabilityStats struct {
 	// each rejection produced an honest incomplete result.
 	AdmissionRejected int
 	// TransportShed counts deliveries dropped by the bounded transport
-	// queue (Options.MaxInbox in live mode, the per-link send queue on
-	// a deployed Node). Always zero on a simulated platform.
+	// queue (Options.MaxInbox in live mode). Always zero on a simulated
+	// platform.
 	TransportShed int64
 	// QueueDepth is the transport delivery queue's depth at snapshot
 	// time — an instantaneous saturation gauge, not a counter.
 	QueueDepth int
-	// Reconnects counts transport link re-dials (deployed nodes only).
-	Reconnects int64
-	// ReplicaRepairs counts replica-region bulk streams installed on a
-	// deployed Node (anti-entropy repairs and initial syncs);
-	// RepairChunks counts the stream chunks received. Both zero on
-	// simulated and in-process platforms.
-	ReplicaRepairs int64
-	RepairChunks   int64
 }
 
 // Reliability returns the platform's loss/retry counters.
@@ -391,9 +371,7 @@ func (p *Platform) Reliability() ReliabilityStats {
 		}
 		return nil
 	})
-	if p.live != nil {
-		rs.QueueDepth, rs.TransportShed = p.live.QueueStats()
-	}
+	rs.QueueDepth, rs.TransportShed = p.rt.QueueStats()
 	return rs
 }
 
@@ -486,22 +464,4 @@ func (p *Platform) Traffic() Traffic {
 func (p *Platform) randomNode() chord.ID {
 	nodes := p.sys.Nodes()
 	return nodes[p.rng.Intn(len(nodes))].ID()
-}
-
-// drive runs the engine until done reports true, extending the clock
-// in bounded steps so background timers (load balancing) cannot stall
-// completion detection.
-func (p *Platform) drive(done func() bool) error {
-	if done() {
-		return nil
-	}
-	deadline := p.eng.Now()
-	for tries := 0; tries < 600; tries++ {
-		deadline += time.Second
-		p.eng.RunUntil(deadline)
-		if done() {
-			return nil
-		}
-	}
-	return fmt.Errorf("landmarkdht: operation did not complete within 10 simulated minutes")
 }
