@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race live-race chaos node-smoke durability-smoke repair-smoke vet lint bench bench-check experiments experiments-paper examples clean
+.PHONY: all build test test-short test-race golden-check live-race chaos node-smoke durability-smoke repair-smoke vet lint bench bench-check experiments experiments-paper examples clean
 
 all: build vet lint test
 
@@ -46,6 +46,17 @@ test-short:
 # What CI runs: the race detector over the short suite.
 test-race:
 	$(GO) test -race -short ./...
+
+# The small-scale transcripts of figures 2, 3 and 5 against the recorded
+# ones (testdata/golden, ~30 s): a change to the store, the router or the
+# overlay that is meant to leave the protocol alone prints the same bytes
+# — recall, hops, messages, migrations, load — apart from the wall-clock
+# line. A change that means to move them regenerates the files with the
+# same three commands and says why.
+golden-check:
+	@for f in fig2 fig3 fig5; do \
+		$(GO) run ./cmd/lmsim -exp $$f -scale small | grep -v "^\[$$f completed in " | diff testdata/golden/$${f}_small.txt - || exit 1; \
+	done
 
 # The live concurrent runtime under the race detector (CI's live-race
 # job): livert's tests, the sim-vs-live equivalence test, and the

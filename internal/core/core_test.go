@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -614,5 +615,25 @@ func TestStoreSingleKeyUnsplittable(t *testing.T) {
 	}
 	if _, ok := medianOffsetKey(keys, 0); ok {
 		t.Fatal("single-key load must be unsplittable (§4.3)")
+	}
+}
+
+// TestRefineLocalCutIgnoresScanOrder: a node's top-k cut orders its
+// candidates as finish does, by distance and then by object, so which of
+// several equidistant objects it returns does not depend on the order the
+// store's scan found them in.
+func TestRefineLocalCutIgnoresScanOrder(t *testing.T) {
+	dist := map[ObjectID]float64{1: 0.5, 2: 0.25, 3: 0.5, 4: 0.5, 5: 0.75, 6: 0.5}
+	aq := &activeQuery{topK: 3, ix: &Index{Dist: func(_ any, obj ObjectID) float64 { return dist[obj] }}}
+	want := []Result{{Obj: 2, Dist: 0.25}, {Obj: 1, Dist: 0.5}, {Obj: 3, Dist: 0.5}}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		var cands []Entry
+		for _, obj := range rng.Perm(len(dist)) {
+			cands = append(cands, Entry{Obj: ObjectID(obj + 1)})
+		}
+		if got := refineLocal(aq, cands); !slices.Equal(got, want) {
+			t.Fatalf("candidates %v: cut to %v, want %v", cands, got, want)
+		}
 	}
 }

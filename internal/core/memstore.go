@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -9,30 +10,74 @@ import (
 	"landmarkdht/internal/query"
 )
 
-// region holds one index scheme's entries on one node. Entries are
-// kept with their ring keys so load migration can split a node's
-// range; the slices are unsorted between migrations (queries scan them
-// linearly — per-node entry counts are small by design).
+// region holds one index scheme's entries on one node, and the index its
+// scans read.
 //
-// pts is the scan's copy of the entries' index points, one contiguous
-// column in entry order: entry i's point is pts[i*k : (i+1)*k]. A scan
-// examines every entry and keeps few, so it streams the column and
-// touches an Entry only on a hit, instead of chasing each entry's Point
-// into wherever the caller's corpus put it. The column belongs to the
-// region — no Entry's Point aliases it — and every mutator below keeps
-// it in step with entries.
+// keys and entries are the store's contents, in storage order: an append
+// goes to the end, Delete swap-removes, ExtractUpTo compacts. Everything
+// that hands entries out — View, RegionSnapshot, ExtractUpTo, Drain, the
+// transfer chunks cut from them — reads these two and nothing else, so
+// that order is a function of the mutations alone.
+//
+// pts, order, boxes and body are the scan index, derived from the two and
+// never the other way round. Row i of the index is entry order[i], its
+// index point copied to pts[i*k : (i+1)*k]: one contiguous column, owned
+// by the region (no Entry's Point aliases it), so a scan streams memory
+// and touches an Entry only on a hit. Rows [0, body) are in ascending
+// ring-key order, equal keys in storage order. A ring key is its point's
+// path down the k-d partition, so neighbours in that order are neighbours
+// in the index space, and every leafRows consecutive rows lie under one
+// axis-aligned box — k minima, then k maxima — in boxes: a scan tests the
+// box first and the rows only if the box meets the cube. The keys decide
+// how tight a box is, not whether it is right: a box bounds its own rows
+// whatever order put them there, so the region needs no partitioner.
+// Rows [body, len(order)) are the tail: entries appended since the body
+// was sorted, in storage order, under no box, tested row by row.
+//
+// The index is brought up to date by the scan that needs it (index), not
+// by the mutators: add leaves new entries for the next scan to copy into
+// the tail, and whatever moves or removes an entry ends in truncate or
+// drain, which drop every row, so len(order) < len(entries) is all a scan
+// has to check. A store belongs to the protocol executor (Store), which
+// is why a read may write.
 type region struct {
 	keys    []lph.Key // ring (rotated) key of each entry
 	entries []Entry
 	k       int // point length of the index, set by the first entry of an empty region
-	pts     []float64
+
+	pts   []float64
+	order []int32
+	boxes []float64
+	body  int
+
+	// boxTests and rowTests count the boxes and the rows scans have
+	// compared with a cube, added up once per leaf, not per row
+	// (BenchmarkMemStoreScan).
+	boxTests, rowTests int
 }
 
-// add appends a batch, or refuses all of it when a point's length is not
-// the region's: the column has one stride, and Region.Contains would
-// never match such an entry anyway — it would sit where no query can
-// return it.
+const (
+	// leafRows is the number of consecutive body rows under one box.
+	// Regions hold a few hundred rows and cubes are wide: 4 and 16 both
+	// scan slower, and so does a second level of boxes above these
+	// (EXPERIMENTS.md).
+	leafRows = 8
+	// The tail is sorted into the body when it has outgrown 1/tailShare
+	// of it (and one leaf): a scan tests at most that share of the region
+	// without a box, and a row is sorted O(tailShare · log n) times over
+	// the appends that follow it.
+	tailShare = 4
+)
+
+// add appends a batch, or refuses all of it: when the batch does not
+// carry one key per entry — every later key would sit beside another
+// entry — and when a point's length is not the region's: the column has
+// one stride, and Region.Contains would never match such an entry anyway
+// — it would sit where no query can return it.
 func (s *region) add(index string, keys []lph.Key, entries []Entry) error {
+	if len(keys) != len(entries) {
+		return fmt.Errorf("core: %d keys for %d entries of index %q", len(keys), len(entries), index)
+	}
 	if len(entries) == 0 {
 		return nil
 	}
@@ -48,56 +93,120 @@ func (s *region) add(index string, keys []lph.Key, entries []Entry) error {
 	}
 	s.k = k
 	if n := len(s.entries) + len(entries); n > cap(s.entries) {
-		// One growth decision for the three columns, by doubling: a region
+		// One growth decision for both slices, by doubling: a region
 		// streamed in chunk by chunk reallocates a handful of times.
 		room := max(n, 2*cap(s.entries)) - len(s.entries)
 		s.keys = slices.Grow(s.keys, room)
 		s.entries = slices.Grow(s.entries, room)
-		s.pts = slices.Grow(s.pts, room*k)
 	}
 	s.keys = append(s.keys, keys...)
 	s.entries = append(s.entries, entries...)
-	for i := range entries {
-		s.pts = append(s.pts, entries[i].Point...)
-	}
 	return nil
 }
 
-// move copies entry from's row of every column to row to.
-func (s *region) move(to, from int) {
-	s.keys[to] = s.keys[from]
-	s.entries[to] = s.entries[from]
-	copy(s.pts[to*s.k:(to+1)*s.k], s.pts[from*s.k:(from+1)*s.k])
-}
-
-// truncate keeps the first n entries.
+// truncate keeps the first n entries. Every removal ends here — Delete
+// after its swap, extractUpTo after compacting, ApplyRegion before it
+// refills — so this is where the scan index loses its rows.
 func (s *region) truncate(n int) {
 	s.keys = s.keys[:n]
 	s.entries = s.entries[:n]
-	s.pts = s.pts[:n*s.k]
+	s.pts, s.order, s.body = s.pts[:0], s.order[:0], 0
 }
 
 func (s *region) size() int { return len(s.entries) }
 
+// index gives every entry a row: the entries without one join the tail,
+// and a tail grown past its share of the body is sorted into it — one
+// sort of the row → entry map, the column refilled in that order from the
+// entries' own points, the boxes recomputed, all in the buffers the
+// region already has.
+func (s *region) index() {
+	n, k := len(s.entries), s.k
+	rows := len(s.order) // these keep their place in the column unless the tail is sorted in
+	s.order = slices.Grow(s.order, n-rows)
+	for i := rows; i < n; i++ {
+		s.order = append(s.order, int32(i))
+	}
+	tail := n - s.body
+	fold := tail > leafRows && tail*tailShare > s.body
+	if fold {
+		keys := s.keys
+		slices.SortFunc(s.order, func(a, b int32) int {
+			// Ties in storage order, which makes the order total: the
+			// sort need not be stable.
+			return cmp.Or(cmp.Compare(keys[a], keys[b]), cmp.Compare(a, b))
+		})
+		s.body, rows = n, 0
+	}
+	s.pts = slices.Grow(s.pts[:rows*k], (n-rows)*k)
+	for _, e := range s.order[rows:] {
+		s.pts = append(s.pts, s.entries[e].Point...)
+	}
+	if !fold {
+		return
+	}
+	leaves := (n + leafRows - 1) / leafRows
+	s.boxes = slices.Grow(s.boxes[:0], leaves*2*k)[:leaves*2*k]
+	for l := range leaves {
+		mins, maxs := s.boxes[2*l*k:][:k], s.boxes[(2*l+1)*k:][:k]
+		rows := s.pts[l*leafRows*k : min((l+1)*leafRows, n)*k]
+		copy(mins, rows)
+		copy(maxs, rows)
+		for p := rows; len(p) > 0; p = p[k:] {
+			for j, x := range p[:k] {
+				// min and max keep a NaN, and scanAppend's comparisons
+				// pass over nothing on a NaN bound.
+				mins[j], maxs[j] = min(mins[j], x), max(maxs[j], x)
+			}
+		}
+	}
+}
+
 // scanAppend appends the entries whose index points fall inside the
-// cube to buf and returns it (the zero-allocation hot path). The test is
-// Region.Contains' — same length, every coordinate in its closed
-// interval — read from the column.
+// cube to buf and returns it (the zero-allocation hot path once the
+// index is built). The test is Region.Contains' — same length, every
+// coordinate in its closed interval — read from the column, and made
+// only under the boxes that meet the cube. A box is passed over when
+// its rows all lie beyond one of the cube's bounds; written as the two
+// comparisons that say so, a NaN or an inverted bound passes nothing
+// over, and the row test decides as Contains would.
 func (s *region) scanAppend(cube []lph.Bounds, buf []Entry) []Entry {
 	k := s.k
 	if len(cube) != k {
 		return buf
 	}
-	pts := s.pts
+	if len(s.order) < len(s.entries) {
+		s.index()
+	}
+	leaves, rows := 0, len(s.order)-s.body
+leaf:
+	for lo, box := 0, s.boxes; lo < s.body; lo, box = lo+leafRows, box[2*k:] {
+		leaves++
+		for j, b := range cube {
+			if box[j] > b.Hi || box[k+j] < b.Lo {
+				continue leaf
+			}
+		}
+		hi := min(lo+leafRows, s.body)
+		rows += hi - lo
+		buf = s.appendMatches(cube, lo, hi, buf)
+	}
+	s.boxTests += leaves
+	s.rowTests += rows
+	return s.appendMatches(cube, s.body, len(s.order), buf)
+}
+
+// appendMatches row-tests rows [lo, hi) of the column against the cube.
+func (s *region) appendMatches(cube []lph.Bounds, lo, hi int, buf []Entry) []Entry {
+	k := len(cube)
 next:
-	for i := range s.entries {
-		p := pts[i*k : (i+1)*k]
+	for i, p := lo, s.pts[lo*k:hi*k]; i < hi; i, p = i+1, p[k:] {
 		for j, b := range cube {
 			if !b.Contains(p[j]) {
 				continue next
 			}
 		}
-		buf = append(buf, s.entries[i])
+		buf = append(buf, s.entries[s.order[i]])
 	}
 	return buf
 }
@@ -115,25 +224,28 @@ func (s *region) extractUpTo(base, split lph.Key) ([]lph.Key, []Entry) {
 			outK = append(outK, k)
 			outE = append(outE, s.entries[i])
 		} else {
-			s.move(kept, i)
+			s.keys[kept], s.entries[kept] = k, s.entries[i]
 			kept++
 		}
 	}
-	s.truncate(kept)
+	if kept < len(s.keys) {
+		s.truncate(kept)
+	}
 	return outK, outE
 }
 
 // drain removes and returns everything.
 func (s *region) drain() ([]lph.Key, []Entry) {
 	k, e := s.keys, s.entries
-	s.keys, s.entries, s.pts = nil, nil, nil
+	*s = region{}
 	return k, e
 }
 
 // MemStore is the in-memory Store — the default backend, equivalent to
 // the pre-Store behavior and what the paper's simulations assume. Its
 // mutating methods fail only on an entry whose point length is not the
-// index's, and then store nothing.
+// index's or a batch with another number of keys than entries, and then
+// store nothing.
 type MemStore struct {
 	regions map[string]*region
 }
@@ -177,7 +289,7 @@ func (m *MemStore) Delete(index string, key lph.Key, obj ObjectID) (bool, error)
 	for i, k := range st.keys {
 		if k == key && st.entries[i].Obj == obj {
 			last := len(st.keys) - 1
-			st.move(i, last)
+			st.keys[i], st.entries[i] = st.keys[last], st.entries[last]
 			st.truncate(last)
 			return true, nil
 		}
@@ -241,7 +353,7 @@ func (m *MemStore) RegionSnapshot(index string) ([]lph.Key, []Entry) {
 
 // ApplyRegion implements Store.
 func (m *MemStore) ApplyRegion(index string, keys []lph.Key, entries []Entry) error {
-	if len(keys) == 0 {
+	if len(keys) == 0 && len(entries) == 0 {
 		delete(m.regions, index)
 		return nil
 	}

@@ -735,11 +735,21 @@ func refineLocal(aq *activeQuery, cands []Entry) []Result {
 	}
 	if aq.topK > 0 && len(local) > aq.topK {
 		// The paper's protocol: each index node returns its k nearest
-		// local results only.
-		sort.Slice(local, func(i, j int) bool { return local[i].Dist < local[j].Dist })
+		// local results only — nearest in finish's total order, so which
+		// of two equidistant objects makes the cut does not depend on the
+		// order the scan found them in.
+		sort.Slice(local, func(i, j int) bool { return nearer(local[i], local[j]) })
 		local = local[:aq.topK]
 	}
 	return local
+}
+
+// nearer is the total order of results: by distance, then by object.
+func nearer(a, b Result) bool {
+	if a.Dist != b.Dist {
+		return a.Dist < b.Dist
+	}
+	return a.Obj < b.Obj
 }
 
 // answerDone is answerLocal's tail: accounting, tracing, and result
@@ -905,12 +915,7 @@ func (s *System) finish(aq *activeQuery) {
 	for obj, d := range aq.results {
 		out = append(out, Result{Obj: obj, Dist: d})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].Obj < out[j].Obj
-	})
+	sort.Slice(out, func(i, j int) bool { return nearer(out[i], out[j]) })
 	if aq.topK > 0 && len(out) > aq.topK {
 		out = out[:aq.topK]
 	}

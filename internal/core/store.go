@@ -17,16 +17,19 @@ import (
 //
 // Stores are NOT concurrency-safe: like the rest of the protocol
 // state, a store belongs to the protocol executor and is only touched
-// from it.
+// from it — reads included: Scan may bring the index it reads up to
+// date with the mutations made since the last one.
 //
 // An index has one point length — its partitioner's K: every entry
 // stored under it carries a point of that many coordinates, fixed by
 // the first entry an empty index receives. Put, PutBatch and
 // ApplyRegion refuse an entry (and with it the whole batch) whose point
 // has another length and store nothing: no cube could ever contain it,
-// so it would be kept where no query can return it. The system
-// validates against Part.K() before it stores (BulkLoad, Publish), so
-// this is a backstop for callers that reach a store directly.
+// so it would be kept where no query can return it. They refuse in the
+// same way a batch that does not carry exactly one key per entry. The
+// system validates against Part.K() before it stores (BulkLoad,
+// Publish), so this is a backstop for callers that reach a store
+// directly.
 //
 // Mutating methods also return an error so a durable backend can
 // surface a failed journal write. On that error the in-memory state
@@ -43,12 +46,15 @@ type Store interface {
 	Delete(index string, key lph.Key, obj ObjectID) (bool, error)
 
 	// Scan appends the entries of one index whose points fall inside
-	// the region's cube to buf and returns it, in storage order; a cube
-	// of another length than the index's points contains none of them
-	// (Region.Contains). Hot callers pass a
-	// reusable buffer (buf[:0]) — the scan must not allocate when the
-	// buffer has capacity, and the result must be fully consumed
-	// before the buffer is reused.
+	// the region's cube to buf and returns it: each matching entry
+	// exactly once, in an order that is a function of the store's
+	// mutation history (not the storage order View shows — callers that
+	// need an order sort). A cube of another length than the index's
+	// points contains none of them (Region.Contains). Hot callers pass a
+	// reusable buffer (buf[:0]) — a scan that finds the store as the
+	// previous one left it must not allocate when the buffer has
+	// capacity, and the result must be fully consumed before the buffer
+	// is reused.
 	Scan(index string, r query.Region, buf []Entry) []Entry
 	// Size returns one index's entry count; TotalSize sums all indexes
 	// (the paper's load measure).

@@ -224,7 +224,7 @@ func (st *WALStore) Put(index string, key lph.Key, e Entry) error {
 }
 
 func (st *WALStore) PutBatch(index string, keys []lph.Key, entries []Entry) error {
-	if len(keys) == 0 {
+	if len(keys) == 0 && len(entries) == 0 {
 		return nil
 	}
 	if err := st.mem.PutBatch(index, keys, entries); err != nil {
