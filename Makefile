@@ -98,16 +98,20 @@ durability-smoke:
 # Replication and anti-entropy smoke (DESIGN.md §15): the replica,
 # failure-detector and mutation tests under the race detector, then the
 # multi-process soak with -replicas 1 and the kill-without-restart
-# phase — one member is SIGKILLed and stays dead while every query must
-# come back Complete and brute-force exact from the streamed replica
-# copies, with the repair counters proving the copies rode the
-# bulk-transfer path (repairs and chunks both non-zero). The
-# failover exactness tests run twenty times over: what they caught once
-# (a former replica answering from a copy nobody updates any more)
-# failed one run in twelve, and a rerun would have hidden it.
+# phase — publishes land in one member's arc, it is SIGKILLed and stays
+# dead, and every query must come back Complete and equal to brute force
+# plus the acknowledged publishes, answered from its replica copy (its
+# mutations; the corpus every member builds itself). A healthy ring keeps
+# copies current by fan-out and streams only to repair divergence, which
+# the tests pin (TestMutationFreeRingSyncsWithoutStream,
+# TestRestartedReplicaInstallsOneStream). The failover exactness tests
+# and the hand-off test run twenty times over: ring positions come from
+# ephemeral ports, and what the first two caught once (a former replica
+# answering from a copy nobody updates any more) failed one run in
+# twelve, where a rerun would have hidden it.
 repair-smoke:
-	$(GO) test -race -count=1 -run 'Replica|AntiEntropy|FailureDetector|Publish|ClientMut|HostileRep' ./internal/runtime/netrt
-	$(GO) test -race -count=20 -run 'TestGroupedExactness|TestFormerReplicaDoesNotServeStaleCopy' ./internal/runtime/netrt
+	$(GO) test -race -count=1 -run 'Replica|AntiEntropy|FailureDetector|Publish|ClientMut|HostileRep|SyncsWithoutStream' ./internal/runtime/netrt
+	$(GO) test -race -count=20 -run 'TestGroupedExactness|TestFormerReplicaDoesNotServeStaleCopy|TestMutationsFollowTheirKeyOnJoin' ./internal/runtime/netrt
 	$(GO) run -race ./cmd/lmchaos -procs 4 -objects 1024 -dim 4 -queries 120 -clients 6 -churn 3 -replicas 1 -kill-dead
 
 # One iteration of every kernel benchmark under internal/*: catches a

@@ -31,12 +31,11 @@
 //
 //	go run -race ./cmd/lmchaos -procs 4 -objects 1024 -dim 4 -durable
 //
-// With -replicas K the processes stream region copies to their ring
-// successors; adding -kill-dead appends a kill-without-restart phase
-// that SIGKILLs one member and leaves it dead while brute-force-
-// verifying that every query stays Complete and exact and that the
-// repairs rode the bulk-transfer path (aggregate Repairs > 0 and
-// RepairChunks > 0):
+// With -replicas K every process keeps its K ring successors current
+// with its mutations; adding -kill-dead appends a kill-without-restart
+// phase that publishes into one member's arc, SIGKILLs it and leaves it
+// dead while verifying that every query stays Complete and equal to
+// brute force plus the acknowledged publishes:
 //
 //	go run -race ./cmd/lmchaos -procs 4 -replicas 1 -kill-dead
 package main
@@ -71,7 +70,7 @@ func realMain() int {
 		dup      = flag.Float64("dup", 0.02, "query/ack duplication probability")
 		procs    = flag.Int("procs", 0, "run the soak over this many real lmnode OS processes instead (SIGKILL churn; see procs.go)")
 		durable  = flag.Bool("durable", false, "with -procs: give each member a data dir, publish and delete before every SIGKILL; restarted members must replay their journal (Recovered=true) and every acknowledged mutation must survive, or the soak fails")
-		replicas = flag.Int("replicas", 0, "with -procs: each member streams its region to this many ring successors")
+		replicas = flag.Int("replicas", 0, "with -procs: each member keeps this many ring successors current with its mutations")
 		killDead = flag.Bool("kill-dead", false, "with -procs and -replicas: kill one member without restart and require Complete exact answers while it stays dead")
 		qps      = flag.Float64("qps", 0, "fixed offered load in queries per second across all clients (0 = closed loop)")
 		maxAct   = flag.Int("max-active", 0, "admission cap on concurrent queries (0 = unlimited)")

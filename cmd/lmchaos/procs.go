@@ -307,7 +307,7 @@ func realProcs(o procOpts) int {
 	// exact again — the ring healed, links redialed, views regossiped.
 	rng := rand.New(rand.NewSource(o.seed + 77))
 	for i := 0; i < o.n; i++ {
-		if err := waitRecovered(addrs[i], ds, muts, rng, 60*time.Second); err != nil {
+		if err := waitRecovered(addrs[i], ds, muts, nil, rng, 60*time.Second); err != nil {
 			fmt.Fprintf(os.Stderr, "lmchaos: FAIL: member %d never recovered: %v\n", i, err)
 			return 1
 		}
@@ -343,12 +343,14 @@ func realProcs(o procOpts) int {
 }
 
 // killDeadPhase is the availability soak: SIGKILL one member and leave
-// it dead. Once every survivor's failure detector marks it down, every
-// query must still come back Complete and brute-force exact — answered
-// from the replica copies streamed before the kill — and the repair
-// counters must show the copies arrived over the bulk-transfer path
-// (aggregate Repairs > 0, RepairChunks > 0). Any regression fails the
-// soak.
+// it dead. Before the kill it publishes through a survivor until the
+// victim holds one of those publishes as owner — a replica copy is its
+// owner's mutations (the corpus every member builds itself), so without
+// one the phase would check an empty copy — and waits one anti-entropy
+// period past the acks. Once every survivor's failure detector marks the
+// victim down, every query must still come back Complete and equal to
+// brute force plus the acknowledged publishes within its radius,
+// answered from the victim's replica copy. Any regression fails the soak.
 func killDeadPhase(o procOpts, ring *procRing, addrs []string, ds *netrt.Dataset, muts *soakMuts) error {
 	n := len(addrs)
 	wantSynced := o.replicas
@@ -360,22 +362,40 @@ func killDeadPhase(o procOpts, ring *procRing, addrs []string, ds *netrt.Dataset
 			return fmt.Errorf("member %d (%s) never synced its replica copies: %w", i, addr, err)
 		}
 	}
-	fmt.Printf("lmchaos: kill-dead: every member holds %d synced region copies\n", wantSynced)
+	fmt.Printf("lmchaos: kill-dead: every member holds %d synced replica copies\n", wantSynced)
 
-	victim := n - 1
-	victimID := netrt.NodeID(addrs[victim])
-	ring.kill(victim)
-	fmt.Printf("lmchaos: kill-dead: SIGKILLed member %d (%s, node %016x) — staying dead\n",
-		victim, addrs[victim], victimID)
-
+	// The victim is the member owning the most of the corpus: random
+	// publishes land in its arc soonest.
+	victim, infos := 0, make([]netrt.Info, n)
+	for i, addr := range addrs {
+		var err error
+		if infos[i], err = infoOf(addr); err != nil {
+			return fmt.Errorf("info from member %d (%s): %w", i, addr, err)
+		}
+		if infos[i].Store > infos[victim].Store {
+			victim = i
+		}
+	}
 	survivors := make([]int, 0, n-1)
 	for i := range addrs {
 		if i != victim {
 			survivors = append(survivors, i)
 		}
 	}
+	rng := rand.New(rand.NewSource(o.seed + 93))
+	pubs, err := publishInto(addrs[survivors[0]], addrs[victim], infos[victim].Extras, ds, rng)
+	if err != nil {
+		return err
+	}
+	time.Sleep(antiEntropyPeriod)
+	fmt.Printf("lmchaos: kill-dead: %d publishes acknowledged, the last in the victim's arc\n", len(pubs))
+
+	victimID := netrt.NodeID(addrs[victim])
+	ring.kill(victim)
+	fmt.Printf("lmchaos: kill-dead: SIGKILLed member %d (%s, node %016x) — staying dead\n",
+		victim, addrs[victim], victimID)
 	for _, i := range survivors {
-		if err := waitDown(addrs[i], victimID, 60*time.Second); err != nil {
+		if err := waitDown(addrs[i], victimID, true, 60*time.Second); err != nil {
 			return fmt.Errorf("member %d (%s) never marked node %016x down: %w", i, addrs[i], victimID, err)
 		}
 	}
@@ -392,7 +412,6 @@ func killDeadPhase(o procOpts, ring *procRing, addrs []string, ds *netrt.Dataset
 	}
 
 	const deadQueries = 40
-	rng := rand.New(rand.NewSource(o.seed + 93))
 	for q := 0; q < deadQueries; q++ {
 		j := q % len(cls)
 		qobj := ds.RandomQuery(rng)
@@ -405,30 +424,16 @@ func killDeadPhase(o procOpts, ring *procRing, addrs []string, ds *netrt.Dataset
 			return fmt.Errorf("query %d on member %d came back incomplete (dropped %d) while the victim was dead — availability regression",
 				q, survivors[j], out.Dropped)
 		}
-		want, err := ds.BruteForce(qobj, r)
+		want, err := expected(ds, muts, pubs, qobj, r)
 		if err != nil {
 			return err
 		}
-		if got, want := muts.stable(out.Entries), muts.stable(want); !sameEntries(got, want) {
-			return fmt.Errorf("query %d on member %d: complete failover answer disagrees with brute force (%d got, %d want)",
+		if got := muts.stable(out.Entries); !sameEntries(got, want) {
+			return fmt.Errorf("query %d on member %d: complete failover answer disagrees with brute force and the publishes (%d got, %d want)",
 				q, survivors[j], len(got), len(want))
 		}
 	}
-
-	var repairs, chunks int64
-	for j, i := range survivors {
-		info, err := cls[j].Info(2 * time.Second)
-		if err != nil {
-			return fmt.Errorf("info from survivor %d: %w", i, err)
-		}
-		repairs += info.Repairs
-		chunks += info.RepairChunks
-	}
-	if repairs == 0 || chunks == 0 {
-		return fmt.Errorf("no bulk repair streams were installed (repairs=%d, chunks=%d)", repairs, chunks)
-	}
-	fmt.Printf("lmchaos: kill-dead: %d queries complete-and-exact with a dead member (repairs=%d, chunks=%d)\n",
-		deadQueries, repairs, chunks)
+	fmt.Printf("lmchaos: kill-dead: %d queries complete-and-exact with a dead member\n", deadQueries)
 
 	// Bring the victim back so the soak exits with a whole ring.
 	p, err := ring.spawn(victim, addrs[victim], addrs[survivors[0]])
@@ -436,16 +441,101 @@ func killDeadPhase(o procOpts, ring *procRing, addrs []string, ds *netrt.Dataset
 		return fmt.Errorf("restart victim: %w", err)
 	}
 	ring.set(victim, p)
+	// Until it has learned the ring the victim answers alone, from a view
+	// of one, and until the survivors see it up they answer its arc from
+	// their copy; and without -durable the restart lost what it owned:
+	// the last publish, the one that landed in its arc.
+	if err := waitMembers(addrs[victim], n, 30*time.Second); err != nil {
+		return fmt.Errorf("victim never rejoined: %w", err)
+	}
+	for _, i := range survivors {
+		if err := waitDown(addrs[i], victimID, false, 60*time.Second); err != nil {
+			return fmt.Errorf("member %d (%s) never saw node %016x up again: %w", i, addrs[i], victimID, err)
+		}
+	}
+	kept := pubs[:len(pubs)-1]
 	if ring.dataDirs != nil {
 		if err := assertRecovered(addrs[victim], 15*time.Second); err != nil {
 			return fmt.Errorf("victim restarted without replaying its data dir: %w", err)
 		}
+		kept = pubs
 	}
-	if err := waitRecovered(addrs[victim], ds, muts, rng, 60*time.Second); err != nil {
+	if err := waitRecovered(addrs[victim], ds, muts, kept, rng, 60*time.Second); err != nil {
 		return fmt.Errorf("victim never healed after restart: %w", err)
 	}
 	fmt.Println("lmchaos: kill-dead: victim restarted and healed")
 	return nil
+}
+
+const (
+	// deadBase is the first id the kill-dead phase publishes under:
+	// above any corpus the soak builds and below pubBase, so that
+	// soakMuts.stable keeps them in every comparison.
+	deadBase = pubBase / 2
+	// deadPublishes bounds the publishes the phase makes to land one in
+	// the victim's arc, which holds the largest share of the corpus: at
+	// least a quarter on the four-member rings CI runs.
+	deadPublishes = 64
+	// antiEntropyPeriod is lmnode's, netrt.Config's default.
+	antiEntropyPeriod = time.Second
+)
+
+// publishInto publishes fresh vectors through the member at via until
+// the member at owner reports more published entries than had, and
+// returns the acknowledged publishes.
+func publishInto(via, owner string, had int, ds *netrt.Dataset, rng *rand.Rand) ([]soakPub, error) {
+	cl, err := dialRetry(via, 15*time.Second)
+	if err != nil {
+		return nil, err
+	}
+	defer cl.Close()
+	var pubs []soakPub
+	for i := int32(0); i < deadPublishes; i++ {
+		p := soakPub{id: deadBase + i, obj: ds.RandomQuery(rng)}
+		if err := cl.Publish(p.id, p.obj, 10*time.Second); err != nil {
+			return nil, fmt.Errorf("publish %d: %w", p.id, err)
+		}
+		pubs = append(pubs, p)
+		info, err := infoOf(owner)
+		if err != nil {
+			return nil, err
+		}
+		if info.Extras > had {
+			return pubs, nil
+		}
+	}
+	return nil, fmt.Errorf("none of %d publishes landed in the victim's arc", deadPublishes)
+}
+
+// expected is the answer a Complete query must return, less what
+// soakMuts.stable leaves out: brute force over the boot corpus plus the
+// publishes within r, in id order (theirs are above the corpus').
+func expected(ds *netrt.Dataset, muts *soakMuts, pubs []soakPub, qobj []byte, r float64) ([]netrt.ResultEntry, error) {
+	bf, err := ds.BruteForce(qobj, r)
+	if err != nil {
+		return nil, err
+	}
+	want := muts.stable(bf)
+	for _, p := range pubs {
+		d, err := ds.Distance(qobj, p.obj)
+		if err != nil {
+			return nil, err
+		}
+		if d <= r {
+			want = append(want, netrt.ResultEntry{Obj: p.id, Dist: d})
+		}
+	}
+	return want, nil
+}
+
+// infoOf asks the member at addr for its Info.
+func infoOf(addr string) (netrt.Info, error) {
+	cl, err := dialRetry(addr, 15*time.Second)
+	if err != nil {
+		return netrt.Info{}, err
+	}
+	defer cl.Close()
+	return cl.Info(2 * time.Second)
 }
 
 // pubBase is the first id the durable soak publishes under — far above
@@ -630,8 +720,9 @@ func waitSyncedOwners(addr string, want int, window time.Duration) error {
 	}
 }
 
-// waitDown blocks until the node at addr marks id down.
-func waitDown(addr string, id uint64, window time.Duration) error {
+// waitDown blocks until the node at addr marks id down — or, with down
+// false, no longer does.
+func waitDown(addr string, id uint64, down bool, window time.Duration) error {
 	cl, err := dialRetry(addr, window)
 	if err != nil {
 		return err
@@ -643,13 +734,11 @@ func waitDown(addr string, id uint64, window time.Duration) error {
 		if err != nil {
 			return err
 		}
-		for _, d := range info.Down {
-			if d == id {
-				return nil
-			}
+		if slices.Contains(info.Down, id) == down {
+			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("down set %v never included the victim", info.Down)
+			return fmt.Errorf("down set %v: the victim in it %v, never %v", info.Down, !down, down)
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
@@ -808,8 +897,8 @@ func waitMembers(addr string, want int, window time.Duration) error {
 }
 
 // waitRecovered queries one member until an answer comes back Complete
-// and brute-force exact.
-func waitRecovered(addr string, ds *netrt.Dataset, muts *soakMuts, rng *rand.Rand, window time.Duration) error {
+// and brute-force exact, pubs included.
+func waitRecovered(addr string, ds *netrt.Dataset, muts *soakMuts, pubs []soakPub, rng *rand.Rand, window time.Duration) error {
 	cl, err := dialRetry(addr, window)
 	if err != nil {
 		return err
@@ -821,11 +910,11 @@ func waitRecovered(addr string, ds *netrt.Dataset, muts *soakMuts, rng *rand.Ran
 		r := 0.6 + 0.5*rng.Float64()
 		out, qerr := cl.Query(qobj, r, 10*time.Second)
 		if qerr == nil && out.Complete {
-			want, err := ds.BruteForce(qobj, r)
+			want, err := expected(ds, muts, pubs, qobj, r)
 			if err != nil {
 				return err
 			}
-			if got, want := muts.stable(out.Entries), muts.stable(want); !sameEntries(got, want) {
+			if got := muts.stable(out.Entries); !sameEntries(got, want) {
 				return fmt.Errorf("complete result disagrees with brute force (%d got, %d want)",
 					len(got), len(want))
 			}

@@ -24,10 +24,11 @@
 // own directory; a directory written under a different corpus config is
 // a startup error.
 //
-// With -replicas K (same value ring-wide) each node streams its region
-// to its K ring successors and keeps the copies repaired by periodic
-// digest exchange; queries for a member that the failure detector marks
-// down are answered exactly from the synced copies.
+// With -replicas K (same value ring-wide) each node keeps its K ring
+// successors current with its mutations — the corpus they build
+// themselves — by fan-out, repaired by periodic digest exchange; queries
+// for a member that the failure detector marks down are answered exactly
+// from the synced copies.
 package main
 
 import (
@@ -56,7 +57,7 @@ func realMain() int {
 		landmarks = flag.Int("landmarks", 0, "landmark count (0 = default)")
 		deadline  = flag.Duration("deadline", 0, "per-query deadline (0 = default)")
 		dataDir   = flag.String("data-dir", "", "durable state directory (journals online mutations; a restart replays them)")
-		replicas  = flag.Int("replicas", 0, "ring successors holding a streamed copy of this node's region (same value ring-wide)")
+		replicas  = flag.Int("replicas", 0, "ring successors holding a copy of this node's mutations (same value ring-wide)")
 		verbose   = flag.Bool("v", false, "log membership and link events")
 	)
 	flag.Parse()

@@ -40,9 +40,10 @@ type Info struct {
 	Replayed  int
 	// Replication and failure-detection state: the configured factor,
 	// the members this node's detector currently marks down, the owners
-	// whose regions it holds synced copies of, its live published
-	// entries, and the repair counters (bulk streams installed, chunks
-	// received; the chaos soak requires both non-zero after a kill).
+	// whose deltas it holds synced copies of, the published entries in
+	// its own delta, and the repair counters (bulk streams installed,
+	// chunks received — zero on a healthy ring, whose copies fan-out
+	// keeps current).
 	Replicas     int
 	Down         []uint64
 	SyncedOwners int
@@ -52,8 +53,9 @@ type Info struct {
 	// The work of answering, counted where it is done and cumulative
 	// since boot: Tested is the boot entries whose points were compared
 	// with a query cube at the leaves of the k-d descent, Refined the
-	// ones that were inside and alive, i.e. the exact distances computed.
-	// Published extras and replica copies, walked as maps, are in
+	// ones that were inside and alive, i.e. the exact distances computed
+	// — for this node's own regions and for a down owner's, which are
+	// the same descent filtered by its copy. Published extras are in
 	// neither.
 	Tested  uint64
 	Refined uint64

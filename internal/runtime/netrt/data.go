@@ -57,10 +57,10 @@ func (c *DataConfig) fillDefaults() {
 // corpus is what a node needs from the dataset, independent of the
 // object type: ring placement of every entry, index-space points for
 // region scans, exact distances for refinement, and query-region
-// construction. Everything an answer or a replica stream walks is
-// addressed by sorted position j (Cols, Evaluator, ObjBytes); a corpus
-// id i — what the wire, tombstones and delete routing carry — reaches
-// its entry through Cols().pos, as Key and Point do.
+// construction. Everything an answer walks is addressed by sorted
+// position j (Cols, Evaluator); a corpus id i — what the wire,
+// tombstones and delete routing carry — reaches its entry through
+// Cols().pos, as Key and Point do.
 type corpus interface {
 	N() int
 	// Key returns the ring key (rotation applied) of the entry with
@@ -81,18 +81,13 @@ type corpus interface {
 	Evaluator(qobj []byte) (func(j int) float64, error)
 	// RandomQuery draws a random encoded query object from rng.
 	RandomQuery(rng *rand.Rand) []byte
-	// ObjBytes appends the encoded object at sorted position j to dst —
-	// replica streams and digests are self-describing, so copies answer
-	// exact distances without assuming the holder can re-derive the
-	// object.
-	ObjBytes(dst []byte, j int) []byte
 	// MapObj maps an encoded object into the index: its ring key (the
 	// routing position an online publish or delete goes to) and its
 	// index-space point.
 	MapObj(obj []byte) (lph.Key, []float64, error)
 	// Dister decodes a query object once and returns an exact-distance
-	// evaluator over encoded object bytes (replica copies and published
-	// entries carry bytes, not corpus indices).
+	// evaluator over encoded object bytes (published entries carry
+	// bytes, not corpus indices).
 	Dister(qobj []byte) (func(obj []byte) (float64, error), error)
 }
 
@@ -265,8 +260,6 @@ func (d *dataset[T]) Evaluator(qobj []byte) (func(j int) float64, error) {
 
 func (d *dataset[T]) RandomQuery(rng *rand.Rand) []byte { return d.random(rng) }
 
-func (d *dataset[T]) ObjBytes(dst []byte, j int) []byte { return d.enc(dst, d.at(j)) }
-
 func (d *dataset[T]) MapObj(obj []byte) (lph.Key, []float64, error) {
 	o, err := d.dec(obj)
 	if err != nil {
@@ -380,8 +373,10 @@ func eachChunk(n int, fn func(lo, hi int)) {
 // layout change without a bump drops links frame by frame instead. Bump
 // it whenever a frame changes layout or meaning. 2: a queryMsg carries a
 // region set. 3: every frame a query or a mutation crosses is binary
-// (proto.go). 4: no frame is gob; a member travels as its address.
-const protoVersion = 4
+// (proto.go). 4: no frame is gob; a member travels as its address. 5: a
+// replica stream, its header and the anti-entropy digest carry the
+// owner's delta (delta.go), not its region.
+const protoVersion = 5
 
 // corpusSig is the handshake signature: the protocol version, the
 // corpus parameters and every entry's ring key in corpus order.
@@ -531,6 +526,16 @@ func (d *Dataset) N() int { return d.c.N() }
 
 // RandomQuery draws a random encoded query object from rng.
 func (d *Dataset) RandomQuery(rng *rand.Rand) []byte { return d.c.RandomQuery(rng) }
+
+// Distance returns the exact distance between a query object and an
+// encoded object — what a node computes for a published entry.
+func (d *Dataset) Distance(qobj, obj []byte) (float64, error) {
+	dist, err := d.c.Dister(qobj)
+	if err != nil {
+		return 0, err
+	}
+	return dist(obj)
+}
 
 // BruteForce returns the exact range-query answer over the full
 // corpus, sorted by object id.

@@ -66,8 +66,8 @@ func encodeMeta(cfg DataConfig) []byte {
 	return append(b, u[:4]...)
 }
 
-// durableMut is one replayed online mutation, applied in log order on
-// top of the built corpus (publish.go's applyRecovered).
+// durableMut is one replayed online mutation, applied in log order to
+// the node's delta at Start.
 type durableMut struct {
 	id    int32
 	key   lph.Key
@@ -146,18 +146,25 @@ func encodeMutation(m *pubMsg, point []float64) []byte {
 	return append(rec, m.Obj...)
 }
 
-// journalMutation appends one mutation record to the node's WAL. The
-// caller acts on the error: a mutation whose record was not written is
-// neither applied nor acknowledged. Nodes without a data directory
+// journalMutation appends one mutation record to the node's WAL: a
+// publish with the key and point x that this node derived, not the key
+// the frame routed by, so that replay restores the extra apply placed.
+// The caller acts on the error: a mutation whose record was not written
+// is neither applied nor acknowledged. Nodes without a data directory
 // journal nothing. Executor context: the WAL's interval-sync append is
 // a buffered file write.
 //
 //lint:context executor
-func (n *Node) journalMutation(m *pubMsg, point []float64) error {
+func (n *Node) journalMutation(m *pubMsg, x *extra) error {
 	if n.store == nil {
 		return nil
 	}
-	return n.store.Append(encodeMutation(m, point))
+	if x == nil {
+		return n.store.Append(encodeMutation(m, nil))
+	}
+	rec := *m
+	rec.Key = uint64(n.data.Part().Ring(x.key))
+	return n.store.Append(encodeMutation(&rec, x.point))
 }
 
 // openDurable replays the data directory and returns the still-open

@@ -226,12 +226,12 @@ func TestDurableLegacyDirectoryOpens(t *testing.T) {
 			return err
 		}
 		for j := 0; j < data.Landmarks; j++ {
-			if err := emit(c.ObjBytes([]byte{recLandmark}, j)); err != nil {
+			if err := emit(append([]byte{recLandmark}, objAt(c, j)...)); err != nil {
 				return err
 			}
 		}
 		for j, id := range c.Cols().ids {
-			if err := emit(record(recEntry, id, c.ObjBytes(nil, j))); err != nil {
+			if err := emit(record(recEntry, id, objAt(c, j))); err != nil {
 				return err
 			}
 		}

@@ -5,55 +5,85 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
-	"landmarkdht/internal/core"
+	"landmarkdht/internal/wire"
 )
 
-// FuzzDecodeRepEntry feeds hostile bytes to the replica-entry decoder —
-// and through it to core.DecodeEntry — the way installStage does, entry
-// after entry until the blob is consumed or refused. Replica copies are
-// parsed from peer streams and are what failover answers are read from,
-// so the decoder must:
+// FuzzDecodeRepEntry feeds hostile bytes to decodeDelta, the decoder
+// every item of a replica copy — tombstone or published extra — is read
+// through off a peer's stream, before failover answers are read from
+// the copy. Over an edit corpus, whose MapObj maps any string of up to
+// twelve bytes, it must:
 //
-//   - never panic, and refuse with a repEntryError and nothing else;
-//   - hand out an object capped to its declared length, so appending to
-//     it cannot reach the next entry's bytes;
-//   - be the inverse of appendRepEntry: re-encoding what it accepted
-//     reproduces exactly the bytes it consumed.
+//   - never panic, and refuse with a *wire.FrameError and the zero delta;
+//   - check each count against the bytes left before it makes anything,
+//     so that what it allocates is bounded by the input's length whatever
+//     a count claims (the seeds claim 2³²−1 tombstones, 2³²−1 extras and
+//     an object of 2³²−1 bytes);
+//   - accept only tombstones that are boot ids and extras that are not;
+//   - be the inverse of appendTo: what it accepts re-encodes to itself.
 func FuzzDecodeRepEntry(f *testing.F) {
-	one := appendRepEntry(nil, 0x0123456789abcdef,
-		core.Entry{Obj: 7, Point: []float64{0.25, 0.5, math.Inf(1)}}, []byte("object"))
-	two := appendRepEntry(one, ^uint64(0), core.Entry{Obj: -1}, nil)
-	f.Add(one)
-	f.Add(two)
-	f.Add(two[:len(two)-3])                      // object length cut short
-	f.Add(append(one[:len(one):len(one)], 0xFF)) // trailing garbage
+	c, err := buildCorpus(DataConfig{Metric: "edit", Seed: 3, Objects: 64, Landmarks: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	n := int32(c.N())
+	d := newDelta()
+	d.apply(3, true, nil)
+	d.apply(n-1, true, nil)
+	d.apply(-7, false, &extra{obj: []byte("abcde")})
+	d.apply(n, false, &extra{obj: []byte("ab")})
+	valid := d.appendTo(nil)
+	empty := newDelta()
+	u32 := func(vs ...uint32) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = appendU32(b, v)
+		}
+		return b
+	}
+	f.Add(valid)
+	f.Add(empty.appendTo(nil))
+	f.Add(valid[:len(valid)-3])                              // object cut short
+	f.Add(append(slices.Clone(valid), 0xFF))                 // trailing garbage
+	f.Add(u32(math.MaxUint32, 1, 2))                         // 2³²−1 tombstones
+	f.Add(u32(0, math.MaxUint32, uint32(n), 1))              // 2³²−1 extras
+	f.Add(append(u32(0, 1, uint32(n), math.MaxUint32), 'a')) // an object of 2³²−1 bytes
+	f.Add(u32(1, uint32(n), 0))                              // a tombstone past the corpus
+	f.Add(append(u32(0, 1, 5, 1), 'a'))                      // an extra under a boot id
+	f.Add(u32(2, 7, 3, 0))                                   // tombstones out of order
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF})                               // 65535 dimensions
-	f.Add(append(appendRepEntry(nil, 1, core.Entry{Obj: 2}, nil)[:14], 0xFF, 0xFF, 0xFF, 0xFF)) // 4 GiB object
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for len(data) > 0 {
-			key, e, obj, rest, err := decodeRepEntry(data)
-			if err != nil {
-				var refusal repEntryError
-				if !errors.As(err, &refusal) {
-					t.Fatalf("refused with %T (%v), want a repEntryError", err, err)
-				}
-				if key != 0 || e.Obj != 0 || e.Point != nil || obj != nil || rest != nil {
-					t.Fatalf("a refusal returned values: key %x entry %+v obj %v rest %v", key, e, obj, rest)
-				}
-				return
+		var got delta
+		var err error
+		if used, limit := allocatedBy(func() { got, err = decodeDelta(data, c) }), uint64(64*len(data)+64<<10); used > limit {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), used)
+		}
+		if err != nil {
+			var fe *wire.FrameError
+			if !errors.As(err, &fe) {
+				t.Fatalf("refused with %T (%v), want a *wire.FrameError", err, err)
 			}
-			if cap(obj) != len(obj) {
-				t.Fatalf("object of %d bytes has capacity %d: an append would overwrite the next entry", len(obj), cap(obj))
+			if got.tombs != nil || got.extras != nil || got.digest != 0 {
+				t.Fatalf("a refusal returned %+v", got)
 			}
-			consumed := data[:len(data)-len(rest)]
-			if again := appendRepEntry(nil, key, e, obj); !bytes.Equal(again, consumed) {
-				t.Fatalf("re-encoding gave %x, the decoder consumed %x", again, consumed)
+			return
+		}
+		for id := range got.tombs {
+			if id < 0 || id >= n {
+				t.Fatalf("accepted tombstone %d of a %d-entry corpus", id, n)
 			}
-			data = rest
+		}
+		for id := range got.extras {
+			if id >= 0 && id < n {
+				t.Fatalf("accepted an extra under boot id %d", id)
+			}
+		}
+		if again := got.appendTo(nil); !bytes.Equal(again, data) {
+			t.Fatalf("accepted %x, which re-encodes to %x", data, again)
 		}
 	})
 }

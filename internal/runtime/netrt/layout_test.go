@@ -1,6 +1,7 @@
 package netrt
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -179,7 +180,7 @@ func TestBruteForceMatchesByIDReference(t *testing.T) {
 			}
 			var want []ResultEntry
 			for i := 0; i < ds.N(); i++ {
-				d, err := dist(ds.c.ObjBytes(nil, int(ds.c.Cols().pos[i])))
+				d, err := dist(objAt(ds.c, int(ds.c.Cols().pos[i])))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -211,6 +212,18 @@ func TestProtoVersionChangesSignature(t *testing.T) {
 	if corpusSig(protoVersion, cfg, c.Part(), keys) == corpusSig(protoVersion+1, cfg, c.Part(), keys) {
 		t.Fatal("two protocol versions sign the same corpus identically")
 	}
+}
+
+// objAt encodes the corpus object at sorted position j, as a client
+// sends one.
+func objAt(c corpus, j int) []byte {
+	switch d := c.(type) {
+	case *dataset[metric.Vector]:
+		return d.enc(nil, d.at(j))
+	case *dataset[string]:
+		return d.enc(nil, d.at(j))
+	}
+	panic(fmt.Sprintf("objAt: a corpus of type %T", c))
 }
 
 // randomColumns hashes random points under part and sorts them: what a

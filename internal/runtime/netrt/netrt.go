@@ -40,10 +40,14 @@
 // entries, and its objects beside them, are stored once, flat, sorted by
 // key (data.go's columns and dataset), so what a member owns is its arc
 // of that order — one or two runs, found by binary search on every
-// membership change — and what a query refines there it reads in order. Every boot builds the
-// corpus from DataConfig; Config.DataDir adds a journal of the online
-// publishes and deletes the node accepted as owner, the one thing a
-// restart cannot re-derive, replayed on top of the build (durable.go).
+// membership change — and what a query refines there it reads in order.
+// What no member can derive is the online publishes and deletes: each
+// node keeps those it applied as owner as its delta (delta.go), hands
+// an item to the member that owns its key when the ring grows, and with
+// Config.Replicas keeps its ring successors' copies of the delta current
+// (replica.go) — a copy is the delta and nothing else. Every boot builds
+// the corpus from DataConfig; Config.DataDir adds a journal of the
+// delta's mutations, replayed on top of the build (durable.go).
 // Membership is a full member list, learned at handshake, spread by
 // join announcements and periodic gossip; members are never evicted,
 // so a SIGKILLed process that restarts with the same address (same
@@ -57,7 +61,9 @@
 // surrogate of (Algorithm 5), groups everything else by next hop,
 // splits the credit once so the shares always sum exactly, forwards one
 // message per hop, and answers its own share in one pass: each region
-// is one k-d descent over its run of the sorted columns, then
+// is one k-d descent over its run of the sorted columns, filtered by the
+// delta it is answered against — the node's own, or its copy of a down
+// owner's, whose regions it decomposes at the owner's position — then
 // exact-distance refinement (query.go). Credit comes home in Result
 // frames — or Drop frames for regions that are unanswerable (TTL
 // exhausted, owner down with no replica, malformed query). The origin
@@ -77,7 +83,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"landmarkdht/internal/core"
 	"landmarkdht/internal/runtime"
 	"landmarkdht/internal/runtime/livert"
 	"landmarkdht/internal/wal"
@@ -108,12 +113,13 @@ type Config struct {
 	Deadline time.Duration
 	// GossipPeriod is the anti-entropy interval (default 500ms).
 	GossipPeriod time.Duration
-	// Replicas is the replication factor: every member streams a full
-	// copy of its owned region to this many ring successors (via the
-	// bulk region-transfer frames), and queries for a down owner are
-	// answered from a synced copy so they stay complete and exact while
-	// the owner is dead. 0 (the default) disables replication; the
-	// failure detector still runs.
+	// Replicas is the replication factor: every member keeps this many
+	// ring successors current with its delta — its region's tombstones
+	// and published extras, the one part of it they cannot build — by
+	// fan-out, repaired over the bulk region-transfer frames, and
+	// queries for a down owner are answered from a synced copy so they
+	// stay complete and exact while the owner is dead. 0 (the default)
+	// disables replication; the failure detector still runs.
 	Replicas int
 	// HeartbeatPeriod is the failure-detector probe interval (default
 	// 250ms).
@@ -126,7 +132,7 @@ type Config struct {
 	SuspectAfter int
 	// AntiEntropyPeriod is the owner↔replica digest-exchange interval
 	// (default 1s). Divergence detected by an exchange schedules a bulk
-	// re-stream of the owner's region.
+	// re-stream of the owner's delta; the same tick retries hand-offs.
 	AntiEntropyPeriod time.Duration
 	// Faults injects transport-level failures (frame drops, connection
 	// kills) into peer links through runtime.LinkFaults.
@@ -190,11 +196,8 @@ type Node struct {
 	hb          map[uint64]*hbState // heartbeat state per known member
 	heartbeat   *runtime.Ticker
 	antiEntropy *runtime.Ticker
-	digPre      []uint64                // digPre[j]: XOR of the boot-entry digests at sorted positions [0, j), fixed at Start
-	mineDigest  uint64                  // digest of the live owned region (∖tombs ∪ extras)
-	mineCount   int                     // live entries in the owned region
-	tombs       map[int32]struct{}      // deleted boot-corpus entries
-	extras      map[int32]repEntry      // published entries owned here
+	mine        delta                   // this node's mutations: what its region holds beyond the corpus, less what it lost
+	handing     map[int32]bool          // delta items on their way to the member that owns them now, by id
 	copies      map[uint64]*replicaCopy // replica copies held here, by owner
 	pushes      map[uint64]*repPush     // outbound replica streams, by target
 	pushByXfer  map[uint64]*repPush     // the same streams, by transfer id
@@ -284,8 +287,8 @@ func Start(cfg Config) (*Node, error) {
 		links:      make(map[string]*link),
 		clients:    make(map[net.Conn]struct{}),
 		hb:         make(map[uint64]*hbState),
-		tombs:      make(map[int32]struct{}),
-		extras:     make(map[int32]repEntry),
+		mine:       newDelta(),
+		handing:    make(map[int32]bool),
 		copies:     make(map[uint64]*replicaCopy),
 		pushes:     make(map[uint64]*repPush),
 		pushByXfer: make(map[uint64]*repPush),
@@ -295,24 +298,18 @@ func Start(cfg Config) (*Node, error) {
 		store:      store,
 	}
 	n.id = NodeID(n.addr)
-	// Per-entry digests are fixed for the node's lifetime, and the live
-	// region's digest is an XOR of them (see core's digest docs). They
-	// are kept as prefix XORs in key order, so an owned run's digest is
-	// two lookups and one entry's is digPre[j+1]^digPre[j].
-	part, cols := data.Part(), data.Cols()
-	n.digPre = make([]uint64, data.N()+1)
-	var obj []byte
-	for j, id := range cols.ids {
-		obj = data.ObjBytes(obj[:0], j)
-		n.digPre[j+1] = n.digPre[j] ^ core.EntryDigest(part.Ring(cols.keys[j]),
-			core.Entry{Obj: core.ObjectID(id), Point: cols.point(j)}, obj)
-	}
 	n.rt = livert.New(livert.Config{Seed: cfg.Data.Seed ^ int64(n.id)})
 	if err := n.rt.Do(func() {
-		// Replay journaled online mutations before the first view build
-		// so rebuildView folds them into the region digest.
+		// Replay the journaled mutations in log order, so publish/delete
+		// interleavings resolve as they were applied, before the first
+		// view: whatever of them this node turns out not to own is handed
+		// off from there.
 		for _, m := range muts {
-			n.applyRecovered(m)
+			var x *extra
+			if !m.del {
+				x = &extra{key: data.Part().Unring(m.key), point: m.point, obj: m.obj}
+			}
+			n.mine.apply(m.id, n.boot(m.id), x)
 		}
 		n.addMember(n.id, n.addr)
 		n.gossip = runtime.NewTicker(n.rt,
@@ -556,8 +553,8 @@ func (n *Node) mergeMembers(ms []Member) {
 }
 
 // rebuildView refreshes the sorted ring, the owned runs, the set of
-// replica copies worth keeping, and the handshake snapshot after any
-// membership change.
+// replica copies worth keeping and the handshake snapshot after any
+// membership change, and hands off the delta items the change took away.
 func (n *Node) rebuildView() {
 	n.ring = n.ring[:0]
 	for id := range n.members {
@@ -569,32 +566,13 @@ func (n *Node) rebuildView() {
 	me := sort.Search(len(n.ring), func(i int) bool { return n.ring[i] >= n.id })
 	pred := n.ring[(me+len(n.ring)-1)%len(n.ring)]
 	n.runs = n.data.Cols().arc(n.data.Part(), pred, n.id)
-	// The live-region digest is recomputed with the ownership: XOR of
-	// the owned boot entries (minus tombstones) and the published
-	// extras, in any order.
-	var dig uint64
-	cnt := 0
-	for _, r := range n.runs {
-		dig ^= n.digPre[r.b] ^ n.digPre[r.a]
-		cnt += r.b - r.a
-	}
-	for id := range n.tombs {
-		if n.ownsBoot(int(id)) {
-			dig ^= n.bootDigest(int(id))
-			cnt--
-		}
-	}
-	for _, e := range n.extras {
-		dig ^= e.dig
-		cnt++
-	}
-	n.mineDigest, n.mineCount = dig, cnt
 	n.dropForeignCopies()
 	snap := make([]Member, len(n.ring))
 	for i, id := range n.ring {
 		snap[i] = Member{ID: id, Addr: n.members[id]}
 	}
 	n.memberSnap.Store(snap)
+	n.handOff()
 }
 
 // ownedBoot counts the boot entries this node owns, tombstoned or not.

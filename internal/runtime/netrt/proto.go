@@ -392,11 +392,12 @@ func decodePing(body []byte) (pingMsg, error) {
 	return decoded(&r, m, "ping")
 }
 
-// repBeginMsg opens one replica stream: the owner's region follows as
+// repBeginMsg opens one replica stream: the owner's delta follows as
 // Chunks sequenced RegionChunk frames whose reassembled payload decodes
-// to Entries entries combining to Digest. The receiver installs the
-// copy only when both match — a divergent or torn stream is discarded
-// and re-requested by the next anti-entropy exchange.
+// to Entries items (tombstones and extras) combining to Digest. The
+// receiver installs the copy only when both match — a divergent or torn
+// stream is discarded and re-requested by the next anti-entropy
+// exchange.
 type repBeginMsg struct {
 	Owner    uint64
 	Transfer uint64
@@ -701,10 +702,13 @@ type bodyReader struct {
 	short bool
 }
 
+// refuse marks the body malformed and uses it up, whatever is left.
+func (r *bodyReader) refuse() { r.off, r.short = len(r.b), true }
+
 // take returns the next n bytes, or nil when fewer are left.
 func (r *bodyReader) take(n int) []byte {
 	if n < 0 || n > len(r.b)-r.off {
-		r.off, r.short = len(r.b), true
+		r.refuse()
 		return nil
 	}
 	p := r.b[r.off : r.off+n]
@@ -741,7 +745,7 @@ func (r *bodyReader) f64() float64 { return math.Float64frombits(r.u64()) }
 func (r *bodyReader) flags(known byte) byte {
 	p := r.take(1)
 	if p == nil || p[0]&^known != 0 {
-		r.off, r.short = len(r.b), true
+		r.refuse()
 		return 0
 	}
 	return p[0]
@@ -765,7 +769,7 @@ func (r *bodyReader) bytes() []byte {
 func (r *bodyReader) count(each int) int {
 	n := int(r.u32())
 	if n < 0 || n > (len(r.b)-r.off)/each {
-		r.off, r.short = len(r.b), true
+		r.refuse()
 		return 0
 	}
 	return n

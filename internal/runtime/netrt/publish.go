@@ -4,21 +4,22 @@ package netrt
 // (disjoint from the boot corpus), Delete removes an entry. Mutations
 // route to the owner of the object's ring key exactly as queries route
 // regions; the owner validates the change, appends one record to its
-// WAL when durable, applies it to its live region, fans it out to its
-// replicas, and acks the origin — in that order, so an acknowledged
+// WAL when durable, applies it to its delta (delta.go), fans it out to
+// its replicas, and acks the origin — in that order, so an acknowledged
 // mutation is always a journaled one and a failed append leaves nothing
 // applied. A restarted durable node replays its mutation records on top
 // of the corpus it builds before serving.
 //
 // Mutations to a down owner fail fast instead of queueing: while an
 // owner is dead its replica copies must stay static, which is exactly
-// what makes failover reads exact.
+// what makes failover reads exact. A mutation follows its key when the
+// ring grows (handOff).
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
-	"landmarkdht/internal/core"
 	"landmarkdht/internal/lph"
 	"landmarkdht/internal/runtime"
 )
@@ -72,7 +73,7 @@ func (n *Node) startMutation(id int32, obj []byte, del bool, done func(error)) {
 			return
 		}
 		key = k
-	case del && int(id) >= 0 && int(id) < n.data.N():
+	case del && n.boot(id):
 		key = n.data.Key(int(id))
 	default:
 		done(fmt.Errorf("netrt: mutation of id %d needs the encoded object", id))
@@ -105,15 +106,15 @@ func (n *Node) routeMutation(m *pubMsg) {
 	}
 	owner := n.successor(m.Key)
 	if owner == n.id {
-		point, err := n.checkMutation(m)
+		x, err := n.checkMutation(m)
 		if err == nil {
-			err = n.journalMutation(m, point)
+			err = n.journalMutation(m, x)
 		}
 		if err != nil {
 			n.mutAck(m, err.Error())
 			return
 		}
-		n.applyMutation(m, point)
+		n.mine.apply(m.ID, n.boot(m.ID), x)
 		n.fanoutMutation(m)
 		n.mutAck(m, "")
 		return
@@ -127,73 +128,41 @@ func (n *Node) routeMutation(m *pubMsg) {
 	n.sendRaw(n.members[owner], appendPub(nil, &fm))
 }
 
-// checkMutation validates one mutation against the live region before
-// anything is journaled, and maps a publish to its index-space point.
+// boot reports whether id names an entry of the boot corpus.
+func (n *Node) boot(id int32) bool { return id >= 0 && int(id) < n.data.N() }
+
+// checkMutation validates one mutation against this node's delta before
+// anything is journaled, and returns what it does to a delta.
 //
 //lint:context executor
-func (n *Node) checkMutation(m *pubMsg) ([]float64, error) {
-	boot := int(m.ID) >= 0 && int(m.ID) < n.data.N()
+func (n *Node) checkMutation(m *pubMsg) (*extra, error) {
 	if m.Delete {
-		if _, ok := n.extras[m.ID]; !ok && !boot {
+		if _, ok := n.mine.extras[m.ID]; !ok && !n.boot(m.ID) {
 			return nil, fmt.Errorf("netrt: delete of unknown id %d", m.ID)
 		}
 		return nil, nil
 	}
-	if boot {
+	if n.boot(m.ID) {
 		return nil, fmt.Errorf("netrt: publish id %d collides with the boot corpus", m.ID)
 	}
-	_, point, err := n.data.MapObj(m.Obj)
-	return point, err
+	return n.extraOf(m)
 }
 
-// applyMutation applies one checked mutation to the live region,
-// keeping the region digest incrementally correct.
-//
-//lint:context executor
-func (n *Node) applyMutation(m *pubMsg, point []float64) {
+// extraOf maps a mutation's object to the extra it places (nil for a
+// delete). The key is derived here, not read off the frame.
+func (n *Node) extraOf(m *pubMsg) (*extra, error) {
 	if m.Delete {
-		if e, ok := n.extras[m.ID]; ok {
-			delete(n.extras, m.ID)
-			n.mineDigest ^= e.dig
-			n.mineCount--
-			return
-		}
-		if _, dead := n.tombs[m.ID]; dead {
-			return // idempotent
-		}
-		n.tombs[m.ID] = struct{}{}
-		if i := int(m.ID); n.ownsBoot(i) {
-			n.mineDigest ^= n.bootDigest(i)
-			n.mineCount--
-		}
-		return
+		return nil, nil
 	}
-	e := repEntry{key: lph.Key(m.Key), point: point, obj: m.Obj}
-	e.dig = core.EntryDigest(e.key, core.Entry{Obj: core.ObjectID(m.ID), Point: point}, m.Obj)
-	if old, ok := n.extras[m.ID]; ok {
-		n.mineDigest ^= old.dig
-		n.mineCount--
+	key, point, err := n.data.MapObj(m.Obj)
+	if err != nil {
+		return nil, err
 	}
-	n.extras[m.ID] = e
-	n.mineDigest ^= e.dig
-	n.mineCount++
-}
-
-// ownsBoot reports whether boot entry i is currently owned here.
-//
-//lint:context executor
-func (n *Node) ownsBoot(i int) bool {
-	return n.successor(uint64(n.data.Key(i))) == n.id
-}
-
-// bootDigest returns boot entry i's digest.
-func (n *Node) bootDigest(i int) uint64 {
-	j := n.data.Cols().pos[i]
-	return n.digPre[j+1] ^ n.digPre[j]
+	return &extra{key: n.data.Part().Unring(key), point: point, obj: m.Obj}, nil
 }
 
 // fanoutMutation forwards an applied mutation to this owner's replicas
-// as Replica-marked copies (applied to their copy of this region, never
+// as Replica-marked copies (applied to their copy of this delta, never
 // re-routed, never acked). A replica that misses the fan-out — down,
 // shed frame — diverges and is repaired by the next digest exchange.
 //
@@ -214,45 +183,77 @@ func (n *Node) fanoutMutation(m *pubMsg) {
 }
 
 // onPublish handles an inbound mutation frame: replica fan-out applies
-// to the local copy, anything else keeps routing.
+// to the local copy of its owner's delta — unless there is no synced
+// baseline, in which case the anti-entropy stream will deliver the whole
+// delta instead — and anything else keeps routing.
 //
 //lint:context executor
 func (n *Node) onPublish(m *pubMsg) {
-	if m.Replica {
-		n.applyToCopy(m)
+	if !m.Replica {
+		n.routeMutation(m)
 		return
 	}
-	n.routeMutation(m)
-}
-
-// applyToCopy applies one fanned-out mutation to the copy of its
-// owner's region. Without a synced baseline the fan-out is skipped —
-// the anti-entropy stream will deliver the whole region instead.
-//
-//lint:context executor
-func (n *Node) applyToCopy(m *pubMsg) {
 	c := n.copies[m.Owner]
 	if c == nil || !c.synced {
 		return
 	}
-	if m.Delete {
-		if e, ok := c.entries[m.ID]; ok {
-			delete(c.entries, m.ID)
-			c.digest ^= e.dig
+	if x, err := n.extraOf(m); err == nil {
+		c.apply(m.ID, n.boot(m.ID), x)
+	}
+}
+
+// handOff routes every item of this node's delta whose key another
+// member now owns to that member, as an ordinary mutation — a tombstone
+// as the delete of its boot id, an extra as its publish — and forgets
+// the item once the new owner acks. An extra is journaled as deleted
+// before it is forgotten, so a restart cannot resurrect it here; a
+// tombstone is inert outside the arc, and after a restart it is simply
+// handed off again. rebuildView calls this on every view change and the
+// anti-entropy tick retries what is still unacknowledged; until the ack,
+// the new owner answers its arc without the item.
+//
+//lint:context executor
+func (n *Node) handOff() {
+	for _, id := range sortedIDs(n.mine.tombs) {
+		n.handTo(id, nil, n.data.Key(int(id)))
+	}
+	for _, id := range sortedIDs(n.mine.extras) {
+		x := n.mine.extras[id]
+		n.handTo(id, &x, n.data.Part().Ring(x.key))
+	}
+}
+
+// handTo starts the hand-off of one delta item — the extra x, or the
+// tombstone under id when x is nil — keyed at ring position key, unless
+// this node owns that or the hand-off is under way. Members are never
+// evicted, so an arc only shrinks: an item that left is not owned here
+// again when its ack comes back.
+//
+//lint:context executor
+func (n *Node) handTo(id int32, x *extra, key lph.Key) {
+	if n.successor(uint64(key)) == n.id || n.handing[id] {
+		return
+	}
+	n.handing[id] = true
+	var obj []byte
+	if x != nil {
+		obj = x.obj
+	}
+	n.startMutation(id, obj, x == nil, func(err error) {
+		delete(n.handing, id)
+		if err != nil {
+			return // still in the delta: the next tick retries
 		}
-		return
-	}
-	_, point, err := n.data.MapObj(m.Obj)
-	if err != nil {
-		return
-	}
-	e := repEntry{key: lph.Key(m.Key), point: point, obj: m.Obj}
-	e.dig = core.EntryDigest(e.key, core.Entry{Obj: core.ObjectID(m.ID), Point: point}, m.Obj)
-	if old, ok := c.entries[m.ID]; ok {
-		c.digest ^= old.dig
-	}
-	c.entries[m.ID] = e
-	c.digest ^= e.dig
+		if x != nil {
+			if cur, ok := n.mine.extras[id]; !ok || !bytes.Equal(cur.obj, x.obj) {
+				return // republished meanwhile: that one is handed off, or kept, on its own
+			}
+			if n.journalMutation(&pubMsg{ID: id, Delete: true}, nil) != nil {
+				return // not journaled as gone: keep it, the retry is idempotent
+			}
+		}
+		n.mine.forget(id)
+	})
 }
 
 // mutAck reports a mutation's outcome to its origin.
@@ -286,24 +287,4 @@ func (n *Node) onPubAck(a *pubAckMsg) {
 		return
 	}
 	pp.done(nil)
-}
-
-// applyRecovered replays one journaled mutation during startup (before
-// the first view build — rebuildView folds the result into the region
-// digest). Records replay in log order, so publish/delete interleavings
-// resolve exactly as they were applied.
-//
-//lint:context executor
-func (n *Node) applyRecovered(m durableMut) {
-	if m.del {
-		if int(m.id) >= 0 && int(m.id) < n.data.N() {
-			n.tombs[m.id] = struct{}{}
-		} else {
-			delete(n.extras, m.id)
-		}
-		return
-	}
-	e := repEntry{key: m.key, point: m.point, obj: m.obj}
-	e.dig = core.EntryDigest(m.key, core.Entry{Obj: core.ObjectID(m.id), Point: m.point}, m.obj)
-	n.extras[m.id] = e
 }

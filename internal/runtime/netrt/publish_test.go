@@ -194,7 +194,7 @@ func TestDurableMutationReplay(t *testing.T) {
 		t.Fatalf("replayed %d records, want meta %d + 4 mutations", n2.replayed, base)
 	}
 	var extras, tombs int
-	execRead(t, n2, func() { extras, tombs = len(n2.extras), len(n2.tombs) })
+	execRead(t, n2, func() { extras, tombs = len(n2.mine.extras), len(n2.mine.tombs) })
 	if extras != 1 || tombs != 1 {
 		t.Fatalf("recovered %d extras and %d tombstones, want 1 and 1", extras, tombs)
 	}
@@ -271,7 +271,7 @@ func TestDurableAppendFailureRefusesMutation(t *testing.T) {
 		if hasID(completeQuery(t, n, obj, 0), pubID) {
 			t.Fatalf("%s: refused publish is answered", when)
 		}
-		if !hasID(completeQuery(t, n, n.data.ObjBytes(nil, int(n.data.Cols().pos[bootID])), 0), bootID) {
+		if !hasID(completeQuery(t, n, objAt(n.data, int(n.data.Cols().pos[bootID])), 0), bootID) {
 			t.Fatalf("%s: refused delete removed the boot entry", when)
 		}
 	}

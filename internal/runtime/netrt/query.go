@@ -100,22 +100,41 @@ func (n *Node) Query(qobj []byte, r float64, timeout time.Duration) (QueryOutcom
 // entries a deeper split would have pruned take over.
 const leafEntries = 32
 
-// group is the regions of one message that share a destination: a next
-// hop, keyed by member id, or a down owner's copy held here. A message
-// touches a handful of destinations, so a group is found by scanning.
-type group[K comparable] struct {
-	key     K
+// hop is the regions of one message bound for one next hop. A message
+// touches a handful of next hops, so a hop is found by scanning.
+type hop struct {
+	to      uint64
 	regions []query.Region
 }
 
-func addTo[K comparable](groups []group[K], key K, reg query.Region) []group[K] {
-	for i := range groups {
-		if groups[i].key == key {
-			groups[i].regions = append(groups[i].regions, reg)
-			return groups
+func addHop(hops []hop, to uint64, reg query.Region) []hop {
+	for i := range hops {
+		if hops[i].to == to {
+			hops[i].regions = append(hops[i].regions, reg)
+			return hops
 		}
 	}
-	return append(groups, group[K]{key: key, regions: []query.Region{reg}})
+	return append(hops, hop{to: to, regions: []query.Region{reg}})
+}
+
+// share is what a message asks this node to answer against one delta —
+// its own, or its copy of a down owner's: the regions whose surrogate is
+// that delta's owner, and the last key of each one's local share.
+type share struct {
+	d       *delta
+	regions []query.Region
+	cuts    []lph.Key
+}
+
+func addShare(shares []share, d *delta, reg query.Region, cut lph.Key) []share {
+	for i := range shares {
+		if shares[i].d == d {
+			shares[i].regions = append(shares[i].regions, reg)
+			shares[i].cuts = append(shares[i].cuts, cut)
+			return shares
+		}
+	}
+	return append(shares, share{d: d, regions: []query.Region{reg}, cuts: []lph.Key{cut}})
 }
 
 // process executes one query message at this node (executor only): the
@@ -128,12 +147,12 @@ func addTo[K comparable](groups []group[K], key K, reg query.Region) []group[K] 
 // The message's regions go through one worklist. A region whose
 // surrogate is this node — or a down owner whose synced copy is held
 // here — is decomposed on the spot, its sub-cuboids rejoin the
-// worklist, and its local share is set aside; every other region is
-// grouped by its next hop. The credit is then split once, over each
-// next hop, the one local answer and one drop if any region could not
-// be routed, and the node emits one kindQuery per hop and at most one
-// kindResult and one kindDrop: frames grow with the members a query
-// touches, not with its sub-cuboids.
+// worklist, and its local share is set aside with the delta it is
+// answered against; every other region is grouped by its next hop. The
+// credit is then split once, over each next hop, the one local answer
+// and one drop if any region could not be routed, and the node emits one
+// kindQuery per hop and at most one kindResult and one kindDrop: frames
+// grow with the members a query touches, not with its sub-cuboids.
 //
 //lint:context executor
 func (n *Node) process(q *queryMsg) {
@@ -144,13 +163,12 @@ func (n *Node) process(q *queryMsg) {
 		n.returnDrop(q, q.Credit, "ttl exhausted")
 		return
 	}
-	part, cols := n.data.Part(), n.data.Cols()
+	part := n.data.Part()
 	var (
-		hops   []group[uint64]       // regions to forward, by next hop
-		mine   []query.Region        // regions whose surrogate is this node,
-		cuts   []int                 // and where each one's local share of the columns ends
-		copies []group[*replicaCopy] // regions of down owners whose synced copies are held here
-		lost   string                // why some region could be neither answered nor routed
+		hops   []hop    // regions to forward, by next hop
+		buf    [1]share // room for this node's own share without a heap allocation
+		shares = buf[:0]
+		lost   string // why some region could be neither answered nor routed
 	)
 	work := append([]query.Region(nil), q.Regions...)
 	for len(work) > 0 {
@@ -163,31 +181,29 @@ func (n *Node) process(q *queryMsg) {
 		lo, _ := lph.CuboidSpan(reg.PreKey, reg.PreLen)
 		owner := n.successor(uint64(part.Ring(lo)))
 		if owner == n.id {
-			var top lph.Key
-			top, work = n.refine(reg, n.id, work)
-			mine = append(mine, reg)
-			cuts = append(cuts, cols.above(top))
+			var cut lph.Key
+			cut, work = n.refine(reg, n.id, work)
+			shares = addShare(shares, &n.mine, reg, cut)
 			continue
 		}
 		if !n.isDown(owner) {
-			hops = addTo(hops, owner, reg)
+			hops = addHop(hops, owner, reg)
 			continue
 		}
-		// The owner is down. A synced copy of its region, held here as
-		// one of its replicas, answers the region on the spot — decomposed
-		// at the owner's ring position, so the sub-cuboids route exactly as
-		// they would have from the owner. Members are never evicted, so
-		// the ring only grows and a dead owner's region can only have
-		// shrunk since the copy synced: the copy covers the routed region
-		// and over-coverage is merged away per object at the origin. This
-		// node is still in the owner's replica set, so every mutation the
-		// owner applied since the sync was fanned out to it (a missed one
+		// The owner is down. A synced copy of its delta, held here as one
+		// of its replicas, answers the region on the spot — decomposed at
+		// the owner's ring position, so the sub-cuboids route exactly as
+		// they would have from the owner, and its share read from the
+		// columns every member holds, filtered by the copy. This node is
+		// still in the owner's replica set, so every mutation the owner
+		// applied since the sync was fanned out to it (a missed one
 		// unsyncs the copy at the next advert), and mutations to a down
 		// owner are refused (publish.go), so the copy is static while the
 		// owner is dead — the failover answer is exact.
 		if c := n.servingCopy(owner); c != nil {
-			_, work = n.refine(reg, owner, work)
-			copies = addTo(copies, c, reg)
+			var cut lph.Key
+			cut, work = n.refine(reg, owner, work)
+			shares = addShare(shares, &c.delta, reg, cut)
 			continue
 		}
 		// No copy to serve here: hand the region to a live replica that
@@ -195,7 +211,7 @@ func (n *Node) process(q *queryMsg) {
 		routed := false
 		for _, t := range n.replicaTargets(owner) {
 			if t != n.id && !n.isDown(t) {
-				hops = addTo(hops, t, reg)
+				hops = addHop(hops, t, reg)
 				routed = true
 				break
 			}
@@ -205,7 +221,7 @@ func (n *Node) process(q *queryMsg) {
 		}
 	}
 
-	answers := len(mine)+len(copies) > 0
+	answers := len(shares) > 0
 	parts := len(hops)
 	if answers {
 		parts++
@@ -213,8 +229,8 @@ func (n *Node) process(q *queryMsg) {
 	if lost != "" {
 		parts++
 	}
-	shares := splitCredit(q.Credit, parts)
-	if shares == nil {
+	credits := splitCredit(q.Credit, parts)
+	if credits == nil {
 		n.returnDrop(q, q.Credit, "credit exhausted")
 		return
 	}
@@ -222,23 +238,23 @@ func (n *Node) process(q *queryMsg) {
 	// this node does.
 	for _, h := range hops {
 		fq := *q
-		fq.Regions, fq.Credit, fq.TTL = h.regions, shares[0], q.TTL-1
-		shares = shares[1:]
-		n.sendRaw(n.members[h.key], appendQuery(nil, &fq))
+		fq.Regions, fq.Credit, fq.TTL = h.regions, credits[0], q.TTL-1
+		credits = credits[1:]
+		n.sendRaw(n.members[h.to], appendQuery(nil, &fq))
 	}
 	if lost != "" {
-		n.returnDrop(q, shares[0], lost)
-		shares = shares[1:]
+		n.returnDrop(q, credits[0], lost)
+		credits = credits[1:]
 	}
 	if !answers {
 		return
 	}
-	ents, err := n.answer(q, mine, cuts, copies)
+	ents, err := n.answer(q, shares)
 	if err != nil {
-		n.returnDrop(q, shares[0], err.Error())
+		n.returnDrop(q, credits[0], err.Error())
 		return
 	}
-	n.sendResult(q, shares[0], ents)
+	n.sendResult(q, credits[0], ents)
 }
 
 // refine runs the surrogate-refinement decomposition (Algorithm 5) of
@@ -281,61 +297,86 @@ func splitCredit(credit uint64, parts int) []uint64 {
 	return shares
 }
 
-// answer resolves a message's local share in one pass: each of this
-// node's own regions is one k-d descent over its run of the boot
-// columns, up to its cut — the cube is tested only at the leaves,
-// tombstones and the exact distance only on what the cube lets through
-// — and the published extras and every down owner's copy are maps,
-// walked once against their region set. The descent hands out sorted
-// positions and the objects are stored by sorted position, so the exact
-// distances of a leaf read one stretch of memory front to back; the
-// corpus id is looked up only for what goes on the wire. Over-coverage
-// under membership-view skew is harmless: the origin merges per object.
+// answer resolves a message's local shares in one pass. Each region is
+// one k-d descent over its run of the boot columns, up to its cut — the
+// cube is tested only at the leaves, the share's tombstones and the
+// exact distance only on what the cube lets through — whether the delta
+// is this node's or a down owner's copy: every member holds the same
+// columns. A delta's extras then answer where a boot entry with their
+// key would: inside a region's key run up to its cut, and inside its
+// cube; they are a map walked once per share. The descent hands out
+// sorted positions and the objects are stored by sorted position, so the
+// exact distances of a leaf read one stretch of memory front to back;
+// the corpus id is looked up only for what goes on the wire.
+// Over-coverage under membership-view skew is harmless: the origin
+// merges per object. An extra whose object does not decode fails the
+// whole answer — it might have been a match, so the share must come
+// home as a drop, not as a Complete result without it.
 //
 //lint:context executor
-func (n *Node) answer(q *queryMsg, mine []query.Region, cuts []int, copies []group[*replicaCopy]) ([]ResultEntry, error) {
-	var ents []ResultEntry
-	if len(mine) > 0 {
-		eval, err := n.data.Evaluator(q.QObj)
-		if err != nil {
-			return nil, errBadQueryObject
-		}
-		part, cols := n.data.Part(), n.data.Cols()
-		var cube []lph.Bounds
-		leaf := func(a, b int) {
-			n.tested += uint64(b - a)
-			for j := a; j < b; j++ {
-				if !cols.inside(j, cube) {
-					continue
-				}
-				id := cols.ids[j]
-				if _, dead := n.tombs[id]; dead {
-					continue
-				}
-				n.refined++
-				if d := eval(j); d <= q.R {
-					ents = append(ents, ResultEntry{Obj: id, Dist: d})
-				}
-			}
-		}
-		for i, reg := range mine {
-			cube = reg.Cube
-			query.Descend(part, reg, cols.keys[:cuts[i]], leafEntries, leaf)
-		}
-	}
-	if len(n.extras) == 0 && len(copies) == 0 {
-		return ents, nil
-	}
-	dist, err := n.data.Dister(q.QObj)
+func (n *Node) answer(q *queryMsg, shares []share) ([]ResultEntry, error) {
+	eval, err := n.data.Evaluator(q.QObj)
 	if err != nil {
 		return nil, errBadQueryObject
 	}
-	if ents, err = matchEntries(ents, n.extras, mine, dist, q.R); err != nil {
-		return nil, err
+	part, cols := n.data.Part(), n.data.Cols()
+	var (
+		ents []ResultEntry
+		dist func([]byte) (float64, error)
+		// at is what the leaves test against: the region's cube and the
+		// share's tombstones. One captured variable, not two: with both
+		// captured apart, go1.24 spills the counter of the loop over the
+		// cube's dimensions to the stack (+4–7 % cpu_ms_per_op on
+		// ring-scan, EXPERIMENTS "One delta").
+		at struct {
+			cube  []lph.Bounds
+			tombs map[int32]struct{}
+		}
+	)
+	leaf := func(a, b int) {
+		n.tested += uint64(b - a)
+		for j := a; j < b; j++ {
+			if !cols.inside(j, at.cube) {
+				continue
+			}
+			id := cols.ids[j]
+			if _, dead := at.tombs[id]; dead {
+				continue
+			}
+			n.refined++
+			if d := eval(j); d <= q.R {
+				ents = append(ents, ResultEntry{Obj: id, Dist: d})
+			}
+		}
 	}
-	for _, c := range copies {
-		if ents, err = matchEntries(ents, c.key.entries, c.regions, dist, q.R); err != nil {
-			return nil, err
+	for _, s := range shares {
+		at.tombs = s.d.tombs
+		for i, reg := range s.regions {
+			at.cube = reg.Cube
+			query.Descend(part, reg, cols.keys[:cols.above(s.cuts[i])], leafEntries, leaf)
+		}
+		if len(s.d.extras) == 0 {
+			continue
+		}
+		if dist == nil {
+			if dist, err = n.data.Dister(q.QObj); err != nil {
+				return nil, errBadQueryObject
+			}
+		}
+		for id, x := range s.d.extras { //lint:allow maporder origin merges per object; entry order in a result frame is irrelevant
+			for i, reg := range s.regions {
+				if x.key > s.cuts[i] || !lph.SamePrefix(x.key, reg.PreKey, reg.PreLen) || !reg.Contains(x.point) {
+					continue
+				}
+				d, err := dist(x.obj)
+				if err != nil {
+					return nil, errUndecodableObject
+				}
+				if d <= q.R {
+					ents = append(ents, ResultEntry{Obj: id, Dist: d})
+				}
+				break
+			}
 		}
 	}
 	return ents, nil
@@ -345,34 +386,6 @@ var (
 	errBadQueryObject    = errors.New("bad query object")
 	errUndecodableObject = errors.New("undecodable stored object")
 )
-
-// matchEntries appends the self-describing entries (published extras, a
-// replica copy) that lie in any of the regions and within r of the
-// query: one walk of the map per message, each entry tested until its
-// first containing region. An entry whose object does not decode fails
-// the whole answer — it might have been a match, so the share must come
-// home as a drop, not as a Complete result without it.
-func matchEntries(ents []ResultEntry, entries map[int32]repEntry, regions []query.Region, dist func([]byte) (float64, error), r float64) ([]ResultEntry, error) {
-	if len(regions) == 0 {
-		return ents, nil
-	}
-	for id, e := range entries { //lint:allow maporder origin merges per object; entry order in a result frame is irrelevant
-		for _, reg := range regions {
-			if !reg.Contains(e.point) {
-				continue
-			}
-			d, err := dist(e.obj)
-			if err != nil {
-				return nil, errUndecodableObject
-			}
-			if d <= r {
-				ents = append(ents, ResultEntry{Obj: id, Dist: d})
-			}
-			break
-		}
-	}
-	return ents, nil
-}
 
 // maxResultEntries is the most entries one kindResult frame carries.
 const maxResultEntries = (wire.MaxFramePayload - 1 - resultFixed) / resultEntryBytes

@@ -1,34 +1,33 @@
 package netrt
 
 // Region replication and anti-entropy repair. With Config.Replicas = K
-// every member streams a full copy of its live region — owned boot
-// entries minus tombstones, plus published extras — to its K ring
-// successors over the bulk region-transfer frames (internal/wire:
-// sequenced chunks, per-chunk acks, a windowed sender). Entries travel
-// self-describing (ring key, index-space point, encoded object), so a
-// replica answers a down owner's subqueries with exact distances
-// without assuming anything about the owner's corpus slice.
+// every member keeps its K ring successors current with its delta — the
+// tombstones and published extras of its region (delta.go) — and nothing
+// more: the boot entries are the corpus every member builds, so a
+// replica answers a down owner's subqueries from its own columns,
+// filtered by its copy of the owner's delta. The owner applies each
+// mutation and fans it out (publish.go); a copy that missed one is
+// repaired by streaming the owner's whole delta over the bulk
+// region-transfer frames (internal/wire: sequenced chunks, per-chunk
+// acks, a windowed sender).
 //
 // Synchronization is digest-driven: every AntiEntropyPeriod an owner
-// advertises (count, XOR-of-entry-digests) to each replica; a replica
+// advertises its delta's (count, XOR digest) to each replica; a replica
 // whose copy disagrees answers with its own digest, and the owner
-// responds by re-streaming the region. The same exchange confirms
-// agreement — a matching advert marks the copy synced, and only a synced
-// copy whose holder is still in the owner's replica set serves queries
-// (servingCopy). A torn or divergent stream is discarded after
-// the end-to-end digest check and repaired by the next exchange; there
-// is no point-wise fallback path, so every repair is a counted bulk
-// stream (LinkStats.Repairs / RepairChunks).
+// responds by streaming its delta. The same exchange confirms agreement
+// — a matching advert marks the copy synced, and only a synced copy whose
+// holder is still in the owner's replica set serves queries
+// (servingCopy). A ring with no mutations agrees on (0, 0) and syncs by
+// advert alone. A torn or divergent stream is discarded after the
+// end-to-end digest check and repaired by the next exchange; there is no
+// point-wise fallback path, so every repair is a counted bulk stream
+// (LinkStats.Repairs / RepairChunks).
 
 import (
-	"encoding/binary"
-	"fmt"
 	"slices"
 	"sort"
 	"time"
 
-	"landmarkdht/internal/core"
-	"landmarkdht/internal/lph"
 	"landmarkdht/internal/runtime"
 	"landmarkdht/internal/wire"
 )
@@ -37,7 +36,7 @@ const (
 	// repIndexName names the index scheme in every replica chunk; a
 	// chunk for any other scheme is ignored.
 	repIndexName = "netrt-region"
-	// repChunkData bounds one chunk's entry bytes (well under
+	// repChunkData bounds one chunk's delta bytes (well under
 	// wire.MaxChunkData so the whole frame stays small).
 	repChunkData = 8 << 10
 	// repWindow is the sender's in-flight chunk window.
@@ -52,28 +51,18 @@ const (
 	// one stream, whatever the header claims.
 	maxRepChunks = 1 << 14
 	maxRepBytes  = 64 << 20
-	// minRepEntry is the least one entry takes on the stream (8B key, 4B
-	// id, 2B point length, 4B object length), so maxRepBytes bounds the
-	// entry count a header may claim.
-	minRepEntry = 18
+	// minRepEntry is the least one item takes on the stream (a
+	// tombstone is its 4-byte id), so maxRepBytes bounds the item count
+	// a header may claim.
+	minRepEntry = 4
 )
 
-// repEntry is one self-describing replica entry: ring key, index-space
-// point, encoded object, and its precomputed digest.
-type repEntry struct {
-	key   lph.Key
-	point []float64
-	obj   []byte
-	dig   uint64
-}
-
-// replicaCopy is this node's copy of one owner's live region. Only a
-// synced copy — digest-confirmed against the owner's advert, or
-// freshly installed from a digest-checked stream — serves queries.
+// replicaCopy is this node's copy of one owner's delta. Only a synced
+// copy — digest-confirmed against the owner's advert, or freshly
+// installed from a digest-checked stream — serves queries.
 type replicaCopy struct {
-	entries map[int32]repEntry
-	digest  uint64
-	synced  bool
+	delta
+	synced bool
 }
 
 // repPush is one outbound replica stream.
@@ -87,7 +76,7 @@ type repPush struct {
 	sent     int
 	retries  int
 	timer    runtime.Timer
-	digest   uint64 // region digest the stream was cut at
+	digest   uint64 // delta digest the stream was cut at
 	entries  int
 }
 
@@ -127,18 +116,20 @@ func (n *Node) replicaTargets(owner uint64) []uint64 {
 	return out
 }
 
-// antiEntropyTick advertises this node's live-region digest to each of
-// its replicas. A replica that disagrees (or holds nothing) answers
-// with its own digest, which schedules the repair stream.
+// antiEntropyTick retries the hand-offs still unacknowledged
+// (publish.go) and advertises this node's delta digest to each of its
+// replicas. A replica that disagrees (or holds nothing) answers with its
+// own digest, which schedules the repair stream.
 //
 //lint:context executor
 func (n *Node) antiEntropyTick() {
+	n.handOff()
 	targets := n.replicaTargets(n.id)
 	if len(targets) == 0 {
 		return
 	}
 	adv := wire.AppendDigest([]byte{kindRepDigest}, wire.RegionDigest{
-		Owner: n.id, Entries: uint32(n.mineCount), Digest: n.mineDigest,
+		Owner: n.id, Entries: uint32(n.mine.size()), Digest: n.mine.digest,
 	})
 	for _, t := range targets {
 		if t == n.id || n.isDown(t) {
@@ -157,7 +148,7 @@ func (n *Node) antiEntropyTick() {
 //lint:context executor
 func (n *Node) onRepDigest(peer uint64, d wire.RegionDigest) {
 	if d.Owner == n.id {
-		if int(d.Entries) != n.mineCount || d.Digest != n.mineDigest {
+		if int(d.Entries) != n.mine.size() || d.Digest != n.mine.digest {
 			n.startPush(peer)
 		}
 		return
@@ -167,17 +158,17 @@ func (n *Node) onRepDigest(peer uint64, d wire.RegionDigest) {
 	}
 	c := n.copies[d.Owner]
 	if c == nil && d.Entries == 0 && d.Digest == 0 {
-		// An empty region (a ring arc with no corpus keys) syncs without
-		// a stream: reporting back would echo the owner's own (0, 0)
-		// digest, which the owner correctly sees as agreement and never
-		// pushes — so the copy must be installed right here or the
-		// exchange deadlocks with this replica unsynced forever.
-		n.copies[d.Owner] = &replicaCopy{entries: make(map[int32]repEntry), synced: true}
+		// An owner with no mutations syncs without a stream: reporting
+		// back would echo the owner's own (0, 0) digest, which the owner
+		// correctly sees as agreement and never pushes — so the copy must
+		// be installed right here or the exchange deadlocks with this
+		// replica unsynced forever.
+		n.copies[d.Owner] = &replicaCopy{delta: newDelta(), synced: true}
 		return
 	}
 	have := wire.RegionDigest{Owner: d.Owner}
 	if c != nil {
-		have.Entries = uint32(len(c.entries))
+		have.Entries = uint32(c.size())
 		have.Digest = c.digest
 	}
 	synced := c != nil && have.Entries == d.Entries && have.Digest == d.Digest
@@ -189,9 +180,9 @@ func (n *Node) onRepDigest(peer uint64, d wire.RegionDigest) {
 	}
 }
 
-// startPush cuts the live region at its current digest and streams it
-// to one replica. An identical stream already in flight is left alone;
-// a stale one is replaced.
+// startPush cuts the delta at its current digest and streams it to one
+// replica. An identical stream already in flight is left alone; a stale
+// one is replaced.
 //
 //lint:context executor
 func (n *Node) startPush(to uint64) {
@@ -200,19 +191,21 @@ func (n *Node) startPush(to uint64) {
 		return
 	}
 	if p := n.pushes[to]; p != nil {
-		if p.digest == n.mineDigest && p.entries == n.mineCount {
+		if p.digest == n.mine.digest && p.entries == n.mine.size() {
 			return
 		}
 		n.dropPush(p)
 	}
-	raw := chunkRepData(n.encodeMine())
+	// An empty delta still encodes its two counts: every stream has a chunk.
+	blob := n.mine.appendTo(nil)
+	chunks := (len(blob) + repChunkData - 1) / repChunkData
 	n.nextXfer++
 	p := &repPush{to: to, addr: addr, transfer: n.nextXfer,
-		digest: n.mineDigest, entries: n.mineCount,
-		chunks: make([][]byte, len(raw)), acked: make([]bool, len(raw))}
-	for i, d := range raw {
-		c := wire.RegionChunk{Transfer: p.transfer, Index: repIndexName,
-			Seq: uint32(i), Last: i == len(raw)-1, Data: d}
+		digest: n.mine.digest, entries: n.mine.size(),
+		chunks: make([][]byte, chunks), acked: make([]bool, chunks)}
+	for i := range chunks {
+		c := wire.RegionChunk{Transfer: p.transfer, Index: repIndexName, Seq: uint32(i),
+			Last: i == chunks-1, Data: blob[i*repChunkData : min(len(blob), (i+1)*repChunkData)]}
 		var err error
 		p.chunks[i], err = wire.AppendChunk(append(make([]byte, 0, 1+c.EncodedSize()), kindRepChunk), &c)
 		if err != nil {
@@ -224,7 +217,7 @@ func (n *Node) startPush(to uint64) {
 	n.sendRepBegin(p)
 	n.pumpPush(p)
 	p.timer = n.rt.AfterFunc(repRetryDelay, func() { n.retryPush(p) })
-	n.logf("replica push to %016x: %d entries in %d chunks (transfer %d)",
+	n.logf("replica push to %016x: %d items in %d chunks (transfer %d)",
 		to, p.entries, len(p.chunks), p.transfer)
 }
 
@@ -235,82 +228,6 @@ func (n *Node) startPush(to uint64) {
 func (n *Node) sendRepBegin(p *repPush) {
 	n.sendRaw(p.addr, appendRepBegin(nil, &repBeginMsg{Owner: n.id, Transfer: p.transfer,
 		Chunks: len(p.chunks), Entries: p.entries, Digest: p.digest}))
-}
-
-// encodeMine serializes the live region: owned boot entries minus
-// tombstones, then the published extras.
-//
-//lint:context executor
-func (n *Node) encodeMine() []byte {
-	var out, obj []byte
-	part, cols := n.data.Part(), n.data.Cols()
-	for _, r := range n.runs {
-		for j := r.a; j < r.b; j++ {
-			id := cols.ids[j]
-			if _, dead := n.tombs[id]; dead {
-				continue
-			}
-			obj = n.data.ObjBytes(obj[:0], j)
-			out = appendRepEntry(out, part.Ring(cols.keys[j]),
-				core.Entry{Obj: core.ObjectID(id), Point: cols.point(j)}, obj)
-		}
-	}
-	for id, e := range n.extras {
-		out = appendRepEntry(out, e.key, core.Entry{Obj: core.ObjectID(id), Point: e.point}, e.obj)
-	}
-	return out
-}
-
-// Replica stream entries extend the core region codec with the encoded
-// object ([4B obj len | obj]) — copies answer exact distances, so they
-// carry the object itself, not just its index-space point.
-
-func appendRepEntry(dst []byte, key lph.Key, e core.Entry, obj []byte) []byte {
-	dst = core.AppendEntry(dst, key, e)
-	var u [4]byte
-	binary.BigEndian.PutUint32(u[:], uint32(len(obj)))
-	dst = append(dst, u[:]...)
-	return append(dst, obj...)
-}
-
-// repEntryError is decodeRepEntry's refusal: the bytes a peer streamed
-// are not a replica entry.
-type repEntryError string
-
-func (e repEntryError) Error() string { return "netrt: replica entry: " + string(e) }
-
-func decodeRepEntry(data []byte) (key lph.Key, e core.Entry, obj, rest []byte, err error) {
-	key, e, rest, err = core.DecodeEntry(data)
-	if err != nil {
-		return 0, core.Entry{}, nil, nil, repEntryError(err.Error())
-	}
-	if len(rest) < 4 {
-		return 0, core.Entry{}, nil, nil, repEntryError("object length truncated")
-	}
-	olen := int(binary.BigEndian.Uint32(rest))
-	rest = rest[4:]
-	if olen > len(rest) {
-		return 0, core.Entry{}, nil, nil, repEntryError(fmt.Sprintf("declares %d object bytes, %d remain", olen, len(rest)))
-	}
-	return key, e, rest[:olen:olen], rest[olen:], nil
-}
-
-// chunkRepData splits a region blob at fixed boundaries. An empty
-// region still ships one empty chunk, so the receiver sees a complete
-// (and digest-checked) stream.
-func chunkRepData(data []byte) [][]byte {
-	if len(data) == 0 {
-		return [][]byte{nil}
-	}
-	var out [][]byte
-	for off := 0; off < len(data); off += repChunkData {
-		end := off + repChunkData
-		if end > len(data) {
-			end = len(data)
-		}
-		out = append(out, data[off:end])
-	}
-	return out
 }
 
 // pumpPush keeps the window full.
@@ -437,7 +354,7 @@ func (n *Node) onRepChunk(peer uint64, c wire.RegionChunk) {
 
 // installStage decodes a complete stream, verifies its end-to-end
 // digest, and installs the copy. A mismatch — torn stream, concurrent
-// mutation at the owner, undecodable entry — discards the stage; the
+// mutation at the owner, undecodable delta — discards the stage; the
 // next anti-entropy exchange repairs it.
 //
 //lint:context executor
@@ -446,35 +363,20 @@ func (n *Node) installStage(st *repStage) {
 	if n.stageOwner[st.owner] == st.transfer {
 		delete(n.stageOwner, st.owner)
 	}
-	var blob []byte
-	for _, d := range st.data {
-		blob = append(blob, d...)
-	}
-	entries := make(map[int32]repEntry, st.entries)
-	var dig uint64
-	for len(blob) > 0 {
-		key, e, obj, rest, err := decodeRepEntry(blob)
-		if err != nil {
-			n.logf("replica stream from %016x: %v", st.owner, err)
-			return
-		}
-		blob = rest
-		d := core.EntryDigest(key, e, obj)
-		if old, ok := entries[int32(e.Obj)]; ok {
-			dig ^= old.dig
-		}
-		entries[int32(e.Obj)] = repEntry{key: key, point: e.Point, obj: obj, dig: d}
-		dig ^= d
-	}
-	if len(entries) != st.entries || dig != st.digest {
-		n.logf("replica stream from %016x discarded: %d entries / %016x, header said %d / %016x",
-			st.owner, len(entries), dig, st.entries, st.digest)
+	d, err := decodeDelta(slices.Concat(st.data...), n.data)
+	if err != nil {
+		n.logf("replica stream from %016x: %v", st.owner, err)
 		return
 	}
-	n.copies[st.owner] = &replicaCopy{entries: entries, digest: dig, synced: true}
+	if d.size() != st.entries || d.digest != st.digest {
+		n.logf("replica stream from %016x discarded: %d items / %016x, header said %d / %016x",
+			st.owner, d.size(), d.digest, st.entries, st.digest)
+		return
+	}
+	n.copies[st.owner] = &replicaCopy{delta: d, synced: true}
 	n.repairsApplied.Add(1)
 	n.repairChunksRx.Add(int64(len(st.got)))
-	n.logf("installed replica copy of %016x: %d entries from %d chunks", st.owner, len(entries), len(st.got))
+	n.logf("installed replica copy of %016x: %d items from %d chunks", st.owner, d.size(), len(st.got))
 }
 
 // replicates reports whether this node is one of owner's replicas under

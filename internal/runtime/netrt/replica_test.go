@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -81,22 +82,67 @@ func waitSynced(t *testing.T, nodes []*Node, wantOwners int) {
 	})
 }
 
-// waitCaughtUp waits until holder's copy of owner's region is synced at
-// owner's current digest and count: every mutation owner has applied is
+// waitCaughtUp waits until holder's copy of owner's delta is synced at
+// owner's current digest and size: every mutation owner has applied is
 // in it.
 func waitCaughtUp(t *testing.T, owner, holder *Node) {
 	t.Helper()
 	waitFor(t, 20*time.Second, func() bool {
 		var dig uint64
-		var cnt int
-		execRead(t, owner, func() { dig, cnt = owner.mineDigest, owner.mineCount })
+		var size int
+		execRead(t, owner, func() { dig, size = owner.mine.digest, owner.mine.size() })
 		caughtUp := false
 		execRead(t, holder, func() {
 			c := holder.copies[owner.id]
-			caughtUp = c != nil && c.synced && c.digest == dig && len(c.entries) == cnt
+			caughtUp = c != nil && c.synced && c.digest == dig && c.size() == size
 		})
 		return caughtUp
 	})
+}
+
+// objectOwnedBy draws random objects until one keys into owner's arc.
+func objectOwnedBy(t *testing.T, ds *Dataset, rng *rand.Rand, owner *Node) []byte {
+	t.Helper()
+	for {
+		obj := ds.RandomQuery(rng)
+		key, _, err := ds.c.MapObj(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owned := false
+		execRead(t, owner, func() { owned = owner.successor(uint64(key)) == owner.id })
+		if owned {
+			return obj
+		}
+	}
+}
+
+// ownedIDs returns the ids of the boot entries n owns, in key order.
+func ownedIDs(t *testing.T, n *Node) []int32 {
+	t.Helper()
+	var ids []int32
+	execRead(t, n, func() {
+		for _, r := range n.runs {
+			ids = append(ids, n.data.Cols().ids[r.a:r.b]...)
+		}
+	})
+	return ids
+}
+
+// largest returns the member owning the most boot entries, so that its
+// arc has some to delete, with its successor on the ring — its replica
+// at Replicas = 1.
+func largest(t *testing.T, nodes []*Node) (owner, successor *Node) {
+	t.Helper()
+	ring := slices.Clone(nodes)
+	sort.Slice(ring, func(i, j int) bool { return ring[i].id < ring[j].id })
+	best := 0
+	for i := range ring {
+		if len(ownedIDs(t, ring[i])) > len(ownedIDs(t, ring[best])) {
+			best = i
+		}
+	}
+	return ring[best], ring[(best+1)%len(ring)]
 }
 
 // startWhere starts a node on the first free loopback port whose NodeID
@@ -163,21 +209,12 @@ func TestFormerReplicaDoesNotServeStaleCopy(t *testing.T) {
 
 	or := &oracle{ds: ds, deleted: map[int32]bool{}, published: map[int32][]byte{}}
 	rng := rand.New(rand.NewSource(1))
-	pubID, obj := int32(ds.N()), []byte(nil)
-	for owned := false; !owned; {
-		obj = ds.RandomQuery(rng)
-		key, _, err := ds.c.MapObj(obj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		execRead(t, victim, func() { owned = victim.successor(uint64(key)) == victim.id })
-	}
+	pubID, obj := int32(ds.N()), objectOwnedBy(t, ds, rng, victim)
 	if err := former.Publish(pubID, obj, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	or.published[pubID] = obj
-	var delID int32
-	execRead(t, victim, func() { delID = victim.data.Cols().ids[victim.runs[0].a] })
+	delID := ownedIDs(t, victim)[0]
 	if err := former.Delete(delID, nil, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -213,20 +250,41 @@ func TestFormerReplicaDoesNotServeStaleCopy(t *testing.T) {
 
 // TestReplicaFailoverExactQueries is the tentpole contract: with
 // Replicas=1, a member dying permanently must not cost completeness or
-// exactness — once the survivors' detectors mark it down, every query
-// is Complete and matches brute force, answered from bulk-streamed
-// replica copies (Repairs > 0).
+// exactness. Publishes into and deletes from its arc reach its replica
+// as its delta; once the survivors' detectors mark it down, every query
+// is Complete and equal to the oracle — the corpus less the deletes plus
+// the publishes, ids and distances — answered from the columns every
+// member holds, filtered by that copy.
 func TestReplicaFailoverExactQueries(t *testing.T) {
 	data := testData()
 	nodes := startReplicatedRing(t, 3, 1, data)
 	waitSynced(t, nodes, 1)
+	ds, err := BuildDataset(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, holder := largest(t, nodes)
+	survivors := slices.DeleteFunc(slices.Clone(nodes), func(n *Node) bool { return n == victim })
 
-	victim := nodes[2]
+	or := &oracle{ds: ds, deleted: map[int32]bool{}, published: map[int32][]byte{}}
+	rng := rand.New(rand.NewSource(23))
+	owned := ownedIDs(t, victim)
+	for i := 0; i < 4; i++ {
+		id, obj := int32(ds.N()+i), objectOwnedBy(t, ds, rng, victim)
+		if err := survivors[i%2].Publish(id, obj, 5*time.Second); err != nil {
+			t.Fatalf("publish %d: %v", id, err)
+		}
+		or.published[id] = obj
+		del := owned[i*len(owned)/4]
+		if err := survivors[i%2].Delete(del, nil, 5*time.Second); err != nil {
+			t.Fatalf("delete %d: %v", del, err)
+		}
+		or.deleted[del] = true
+	}
+	waitCaughtUp(t, victim, holder)
+
 	victimID := victim.ID()
 	victim.Close()
-	nodes[2] = nil
-	survivors := []*Node{nodes[0], nodes[1]}
-
 	// Wait for every survivor's detector to mark the victim down —
 	// rerouting needs the verdict at whichever node holds the shard.
 	waitFor(t, 15*time.Second, func() bool {
@@ -240,14 +298,12 @@ func TestReplicaFailoverExactQueries(t *testing.T) {
 		return true
 	})
 
-	ds, err := BuildDataset(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(23))
+	// Radius 2 covers the unit cube: every mutation is in that answer.
 	for i := 0; i < 12; i++ {
-		qobj := ds.RandomQuery(rng)
-		r := 0.2 + 0.3*rng.Float64()
+		qobj, r := ds.RandomQuery(rng), 0.2+0.3*rng.Float64()
+		if i == 0 {
+			r = 2
+		}
 		out, err := survivors[i%2].Query(qobj, r, 5*time.Second)
 		if err != nil {
 			t.Fatalf("query %d with dead member: %v", i, err)
@@ -255,43 +311,35 @@ func TestReplicaFailoverExactQueries(t *testing.T) {
 		if !out.Complete {
 			t.Fatalf("query %d incomplete with a dead member despite replicas (dropped %d)", i, out.Dropped)
 		}
-		want, err := ds.BruteForce(qobj, r)
-		if err != nil {
-			t.Fatal(err)
+		if want := or.answer(t, qobj, r); !slices.Equal(out.Entries, want) {
+			t.Fatalf("query %d: failover answer has %d entries, the oracle %d", i, len(out.Entries), len(want))
 		}
-		if !sameIDs(out.Entries, want) {
-			t.Fatalf("query %d: failover answer has %d entries, brute force %d", i, len(out.Entries), len(want))
-		}
-	}
-
-	var repairs int64
-	for _, n := range survivors {
-		repairs += n.Stats().Repairs
-	}
-	if repairs == 0 {
-		t.Fatal("no bulk repair stream was installed on any survivor")
 	}
 }
 
 // TestAntiEntropyRepairsDivergence tampers with a synced replica copy
-// and requires the digest exchange to notice and re-stream the region.
+// after a mutation and requires the digest exchange to notice and
+// re-stream the owner's delta.
 func TestAntiEntropyRepairsDivergence(t *testing.T) {
 	data := testData()
 	nodes := startReplicatedRing(t, 2, 1, data)
 	waitSynced(t, nodes, 1)
-
-	// The ports are ephemeral and the corpus' keys cluster on the ring,
-	// so either member may own nothing: a is the one that owns entries.
-	a, b := nodes[0], nodes[1]
-	var ownerEntries int
-	execRead(t, a, func() { ownerEntries = a.mineCount })
-	if ownerEntries == 0 {
-		a, b = b, a
-		execRead(t, a, func() { ownerEntries = a.mineCount })
+	ds, err := BuildDataset(data)
+	if err != nil {
+		t.Fatal(err)
 	}
+	a, b := largest(t, nodes)
+	const pubID = int32(10_000)
+	if err := b.Publish(pubID, objectOwnedBy(t, ds, rand.New(rand.NewSource(4)), a), 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Delete(ownedIDs(t, a)[0], nil, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	waitCaughtUp(t, a, b)
 	before := b.Stats().Repairs
 
-	// Drop one entry from b's copy of a, keeping the copy's digest
+	// Drop the publish from b's copy of a, keeping the copy's digest
 	// self-consistent — only the owner's advert can expose the loss.
 	execRead(t, b, func() {
 		c := b.copies[a.id]
@@ -299,24 +347,150 @@ func TestAntiEntropyRepairsDivergence(t *testing.T) {
 			t.Error("no copy of the owner on the replica")
 			return
 		}
-		for id, e := range c.entries {
-			delete(c.entries, id)
-			c.digest ^= e.dig
-			break
-		}
+		c.forget(pubID)
 	})
+	waitCaughtUp(t, a, b)
+	if b.Stats().Repairs <= before {
+		t.Fatal("the copy caught up again without a repair stream")
+	}
+}
 
-	waitFor(t, 20*time.Second, func() bool {
-		if b.Stats().Repairs <= before {
-			return false
+// TestMutationFreeRingSyncsWithoutStream: a replica copy is its owner's
+// delta, so on a ring nobody has mutated every copy is empty and syncs by
+// the (0, 0) advert alone. ring-write-mix's shape — four members, 8192
+// objects of dimension 8, one replica each — reaches one synced owner per
+// member without a chunk on the wire; while a copy was the owner's whole
+// arc, the same ring took 131–248 chunks to sync.
+func TestMutationFreeRingSyncsWithoutStream(t *testing.T) {
+	nodes := startReplicatedRing(t, 4, 1, DataConfig{Metric: "euclid", Seed: 1, Objects: 8192, Dim: 8, Landmarks: 6})
+	waitSynced(t, nodes, 1)
+	for _, n := range nodes {
+		if s := n.Stats(); s.Repairs != 0 || s.RepairChunks != 0 {
+			t.Fatalf("node %016x installed %d streams of %d chunks", n.id, s.Repairs, s.RepairChunks)
 		}
-		restored := 0
-		execRead(t, b, func() {
-			if c := b.copies[a.id]; c != nil && c.synced {
-				restored = len(c.entries)
+	}
+}
+
+// TestRestartedReplicaInstallsOneStream: while it runs, a replica is kept
+// current by fan-out and receives no stream; restarted, it has lost its
+// copy, and the owner's next advert brings back what it cannot re-derive
+// — the owner's publishes — as one stream of exactly that many items.
+func TestRestartedReplicaInstallsOneStream(t *testing.T) {
+	data := testData()
+	nodes := startReplicatedRing(t, 2, 1, data)
+	waitSynced(t, nodes, 1)
+	ds, err := BuildDataset(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, replica := largest(t, nodes)
+	rng := rand.New(rand.NewSource(6))
+	const published = 5
+	for i := 0; i < published; i++ {
+		if err := replica.Publish(int32(ds.N()+i), objectOwnedBy(t, ds, rng, owner), 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitCaughtUp(t, owner, replica)
+	if s := replica.Stats(); s.Repairs != 0 {
+		t.Fatalf("fan-out should have kept the copy current; %d streams were installed", s.Repairs)
+	}
+
+	addr := replica.Addr()
+	replica.Close()
+	cfg := replicatedConfig(data, 1, owner.Addr())
+	cfg.Listen = addr
+	restarted, err := Start(cfg)
+	if err != nil {
+		t.Fatalf("restart on %s: %v", addr, err)
+	}
+	nodes[slices.Index(nodes, replica)] = restarted
+	waitCaughtUp(t, owner, restarted)
+	var items int
+	execRead(t, restarted, func() { items = restarted.copies[owner.id].size() })
+	if s := restarted.Stats(); s.Repairs != 1 || items != published {
+		t.Fatalf("the restarted replica installed %d streams and holds %d items, want one stream of %d", s.Repairs, items, published)
+	}
+}
+
+// TestMutationsFollowTheirKeyOnJoin: what a member applied as owner
+// follows its key when the ring grows. A one-member ring publishes a
+// fresh object and deletes a boot entry, both keyed just after it; a
+// second member then starts at a position that takes both keys. Every
+// query, at either member, must soon come back Complete, with the
+// publish and without the delete: the newcomer answers for those keys
+// now, and it has to have been told. (Before the hand-off, every such
+// query came back Complete with the deleted id present, and a query
+// around the publish without it.)
+func TestMutationsFollowTheirKeyOnJoin(t *testing.T) {
+	data := testData()
+	ds, err := BuildDataset(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := startWhere(t, testConfig(data), func(uint64) bool { return true })
+	t.Cleanup(first.Close)
+	// past is how far round the ring a position lies after first's.
+	past := func(key uint64) uint64 { return key - first.ID() }
+	nearest := func(key uint64, best *uint64) bool {
+		if d := past(key); d != 0 && d < *best {
+			*best = d
+			return true
+		}
+		return false
+	}
+	delID, delPast := int32(-1), ^uint64(0)
+	for i := 0; i < ds.N(); i++ {
+		if nearest(uint64(ds.c.Key(i)), &delPast) {
+			delID = int32(i)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	var obj []byte
+	pubPast := ^uint64(0)
+	for i := 0; i < 4000; i++ {
+		o := ds.RandomQuery(rng)
+		key, _, err := ds.c.MapObj(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nearest(uint64(key), &pubPast) {
+			obj = o
+		}
+	}
+	pubID := int32(ds.N())
+	if err := first.Publish(pubID, obj, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Delete(delID, nil, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	// The second member sits past both keys, within a 256th of the ring.
+	farthest := max(delPast, pubPast)
+	second := startWhere(t, testConfig(data, first.Addr()), func(id uint64) bool {
+		return past(id) > farthest && past(id)-farthest < 1<<56
+	})
+	t.Cleanup(second.Close)
+	waitConverged(t, []*Node{first, second}, 2)
+
+	or := &oracle{ds: ds, deleted: map[int32]bool{delID: true}, published: map[int32][]byte{pubID: obj}}
+	// Radius 2 covers the unit cube; 1e-9 around the publish reaches only
+	// the owner of its key.
+	queries := []struct {
+		obj []byte
+		r   float64
+	}{{obj, 1e-9}, {objAt(ds.c, int(ds.c.Cols().pos[delID])), 2}}
+	waitFor(t, 10*time.Second, func() bool {
+		for _, n := range []*Node{first, second} {
+			for _, q := range queries {
+				out, err := n.Query(q.obj, q.r, 5*time.Second)
+				if err != nil || !out.Complete || !slices.Equal(out.Entries, or.answer(t, q.obj, q.r)) {
+					return false
+				}
 			}
-		})
-		return restored == ownerEntries
+		}
+		return true
 	})
 }
 
@@ -515,11 +689,11 @@ func TestHostileQueryFrameDropsLink(t *testing.T) {
 	}
 }
 
-// TestHostileRepBeginRefused sends a stream header claiming more
-// entries than maxRepBytes could carry — installStage sizes the copy's
-// map from that count — then an honest header for the same transfer.
-// The first must be refused, so the second is the one staged; were the
-// first accepted, the second would be taken for its retry and ignored.
+// TestHostileRepBeginRefused sends a stream header claiming more items
+// than maxRepBytes could carry — a tombstone, the smallest, is its
+// 4-byte id — then an honest header for the same transfer. The first
+// must be refused, so the second is the one staged; were the first
+// accepted, the second would be taken for its retry and ignored.
 func TestHostileRepBeginRefused(t *testing.T) {
 	n, err := Start(testConfig(testData()))
 	if err != nil {

@@ -197,7 +197,7 @@ func (n *Node) serveClient(conn net.Conn) {
 					ID: n.id, Addr: n.addr, Members: n.snapshot(), Store: n.ownedBoot(),
 					Recovered: n.recovered, Replayed: n.replayed,
 					Replicas: n.cfg.Replicas, Down: n.downMembers(),
-					SyncedOwners: n.syncedOwners(), Extras: len(n.extras),
+					SyncedOwners: n.syncedOwners(), Extras: len(n.mine.extras),
 					Tested: n.tested, Refined: n.refined,
 					Repairs: n.repairsApplied.Load(), RepairChunks: n.repairChunksRx.Load(),
 				}))

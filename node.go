@@ -42,8 +42,8 @@ type NodeOptions struct {
 	// GossipPeriod is the membership anti-entropy interval (default
 	// 500ms).
 	GossipPeriod time.Duration
-	// Replicas is how many ring successors hold a streamed copy of this
-	// node's region (default 0: no replication). With Replicas ≥ 1 the
+	// Replicas is how many ring successors hold a copy of this node's
+	// mutations (default 0: no replication). With Replicas ≥ 1 the
 	// ring keeps answering Complete and exact for a dead member's region
 	// once the failure detector marks it down: its shards are answered
 	// from the synced copies. Every member should use the same value.
