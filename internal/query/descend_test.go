@@ -1,7 +1,9 @@
 package query
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -39,11 +41,78 @@ func newColumn(p *lph.Partitioner, pts [][]float64) column {
 	return c
 }
 
+// descendReference is the walk SplitIndex.Descend replaced, kept as its
+// definition: the prefix's run found by binary search in keys, every
+// bisected run split by a binary search for SetBit(prekey, pos), both
+// over the column truncated at the cut.
+func descendReference(p *lph.Partitioner, r Region, keys []lph.Key, leaf int, visit func(a, b int)) {
+	lo, hi := lph.CuboidSpan(r.PreKey, r.PreLen)
+	a, _ := slices.BinarySearch(keys, lo)
+	b := len(keys)
+	if last := hi - 1; last != ^lph.Key(0) {
+		b, _ = slices.BinarySearch(keys, last+1)
+	}
+	w := referenceWalk{k: p.K(), cube: r.Cube, cu: p.Cuboid(r.PreKey, r.PreLen), keys: keys, leaf: leaf, visit: visit}
+	w.walk(r.PreKey, r.PreLen, a, b)
+}
+
+type referenceWalk struct {
+	k     int
+	cube  []lph.Bounds
+	cu    []lph.Bounds
+	keys  []lph.Key
+	leaf  int
+	visit func(a, b int)
+}
+
+func (d *referenceWalk) walk(prekey lph.Key, prelen, a, b int) {
+	if a >= b {
+		return
+	}
+	if b-a <= d.leaf || prelen == lph.M {
+		d.visit(a, b)
+		return
+	}
+	pos := prelen + 1
+	j := prelen % d.k
+	was := d.cu[j]
+	mid := was.Mid()
+	upper := lph.SetBit(prekey, pos)
+	m, _ := slices.BinarySearch(d.keys[a:b], upper)
+	m += a
+	if d.cube[j].Lo <= mid {
+		d.cu[j].Hi = mid
+		d.walk(prekey, pos, a, m)
+		d.cu[j] = was
+	}
+	if d.cube[j].Hi >= mid {
+		d.cu[j].Lo = mid
+		d.walk(upper, pos, m, b)
+		d.cu[j] = was
+	}
+}
+
+// checkVisits holds x.Descend to descendReference over keys[:cut]: the
+// same runs, in the same order. It returns them.
+func checkVisits(t *testing.T, p *lph.Partitioner, r Region, x *SplitIndex, cut int) []leafRun {
+	t.Helper()
+	var got, want []leafRun
+	x.Descend(p, r, cut, func(a, b int) { got = append(got, leafRun{a, b}) })
+	descendReference(p, r, x.keys[:cut], x.leaf, func(a, b int) { want = append(want, leafRun{a, b}) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("prefix %x/%d cut %d leaf %d: the index visits %v, the binary searches %v", r.PreKey, r.PreLen, cut, x.leaf, got, want)
+	}
+	return got
+}
+
+type leafRun struct{ a, b int }
+
 // checkDescend runs Descend over keys[:cut] and compares it with the
-// linear filter — Region.Contains over every entry of the prefix's run
-// below cut: equal position sets, visited runs ascending, disjoint and
-// inside the run (so no entry is visited twice and visits ≤ run
-// length). It returns the contained positions.
+// reference walk (checkVisits) and with the linear filter —
+// Region.Contains over every entry of the prefix's run below cut: equal
+// position sets, visited runs ascending, disjoint and inside the run (so
+// no entry is visited twice and visits ≤ run length). It returns the
+// contained positions.
 func checkDescend(t *testing.T, p *lph.Partitioner, r Region, c column, cut, leaf int) []int {
 	t.Helper()
 	var want []int
@@ -62,7 +131,8 @@ func checkDescend(t *testing.T, p *lph.Partitioner, r Region, c column, cut, lea
 	}
 	var got []int
 	end := first
-	Descend(p, r, c.keys[:cut], leaf, func(a, b int) {
+	for _, v := range checkVisits(t, p, r, NewSplitIndex(c.keys, leaf), cut) {
+		a, b := v.a, v.b
 		if a >= b {
 			t.Fatalf("empty visit [%d,%d)", a, b)
 		}
@@ -78,7 +148,7 @@ func checkDescend(t *testing.T, p *lph.Partitioner, r Region, c column, cut, lea
 				got = append(got, j)
 			}
 		}
-	})
+	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("prefix %x/%d cut %d leaf %d: descent found %d entries, linear filter %d\n got %v\nwant %v",
 			r.PreKey, r.PreLen, cut, leaf, len(got), len(want), got, want)
@@ -276,5 +346,116 @@ func TestDescendDecompositionCoversExactly(t *testing.T) {
 				t.Fatalf("%s: decomposition at %x found %d entries, the cube contains %d", fmt.Sprint(r.Cube), vid, len(got), len(want))
 			}
 		}
+	}
+}
+
+// fuzzKeyRecord is the size of one record of a FuzzDescend key column:
+// 8 bytes x, a shift s and a repeat count r. The record's key is the
+// previous record's key XOR x>>(s%65), so it shares at least s%65
+// leading bits with it — any depth of common prefix is as likely as
+// none — and it is repeated 1+r%96 times, past the largest leaf the fuzz
+// draws. The column is the keys sorted, at most fuzzMaxKeys of them.
+const (
+	fuzzKeyRecord = 10
+	fuzzMaxKeys   = 4096
+)
+
+func decodeKeyColumn(col []byte) []lph.Key {
+	var keys []lph.Key
+	var key lph.Key
+	for ; len(col) >= fuzzKeyRecord && len(keys) < fuzzMaxKeys; col = col[fuzzKeyRecord:] {
+		key ^= binary.BigEndian.Uint64(col) >> (col[8] % 65)
+		for n := 1 + int(col[9]%96); n > 0 && len(keys) < fuzzMaxKeys; n-- {
+			keys = append(keys, key)
+		}
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// appendKeyRecord appends the record that turns prev into key, repeat
+// times.
+func appendKeyRecord(col []byte, prev, key lph.Key, repeat int) []byte {
+	col = binary.BigEndian.AppendUint64(col, prev^key)
+	return append(col, 0, byte(repeat-1))
+}
+
+// FuzzDescend holds SplitIndex.Descend to the binary-search walk it
+// replaced (checkVisits: the same runs in the same order) on any key
+// column — duplicates, runs of one full key longer than the leaf, keys
+// sharing prefixes of any length — any cube floats (NaN, infinities,
+// inverted sides, as FuzzRefine draws them), any prefix, including ones
+// deeper than the index reaches (onKey picks the prefix of a stored
+// key), any cut and every leaf from 1 to 64. The seeds are refineCases'
+// regions over columns hashed from points of their partitioner.
+func FuzzDescend(f *testing.F) {
+	rng := rand.New(rand.NewSource(25))
+	for _, k := range append(slices.Clone(refineDims), 17) {
+		p := refinePart(f, k)
+		for i, c := range refineCases(f, rng, k, 2) {
+			var col []byte
+			var prev lph.Key
+			pt := make([]float64, k)
+			for n := 0; n < 150; n++ {
+				for j := range pt {
+					b := p.Bounds(j)
+					pt[j] = b.Lo + rng.Float64()*(b.Hi-b.Lo)
+				}
+				key, repeat := p.Hash(pt), 1
+				if rng.Intn(10) == 0 {
+					repeat = 1 + rng.Intn(96)
+				}
+				col = appendKeyRecord(col, prev, key, repeat)
+				prev = key
+			}
+			raw := make([]byte, 0, 16*k)
+			for _, b := range c.q.Cube {
+				raw = binary.BigEndian.AppendUint64(raw, math.Float64bits(b.Lo))
+				raw = binary.BigEndian.AppendUint64(raw, math.Float64bits(b.Hi))
+			}
+			cut := uint16(math.MaxUint16)
+			if i%2 == 1 {
+				cut = uint16(rng.Intn(1 << 16))
+			}
+			f.Add(uint8(k), uint8(i), c.q.PreKey, uint8(c.q.PreLen), i%3 == 0, cut, raw, col)
+		}
+	}
+	f.Fuzz(func(t *testing.T, k, leaf uint8, prekey uint64, prelen uint8, onKey bool, cut uint16, raw, col []byte) {
+		if k == 0 || k > 20 || len(raw) < 16*int(k) {
+			return
+		}
+		keys := decodeKeyColumn(col)
+		if onKey && len(keys) > 0 {
+			prekey = keys[prekey%uint64(len(keys))]
+		}
+		r := Region{Cube: make([]lph.Bounds, k), PreLen: int(prelen) % (lph.M + 1)}
+		r.PreKey = lph.Prefix(prekey, r.PreLen)
+		for j := range r.Cube {
+			r.Cube[j].Lo = math.Float64frombits(binary.BigEndian.Uint64(raw[16*j:]))
+			r.Cube[j].Hi = math.Float64frombits(binary.BigEndian.Uint64(raw[16*j+8:]))
+		}
+		x := NewSplitIndex(keys, 1+int(leaf)%64)
+		checkVisits(t, refinePart(t, int(k)), r, x, min(int(cut), len(keys)))
+	})
+}
+
+// TestDescendAllocatesNothing: a descent over a built index costs no
+// heap allocation, whatever it visits and wherever it is cut.
+func TestDescendAllocatesNothing(t *testing.T) {
+	const k = 6
+	p := refinePart(t, k)
+	rng := rand.New(rand.NewSource(26))
+	c := newColumn(p, randomPoints(rng, 5000, k, func() float64 { return -1.1 + 20*rng.Float64() }))
+	x := NewSplitIndex(c.keys, 32)
+	visited := 0
+	visit := func(a, b int) { visited += b - a }
+	for _, rc := range refineCases(t, rng, k, 20) {
+		cut := rng.Intn(len(c.keys) + 1)
+		if allocs := testing.AllocsPerRun(10, func() { x.Descend(p, rc.q, cut, visit) }); allocs != 0 {
+			t.Fatalf("a descent of %+v cut at %d allocated %.0f times", rc.q, cut, allocs)
+		}
+	}
+	if visited == 0 {
+		t.Fatal("no descent visited anything: the test measures nothing")
 	}
 }

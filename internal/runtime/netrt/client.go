@@ -1,6 +1,7 @@
 package netrt
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -111,10 +112,14 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 func (c *Client) NodeID() uint64 { return c.node }
 
 // readLoop routes reply frames to their waiting callers by frame id.
+// It reads through a buffer, like a link's reader (link.readLoop); Dial
+// read the welcome frame, and nothing past it, straight off the
+// connection.
 func (c *Client) readLoop() {
+	r := bufio.NewReader(c.conn)
 	var buf []byte
 	for {
-		id, payload, next, err := wire.ReadFrame(c.conn, buf)
+		id, payload, next, err := wire.ReadFrame(r, buf)
 		if err != nil {
 			c.mu.Lock()
 			c.closed = true

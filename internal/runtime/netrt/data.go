@@ -95,17 +95,21 @@ type corpus interface {
 // unrotated-key order (ties by corpus index). lph.Hash is a k-d
 // bisection, so a key is its entry's root-to-leaf path and the sorted
 // column is the k-d tree laid flat: the entries under a region's prefix
-// are one contiguous run (query.Descend walks it), and the ring arc a
-// member owns is at most two (arc). The dataset's objects sit in the
-// same order (dataset.at), so a sorted position names an entry's key,
-// id, point and object alike; pos alone is indexed by corpus id. Until
-// seal sorts them the columns are in corpus order and ids/pos are unset.
+// are one contiguous run, and the ring arc a member owns is at most two
+// (arc). The column never changes after seal, so its bisection is
+// computed there once, down to leafEntries (splits), and every region's
+// descent reads it instead of searching the keys again. The dataset's
+// objects sit in the same order (dataset.at), so a sorted position
+// names an entry's key, id, point and object alike; pos alone is indexed
+// by corpus id. Until seal sorts them the columns are in corpus order
+// and ids/pos/splits are unset.
 type columns struct {
-	k    int
-	keys []lph.Key // ascending
-	ids  []int32   // corpus index of the entry at each sorted position
-	pts  []float64 // k coordinates per entry, in sorted order
-	pos  []int32   // inverse of ids: corpus index → sorted position
+	k      int
+	keys   []lph.Key // ascending
+	ids    []int32   // corpus index of the entry at each sorted position
+	pts    []float64 // k coordinates per entry, in sorted order
+	pos    []int32   // inverse of ids: corpus index → sorted position
+	splits *query.SplitIndex
 }
 
 // run is a half-open range [a, b) of sorted positions.
@@ -154,13 +158,13 @@ func (c *columns) arc(part *lph.Partitioner, pred, me uint64) [2]run {
 	return [2]run{{0, c.above(to)}, {c.above(from), len(c.keys)}}
 }
 
-// sortByKey turns corpus order into key order. The (key, id) pairs are
-// sorted aside — the sorted keys and ids fall out of them directly —
-// and the points are then permuted in place, so the build never holds a
-// second copy of the coordinates (on the prototype of this layout a
-// key-ordered copy beside the corpus-ordered one read +31 % rss_mb on
-// bench's ring-scan, and dropping the old one afterwards still +19 %:
-// VmHWM is a peak; in place it reads −6 %).
+// sortByKey turns corpus order into key order and bisects the sorted
+// keys. The (key, id) pairs are sorted aside — the sorted keys and ids
+// fall out of them directly — and the points are then permuted in place,
+// so the build never holds a second copy of the coordinates (on the
+// prototype of this layout a key-ordered copy beside the corpus-ordered
+// one read +31 % rss_mb on bench's ring-scan, and dropping the old one
+// afterwards still +19 %: VmHWM is a peak; in place it reads −6 %).
 func (c *columns) sortByKey() {
 	type pair struct {
 		key lph.Key
@@ -182,6 +186,7 @@ func (c *columns) sortByKey() {
 		c.keys[j], c.ids[j], c.pos[p.id] = p.key, p.id, int32(j)
 	}
 	permuteRows(c.pts, c.k, c.ids)
+	c.splits = query.NewSplitIndex(c.keys, leafEntries)
 }
 
 // permuteRows reorders rows, len(ids) rows of width elements each, in

@@ -1,6 +1,7 @@
 package netrt
 
 import (
+	"bufio"
 	"fmt"
 	"math/rand"
 	"net"
@@ -252,11 +253,16 @@ func (l *link) detach(conn net.Conn) {
 // decoding error proves the peer hostile (typed wire.FrameError —
 // the link drops, never OOMs). Transport faults (frame drop,
 // connection kill) draw from the shared runtime.LinkFaults path.
+// Frames are read through a buffer, so a frame that has arrived costs
+// one read syscall or none, not two (header, then payload); the
+// handshake before it read exactly its own frame off conn, so the
+// buffer misses no byte.
 func (l *link) readLoop(conn net.Conn, peer uint64) {
 	faults := l.host.linkFaults(peer)
+	r := bufio.NewReader(conn)
 	var buf []byte
 	for {
-		_, payload, next, err := wire.ReadFrame(conn, buf)
+		_, payload, next, err := wire.ReadFrame(r, buf)
 		if err != nil {
 			l.detach(conn)
 			return

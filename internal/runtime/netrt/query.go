@@ -91,13 +91,16 @@ func (n *Node) Query(qobj []byte, r float64, timeout time.Duration) (QueryOutcom
 }
 
 // leafEntries is where the k-d descent stops bisecting a run and tests
-// the entries' points against the cube instead. BenchmarkLocalQuery's
-// fixture (57 409 entries, k = 6) reads 0.50 / 0.45 / 0.42 / 0.41 /
-// 0.43 / 0.41 ms per query at 8 / 16 / 32 / 64 / 128 / 256 with its
-// radius of 0.30, where most cells survive, and 54 / 51 / 51 / 55 / 56 /
-// 59 µs with a selective radius of 0.12: below 16 the binary searches
-// cost more than the point tests they save, above 64 the tests of
-// entries a deeper split would have pruned take over.
+// the entries' points against the cube instead, and so where the
+// columns' split index stops. BenchmarkLocalQuery's fixture (57 409
+// entries, k = 6) read 0.50 / 0.45 / 0.42 / 0.41 / 0.43 / 0.41 ms per
+// query at 8 / 16 / 32 / 64 / 128 / 256 with its radius of 0.30, where
+// most cells survive, and 54 / 51 / 51 / 55 / 56 / 59 µs with a
+// selective radius of 0.12, when every split was a binary search: below
+// 16 the searches cost more than the point tests they saved, above 64
+// the tests of entries a deeper split would have pruned take over. It
+// also fixes which entries a query tests (TestLocalQueryWorkPinned) and
+// the index's size (TestColumnsIndexSize).
 const leafEntries = 32
 
 // hop is the regions of one message bound for one next hop. A message
@@ -298,9 +301,10 @@ func splitCredit(credit uint64, parts int) []uint64 {
 }
 
 // answer resolves a message's local shares in one pass. Each region is
-// one k-d descent over its run of the boot columns, up to its cut — the
-// cube is tested only at the leaves, the share's tombstones and the
-// exact distance only on what the cube lets through — whether the delta
+// one k-d descent of the boot columns' split index over the region's
+// run, up to its cut — the cube is tested only at the leaves, the
+// share's tombstones and the exact distance only on what the cube lets
+// through — whether the delta
 // is this node's or a down owner's copy: every member holds the same
 // columns. A delta's extras then answer where a boot entry with their
 // key would: inside a region's key run up to its cut, and inside its
@@ -353,7 +357,7 @@ func (n *Node) answer(q *queryMsg, shares []share) ([]ResultEntry, error) {
 		at.tombs = s.d.tombs
 		for i, reg := range s.regions {
 			at.cube = reg.Cube
-			query.Descend(part, reg, cols.keys[:cols.above(s.cuts[i])], leafEntries, leaf)
+			cols.splits.Descend(part, reg, cols.above(s.cuts[i]), leaf)
 		}
 		if len(s.d.extras) == 0 {
 			continue

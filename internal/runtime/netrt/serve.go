@@ -1,6 +1,7 @@
 package netrt
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"time"
@@ -156,9 +157,12 @@ func (n *Node) serveClient(conn net.Conn) {
 			closeConn(conn) // client too slow to read its own replies
 		}
 	}
+	// Buffered like a link's reader (link.readLoop); serveConn read the
+	// hello frame, and nothing past it, straight off conn.
+	r := bufio.NewReader(conn)
 	var buf []byte
 	for {
-		id, payload, next, err := wire.ReadFrame(conn, buf)
+		id, payload, next, err := wire.ReadFrame(r, buf)
 		if err != nil {
 			return
 		}
