@@ -2,6 +2,7 @@ package lph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -271,6 +272,33 @@ func TestSplitMidMatchesCuboid(t *testing.T) {
 		if got := p.SplitMid(key, pos); got != want {
 			t.Fatalf("SplitMid(key=%x,pos=%d) = %v, want %v", key, pos, got, want)
 		}
+	}
+}
+
+// CuboidTo writes what Cuboid returns into the caller's storage, and
+// with room for k bounds allocates nothing; a short dst is grown.
+func TestCuboidToMatchesCuboid(t *testing.T) {
+	p := mustNew(t, 3, 0, 8)
+	rng := rand.New(rand.NewSource(4))
+	var room [16]Bounds
+	for trial := 0; trial < 300; trial++ {
+		key, prelen := Key(rng.Uint64()), rng.Intn(M+1)
+		got := p.CuboidTo(room[:0], key, prelen)
+		if want := p.Cuboid(key, prelen); !slices.Equal(got, want) {
+			t.Fatalf("CuboidTo(%x, %d) = %v, Cuboid = %v", key, prelen, got, want)
+		}
+		if &got[0] != &room[0] {
+			t.Fatal("CuboidTo did not write into dst")
+		}
+	}
+	if got := p.CuboidTo(room[:1], 0, 0); len(got) != 3 {
+		t.Fatalf("CuboidTo returned %d bounds, want 3", len(got))
+	}
+	if got := p.CuboidTo(make([]Bounds, 0, 1), 0, 0); !slices.Equal(got, p.AllBounds()) {
+		t.Fatalf("CuboidTo into a short dst = %v", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { p.CuboidTo(room[:0], 0xdeadbeef, 40) }); n != 0 {
+		t.Fatalf("CuboidTo with room allocates %v times", n)
 	}
 }
 
