@@ -52,12 +52,12 @@ type Info struct {
 	Repairs      int64
 	RepairChunks int64
 	// The work of answering, counted where it is done and cumulative
-	// since boot: Tested is the boot entries whose points were compared
-	// with a query cube at the leaves of the k-d descent, Refined the
-	// ones that were inside and alive, i.e. the exact distances computed
-	// — for this node's own regions and for a down owner's, which are
-	// the same descent filtered by its copy. Published extras are in
-	// neither.
+	// since boot: Tested is the entries whose points were compared with
+	// a query cube — boot entries at the leaves of the k-d descent,
+	// published extras in a region's stretch of the delta's run — and
+	// Refined the ones that were inside and alive, i.e. the exact
+	// distances computed — for this node's own regions and for a down
+	// owner's, which are the same descent filtered by its copy.
 	Tested  uint64
 	Refined uint64
 }

@@ -82,13 +82,17 @@ type corpus interface {
 	// RandomQuery draws a random encoded query object from rng.
 	RandomQuery(rng *rand.Rand) []byte
 	// MapObj maps an encoded object into the index: its ring key (the
-	// routing position an online publish or delete goes to) and its
-	// index-space point.
-	MapObj(obj []byte) (lph.Key, []float64, error)
-	// Dister decodes a query object once and returns an exact-distance
-	// evaluator over encoded object bytes (published entries carry
-	// bytes, not corpus indices).
-	Dister(qobj []byte) (func(obj []byte) (float64, error), error)
+	// routing position an online publish or delete goes to), its
+	// index-space point, and the object decoded (as Decode).
+	MapObj(obj []byte) (lph.Key, []float64, any, error)
+	// Decode decodes an encoded object into the form a Dister evaluator
+	// reads, as MapObj does without mapping it: a journaled publish
+	// carries its key and point.
+	Decode(obj []byte) (any, error)
+	// Dister decodes a query object once and returns the exact distance
+	// to a decoded object (published entries are objects, decoded once
+	// when a delta takes them, not sorted positions).
+	Dister(qobj []byte) (func(o any) float64, error)
 }
 
 // columns is the boot corpus' index entries, stored once, flat, in
@@ -265,27 +269,30 @@ func (d *dataset[T]) Evaluator(qobj []byte) (func(j int) float64, error) {
 
 func (d *dataset[T]) RandomQuery(rng *rand.Rand) []byte { return d.random(rng) }
 
-func (d *dataset[T]) MapObj(obj []byte) (lph.Key, []float64, error) {
+func (d *dataset[T]) MapObj(obj []byte) (lph.Key, []float64, any, error) {
 	o, err := d.dec(obj)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
 	p := d.emb.Map(o)
-	return d.part.MapPoint(p), p, nil
+	return d.part.MapPoint(p), p, o, nil
 }
 
-func (d *dataset[T]) Dister(qobj []byte) (func(obj []byte) (float64, error), error) {
+func (d *dataset[T]) Decode(obj []byte) (any, error) {
+	o, err := d.dec(obj)
+	if err != nil {
+		return nil, err
+	}
+	return o, nil
+}
+
+func (d *dataset[T]) Dister(qobj []byte) (func(o any) float64, error) {
 	q, err := d.dec(qobj)
 	if err != nil {
 		return nil, err
 	}
-	return func(obj []byte) (float64, error) {
-		o, err := d.dec(obj)
-		if err != nil {
-			return 0, err
-		}
-		return d.space.Dist(q, o), nil
-	}, nil
+	dist := d.space.Dist
+	return func(o any) float64 { return dist(q, o.(T)) }, nil
 }
 
 // buildCorpus derives the full corpus from the config: objects,
@@ -539,7 +546,11 @@ func (d *Dataset) Distance(qobj, obj []byte) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return dist(obj)
+	o, err := d.c.Decode(obj)
+	if err != nil {
+		return 0, err
+	}
+	return dist(o), nil
 }
 
 // BruteForce returns the exact range-query answer over the full

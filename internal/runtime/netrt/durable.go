@@ -74,6 +74,24 @@ type durableMut struct {
 	point []float64
 	obj   []byte
 	del   bool
+	val   any // obj decoded (decodeJournaled), for a publish
+}
+
+// decodeJournaled decodes the object of every journaled publish, which
+// the record carries encoded: the key and point are journaled, the
+// decoded object a query's distance reads is not. Each one was mapped
+// before it was journaled, so a failure means the directory does not
+// belong to this corpus.
+func decodeJournaled(c corpus, muts []durableMut) error {
+	for i := range muts {
+		if m := &muts[i]; !m.del {
+			var err error
+			if m.val, err = c.Decode(m.obj); err != nil {
+				return fmt.Errorf("netrt: journaled publish of id %d: %w", m.id, err)
+			}
+		}
+	}
+	return nil
 }
 
 // rawState accumulates the record stream during replay.

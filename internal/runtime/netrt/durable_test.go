@@ -213,7 +213,7 @@ func TestDurableLegacyDirectoryOpens(t *testing.T) {
 	// An entry record is a publish record under tag 3: index, ring key,
 	// point, encoded object.
 	record := func(tag byte, id int32, obj []byte) []byte {
-		key, point, err := c.MapObj(obj)
+		key, point, _, err := c.MapObj(obj)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,7 +67,7 @@ func FuzzDecodeRepEntry(f *testing.F) {
 			if !errors.As(err, &fe) {
 				t.Fatalf("refused with %T (%v), want a *wire.FrameError", err, err)
 			}
-			if got.tombs != nil || got.extras != nil || got.digest != 0 {
+			if got.tombs != nil || got.extras != nil || got.run != nil || got.digest != 0 {
 				t.Fatalf("a refusal returned %+v", got)
 			}
 			return

@@ -118,12 +118,8 @@ func (o *oracle) answer(t *testing.T, qobj []byte, r float64) []ResultEntry {
 			want = append(want, e)
 		}
 	}
-	dist, err := o.ds.c.Dister(qobj)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for id, obj := range o.published {
-		d, err := dist(obj)
+		d, err := o.ds.Distance(qobj, obj)
 		if err != nil {
 			t.Fatal(err)
 		}

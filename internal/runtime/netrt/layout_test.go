@@ -174,13 +174,9 @@ func TestBruteForceMatchesByIDReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(9))
 		for q := 0; q < 8; q++ {
 			qobj := ds.RandomQuery(rng)
-			dist, err := ds.c.Dister(qobj)
-			if err != nil {
-				t.Fatal(err)
-			}
 			var want []ResultEntry
 			for i := 0; i < ds.N(); i++ {
-				d, err := dist(objAt(ds.c, int(ds.c.Cols().pos[i])))
+				d, err := ds.Distance(qobj, objAt(ds.c, int(ds.c.Cols().pos[i])))
 				if err != nil {
 					t.Fatal(err)
 				}

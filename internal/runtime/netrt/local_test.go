@@ -69,6 +69,54 @@ func BenchmarkLocalQuery(b *testing.B) {
 	b.ReportMetric(float64(refined)/float64(b.N), "refined/op")
 }
 
+// localQueryExtras is how many published extras the extras variant of
+// the fixture holds: more than the ≈ 2 k boot entries a ring-write-mix
+// member holds, as a member of that ring ends its run with.
+const localQueryExtras = 10_000
+
+// withExtras applies localQueryExtras publishes of random vectors, under
+// ids past the corpus, to the fixture node's own delta — what its
+// answers read beside the columns.
+func withExtras(tb testing.TB, n *Node) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(2))
+	dim := 8
+	err := n.rt.Do(func() {
+		for i := 0; i < localQueryExtras; i++ {
+			v := make([]float64, dim)
+			for j := range v {
+				v[j] = rng.Float64()
+			}
+			x, err := placeExtra(n.data, EncodeVectorQuery(v))
+			if err != nil {
+				tb.Error(err)
+				return
+			}
+			n.mine.apply(int32(n.data.N()+i), false, x)
+		}
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkLocalQueryExtras is BenchmarkLocalQuery with localQueryExtras
+// published extras in the node's delta: what a write-heavy member's
+// answers cost beside the boot descent. tested/op and refined/op count
+// extras as they count boot entries.
+func BenchmarkLocalQueryExtras(b *testing.B) {
+	n, query := localQueryFixture(b)
+	withExtras(b, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		query()
+	}
+	tested, refined := answerWork(b, n)
+	b.ReportMetric(float64(tested)/float64(b.N), "tested/op")
+	b.ReportMetric(float64(refined)/float64(b.N), "refined/op")
+}
+
 // TestLocalQueryWorkPinned pins the two counters over one cycle of the
 // fixture's queries. They are a property of the corpus, the ring
 // position, the queries and leafEntries — nothing timed — so they repeat
@@ -112,5 +160,29 @@ func TestLocalQueryAllocsCeiling(t *testing.T) {
 	t.Logf("%.0f allocs per local query (ceiling %d)", allocs, localQueryAllocsCeiling)
 	if allocs > localQueryAllocsCeiling {
 		t.Fatalf("%.0f allocs per local query, ceiling %d", allocs, localQueryAllocsCeiling)
+	}
+}
+
+// localQueryExtrasAllocsCeiling bounds the heap allocations of one local
+// query on the fixture with localQueryExtras extras. Measured 46, the
+// 43 of the fixture without them plus the longer result slice and merge
+// map the matching extras grow — nothing per extra tested and nothing
+// per exact distance (711 while every in-cube extra's object was decoded
+// again per query, one allocation each). The ceiling is the measurement
+// plus 20 %.
+const localQueryExtrasAllocsCeiling = 55
+
+// TestLocalQueryExtrasAllocsCeiling fails when an answer starts
+// allocating per published extra it tests or refines.
+func TestLocalQueryExtrasAllocsCeiling(t *testing.T) {
+	n, query := localQueryFixture(t)
+	withExtras(t, n)
+	for i := 0; i < localQueryCycle; i++ {
+		query()
+	}
+	allocs := testing.AllocsPerRun(localQueryCycle, query)
+	t.Logf("%.0f allocs per local query with %d extras (ceiling %d)", allocs, localQueryExtras, localQueryExtrasAllocsCeiling)
+	if allocs > localQueryExtrasAllocsCeiling {
+		t.Fatalf("%.0f allocs per local query with %d extras, ceiling %d", allocs, localQueryExtras, localQueryExtrasAllocsCeiling)
 	}
 }

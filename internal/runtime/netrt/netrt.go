@@ -187,7 +187,7 @@ type Node struct {
 	runs    [2]run   // the boot entries this node owns under members: its arc of the key-ordered columns
 	queries map[uint64]*originQuery
 	nextQID uint64
-	tested  uint64 // boot entries tested against a query cube at the descent's leaves, cumulative
+	tested  uint64 // entries tested against a query cube (the descent's leaves, the extras' spans), cumulative
 	refined uint64 // of those, the ones inside it and alive: exact distances computed, cumulative
 	gossip  *runtime.Ticker
 
@@ -257,9 +257,12 @@ func Start(cfg Config) (*Node, error) {
 		}
 	}
 	data, err := buildCorpus(cfg.Data)
+	if err == nil {
+		err = decodeJournaled(data, muts)
+	}
 	if err != nil {
 		if store != nil {
-			_ = store.Close() // startup already failing; the build error is the signal
+			_ = store.Close() // startup already failing; the build or decode error is the signal
 		}
 		return nil, err
 	}
@@ -307,7 +310,7 @@ func Start(cfg Config) (*Node, error) {
 		for _, m := range muts {
 			var x *extra
 			if !m.del {
-				x = &extra{key: data.Part().Unring(m.key), point: m.point, obj: m.obj}
+				x = &extra{key: data.Part().Unring(m.key), point: m.point, val: m.val, obj: m.obj}
 			}
 			n.mine.apply(m.id, n.boot(m.id), x)
 		}

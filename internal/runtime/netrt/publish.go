@@ -67,7 +67,7 @@ func (n *Node) startMutation(id int32, obj []byte, del bool, done func(error)) {
 	var key lph.Key
 	switch {
 	case len(obj) > 0:
-		k, _, err := n.data.MapObj(obj)
+		k, _, _, err := n.data.MapObj(obj)
 		if err != nil {
 			done(err)
 			return
@@ -154,11 +154,7 @@ func (n *Node) extraOf(m *pubMsg) (*extra, error) {
 	if m.Delete {
 		return nil, nil
 	}
-	key, point, err := n.data.MapObj(m.Obj)
-	if err != nil {
-		return nil, err
-	}
-	return &extra{key: n.data.Part().Unring(key), point: point, obj: m.Obj}, nil
+	return placeExtra(n.data, m.Obj)
 }
 
 // fanoutMutation forwards an applied mutation to this owner's replicas
@@ -218,7 +214,7 @@ func (n *Node) handOff() {
 		n.handTo(id, nil, n.data.Key(int(id)))
 	}
 	for _, id := range sortedIDs(n.mine.extras) {
-		x := n.mine.extras[id]
+		x := *n.mine.extra(id)
 		n.handTo(id, &x, n.data.Part().Ring(x.key))
 	}
 }
@@ -245,7 +241,7 @@ func (n *Node) handTo(id int32, x *extra, key lph.Key) {
 			return // still in the delta: the next tick retries
 		}
 		if x != nil {
-			if cur, ok := n.mine.extras[id]; !ok || !bytes.Equal(cur.obj, x.obj) {
+			if cur := n.mine.extra(id); cur == nil || !bytes.Equal(cur.obj, x.obj) {
 				return // republished meanwhile: that one is handed off, or kept, on its own
 			}
 			if n.journalMutation(&pubMsg{ID: id, Delete: true}, nil) != nil {

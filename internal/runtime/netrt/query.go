@@ -308,14 +308,13 @@ func splitCredit(credit uint64, parts int) []uint64 {
 // is this node's or a down owner's copy: every member holds the same
 // columns. A delta's extras then answer where a boot entry with their
 // key would: inside a region's key run up to its cut, and inside its
-// cube; they are a map walked once per share. The descent hands out
-// sorted positions and the objects are stored by sorted position, so the
-// exact distances of a leaf read one stretch of memory front to back;
-// the corpus id is looked up only for what goes on the wire.
-// Over-coverage under membership-view skew is harmless: the origin
-// merges per object. An extra whose object does not decode fails the
-// whole answer — it might have been a match, so the share must come
-// home as a drop, not as a Complete result without it.
+// cube. They are kept in key order too, so each region binary-searches
+// its stretch of them (extrasWithin) and tests only that. The descent
+// hands out sorted positions and the objects are stored by sorted
+// position, so the exact distances of a leaf read one stretch of memory
+// front to back; the corpus id is looked up only for what goes on the
+// wire. Over-coverage under membership-view skew is harmless: the
+// origin merges per object.
 //
 //lint:context executor
 func (n *Node) answer(q *queryMsg, shares []share) ([]ResultEntry, error) {
@@ -326,7 +325,7 @@ func (n *Node) answer(q *queryMsg, shares []share) ([]ResultEntry, error) {
 	part, cols := n.data.Part(), n.data.Cols()
 	var (
 		ents []ResultEntry
-		dist func([]byte) (float64, error)
+		dist func(any) float64
 		// at is what the leaves test against: the region's cube and the
 		// share's tombstones. One captured variable, not two: with both
 		// captured apart, go1.24 spills the counter of the loop over the
@@ -367,29 +366,40 @@ func (n *Node) answer(q *queryMsg, shares []share) ([]ResultEntry, error) {
 				return nil, errBadQueryObject
 			}
 		}
-		for id, x := range s.d.extras { //lint:allow maporder origin merges per object; entry order in a result frame is irrelevant
-			for i, reg := range s.regions {
-				if x.key > s.cuts[i] || !lph.SamePrefix(x.key, reg.PreKey, reg.PreLen) || !reg.Contains(x.point) {
-					continue
-				}
-				d, err := dist(x.obj)
-				if err != nil {
-					return nil, errUndecodableObject
-				}
-				if d <= q.R {
-					ents = append(ents, ResultEntry{Obj: id, Dist: d})
-				}
-				break
-			}
-		}
+		var tested, refined int
+		ents, tested, refined = s.extrasWithin(ents, dist, q.R)
+		n.tested += uint64(tested)
+		n.refined += uint64(refined)
 	}
 	return ents, nil
 }
 
-var (
-	errBadQueryObject    = errors.New("bad query object")
-	errUndecodableObject = errors.New("undecodable stored object")
-)
+// extrasWithin appends to ents the share's extras that answer one of
+// its regions and lie within r of the query dist measures from. Each
+// region reads the stretch of the run between its cuboid's first key
+// and the lower of its last key and its cut — two binary searches —
+// and tests those in key order against its cube. It returns how many
+// extras it tested against a cube and how many exact distances it
+// computed, what answer counts for boot entries too.
+func (s *share) extrasWithin(ents []ResultEntry, dist func(any) float64, r float64) (_ []ResultEntry, tested, refined int) {
+	for i, reg := range s.regions {
+		xs := s.d.span(reg, s.cuts[i])
+		tested += len(xs)
+		for _, e := range xs {
+			x := &s.d.slots[e.slot]
+			if !reg.Contains(x.point) {
+				continue
+			}
+			refined++
+			if d := dist(x.val); d <= r {
+				ents = append(ents, ResultEntry{Obj: e.id, Dist: d})
+			}
+		}
+	}
+	return ents, tested, refined
+}
+
+var errBadQueryObject = errors.New("bad query object")
 
 // maxResultEntries is the most entries one kindResult frame carries.
 const maxResultEntries = (wire.MaxFramePayload - 1 - resultFixed) / resultEntryBytes

@@ -105,7 +105,7 @@ func objectOwnedBy(t *testing.T, ds *Dataset, rng *rand.Rand, owner *Node) []byt
 	t.Helper()
 	for {
 		obj := ds.RandomQuery(rng)
-		key, _, err := ds.c.MapObj(obj)
+		key, _, _, err := ds.c.MapObj(obj)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,7 +450,7 @@ func TestMutationsFollowTheirKeyOnJoin(t *testing.T) {
 	pubPast := ^uint64(0)
 	for i := 0; i < 4000; i++ {
 		o := ds.RandomQuery(rng)
-		key, _, err := ds.c.MapObj(o)
+		key, _, _, err := ds.c.MapObj(o)
 		if err != nil {
 			t.Fatal(err)
 		}
