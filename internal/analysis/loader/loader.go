@@ -14,14 +14,13 @@ package loader
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -186,44 +185,26 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
+		// Only one variant of a tag-paired file (race_enabled.go beside
+		// race_disabled.go, x_amd64.go beside an x_other.go built
+		// everywhere else) can type-check into a package, so a file is
+		// skipped exactly as `go build` would skip it with the host's
+		// default tags: by its //go:build line and its _GOOS or _GOARCH
+		// suffix.
+		ok, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			continue
+		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		if !satisfiesBuild(fset, f) {
-			continue
-		}
 		files = append(files, f)
 	}
 	return files, nil
-}
-
-// satisfiesBuild reports whether a file's //go:build constraint (if
-// any) holds under the host's default tag set. Only one variant of a
-// tag-paired file (e.g. race_enabled.go / race_disabled.go) can
-// type-check into a package, so files gated on tags that are off by
-// default — custom tags like race included — are skipped exactly as
-// `go build` would skip them.
-func satisfiesBuild(fset *token.FileSet, f *ast.File) bool {
-	pkgLine := fset.Position(f.Package).Line
-	for _, cg := range f.Comments {
-		if fset.Position(cg.Pos()).Line >= pkgLine {
-			break
-		}
-		for _, c := range cg.List {
-			if !constraint.IsGoBuild(c.Text) {
-				continue
-			}
-			expr, err := constraint.Parse(c.Text)
-			if err != nil {
-				return true
-			}
-			return expr.Eval(func(tag string) bool {
-				return tag == runtime.GOOS || tag == runtime.GOARCH || tag == runtime.Compiler
-			})
-		}
-	}
-	return true
 }
 
 // sortByDeps orders packages so every intra-module import precedes its

@@ -1,17 +1,18 @@
 package loader
 
 import (
-	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
 // TestParseDirSkipsUnsatisfiedBuildTags pins the tag-paired-file case:
 // a package with race_enabled.go (//go:build race) and
 // race_disabled.go (//go:build !race) must type-check as ONE variant —
-// the default-tag one — not both (a redeclaration error).
+// the default-tag one — not both (a redeclaration error). A file named
+// for another architecture is skipped the same way.
 func TestParseDirSkipsUnsatisfiedBuildTags(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, src string) {
@@ -23,6 +24,11 @@ func TestParseDirSkipsUnsatisfiedBuildTags(t *testing.T) {
 	write("on.go", "//go:build race\n\npackage p\n\nconst flag = true\n")
 	write("off.go", "//go:build !race\n\npackage p\n\nconst flag = false\n")
 	write("plain.go", "package p\n\nvar _ = flag\n")
+	other := "arm64"
+	if runtime.GOARCH == other {
+		other = "amd64"
+	}
+	write("arch_"+other+".go", "package p\n\nconst flag = false\n")
 
 	fset := token.NewFileSet()
 	files, err := parseDir(fset, dir)
@@ -43,8 +49,9 @@ func TestParseDirSkipsUnsatisfiedBuildTags(t *testing.T) {
 	}
 }
 
-// TestSatisfiesBuildHostTags: GOOS/GOARCH constraints evaluate against
-// the host, and files with no constraint always load.
+// TestSatisfiesBuildHostTags: a //go:build line evaluates against the
+// host's default tags, as `go build` would — GOOS and GOARCH, the
+// release tags — and a file with no constraint always loads.
 func TestSatisfiesBuildHostTags(t *testing.T) {
 	cases := []struct {
 		src  string
@@ -54,15 +61,20 @@ func TestSatisfiesBuildHostTags(t *testing.T) {
 		{"//go:build linux || darwin || windows\n\npackage p\n", true},
 		{"//go:build plan9 && race\n\npackage p\n", false},
 		{"//go:build !race\n\npackage p\n", true},
+		{"//go:build go1.1\n\npackage p\n", true},
+		{"//go:build ignore\n\npackage p\n", false},
 	}
 	for i, c := range cases {
-		fset := token.NewFileSet()
-		f, err := parser.ParseFile(fset, "x.go", c.src, parser.ParseComments)
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "x.go"), []byte(c.src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		files, err := parseDir(token.NewFileSet(), dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := satisfiesBuild(fset, f); got != c.want {
-			t.Errorf("case %d: satisfiesBuild = %v, want %v", i, got, c.want)
+		if got := len(files) == 1; got != c.want {
+			t.Errorf("case %d: loaded = %v, want %v", i, got, c.want)
 		}
 	}
 }

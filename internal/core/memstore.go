@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -165,11 +166,12 @@ func (s *region) index() {
 // scanAppend appends the entries whose index points fall inside the
 // cube to buf and returns it (the zero-allocation hot path once the
 // index is built). The test is Region.Contains' — same length, every
-// coordinate in its closed interval — read from the column, and made
-// only under the boxes that meet the cube. A box is passed over when
-// its rows all lie beyond one of the cube's bounds; written as the two
-// comparisons that say so, a NaN or an inverted bound passes nothing
-// over, and the row test decides as Contains would.
+// coordinate in its closed interval — read from the column by
+// query.Box.Mask, and made only under the boxes that meet the cube. A
+// box is passed over when its rows all lie beyond one of the cube's
+// bounds; written as the two comparisons that say so, a NaN or an
+// inverted bound passes nothing over, and the row test decides as
+// Contains would.
 func (s *region) scanAppend(cube []lph.Bounds, buf []Entry) []Entry {
 	k := s.k
 	if len(cube) != k {
@@ -178,6 +180,8 @@ func (s *region) scanAppend(cube []lph.Bounds, buf []Entry) []Entry {
 	if len(s.order) < len(s.entries) {
 		s.index()
 	}
+	var in query.Box
+	in.Set(cube)
 	leaves, rows := 0, len(s.order)-s.body
 leaf:
 	for lo, box := 0, s.boxes; lo < s.body; lo, box = lo+leafRows, box[2*k:] {
@@ -189,24 +193,21 @@ leaf:
 		}
 		hi := min(lo+leafRows, s.body)
 		rows += hi - lo
-		buf = s.appendMatches(cube, lo, hi, buf)
+		buf = s.appendMatches(&in, lo, hi, buf)
 	}
 	s.boxTests += leaves
 	s.rowTests += rows
-	return s.appendMatches(cube, s.body, len(s.order), buf)
+	return s.appendMatches(&in, s.body, len(s.order), buf)
 }
 
-// appendMatches row-tests rows [lo, hi) of the column against the cube.
-func (s *region) appendMatches(cube []lph.Bounds, lo, hi int, buf []Entry) []Entry {
-	k := len(cube)
-next:
-	for i, p := lo, s.pts[lo*k:hi*k]; i < hi; i, p = i+1, p[k:] {
-		for j, b := range cube {
-			if !b.Contains(p[j]) {
-				continue next
-			}
+// appendMatches row-tests rows [lo, hi) of the column against the cube
+// laid out in in, 64 rows a call.
+func (s *region) appendMatches(in *query.Box, lo, hi int, buf []Entry) []Entry {
+	for ; lo < hi; lo += 64 {
+		n := min(hi-lo, 64)
+		for m := in.Mask(s.pts[lo*s.k:(lo+n)*s.k], n); m != 0; m &= m - 1 {
+			buf = append(buf, s.entries[s.order[lo+bits.TrailingZeros64(m)]])
 		}
-		buf = append(buf, s.entries[s.order[i]])
 	}
 	return buf
 }

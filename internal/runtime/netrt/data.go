@@ -121,20 +121,9 @@ type run struct{ a, b int }
 
 func (c *columns) point(j int) []float64 { return c.pts[j*c.k : (j+1)*c.k : (j+1)*c.k] }
 
-// inside reports whether the point at sorted position j lies in the
-// closed cube (which must have k dimensions) — Region.Contains over the
-// flat coordinates, without the slice header and length check per
-// entry (BenchmarkLocalQuery reads 0.42 ms with it, 0.48 through
-// Contains).
-func (c *columns) inside(j int, cube []lph.Bounds) bool {
-	p := c.pts[j*c.k : (j+1)*c.k]
-	for d, b := range cube {
-		if x := p[d]; x < b.Lo || x > b.Hi {
-			return false
-		}
-	}
-	return true
-}
+// rows returns the coordinates of the points at sorted positions
+// [j, j+n), row after row, as query.Box.Mask reads them.
+func (c *columns) rows(j, n int) []float64 { return c.pts[j*c.k : (j+n)*c.k] }
 
 // above returns the first sorted position whose key exceeds key.
 func (c *columns) above(key lph.Key) int {

@@ -317,9 +317,11 @@ func TestArcAndDescentUnderRotation(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got, want []int
+			var box query.Box
+			box.Set(reg.Cube)
 			splits.Descend(part, reg, len(c.keys), func(a, b int) {
 				for j := a; j < b; j++ {
-					if c.inside(j, reg.Cube) {
+					if box.Mask(c.rows(j, 1), 1) == 1 {
 						got = append(got, j)
 					}
 				}

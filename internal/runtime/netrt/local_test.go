@@ -1,9 +1,13 @@
 package netrt
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
+
+	"landmarkdht/internal/lph"
+	"landmarkdht/internal/query"
 )
 
 // localQueryFixture is the fixture behind bench's netrt.local_query_us
@@ -131,6 +135,49 @@ func TestLocalQueryWorkPinned(t *testing.T) {
 	const wantTested, wantRefined = 3_271_638, 977_533
 	if tested, refined := answerWork(t, n); tested != wantTested || refined != wantRefined {
 		t.Fatalf("one cycle tested %d entries and refined %d, want %d and %d", tested, refined, wantTested, wantRefined)
+	}
+}
+
+// TestNaNBoundRefinesNothing: a peer's region whose cube has a NaN bound
+// contains no point (Region.Contains compares in order, and a NaN is
+// ordered with nothing), and the leaf test says so too. The region's
+// prefix is one stored key in full, so the descent lands on that key's
+// leaf run without comparing the cube with a single split, and the
+// run's points meet the cube at the leaf test alone. With the
+// bound restored the same region refines the key's entries, so the
+// leaf is reached.
+func TestNaNBoundRefinesNothing(t *testing.T) {
+	cfg := testConfig(testData())
+	cfg.GossipPeriod, cfg.HeartbeatPeriod, cfg.AntiEntropyPeriod = silent, silent, silent
+	n, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	ds, err := BuildDataset(testData())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const peerAddr = "127.0.0.1:9"
+	part := n.data.Part()
+	key := n.data.Cols().keys[n.data.N()/3]
+	answerOne := func(lo float64) (tested, refined uint64) {
+		t.Helper()
+		reg := query.Region{Cube: part.AllBounds(), PreKey: key, PreLen: lph.M}
+		reg.Cube[0].Lo = lo
+		t0, r0 := answerWork(t, n)
+		execRead(t, n, func() {
+			n.process(&queryMsg{Origin: NodeID(peerAddr), OriginAddr: peerAddr, Epoch: 1, QID: 1, Credit: creditTotal,
+				Regions: []query.Region{reg}, QObj: ds.RandomQuery(rand.New(rand.NewSource(3))), R: 10, TTL: 4})
+		})
+		t1, r1 := answerWork(t, n)
+		return t1 - t0, r1 - r0
+	}
+	if tested, got := answerOne(math.NaN()); tested == 0 || got != 0 {
+		t.Fatalf("a NaN bound: %d entries tested and %d refined, want some tested and none refined", tested, got)
+	}
+	if tested, got := answerOne(part.Bounds(0).Lo); tested == 0 || got != tested {
+		t.Fatalf("the bound restored: %d entries tested and %d refined, want all of them", tested, got)
 	}
 }
 

@@ -2,6 +2,7 @@ package netrt
 
 import (
 	"errors"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -92,15 +93,19 @@ func (n *Node) Query(qobj []byte, r float64, timeout time.Duration) (QueryOutcom
 
 // leafEntries is where the k-d descent stops bisecting a run and tests
 // the entries' points against the cube instead, and so where the
-// columns' split index stops. BenchmarkLocalQuery's fixture (57 409
-// entries, k = 6) read 0.50 / 0.45 / 0.42 / 0.41 / 0.43 / 0.41 ms per
-// query at 8 / 16 / 32 / 64 / 128 / 256 with its radius of 0.30, where
-// most cells survive, and 54 / 51 / 51 / 55 / 56 / 59 µs with a
-// selective radius of 0.12, when every split was a binary search: below
-// 16 the searches cost more than the point tests they saved, above 64
-// the tests of entries a deeper split would have pruned take over. It
-// also fixes which entries a query tests (TestLocalQueryWorkPinned) and
-// the index's size (TestColumnsIndexSize).
+// columns' split index stops. With the splits read from the index and a
+// leaf run tested in one query.Box.Mask call, BenchmarkLocalQuery's
+// fixture (57 409 entries, k = 6) reads 192 / 148 / 128 / 116 / 113 /
+// 116 µs per query at 8 / 16 / 32 / 64 / 128 / 256 with its radius of
+// 0.30, where most cells survive, and 14.8 / 12.9 / 11.6 / 10.8 / 10.9 /
+// 12.2 µs with a selective radius of 0.12 (medians of six alternated
+// rounds): a point test now costs less than the descent step that would
+// have pruned it, up to about 128 entries. When every split was a binary
+// search and every test a branch per coordinate, the same sweep read
+// flat from 32 up at 0.30 and best at 16–32 at 0.12. The value also
+// fixes which entries a query tests (TestLocalQueryWorkPinned) and the
+// index's size (TestColumnsIndexSize), so moving it is a change of its
+// own.
 const leafEntries = 32
 
 // hop is the regions of one message bound for one next hop. A message
@@ -326,36 +331,41 @@ func (n *Node) answer(q *queryMsg, shares []share) ([]ResultEntry, error) {
 	var (
 		ents []ResultEntry
 		dist func(any) float64
-		// at is what the leaves test against: the region's cube and the
-		// share's tombstones. One captured variable, not two: with both
-		// captured apart, go1.24 spills the counter of the loop over the
-		// cube's dimensions to the stack (+4–7 % cpu_ms_per_op on
-		// ring-scan, EXPERIMENTS "One delta").
+		// at is what the leaves test against: the region's cube, laid out
+		// once per region for query.Box.Mask, and the share's tombstones.
+		// One captured variable, not two: with the cube and the tombstones
+		// captured apart, go1.24 spilled a loop counter of the leaf
+		// closure to the stack (+4–7 % cpu_ms_per_op on ring-scan,
+		// EXPERIMENTS "One delta").
 		at struct {
-			cube  []lph.Bounds
+			box   query.Box
 			tombs map[int32]struct{}
 		}
 	)
+	// A leaf run's points are tested against the cube 64 at a time, in one
+	// call, and only the rows whose bit is set go on to the tombstones and
+	// the exact distance, in position order.
 	leaf := func(a, b int) {
 		n.tested += uint64(b - a)
-		for j := a; j < b; j++ {
-			if !cols.inside(j, at.cube) {
-				continue
-			}
-			id := cols.ids[j]
-			if _, dead := at.tombs[id]; dead {
-				continue
-			}
-			n.refined++
-			if d := eval(j); d <= q.R {
-				ents = append(ents, ResultEntry{Obj: id, Dist: d})
+		for ; a < b; a += 64 {
+			rows := min(b-a, 64)
+			for in := at.box.Mask(cols.rows(a, rows), rows); in != 0; in &= in - 1 {
+				j := a + bits.TrailingZeros64(in)
+				id := cols.ids[j]
+				if _, dead := at.tombs[id]; dead {
+					continue
+				}
+				n.refined++
+				if d := eval(j); d <= q.R {
+					ents = append(ents, ResultEntry{Obj: id, Dist: d})
+				}
 			}
 		}
 	}
 	for _, s := range shares {
 		at.tombs = s.d.tombs
 		for i, reg := range s.regions {
-			at.cube = reg.Cube
+			at.box.Set(reg.Cube)
 			cols.splits.Descend(part, reg, cols.above(s.cuts[i]), leaf)
 		}
 		if len(s.d.extras) == 0 {
