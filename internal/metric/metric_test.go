@@ -109,6 +109,38 @@ func TestL2KnownValues(t *testing.T) {
 	}
 }
 
+// TestL2RoundsEverySquare pins L2's bits on inputs, found by search over
+// unit-cube vectors, where fusing a square into the sum — math.FMA(d,
+// d, sum), which the Go spec lets a compiler emit for sum += d*d and
+// arm64's does — rounds the distance differently. L2 must give the
+// unfused bits on every architecture.
+func TestL2RoundsEverySquare(t *testing.T) {
+	for _, tc := range []struct {
+		a, b Vector
+		want uint64
+	}{
+		{Vector{0.21426387258237492, 0.31805817433032985}, Vector{0.380657189299686, 0.4688898449024232}, 0x3fccbf17a276b259},
+		{Vector{0.18292491645390843, 0.8969919575618727, 0.9789293555766876},
+			Vector{0.4283570818068078, 0.6826534880132438, 0.9222122589217269}, 0x3fd52afcefc88f15},
+		{Vector{0.07619026230375504, 0.15965092146489504, 0.32261068286779754, 0.5708516273454957,
+			0.6841751300974551, 0.524499759549865, 0.7163683749016712, 0.012825909106361078},
+			Vector{0.3152080853201245, 0.13780406161952607, 0.5390745170394794, 0.5127817581110815,
+				0.6530402051353608, 0.654270134424146, 0.6366442140381798, 0.030682195787138565}, 0x3fd747d07a32b7d5},
+	} {
+		var fused float64
+		for i := range tc.a {
+			d := tc.a[i] - tc.b[i]
+			fused = math.FMA(d, d, fused)
+		}
+		if got := math.Float64bits(math.Sqrt(fused)); got == tc.want {
+			t.Fatalf("dim %d: the fused sum gives the pinned bits too: the input tells nothing apart", len(tc.a))
+		}
+		if got := math.Float64bits(L2(tc.a, tc.b)); got != tc.want {
+			t.Errorf("dim %d: L2 = %#x, want %#x", len(tc.a), got, tc.want)
+		}
+	}
+}
+
 func TestLpMatchesSpecialCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 50; i++ {

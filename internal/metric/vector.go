@@ -16,13 +16,18 @@ func (v Vector) Clone() Vector {
 }
 
 // L2 is the Euclidean distance, the metric used by the paper's
-// synthetic-dataset experiments (§4.2).
+// synthetic-dataset experiments (§4.2). Its bits are the same on every
+// architecture: each square is rounded before it is added (the explicit
+// conversion forbids the fused multiply-add the Go spec otherwise
+// allows, and arm64's compiler emits), so a client on one architecture
+// brute-forces the answer a ring on another returns, and L2Rows, which
+// adds the same squares in the same order, agrees with it to the bit.
 func L2(a, b Vector) float64 {
 	mustSameDim(a, b)
 	var sum float64
 	for i := range a {
 		d := a[i] - b[i]
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return math.Sqrt(sum)
 }

@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 
+	"landmarkdht/internal/cpu"
 	"landmarkdht/internal/lph"
 )
 
@@ -38,9 +39,9 @@ func (b *Box) Set(cube []lph.Bounds) {
 // A row's bit is Region.Contains' answer for that row: every coordinate
 // x satisfies x >= Lo and x <= Hi, ordered comparisons, so a NaN
 // coordinate or bound is outside and an inverted side contains nothing.
-// On amd64 CPUs with AVX-512 (checked once, at init) a cube of up to
-// vecDims dimensions is tested by boxMaskAVX512, a row per masked load
-// and two masked compares with no branch per coordinate; everywhere
+// On amd64 CPUs with AVX-512 (cpu.AVX512, read once at init) a cube of
+// up to vecDims dimensions is tested by boxMaskAVX512, a row per masked
+// load and two masked compares with no branch per coordinate; everywhere
 // else by maskRows, a row at a time up to its first coordinate outside.
 func (b *Box) Mask(pts []float64, n int) uint64 {
 	if n > 64 {
@@ -48,7 +49,7 @@ func (b *Box) Mask(pts []float64, n int) uint64 {
 	}
 	k := len(b.cube)
 	pts = pts[:n*k] // the n rows, which is all either path reads
-	if useAVX512 && len(pts) > 0 && k <= vecDims {
+	if cpu.AVX512() && len(pts) > 0 && k <= vecDims {
 		return boxMaskAVX512(&pts[0], n, k, &b.lo, &b.hi)
 	}
 	return b.maskRows(pts, n)
@@ -80,17 +81,4 @@ next:
 		m |= 1 << i
 	}
 	return m
-}
-
-// useAVX512 says whether Mask runs the vector kernel: whether the CPU
-// has AVX-512 Foundation and the OS saves its registers.
-var useAVX512 = hasAVX512()
-
-// setVector turns Mask's vector kernel on, where the CPU has one, or
-// off, and returns whether it was on, so that a test runs the portable
-// loop on any CPU. netrt's TestPortableCubeTest reaches it through
-// go:linkname: renaming it breaks that test's link.
-func setVector(on bool) (was bool) {
-	was, useAVX512 = useAVX512, on && hasAVX512()
-	return was
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"landmarkdht/internal/cpu"
 	"landmarkdht/internal/lph"
 )
 
@@ -59,7 +60,7 @@ func checkBoxMask(t *testing.T, cube []lph.Bounds, pts []float64, n int) {
 	for i := 0; i < 64; i++ {
 		want := i < n && r.Contains(pts[i*k:(i+1)*k])
 		if bit := got>>i&1 == 1; bit != want {
-			t.Fatalf("k=%d n=%d cube %v: Mask says row %d (%v) is in=%v, Contains %v (AVX-512 %v)", k, n, cube, i, pts[i*k:(i+1)*k], bit, want, useAVX512)
+			t.Fatalf("k=%d n=%d cube %v: Mask says row %d (%v) is in=%v, Contains %v (AVX-512 %v)", k, n, cube, i, pts[i*k:(i+1)*k], bit, want, cpu.AVX512())
 		}
 		if bit := portable>>i&1 == 1; bit != want {
 			t.Fatalf("k=%d n=%d cube %v: the portable loop says row %d (%v) is in=%v, Contains %v", k, n, cube, i, pts[i*k:(i+1)*k], bit, want)
@@ -126,7 +127,8 @@ func FuzzBoxMask(f *testing.F) {
 }
 
 // TestBoxMaskAllocatesNothing: laying out a cube and testing rows against
-// it costs no heap allocation, on either path.
+// it costs no heap allocation, through Mask (the vector kernel where the
+// CPU has it) or the portable loop.
 func TestBoxMaskAllocatesNothing(t *testing.T) {
 	cube := cube(0.2, 0.8, 0.1, 0.9, 0.3, 0.7, 0, 1, 0.4, 0.6, 0.5, 0.5)
 	pts := make([]float64, 64*len(cube))
@@ -137,24 +139,20 @@ func TestBoxMaskAllocatesNothing(t *testing.T) {
 		}
 	}
 	var sink uint64
-	for _, vec := range []bool{useAVX512, false} {
-		forceBoxPath(t, vec)
+	for _, portable := range []bool{false, true} {
 		if allocs := testing.AllocsPerRun(100, func() {
 			var b Box
 			b.Set(cube)
-			sink += b.Mask(pts, 64)
+			if portable {
+				sink += b.maskRows(pts, 64)
+			} else {
+				sink += b.Mask(pts, 64)
+			}
 		}); allocs != 0 {
-			t.Fatalf("AVX-512 %v: a box mask allocated %.0f times", vec, allocs)
+			t.Fatalf("portable %v (AVX-512 %v): a box mask allocated %.0f times", portable, cpu.AVX512(), allocs)
 		}
 	}
 	if sink == 0 {
 		t.Fatal("no row was ever inside: the test measures nothing")
 	}
-}
-
-// forceBoxPath sets which path Mask takes for the rest of the test: the
-// vector kernel only where the CPU has it.
-func forceBoxPath(t *testing.T, vec bool) {
-	was := setVector(vec)
-	t.Cleanup(func() { setVector(was) })
 }

@@ -58,7 +58,7 @@ func (c *DataConfig) fillDefaults() {
 // object type: ring placement of every entry, index-space points for
 // region scans, exact distances for refinement, and query-region
 // construction. Everything an answer walks is addressed by sorted
-// position j (Cols, Evaluator); a corpus id i — what the wire,
+// position j (Cols, evaluator); a corpus id i — what the wire,
 // tombstones and delete routing carry — reaches its entry through
 // Cols().pos, as Key and Point do.
 type corpus interface {
@@ -76,23 +76,36 @@ type corpus interface {
 	// QueryRegion builds the eps-widened query region for an encoded
 	// query object and radius.
 	QueryRegion(qobj []byte, r float64) (query.Region, error)
-	// Evaluator decodes a query object once and returns the exact
-	// distance to the object at sorted position j.
-	Evaluator(qobj []byte) (func(j int) float64, error)
+	// Query decodes a query object once, for every exact distance an
+	// answer computes from it.
+	Query(qobj []byte) (evaluator, error)
 	// RandomQuery draws a random encoded query object from rng.
 	RandomQuery(rng *rand.Rand) []byte
 	// MapObj maps an encoded object into the index: its ring key (the
 	// routing position an online publish or delete goes to), its
 	// index-space point, and the object decoded (as Decode).
 	MapObj(obj []byte) (lph.Key, []float64, any, error)
-	// Decode decodes an encoded object into the form a Dister evaluator
+	// Decode decodes an encoded object into the form evaluator.Dist
 	// reads, as MapObj does without mapping it: a journaled publish
 	// carries its key and point.
 	Decode(obj []byte) (any, error)
-	// Dister decodes a query object once and returns the exact distance
-	// to a decoded object (published entries are objects, decoded once
-	// when a delta takes them, not sorted positions).
-	Dister(qobj []byte) (func(o any) float64, error)
+}
+
+// evaluator is a decoded query object and the exact distances from it.
+type evaluator interface {
+	// Refine writes to dist[i] the distance from the query to the boot
+	// object at sorted position pos[i], for each of up to 64 positions,
+	// and returns a mask whose bit i is set when dist[i] <= r: the
+	// distances a leaf's survivors need, in one call.
+	Refine(pos []int32, r float64, dist []float64) uint64
+	// At returns the distance to the boot object at sorted position j,
+	// one object through the metric space's Dist: what BruteForce
+	// reads, and so the reference Refine answers are held to.
+	At(j int) float64
+	// Dist returns the distance to a decoded object: published entries
+	// are objects, decoded once when a delta takes them, not sorted
+	// positions.
+	Dist(o any) float64
 }
 
 // columns is the boot corpus' index entries, stored once, flat, in
@@ -219,7 +232,11 @@ type dataset[T any] struct {
 	// at returns the object at sorted position j — at corpus index j
 	// until seal has run. The objects are one allocation (buildEuclid,
 	// buildEdit) and at views it; no per-object header is kept.
-	at     func(j int) T
+	at func(j int) T
+	// refine is evaluator.Refine for query object q: space.Dist from q
+	// to the objects at sorted positions pos, in one call that reads
+	// the storage behind at directly.
+	refine func(q T, pos []int32, r float64, dist []float64) uint64
 	space  metric.Space[T]
 	emb    *indexspace.Embedding[T]
 	part   *lph.Partitioner
@@ -247,14 +264,26 @@ func (d *dataset[T]) QueryRegion(qobj []byte, r float64) (query.Region, error) {
 	return query.Around(d.part, d.emb.Map(q), r)
 }
 
-func (d *dataset[T]) Evaluator(qobj []byte) (func(j int) float64, error) {
+func (d *dataset[T]) Query(qobj []byte) (evaluator, error) {
 	q, err := d.dec(qobj)
 	if err != nil {
 		return nil, err
 	}
-	dist, at := d.space.Dist, d.at
-	return func(j int) float64 { return dist(q, at(j)) }, nil
+	return &decodedQuery[T]{d, q}, nil
 }
+
+// decodedQuery is a dataset's evaluator: the query object, decoded.
+type decodedQuery[T any] struct {
+	d *dataset[T]
+	q T
+}
+
+func (e *decodedQuery[T]) Refine(pos []int32, r float64, dist []float64) uint64 {
+	return e.d.refine(e.q, pos, r, dist)
+}
+
+func (e *decodedQuery[T]) At(j int) float64   { return e.d.space.Dist(e.q, e.d.at(j)) }
+func (e *decodedQuery[T]) Dist(o any) float64 { return e.d.space.Dist(e.q, o.(T)) }
 
 func (d *dataset[T]) RandomQuery(rng *rand.Rand) []byte { return d.random(rng) }
 
@@ -273,15 +302,6 @@ func (d *dataset[T]) Decode(obj []byte) (any, error) {
 		return nil, err
 	}
 	return o, nil
-}
-
-func (d *dataset[T]) Dister(qobj []byte) (func(o any) float64, error) {
-	q, err := d.dec(qobj)
-	if err != nil {
-		return nil, err
-	}
-	dist := d.space.Dist
-	return func(o any) float64 { return dist(q, o.(T)) }, nil
 }
 
 // buildCorpus derives the full corpus from the config: objects,
@@ -411,7 +431,8 @@ func (d *dataset[T]) seal(cfg DataConfig, permute func(ids []int32)) {
 // object by object — the draw order of one allocation per vector, so
 // the corpus is the same — and an object is a view of its row, its
 // capacity cut at the row's end so that nothing appended to one can
-// reach the next.
+// reach the next. A batch of exact distances is metric.L2Rows over the
+// slab, bit for bit the metric's L2.
 func buildEuclid(cfg DataConfig) (corpus, error) {
 	dim := cfg.Dim
 	rng := corpusRand(cfg)
@@ -420,8 +441,11 @@ func buildEuclid(cfg DataConfig) (corpus, error) {
 		slab[i] = rng.Float64()
 	}
 	return finishDataset(cfg, &dataset[metric.Vector]{
-		n:     cfg.Objects,
-		at:    func(j int) metric.Vector { return slab[j*dim : (j+1)*dim : (j+1)*dim] },
+		n:  cfg.Objects,
+		at: func(j int) metric.Vector { return slab[j*dim : (j+1)*dim : (j+1)*dim] },
+		refine: func(q metric.Vector, pos []int32, r float64, dist []float64) uint64 {
+			return metric.L2Rows(dist, q, slab, pos, r)
+		},
 		space: metric.EuclideanSpace("euclid", dim, 0, 1),
 		dec: func(b []byte) (metric.Vector, error) {
 			return DecodeVectorQuery(b, dim)
@@ -459,8 +483,17 @@ func buildEdit(cfg DataConfig) (corpus, error) {
 		strs[i] = string(random(rng))
 	}
 	return finishDataset(cfg, &dataset[string]{
-		n:     cfg.Objects,
-		at:    func(j int) string { return strs[j] },
+		n:  cfg.Objects,
+		at: func(j int) string { return strs[j] },
+		refine: func(q string, pos []int32, r float64, dist []float64) uint64 {
+			var hits uint64
+			for i, j := range pos {
+				if dist[i] = metric.Edit(q, strs[j]); dist[i] <= r {
+					hits |= 1 << i
+				}
+			}
+			return hits
+		},
 		space: metric.EditSpace("edit", editMaxLen),
 		dec: func(b []byte) (string, error) {
 			if len(b) > editMaxLen {
@@ -531,7 +564,7 @@ func (d *Dataset) RandomQuery(rng *rand.Rand) []byte { return d.c.RandomQuery(rn
 // Distance returns the exact distance between a query object and an
 // encoded object — what a node computes for a published entry.
 func (d *Dataset) Distance(qobj, obj []byte) (float64, error) {
-	dist, err := d.c.Dister(qobj)
+	ev, err := d.c.Query(qobj)
 	if err != nil {
 		return 0, err
 	}
@@ -539,19 +572,22 @@ func (d *Dataset) Distance(qobj, obj []byte) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return dist(o), nil
+	return ev.Dist(o), nil
 }
 
 // BruteForce returns the exact range-query answer over the full
-// corpus, sorted by object id.
+// corpus, sorted by object id. It computes one distance at a time
+// through the metric space (evaluator.At), never the batch a node
+// answers with, so a ring's answers checked against it check the batch
+// against the metric.
 func (d *Dataset) BruteForce(qobj []byte, r float64) ([]ResultEntry, error) {
-	eval, err := d.c.Evaluator(qobj)
+	ev, err := d.c.Query(qobj)
 	if err != nil {
 		return nil, err
 	}
 	var out []ResultEntry
 	for j, id := range d.c.Cols().ids {
-		if dist := eval(j); dist <= r {
+		if dist := ev.At(j); dist <= r {
 			out = append(out, ResultEntry{Obj: id, Dist: dist})
 		}
 	}

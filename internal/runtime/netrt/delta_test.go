@@ -238,13 +238,13 @@ func FuzzExtrasRun(f *testing.F) {
 			checkRun(t, c, &d, &m)
 			for q := 0; q < 4; q++ {
 				s := randomShare(rng, &d, c.Part().K())
-				dist, err := c.Dister(c.RandomQuery(rng))
+				ev, err := c.Query(c.RandomQuery(rng))
 				if err != nil {
 					t.Fatal(err)
 				}
 				r := rng.Float64() * 8
-				got, _, _ := s.extrasWithin(nil, dist, r)
-				if got, want := asSet(got), asSet(answerExtrasReference(&s, dist, r)); !slices.Equal(got, want) {
+				got, _, _ := s.extrasWithin(nil, ev.Dist, r)
+				if got, want := asSet(got), asSet(answerExtrasReference(&s, ev.Dist, r)); !slices.Equal(got, want) {
 					t.Fatalf("regions %+v cuts %x: the run answers %v, the map walk %v", s.regions, s.cuts, got, want)
 				}
 			}

@@ -70,16 +70,16 @@ func TestDurableCorpusRoundTrip(t *testing.T) {
 		// random query object agree everywhere.
 		rng := rand.New(rand.NewSource(7))
 		qobj := built.RandomQuery(rng)
-		be, err := built.Evaluator(qobj)
+		be, err := built.Query(qobj)
 		if err != nil {
 			t.Fatal(err)
 		}
-		re, err := restored.Evaluator(qobj)
+		re, err := restored.Query(qobj)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for j := 0; j < built.N(); j++ {
-			if be(j) != re(j) {
+			if be.At(j) != re.At(j) {
 				t.Fatalf("%s: position %d distance diverged after recovery", cfg.Metric, j)
 			}
 		}

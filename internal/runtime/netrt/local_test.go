@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"landmarkdht/internal/lph"
+	"landmarkdht/internal/metric"
 	"landmarkdht/internal/query"
 )
 
@@ -138,6 +139,116 @@ func TestLocalQueryWorkPinned(t *testing.T) {
 	}
 }
 
+// localShares is process's worklist on a one-member ring, where every
+// region and every sub-cuboid Algorithm 5 cuts is the node's own: the
+// shares of a message carrying reg, answered against d.
+func localShares(n *Node, reg query.Region, d *delta) []share {
+	var shares []share
+	for work := []query.Region{reg}; len(work) > 0; {
+		reg := work[len(work)-1]
+		work = work[:len(work)-1]
+		var cut lph.Key
+		cut, work = n.refine(reg, n.id, work)
+		shares = addShare(shares, d, reg, cut)
+	}
+	return shares
+}
+
+// answerReference is answer as it was before its distances were
+// batched: a leaf's points one at a time through Region.Contains and the
+// tombstones, then metric.L2 once per candidate, each hit appended as it
+// is found; then the share's extras, through metric.L2 as well.
+func answerReference(n *Node, q *queryMsg, shares []share) []ResultEntry {
+	ds := n.data.(*dataset[metric.Vector])
+	qv, err := ds.dec(q.QObj)
+	if err != nil {
+		panic(err)
+	}
+	cols := n.data.Cols()
+	var ents []ResultEntry
+	for _, s := range shares {
+		for i, reg := range s.regions {
+			cols.splits.Descend(n.data.Part(), reg, cols.above(s.cuts[i]), func(a, b int) {
+				for j := a; j < b; j++ {
+					id := cols.ids[j]
+					if _, dead := s.d.tombs[id]; dead || !reg.Contains(cols.point(j)) {
+						continue
+					}
+					if d := metric.L2(qv, ds.at(j)); d <= q.R {
+						ents = append(ents, ResultEntry{Obj: id, Dist: d})
+					}
+				}
+			})
+		}
+		ents, _, _ = s.extrasWithin(ents, func(o any) float64 { return metric.L2(qv, o.(metric.Vector)) }, q.R)
+	}
+	return ents
+}
+
+// TestAnswerMatchesL2 holds answer's entries on BenchmarkLocalQuery's
+// fixture — in order, each Dist to the bit — to answerReference, which
+// calls metric.L2 once per candidate. Each query is answered against two
+// shares of the same regions: one whose delta tombstones every fifth
+// boot id, and one whose delta holds localQueryExtras published extras,
+// so the batch is flushed across leaves, regions and shares, and before
+// a share's extras.
+func TestAnswerMatchesL2(t *testing.T) {
+	n, _ := localQueryFixture(t)
+	tombed, extras := newDelta(), newDelta()
+	for id := int32(0); int(id) < n.data.N(); id += 5 {
+		tombed.apply(id, true, nil)
+	}
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < localQueryExtras; i++ {
+		v := make([]float64, 8)
+		for j := range v {
+			v[j] = rng.Float64()
+		}
+		x, err := placeExtra(n.data, EncodeVectorQuery(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		extras.apply(int32(n.data.N()+i), false, x)
+	}
+	qrng := rand.New(rand.NewSource(1))
+	var answered, fromExtras int
+	for i := 0; i < 32; i++ {
+		qobj := n.data.RandomQuery(qrng)
+		reg, err := n.data.QueryRegion(qobj, 0.30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := &queryMsg{QObj: qobj, R: 0.30}
+		var got, want []ResultEntry
+		execRead(t, n, func() {
+			shares := append(localShares(n, reg, &tombed), localShares(n, reg, &extras)...)
+			if got, err = n.answer(q, shares); err != nil {
+				return
+			}
+			want = answerReference(n, q, shares)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("query %d: %d entries, the reference %d", i, len(got), len(want))
+		}
+		for k := range got {
+			if got[k].Obj != want[k].Obj || math.Float64bits(got[k].Dist) != math.Float64bits(want[k].Dist) {
+				t.Fatalf("query %d, entry %d: %d at %v (%#x), the reference %d at %v (%#x)", i, k,
+					got[k].Obj, got[k].Dist, math.Float64bits(got[k].Dist), want[k].Obj, want[k].Dist, math.Float64bits(want[k].Dist))
+			}
+			if int(got[k].Obj) >= n.data.N() {
+				fromExtras++
+			}
+		}
+		answered += len(got)
+	}
+	if fromExtras == 0 || fromExtras == answered {
+		t.Fatalf("%d entries, %d of them extras: the test does not cover both kinds", answered, fromExtras)
+	}
+}
+
 // TestNaNBoundRefinesNothing: a peer's region whose cube has a NaN bound
 // contains no point (Region.Contains compares in order, and a NaN is
 // ordered with nothing), and the leaf test says so too. The region's
@@ -211,12 +322,12 @@ func TestLocalQueryAllocsCeiling(t *testing.T) {
 }
 
 // localQueryExtrasAllocsCeiling bounds the heap allocations of one local
-// query on the fixture with localQueryExtras extras. Measured 46, the
+// query on the fixture with localQueryExtras extras. Measured 44, the
 // 43 of the fixture without them plus the longer result slice and merge
 // map the matching extras grow — nothing per extra tested and nothing
-// per exact distance (711 while every in-cube extra's object was decoded
-// again per query, one allocation each). The ceiling is the measurement
-// plus 20 %.
+// per exact distance (46 while the extras decoded the query object a
+// second time; 711 while every in-cube extra's object was decoded again
+// per query, one allocation each). The ceiling is the 46 plus 20 %.
 const localQueryExtrasAllocsCeiling = 55
 
 // TestLocalQueryExtrasAllocsCeiling fails when an answer starts

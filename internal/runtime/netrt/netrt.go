@@ -189,6 +189,7 @@ type Node struct {
 	nextQID uint64
 	tested  uint64 // entries tested against a query cube (the descent's leaves, the extras' spans), cumulative
 	refined uint64 // of those, the ones inside it and alive: exact distances computed, cumulative
+	leaves  leafState
 	gossip  *runtime.Ticker
 
 	// Replication and failure detection (executor-owned; see failure.go,

@@ -305,6 +305,25 @@ func splitCredit(credit uint64, parts int) []uint64 {
 	return shares
 }
 
+// leafState is what answer's leaves test against — the region's cube,
+// laid out once per region for query.Box.Mask, and the share's
+// tombstones — and the batch of survivors waiting for their exact
+// distances: sorted positions, in the order the leaves found them. The
+// leaf closure captures it as one variable, not several: with the cube
+// and the tombstones captured apart, go1.24 spilled a loop counter of
+// the closure to the stack (+4–7 % cpu_ms_per_op on ring-scan,
+// EXPERIMENTS "One delta"). A node keeps one, because answers run on its
+// executor one at a time and the batch, handed to evaluator.Refine
+// through an interface, would otherwise be moved to the heap by every
+// answer.
+type leafState struct {
+	box   query.Box
+	tombs map[int32]struct{}
+	pos   [64]int32
+	dist  [64]float64
+	n     int
+}
+
 // answer resolves a message's local shares in one pass. Each region is
 // one k-d descent of the boot columns' split index over the region's
 // run, up to its cut — the cube is tested only at the leaves, the
@@ -316,48 +335,51 @@ func splitCredit(credit uint64, parts int) []uint64 {
 // cube. They are kept in key order too, so each region binary-searches
 // its stretch of them (extrasWithin) and tests only that. The descent
 // hands out sorted positions and the objects are stored by sorted
-// position, so the exact distances of a leaf read one stretch of memory
+// position, so the exact distances of a region's batches read the slab
 // front to back; the corpus id is looked up only for what goes on the
 // wire. Over-coverage under membership-view skew is harmless: the
 // origin merges per object.
 //
 //lint:context executor
 func (n *Node) answer(q *queryMsg, shares []share) ([]ResultEntry, error) {
-	eval, err := n.data.Evaluator(q.QObj)
+	ev, err := n.data.Query(q.QObj)
 	if err != nil {
 		return nil, errBadQueryObject
 	}
 	part, cols := n.data.Part(), n.data.Cols()
-	var (
-		ents []ResultEntry
-		dist func(any) float64
-		// at is what the leaves test against: the region's cube, laid out
-		// once per region for query.Box.Mask, and the share's tombstones.
-		// One captured variable, not two: with the cube and the tombstones
-		// captured apart, go1.24 spilled a loop counter of the leaf
-		// closure to the stack (+4–7 % cpu_ms_per_op on ring-scan,
-		// EXPERIMENTS "One delta").
-		at struct {
-			box   query.Box
-			tombs map[int32]struct{}
+	var ents []ResultEntry
+	at := &n.leaves
+	// flush computes the batch's exact distances in one evaluator.Refine
+	// and appends the hits, in batch order.
+	flush := func() {
+		n.refined += uint64(at.n)
+		for hits := ev.Refine(at.pos[:at.n], q.R, at.dist[:at.n]); hits != 0; hits &= hits - 1 {
+			i := bits.TrailingZeros64(hits)
+			ents = append(ents, ResultEntry{Obj: cols.ids[at.pos[i]], Dist: at.dist[i]})
 		}
-	)
+		at.n = 0
+	}
 	// A leaf run's points are tested against the cube 64 at a time, in one
-	// call, and only the rows whose bit is set go on to the tombstones and
-	// the exact distance, in position order.
+	// call; the rows whose bit is set and that are not tombstoned join the
+	// batch, in position order, which is refined whenever it is full —
+	// across leaves and regions, so a block of the distance kernel is
+	// rarely short.
 	leaf := func(a, b int) {
 		n.tested += uint64(b - a)
 		for ; a < b; a += 64 {
 			rows := min(b-a, 64)
-			for in := at.box.Mask(cols.rows(a, rows), rows); in != 0; in &= in - 1 {
-				j := a + bits.TrailingZeros64(in)
-				id := cols.ids[j]
-				if _, dead := at.tombs[id]; dead {
-					continue
+			in := at.box.Mask(cols.rows(a, rows), rows)
+			if len(at.tombs) > 0 {
+				for m := in; m != 0; m &= m - 1 {
+					if _, dead := at.tombs[cols.ids[a+bits.TrailingZeros64(m)]]; dead {
+						in &^= m & -m
+					}
 				}
-				n.refined++
-				if d := eval(j); d <= q.R {
-					ents = append(ents, ResultEntry{Obj: id, Dist: d})
+			}
+			for ; in != 0; in &= in - 1 {
+				at.pos[at.n] = int32(a + bits.TrailingZeros64(in))
+				if at.n++; at.n == len(at.pos) {
+					flush()
 				}
 			}
 		}
@@ -371,16 +393,17 @@ func (n *Node) answer(q *queryMsg, shares []share) ([]ResultEntry, error) {
 		if len(s.d.extras) == 0 {
 			continue
 		}
-		if dist == nil {
-			if dist, err = n.data.Dister(q.QObj); err != nil {
-				return nil, errBadQueryObject
-			}
-		}
+		// The share's boot entries go out before its extras, as they are
+		// found.
+		flush()
 		var tested, refined int
-		ents, tested, refined = s.extrasWithin(ents, dist, q.R)
+		ents, tested, refined = s.extrasWithin(ents, ev.Dist, q.R)
 		n.tested += uint64(tested)
 		n.refined += uint64(refined)
 	}
+	flush()
+	at.box.Set(nil) // hold on to no cube and no delta past the message
+	at.tombs = nil
 	return ents, nil
 }
 
