@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race golden-check live-race chaos node-smoke durability-smoke repair-smoke vet lint bench bench-check experiments experiments-paper examples clean
+.PHONY: all build test test-short test-race golden-check chaos node-smoke durability-smoke repair-smoke vet lint bench bench-check experiments experiments-paper examples clean
 
 all: build vet lint test
 
@@ -58,20 +58,15 @@ golden-check:
 		$(GO) run ./cmd/lmsim -exp $$f -scale small | grep -v "^\[$$f completed in " | diff testdata/golden/$${f}_small.txt - || exit 1; \
 	done
 
-# The live concurrent runtime under the race detector (CI's live-race
-# job): livert's tests, the sim-vs-live equivalence test, and the
-# lmlive demo with concurrent clients.
-live-race:
-	$(GO) test -race ./internal/runtime/...
-	$(GO) test -race -run TestCrossRuntimeEquivalence .
-	$(GO) run -race ./cmd/lmlive -nodes 24 -objects 1500 -queries 80 -clients 8
-
-# The chaos soak (cmd/lmchaos) under the race detector: concurrent
-# clients on the live runtime under message loss, duplication and
-# churn; every Complete result is verified against brute force and
-# every incomplete result must be honestly flagged.
+# The chaos soak on the simulator (TestChaosSoak, ~20 s): 200 seeds of
+# overlapping queries in simulated time under message loss, duplication,
+# crash/join churn and, on every fourth seed, an admission cap. Every
+# Complete result must equal brute force and every incomplete one must
+# be an honestly flagged subset. A failing seed replays alone:
+# go test -run 'TestChaosSoak/seed=17$' . — no -race: the simulator is
+# one goroutine.
 chaos:
-	$(GO) run -race ./cmd/lmchaos
+	$(GO) test -count=1 -run TestChaosSoak .
 
 # The multi-process deployment smoke: build cmd/lmnode, boot a 4-process
 # ring over localhost TCP, run brute-force-verified queries through the

@@ -46,7 +46,7 @@ func TestSearchAllocsCeiling(t *testing.T) {
 // wideSearchAllocsCeiling bounds the allocations of one search at the
 // shape of the benchmark's sim-search workload, where a query is ≈ 290
 // messages and ≈ 100 local scans: measured 1303 per search, + 10 %
-// (1306 since the search waits through runtime.Driver's Await).
+// (1305 since the search waits through simrt's Await).
 // TestSearchAllocsCeiling's query sends a handful of messages and
 // cannot see per-message work; this one read 4295 while surrogate
 // refinement cloned the cube for every zero bit of the node's id.

@@ -1,16 +1,14 @@
 package main
 
-// The -procs mode: the chaos soak over real OS processes. Instead of
-// one live in-process overlay, it builds cmd/lmnode, boots a ring of N
-// processes linked over localhost TCP, and drives brute-force-verified
-// range queries through the TCP client protocol while a churn loop
-// SIGKILLs ring members mid-soak and restarts them on the same
-// address. The contract is the same as the in-process soak — Complete
-// results must match a brute-force scan exactly, incomplete ones must
-// be honest subsets — plus recovery: after churn ends, every member
-// must again serve Complete ∧ exact answers. The injected fault here
-// is process death itself; frame-drop/conn-kill knobs apply to the
-// in-process soak (the library path is shared, see runtime.LinkFaults).
+// The chaos soak over real OS processes. It builds cmd/lmnode, boots a
+// ring of N processes linked over localhost TCP, and drives
+// brute-force-verified range queries through the TCP client protocol
+// while a churn loop SIGKILLs ring members mid-soak and restarts them on
+// the same address. Complete results must match a brute-force scan
+// exactly, incomplete ones must be honest subsets, and after churn ends
+// every member must again serve Complete ∧ exact answers. The injected
+// fault here is process death itself; frame-drop/conn-kill faults are
+// NodeOptions.Faults (see runtime.LinkFaults).
 //
 // With -durable every member journals to a data dir and the soak also
 // checks the one thing a restart cannot re-derive (soakMuts): it
@@ -35,7 +33,7 @@ import (
 	"landmarkdht/internal/runtime/netrt"
 )
 
-// procOpts carries the flag subset the multi-process soak uses.
+// procOpts carries the soak's flags.
 type procOpts struct {
 	n        int
 	seed     int64

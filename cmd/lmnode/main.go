@@ -1,6 +1,6 @@
 // Command lmnode runs one ring node as a standalone OS process: a
 // deployment of the landmark index where the overlay is N processes
-// linked over TCP instead of one simulated or live in-process overlay.
+// linked over TCP instead of one simulated in-process overlay.
 //
 // Every process rebuilds the same deterministic corpus from -seed and
 // -metric (the peer handshake refuses nodes built from different

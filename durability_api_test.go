@@ -1,6 +1,7 @@
 package landmarkdht
 
 import (
+	"os"
 	"testing"
 )
 
@@ -54,5 +55,40 @@ func TestDurablePlatformSearchAndStats(t *testing.T) {
 	}
 	if p2.Durability().DurableNodes != 0 {
 		t.Fatal("in-memory platform reports durable nodes")
+	}
+}
+
+// TestCloseReleasesJournals: a durable platform holds one journal file
+// per node, and Close syncs and closes every one of them — it leaves as
+// many open descriptors behind as there were before New. It counts them
+// in /proc/self/fd, so it runs where that exists (Linux).
+func TestCloseReleasesJournals(t *testing.T) {
+	openFDs := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no descriptor table to count: %v", err)
+		}
+		return len(fds)
+	}
+	dir := t.TempDir()
+	openFDs() // the first directory read may set up the runtime's poller
+	before := openFDs()
+	p, err := New(Options{Nodes: 24, Seed: 1, DataDir: dir, DataSync: SyncInterval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AddIndex(p, EuclideanSpace("vecs", 8, -100, 200), testData(300, 8, 2), DenseMean,
+		IndexOptions{Landmarks: 3, SampleSize: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if open := openFDs(); open < before+24 {
+		t.Fatalf("%d descriptors open with 24 durable nodes, %d before New", open, before)
+	}
+	p.Close()
+	if after := openFDs(); after != before {
+		t.Fatalf("%d descriptors open after Close, %d before New", after, before)
+	}
+	if n := p.sys.StoreErrors; n != 0 {
+		t.Fatalf("closing the stores failed %d times", n)
 	}
 }

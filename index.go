@@ -208,13 +208,10 @@ func AddIndex[T any](p *Platform, space Space[T], objects []T, mean Meaner[T], o
 			return ix.emb.Distance(payload.(T), ix.objects[obj])
 		},
 	}
-	entries := batchEntries(emb, objects)
-	if err := p.protocol(func() error {
-		if err := p.sys.DeployIndex(coreIx); err != nil {
-			return err
-		}
-		return p.sys.BulkLoad(space.Name, entries)
-	}); err != nil {
+	if err := p.sys.DeployIndex(coreIx); err != nil {
+		return nil, err
+	}
+	if err := p.sys.BulkLoad(space.Name, batchEntries(emb, objects)); err != nil {
 		return nil, err
 	}
 	return ix, nil
@@ -292,22 +289,17 @@ func (ix *Index[T]) ReindexWith(landmarks []T, boundarySample []T) error {
 		},
 	}
 	entries := batchEntries(emb, ix.objects)
-	if err := ix.p.protocol(func() error {
-		if err := ix.p.sys.RemoveIndex(ix.name); err != nil {
-			return err
-		}
-		if err := ix.p.sys.DeployIndex(coreIx); err != nil {
-			return err
-		}
-		if err := ix.p.sys.BulkLoad(ix.name, entries); err != nil {
-			return err
-		}
-		ix.p.sys.Network().RecordTraffic(chord.KindTransfer,
-			ix.p.sys.Config().Msg.TransferBytes(len(entries)))
-		return nil
-	}); err != nil {
+	sys := ix.p.sys
+	if err := sys.RemoveIndex(ix.name); err != nil {
 		return err
 	}
+	if err := sys.DeployIndex(coreIx); err != nil {
+		return err
+	}
+	if err := sys.BulkLoad(ix.name, entries); err != nil {
+		return err
+	}
+	sys.Network().RecordTraffic(chord.KindTransfer, sys.Config().Msg.TransferBytes(len(entries)))
 	ix.emb = emb
 	if ix.space.Bounded {
 		ix.maxDist = ix.space.Max
@@ -354,9 +346,7 @@ func (ix *Index[T]) RefreshLandmarks(threshold float64) (bool, error) {
 // crashes, the first replica is the new successor of its keys and
 // answers queries immediately, with no recovery step. Incompatible
 // with dynamic load migration.
-func (ix *Index[T]) Replicate(copies int) error {
-	return ix.p.protocol(func() error { return ix.p.sys.ReplicateAll(ix.name, copies) })
-}
+func (ix *Index[T]) Replicate(copies int) error { return ix.p.sys.ReplicateAll(ix.name, copies) }
 
 // Name returns the index scheme name.
 func (ix *Index[T]) Name() string { return ix.name }
@@ -374,24 +364,18 @@ func (ix *Index[T]) MaxDistance() float64 { return ix.maxDist }
 func (ix *Index[T]) Object(id int) T { return ix.objects[id] }
 
 // Insert publishes a new object through the overlay: a Chord lookup
-// resolves the responsible node and the index entry travels there.
-// Insert mutates the index and must not run concurrently with other
-// inserts on the same index (searches are fine in live mode).
+// resolves the responsible node and the index entry travels there. If
+// the entry is never placed the index is left as it was.
 func (ix *Index[T]) Insert(obj T) (int, error) {
 	id := len(ix.objects)
-	// The objects slice is read by Dist closures on the protocol
-	// executor; publish the append through Do so the executor observes
-	// it before the entry can land anywhere.
-	if err := ix.p.rt.Do(func() { ix.objects = append(ix.objects, obj) }); err != nil {
-		return 0, err
-	}
+	ix.objects = append(ix.objects, obj)
 	entry := core.Entry{Obj: core.ObjectID(id), Point: ix.emb.Map(obj)}
-	err := ix.p.rt.Await(ix.p.opTimeout, func(finish func()) error {
+	err := ix.p.rt.Await(opTimeout, func(finish func()) error {
 		return ix.p.sys.Publish(ix.name, ix.p.randomNode(), entry,
 			func(chordID uint64, hops int) { finish() })
 	})
 	if err != nil {
-		ix.p.rt.Do(func() { ix.objects = ix.objects[:id] })
+		ix.objects = ix.objects[:id]
 		return 0, err
 	}
 	return id, nil
@@ -484,14 +468,11 @@ func aggAdd(agg *SearchStats, s SearchStats) {
 	agg.UncoveredRegions += s.UncoveredRegions
 }
 
-// search issues one query: it starts on the platform's protocol
-// execution context and the caller waits there until the merged result
-// arrives. The query embedding and source draw run on that context too,
-// so concurrent searches from many goroutines on a live platform stay
-// serialized over the index's shared buffers and the platform RNG.
+// search issues one query from a random node and runs the simulation
+// until the merged result arrives.
 func (ix *Index[T]) search(q T, r float64, opts core.QueryOpts) ([]Match[T], SearchStats, *QueryTrace, error) {
 	var result *core.QueryResult
-	err := ix.p.rt.Await(ix.p.opTimeout, func(finish func()) error {
+	err := ix.p.rt.Await(opTimeout, func(finish func()) error {
 		center := ix.mapCenter(q)
 		return ix.p.sys.RangeQuery(ix.name, ix.p.randomNode(), q, center, r, opts,
 			func(qr *core.QueryResult) { result = qr; finish() })

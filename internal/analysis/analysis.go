@@ -161,17 +161,17 @@ func ParseAllow(text string) (analyzer, reason string, fileWide bool, ok bool) {
 	return fields[0], strings.Join(fields[1:], " "), fileWide, true
 }
 
-// liveCapable lists the packages that run the protocol over the live
-// concurrent runtime instead of the single-threaded simulation engine.
-// The engine-owned contract (no goroutines/channels/sync, no wall
-// clock) exists to keep simulated trials reproducible; these packages
-// implement or drive the live runtime, where real concurrency and real
-// time are the whole point, so the analyzers that enforce the contract
-// skip them by design rather than through //lint:allow annotations.
+// liveCapable lists the packages that run in real time instead of on
+// the single-threaded simulation engine: netrt, its executor livert, and
+// the commands that run or drive lmnode processes. The engine-owned
+// contract (no goroutines/channels/sync, no wall clock) exists to keep
+// simulated trials reproducible; in these packages real concurrency and
+// real time are the whole point, so the analyzers that enforce the
+// contract skip them by design rather than through //lint:allow
+// annotations.
 var liveCapable = []string{
 	"landmarkdht/internal/runtime/livert",
 	"landmarkdht/internal/runtime/netrt",
-	"landmarkdht/cmd/lmlive",
 	"landmarkdht/cmd/lmchaos",
 	"landmarkdht/cmd/lmnode",
 }

@@ -10,7 +10,7 @@
 //
 // Executor context is declared at the roots, not inferred: entry
 // points that run on the executor carry a //lint:context executor
-// annotation (livert's Transport/Clock surface, netrt's
+// annotation (livert's Clock surface, netrt's
 // executor-owned protocol steps). The analyzer builds the package call
 // graph (analysis.NewCallGraph) and reports every blocking operation
 // — per analysis.BlockingOp — in any function reachable from a root,

@@ -9,12 +9,12 @@
 // independent engines on separate goroutines; those few files carry a
 // //lint:file-allow nogoroutine annotation.
 //
-// The live-capable packages (analysis.LiveCapable: the livert runtime
-// and cmd/lmlive) are exempt as a matter of scope, not annotation:
-// they implement the concurrent runtime the protocol runs over in live
-// mode, so goroutines, channels and sync primitives are their job. The
-// protocol packages themselves (chord, core) remain engine-owned — they
-// reach concurrency only through the runtime seams.
+// The live-capable packages (analysis.LiveCapable: netrt, its executor
+// livert, and the commands that run lmnode processes) are exempt as a
+// matter of scope, not annotation: they implement or drive the
+// concurrent runtime a deployed node runs on, so goroutines, channels
+// and sync primitives are their job. The protocol packages themselves
+// (chord, core) remain engine-owned and run on the simulator only.
 package nogoroutine
 
 import (

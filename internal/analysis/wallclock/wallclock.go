@@ -8,9 +8,9 @@
 // Legitimate wall-clock timing (e.g. the experiment driver reporting
 // how long a run really took) is annotated at the call site with
 // //lint:allow wallclock. The live-capable packages (analysis.
-// LiveCapable: the livert runtime and cmd/lmlive) are exempt wholesale
-// — they run the protocol in real time, so the wall clock is their
-// clock.
+// LiveCapable: netrt, its executor livert, and the commands that run
+// lmnode processes) are exempt wholesale — they run the protocol in
+// real time, so the wall clock is their clock.
 package wallclock
 
 import (

@@ -186,11 +186,11 @@ func (f *FaultPlan) duplicated(rng *rand.Rand, kind MsgKind) bool {
 
 // FaultPlanFromPolicy translates the runtime-agnostic fault policy
 // (internal/runtime.FaultPolicy) into a chord fault plan — the
-// delegation that lets one policy drive both in-process runtimes: the
-// protocol-level faults (drop, duplicate, delay, partition) inject
-// here, identically over the simulated and the live runtime; the
-// policy's transport-level faults (frame drops, connection kills) are
-// not the overlay's and are not read. A zero policy produces a
+// delegation that lets one policy describe faults for the simulator and
+// for netrt's links alike: the protocol-level faults (drop, duplicate,
+// delay, partition) inject here; the policy's transport-level faults
+// (frame drops, connection kills) are not the overlay's and are not
+// read. A zero policy produces a
 // plan that never draws from the random source, so replay stays
 // byte-identical to running with no plan at all.
 func FaultPlanFromPolicy(p *runtime.FaultPolicy) *FaultPlan {

@@ -106,9 +106,8 @@ func (c *Config) fillDefaults() {
 // and traffic accounting. It executes over the runtime seams — a
 // Clock for timing and a Transport for message movement — and its
 // protocol callbacks are single-threaded by contract: the simulated
-// runtime drives them from one engine, the live runtime serializes
-// them on one protocol goroutine. A Network is therefore never touched
-// from more than one execution context at a time.
+// runtime drives them from one engine. A Network is therefore never
+// touched from more than one execution context at a time.
 type Network struct {
 	rt      runtime.Runtime
 	tr      runtime.Transport
@@ -131,7 +130,7 @@ func NewNetwork(eng *sim.Engine, model netmodel.Model, cfg Config) *Network {
 }
 
 // NewNetworkRuntime creates an empty overlay over explicit runtime
-// seams (simulated or live).
+// seams.
 func NewNetworkRuntime(rt runtime.Runtime, tr runtime.Transport, model netmodel.Model, cfg Config) *Network {
 	cfg.fillDefaults()
 	return &Network{rt: rt, tr: tr, model: model, cfg: cfg, nodes: make(map[ID]*Node)}

@@ -42,8 +42,7 @@ type Config struct {
 	// active in the system. A query arriving at the cap is rejected at
 	// admission: it completes immediately with an honest incomplete
 	// result (its whole region Uncovered, nothing silently lost) and is
-	// counted in System.AdmissionRejected. Zero admits everything —
-	// overload then queues in the transport inboxes instead.
+	// counted in System.AdmissionRejected. Zero admits everything.
 	MaxActiveQueries int
 	// Store builds each node's storage backend when it joins. Nil uses
 	// the in-memory NewMemStore (the paper's assumption: state is
@@ -140,9 +139,9 @@ func DefaultConfig() Config {
 
 // System is a deployment of the index architecture: an overlay of
 // index nodes hosting any number of index schemes. It runs over the
-// runtime seams — simulated (NewSystem) or live (NewSystemRuntime over
-// a live runtime) — and, like the overlay, its protocol callbacks are
-// single-threaded by contract.
+// runtime seams, driven by the simulator (NewSystem, or
+// NewSystemRuntime over simrt), and, like the overlay, its protocol
+// callbacks are single-threaded by contract.
 type System struct {
 	rt    runtime.Runtime
 	net   *chord.Network
@@ -215,8 +214,8 @@ func NewSystem(eng *sim.Engine, model netmodel.Model, cfg Config) *System {
 	return NewSystemRuntime(rt, rt, model, cfg)
 }
 
-// NewSystemRuntime creates an empty system over explicit runtime seams
-// (simulated or live).
+// NewSystemRuntime creates an empty system over explicit runtime
+// seams.
 func NewSystemRuntime(rt runtime.Runtime, tr runtime.Transport, model netmodel.Model, cfg Config) *System {
 	if cfg.Msg == (MessageModel{}) {
 		cfg.Msg = DefaultMessageModel()
@@ -507,6 +506,15 @@ func (s *System) ForgetNode(id chord.ID) {
 		s.noteStoreErr(in.st.Close())
 	}
 	delete(s.nodes, id)
+}
+
+// CloseStores closes every live node's store in ring (sorted-id) order,
+// counting failures in StoreErrors; a durable store syncs and closes its
+// journal. The system must not store anything afterwards.
+func (s *System) CloseStores() {
+	for _, in := range s.Nodes() {
+		s.noteStoreErr(in.st.Close())
+	}
 }
 
 // CrashNode fails a node abruptly: the overlay node crashes (in-flight

@@ -44,8 +44,8 @@ type WALStoreOptions struct {
 	// auto-compaction).
 	CompactEvery int
 	// Now supplies compaction stamps (nanoseconds or any monotone
-	// scale). Nil stamps snapshots with 0. Simulated runtimes pass the
-	// virtual clock; live runtimes pass wall time.
+	// scale). Nil stamps snapshots with 0. A Platform passes the
+	// simulated clock, so durable runs replay deterministically.
 	Now func() int64
 }
 

@@ -28,19 +28,19 @@ func TestDriverContract(t *testing.T) {
 			d := tc.open()
 			defer d.Close()
 
-			// Do has run its function when it returns. Send never runs
-			// deliver inside the call; with nothing to wait for it runs on
-			// the protocol's context as the next task, ahead of one
+			// Do has run its function when it returns. A task it schedules
+			// never runs inside the call; with nothing to wait for it runs
+			// on the protocol's context as the next task, ahead of one
 			// scheduled after it.
 			var order []string
 			inside, entered := false, false
 			if err := d.Do(func() {
 				entered = true
 				ran := false
-				d.Send(7, 0, func(arg any) {
+				d.ScheduleArg(0, func(arg any) {
 					ran = true
 					order = append(order, arg.(string))
-				}, "deliver")
+				}, "first")
 				inside = ran
 				d.Schedule(0, func() { order = append(order, "after") })
 			}); err != nil || !entered {
@@ -55,8 +55,8 @@ func TestDriverContract(t *testing.T) {
 			}); err != nil {
 				t.Fatalf("draining: %v", err)
 			}
-			if inside || len(order) != 2 || order[0] != "deliver" || order[1] != "after" {
-				t.Fatalf("deliver ran inside Send: %v; task order %v, want [deliver after]", inside, order)
+			if inside || len(order) != 2 || order[0] != "first" || order[1] != "after" {
+				t.Fatalf("task ran inside ScheduleArg: %v; task order %v, want [first after]", inside, order)
 			}
 
 			// Await's three ways to return: the completion fired — behind a

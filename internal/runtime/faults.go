@@ -9,13 +9,12 @@ import (
 // protocol-level faults (Drop, Duplicate, Jitter/Spike, Partitions) are
 // injected by the overlay — chord.FaultPlanFromPolicy translates them
 // into a chord.FaultPlan whose decisions draw from the driving
-// runtime's seeded random source, so they behave identically over the
-// simulated and the live runtime (and byte-identically to no plan at
-// all when every field is zero). The transport-level faults (FrameDrop,
-// KillConn, Seed) model failures below the protocol and need a
-// transport to act on: netrt's TCP links consume them through
-// LinkFaults; the in-process runtimes move no bytes, and the public
-// constructor rejects the two fields there.
+// runtime's seeded random source, so a simulated run replays them
+// exactly (and byte-identically to no plan at all when every field is
+// zero). The transport-level faults (FrameDrop, KillConn, Seed) model
+// failures below the protocol and need a transport to act on: netrt's
+// TCP links consume them through LinkFaults; the simulator moves no
+// bytes, and the public constructor rejects the two fields there.
 type FaultPolicy struct {
 	// Drop is the per-message loss probability (every message kind).
 	Drop float64

@@ -2,7 +2,6 @@ package livert_test
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,20 +15,19 @@ func newRT(t *testing.T) *livert.Runtime {
 	return rt
 }
 
-// TestSendContract pins what runtime.Transport promises of Send on the
-// live runtime: deliver(arg) never runs inside Send, runs on the
-// executor, not before delay × LatencyScale (scale 0: as the next
-// task), and is the only kind of task a full inbox sheds.
+// TestSendContract pins what a message delivery relies on, now that a
+// send into a node is a posted task (a netrt link reader posts each
+// decoded frame with Schedule): a prebound delivery posted with
+// ScheduleArg(0) never runs inside the call, runs on the executor, and
+// runs in posting order, ahead of a task posted after it.
 func TestSendContract(t *testing.T) {
-	const wait = 10 * time.Second
-
 	t.Run("next task on the executor", func(t *testing.T) {
 		rt := newRT(t)
 		var order []string
 		var inside bool
 		if err := rt.Do(func() {
 			ran := false
-			rt.Send(7, time.Hour, func(arg any) {
+			rt.ScheduleArg(0, func(arg any) {
 				ran = true
 				order = append(order, arg.(string))
 			}, "deliver")
@@ -44,87 +42,18 @@ func TestSendContract(t *testing.T) {
 			t.Fatal(err)
 		}
 		if inside {
-			t.Fatal("deliver ran inside Send")
+			t.Fatal("deliver ran inside ScheduleArg")
 		}
 		if len(order) != 2 || order[0] != "deliver" || order[1] != "after" {
 			t.Fatalf("task order %v, want [deliver after]", order)
 		}
 	})
-
-	t.Run("scaled latency", func(t *testing.T) {
-		rt := livert.New(livert.Config{Seed: 1, LatencyScale: 0.5})
-		defer rt.Close()
-		const delay = 80 * time.Millisecond
-		at := make(chan time.Duration, 1)
-		start := time.Now()
-		rt.Send(7, delay, func(any) { at <- time.Since(start) }, nil)
-		select {
-		case got := <-at:
-			if got < delay/2 {
-				t.Fatalf("delivered after %v, before the scaled latency %v", got, delay/2)
-			}
-		case <-time.After(wait):
-			t.Fatal("delivery never ran")
-		}
-	})
-
-	t.Run("shedding", func(t *testing.T) {
-		rt := livert.New(livert.Config{Seed: 1, MaxInbox: 1})
-		defer rt.Close()
-		stalled, release := make(chan struct{}), make(chan struct{})
-		rt.Schedule(0, func() {
-			close(stalled)
-			<-release
-		})
-		<-stalled
-		// The executor is parked: everything below queues behind it.
-		var delivered atomic.Int64
-		const flood = 10
-		for i := 0; i < flood; i++ {
-			rt.Send(7, 0, func(any) { delivered.Add(1) }, nil)
-		}
-		if depth, shed := rt.QueueStats(); depth != 1 || shed != flood-1 {
-			t.Fatalf("after %d sends into a 1-deep inbox: depth %d, shed %d; want 1, %d", flood, depth, shed, flood-1)
-		}
-		// Timers and client work posted into the full inbox all run.
-		ran := make(chan string, 4)
-		rt.Schedule(0, func() { ran <- "Schedule" })
-		rt.ScheduleArg(0, func(arg any) { ran <- arg.(string) }, "ScheduleArg")
-		rt.AfterFunc(0, func() { ran <- "AfterFunc" })
-		go func() {
-			if rt.Do(func() {}) == nil {
-				ran <- "Do"
-			}
-		}()
-		// All four must be queued behind the one delivery before the
-		// executor moves again (AfterFunc and Do post from goroutines).
-		for deadline := time.Now().Add(wait); ; time.Sleep(time.Millisecond) {
-			if depth, _ := rt.QueueStats(); depth == 5 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("timers and Do were not all queued into the full inbox")
-			}
-		}
-		close(release)
-		got := map[string]bool{}
-		for len(got) < 4 {
-			select {
-			case name := <-ran:
-				got[name] = true
-			case <-time.After(wait):
-				t.Fatalf("with the inbox full only %v ran; timers and Do must never be shed", got)
-			}
-		}
-		if _, shed := rt.QueueStats(); delivered.Load() != 1 || shed != flood-1 {
-			t.Fatalf("delivered %d, shed %d; want 1 and %d", delivered.Load(), shed, flood-1)
-		}
-	})
 }
 
-// TestDeliveriesSerializeOnExecutor floods one node with concurrent
-// sends from many goroutines and checks the callbacks never overlap —
-// the single-threaded protocol contract.
+// TestDeliveriesSerializeOnExecutor floods the executor with tasks
+// posted from many goroutines, as a node's link readers post frames, and
+// checks the callbacks never overlap — the single-threaded protocol
+// contract.
 func TestDeliveriesSerializeOnExecutor(t *testing.T) {
 	rt := newRT(t)
 	const senders, perSender = 8, 25
@@ -154,7 +83,7 @@ func TestDeliveriesSerializeOnExecutor(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perSender; i++ {
-				rt.Send(3, 0, deliver, nil)
+				rt.ScheduleArg(0, deliver, nil)
 			}
 		}()
 	}

@@ -8,29 +8,26 @@
 //   - Transport: the messaging seam (move one message to a node and run
 //     its delivery callback on that node's execution context).
 //
-// Two in-process implementations exist, and both only schedule — a
-// message is a prebound callback that runs later, its size charged by
-// the overlay's §4.1 model (or, under EncodeWire, by the length of the
-// encoding the protocol itself produces and decodes); no byte crosses
-// either of them:
+// Two implementations exist:
 //
 //   - runtime/simrt wraps a sim.Engine: virtual time, deterministic
-//     event ordering, zero-allocation scheduling. Every existing
-//     simulation and experiment runs through it unchanged.
-//   - runtime/livert runs the same protocol code in real time: one
-//     executor goroutine, time.Timer-backed delays and retries, a
-//     bounded delivery inbox, serving concurrent queries.
-//
-// Bytes cross a boundary in runtime/netrt only, whose nodes are
-// separate processes joined by TCP links and which reuses livert's
-// executor for everything else.
+//     event ordering, zero-allocation scheduling. core and chord run on
+//     it and nothing else — every experiment, test and Platform. A
+//     message is a prebound callback that runs later, its size charged
+//     by the overlay's §4.1 model (or, under EncodeWire, by the length of
+//     the encoding the protocol itself produces and decodes); no byte
+//     crosses it.
+//   - runtime/livert is netrt's executor: one goroutine draining a FIFO
+//     task queue, time.Timer-backed delays, and the Do/Await bridges
+//     netrt's clients and readers use. netrt's nodes are separate
+//     processes joined by TCP links; its bytes cross a socket.
 //
 // Protocol code stays single-threaded by contract in both runtimes: a
 // callback runs to completion before the next one starts (the sim
-// engine is single-threaded; the live runtime serializes callbacks on
-// one protocol goroutine while its timers and clients run
-// concurrently). That contract is what cmd/lmlint's analyzers enforce
-// for the engine-owned packages.
+// engine is single-threaded; livert serializes callbacks on one
+// executor goroutine while its timers and clients run concurrently).
+// That contract is what cmd/lmlint's analyzers enforce for the
+// engine-owned packages.
 package runtime
 
 import (
@@ -50,7 +47,7 @@ type Timer interface {
 
 // Clock is the time seam. Simulated clocks advance virtually and
 // deliver callbacks in deterministic order; a live clock is anchored to
-// the wall clock and delivers callbacks on the runtime's protocol
+// the wall clock and delivers callbacks on the runtime's executor
 // goroutine.
 type Clock interface {
 	// Now returns the time elapsed since the runtime started.
@@ -71,8 +68,8 @@ type Clock interface {
 // source every probabilistic decision (fault draws, timer
 // desynchronization offsets) must come from. In the simulated runtime
 // the source is the engine's seeded RNG, which is what makes trials
-// reproducible; the live runtime seeds its own source and only touches
-// it from the protocol goroutine.
+// reproducible; livert seeds its own source and only touches it from
+// the executor.
 type Runtime interface {
 	Clock
 	// Rand returns the runtime's random source. It must only be used
@@ -88,27 +85,25 @@ type Runtime interface {
 //
 // deliver/arg mirror Clock.ScheduleArg so the per-message hot path
 // allocates no closures. to names the destination for a transport that
-// keeps per-node state; neither in-process transport does.
+// keeps per-node state; simrt, the one implementation, does not.
 //
 // Send never fails synchronously and never runs deliver inside the
-// call. Loss is modeled above the transport (fault plans,
-// delivery-time liveness checks in the overlay); a transport may shed a
-// delivery under overload (livert's bounded inbox), which the protocol
-// sees as a loss: deliver never runs and the reliability layer's
-// timeout surfaces it.
+// call. Loss is modeled above the transport (fault plans, delivery-time
+// liveness checks in the overlay), and the reliability layer's timeout
+// surfaces it.
 type Transport interface {
 	Send(to uint64, delay time.Duration, deliver func(any), arg any)
 }
 
 // Driver is a runtime as the code that drives a protocol holds it (a
-// Platform, a test): the two seams the protocol is written against, and
-// the bridges by which a caller outside the protocol's execution context
-// gets onto it and waits for what it started there. simrt's caller is
-// that context, so its bridges run inline and spend simulated time;
-// livert's hand the work to the executor and block in real time.
+// Platform, a netrt node, a test): the clock the protocol is written
+// against, and the bridges by which a caller outside the protocol's
+// execution context gets onto it and waits for what it started there.
+// simrt's caller is that context, so its bridges run inline and spend
+// simulated time; livert's hand the work to the executor and block in
+// real time.
 type Driver interface {
 	Runtime
-	Transport
 	// Do runs fn on the protocol's execution context and returns once it
 	// has run. It fails only on a closed runtime.
 	Do(fn func()) error
@@ -116,11 +111,6 @@ type Driver interface {
 	// was handed has been called, op has returned an error (which Await
 	// returns), or timeout of the runtime's own time has passed.
 	Await(timeout time.Duration, op func(finish func()) error) error
-	// Sleep lets d of the runtime's own time pass.
-	Sleep(d time.Duration)
-	// QueueStats reports the depth of the delivery queue and how many
-	// deliveries its bound has shed; both zero where nothing is bounded.
-	QueueStats() (depth int, shed int64)
 	// Close releases the runtime; nothing may be scheduled afterwards.
 	Close()
 }

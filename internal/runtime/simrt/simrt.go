@@ -1,7 +1,6 @@
 // Package simrt adapts a sim.Engine to the runtime seams: the
-// discrete-event simulator becomes one Runtime/Transport
-// implementation among several, and the protocol layers stop depending
-// on it directly.
+// discrete-event simulator is the runtime core and chord run on, and the
+// protocol layers stop depending on it directly.
 //
 // The adapter is a strict pass-through. Every Clock call forwards to
 // the engine method of the same name in the same order, and Send is
@@ -12,9 +11,9 @@
 // pointer-shaped (it boxes into the interfaces without allocating)
 // and Send passes the prebound deliver/arg pair straight through.
 //
-// The bridges of runtime.Driver (Do, Await, Sleep) run inline and spend
-// simulated time: the goroutine driving a simulation is the protocol's
-// execution context.
+// The bridges of runtime.Driver (Do, Await) and Sleep run inline and
+// spend simulated time: the goroutine driving a simulation is the
+// protocol's execution context.
 package simrt
 
 import (
@@ -26,8 +25,9 @@ import (
 	"landmarkdht/internal/sim"
 )
 
-// RT wraps one engine as a runtime.Driver: the Runtime and Transport the
-// protocol is written against, and the bridges its driver uses.
+// RT wraps one engine as a runtime.Driver and a runtime.Transport: the
+// seams the protocol is written against, and the bridges its driver
+// uses.
 type RT struct {
 	eng *sim.Engine
 }
@@ -92,9 +92,6 @@ func (r *RT) Await(timeout time.Duration, op func(finish func()) error) error {
 
 // Sleep lets d of simulated time pass.
 func (r *RT) Sleep(d time.Duration) { r.eng.RunFor(d) }
-
-// QueueStats is always zero: the event heap sheds nothing.
-func (r *RT) QueueStats() (depth int, shed int64) { return 0, 0 }
 
 // Close does nothing: an engine holds no goroutine, timer or file.
 func (r *RT) Close() {}

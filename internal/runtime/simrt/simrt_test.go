@@ -50,9 +50,6 @@ func TestAwaitSpendsSimulatedTime(t *testing.T) {
 	if want := 4500*time.Millisecond + 10*time.Minute; eng.Now() != want {
 		t.Fatalf("a ten-minute timeout left the clock at %v, want %v", eng.Now(), want)
 	}
-	if depth, shed := rt.QueueStats(); depth != 0 || shed != 0 {
-		t.Fatalf("QueueStats %d, %d on a runtime that bounds nothing", depth, shed)
-	}
 	rt.Close()
 	if err := rt.Do(func() {}); err != nil {
 		t.Fatalf("Do after the no-op Close: %v", err)
@@ -64,3 +61,31 @@ var errNothing = errNothingToDo{}
 type errNothingToDo struct{}
 
 func (errNothingToDo) Error() string { return "nothing to do" }
+
+// TestSendOrdering pins runtime.Transport's promise on the one
+// implementation core and chord send through: deliver(arg) never runs
+// inside Send, runs at now+delay, and a zero-delay delivery runs as the
+// next event, ahead of a task scheduled after it.
+func TestSendOrdering(t *testing.T) {
+	eng := sim.NewEngine(1)
+	rt := simrt.New(eng)
+	var order []string
+	ran := false
+	rt.Send(7, 0, func(arg any) {
+		ran = true
+		order = append(order, arg.(string))
+	}, "deliver")
+	if ran {
+		t.Fatal("deliver ran inside Send")
+	}
+	rt.Schedule(0, func() { order = append(order, "after") })
+	var at time.Duration
+	rt.Send(7, 40*time.Millisecond, func(any) { at = eng.Now() }, nil)
+	rt.Sleep(time.Second)
+	if len(order) != 2 || order[0] != "deliver" || order[1] != "after" {
+		t.Fatalf("task order %v, want [deliver after]", order)
+	}
+	if at != 40*time.Millisecond {
+		t.Fatalf("a 40ms delivery ran at %v", at)
+	}
+}

@@ -58,9 +58,9 @@ func TestNewPlatform(t *testing.T) {
 	}
 }
 
-// TestNewRejectsTransportFaults: an in-process platform, simulated or
-// live, has no transport for FrameDrop/KillConn to act on, and says so
-// instead of ignoring them; the overlay-level fields stay accepted.
+// TestNewRejectsTransportFaults: an in-process platform has no
+// transport for FrameDrop/KillConn to act on, and says so instead of
+// ignoring them; the overlay-level fields stay accepted.
 func TestNewRejectsTransportFaults(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -71,18 +71,16 @@ func TestNewRejectsTransportFaults(t *testing.T) {
 		{"frame drop", FaultOptions{Drop: 0.1, FrameDrop: 0.02}, false},
 		{"conn kill", FaultOptions{KillConn: 0.002}, false},
 	} {
-		for _, live := range []bool{false, true} {
-			faults := tc.faults
-			p, err := New(Options{Nodes: 8, Live: live, Faults: &faults})
-			if p != nil {
-				p.Close()
-			}
-			if tc.ok != (err == nil) {
-				t.Errorf("%s, Live=%v: err = %v, want ok=%v", tc.name, live, err, tc.ok)
-			}
-			if err != nil && !strings.Contains(err.Error(), "NodeOptions.Faults") {
-				t.Errorf("%s, Live=%v: error %q does not point at NodeOptions.Faults", tc.name, live, err)
-			}
+		faults := tc.faults
+		p, err := New(Options{Nodes: 8, Faults: &faults})
+		if p != nil {
+			p.Close()
+		}
+		if tc.ok != (err == nil) {
+			t.Errorf("%s: err = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "NodeOptions.Faults") {
+			t.Errorf("%s: error %q does not point at NodeOptions.Faults", tc.name, err)
 		}
 	}
 }
@@ -224,27 +222,24 @@ func TestInsertThenSearch(t *testing.T) {
 
 // TestInsertRollsBackWhenNeverPlaced: an insert whose publish is lost
 // (every message dropped, no reliability layer) gives up after the
-// platform's bound and leaves the index as it was — the id it would have
-// had goes to the next insert that lands. Simulated and live alike.
+// platform's bound of simulated time and leaves the index as it was —
+// the id it would have had goes to the next insert that lands.
 func TestInsertRollsBackWhenNeverPlaced(t *testing.T) {
-	for _, live := range []bool{false, true} {
-		p, err := New(Options{Nodes: 48, Seed: 1, LossRate: 1, Live: live})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.Close()
-		p.opTimeout = 50 * time.Millisecond // live: real time; simulated: one step of the clock
-		ix, err := AddIndex(p, EuclideanSpace("vecs", 8, -100, 200), testData(100, 8, 2), DenseMean,
-			IndexOptions{Landmarks: 4, SampleSize: 100})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ix.Insert(make(Vector, 8)); err == nil {
-			t.Fatalf("live=%v: an insert whose every message is dropped succeeded", live)
-		}
-		if ix.Len() != 100 {
-			t.Fatalf("live=%v: the failed insert left %d objects, want 100", live, ix.Len())
-		}
+	p, err := New(Options{Nodes: 48, Seed: 1, LossRate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	ix, err := AddIndex(p, EuclideanSpace("vecs", 8, -100, 200), testData(100, 8, 2), DenseMean,
+		IndexOptions{Landmarks: 4, SampleSize: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.Insert(make(Vector, 8)); err == nil {
+		t.Fatal("an insert whose every message is dropped succeeded")
+	}
+	if ix.Len() != 100 {
+		t.Fatalf("the failed insert left %d objects, want 100", ix.Len())
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 // NodeOptions configures one deployable ring node: a real OS process
 // serving the landmark index over TCP (see cmd/lmnode). Unlike
-// Options — which boots a whole simulated or live in-process overlay —
+// Options — which boots a whole simulated in-process overlay —
 // a Node is one member of a multi-process ring: every process rebuilds
 // the same deterministic corpus from the shared Seed/Metric parameters
 // and serves exactly the entries it owns under the current membership.

@@ -9,7 +9,6 @@ import (
 	"landmarkdht/internal/core"
 	"landmarkdht/internal/netmodel"
 	"landmarkdht/internal/runtime"
-	"landmarkdht/internal/runtime/livert"
 	"landmarkdht/internal/runtime/simrt"
 	"landmarkdht/internal/sim"
 	"landmarkdht/internal/wal"
@@ -39,8 +38,8 @@ type Options struct {
 	// message.
 	Jitter time.Duration
 	// Faults is the fault policy: message loss, duplication, latency
-	// faults and timed partitions inject at the overlay, identically on
-	// the simulated and the live runtime. When set it supersedes
+	// faults and timed partitions inject at the overlay, deterministically
+	// per Seed. When set it supersedes
 	// LossRate/Jitter (which remain as shorthands for loss-and-jitter-
 	// only policies). FrameDrop and KillConn need a transport, which an
 	// in-process platform does not have: New rejects them — set them on
@@ -65,22 +64,6 @@ type Options struct {
 	// uncovered) and are counted in ReliabilityStats.AdmissionRejected.
 	// Zero means unlimited.
 	MaxActiveQueries int
-	// Live runs the platform over the live concurrent runtime instead of
-	// the discrete-event simulator: the protocol runs in real time on
-	// one executor goroutine, retry timers are real timers, and searches
-	// may be issued from many goroutines concurrently. Call Close when
-	// done.
-	Live bool
-	// LiveLatencyScale multiplies the modeled network latency in live
-	// mode (0, the default, delivers messages as fast as the machine
-	// allows; 1 reproduces the latency model in real time).
-	LiveLatencyScale float64
-	// MaxInbox bounds the live executor's delivery queue: deliveries
-	// past the bound are shed (counted in
-	// ReliabilityStats.TransportShed) instead of growing the queue
-	// without limit. Zero means the default bound (8192); negative
-	// means unbounded. Ignored in simulated mode.
-	MaxInbox int
 	// DataDir, when set, makes every node's store durable: mutations
 	// journal to a per-node write-ahead log under this directory (with
 	// periodic compacting snapshots), and a platform rebuilt over the
@@ -139,29 +122,23 @@ func (o *Options) fillDefaults() {
 // architecture. It hosts any number of Index instances over one
 // overlay.
 //
-// A simulated Platform (the default) must be used from a single
-// goroutine: the discrete-event engine is not concurrent — run many
-// platforms in parallel instead. A live Platform (Options.Live) runs
-// the protocol on its own executor goroutine and serves searches from
-// any number of client goroutines concurrently; call Close when done.
+// The overlay runs on the discrete-event simulator, so a Platform must
+// be used from a single goroutine — run many platforms in parallel
+// instead. The caller's goroutine is the protocol's execution context:
+// a search runs the simulation until its answer arrives.
 type Platform struct {
-	// rt is the runtime under the protocol, simulated or live: New's
-	// choice, with the bound on one Await in that runtime's own time.
-	rt        runtime.Driver
-	opTimeout time.Duration
-	sys       *core.System
-	rng       *rand.Rand
-	opts      Options
-	plan      *chord.FaultPlan // overlay fault plan (nil when no faults)
+	rt   *simrt.RT
+	sys  *core.System
+	rng  *rand.Rand
+	opts Options
+	plan *chord.FaultPlan // overlay fault plan (nil when no faults)
 }
 
-// One protocol operation may take this long, far above any real
-// completion time: a lost completion (all retries exhausted under
-// injected faults with no reliability layer) is an error, not a hang.
-const (
-	simOpTimeout  = 10 * time.Minute // of simulated time
-	liveOpTimeout = 30 * time.Second
-)
+// opTimeout bounds one protocol operation in simulated time, far above
+// any real completion time: a lost completion (all retries exhausted
+// under injected faults with no reliability layer) is an error, not a
+// hang.
+const opTimeout = 10 * time.Minute
 
 // New builds a stabilized overlay of opts.Nodes nodes.
 func New(opts Options) (*Platform, error) {
@@ -188,104 +165,65 @@ func New(opts Options) (*Platform, error) {
 	cfg.Deadline = opts.Deadline
 	cfg.Hedge = opts.Hedge
 	cfg.MaxActiveQueries = opts.MaxActiveQueries
-	p := &Platform{opts: opts, plan: cfg.Chord.Faults}
-	if opts.Live {
-		p.rt, p.opTimeout = livert.New(livert.Config{
-			Seed: opts.Seed, LatencyScale: opts.LiveLatencyScale, MaxInbox: opts.MaxInbox,
-		}), liveOpTimeout
-	} else {
-		p.rt, p.opTimeout = simrt.New(sim.NewEngine(opts.Seed)), simOpTimeout
-	}
+	p := &Platform{rt: simrt.New(sim.NewEngine(opts.Seed)), opts: opts, plan: cfg.Chord.Faults}
 	if opts.DataDir != "" {
-		// Compaction stamps come from the platform clock (virtual in
-		// simulated mode) so durable runs replay deterministically.
+		// Compaction stamps come from the simulated clock so durable
+		// runs replay deterministically.
 		cfg.Store = core.WALStoreFactory(opts.DataDir, core.WALStoreOptions{
 			Sync: opts.DataSync, Now: func() int64 { return int64(p.rt.Now()) },
 		})
 	}
 	p.sys = core.NewSystemRuntime(p.rt, p.rt, model, cfg)
 	p.rng = rand.New(rand.NewSource(opts.Seed + 99))
-	if err := p.protocol(func() error {
-		used := map[chord.ID]bool{}
-		for i := 0; i < opts.Nodes; i++ {
-			id := chord.ID(p.rng.Uint64())
-			for used[id] {
-				id = chord.ID(p.rng.Uint64())
-			}
-			used[id] = true
-			if _, err := p.sys.AddNode(id, i); err != nil {
-				return err
-			}
+	used := map[chord.ID]bool{}
+	for i := 0; i < opts.Nodes; i++ {
+		id := chord.ID(p.rng.Uint64())
+		for used[id] {
+			id = chord.ID(p.rng.Uint64())
 		}
-		p.sys.Stabilize()
-		return nil
-	}); err != nil {
-		p.Close()
-		return nil, err
+		used[id] = true
+		if _, err := p.sys.AddNode(id, i); err != nil {
+			p.Close()
+			return nil, err
+		}
 	}
+	p.sys.Stabilize()
 	return p, nil
 }
 
-// Close releases the platform's resources. In live mode it stops the
-// executor; on a simulated platform it is a no-op. The platform is
-// unusable afterwards.
-func (p *Platform) Close() { p.rt.Close() }
-
-// protocol runs fn on the platform's protocol execution context:
-// synchronously on a simulated platform (the caller's goroutine is the
-// context), via the executor on a live one. Every touch of overlay or
-// system state goes through it.
-func (p *Platform) protocol(fn func() error) error {
-	var err error
-	if derr := p.rt.Do(func() { err = fn() }); derr != nil {
-		return derr
-	}
-	return err
+// Close closes every node's store — a durable one syncs and closes its
+// journal — and releases the runtime. The platform is unusable
+// afterwards.
+func (p *Platform) Close() {
+	p.sys.CloseStores()
+	p.rt.Close()
 }
 
 // Nodes returns the current overlay size.
-func (p *Platform) Nodes() int {
-	var n int
-	p.protocol(func() error { n = p.sys.Network().Size(); return nil })
-	return n
-}
+func (p *Platform) Nodes() int { return p.sys.Network().Size() }
 
 // Loads returns per-node index-entry counts in descending order.
-func (p *Platform) Loads() []int {
-	var loads []int
-	p.protocol(func() error { loads = p.sys.Loads(); return nil })
-	return loads
-}
+func (p *Platform) Loads() []int { return p.sys.Loads() }
 
 // Indexes lists the deployed index scheme names.
-func (p *Platform) Indexes() []string {
-	var names []string
-	p.protocol(func() error { names = p.sys.IndexNames(); return nil })
-	return names
-}
+func (p *Platform) Indexes() []string { return p.sys.IndexNames() }
 
 // LBConfig re-exports the §3.4 dynamic-load-migration knobs.
 type LBConfig = core.LBConfig
 
 // EnableLoadBalancing starts periodic load probing and migration.
 func (p *Platform) EnableLoadBalancing(cfg LBConfig) error {
-	return p.protocol(func() error { return p.sys.EnableLoadBalancing(cfg) })
+	return p.sys.EnableLoadBalancing(cfg)
 }
 
 // DisableLoadBalancing stops probing.
-func (p *Platform) DisableLoadBalancing() {
-	p.protocol(func() error { p.sys.DisableLoadBalancing(); return nil })
-}
+func (p *Platform) DisableLoadBalancing() { p.sys.DisableLoadBalancing() }
 
 // Migrations reports completed and aborted load migrations.
-func (p *Platform) Migrations() (done, aborted int) {
-	p.protocol(func() error { done, aborted = p.sys.LBStats(); return nil })
-	return done, aborted
-}
+func (p *Platform) Migrations() (done, aborted int) { return p.sys.LBStats() }
 
-// Run lets d of platform time pass (useful to let load balancing settle
-// between searches): simulated time on a simulated platform, real time
-// on a live one.
+// Run lets d of simulated time pass (useful to let load balancing settle
+// between searches).
 func (p *Platform) Run(d time.Duration) { p.rt.Sleep(d) }
 
 // Crash abruptly removes n random nodes (failure injection): in-flight
@@ -294,20 +232,17 @@ func (p *Platform) Run(d time.Duration) { p.rt.Sleep(d) }
 // their new successor sets (see Index.Replicate).
 func (p *Platform) Crash(n int) int {
 	crashed := 0
-	p.protocol(func() error {
-		for i := 0; i < n; i++ {
-			nodes := p.sys.Nodes()
-			if len(nodes) <= 2 {
-				break
-			}
-			victim := nodes[p.rng.Intn(len(nodes))]
-			if err := p.sys.CrashNode(victim.ID()); err != nil {
-				continue
-			}
-			crashed++
+	for i := 0; i < n; i++ {
+		nodes := p.sys.Nodes()
+		if len(nodes) <= 2 {
+			break
 		}
-		return nil
-	})
+		victim := nodes[p.rng.Intn(len(nodes))]
+		if err := p.sys.CrashNode(victim.ID()); err != nil {
+			continue
+		}
+		crashed++
+	}
 	return crashed
 }
 
@@ -318,16 +253,13 @@ func (p *Platform) Crash(n int) int {
 // returns how many nodes actually joined.
 func (p *Platform) Join(n int) int {
 	joined := 0
-	p.protocol(func() error {
-		for i := 0; i < n; i++ {
-			id := chord.ID(p.rng.Uint64())
-			if _, err := p.sys.JoinNode(id, p.rng.Intn(p.opts.Nodes)); err != nil {
-				continue
-			}
-			joined++
+	for i := 0; i < n; i++ {
+		id := chord.ID(p.rng.Uint64())
+		if _, err := p.sys.JoinNode(id, p.rng.Intn(p.opts.Nodes)); err != nil {
+			continue
 		}
-		return nil
-	})
+		joined++
+	}
 	return joined
 }
 
@@ -349,30 +281,17 @@ type ReliabilityStats struct {
 	// Options.MaxActiveQueries concurrent queries were already running;
 	// each rejection produced an honest incomplete result.
 	AdmissionRejected int
-	// TransportShed counts deliveries dropped by the bounded transport
-	// queue (Options.MaxInbox in live mode). Always zero on a simulated
-	// platform.
-	TransportShed int64
-	// QueueDepth is the transport delivery queue's depth at snapshot
-	// time — an instantaneous saturation gauge, not a counter.
-	QueueDepth int
 }
 
 // Reliability returns the platform's loss/retry counters.
 func (p *Platform) Reliability() ReliabilityStats {
-	var rs ReliabilityStats
-	p.protocol(func() error {
-		rs = ReliabilityStats{
-			Dropped:           p.sys.DroppedSubqueries,
-			RetriesIssued:     p.sys.RetriesIssued,
-			Recovered:         p.sys.RecoveredSubqueries,
-			Hedges:            p.sys.HedgesIssued,
-			AdmissionRejected: p.sys.AdmissionRejected,
-		}
-		return nil
-	})
-	rs.QueueDepth, rs.TransportShed = p.rt.QueueStats()
-	return rs
+	return ReliabilityStats{
+		Dropped:           p.sys.DroppedSubqueries,
+		RetriesIssued:     p.sys.RetriesIssued,
+		Recovered:         p.sys.RecoveredSubqueries,
+		Hedges:            p.sys.HedgesIssued,
+		AdmissionRejected: p.sys.AdmissionRejected,
+	}
 }
 
 // FaultStats counts the faults the platform's overlay injected.
@@ -386,13 +305,10 @@ type FaultStats struct {
 // Faults returns the cumulative injected-fault counters.
 func (p *Platform) Faults() FaultStats {
 	var fs FaultStats
-	p.protocol(func() error {
-		if p.plan != nil {
-			fs.MessagesDropped = p.plan.TotalDropped()
-			fs.MessagesDuplicated = p.plan.Duplicated
-		}
-		return nil
-	})
+	if p.plan != nil {
+		fs.MessagesDropped = p.plan.TotalDropped()
+		fs.MessagesDuplicated = p.plan.Duplicated
+	}
 	return fs
 }
 
@@ -426,21 +342,16 @@ type TransferStats = core.TransferStats
 
 // Durability returns recovery and bulk-transfer statistics.
 func (p *Platform) Durability() DurabilityStats {
-	var ds DurabilityStats
-	p.protocol(func() error {
-		durable, agg := p.sys.RecoverySummary()
-		ds = DurabilityStats{
-			DurableNodes:    durable,
-			RecordsReplayed: agg.RecordsReplayed,
-			SnapshotRecords: agg.SnapshotRecords,
-			Compactions:     agg.Compactions,
-			LogBytes:        agg.LogBytes,
-			SnapshotStamp:   agg.SnapshotStamp,
-			Transfers:       p.sys.TransferStats(),
-		}
-		return nil
-	})
-	return ds
+	durable, agg := p.sys.RecoverySummary()
+	return DurabilityStats{
+		DurableNodes:    durable,
+		RecordsReplayed: agg.RecordsReplayed,
+		SnapshotRecords: agg.SnapshotRecords,
+		Compactions:     agg.Compactions,
+		LogBytes:        agg.LogBytes,
+		SnapshotStamp:   agg.SnapshotStamp,
+		Transfers:       p.sys.TransferStats(),
+	}
 }
 
 // Traffic summarizes overlay traffic since the platform started.
@@ -451,12 +362,9 @@ type Traffic struct {
 
 // Traffic returns cumulative message and byte counts.
 func (p *Platform) Traffic() Traffic {
+	tr := p.sys.Network().Traffic()
 	var out Traffic
-	p.protocol(func() error {
-		tr := p.sys.Network().Traffic()
-		out.Messages, out.Bytes = tr.Total()
-		return nil
-	})
+	out.Messages, out.Bytes = tr.Total()
 	return out
 }
 
