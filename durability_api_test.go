@@ -14,6 +14,10 @@ func TestDurablePlatformSearchAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Close releases the 24 journals now: left to the files' finalizers,
+	// they would close whenever a GC ran, in the middle of whatever test
+	// counts descriptors next (TestCloseReleasesJournals).
+	defer p.Close()
 	data := testData(500, 8, 2)
 	ix, err := AddIndex(p, EuclideanSpace("vecs", 8, -100, 200), data, DenseMean,
 		IndexOptions{Landmarks: 3, SampleSize: 200})
@@ -26,6 +30,7 @@ func TestDurablePlatformSearchAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer p2.Close()
 	ix2, err := AddIndex(p2, EuclideanSpace("vecs", 8, -100, 200), data, DenseMean,
 		IndexOptions{Landmarks: 3, SampleSize: 200})
 	if err != nil {

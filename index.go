@@ -9,6 +9,8 @@ import (
 	"landmarkdht/internal/core"
 	"landmarkdht/internal/indexspace"
 	"landmarkdht/internal/landmark"
+	"landmarkdht/internal/lph"
+	"landmarkdht/internal/metric"
 )
 
 // SelectionMethod chooses the landmark-selection algorithm (§3.1).
@@ -136,6 +138,10 @@ type Index[T any] struct {
 	mean    Meaner[T]
 	opts    IndexOptions
 	refresh int64 // bumps the sampling seed on each landmark refresh
+	// slab is objects laid out for metric.L2Rows when the space is
+	// Euclidean (metric.NewL2Slab), else nil: it grows and shrinks with
+	// objects.
+	slab *metric.L2Slab
 	// centerBuf is the reusable query-embedding buffer: one embedding
 	// per search, consumed synchronously by the query router. Safe
 	// because an Index (like its Platform) is single-goroutine.
@@ -188,7 +194,7 @@ func AddIndex[T any](p *Platform, space Space[T], objects []T, mean Meaner[T], o
 		return nil, err
 	}
 	ix := &Index[T]{p: p, emb: emb, name: space.Name, objects: objects,
-		space: space, mean: mean, opts: opts}
+		space: space, mean: mean, opts: opts, slab: metric.NewL2Slab(space, objects)}
 	if space.Bounded {
 		ix.maxDist = space.Max
 	} else {
@@ -200,21 +206,31 @@ func AddIndex[T any](p *Platform, space Space[T], objects []T, mean Meaner[T], o
 			}
 		}
 	}
-	coreIx := &core.Index{
-		Name:    space.Name,
-		Part:    part,
-		MaxDist: ix.maxDist,
-		Dist: func(payload any, obj core.ObjectID) float64 {
-			return ix.emb.Distance(payload.(T), ix.objects[obj])
-		},
-	}
-	if err := p.sys.DeployIndex(coreIx); err != nil {
+	if err := p.sys.DeployIndex(ix.coreIndex(part)); err != nil {
 		return nil, err
 	}
 	if err := p.sys.BulkLoad(space.Name, batchEntries(emb, objects)); err != nil {
 		return nil, err
 	}
 	return ix, nil
+}
+
+// coreIndex is the scheme core deploys for part: exact distances come
+// from the space's Dist, a batch at a time over the slab when there is
+// one.
+func (ix *Index[T]) coreIndex(part *lph.Partitioner) *core.Index {
+	cix := &core.Index{
+		Name:    ix.name,
+		Part:    part,
+		MaxDist: ix.maxDist,
+		Dist: func(payload any, obj core.ObjectID) float64 {
+			return ix.space.Dist(payload.(T), ix.objects[obj])
+		},
+	}
+	if ix.slab != nil {
+		cix.Refine = ix.slab.Refine
+	}
+	return cix
 }
 
 // batchEntries embeds all objects through one MapBatch arena: two
@@ -280,14 +296,7 @@ func (ix *Index[T]) ReindexWith(landmarks []T, boundarySample []T) error {
 	if err != nil {
 		return err
 	}
-	coreIx := &core.Index{
-		Name:    ix.name,
-		Part:    part,
-		MaxDist: ix.maxDist,
-		Dist: func(payload any, obj core.ObjectID) float64 {
-			return ix.emb.Distance(payload.(T), ix.objects[obj])
-		},
-	}
+	coreIx := ix.coreIndex(part)
 	entries := batchEntries(emb, ix.objects)
 	sys := ix.p.sys
 	if err := sys.RemoveIndex(ix.name); err != nil {
@@ -368,14 +377,20 @@ func (ix *Index[T]) Object(id int) T { return ix.objects[id] }
 // the entry is never placed the index is left as it was.
 func (ix *Index[T]) Insert(obj T) (int, error) {
 	id := len(ix.objects)
-	ix.objects = append(ix.objects, obj)
 	entry := core.Entry{Obj: core.ObjectID(id), Point: ix.emb.Map(obj)}
+	ix.objects = append(ix.objects, obj)
+	if ix.slab != nil {
+		ix.slab.Append(any(obj).(metric.Vector))
+	}
 	err := ix.p.rt.Await(opTimeout, func(finish func()) error {
 		return ix.p.sys.Publish(ix.name, ix.p.randomNode(), entry,
 			func(chordID uint64, hops int) { finish() })
 	})
 	if err != nil {
 		ix.objects = ix.objects[:id]
+		if ix.slab != nil {
+			ix.slab.Truncate(id)
+		}
 		return 0, err
 	}
 	return id, nil

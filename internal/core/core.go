@@ -46,6 +46,15 @@ type Index struct {
 	// and a stored object, for the exact refinement step. It must be
 	// safe to call from any node.
 	Dist func(payload any, obj ObjectID) float64
+	// Refine is Dist over a batch, for the exact refinement of a scan's
+	// candidates: for each i < len(objs), at most 64, it writes to
+	// dist[i] the distance from payload to object objs[i], bit for bit
+	// what Dist returns, and sets bit i of its result when dist[i] <= r
+	// (an ordered compare: a NaN distance is no hit). Ids travel as
+	// int32 so that a refiner can hand them to metric.L2Rows as slab
+	// positions (metric.L2Slab). When nil, DeployIndex gives the index a
+	// loop over Dist.
+	Refine func(payload any, objs []int32, r float64, dist []float64) uint64
 	// MaxDist bounds distances for wire encoding (required when the
 	// system runs with Config.EncodeWire; result distances are
 	// quantized against it).
@@ -66,6 +75,20 @@ func (ix *Index) validate() error {
 		return fmt.Errorf("core: index %q has no distance callback", ix.Name)
 	}
 	return nil
+}
+
+// distRefiner is Index.Refine for an index deployed with Dist alone:
+// one Dist call per object.
+func distRefiner(dist func(payload any, obj ObjectID) float64) func(any, []int32, float64, []float64) uint64 {
+	return func(payload any, objs []int32, r float64, out []float64) uint64 {
+		var hits uint64
+		for i, obj := range objs {
+			if out[i] = dist(payload, ObjectID(obj)); out[i] <= r {
+				hits |= 1 << i
+			}
+		}
+		return hits
+	}
 }
 
 // Result is one query answer: an object and its exact distance to the

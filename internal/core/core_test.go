@@ -624,7 +624,8 @@ func TestStoreSingleKeyUnsplittable(t *testing.T) {
 // store's scan found them in.
 func TestRefineLocalCutIgnoresScanOrder(t *testing.T) {
 	dist := map[ObjectID]float64{1: 0.5, 2: 0.25, 3: 0.5, 4: 0.5, 5: 0.75, 6: 0.5}
-	aq := &activeQuery{topK: 3, ix: &Index{Dist: func(_ any, obj ObjectID) float64 { return dist[obj] }}}
+	d := func(_ any, obj ObjectID) float64 { return dist[obj] }
+	aq := &activeQuery{topK: 3, ix: &Index{Dist: d, Refine: distRefiner(d)}}
 	want := []Result{{Obj: 2, Dist: 0.25}, {Obj: 1, Dist: 0.5}, {Obj: 3, Dist: 0.5}}
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
@@ -632,7 +633,7 @@ func TestRefineLocalCutIgnoresScanOrder(t *testing.T) {
 		for _, obj := range rng.Perm(len(dist)) {
 			cands = append(cands, Entry{Obj: ObjectID(obj + 1)})
 		}
-		if got := refineLocal(aq, cands); !slices.Equal(got, want) {
+		if got := refineLocal(aq, cands, new(refineBatch)); !slices.Equal(got, want) {
 			t.Fatalf("candidates %v: cut to %v, want %v", cands, got, want)
 		}
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"math/bits"
+	"slices"
 	"time"
 
 	"landmarkdht/internal/chord"
@@ -714,31 +716,48 @@ func (s *System) answerLocal(n *IndexNode, aq *activeQuery, q query.Region, hops
 	}
 	// Scan into the system-wide scratch buffer: the candidate list is
 	// fully consumed below before any other scan can run (the engine is
-	// single-threaded and Dist callbacks never re-enter the system).
+	// single-threaded and Refine callbacks never re-enter the system).
 	s.scanBuf = n.st.Scan(aq.ix.Name, q, s.scanBuf[:0])
-	s.answerDone(n, aq, q, hops, tok, refineLocal(aq, s.scanBuf), len(s.scanBuf))
+	s.answerDone(n, aq, q, hops, tok, refineLocal(aq, s.scanBuf, &s.refine), len(s.scanBuf))
+}
+
+// refineBatch is the scratch of one Index.Refine call: the ids of up to
+// 64 candidates and their exact distances.
+type refineBatch struct {
+	ids  [64]int32
+	dist [64]float64
 }
 
 // refineLocal applies exact-distance refinement (and the paper's
-// per-node top-k cut) to a scan's candidates. It stays a function of
-// its own: answerDone's escaping closures capture the result slice,
-// and building it in the same frame would move the slice header to the
-// heap — one allocation per answered subquery.
-func refineLocal(aq *activeQuery, cands []Entry) []Result {
+// per-node top-k cut) to a scan's candidates, up to 64 at a time
+// through the index's Refine, and returns the results in candidate
+// order: the hits of a range query, every candidate of a top-k one. It
+// stays a function of its own: answerDone's escaping closures capture
+// the result slice, and building it in the same frame would move the
+// slice header to the heap — one allocation per answered subquery.
+func refineLocal(aq *activeQuery, cands []Entry, b *refineBatch) []Result {
 	var local []Result
-	for _, e := range cands {
-		d := aq.ix.Dist(aq.payload, e.Obj)
-		if aq.topK == 0 && d > aq.r {
-			continue // exact range semantics
+	for len(cands) > 0 {
+		n := min(len(cands), len(b.ids))
+		for i, e := range cands[:n] {
+			b.ids[i] = int32(e.Obj)
 		}
-		local = append(local, Result{Obj: e.Obj, Dist: d})
+		hits := aq.ix.Refine(aq.payload, b.ids[:n], aq.r, b.dist[:n])
+		if aq.topK > 0 {
+			hits = math.MaxUint64 >> (64 - n) // the cut below keeps the nearest
+		}
+		for ; hits != 0; hits &= hits - 1 {
+			i := bits.TrailingZeros64(hits)
+			local = append(local, Result{Obj: cands[i].Obj, Dist: b.dist[i]})
+		}
+		cands = cands[n:]
 	}
 	if aq.topK > 0 && len(local) > aq.topK {
 		// The paper's protocol: each index node returns its k nearest
 		// local results only — nearest in finish's total order, so which
 		// of two equidistant objects makes the cut does not depend on the
 		// order the scan found them in.
-		sort.Slice(local, func(i, j int) bool { return nearer(local[i], local[j]) })
+		slices.SortFunc(local, compareResults)
 		local = local[:aq.topK]
 	}
 	return local
@@ -750,6 +769,18 @@ func nearer(a, b Result) bool {
 		return a.Dist < b.Dist
 	}
 	return a.Obj < b.Obj
+}
+
+// compareResults is nearer as a three-way comparison, for
+// slices.SortFunc.
+func compareResults(a, b Result) int {
+	switch {
+	case nearer(a, b):
+		return -1
+	case nearer(b, a):
+		return 1
+	}
+	return 0
 }
 
 // answerDone is answerLocal's tail: accounting, tracing, and result
@@ -915,7 +946,7 @@ func (s *System) finish(aq *activeQuery) {
 	for obj, d := range aq.results {
 		out = append(out, Result{Obj: obj, Dist: d})
 	}
-	sort.Slice(out, func(i, j int) bool { return nearer(out[i], out[j]) })
+	slices.SortFunc(out, compareResults)
 	if aq.topK > 0 && len(out) > aq.topK {
 		out = out[:aq.topK]
 	}

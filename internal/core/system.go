@@ -187,6 +187,9 @@ type System struct {
 	// (safe because a System is single-threaded and each scan's result
 	// is consumed before the next scan runs; DESIGN.md §9).
 	scanBuf []Entry
+	// refine is the batch refineLocal hands Index.Refine, reused for
+	// every batch of every scan on the same single-threaded grounds.
+	refine refineBatch
 	// transfers accounts bulk region streams against the point-wise
 	// republication they replaced (internal/core/transfer.go).
 	transfers TransferStats
@@ -318,6 +321,8 @@ func (s *System) Nodes() []*IndexNode {
 
 // DeployIndex registers an index scheme on the platform. Multiple
 // schemes can coexist; each is rotated by its partitioner's offset.
+// The system keeps a copy of ix, whose Refine is a loop over Dist when
+// ix has none.
 func (s *System) DeployIndex(ix *Index) error {
 	if err := ix.validate(); err != nil {
 		return err
@@ -325,7 +330,11 @@ func (s *System) DeployIndex(ix *Index) error {
 	if _, dup := s.index[ix.Name]; dup {
 		return fmt.Errorf("core: index %q already deployed", ix.Name)
 	}
-	s.index[ix.Name] = ix
+	own := *ix
+	if own.Refine == nil {
+		own.Refine = distRefiner(own.Dist)
+	}
+	s.index[ix.Name] = &own
 	return nil
 }
 

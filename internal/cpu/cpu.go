@@ -15,9 +15,10 @@ func AVX512() bool { return avx512 }
 
 // setVector turns every vector kernel on, where the CPU has them, or
 // off, and returns whether they were on, so that a test runs the
-// portable loops on any CPU. netrt's TestPortableKernels reaches it
-// through go:linkname to run a node's answers with both kernels off:
-// renaming it breaks that test's link.
+// portable loops on any CPU. netrt's TestPortableKernels and the root
+// package's TestEuclideanBatchRefinePortable reach it through
+// go:linkname to run answers with both kernels off: renaming it breaks
+// those tests' link.
 func setVector(on bool) (was bool) {
 	was, avx512 = avx512, on && hasAVX512()
 	return was

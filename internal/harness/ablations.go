@@ -41,6 +41,9 @@ func AblationRotation(scale Scale, numIndexes int) ([]RotationResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every scheme indexes the same vectors under L2: one slab serves
+	// them all.
+	slab := metric.NewL2Slab(w.Space, w.Data)
 	var out []RotationResult
 	for _, rotate := range []bool{false, true} {
 		eng := sim.NewEngine(scale.Seed)
@@ -88,6 +91,9 @@ func AblationRotation(scale Scale, numIndexes int) ([]RotationResult, error) {
 				Dist: func(p any, o core.ObjectID) float64 {
 					return metric.L2(p.(metric.Vector), data[o])
 				},
+			}
+			if slab != nil {
+				ix.Refine = slab.Refine
 			}
 			if err := sys.DeployIndex(ix); err != nil {
 				return nil, err

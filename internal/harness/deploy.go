@@ -162,6 +162,9 @@ func Deploy[T any](spec DeploySpec[T]) (*Deployment[T], error) {
 			return dist(payload.(T), data[obj])
 		},
 	}
+	if slab := metric.NewL2Slab(spec.Space, data); slab != nil {
+		ix.Refine = slab.Refine
+	}
 	if err := sys.DeployIndex(ix); err != nil {
 		return nil, err
 	}
