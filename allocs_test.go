@@ -6,11 +6,11 @@ import (
 )
 
 // searchAllocsCeiling bounds the heap allocations of one range search
-// through the public facade on the simulated runtime. Measured 48–49
-// per search; the ceiling leaves the 20 % headroom a changed Go
-// runtime or a one-off extra buffer needs, and still fails when a hot
+// through the public facade on the simulated runtime. Measured 34 per
+// search on go1.24 since query and result messages are one record each
+// (46 before); the ceiling is that + 10 %, and still fails when a hot
 // path starts allocating per message or per candidate.
-const searchAllocsCeiling = 58
+const searchAllocsCeiling = 38
 
 // TestSearchAllocsCeiling pins the allocation cost of the end-to-end
 // search path: 64 nodes, 4000 8-d points, 5 landmarks, radius 10,
@@ -45,12 +45,14 @@ func TestSearchAllocsCeiling(t *testing.T) {
 
 // wideSearchAllocsCeiling bounds the allocations of one search at the
 // shape of the benchmark's sim-search workload, where a query is ≈ 290
-// messages and ≈ 100 local scans: measured 1303 per search, + 10 %
-// (1305 since the search waits through simrt's Await).
+// messages and ≈ 100 local scans: measured 512 per search on go1.24,
+// + 10 %. A query or result message is one record and a routing split
+// allocates no slice of regions; this read 1300 while a message was a
+// unit list and two closures, and 4295 while surrogate refinement
+// cloned the cube for every zero bit of the node's id.
 // TestSearchAllocsCeiling's query sends a handful of messages and
-// cannot see per-message work; this one read 4295 while surrogate
-// refinement cloned the cube for every zero bit of the node's id.
-const wideSearchAllocsCeiling = 1433
+// cannot see per-message work.
+const wideSearchAllocsCeiling = 564
 
 // wideSearchFixture is sim-search's shape (bench/run.go): 256 nodes,
 // 20 000 uniform 8-d objects in [0, 1)⁸, 6 landmarks, radius-0.4 queries

@@ -36,6 +36,7 @@ var sensitiveCalls = map[string]bool{
 	"ScheduleAt":    true,
 	"AfterFunc":     true,
 	"SendOrFail":    true,
+	"SendRecord":    true,
 	"FindSuccessor": true,
 	"BulkLoad":      true,
 	"Publish":       true,

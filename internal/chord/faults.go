@@ -17,7 +17,7 @@ import (
 //
 //   - message loss: each message of kind k is dropped with probability
 //     drop[k] (the sender is NOT told synchronously; the loss surfaces
-//     at the would-be delivery time through SendOrFail's failed
+//     at the would-be delivery time through the sender's loss
 //     callback, mimicking a timeout-detectable loss),
 //   - latency faults: a uniform jitter up to Jitter per message, plus
 //     rare spikes of SpikeDelay with probability SpikeProb (a slow or

@@ -274,18 +274,60 @@ func (n *Network) Send(from *Node, to ID, kind MsgKind, bytes int, deliver func(
 // SendOrFail is Send with an explicit loss callback: failed runs (at
 // send time or at the would-be delivery time) when the destination is
 // unknown, either endpoint crashes while the message is in flight, or
-// the network's FaultPlan drops the message. It is the one send path:
-// traffic accounting, fault injection, and handoff to the transport
-// with the pooled inflight record as the prebound delivery argument.
+// the network's FaultPlan drops the message.
 func (n *Network) SendOrFail(from *Node, to ID, kind MsgKind, bytes int, deliver func(dst *Node), failed func()) {
+	n.send(from, to, kind, bytes, handler{deliver: deliver, failed: failed})
+}
+
+// SendRecord is SendOrFail without closures: the message is the record
+// arg, delivered by recv(dst, arg) or lost through lost(arg) (nil: a
+// loss goes unreported) under exactly SendOrFail's rules. recv and lost
+// are meant to be package-level functions, so a send allocates nothing
+// beyond the record the caller already built.
+func (n *Network) SendRecord(from *Node, to ID, kind MsgKind, bytes int, recv func(dst *Node, arg any), lost func(arg any), arg any) {
+	n.send(from, to, kind, bytes, handler{recv: recv, lost: lost, arg: arg})
+}
+
+// handler is what a message runs on arrival or on loss: a closure pair
+// (SendOrFail) or a record and its package-level functions (SendRecord).
+type handler struct {
+	deliver func(dst *Node)
+	failed  func()
+	recv    func(dst *Node, arg any)
+	lost    func(arg any)
+	arg     any
+}
+
+func (h handler) arrive(dst *Node) {
+	if h.deliver != nil {
+		h.deliver(dst)
+		return
+	}
+	h.recv(dst, h.arg)
+}
+
+// canFail reports whether the handler has a loss callback to run.
+func (h handler) canFail() bool { return h.failed != nil || h.lost != nil }
+
+func (h handler) fail() {
+	switch {
+	case h.failed != nil:
+		h.failed()
+	case h.lost != nil:
+		h.lost(h.arg)
+	}
+}
+
+// send is the one send path of both forms: traffic accounting, fault
+// injection, and handoff to the transport with the pooled inflight
+// record as the prebound delivery argument.
+func (n *Network) send(from *Node, to ID, kind MsgKind, bytes int, h handler) {
 	n.traffic.Add(kind, bytes)
 	dst, ok := n.nodes[to]
 	if !ok {
 		// Destination unknown at send time: the message is charged and
 		// lost.
-		if failed != nil {
-			failed()
-		}
+		h.fail()
 		return
 	}
 	delay := n.model.Latency(from.host, dst.host)
@@ -294,26 +336,27 @@ func (n *Network) SendOrFail(from *Node, to ID, kind MsgKind, bytes int, deliver
 			// The loss surfaces at the would-be delivery time (not
 			// synchronously): a sender can only learn of it the way a
 			// real one would, by timeout — or, in the fire-and-forget
-			// accounting mode, through the failed callback.
-			if failed != nil {
-				n.rt.Schedule(delay, failed)
+			// accounting mode, through the loss callback.
+			if h.canFail() {
+				n.rt.Schedule(delay, func() { h.fail() })
 			}
 			return
 		}
 		delay += f.extraDelay(n.rt.Rand())
 	}
 	m := n.acquireInflight()
-	m.net, m.from, m.to, m.deliver, m.failed = n, from, to, deliver, failed
+	m.net, m.from, m.to, m.h = n, from, to, h
 	n.tr.Send(uint64(to), delay, runInflight, m)
 	if f := n.cfg.Faults; f != nil && f.duplicated(n.rt.Rand(), kind) {
 		// A spurious retransmission: the copy is charged like any other
 		// message and arrives after twice the original's delay, on its
-		// own pooled record. Its failed callback is nil — losing a
+		// own pooled record. It carries no loss callback — losing a
 		// duplicate means nothing, and firing the real one twice would
 		// double-account the loss.
 		n.traffic.Add(kind, bytes)
 		d := n.acquireInflight()
-		d.net, d.from, d.to, d.deliver, d.failed = n, from, to, deliver, nil
+		d.net, d.from, d.to, d.h = n, from, to, h
+		d.h.failed, d.h.lost = nil, nil
 		n.tr.Send(uint64(to), 2*delay, runInflight, d)
 	}
 }
@@ -322,11 +365,10 @@ func (n *Network) SendOrFail(from *Node, to ID, kind MsgKind, bytes int, deliver
 // the delivery event, pooled on the Network so the hot send path does
 // not allocate a closure per message.
 type inflight struct {
-	net     *Network
-	from    *Node
-	to      ID
-	deliver func(dst *Node)
-	failed  func()
+	net  *Network
+	from *Node
+	to   ID
+	h    handler
 }
 
 // runInflight is the prebound delivery callback passed to
@@ -334,30 +376,26 @@ type inflight struct {
 // the call site).
 func runInflight(arg any) { arg.(*inflight).run() }
 
-// run performs the delivery-time liveness checks of SendOrFail and then
+// run performs the delivery-time liveness checks of send and then
 // recycles the record. Fields are copied out and the record is returned
 // to the pool before any callback runs, because callbacks routinely
 // send further messages.
 func (m *inflight) run() {
-	n, from, to, deliver, failed := m.net, m.from, m.to, m.deliver, m.failed
-	m.net, m.from, m.deliver, m.failed = nil, nil, nil, nil
+	n, from, to, h := m.net, m.from, m.to, m.h
+	m.net, m.from, m.h = nil, nil, handler{}
 	n.pool = append(n.pool, m)
 	if from.crashed {
 		// The sender's process died while the message was in flight
 		// (CrashNode semantics); the message dies with it.
-		if failed != nil {
-			failed()
-		}
+		h.fail()
 		return
 	}
 	cur, ok := n.nodes[to]
 	if !ok || !cur.alive {
-		if failed != nil {
-			failed()
-		}
+		h.fail()
 		return // destination departed in flight
 	}
-	deliver(cur)
+	h.arrive(cur)
 }
 
 // acquireInflight pops a recycled record or allocates a fresh one.

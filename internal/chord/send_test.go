@@ -1,0 +1,131 @@
+package chord
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+)
+
+// sendForms are the two ways to send one message: SendOrFail's closures
+// and SendRecord's record with package-level handlers. Each test message
+// is identified by its arg, an *int.
+var sendForms = []struct {
+	name string
+	send func(net *Network, from *Node, to ID, kind MsgKind, bytes int, arg *int)
+}{
+	{"closures", func(net *Network, from *Node, to ID, kind MsgKind, bytes int, arg *int) {
+		net.SendOrFail(from, to, kind, bytes,
+			func(dst *Node) { recvLog(dst, arg) }, func() { lostLog(arg) })
+	}},
+	{"record", func(net *Network, from *Node, to ID, kind MsgKind, bytes int, arg *int) {
+		net.SendRecord(from, to, kind, bytes, recvLog, lostLog, arg)
+	}},
+}
+
+// sendLog is what recvLog and lostLog saw, in order.
+var sendLog []string
+
+func recvLog(dst *Node, arg any) {
+	sendLog = append(sendLog, fmt.Sprintf("recv %d at %#x", *arg.(*int), dst.ID()))
+}
+
+func lostLog(arg any) { sendLog = append(sendLog, fmt.Sprintf("lost %d", *arg.(*int))) }
+
+// TestSendFormsAgree runs SendOrFail and SendRecord through the same
+// scenarios — loss, duplication, a sender crashed in flight, a
+// destination gone at send time and at delivery — and holds them to the
+// same deliveries and losses, in the same order, and the same traffic
+// and fault counters. A duplicate's copy never reports a loss: with
+// every message doubled, a destination gone in flight is one loss per
+// message.
+func TestSendFormsAgree(t *testing.T) {
+	const msgs = 200
+	cases := []struct {
+		name   string
+		faults func() *FaultPlan
+		// before runs once the messages are sent, before the engine.
+		before func(t *testing.T, net *Network, nodes []*Node)
+		// to picks message i's destination; the default is nodes[1].
+		to         func(nodes []*Node, i int) ID
+		recv, lost int
+	}{
+		{name: "delivered", recv: msgs},
+		{name: "dropped", faults: func() *FaultPlan { return NewFaultPlan().Drop(KindQuery, 1) }, lost: msgs},
+		{name: "duplicated", faults: func() *FaultPlan { return NewFaultPlan().Duplicate(1) }, recv: 2 * msgs},
+		{name: "lossy", faults: func() *FaultPlan { return NewFaultPlan().DropAll(0.3).Duplicate(0.5) }, recv: -1, lost: -1},
+		{name: "sender crashed", lost: msgs, before: func(t *testing.T, net *Network, nodes []*Node) {
+			if err := net.CrashNode(nodes[0].ID()); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "gone at send", lost: msgs, to: func(nodes []*Node, i int) ID { return nodes[1].ID() + 1 }},
+		{name: "gone at delivery", lost: msgs, before: func(t *testing.T, net *Network, nodes []*Node) {
+			if err := net.RemoveNode(nodes[1].ID()); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "duplicated, gone at delivery", faults: func() *FaultPlan { return NewFaultPlan().Duplicate(1) }, lost: msgs,
+			before: func(t *testing.T, net *Network, nodes []*Node) {
+				if err := net.RemoveNode(nodes[1].ID()); err != nil {
+					t.Fatal(err)
+				}
+			}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			type outcome struct {
+				log        []string
+				traffic    Traffic
+				dropped    [numKinds]int64
+				duplicated int64
+			}
+			var got []outcome
+			for _, form := range sendForms {
+				cfg := DefaultConfig()
+				if c.faults != nil {
+					cfg.Faults = c.faults()
+				}
+				eng, net, nodes := newTestNet(t, 8, cfg)
+				net.BuildAllTables()
+				sendLog = nil
+				for i := 0; i < msgs; i++ {
+					to := nodes[1].ID()
+					if c.to != nil {
+						to = c.to(nodes, i)
+					}
+					form.send(net, nodes[0], to, KindQuery, 10+i, &i)
+				}
+				if c.before != nil {
+					c.before(t, net, nodes)
+				}
+				eng.Run()
+				o := outcome{log: sendLog, traffic: net.Traffic()}
+				if cfg.Faults != nil {
+					o.dropped, o.duplicated = cfg.Faults.Dropped, cfg.Faults.Duplicated
+				}
+				recv, lost := 0, 0
+				for _, l := range o.log {
+					if l[0] == 'r' {
+						recv++
+					} else {
+						lost++
+					}
+				}
+				if c.recv >= 0 && recv != c.recv || c.lost >= 0 && lost != c.lost {
+					t.Errorf("%s: %d received, %d lost; want %d, %d", form.name, recv, lost, c.recv, c.lost)
+				}
+				if c.recv < 0 && (recv == 0 || lost == 0) {
+					t.Errorf("%s: %d received, %d lost; want some of each", form.name, recv, lost)
+				}
+				got = append(got, o)
+			}
+			a, b := got[0], got[1]
+			if !slices.Equal(a.log, b.log) {
+				t.Errorf("deliveries and losses differ:\n%s: %v\n%s: %v", sendForms[0].name, a.log, sendForms[1].name, b.log)
+			}
+			if a.traffic != b.traffic || a.dropped != b.dropped || a.duplicated != b.duplicated {
+				t.Errorf("accounting differs: %+v vs %+v", a, b)
+			}
+		})
+	}
+}

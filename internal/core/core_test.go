@@ -629,9 +629,9 @@ func TestRefineLocalCutIgnoresScanOrder(t *testing.T) {
 	want := []Result{{Obj: 2, Dist: 0.25}, {Obj: 1, Dist: 0.5}, {Obj: 3, Dist: 0.5}}
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
-		var cands []Entry
+		var cands []int32
 		for _, obj := range rng.Perm(len(dist)) {
-			cands = append(cands, Entry{Obj: ObjectID(obj + 1)})
+			cands = append(cands, int32(obj+1))
 		}
 		if got := refineLocal(aq, cands, new(refineBatch)); !slices.Equal(got, want) {
 			t.Fatalf("candidates %v: cut to %v, want %v", cands, got, want)

@@ -20,16 +20,17 @@ import (
 // transfer chunks cut from them — reads these two and nothing else, so
 // that order is a function of the mutations alone.
 //
-// pts, order, boxes and body are the scan index, derived from the two and
-// never the other way round. Row i of the index is entry order[i], its
-// index point copied to pts[i*k : (i+1)*k]: one contiguous column, owned
-// by the region (no Entry's Point aliases it), so a scan streams memory
-// and touches an Entry only on a hit. Rows [0, body) are in ascending
-// ring-key order, equal keys in storage order. A ring key is its point's
-// path down the k-d partition, so neighbours in that order are neighbours
-// in the index space, and every leafRows consecutive rows lie under one
-// axis-aligned box — k minima, then k maxima — in boxes: a scan tests the
-// box first and the rows only if the box meets the cube. The keys decide
+// pts, objs, order, boxes and body are the scan index, derived from the
+// two and never the other way round. Row i of the index is entry
+// order[i], its index point copied to pts[i*k : (i+1)*k] and its object
+// id to objs[i]: columns owned by the region (no Entry's Point aliases
+// them), so a scan streams memory and ScanIDs touches no Entry at all.
+// Rows [0, body) are in ascending ring-key order, equal keys in storage
+// order. A ring key is its point's path down the k-d partition, so
+// neighbours in that order are neighbours in the index space, and every
+// leafRows consecutive rows lie under one axis-aligned box — k minima,
+// then k maxima — in boxes: a scan tests the box first and the rows only
+// if the box meets the cube. The keys decide
 // how tight a box is, not whether it is right: a box bounds its own rows
 // whatever order put them there, so the region needs no partitioner.
 // Rows [body, len(order)) are the tail: entries appended since the body
@@ -47,9 +48,14 @@ type region struct {
 	k       int // point length of the index, set by the first entry of an empty region
 
 	pts   []float64
+	objs  []int32
 	order []int32
 	boxes []float64
 	body  int
+
+	// rows is Scan's scratch: the rows of one scan, mapped to entries
+	// before Scan returns.
+	rows []int32
 
 	// boxTests and rowTests count the boxes and the rows scans have
 	// compared with a cube, added up once per leaf, not per row
@@ -111,16 +117,16 @@ func (s *region) add(index string, keys []lph.Key, entries []Entry) error {
 func (s *region) truncate(n int) {
 	s.keys = s.keys[:n]
 	s.entries = s.entries[:n]
-	s.pts, s.order, s.body = s.pts[:0], s.order[:0], 0
+	s.pts, s.objs, s.order, s.body = s.pts[:0], s.objs[:0], s.order[:0], 0
 }
 
 func (s *region) size() int { return len(s.entries) }
 
 // index gives every entry a row: the entries without one join the tail,
 // and a tail grown past its share of the body is sorted into it — one
-// sort of the row → entry map, the column refilled in that order from the
-// entries' own points, the boxes recomputed, all in the buffers the
-// region already has.
+// sort of the row → entry map, the columns refilled in that order from
+// the entries' own points and ids, the boxes recomputed, all in the
+// buffers the region already has.
 func (s *region) index() {
 	n, k := len(s.entries), s.k
 	rows := len(s.order) // these keep their place in the column unless the tail is sorted in
@@ -140,8 +146,10 @@ func (s *region) index() {
 		s.body, rows = n, 0
 	}
 	s.pts = slices.Grow(s.pts[:rows*k], (n-rows)*k)
+	s.objs = slices.Grow(s.objs[:rows], n-rows)
 	for _, e := range s.order[rows:] {
 		s.pts = append(s.pts, s.entries[e].Point...)
+		s.objs = append(s.objs, int32(s.entries[e].Obj))
 	}
 	if !fold {
 		return
@@ -155,7 +163,7 @@ func (s *region) index() {
 		copy(maxs, rows)
 		for p := rows; len(p) > 0; p = p[k:] {
 			for j, x := range p[:k] {
-				// min and max keep a NaN, and scanAppend's comparisons
+				// min and max keep a NaN, and scanRows' comparisons
 				// pass over nothing on a NaN bound.
 				mins[j], maxs[j] = min(mins[j], x), max(maxs[j], x)
 			}
@@ -163,16 +171,16 @@ func (s *region) index() {
 	}
 }
 
-// scanAppend appends the entries whose index points fall inside the
-// cube to buf and returns it (the zero-allocation hot path once the
-// index is built). The test is Region.Contains' — same length, every
-// coordinate in its closed interval — read from the column by
-// query.Box.Mask, and made only under the boxes that meet the cube. A
-// box is passed over when its rows all lie beyond one of the cube's
-// bounds; written as the two comparisons that say so, a NaN or an
-// inverted bound passes nothing over, and the row test decides as
-// Contains would.
-func (s *region) scanAppend(cube []lph.Bounds, buf []Entry) []Entry {
+// scanRows appends the rows whose index points fall inside the cube to
+// buf and returns it (the zero-allocation hot path once the index is
+// built); Scan and ScanIDs map them to entries and to ids. The test is
+// Region.Contains' — same length, every coordinate in its closed
+// interval — read from the column by query.Box.Mask, and made only under
+// the boxes that meet the cube. A box is passed over when its rows all
+// lie beyond one of the cube's bounds; written as the two comparisons
+// that say so, a NaN or an inverted bound passes nothing over, and the
+// row test decides as Contains would.
+func (s *region) scanRows(cube []lph.Bounds, buf []int32) []int32 {
 	k := s.k
 	if len(cube) != k {
 		return buf
@@ -201,12 +209,12 @@ leaf:
 }
 
 // appendMatches row-tests rows [lo, hi) of the column against the cube
-// laid out in in, 64 rows a call.
-func (s *region) appendMatches(in *query.Box, lo, hi int, buf []Entry) []Entry {
+// laid out in in, 64 rows a call, and appends the rows that pass.
+func (s *region) appendMatches(in *query.Box, lo, hi int, buf []int32) []int32 {
 	for ; lo < hi; lo += 64 {
 		n := min(hi-lo, 64)
 		for m := in.Mask(s.pts[lo*s.k:(lo+n)*s.k], n); m != 0; m &= m - 1 {
-			buf = append(buf, s.entries[s.order[lo+bits.TrailingZeros64(m)]])
+			buf = append(buf, int32(lo+bits.TrailingZeros64(m)))
 		}
 	}
 	return buf
@@ -304,7 +312,25 @@ func (m *MemStore) Scan(index string, r query.Region, buf []Entry) []Entry {
 	if !ok {
 		return buf
 	}
-	return st.scanAppend(r.Cube, buf)
+	st.rows = st.scanRows(r.Cube, st.rows[:0])
+	for _, row := range st.rows {
+		buf = append(buf, st.entries[st.order[row]])
+	}
+	return buf
+}
+
+// ScanIDs implements Store.
+func (m *MemStore) ScanIDs(index string, r query.Region, buf []int32) []int32 {
+	st, ok := m.regions[index]
+	if !ok {
+		return buf
+	}
+	n := len(buf)
+	buf = st.scanRows(r.Cube, buf)
+	for i, row := range buf[n:] {
+		buf[n+i] = st.objs[row]
+	}
+	return buf
 }
 
 // Size implements Store.

@@ -62,11 +62,29 @@ func checkScan(t *testing.T, st Store, index string, cube []lph.Bounds, after st
 	}
 }
 
+// checkScanIDs holds one ScanIDs to the ids of Scan's entries, in Scan's
+// order.
+func checkScanIDs(t *testing.T, st Store, index string, cube []lph.Bounds, after string) {
+	t.Helper()
+	r := query.Region{Cube: cube}
+	var want []int32
+	for _, e := range st.Scan(index, r, nil) {
+		want = append(want, int32(e.Obj))
+	}
+	got := st.ScanIDs(index, r, []int32{-1})
+	if len(got) < 1 || got[0] != -1 {
+		t.Fatalf("after %s: ScanIDs(%q) did not append to its buffer", after, index)
+	}
+	if !slices.Equal(got[1:], want) {
+		t.Fatalf("after %s: ScanIDs(%q, %v) = %v, Scan's entries are %v", after, index, cube, got[1:], want)
+	}
+}
+
 // oddFloats are the values a comparison treats unlike the rest.
 var oddFloats = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
 
-// checkScans compares Scan with the reference on every index of the
-// store: random cubes, the whole space, a zero-width cube on a stored
+// checkScans compares Scan with the reference, and ScanIDs with Scan,
+// on every index of the store: random cubes, the whole space, a zero-width cube on a stored
 // point, a cube of another length than the index's points, and cubes
 // with inverted, infinite and NaN bounds.
 func checkScans(t *testing.T, st Store, names []string, dims map[string]int, rng *rand.Rand, after string) {
@@ -118,6 +136,7 @@ func checkScans(t *testing.T, st Store, names []string, dims map[string]int, rng
 		})
 		for _, c := range cubes {
 			checkScan(t, st, index, c, after)
+			checkScanIDs(t, st, index, c, after)
 		}
 	}
 }
@@ -320,10 +339,10 @@ var (
 	interleaveNames = []string{"none", "one", "six", "three"}
 )
 
-// TestScanMatchesContains holds Scan to Region.Contains over View after
-// every step of both stores' interleavings: the scan index has to follow
-// the entries through every mutator, and its boxes may pass over no row
-// that Contains accepts, whatever the floats.
+// TestScanMatchesContains holds Scan to Region.Contains over View, and
+// ScanIDs to Scan, after every step of both stores' interleavings: the
+// scan index has to follow the entries through every mutator, and its
+// boxes may pass over no row that Contains accepts, whatever the floats.
 func TestScanMatchesContains(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(9))
@@ -521,6 +540,10 @@ func TestScanSteadyStateAllocs(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(100, func() { buf = st.Scan("ix", r, buf[:0]) }); allocs != 0 {
 			t.Fatalf("durable=%v: %.0f allocations per scan into a buffer with room", durable, allocs)
+		}
+		ids := make([]int32, 0, len(buf))
+		if allocs := testing.AllocsPerRun(100, func() { ids = st.ScanIDs("ix", r, ids[:0]) }); allocs != 0 {
+			t.Fatalf("durable=%v: %.0f allocations per ScanIDs into a buffer with room", durable, allocs)
 		}
 		if err := st.Close(); err != nil {
 			t.Fatal(err)

@@ -13,14 +13,15 @@ import (
 // refineReference is refineLocal as one Dist call per candidate: the
 // hits of a range query (dist <= r) or every candidate of a top-k one,
 // in candidate order, cut to the k nearest by finish's total order.
-func refineReference(aq *activeQuery, cands []Entry) []Result {
+func refineReference(aq *activeQuery, cands []int32) []Result {
 	var local []Result
-	for _, e := range cands {
-		d := aq.ix.Dist(aq.payload, e.Obj)
+	for _, id := range cands {
+		obj := ObjectID(id)
+		d := aq.ix.Dist(aq.payload, obj)
 		if aq.topK == 0 && !(d <= aq.r) {
 			continue
 		}
-		local = append(local, Result{Obj: e.Obj, Dist: d})
+		local = append(local, Result{Obj: obj, Dist: d})
 	}
 	if aq.topK > 0 && len(local) > aq.topK {
 		sort.Slice(local, func(i, j int) bool { return nearer(local[i], local[j]) })
@@ -65,9 +66,9 @@ func TestRefineLocalMatchesDist(t *testing.T) {
 		name, ix := c.name, &Index{Dist: dist, Refine: c.refine}
 		b := new(refineBatch)
 		for _, ncands := range []int{0, 1, 63, 64, 65, 128, 200, 611} {
-			cands := make([]Entry, ncands)
+			cands := make([]int32, ncands)
 			for i := range cands {
-				cands[i] = Entry{Obj: ObjectID(rng.Intn(n))}
+				cands[i] = int32(rng.Intn(n))
 			}
 			q := make(metric.Vector, dim)
 			for j := range q {

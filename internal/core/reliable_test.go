@@ -302,3 +302,64 @@ func TestFaultInjectionDeterministic(t *testing.T) {
 		t.Fatalf("same-seed fault runs diverged:\n--- run A ---\n%s--- run B ---\n%s", a, b)
 	}
 }
+
+// TestDuplicatedMessagesSettleOnce sends every query and ack message
+// twice. A copy is the same message record, so it finds its units
+// delivered and does nothing: each unit's token is settled exactly once,
+// and every query reads as it does without duplicates — the same
+// results, candidates, result messages, hops and index nodes — in the
+// fire-and-forget, wire, retry and hedged modes.
+func TestDuplicatedMessagesSettleOnce(t *testing.T) {
+	modes := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"fire-and-forget", func(*Config) {}},
+		{"wire", func(c *Config) { c.EncodeWire = true }},
+		{"retry", func(c *Config) { c.Retry = RetryConfig{MaxRetries: 3} }},
+		{"hedge", func(c *Config) {
+			c.Hedge = HedgeConfig{Delay: 150 * time.Millisecond}
+			c.Deadline = time.Minute
+		}},
+	}
+	for _, mode := range modes {
+		t.Run(mode.name, func(t *testing.T) {
+			var runs [2][]string
+			for i, dup := range []float64{0, 1} {
+				cfg := DefaultConfig()
+				mode.set(&cfg)
+				if dup > 0 {
+					cfg.Chord.Faults = chord.NewFaultPlan().Duplicate(dup)
+				}
+				f := buildFixtureCfg(t, 32, 2000, 3, false, cfg)
+				f.sys.index["test-l2"].MaxDist = 200
+				rng := rand.New(rand.NewSource(5))
+				for trial := 0; trial < 20; trial++ {
+					q := f.data[rng.Intn(len(f.data))].Clone()
+					q[0] += rng.NormFloat64()
+					r := 2 + rng.Float64()*12
+					qr := f.runRange(t, rng.Intn(32), q, r, QueryOpts{})
+					if !qr.Complete {
+						t.Fatalf("dup %v, trial %d: incomplete (%d dropped)", dup, trial, qr.DroppedSubqueries)
+					}
+					if mode.name != "wire" {
+						if got, want := resultSet(qr), f.bruteRange(q, r); len(got) != len(want) {
+							t.Fatalf("dup %v, trial %d: %d results, want %d", dup, trial, len(got), len(want))
+						}
+					}
+					st := qr.Stats
+					runs[i] = append(runs[i], fmt.Sprintf("%v cands=%d rmsgs=%d qmsgs=%d hops=%d nodes=%d hedges=%d",
+						qr.Results, st.Candidates, st.ResultMsgs, st.QueryMsgs, st.Hops, st.IndexNodes, st.Hedges))
+				}
+				if dup > 0 && cfg.Chord.Faults.Duplicated == 0 {
+					t.Fatal("the fault plan duplicated nothing")
+				}
+			}
+			for trial := range runs[0] {
+				if runs[0][trial] != runs[1][trial] {
+					t.Fatalf("trial %d:\nwithout duplicates %s\nwith duplicates    %s", trial, runs[0][trial], runs[1][trial])
+				}
+			}
+		})
+	}
+}

@@ -53,11 +53,14 @@ type activeQuery struct {
 // pendingRegion pairs a subquery region with its settlement token.
 // chains counts the independent delivery attempts able to answer it:
 // 1 for the original shipment, +1 per hedge. A loss only settles the
-// token as dropped when its last chain dies.
+// token as dropped when its last chain dies. hop, when routed is set, is
+// the next hop routeAt already chose for the region's prefix key.
 type pendingRegion struct {
 	tok    int
 	reg    query.Region
 	chains int
+	hop    chord.ID
+	routed bool
 }
 
 // tracking reports whether outstanding regions are tracked (a deadline
@@ -281,32 +284,37 @@ func (s *System) routeAt(n *IndexNode, aq *activeQuery, q query.Region, hops int
 	}
 	aq.trace.add(TraceEvent{At: s.rt.Now(), Node: n.node.ID(), Action: TraceRoute,
 		PreKey: q.PreKey, PreLen: q.PreLen, Hops: hops})
-	var list []pendingRegion
-	if q.PreLen == lph.M {
-		list = []pendingRegion{{tok: tok, reg: q}}
-	} else {
-		subs := query.Split(s.ix(aq).Part, q, q.PreLen+1)
-		if len(subs) == 1 {
-			// The query lies in one half: forward the refined query
-			// (equivalent to forwarding q; the prefix is just longer).
-			aq.moveToken(tok, subs[0])
-			list = []pendingRegion{{tok: tok, reg: subs[0]}}
+	list := [2]pendingRegion{{tok: tok, reg: q}}
+	nl := 1
+	var subs [2]query.Region
+	switch {
+	case q.PreLen == lph.M:
+		// One key: nothing left to split.
+	case query.SplitInto(&subs, aq.ix.Part, q, q.PreLen+1) == 1:
+		// The query lies in one half: forward the refined query
+		// (equivalent to forwarding q; the prefix is just longer).
+		aq.moveToken(tok, subs[0])
+		list[0].reg = subs[0]
+	default:
+		n1 := n.node.NextHop(s.ring(aq, subs[0].PreKey))
+		n2 := n.node.NextHop(s.ring(aq, subs[1].PreKey))
+		if n1 == n2 {
+			// Both halves share the next hop: ship the whole query
+			// onward as one unit (lowest-common-ancestor routing). The
+			// lower half keeps q's prefix, so n2 is the whole query's hop.
+			list[0].hop, list[0].routed = n2, true
 		} else {
-			n1 := n.node.NextHop(s.ring(aq, subs[0].PreKey))
-			n2 := n.node.NextHop(s.ring(aq, subs[1].PreKey))
-			if n1 == n2 {
-				// Both halves share the next hop: ship the whole query
-				// onward as one unit (lowest-common-ancestor routing).
-				list = []pendingRegion{{tok: tok, reg: q}}
-			} else {
-				// One region became two.
-				aq.moveToken(tok, subs[0])
-				tok2 := aq.newToken(subs[1])
-				list = []pendingRegion{{tok: tok, reg: subs[0]}, {tok: tok2, reg: subs[1]}}
+			// One region became two.
+			aq.moveToken(tok, subs[0])
+			tok2 := aq.newToken(subs[1])
+			list = [2]pendingRegion{
+				{tok: tok, reg: subs[0], hop: n1, routed: true},
+				{tok: tok2, reg: subs[1], hop: n2, routed: true},
 			}
+			nl = 2
 		}
 	}
-	s.dispatch(n, aq, list, hops)
+	s.dispatch(n, aq, list[:nl], hops)
 }
 
 // sqUnit tracks one subquery region across delivery attempts. The
@@ -319,6 +327,55 @@ type sqUnit struct {
 	delivered bool
 }
 
+// queryMsg is one query message: the subquery units it carries and all
+// its receiver needs, sent as one record to recvQuery (or lostQuery).
+// routeAt ships at most two regions per hop, so a message carries at
+// most two units: the record holds the ones it ships first inline, in
+// own, and points at them from units. A retransmission's units point
+// into the original message's own instead, so every attempt at a region
+// shares one delivered flag; a hedge owns fresh copies (hedgeFire).
+type queryMsg struct {
+	from      *IndexNode
+	aq        *activeQuery
+	dest      chord.ID
+	surrogate bool
+	hops      int
+	attempt   int
+	hedge     bool
+	own       [2]sqUnit
+	units     [2]*sqUnit
+	nunits    int
+	// payload is the message's wire encoding (Config.EncodeWire).
+	payload []byte
+	// timer is the retransmission timer (Config.Retry).
+	timer runtime.Timer
+}
+
+// add appends a fresh unit, owned by the message.
+func (m *queryMsg) add(reg query.Region, tok int) {
+	m.own[m.nunits] = sqUnit{reg: reg, tok: tok}
+	m.units[m.nunits] = &m.own[m.nunits]
+	m.nunits++
+}
+
+// carry appends a unit owned elsewhere (a retransmission's).
+func (m *queryMsg) carry(u *sqUnit) {
+	m.units[m.nunits] = u
+	m.nunits++
+}
+
+func (m *queryMsg) live() []*sqUnit { return m.units[:m.nunits] }
+
+// dropUndelivered gives up every unit no copy has delivered yet.
+func (m *queryMsg) dropUndelivered() {
+	for _, u := range m.live() {
+		if !u.delivered {
+			u.delivered = true
+			m.from.sys.dropSubquery(m.aq, u.reg, u.tok)
+		}
+	}
+}
+
 // destKey identifies one dispatch destination and the mode the query
 // is delivered in there (routing vs. surrogate refinement).
 type destKey struct {
@@ -326,20 +383,43 @@ type destKey struct {
 	surrogate bool
 }
 
+// outbox collects the query messages one step sends — at most two, one
+// per destination — in first-seen destination order, which keeps the
+// schedule deterministic.
+type outbox struct {
+	msgs [2]*queryMsg
+	n    int
+}
+
+// find returns the message bound for d, or nil.
+func (o *outbox) find(d destKey) *queryMsg {
+	for _, m := range o.msgs[:o.n] {
+		if m.dest == d.id && m.surrogate == d.surrogate {
+			return m
+		}
+	}
+	return nil
+}
+
+// open adds a message for a destination find did not know.
+func (o *outbox) open(m *queryMsg) *queryMsg {
+	o.msgs[o.n] = m
+	o.n++
+	return m
+}
+
+func (o *outbox) ship(s *System) {
+	for _, m := range o.msgs[:o.n] {
+		s.ship(m)
+	}
+}
+
 // dispatch groups subqueries by destination and ships each group as a
-// single query message (the byte model charges per subquery).
-//
-// routeAt dispatches at most two regions per hop, so the grouping uses
-// linear scans over fixed-size arrays instead of a map: one backing
-// sqUnit allocation for the whole list, and first-seen destination
-// order (deterministic, same as the previous map+order form).
+// single query message (the byte model charges per subquery), in
+// first-seen destination order. A region's next hop is the one routeAt
+// chose when it has one; OwnsKey still decides first.
 func (s *System) dispatch(n *IndexNode, aq *activeQuery, list []pendingRegion, hops int) {
-	arr := make([]sqUnit, 0, len(list))
-	var (
-		dests  [2]destKey
-		groups [2][]*sqUnit
-		nd     int
-	)
+	var out outbox
 	for _, sq := range list {
 		rk := s.ring(aq, sq.reg.PreKey)
 		if n.node.OwnsKey(rk) {
@@ -347,7 +427,10 @@ func (s *System) dispatch(n *IndexNode, aq *activeQuery, list []pendingRegion, h
 			s.surrogateRefine(n, aq, sq.reg, hops, sq.tok)
 			continue
 		}
-		nh := n.node.NextHop(rk)
+		nh := sq.hop
+		if !sq.routed {
+			nh = n.node.NextHop(rk)
+		}
 		var d destKey
 		if nh == n.node.ID() {
 			// We are the predecessor of the prefix key: the successor
@@ -365,27 +448,13 @@ func (s *System) dispatch(n *IndexNode, aq *activeQuery, list []pendingRegion, h
 				d = alt
 			}
 		}
-		arr = append(arr, sqUnit{reg: sq.reg, tok: sq.tok})
-		gi := -1
-		for i := 0; i < nd; i++ {
-			if dests[i] == d {
-				gi = i
-				break
-			}
+		m := out.find(d)
+		if m == nil {
+			m = out.open(&queryMsg{from: n, aq: aq, dest: d.id, surrogate: d.surrogate, hops: hops})
 		}
-		if gi < 0 {
-			if nd == len(dests) {
-				panic("core: dispatch list exceeds two destinations")
-			}
-			dests[nd] = d
-			nd++
-			gi = nd - 1
-		}
-		groups[gi] = append(groups[gi], &arr[len(arr)-1])
+		m.add(sq.reg, sq.tok)
 	}
-	for i := 0; i < nd; i++ {
-		s.ship(n, aq, dests[i].id, dests[i].surrogate, groups[i], hops, 0, false)
-	}
+	out.ship(s)
 }
 
 // suspectAlternate picks the replacement destination for a suspected-
@@ -408,41 +477,33 @@ func (s *System) suspectAlternate(aq *activeQuery, d destKey) (destKey, bool) {
 	return destKey{id: succ, surrogate: d.surrogate}, true
 }
 
-// ship transmits one query message carrying the given subquery units to
-// dest. Attempt 0 is the original transmission. With the reliability
-// layer off this is fire-and-forget: a loss surfaces through the failed
-// callback and the units are dropped. With it on, the receiver
-// acknowledges the message; if the ack does not arrive within the
-// retransmission timeout, shipTimeout re-resolves each still-undelivered
-// unit's owner and retransmits with exponential backoff. hedge marks a
-// hedged duplicate: it is traced as such and never arms its own hedge
-// timer (hedges do not cascade).
-func (s *System) ship(n *IndexNode, aq *activeQuery, dest chord.ID, surrogate bool, units []*sqUnit, hops, attempt int, hedge bool) {
-	undelivered := 0
-	for _, u := range units {
+// ship transmits one query message. Attempt 0 is the original
+// transmission. With the reliability layer off this is fire-and-forget:
+// a loss surfaces through lostQuery and the units are dropped. With it
+// on, the receiver acknowledges the message; if the ack does not arrive
+// within the retransmission timeout, shipTimeout re-resolves each
+// still-undelivered unit's owner and retransmits with exponential
+// backoff. A hedged duplicate is traced as such and never arms its own
+// hedge timer (hedges do not cascade).
+func (s *System) ship(m *queryMsg) {
+	aq, n := m.aq, m.from
+	k := 0
+	for _, u := range m.live() {
 		if !u.delivered {
-			undelivered++
+			m.units[k] = u
+			k++
 		}
 	}
-	if undelivered == 0 {
+	m.nunits = k
+	if k == 0 {
 		return
 	}
-	live := units
-	if undelivered != len(units) {
-		live = make([]*sqUnit, 0, undelivered)
-		for _, u := range units {
-			if !u.delivered {
-				live = append(live, u)
-			}
-		}
-	}
 	var bytes int
-	var payload []byte
 	if s.cfg.EncodeWire {
 		// Real binary encoding: the receiver works on the decoded
 		// (quantization-widened) cubes.
-		regions := make([]query.Region, len(live))
-		for i, u := range live {
+		regions := make([]query.Region, k)
+		for i, u := range m.live() {
 			regions[i] = u.reg
 		}
 		data, err := wire.EncodeQuery(aq.ix.Part, wire.QueryMessage{
@@ -450,128 +511,118 @@ func (s *System) ship(n *IndexNode, aq *activeQuery, dest chord.ID, surrogate bo
 			Subqueries: regions,
 		})
 		if err != nil {
-			for _, u := range live {
-				u.delivered = true
-				s.dropSubquery(aq, u.reg, u.tok)
-			}
+			m.dropUndelivered()
 			return
 		}
-		payload, bytes = data, len(data)
+		m.payload, bytes = data, len(data)
 	} else {
-		bytes = s.cfg.Msg.QueryMsgBytes(len(live), aq.ix.Part.K())
+		bytes = s.cfg.Msg.QueryMsgBytes(k, aq.ix.Part.K())
 	}
 	aq.stats.QueryMsgs++
 	aq.stats.QueryBytes += int64(bytes)
 	action := TraceForward
 	switch {
-	case hedge:
+	case m.hedge:
 		action = TraceHedge
-		s.HedgesIssued += len(live)
-		aq.stats.Hedges += len(live)
-	case attempt > 0:
+		s.HedgesIssued += k
+		aq.stats.Hedges += k
+	case m.attempt > 0:
 		action = TraceRetry
 		s.RetriesIssued++
 		aq.stats.Retries++
 	}
-	for _, u := range live {
+	for _, u := range m.live() {
 		aq.trace.add(TraceEvent{At: s.rt.Now(), Node: n.node.ID(), Action: action,
-			PreKey: u.reg.PreKey, PreLen: u.reg.PreLen, Hops: hops, Dest: dest})
+			PreKey: u.reg.PreKey, PreLen: u.reg.PreLen, Hops: m.hops, Dest: m.dest})
 	}
-	deliver := func(dst *chord.Node) {
-		in := s.nodes[dst.ID()]
-		var use []query.Region // decoded cubes; nil = use the units' own regions
-		if payload != nil {
-			decoded, err := wire.DecodeQuery(aq.ix.Part, payload)
-			if err != nil {
-				for _, u := range live {
-					if !u.delivered {
-						u.delivered = true
-						s.dropSubquery(aq, u.reg, u.tok)
-					}
-				}
-				return
-			}
-			use = decoded.Subqueries
-		}
-		for i, u := range live {
-			if u.delivered {
-				continue // duplicate of an already-processed unit
-			}
-			u.delivered = true
-			if aq.stale(u.tok) {
-				continue // settled elsewhere: a hedge won, or the deadline hit
-			}
-			if attempt > 0 {
-				s.RecoveredSubqueries++
-			}
-			reg := u.reg
-			if use != nil {
-				reg = use[i]
-			}
-			if surrogate {
-				s.surrogateRefine(in, aq, reg, hops+1, u.tok)
-			} else {
-				s.routeAt(in, aq, reg, hops+1, u.tok)
-			}
-		}
-	}
-	if attempt == 0 && !hedge && s.cfg.Hedge.Enabled() {
-		s.armHedge(n, aq, dest, live, hops)
+	if m.attempt == 0 && !m.hedge && s.cfg.Hedge.Enabled() {
+		s.armHedge(m)
 	}
 	if !s.cfg.Retry.Enabled() {
-		s.net.SendOrFail(n.node, dest, chord.KindQuery, bytes, deliver, func() {
-			for _, u := range live {
-				if !u.delivered {
-					u.delivered = true
-					s.dropSubquery(aq, u.reg, u.tok)
-				}
-			}
-		})
+		s.net.SendRecord(n.node, m.dest, chord.KindQuery, bytes, recvQuery, lostQuery, m)
 		return
 	}
-	timer := s.rt.AfterFunc(s.retryTimeout(attempt), func() {
-		s.shipTimeout(n, aq, dest, live, hops, attempt)
-	})
-	s.net.SendOrFail(n.node, dest, chord.KindQuery, bytes, func(dst *chord.Node) {
+	m.timer = s.rt.AfterFunc(s.retryTimeout(m.attempt), func() { s.shipTimeout(m) })
+	s.net.SendRecord(n.node, m.dest, chord.KindQuery, bytes, recvQuery, nil, m)
+}
+
+// recvQuery delivers a query message at dst: each unit not yet delivered
+// is routed onward or, in surrogate mode, refined.
+func recvQuery(dst *chord.Node, arg any) {
+	m := arg.(*queryMsg)
+	s, aq := m.from.sys, m.aq
+	if timer, dest := m.timer, m.dest; timer != nil {
 		// Acknowledge first (duplicates too: the sender's timer must
 		// stop either way), then process the undelivered units.
-		s.net.SendOrFail(dst, n.node.ID(), chord.KindAck, retryAckBytes, func(*chord.Node) {
+		s.net.SendOrFail(dst, m.from.node.ID(), chord.KindAck, retryAckBytes, func(*chord.Node) {
 			timer.Stop()
 			s.unsuspect(dest)
 		}, nil)
-		deliver(dst)
-	}, nil)
+	}
+	in := s.nodes[dst.ID()]
+	var use []query.Region // decoded cubes; nil = use the units' own regions
+	if m.payload != nil {
+		decoded, err := wire.DecodeQuery(aq.ix.Part, m.payload)
+		if err != nil {
+			m.dropUndelivered()
+			return
+		}
+		use = decoded.Subqueries
+	}
+	for i, u := range m.live() {
+		if u.delivered {
+			continue // duplicate of an already-processed unit
+		}
+		u.delivered = true
+		if aq.stale(u.tok) {
+			continue // settled elsewhere: a hedge won, or the deadline hit
+		}
+		if m.attempt > 0 {
+			s.RecoveredSubqueries++
+		}
+		reg := u.reg
+		if use != nil {
+			reg = use[i]
+		}
+		if m.surrogate {
+			s.surrogateRefine(in, aq, reg, m.hops+1, u.tok)
+		} else {
+			s.routeAt(in, aq, reg, m.hops+1, u.tok)
+		}
+	}
 }
 
-// armHedge schedules the hedge check for a freshly shipped group of
-// subquery units: any still outstanding after the hedge delay get a
-// duplicate shipped toward their region owner's replica.
-func (s *System) armHedge(n *IndexNode, aq *activeQuery, dest chord.ID, units []*sqUnit, hops int) {
-	if aq.stats.Hedges >= s.cfg.Hedge.MaxPerQuery {
+// lostQuery is a fire-and-forget query message's loss: its undelivered
+// units are dropped.
+func lostQuery(arg any) { arg.(*queryMsg).dropUndelivered() }
+
+// armHedge schedules the hedge check for a freshly shipped message: any
+// of its units still outstanding after the hedge delay get a duplicate
+// shipped toward their region owner's replica.
+func (s *System) armHedge(m *queryMsg) {
+	if m.aq.stats.Hedges >= s.cfg.Hedge.MaxPerQuery {
 		return
 	}
-	s.rt.AfterFunc(s.cfg.Hedge.Delay, func() {
-		s.hedgeFire(n, aq, dest, units, hops)
-	})
+	s.rt.AfterFunc(s.cfg.Hedge.Delay, func() { s.hedgeFire(m) })
 }
 
-// hedgeFire runs when a group's hedge delay elapses. Each unit whose
+// hedgeFire runs when a message's hedge delay elapses. Each unit whose
 // token is still outstanding is duplicated to the first replica of its
 // region's current owner (the owner itself when the index keeps no
 // replicas) in surrogate mode, and the original destination gains one
 // unit of suspicion. Token settlement guarantees whichever copy
 // answers first wins and the other is ignored.
-func (s *System) hedgeFire(n *IndexNode, aq *activeQuery, dest chord.ID, units []*sqUnit, hops int) {
+func (s *System) hedgeFire(orig *queryMsg) {
+	n, aq := orig.from, orig.aq
 	if aq.finished || !n.node.Alive() {
 		return
 	}
 	var (
-		groups map[chord.ID][]*sqUnit
-		order  []chord.ID // deterministic hedge-ship order
+		out    outbox
 		queued int
 	)
 	suspected := false
-	for _, u := range units {
+	for _, u := range orig.live() {
 		if !aq.stillOutstanding(u.tok) {
 			continue
 		}
@@ -580,7 +631,7 @@ func (s *System) hedgeFire(n *IndexNode, aq *activeQuery, dest chord.ID, units [
 		}
 		if !suspected {
 			suspected = true
-			s.suspect(dest)
+			s.suspect(orig.dest)
 		}
 		owner, err := s.net.SuccessorID(s.ring(aq, u.reg.PreKey))
 		if err != nil {
@@ -597,23 +648,19 @@ func (s *System) hedgeFire(n *IndexNode, aq *activeQuery, dest chord.ID, units [
 		if target == n.node.ID() {
 			continue // we are the alternate ourselves: nothing to hedge to
 		}
-		if groups == nil {
-			groups = make(map[chord.ID][]*sqUnit)
-		}
-		if _, seen := groups[target]; !seen {
-			order = append(order, target)
-		}
 		// A fresh unit: the original keeps its own delivered flag, the
 		// shared token arbitrates which copy's answer counts. The extra
 		// chain keeps a later primary-side loss from settling a token
 		// this hedge can still answer.
-		groups[target] = append(groups[target], &sqUnit{reg: u.reg, tok: u.tok})
+		m := out.find(destKey{id: target, surrogate: true})
+		if m == nil {
+			m = out.open(&queryMsg{from: n, aq: aq, dest: target, surrogate: true, hops: orig.hops, hedge: true})
+		}
+		m.add(u.reg, u.tok)
 		aq.addChain(u.tok)
 		queued++
 	}
-	for _, t := range order {
-		s.ship(n, aq, t, true, groups[t], hops, 0, true)
-	}
+	out.ship(s)
 }
 
 // shipTimeout runs when a query message's ack timer fires: any units
@@ -621,9 +668,13 @@ func (s *System) hedgeFire(n *IndexNode, aq *activeQuery, dest chord.ID, units [
 // prefix key — under ReplicateAll placement, the first live replica of
 // a crashed owner — and retransmitted, or dropped once retries are
 // exhausted (or the sender itself died).
-func (s *System) shipTimeout(n *IndexNode, aq *activeQuery, dest chord.ID, units []*sqUnit, hops, attempt int) {
-	var remaining []*sqUnit
-	for _, u := range units {
+func (s *System) shipTimeout(orig *queryMsg) {
+	n, aq := orig.from, orig.aq
+	var (
+		remaining [2]*sqUnit
+		nr        int
+	)
+	for _, u := range orig.live() {
 		if u.delivered {
 			continue
 		}
@@ -631,41 +682,40 @@ func (s *System) shipTimeout(n *IndexNode, aq *activeQuery, dest chord.ID, units
 			u.delivered = true // settled elsewhere: nothing left to retry
 			continue
 		}
-		remaining = append(remaining, u)
+		remaining[nr] = u
+		nr++
 	}
-	if len(remaining) == 0 {
+	if nr == 0 {
 		return
 	}
-	s.suspect(dest)
-	if attempt >= s.cfg.Retry.MaxRetries || !n.node.Alive() {
-		for _, u := range remaining {
+	s.suspect(orig.dest)
+	if orig.attempt >= s.cfg.Retry.MaxRetries || !n.node.Alive() {
+		for _, u := range remaining[:nr] {
 			u.delivered = true
 			aq.trace.add(TraceEvent{At: s.rt.Now(), Node: n.node.ID(), Action: TraceDrop,
-				PreKey: u.reg.PreKey, PreLen: u.reg.PreLen, Hops: hops})
+				PreKey: u.reg.PreKey, PreLen: u.reg.PreLen, Hops: orig.hops})
 			s.dropSubquery(aq, u.reg, u.tok)
 		}
 		return
 	}
 	// The successor of the prefix key owns it, so the retransmission is
 	// delivered in surrogate mode regardless of how the original was
-	// routed.
-	groups := make(map[chord.ID][]*sqUnit)
-	var order []chord.ID // deterministic retransmission order
-	for _, u := range remaining {
+	// routed. Retransmissions go out in first-seen owner order.
+	var out outbox
+	for _, u := range remaining[:nr] {
 		owner, err := s.net.SuccessorID(s.ring(aq, u.reg.PreKey))
 		if err != nil {
 			u.delivered = true
 			s.dropSubquery(aq, u.reg, u.tok)
 			continue
 		}
-		if _, seen := groups[owner]; !seen {
-			order = append(order, owner)
+		m := out.find(destKey{id: owner, surrogate: true})
+		if m == nil {
+			m = out.open(&queryMsg{from: n, aq: aq, dest: owner, surrogate: true, hops: orig.hops, attempt: orig.attempt + 1})
 		}
-		groups[owner] = append(groups[owner], u)
+		m.carry(u)
 	}
-	for _, dst := range order {
-		s.ship(n, aq, dst, true, groups[dst], hops, attempt+1, false)
-	}
+	out.ship(s)
 }
 
 // surrogateRefine is Algorithm 5 executing at node n: the node routes
@@ -714,43 +764,36 @@ func (s *System) answerLocal(n *IndexNode, aq *activeQuery, q query.Region, hops
 	if hops > aq.stats.Hops {
 		aq.stats.Hops = hops
 	}
-	// Scan into the system-wide scratch buffer: the candidate list is
+	// Scan into the system-wide scratch buffer: the candidate ids are
 	// fully consumed below before any other scan can run (the engine is
 	// single-threaded and Refine callbacks never re-enter the system).
-	s.scanBuf = n.st.Scan(aq.ix.Name, q, s.scanBuf[:0])
+	s.scanBuf = n.st.ScanIDs(aq.ix.Name, q, s.scanBuf[:0])
 	s.answerDone(n, aq, q, hops, tok, refineLocal(aq, s.scanBuf, &s.refine), len(s.scanBuf))
 }
 
-// refineBatch is the scratch of one Index.Refine call: the ids of up to
-// 64 candidates and their exact distances.
+// refineBatch is the scratch of one Index.Refine call: the exact
+// distances of up to 64 candidates.
 type refineBatch struct {
-	ids  [64]int32
 	dist [64]float64
 }
 
 // refineLocal applies exact-distance refinement (and the paper's
-// per-node top-k cut) to a scan's candidates, up to 64 at a time
+// per-node top-k cut) to a scan's candidate ids, up to 64 at a time
 // through the index's Refine, and returns the results in candidate
-// order: the hits of a range query, every candidate of a top-k one. It
-// stays a function of its own: answerDone's escaping closures capture
-// the result slice, and building it in the same frame would move the
-// slice header to the heap — one allocation per answered subquery.
-func refineLocal(aq *activeQuery, cands []Entry, b *refineBatch) []Result {
+// order: the hits of a range query, every candidate of a top-k one.
+func refineLocal(aq *activeQuery, ids []int32, b *refineBatch) []Result {
 	var local []Result
-	for len(cands) > 0 {
-		n := min(len(cands), len(b.ids))
-		for i, e := range cands[:n] {
-			b.ids[i] = int32(e.Obj)
-		}
-		hits := aq.ix.Refine(aq.payload, b.ids[:n], aq.r, b.dist[:n])
+	for len(ids) > 0 {
+		n := min(len(ids), len(b.dist))
+		hits := aq.ix.Refine(aq.payload, ids[:n], aq.r, b.dist[:n])
 		if aq.topK > 0 {
 			hits = math.MaxUint64 >> (64 - n) // the cut below keeps the nearest
 		}
 		for ; hits != 0; hits &= hits - 1 {
 			i := bits.TrailingZeros64(hits)
-			local = append(local, Result{Obj: cands[i].Obj, Dist: b.dist[i]})
+			local = append(local, Result{Obj: ObjectID(ids[i]), Dist: b.dist[i]})
 		}
-		cands = cands[n:]
+		ids = ids[n:]
 	}
 	if aq.topK > 0 && len(local) > aq.topK {
 		// The paper's protocol: each index node returns its k nearest
@@ -824,12 +867,30 @@ func (s *System) answerDone(n *IndexNode, aq *activeQuery, q query.Region, hops 
 		s.sendResultReliably(n, aq, nodeID, local, q, tok, bytes)
 		return
 	}
-	s.net.SendOrFail(n.node, aq.srcID, chord.KindResult, bytes, func(*chord.Node) {
-		s.mergeResult(aq, nodeID, local, tok)
-	}, func() {
-		// The querier itself left (only possible under heavy churn).
-		s.dropSubquery(aq, q, tok)
-	})
+	s.net.SendRecord(n.node, aq.srcID, chord.KindResult, bytes, recvResult, lostResult,
+		&resultMsg{from: n, aq: aq, local: local, q: q, tok: tok})
+}
+
+// resultMsg is one result message: an index node's answer to one
+// subquery, sent as one record to recvResult (or lostResult).
+type resultMsg struct {
+	from  *IndexNode
+	aq    *activeQuery
+	local []Result
+	q     query.Region
+	tok   int
+}
+
+func recvResult(_ *chord.Node, arg any) {
+	m := arg.(*resultMsg)
+	m.from.sys.mergeResult(m.aq, m.from.node.ID(), m.local, m.tok)
+}
+
+// lostResult drops the answered subquery: the querier itself left (only
+// possible under heavy churn) or the fault plan lost the message.
+func lostResult(arg any) {
+	m := arg.(*resultMsg)
+	m.from.sys.dropSubquery(m.aq, m.q, m.tok)
 }
 
 // sendResultReliably ships one result message to the querier with the
@@ -967,9 +1028,6 @@ func (s *System) finish(aq *activeQuery) {
 		})
 	}
 }
-
-// ix returns the query's index scheme.
-func (s *System) ix(aq *activeQuery) *Index { return aq.ix }
 
 // ring maps an unrotated prefix key to its on-ring position for the
 // query's index.

@@ -56,6 +56,10 @@ type Store interface {
 	// capacity, and the result must be fully consumed before the buffer
 	// is reused.
 	Scan(index string, r query.Region, buf []Entry) []Entry
+	// ScanIDs is Scan that appends the matching entries' object ids
+	// instead of the entries: the same objects in the same order, under
+	// the same rules for buf.
+	ScanIDs(index string, r query.Region, buf []int32) []int32
 	// Size returns one index's entry count; TotalSize sums all indexes
 	// (the paper's load measure).
 	Size(index string) int

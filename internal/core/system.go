@@ -186,7 +186,7 @@ type System struct {
 	// scanBuf is the reusable candidate buffer for local store scans
 	// (safe because a System is single-threaded and each scan's result
 	// is consumed before the next scan runs; DESIGN.md §9).
-	scanBuf []Entry
+	scanBuf []int32
 	// refine is the batch refineLocal hands Index.Refine, reused for
 	// every batch of every scan on the same single-threaded grounds.
 	refine refineBatch

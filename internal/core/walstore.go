@@ -250,6 +250,11 @@ func (st *WALStore) Scan(index string, r query.Region, buf []Entry) []Entry {
 	return st.mem.Scan(index, r, buf)
 }
 
+// ScanIDs implements Store.
+func (st *WALStore) ScanIDs(index string, r query.Region, buf []int32) []int32 {
+	return st.mem.ScanIDs(index, r, buf)
+}
+
 func (st *WALStore) Size(index string) int { return st.mem.Size(index) }
 func (st *WALStore) TotalSize() int        { return st.mem.TotalSize() }
 func (st *WALStore) Indexes() []string     { return st.mem.Indexes() }

@@ -128,6 +128,18 @@ func New(p *lph.Partitioner, cube []lph.Bounds) (Region, error) {
 // matching the paper's nq₁ with bit pos set) when it straddles the
 // midpoint.
 func Split(p *lph.Partitioner, q Region, pos int) []Region {
+	var dst [2]Region
+	if SplitInto(&dst, p, q, pos) == 1 {
+		return []Region{dst[0]}
+	}
+	return []Region{dst[0], dst[1]}
+}
+
+// SplitInto is Split into a caller's array: it writes the regions Split
+// returns to dst[0] and, when the cube straddles the midpoint, dst[1],
+// and returns how many it wrote. The halves of a straddling cube are
+// clones; no slice of regions is allocated.
+func SplitInto(dst *[2]Region, p *lph.Partitioner, q Region, pos int) int {
 	if pos < 1 || pos > lph.M {
 		panic(fmt.Sprintf("query: split position %d out of [1,64]", pos))
 	}
@@ -138,14 +150,14 @@ func Split(p *lph.Partitioner, q Region, pos int) []Region {
 		// The cube is unchanged in the single-half cases, and cubes are
 		// only ever mutated at clone birth (straddle case below,
 		// Restrict), so the child can share the parent's cube slice.
-		nq := q
-		nq.PreKey = lph.SetBit(nq.PreKey, pos)
-		nq.PreLen = pos
-		return []Region{nq}
+		dst[0] = q
+		dst[0].PreKey = lph.SetBit(q.PreKey, pos)
+		dst[0].PreLen = pos
+		return 1
 	case q.Cube[j].Hi < mid:
-		nq := q
-		nq.PreLen = pos
-		return []Region{nq}
+		dst[0] = q
+		dst[0].PreLen = pos
+		return 1
 	default:
 		upper := q.Clone()
 		upper.Cube[j].Lo = mid
@@ -154,7 +166,8 @@ func Split(p *lph.Partitioner, q Region, pos int) []Region {
 		lower := q.Clone()
 		lower.Cube[j].Hi = mid
 		lower.PreLen = pos
-		return []Region{upper, lower}
+		dst[0], dst[1] = upper, lower
+		return 2
 	}
 }
 
