@@ -472,7 +472,7 @@ func (n *Network) BuildTables(node *Node) {
 		start := node.id + 1<<uint(i)
 		node.fingers[i] = n.pickFinger(node, start, start+1<<uint(i))
 	}
-	node.tablesBuilt = true
+	node.tableChanged()
 }
 
 // pnsSample is the number of ring-order candidates examined per finger

@@ -4,11 +4,15 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
+
+	"landmarkdht/internal/netmodel"
+	"landmarkdht/internal/sim"
 )
 
-// nextHopReference is NextHop as it was before Table: every successor
-// and all 64 fingers, a liveness probe for each, a second one to tell an
-// unfilled finger from node 0.
+// nextHopReference is NextHop as it was before the table was sorted:
+// every successor and all 64 fingers, a liveness probe for each, a
+// second one to tell an unfilled finger from node 0.
 func nextHopReference(nd *Node, key ID) ID {
 	best := nd.id
 	bestDist := Dist(nd.id, key)
@@ -34,6 +38,25 @@ func nextHopReference(nd *Node, key ID) ID {
 	return best
 }
 
+// checkTable holds RoutingTable to its definition: distinct ids, in
+// strictly ascending offset from the node, the same set as succ ∪
+// fingers. A table left stale by a write to either fails here.
+func checkTable(t *testing.T, nd *Node, phase string) {
+	t.Helper()
+	got := nd.RoutingTable()
+	for i := 1; i < len(got); i++ {
+		if got[i-1]-nd.id >= got[i]-nd.id {
+			t.Fatalf("%s: node %#x table %x is not strictly clockwise from the node", phase, nd.id, got)
+		}
+	}
+	want := slices.Concat(nd.succ, nd.fingers[:])
+	slices.Sort(want)
+	want = slices.Compact(want)
+	if sorted := slices.Sorted(slices.Values(got)); !slices.Equal(sorted, want) {
+		t.Fatalf("%s: node %#x table %x, succ ∪ fingers %x", phase, nd.id, sorted, want)
+	}
+}
+
 // checkNextHops compares NextHop with the reference at every node ever
 // created, crashed ones included (their tables are as stale as tables
 // get), on random keys and on the keys where a choice flips: each table
@@ -41,8 +64,9 @@ func nextHopReference(nd *Node, key ID) ID {
 func checkNextHops(t *testing.T, rng *rand.Rand, nodes []*Node, phase string) {
 	t.Helper()
 	for _, nd := range nodes {
+		checkTable(t, nd, phase)
 		keys := []ID{0, 1, ^ID(0), nd.id, nd.id - 1, nd.id + 1}
-		for c := range nd.Table {
+		for _, c := range nd.RoutingTable() {
 			keys = append(keys, c, c-1, c+1)
 		}
 		for i := 0; i < 40; i++ {
@@ -113,35 +137,129 @@ func TestNextHopMatchesReference(t *testing.T) {
 		net.RefreshNeighborhood()
 		checkNextHops(t, rng, nodes, "refreshed")
 	}
+	checkMaintainedRing(t)
 }
 
-// TestTableCollapsesFingerRuns holds the iterator to its definition:
-// the successor list, then each run of equal consecutive fingers once,
-// in table order, and it stops when told to.
-func TestTableCollapsesFingerRuns(t *testing.T) {
+// checkMaintainedRing holds NextHop to the reference on a ring built by
+// the message-driven protocol alone: nodes join through JoinVia, a
+// timer runs stabilize and fix-fingers on each, and some crash between
+// rounds. Every node is checked after each round and a joiner also the
+// moment its join completes. A node whose whole successor list crashed
+// is checked right after the stabilize step that adopts its predecessor:
+// left to its timer, the fix-finger step of the same tick would mark the
+// table stale again and hide a missing mark.
+func checkMaintainedRing(t *testing.T) {
+	eng := sim.NewEngine(1)
+	model, err := netmodel.NewSyntheticKing(netmodel.KingConfig{N: 64, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.NumSuccessors = 4
+	cfg.StabilizeEvery = 500 * time.Millisecond
+	net := NewNetwork(eng, model, cfg)
+	rng := rand.New(rand.NewSource(34))
+	var nodes []*Node
+	join := func(boot *Node) {
+		nd, err := net.AddNode(ID(rng.Uint64()), len(nodes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, nd)
+		checkNextHops(t, rng, []*Node{nd}, "before its join")
+		if boot == nil {
+			boot = nd
+		}
+		nd.JoinVia(boot.id, func() { checkNextHops(t, rng, []*Node{nd}, "join completed") })
+	}
+	join(nil)
+	for round := 0; round < 14; round++ {
+		if round < 10 {
+			live := net.Nodes()
+			for range 4 {
+				join(live[rng.Intn(len(live))])
+			}
+		}
+		if round%4 == 3 {
+			// Crash the whole successor list of one node, and one more.
+			live := net.Nodes()
+			var x *Node
+			for _, i := range rng.Perm(len(live)) {
+				nd := live[i]
+				if nd.hasPred && net.Node(nd.pred) != nil && !slices.Contains(nd.succ, nd.pred) && !slices.Contains(nd.succ, nd.id) {
+					x = nd
+					break
+				}
+			}
+			if x == nil {
+				t.Fatalf("round %d: no node has a live predecessor outside its successor list", round)
+			}
+			for _, s := range x.succ {
+				if net.Node(s) != nil {
+					if err := net.CrashNode(s); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if victim := live[rng.Intn(len(live))]; victim.Alive() && victim != x && victim.id != x.pred {
+				if err := net.CrashNode(victim.id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkNextHops(t, rng, nodes, "after crashes")
+			x.stabilize()
+			if !slices.Equal(x.succ, []ID{x.pred}) {
+				t.Fatalf("round %d: node %#x with every successor crashed kept %x, not its predecessor %#x", round, x.id, x.succ, x.pred)
+			}
+			checkNextHops(t, rng, []*Node{x}, "successor list lost")
+		}
+		eng.RunUntil(eng.Now() + 700*time.Millisecond)
+		checkNextHops(t, rng, nodes, "after a round")
+	}
+	// The timers' fix-finger steps mark most tables stale again soon
+	// after a stabilize step rewrote the successor list. With them
+	// stopped, crashes and stabilize steps alone decide what a table
+	// holds.
+	for _, nd := range net.Nodes() {
+		nd.StopMaintenance()
+	}
+	for pass := 0; pass < 3; pass++ {
+		live := net.Nodes()
+		for _, i := range rng.Perm(len(live))[:3] {
+			if err := net.CrashNode(live[i].id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, nd := range net.Nodes() {
+			nd.stabilize()
+		}
+		eng.Run()
+		checkNextHops(t, rng, nodes, "after a stabilize pass")
+	}
+}
+
+// TestRoutingTableIsSortedSet: on an oracle-built ring every node's
+// table is succ ∪ fingers, distinct and clockwise from the node, and most
+// of its 64 fingers are one id.
+func TestRoutingTableIsSortedSet(t *testing.T) {
 	_, net, nodes := newTestNet(t, 64, DefaultConfig())
 	net.BuildAllTables()
 	for _, nd := range nodes {
-		want := slices.Clone(nd.succ)
-		want = append(want, slices.Compact(slices.Clone(nd.fingers[:]))...)
-		var got []ID
-		for c := range nd.Table {
-			got = append(got, c)
+		checkTable(t, nd, "built")
+		if got := len(nd.RoutingTable()); got > len(nd.succ)+16 {
+			t.Fatalf("node %#x: %d entries with %d successors on a 64-node ring", nd.id, got, len(nd.succ))
 		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("node %#x: Table yields %x, want %x", nd.id, got, want)
-		}
-		if len(got) > len(nd.succ)+16 {
-			t.Fatalf("node %#x: %d fingers left of 64 on a 64-node ring", nd.id, len(got)-len(nd.succ))
-		}
-		n := 0
-		for range nd.Table {
-			if n++; n == 3 {
-				break
-			}
-		}
-		if n != 3 {
-			t.Fatalf("node %#x: broke out after 3 entries, saw %d", nd.id, n)
-		}
+	}
+}
+
+// TestNextHopAllocatesNothing: once a table is sorted, a next hop is a
+// binary search and a few liveness probes.
+func TestNextHopAllocatesNothing(t *testing.T) {
+	_, net, nodes := newTestNet(t, 64, DefaultConfig())
+	net.BuildAllTables()
+	nd, key := nodes[0], ID(0)
+	nd.NextHop(key)
+	if allocs := testing.AllocsPerRun(100, func() { key += 0x0123456789abcdef; nd.NextHop(key) }); allocs != 0 {
+		t.Fatalf("%.0f allocations per NextHop", allocs)
 	}
 }

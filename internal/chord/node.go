@@ -2,6 +2,7 @@ package chord
 
 import (
 	"fmt"
+	"slices"
 
 	"landmarkdht/internal/runtime"
 )
@@ -12,13 +13,19 @@ type Node struct {
 	id   ID
 	host int
 
-	alive       bool
-	crashed     bool
-	tablesBuilt bool
-	pred        ID
-	hasPred     bool
-	succ        []ID
-	fingers     [64]ID
+	alive   bool
+	crashed bool
+	pred    ID
+	hasPred bool
+	succ    []ID
+	fingers [64]ID
+
+	// table is succ ∪ fingers, each id once, sorted clockwise from id
+	// (by the offset c − id), and sorted says whether it still is: every
+	// write to succ or fingers calls tableChanged, and the next read
+	// rebuilds it in place (RoutingTable).
+	table  []ID
+	sorted bool
 
 	ticker *runtime.Ticker
 }
@@ -70,28 +77,35 @@ func (nd *Node) OwnsKey(key ID) bool {
 	return InOpenClosed(nd.pred, key, nd.id)
 }
 
-// Table iterates over the node's routing table in table order: the
-// successor list, then the fingers from the nearest up, each run of
-// equal consecutive fingers once. Most of a finger table is one run —
-// every finger whose interval holds no node is the same successor, ≈ 56
-// of 64 on a 256-node ring. What is left may still repeat (the first
-// finger, a far finger that is also a successor), may be dead, and is
-// the zero ID where a table was never filled: a caller deals with those
-// as it would entry by entry.
-func (nd *Node) Table(yield func(ID) bool) {
-	for _, s := range nd.succ {
-		if !yield(s) {
-			return
+// tableChanged marks the sorted routing table stale. Every write to
+// succ or fingers calls it.
+func (nd *Node) tableChanged() { nd.sorted = false }
+
+// RoutingTable returns the node's routing table — the successor list and
+// the fingers, each distinct id once — sorted clockwise from the node, by
+// the offset c − id in wrapping arithmetic; the node itself, where it is
+// an entry, comes first. Most of a finger table is one id — every finger
+// whose interval holds no node is the same successor, ≈ 56 of 64 on a
+// 256-node ring. Entries may be dead, and an unfilled finger is the zero
+// ID: a caller deals with those as it would entry by entry.
+//
+// The slice is the node's own, rebuilt in place after succ or fingers
+// changed: the caller must not modify it, nor keep it past a change.
+func (nd *Node) RoutingTable() []ID {
+	if !nd.sorted {
+		t := slices.Grow(nd.table[:0], len(nd.succ)+len(nd.fingers))
+		t = append(append(t, nd.succ...), nd.fingers[:]...)
+		for i := range t {
+			t[i] -= nd.id
 		}
+		slices.Sort(t)
+		t = slices.Compact(t)
+		for i := range t {
+			t[i] += nd.id
+		}
+		nd.table, nd.sorted = t, true
 	}
-	for i, f := range nd.fingers {
-		if i > 0 && f == nd.fingers[i-1] {
-			continue
-		}
-		if !yield(f) {
-			return
-		}
-	}
+	return nd.table
 }
 
 // NextHop implements the paper's footnote 4: the routing-table entry
@@ -100,21 +114,29 @@ func (nd *Node) Table(yield func(ID) bool) {
 // entry improves on it — the caller then hands the query to the
 // successor for surrogate refinement.
 //
-// Distinct ids are at distinct distances from key, so the answer is the
-// strict minimum over the live entries whatever the order: liveness is
-// probed only for an entry that would beat the best so far.
+// The entries that improve on the node are those clockwise between it
+// and key, offsets in (0, key − id); the nearest to key has the largest
+// offset. A binary search over RoutingTable finds the last entry below
+// key's offset and walks down to the first live one. Distinct ids lie at
+// distinct distances from key, so this is the strict minimum over the
+// live entries, the answer of a walk over the whole table.
 func (nd *Node) NextHop(key ID) ID {
-	best := nd.id
-	bestDist := Dist(nd.id, key) // clockwise distance remaining after hop
-	for c := range nd.Table {
-		// c == key: that node *is* the successor, not the predecessor.
-		if d := Dist(c, key); d < bestDist && c != key {
-			if _, live := nd.net.nodes[c]; live {
-				best, bestDist = c, d
-			}
+	t, off := nd.RoutingTable(), key-nd.id
+	lo, hi := 0, len(t)
+	for lo < hi { // lo: the number of entries whose offset is below off
+		h := int(uint(lo+hi) >> 1)
+		if t[h]-nd.id < off {
+			lo = h + 1
+		} else {
+			hi = h
 		}
 	}
-	return best
+	for i := lo - 1; i >= 0 && t[i] != nd.id; i-- {
+		if _, live := nd.net.nodes[t[i]]; live {
+			return t[i]
+		}
+	}
+	return nd.id
 }
 
 // String describes the node.

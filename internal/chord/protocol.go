@@ -30,6 +30,7 @@ func (nd *Node) JoinVia(bootstrap ID, done func()) {
 	if boot == nil || bootstrap == nd.id {
 		// First node in the system: own everything.
 		nd.succ = []ID{nd.id}
+		nd.tableChanged()
 		nd.hasPred = false
 		nd.startMaintenance()
 		if done != nil {
@@ -45,6 +46,7 @@ func (nd *Node) JoinVia(bootstrap ID, done func()) {
 				owner = b.id
 			}
 			nd.succ = []ID{owner}
+			nd.tableChanged()
 			nd.hasPred = false
 			nd.startMaintenance()
 			if done != nil {
@@ -83,6 +85,7 @@ func (nd *Node) stabilize() {
 		// (standard Chord behavior when the successor is self).
 		if nd.hasPred && nd.net.Node(nd.pred) != nil {
 			nd.succ = []ID{nd.pred}
+			nd.tableChanged()
 		}
 		return
 	}
@@ -100,6 +103,7 @@ func (nd *Node) stabilize() {
 			// Rebuild successor list: cur followed by its list.
 			list := append([]ID{cur}, sList...)
 			me.succ = dedupeTrim(me.id, list, nd.net.cfg.NumSuccessors, nd.net)
+			me.tableChanged()
 			// Notify the (possibly new) successor.
 			target := me.Successor()
 			if target != me.id {
@@ -129,6 +133,7 @@ func (nd *Node) fixFinger(i int) {
 	nd.FindSuccessor(target, maintenanceBytes, func(owner ID, _ int) {
 		if nd.alive {
 			nd.fingers[i] = owner
+			nd.tableChanged()
 		}
 	})
 }

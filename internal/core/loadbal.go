@@ -106,7 +106,7 @@ func (lb *lbController) probeNeighbors(in *IndexNode) map[chord.ID]int {
 	for level := 0; level < lb.cfg.ProbeLevel; level++ {
 		var next []*IndexNode
 		for _, cur := range frontier {
-			for id := range cur.node.Table {
+			for _, id := range cur.node.RoutingTable() {
 				if seen[id] {
 					continue
 				}
