@@ -145,7 +145,7 @@ func euclideanBatchRefine(t *testing.T) {
 	}()
 
 	// An insert that never lands leaves the slab as it was.
-	lossy, err := New(Options{Nodes: 48, Seed: 1, LossRate: 1})
+	lossy, err := New(Options{Nodes: 48, Seed: 1, Faults: &FaultOptions{Drop: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

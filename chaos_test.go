@@ -18,6 +18,9 @@ type chaosCounters struct {
 	rejected, retries, recovered, hedges   int
 	dropped, duplicated                    int64
 	lostSubqueries                         int
+	// inexact counts Complete answers that differ from brute force:
+	// none may, while every entry has a live copy.
+	inexact int
 }
 
 func (c *chaosCounters) add(o chaosCounters) {
@@ -32,7 +35,19 @@ func (c *chaosCounters) add(o chaosCounters) {
 	c.dropped += o.dropped
 	c.duplicated += o.duplicated
 	c.lostSubqueries += o.lostSubqueries
+	c.inexact += o.inexact
 }
+
+// chaosConfig is what a chaos run varies: the message loss, the copies
+// of every entry (1: no replication) and whether slow subqueries are
+// hedged. chaosSoak is the soak's.
+type chaosConfig struct {
+	drop   float64
+	copies int
+	hedge  bool
+}
+
+var chaosSoak = chaosConfig{drop: 0.05, copies: 3, hedge: true}
 
 const (
 	chaosNodes   = 24
@@ -62,9 +77,9 @@ func TestChaosSoak(t *testing.T) {
 	var total chaosCounters
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			got := chaosRun(t, seed)
+			got, _ := chaosRun(t, seed, chaosSoak)
 			if seed == 1 {
-				if again := chaosRun(t, seed); again != got {
+				if again, _ := chaosRun(t, seed, chaosSoak); again != got {
 					t.Fatalf("seed %d replayed to different counters:\n first %+v\nsecond %+v", seed, got, again)
 				}
 			}
@@ -84,19 +99,24 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
-// chaosRun runs one seed of the soak and returns its counters, failing t
-// on any broken promise.
-func chaosRun(t *testing.T, seed int64) chaosCounters {
+// chaosRun runs one seed under cfg and returns its counters and the
+// latency of every admitted query, failing t on any broken promise. The
+// soak's configuration promises the most: with every entry on three
+// nodes, a Complete answer must be exact, and each seed must exercise
+// what the soak means to.
+func chaosRun(t testing.TB, seed int64, cfg chaosConfig) (chaosCounters, []time.Duration) {
 	t.Helper()
 	capped := seed%4 == 0
 	opts := Options{
 		Nodes:     chaosNodes,
 		Seed:      seed,
 		WireCodec: true,
-		Faults:    &FaultOptions{Drop: 0.05, Duplicate: 0.02},
+		Faults:    &FaultOptions{Drop: cfg.drop, Duplicate: 0.02},
 		Retry:     RetryConfig{MaxRetries: 3},
 		Deadline:  10 * time.Second,
-		Hedge:     HedgeConfig{Delay: 250 * time.Millisecond},
+	}
+	if cfg.hedge {
+		opts.Hedge = HedgeConfig{Delay: 250 * time.Millisecond}
 	}
 	if capped {
 		opts.MaxActiveQueries = chaosCap
@@ -119,12 +139,15 @@ func chaosRun(t *testing.T, seed int64) chaosCounters {
 	}
 	// Three copies of every entry: one-at-a-time churn never takes a
 	// region's whole replica set, so complete answers stay possible.
-	if err := ix.Replicate(3); err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
+	if cfg.copies > 1 {
+		if err := ix.Replicate(cfg.copies); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 	}
 
 	var (
 		c                  chaosCounters
+		latencies          []time.Duration
 		inFlight, finished int
 		cyclesDone         int
 		quietCrashes       int
@@ -142,14 +165,19 @@ func chaosRun(t *testing.T, seed int64) chaosCounters {
 			want := chaosBruteForce(data, q, r)
 			p.rt.Schedule(at, func() {
 				inFlight++
+				issued, rejected, admitted := p.rt.Now(), p.sys.AdmissionRejected, true
 				err := p.sys.RangeQuery(ix.name, p.randomNode(), q, ix.mapCenter(q), r, core.QueryOpts{},
 					func(qr *core.QueryResult) {
 						inFlight--
 						finished++
 						c.queries++
-						chaosCheck(t, seed, i, qr, want, &c)
+						if admitted {
+							latencies = append(latencies, p.rt.Now()-issued)
+						}
+						chaosCheck(t, seed, i, qr, want, cfg.copies > 1, &c)
 						settle()
 					})
+				admitted = p.sys.AdmissionRejected == rejected
 				if err != nil {
 					t.Errorf("seed %d query %d: %v", seed, i, err)
 				}
@@ -183,6 +211,9 @@ func chaosRun(t *testing.T, seed int64) chaosCounters {
 	c.rejected, c.retries, c.recovered, c.hedges = rel.AdmissionRejected, rel.RetriesIssued, rel.Recovered, rel.Hedges
 	c.lostSubqueries = rel.Dropped
 	c.dropped, c.duplicated = fs.MessagesDropped, fs.MessagesDuplicated
+	if cfg != chaosSoak {
+		return c, latencies
+	}
 	if c.dropped == 0 || c.duplicated == 0 {
 		t.Errorf("seed %d: faults armed but %d messages dropped and %d duplicated", seed, c.dropped, c.duplicated)
 	}
@@ -196,13 +227,14 @@ func chaosRun(t *testing.T, seed int64) chaosCounters {
 	if !capped && c.rejected != 0 {
 		t.Errorf("seed %d: %d queries rejected with no admission cap", seed, c.rejected)
 	}
-	return c
+	return c, latencies
 }
 
 // chaosCheck holds one answer to the completeness contract: Complete
-// means exactly the brute-force ids; incomplete means a subset of them
-// and a non-zero account of what is missing.
-func chaosCheck(t *testing.T, seed int64, i int, qr *core.QueryResult, want []int, c *chaosCounters) {
+// means exactly the brute-force ids — when every entry has a live copy
+// (replicated), which exact says; incomplete means a subset of them and
+// a non-zero account of what is missing.
+func chaosCheck(t testing.TB, seed int64, i int, qr *core.QueryResult, want []int, exact bool, c *chaosCounters) {
 	got := make([]int, len(qr.Results))
 	for j, res := range qr.Results {
 		got[j] = int(res.Obj)
@@ -212,7 +244,10 @@ func chaosCheck(t *testing.T, seed int64, i int, qr *core.QueryResult, want []in
 	if qr.Complete {
 		c.complete++
 		if !slices.Equal(got, want) {
-			t.Errorf("seed %d query %d: Complete answer has %d ids, brute force %d", seed, i, len(got), len(want))
+			c.inexact++
+			if exact {
+				t.Errorf("seed %d query %d: Complete answer has %d ids, brute force %d", seed, i, len(got), len(want))
+			}
 		}
 		return
 	}
@@ -245,4 +280,40 @@ func chaosBruteForce(data []Vector, q Vector, r float64) []int {
 		}
 	}
 	return want
+}
+
+// BenchmarkChaosSweep runs the soak's workload, seeds 1–40, in the
+// configurations that decide what Complete promises without replicas
+// and whether hedging earns its keep:
+//
+//	go test -run '^$' -bench ChaosSweep -benchtime 1x .
+//
+// Per configuration it reports Complete answers (complete), those that
+// differ from brute force (inexact), and the median latency of an
+// admitted query in simulated seconds (p50_s). Every run is seeded, so
+// the numbers repeat exactly; ns/op is the host's and means nothing.
+func BenchmarkChaosSweep(b *testing.B) {
+	const seeds = 40
+	for _, cfg := range []chaosConfig{
+		{0.05, 1, false}, {0.05, 1, true},
+		{0.05, 3, false}, {0.05, 3, true},
+		{0.15, 3, false}, {0.15, 3, true},
+	} {
+		b.Run(fmt.Sprintf("loss=%v/copies=%d/hedge=%v", cfg.drop, cfg.copies, cfg.hedge), func(b *testing.B) {
+			for range b.N {
+				var total chaosCounters
+				var lat []time.Duration
+				for seed := int64(1); seed <= seeds; seed++ {
+					c, l := chaosRun(b, seed, cfg)
+					total.add(c)
+					lat = append(lat, l...)
+				}
+				slices.Sort(lat)
+				b.ReportMetric(float64(total.queries), "queries")
+				b.ReportMetric(float64(total.complete), "complete")
+				b.ReportMetric(float64(total.inexact), "inexact")
+				b.ReportMetric(lat[len(lat)/2].Seconds(), "p50_s")
+			}
+		})
+	}
 }

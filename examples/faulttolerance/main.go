@@ -82,10 +82,13 @@ func main() {
 	// Part two: a lossy network. The same deployment under 10% message
 	// loss, once fire-and-forget and once with the reliability layer
 	// (ack, timeout, bounded retransmission with successor failover).
+	// Options.Faults is the one way to inject faults: its Drop loses
+	// each overlay message with that probability, drawn from the
+	// platform's seeded source, so every run loses the same messages.
 	fmt.Println("\n--- 10% message loss ---")
 	for _, retries := range []int{0, 3} {
 		lossy, err := landmarkdht.New(landmarkdht.Options{
-			Nodes: 64, Seed: 7, LossRate: 0.10,
+			Nodes: 64, Seed: 7, Faults: &landmarkdht.FaultOptions{Drop: 0.10},
 			Retry: landmarkdht.RetryConfig{MaxRetries: retries},
 		})
 		if err != nil {

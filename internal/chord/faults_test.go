@@ -1,16 +1,18 @@
 package chord
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"landmarkdht/internal/runtime"
 	"landmarkdht/internal/sim"
 )
 
 func TestFaultPlanDropRate(t *testing.T) {
 	cfg := DefaultConfig()
-	plan := NewFaultPlan().DropAll(0.2)
-	cfg.Faults = plan
+	cfg.Faults = &runtime.FaultPolicy{Drop: 0.2}
 	eng, net, nodes := newTestNet(t, 16, cfg)
 	net.BuildAllTables()
 
@@ -26,8 +28,8 @@ func TestFaultPlanDropRate(t *testing.T) {
 	if delivered+failed != total {
 		t.Fatalf("delivered %d + failed %d != %d sent", delivered, failed, total)
 	}
-	if failed != int(plan.Dropped[KindQuery]) {
-		t.Fatalf("failed callbacks %d != plan.Dropped %d", failed, plan.Dropped[KindQuery])
+	if dropped := net.Traffic().Dropped[KindQuery]; failed != int(dropped) {
+		t.Fatalf("failed callbacks %d != Traffic.Dropped %d", failed, dropped)
 	}
 	rate := float64(failed) / total
 	if rate < 0.15 || rate > 0.25 {
@@ -35,38 +37,14 @@ func TestFaultPlanDropRate(t *testing.T) {
 	}
 }
 
-func TestFaultPlanDropIsPerKind(t *testing.T) {
-	cfg := DefaultConfig()
-	plan := NewFaultPlan().Drop(KindQuery, 1.0)
-	cfg.Faults = plan
-	eng, net, nodes := newTestNet(t, 4, cfg)
-	net.BuildAllTables()
-
-	queryOK, resultOK := 0, 0
-	for i := 0; i < 50; i++ {
-		net.SendOrFail(nodes[0], nodes[1].ID(), KindQuery, 10, func(*Node) { queryOK++ }, nil)
-		net.SendOrFail(nodes[0], nodes[1].ID(), KindResult, 10, func(*Node) { resultOK++ }, nil)
-	}
-	eng.Run()
-	if queryOK != 0 {
-		t.Fatalf("%d query messages delivered despite drop probability 1", queryOK)
-	}
-	if resultOK != 50 {
-		t.Fatalf("%d of 50 result messages delivered; other kinds must be unaffected", resultOK)
-	}
-	if plan.TotalDropped() != 50 {
-		t.Fatalf("TotalDropped = %d, want 50", plan.TotalDropped())
-	}
-}
-
 func TestFaultPlanPartitionWindow(t *testing.T) {
 	cfg := DefaultConfig()
 	// Hosts 0 and 1 are cut off from the rest during [1s, 2s).
-	plan := NewFaultPlan().Partition([]int{0, 1}, time.Second, 2*time.Second)
-	cfg.Faults = plan
+	cfg.Faults = &runtime.FaultPolicy{Partitions: []runtime.PartitionWindow{
+		{Hosts: []int{0, 1}, From: time.Second, To: 2 * time.Second},
+	}}
 	eng, net, nodes := newTestNet(t, 8, cfg)
 	net.BuildAllTables()
-
 	var beforeOK, insideCrossFail, insideSameOK, afterOK bool
 	send := func(from, to *Node, ok *bool, fail *bool) {
 		net.SendOrFail(from, to.ID(), KindQuery, 10,
@@ -107,7 +85,7 @@ func TestFaultPlanPartitionWindow(t *testing.T) {
 
 func TestFaultPlanJitterDelaysDelivery(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Faults = NewFaultPlan().Jitter(200 * time.Millisecond)
+	cfg.Faults = &runtime.FaultPolicy{Jitter: 200 * time.Millisecond}
 	eng, net, nodes := newTestNet(t, 4, cfg)
 	net.BuildAllTables()
 
@@ -129,6 +107,88 @@ func TestFaultPlanJitterDelaysDelivery(t *testing.T) {
 	}
 	if !sawExtra {
 		t.Fatal("no message saw extra latency under 200ms jitter")
+	}
+}
+
+// faultLog sends msgs messages of each kind from nodes[0] to nodes[1]
+// and returns what arrived or was lost, and when, in order.
+func faultLog(net *Network, eng *sim.Engine, nodes []*Node, msgs int) []string {
+	var log []string
+	for i := 0; i < msgs; i++ {
+		for kind := MsgKind(0); kind < numKinds; kind++ {
+			msg := fmt.Sprintf("%v %d", kind, i)
+			net.SendOrFail(nodes[0], nodes[1].ID(), kind, 10+i,
+				func(*Node) { log = append(log, fmt.Sprintf("recv %s at %v", msg, eng.Now())) },
+				func() { log = append(log, fmt.Sprintf("lost %s at %v", msg, eng.Now())) })
+		}
+	}
+	eng.Run()
+	return log
+}
+
+// TestZeroPolicyDrawsNothing holds a zero fault policy to no policy at
+// all: the same deliveries at the same times, the same traffic, and the
+// runtime's random source left where it was.
+func TestZeroPolicyDrawsNothing(t *testing.T) {
+	type outcome struct {
+		log     []string
+		traffic Traffic
+		next    int64
+	}
+	var got []outcome
+	for _, pol := range []*runtime.FaultPolicy{nil, {}} {
+		cfg := DefaultConfig()
+		cfg.Faults = pol
+		eng, net, nodes := newTestNet(t, 8, cfg)
+		net.BuildAllTables()
+		log := faultLog(net, eng, nodes, 50)
+		got = append(got, outcome{log, net.Traffic(), net.Runtime().Rand().Int63()})
+	}
+	a, b := got[0], got[1]
+	if len(a.log) != 50*int(numKinds) {
+		t.Fatalf("%d messages settled, want %d", len(a.log), 50*int(numKinds))
+	}
+	if !slices.Equal(a.log, b.log) {
+		t.Errorf("deliveries differ:\nnil:  %v\nzero: %v", a.log, b.log)
+	}
+	if a.traffic != b.traffic {
+		t.Errorf("traffic differs: nil %+v, zero %+v", a.traffic, b.traffic)
+	}
+	if a.next != b.next {
+		t.Errorf("random source moved: next draw %d with no policy, %d with a zero one", a.next, b.next)
+	}
+}
+
+// TestPolicyCopiedAtConstruction edits a policy after its network is
+// built — its probabilities, a partition's window and host group, and
+// its list of partitions — and expects the network to go on with the
+// policy it was given, which cuts nothing between hosts 0 and 1 and
+// draws nothing: the same deliveries at the same times as no policy.
+func TestPolicyCopiedAtConstruction(t *testing.T) {
+	pol := &runtime.FaultPolicy{Partitions: []runtime.PartitionWindow{
+		{Hosts: []int{0}, From: time.Hour, To: 2 * time.Hour},
+		{Hosts: []int{7}, To: 2 * time.Hour},
+	}}
+	var logs [2][]string
+	var traffic [2]Traffic
+	for i, p := range []*runtime.FaultPolicy{nil, pol} {
+		cfg := DefaultConfig()
+		cfg.Faults = p
+		eng, net, nodes := newTestNet(t, 8, cfg)
+		net.BuildAllTables()
+		if p != nil {
+			p.Drop, p.Duplicate, p.Jitter = 1, 1, time.Second
+			p.Partitions[0].From = 0
+			p.Partitions[1].Hosts[0] = 0
+			p.Partitions = append(p.Partitions, runtime.PartitionWindow{Hosts: []int{1}, To: time.Hour})
+		}
+		logs[i], traffic[i] = faultLog(net, eng, nodes, 20), net.Traffic()
+	}
+	if !slices.Equal(logs[0], logs[1]) {
+		t.Errorf("deliveries differ:\nno policy: %v\nedited:    %v", logs[0], logs[1])
+	}
+	if traffic[0] != traffic[1] {
+		t.Errorf("traffic differs: no policy %+v, edited %+v", traffic[0], traffic[1])
 	}
 }
 

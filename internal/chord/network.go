@@ -53,10 +53,14 @@ func (k MsgKind) String() string {
 	}
 }
 
-// Traffic accumulates per-kind message and byte counts.
+// Traffic accumulates per-kind message and byte counts, and the
+// messages the fault policy dropped (including partition casualties)
+// or delivered twice.
 type Traffic struct {
-	Msgs  [numKinds]int64
-	Bytes [numKinds]int64
+	Msgs       [numKinds]int64
+	Bytes      [numKinds]int64
+	Dropped    [numKinds]int64
+	Duplicated int64
 }
 
 // Add records one message of the given kind and size.
@@ -85,10 +89,11 @@ type Config struct {
 	// period when positive; zero relies on the oracle fast path.
 	StabilizeEvery time.Duration
 	// Faults, when non-nil, injects deterministic message-level
-	// failures (loss, latency jitter/spikes, partitions) into every
-	// Send. Decisions are drawn from the engine RNG, so trials stay
-	// reproducible for a given seed.
-	Faults *FaultPlan
+	// failures (loss, duplication, latency jitter/spikes, partitions)
+	// into every send; see faults. The network copies the policy when
+	// it is built. Decisions are drawn from the runtime's random
+	// source, so trials stay reproducible for a given seed.
+	Faults *runtime.FaultPolicy
 }
 
 // DefaultConfig returns the paper's parameters.
@@ -116,6 +121,7 @@ type Network struct {
 	nodes   map[ID]*Node
 	ring    []ID // sorted live IDs (oracle view)
 	traffic Traffic
+	faults  *faults // nil: no fault policy
 	// pool recycles inflight records so the per-message delivery path
 	// allocates nothing in steady state (DESIGN.md §9).
 	pool []*inflight
@@ -133,7 +139,7 @@ func NewNetwork(eng *sim.Engine, model netmodel.Model, cfg Config) *Network {
 // seams.
 func NewNetworkRuntime(rt runtime.Runtime, tr runtime.Transport, model netmodel.Model, cfg Config) *Network {
 	cfg.fillDefaults()
-	return &Network{rt: rt, tr: tr, model: model, cfg: cfg, nodes: make(map[ID]*Node)}
+	return &Network{rt: rt, tr: tr, model: model, cfg: cfg, faults: newFaults(cfg.Faults), nodes: make(map[ID]*Node)}
 }
 
 // Runtime returns the runtime driving the overlay.
@@ -144,10 +150,6 @@ func (n *Network) Config() Config { return n.cfg }
 
 // Traffic returns a snapshot of the accumulated traffic counters.
 func (n *Network) Traffic() Traffic { return n.traffic }
-
-// ResetTraffic zeroes the traffic counters (used to exclude setup
-// traffic from measurement windows).
-func (n *Network) ResetTraffic() { n.traffic = Traffic{} }
 
 // RecordTraffic accounts application-level traffic that does not go
 // through Send (e.g. piggybacked load probes, bulk transfers).
@@ -274,7 +276,7 @@ func (n *Network) Send(from *Node, to ID, kind MsgKind, bytes int, deliver func(
 // SendOrFail is Send with an explicit loss callback: failed runs (at
 // send time or at the would-be delivery time) when the destination is
 // unknown, either endpoint crashes while the message is in flight, or
-// the network's FaultPlan drops the message.
+// the network's fault policy drops the message.
 func (n *Network) SendOrFail(from *Node, to ID, kind MsgKind, bytes int, deliver func(dst *Node), failed func()) {
 	n.send(from, to, kind, bytes, handler{deliver: deliver, failed: failed})
 }
@@ -331,8 +333,10 @@ func (n *Network) send(from *Node, to ID, kind MsgKind, bytes int, h handler) {
 		return
 	}
 	delay := n.model.Latency(from.host, dst.host)
-	if f := n.cfg.Faults; f != nil {
-		if f.lost(n.rt.Rand(), kind, from.host, dst.host, n.rt.Now()) {
+	f := n.faults
+	if f != nil {
+		if f.lost(n.rt.Rand(), from.host, dst.host, n.rt.Now()) {
+			n.traffic.Dropped[kind]++
 			// The loss surfaces at the would-be delivery time (not
 			// synchronously): a sender can only learn of it the way a
 			// real one would, by timeout — or, in the fire-and-forget
@@ -347,13 +351,14 @@ func (n *Network) send(from *Node, to ID, kind MsgKind, bytes int, h handler) {
 	m := n.acquireInflight()
 	m.net, m.from, m.to, m.h = n, from, to, h
 	n.tr.Send(uint64(to), delay, runInflight, m)
-	if f := n.cfg.Faults; f != nil && f.duplicated(n.rt.Rand(), kind) {
+	if f != nil && f.duplicated(n.rt.Rand(), kind) {
 		// A spurious retransmission: the copy is charged like any other
 		// message and arrives after twice the original's delay, on its
 		// own pooled record. It carries no loss callback — losing a
 		// duplicate means nothing, and firing the real one twice would
 		// double-account the loss.
 		n.traffic.Add(kind, bytes)
+		n.traffic.Duplicated++
 		d := n.acquireInflight()
 		d.net, d.from, d.to, d.h = n, from, to, h
 		d.h.failed, d.h.lost = nil, nil

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+
+	"landmarkdht/internal/runtime"
 )
 
 // sendForms are the two ways to send one message: SendOrFail's closures
@@ -42,7 +44,7 @@ func TestSendFormsAgree(t *testing.T) {
 	const msgs = 200
 	cases := []struct {
 		name   string
-		faults func() *FaultPlan
+		faults *runtime.FaultPolicy
 		// before runs once the messages are sent, before the engine.
 		before func(t *testing.T, net *Network, nodes []*Node)
 		// to picks message i's destination; the default is nodes[1].
@@ -50,9 +52,9 @@ func TestSendFormsAgree(t *testing.T) {
 		recv, lost int
 	}{
 		{name: "delivered", recv: msgs},
-		{name: "dropped", faults: func() *FaultPlan { return NewFaultPlan().Drop(KindQuery, 1) }, lost: msgs},
-		{name: "duplicated", faults: func() *FaultPlan { return NewFaultPlan().Duplicate(1) }, recv: 2 * msgs},
-		{name: "lossy", faults: func() *FaultPlan { return NewFaultPlan().DropAll(0.3).Duplicate(0.5) }, recv: -1, lost: -1},
+		{name: "dropped", faults: &runtime.FaultPolicy{Drop: 1}, lost: msgs},
+		{name: "duplicated", faults: &runtime.FaultPolicy{Duplicate: 1}, recv: 2 * msgs},
+		{name: "lossy", faults: &runtime.FaultPolicy{Drop: 0.3, Duplicate: 0.5}, recv: -1, lost: -1},
 		{name: "sender crashed", lost: msgs, before: func(t *testing.T, net *Network, nodes []*Node) {
 			if err := net.CrashNode(nodes[0].ID()); err != nil {
 				t.Fatal(err)
@@ -64,7 +66,7 @@ func TestSendFormsAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{name: "duplicated, gone at delivery", faults: func() *FaultPlan { return NewFaultPlan().Duplicate(1) }, lost: msgs,
+		{name: "duplicated, gone at delivery", faults: &runtime.FaultPolicy{Duplicate: 1}, lost: msgs,
 			before: func(t *testing.T, net *Network, nodes []*Node) {
 				if err := net.RemoveNode(nodes[1].ID()); err != nil {
 					t.Fatal(err)
@@ -74,17 +76,13 @@ func TestSendFormsAgree(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			type outcome struct {
-				log        []string
-				traffic    Traffic
-				dropped    [numKinds]int64
-				duplicated int64
+				log     []string
+				traffic Traffic
 			}
 			var got []outcome
 			for _, form := range sendForms {
 				cfg := DefaultConfig()
-				if c.faults != nil {
-					cfg.Faults = c.faults()
-				}
+				cfg.Faults = c.faults
 				eng, net, nodes := newTestNet(t, 8, cfg)
 				net.BuildAllTables()
 				sendLog = nil
@@ -100,9 +98,6 @@ func TestSendFormsAgree(t *testing.T) {
 				}
 				eng.Run()
 				o := outcome{log: sendLog, traffic: net.Traffic()}
-				if cfg.Faults != nil {
-					o.dropped, o.duplicated = cfg.Faults.Dropped, cfg.Faults.Duplicated
-				}
 				recv, lost := 0, 0
 				for _, l := range o.log {
 					if l[0] == 'r' {
@@ -123,7 +118,7 @@ func TestSendFormsAgree(t *testing.T) {
 			if !slices.Equal(a.log, b.log) {
 				t.Errorf("deliveries and losses differ:\n%s: %v\n%s: %v", sendForms[0].name, a.log, sendForms[1].name, b.log)
 			}
-			if a.traffic != b.traffic || a.dropped != b.dropped || a.duplicated != b.duplicated {
+			if a.traffic != b.traffic {
 				t.Errorf("accounting differs: %+v vs %+v", a, b)
 			}
 		})

@@ -13,6 +13,7 @@ import (
 	"landmarkdht/internal/landmark"
 	"landmarkdht/internal/metric"
 	"landmarkdht/internal/netmodel"
+	"landmarkdht/internal/runtime"
 	"landmarkdht/internal/sim"
 )
 
@@ -46,12 +47,10 @@ func seedStabilityTrace(t *testing.T, seed int64, resilient bool) string {
 	}
 	cfg := DefaultConfig()
 	cfg.Retry = RetryConfig{MaxRetries: 3, Timeout: 400 * time.Millisecond}
-	cfg.Chord.Faults = chord.NewFaultPlan().
-		DropAll(0.05).
-		Jitter(20*time.Millisecond).
-		Spike(0.02, 150*time.Millisecond)
+	cfg.Chord.Faults = &runtime.FaultPolicy{Drop: 0.05, Jitter: 20 * time.Millisecond,
+		SpikeProb: 0.02, SpikeDelay: 150 * time.Millisecond}
 	if resilient {
-		cfg.Chord.Faults.Duplicate(0.05)
+		cfg.Chord.Faults.Duplicate = 0.05
 		cfg.Deadline = 20 * time.Second
 		cfg.Hedge = HedgeConfig{Delay: 200 * time.Millisecond}
 	}
@@ -159,7 +158,7 @@ func seedStabilityTrace(t *testing.T, seed int64, resilient bool) string {
 	fmt.Fprintf(&b, "loads=%v total=%d dropped=%d retries=%d recovered=%d injected=%d hedges=%d duplicated=%d\n",
 		sys.Loads(), sys.TotalEntries(),
 		sys.DroppedSubqueries, sys.RetriesIssued, sys.RecoveredSubqueries,
-		cfg.Chord.Faults.TotalDropped(), sys.HedgesIssued, cfg.Chord.Faults.Duplicated)
+		injectedDrops(sys), sys.HedgesIssued, sys.Network().Traffic().Duplicated)
 	fmt.Fprintf(&b, "engine now=%v processed=%d\n", eng.Now(), eng.Processed())
 	return b.String()
 }

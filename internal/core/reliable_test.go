@@ -10,6 +10,7 @@ import (
 	"landmarkdht/internal/chord"
 	"landmarkdht/internal/lph"
 	"landmarkdht/internal/metric"
+	"landmarkdht/internal/runtime"
 )
 
 // resultSet collects the returned object IDs for set comparison.
@@ -26,7 +27,7 @@ func resultSet(qr *QueryResult) map[ObjectID]bool {
 // counters show the reliability layer did real work.
 func TestRetriesRecoverFromLoss(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Chord.Faults = chord.NewFaultPlan().DropAll(0.15)
+	cfg.Chord.Faults = &runtime.FaultPolicy{Drop: 0.15}
 	cfg.Retry = RetryConfig{MaxRetries: 6}
 	f := buildFixtureCfg(t, 32, 2000, 3, false, cfg)
 
@@ -56,8 +57,8 @@ func TestRetriesRecoverFromLoss(t *testing.T) {
 	if f.sys.DroppedSubqueries != 0 {
 		t.Fatalf("%d subqueries dropped for good despite retries", f.sys.DroppedSubqueries)
 	}
-	if f.sys.cfg.Chord.Faults.TotalDropped() == 0 {
-		t.Fatal("fault plan dropped nothing — test exercised no loss")
+	if injectedDrops(f.sys) == 0 {
+		t.Fatal("fault policy dropped nothing — test exercised no loss")
 	}
 }
 
@@ -66,7 +67,7 @@ func TestRetriesRecoverFromLoss(t *testing.T) {
 // the loss callback keeps the pending count finite).
 func TestFireAndForgetDropsUnderLoss(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Chord.Faults = chord.NewFaultPlan().DropAll(0.15)
+	cfg.Chord.Faults = &runtime.FaultPolicy{Drop: 0.15}
 	f := buildFixtureCfg(t, 32, 2000, 3, false, cfg)
 
 	rng := rand.New(rand.NewSource(7))
@@ -159,7 +160,7 @@ func TestCrashPrimaryReplicaAnswers(t *testing.T) {
 // repaired successor, and the query still returns exact results.
 func TestRetryFailoverToReplicaUnderChurn(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Chord.Faults = chord.NewFaultPlan().DropAll(0.10)
+	cfg.Chord.Faults = &runtime.FaultPolicy{Drop: 0.10}
 	cfg.Retry = RetryConfig{MaxRetries: 5}
 	f := buildFixtureCfg(t, 48, 3000, 3, false, cfg)
 	if err := f.sys.ReplicateAll("test-l2", 3); err != nil {
@@ -243,9 +244,8 @@ func TestReplicateAllIdempotent(t *testing.T) {
 func faultRun(t *testing.T) string {
 	t.Helper()
 	cfg := DefaultConfig()
-	// Each run needs its own FaultPlan: the plan carries mutable drop
-	// counters.
-	cfg.Chord.Faults = chord.NewFaultPlan().DropAll(0.10).Jitter(30*time.Millisecond).Spike(0.01, 300*time.Millisecond)
+	cfg.Chord.Faults = &runtime.FaultPolicy{Drop: 0.10, Jitter: 30 * time.Millisecond,
+		SpikeProb: 0.01, SpikeDelay: 300 * time.Millisecond}
 	cfg.Retry = RetryConfig{MaxRetries: 4}
 	f := buildFixtureCfg(t, 32, 2000, 3, false, cfg)
 	if err := f.sys.ReplicateAll("test-l2", 2); err != nil {
@@ -289,7 +289,7 @@ func faultRun(t *testing.T) string {
 	tr := f.sys.Network().Traffic()
 	fp += fmt.Sprintf("dropped=%d retrans=%d recovered=%d faultdrops=%d traffic=%v now=%d\n",
 		f.sys.DroppedSubqueries, f.sys.RetriesIssued, f.sys.RecoveredSubqueries,
-		f.sys.cfg.Chord.Faults.TotalDropped(), tr, f.eng.Now())
+		injectedDrops(f.sys), tr, f.eng.Now())
 	return fp
 }
 
@@ -329,7 +329,7 @@ func TestDuplicatedMessagesSettleOnce(t *testing.T) {
 				cfg := DefaultConfig()
 				mode.set(&cfg)
 				if dup > 0 {
-					cfg.Chord.Faults = chord.NewFaultPlan().Duplicate(dup)
+					cfg.Chord.Faults = &runtime.FaultPolicy{Duplicate: dup}
 				}
 				f := buildFixtureCfg(t, 32, 2000, 3, false, cfg)
 				f.sys.index["test-l2"].MaxDist = 200
@@ -351,8 +351,8 @@ func TestDuplicatedMessagesSettleOnce(t *testing.T) {
 					runs[i] = append(runs[i], fmt.Sprintf("%v cands=%d rmsgs=%d qmsgs=%d hops=%d nodes=%d hedges=%d",
 						qr.Results, st.Candidates, st.ResultMsgs, st.QueryMsgs, st.Hops, st.IndexNodes, st.Hedges))
 				}
-				if dup > 0 && cfg.Chord.Faults.Duplicated == 0 {
-					t.Fatal("the fault plan duplicated nothing")
+				if dup > 0 && f.sys.Network().Traffic().Duplicated == 0 {
+					t.Fatal("the fault policy duplicated nothing")
 				}
 			}
 			for trial := range runs[0] {
@@ -362,4 +362,13 @@ func TestDuplicatedMessagesSettleOnce(t *testing.T) {
 			}
 		})
 	}
+}
+
+// injectedDrops sums the messages the fault policy dropped.
+func injectedDrops(sys *System) int64 {
+	var n int64
+	for _, d := range sys.Network().Traffic().Dropped {
+		n += d
+	}
+	return n
 }

@@ -4,8 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"landmarkdht/internal/chord"
 	"landmarkdht/internal/metric"
+	"landmarkdht/internal/runtime"
 )
 
 // TestDeadlineExpiryAccountsUncovered drives a query into a network
@@ -15,7 +15,7 @@ import (
 // list that accounts for every missing in-range object.
 func TestDeadlineExpiryAccountsUncovered(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Chord.Faults = chord.NewFaultPlan().DropAll(1.0)
+	cfg.Chord.Faults = &runtime.FaultPolicy{Drop: 1.0}
 	// Retries would only detect the loss after 10s; the 2s deadline
 	// must win and surface the outstanding regions.
 	cfg.Retry = RetryConfig{MaxRetries: 5, Timeout: 10 * time.Second}
@@ -68,7 +68,7 @@ func TestDeadlineExpiryAccountsUncovered(t *testing.T) {
 // exactly once.
 func TestHedgeRecoversAndMergesOnce(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Chord.Faults = chord.NewFaultPlan().DropAll(0.25)
+	cfg.Chord.Faults = &runtime.FaultPolicy{Drop: 0.25}
 	cfg.Retry = RetryConfig{MaxRetries: 3, Timeout: 2 * time.Second}
 	// A cap far above the subquery count: every lost shipment must be
 	// eligible for a hedge, so the only way to lose a region is both

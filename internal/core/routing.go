@@ -210,6 +210,18 @@ func (s *System) RangeQuery(indexName string, srcID chord.ID, payload any, cente
 		}
 		return nil
 	}
+	aq := s.newQuery(ix, srcID, payload, r, opts, done)
+	aq.admitted = true
+	s.active++
+	dl := s.trackRegions(aq, opts, 4)
+	tok := aq.newToken(region)
+	s.armDeadline(aq, dl)
+	s.routeAt(src, aq, region, 0, tok)
+	return nil
+}
+
+// newQuery starts the record of one query issued at srcID.
+func (s *System) newQuery(ix *Index, srcID chord.ID, payload any, r float64, opts QueryOpts, done func(*QueryResult)) *activeQuery {
 	s.nextQ++
 	aq := &activeQuery{
 		id:       s.nextQ,
@@ -226,32 +238,31 @@ func (s *System) RangeQuery(indexName string, srcID chord.ID, payload any, cente
 		aq.trace = &Trace{}
 	}
 	aq.stats.Issued = s.rt.Now()
-	aq.admitted = true
-	s.active++
-	tok := s.beginResilience(aq, opts, region)
-	s.routeAt(src, aq, region, 0, tok)
-	return nil
+	return aq
 }
 
-// beginResilience sets up a query's outstanding-region tracking and
-// deadline timer according to the effective resilience knobs, and
-// issues the token for its initial region. With all knobs zero it
-// degenerates to a bare newToken: no tracking list, no timer, no extra
-// allocations, and — because the deadline timer is the only new event
-// source — a byte-identical simulation schedule.
-func (s *System) beginResilience(aq *activeQuery, opts QueryOpts, region query.Region) int {
+// trackRegions returns a query's effective deadline and, when the
+// deadline or hedging needs them, makes room to track n outstanding
+// regions. Its caller then issues the query's tokens and arms the
+// deadline. With every resilience knob zero there is no tracking list,
+// no timer and no extra allocation, and — because the deadline timer is
+// the only new event source — a byte-identical simulation schedule.
+func (s *System) trackRegions(aq *activeQuery, opts QueryOpts, n int) time.Duration {
 	dl := opts.Deadline
 	if dl == 0 {
 		dl = s.cfg.Deadline
 	}
 	if dl > 0 || s.cfg.Hedge.Enabled() {
-		aq.outstanding = make([]pendingRegion, 0, 4)
+		aq.outstanding = make([]pendingRegion, 0, n)
 	}
-	tok := aq.newToken(region)
+	return dl
+}
+
+// armDeadline ends the query at its deadline, if it has one.
+func (s *System) armDeadline(aq *activeQuery, dl time.Duration) {
 	if dl > 0 {
 		aq.deadline = s.rt.AfterFunc(dl, func() { s.expireQuery(aq) })
 	}
-	return tok
 }
 
 // expireQuery ends a query at its deadline: the regions still
@@ -1054,24 +1065,12 @@ func (s *System) NaiveRangeQuery(indexName string, srcID chord.ID, payload any, 
 	if err != nil {
 		return err
 	}
+	aq := s.newQuery(ix, srcID, payload, r, opts, done)
+
 	// Decompose until every subregion's key span has a single owner.
 	// The querier cannot know ownership, so it refines pessimistically:
 	// split to sibling cuboids and stop when a lookup-resolved owner
 	// covers the span (each subregion costs one full Chord lookup).
-	s.nextQ++
-	aq := &activeQuery{
-		id:       s.nextQ,
-		ix:       ix,
-		payload:  payload,
-		r:        r,
-		topK:     opts.TopK,
-		srcID:    srcID,
-		results:  make(map[ObjectID]float64),
-		answered: make(map[chord.ID]bool),
-		done:     done,
-	}
-	aq.stats.Issued = s.rt.Now()
-
 	var pieces []query.Region
 	var decompose func(q query.Region)
 	decompose = func(q query.Region) {
@@ -1098,20 +1097,12 @@ func (s *System) NaiveRangeQuery(indexName string, srcID chord.ID, payload any, 
 		s.finish(aq)
 		return nil
 	}
-	dl := opts.Deadline
-	if dl == 0 {
-		dl = s.cfg.Deadline
-	}
-	if dl > 0 || s.cfg.Hedge.Enabled() {
-		aq.outstanding = make([]pendingRegion, 0, len(pieces))
-	}
+	dl := s.trackRegions(aq, opts, len(pieces))
 	toks := make([]int, len(pieces))
 	for i, sq := range pieces {
 		toks[i] = aq.newToken(sq)
 	}
-	if dl > 0 {
-		aq.deadline = s.rt.AfterFunc(dl, func() { s.expireQuery(aq) })
-	}
+	s.armDeadline(aq, dl)
 	k := ix.Part.K()
 	for i, sq := range pieces {
 		sq, tok := sq, toks[i]

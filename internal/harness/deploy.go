@@ -12,6 +12,7 @@ import (
 	"landmarkdht/internal/landmark"
 	"landmarkdht/internal/metric"
 	"landmarkdht/internal/netmodel"
+	"landmarkdht/internal/runtime"
 	"landmarkdht/internal/sim"
 )
 
@@ -57,9 +58,6 @@ type DeploySpec[T any] struct {
 	// LossRate drops each message with this probability (fault
 	// injection; 0 disables).
 	LossRate float64
-	// Jitter adds a uniform random extra delay in [0, Jitter) to every
-	// message.
-	Jitter time.Duration
 	// Retry configures the reliable-delivery layer (zero value: the
 	// paper's fire-and-forget behavior).
 	Retry core.RetryConfig
@@ -115,8 +113,8 @@ func Deploy[T any](spec DeploySpec[T]) (*Deployment[T], error) {
 	if spec.DisablePNS {
 		cfg.Chord.PNS = false
 	}
-	if spec.LossRate > 0 || spec.Jitter > 0 {
-		cfg.Chord.Faults = chord.NewFaultPlan().DropAll(spec.LossRate).Jitter(spec.Jitter)
+	if spec.LossRate > 0 {
+		cfg.Chord.Faults = &runtime.FaultPolicy{Drop: spec.LossRate}
 	}
 	cfg.Retry = spec.Retry
 	sys := core.NewSystem(eng, model, cfg)

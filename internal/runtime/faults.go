@@ -5,13 +5,14 @@ import (
 	"time"
 )
 
-// FaultPolicy is the runtime-agnostic fault description. The
-// protocol-level faults (Drop, Duplicate, Jitter/Spike, Partitions) are
-// injected by the overlay — chord.FaultPlanFromPolicy translates them
-// into a chord.FaultPlan whose decisions draw from the driving
-// runtime's seeded random source, so a simulated run replays them
-// exactly (and byte-identically to no plan at all when every field is
-// zero). The transport-level faults (FrameDrop, KillConn, Seed) model
+// FaultPolicy is the runtime-agnostic fault description, and the only
+// one. The protocol-level faults (Drop, Duplicate, Jitter/Spike,
+// Partitions) are injected by the overlay, which reads the policy
+// itself (chord.Config.Faults) and copies it when the network is
+// built: its decisions draw from the driving runtime's seeded random
+// source, so a simulated run replays them exactly (and
+// byte-identically to no policy at all when every field is zero). The
+// transport-level faults (FrameDrop, KillConn, Seed) model
 // failures below the protocol and need a transport to act on: netrt's
 // TCP links consume them through LinkFaults; the simulator moves no
 // bytes, and the public constructor rejects the two fields there.
@@ -103,11 +104,4 @@ func (f *LinkFaults) DropFrame() bool {
 // KillConn draws the per-frame connection-kill decision. Nil-safe.
 func (f *LinkFaults) KillConn() bool {
 	return f != nil && f.kill > 0 && f.rng.Float64() < f.kill
-}
-
-// Zero reports whether the policy injects nothing at all.
-func (p *FaultPolicy) Zero() bool {
-	return p == nil || (p.Drop == 0 && p.Duplicate == 0 && p.Jitter == 0 &&
-		p.SpikeProb == 0 && len(p.Partitions) == 0 &&
-		p.FrameDrop == 0 && p.KillConn == 0)
 }

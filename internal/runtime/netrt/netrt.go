@@ -201,9 +201,7 @@ type Node struct {
 	handing     map[int32]bool          // delta items on their way to the member that owns them now, by id
 	copies      map[uint64]*replicaCopy // replica copies held here, by owner
 	pushes      map[uint64]*repPush     // outbound replica streams, by target
-	pushByXfer  map[uint64]*repPush     // the same streams, by transfer id
-	staging     map[uint64]*repStage    // inbound replica streams, by transfer id
-	stageOwner  map[uint64]uint64       // owner → transfer id of its in-flight stage
+	staging     map[uint64]*repStage    // inbound replica streams, by owner
 	nextXfer    uint64
 	nextRID     uint64
 	pubs        map[uint64]*pendingPub // in-flight mutations originated here, by rid
@@ -281,25 +279,23 @@ func Start(cfg Config) (*Node, error) {
 		// A restarted process has the same identity and restarts its
 		// qid counter, so returns are routed by (epoch, qid): frames
 		// queued for a dead incarnation cannot leak into this one.
-		epoch:      uint64(time.Now().UnixNano()),
-		data:       data,
-		recovered:  recovered,
-		replayed:   replayed,
-		ln:         ln,
-		members:    make(map[uint64]string),
-		queries:    make(map[uint64]*originQuery),
-		links:      make(map[string]*link),
-		clients:    make(map[net.Conn]struct{}),
-		hb:         make(map[uint64]*hbState),
-		mine:       newDelta(),
-		handing:    make(map[int32]bool),
-		copies:     make(map[uint64]*replicaCopy),
-		pushes:     make(map[uint64]*repPush),
-		pushByXfer: make(map[uint64]*repPush),
-		staging:    make(map[uint64]*repStage),
-		stageOwner: make(map[uint64]uint64),
-		pubs:       make(map[uint64]*pendingPub),
-		store:      store,
+		epoch:     uint64(time.Now().UnixNano()),
+		data:      data,
+		recovered: recovered,
+		replayed:  replayed,
+		ln:        ln,
+		members:   make(map[uint64]string),
+		queries:   make(map[uint64]*originQuery),
+		links:     make(map[string]*link),
+		clients:   make(map[net.Conn]struct{}),
+		hb:        make(map[uint64]*hbState),
+		mine:      newDelta(),
+		handing:   make(map[int32]bool),
+		copies:    make(map[uint64]*replicaCopy),
+		pushes:    make(map[uint64]*repPush),
+		staging:   make(map[uint64]*repStage),
+		pubs:      make(map[uint64]*pendingPub),
+		store:     store,
 	}
 	n.id = NodeID(n.addr)
 	n.rt = livert.New(livert.Config{Seed: cfg.Data.Seed ^ int64(n.id)})
@@ -500,7 +496,7 @@ func (n *Node) handleFrame(peer uint64, kind byte, body []byte) error {
 	case kindRepChunk:
 		return deliver(n, body, wire.DecodeChunk, func(n *Node, m *wire.RegionChunk) { n.onRepChunk(peer, *m) })
 	case kindRepAck:
-		return deliver(n, body, wire.DecodeAck, func(n *Node, m *wire.RegionAck) { n.onRepAck(*m) })
+		return deliver(n, body, wire.DecodeAck, func(n *Node, m *wire.RegionAck) { n.onRepAck(peer, *m) })
 	case kindRepDigest:
 		return deliver(n, body, wire.DecodeDigest, func(n *Node, m *wire.RegionDigest) { n.onRepDigest(peer, *m) })
 	case kindAnnounce:

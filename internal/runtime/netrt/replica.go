@@ -213,7 +213,6 @@ func (n *Node) startPush(to uint64) {
 		}
 	}
 	n.pushes[to] = p
-	n.pushByXfer[p.transfer] = p
 	n.sendRepBegin(p)
 	n.pumpPush(p)
 	p.timer = n.rt.AfterFunc(repRetryDelay, func() { n.retryPush(p) })
@@ -246,7 +245,7 @@ func (n *Node) pumpPush(p *repPush) {
 //
 //lint:context executor
 func (n *Node) retryPush(p *repPush) {
-	if n.pushByXfer[p.transfer] != p {
+	if n.pushes[p.to] != p {
 		return // finished or replaced
 	}
 	if n.isDown(p.to) {
@@ -269,12 +268,14 @@ func (n *Node) retryPush(p *repPush) {
 	p.timer = n.rt.AfterFunc(repRetryDelay, func() { n.retryPush(p) })
 }
 
-// onRepAck books one acked chunk and advances the window.
+// onRepAck books one acked chunk and advances the window. Only the
+// push's target acks it, and only for the push's transfer: transfer ids
+// are numbered by each node for its own pushes alone.
 //
 //lint:context executor
-func (n *Node) onRepAck(a wire.RegionAck) {
-	p := n.pushByXfer[a.Transfer]
-	if p == nil || int(a.Seq) >= len(p.chunks) || p.acked[a.Seq] {
+func (n *Node) onRepAck(peer uint64, a wire.RegionAck) {
+	p := n.pushes[peer]
+	if p == nil || p.transfer != a.Transfer || int(a.Seq) >= len(p.chunks) || p.acked[a.Seq] {
 		return
 	}
 	p.acked[a.Seq] = true
@@ -289,23 +290,22 @@ func (n *Node) onRepAck(a wire.RegionAck) {
 	n.pumpPush(p)
 }
 
-// dropPush removes a stream from both indices and stops its timer.
+// dropPush forgets a stream and stops its timer.
 //
 //lint:context executor
 func (n *Node) dropPush(p *repPush) {
 	if p.timer != nil {
 		p.timer.Stop()
 	}
-	if n.pushByXfer[p.transfer] == p {
-		delete(n.pushByXfer, p.transfer)
-	}
 	if n.pushes[p.to] == p {
 		delete(n.pushes, p.to)
 	}
 }
 
-// onRepBegin opens (or re-opens, idempotently) one inbound stream. A
-// newer stream from the same owner replaces a stale one.
+// onRepBegin opens (or re-opens, idempotently) one inbound stream. An
+// owner has one stream at a time: a newer one replaces a stale one.
+// Streams are staged by owner, because every owner numbers its
+// transfers from 1.
 //
 //lint:context executor
 func (n *Node) onRepBegin(peer uint64, b *repBeginMsg) {
@@ -313,16 +313,11 @@ func (n *Node) onRepBegin(peer uint64, b *repBeginMsg) {
 		b.Entries < 0 || b.Entries > maxRepBytes/minRepEntry {
 		return
 	}
-	if old, ok := n.stageOwner[b.Owner]; ok {
-		if st := n.staging[old]; st != nil && st.transfer == b.Transfer {
-			return // retry of the stream already in progress
-		}
-		delete(n.staging, old)
+	if st := n.staging[b.Owner]; st != nil && st.transfer == b.Transfer {
+		return // retry of the stream already in progress
 	}
-	st := &repStage{owner: b.Owner, transfer: b.Transfer, digest: b.Digest, entries: b.Entries,
+	n.staging[b.Owner] = &repStage{owner: b.Owner, transfer: b.Transfer, digest: b.Digest, entries: b.Entries,
 		data: make([][]byte, b.Chunks), got: make([]bool, b.Chunks)}
-	n.staging[b.Transfer] = st
-	n.stageOwner[b.Owner] = b.Transfer
 }
 
 // onRepChunk stages one chunk and acks it. Duplicates are acked
@@ -330,14 +325,13 @@ func (n *Node) onRepBegin(peer uint64, b *repBeginMsg) {
 //
 //lint:context executor
 func (n *Node) onRepChunk(peer uint64, c wire.RegionChunk) {
-	st := n.staging[c.Transfer]
-	if st == nil || st.owner != peer || c.Index != repIndexName || int(c.Seq) >= len(st.got) {
+	st := n.staging[peer]
+	if st == nil || st.transfer != c.Transfer || c.Index != repIndexName || int(c.Seq) >= len(st.got) {
 		return
 	}
 	if !st.got[c.Seq] {
 		if st.bytes+len(c.Data) > maxRepBytes {
-			delete(n.staging, c.Transfer)
-			delete(n.stageOwner, st.owner)
+			delete(n.staging, peer)
 			return
 		}
 		st.data[c.Seq] = c.Data
@@ -359,10 +353,7 @@ func (n *Node) onRepChunk(peer uint64, c wire.RegionChunk) {
 //
 //lint:context executor
 func (n *Node) installStage(st *repStage) {
-	delete(n.staging, st.transfer)
-	if n.stageOwner[st.owner] == st.transfer {
-		delete(n.stageOwner, st.owner)
-	}
+	delete(n.staging, st.owner)
 	d, err := decodeDelta(slices.Concat(st.data...), n.data)
 	if err != nil {
 		n.logf("replica stream from %016x: %v", st.owner, err)
@@ -414,10 +405,9 @@ func (n *Node) dropForeignCopies() {
 			delete(n.copies, owner)
 		}
 	}
-	for owner, xfer := range n.stageOwner {
+	for owner := range n.staging {
 		if !n.replicates(owner) {
-			delete(n.staging, xfer)
-			delete(n.stageOwner, owner)
+			delete(n.staging, owner)
 		}
 	}
 }

@@ -720,7 +720,7 @@ func TestHostileRepBeginRefused(t *testing.T) {
 	staged := -1
 	waitFor(t, 5*time.Second, func() bool {
 		execRead(t, n, func() {
-			if st := n.staging[1]; st != nil {
+			if st := n.staging[NodeID(peerAddr)]; st != nil {
 				staged = st.entries
 			}
 		})
@@ -728,5 +728,83 @@ func TestHostileRepBeginRefused(t *testing.T) {
 	})
 	if staged != 1 {
 		t.Fatalf("staged a stream of %d entries: the oversized header was accepted", staged)
+	}
+}
+
+// TestStagesOfTwoOwnersWithOneTransferID plays two owners that each
+// open their transfer 1 at the same replica — every node numbers its
+// own pushes from 1. Both streams must be staged side by side, and each
+// owner's chunk of an empty delta must come back acked to it.
+func TestStagesOfTwoOwnersWithOneTransferID(t *testing.T) {
+	cfg := testConfig(testData())
+	cfg.Replicas = 2
+	// No probes or adverts of the node's own: nothing but the two
+	// streams may touch its view or its staging.
+	cfg.HeartbeatPeriod, cfg.AntiEntropyPeriod = time.Hour, time.Hour
+	n, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+
+	empty := newDelta()
+	chunk, err := wire.AppendChunk([]byte{kindRepChunk}, &wire.RegionChunk{
+		Transfer: 1, Index: repIndexName, Last: true, Data: empty.appendTo(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The node answers a peer on the connection the peer opened.
+	peers := []string{"127.0.0.1:9", "127.0.0.1:10"}
+	conns := make([]net.Conn, len(peers))
+	for i, addr := range peers {
+		if conns[i], err = net.DialTimeout("tcp", n.Addr(), 2*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		defer conns[i].Close()
+		if _, err := dialHandshake(conns[i], addr, n.sig, nil); err != nil {
+			t.Fatalf("handshake: %v", err)
+		}
+		err := writePayload(conns[i], 2, appendRepBegin(nil, &repBeginMsg{
+			Owner: NodeID(addr), Transfer: 1, Chunks: 1, Digest: empty.digest}))
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		staged := map[uint64]bool{}
+		execRead(t, n, func() {
+			for _, st := range n.staging {
+				staged[st.owner] = true
+			}
+		})
+		return staged[NodeID(peers[0])] && staged[NodeID(peers[1])]
+	})
+	for i, conn := range conns {
+		if err := writePayload(conn, 3, chunk); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		var buf []byte
+		for acked := false; !acked; {
+			_, p, next, err := wire.ReadFrame(conn, buf)
+			if err != nil {
+				t.Fatalf("owner %d: no ack for its chunk: %v", i, err)
+			}
+			buf = next
+			kind, body, err := splitMsg(p)
+			if err != nil || kind != kindRepAck {
+				continue
+			}
+			a, err := wire.DecodeAck(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Transfer != 1 || a.Seq != 0 {
+				t.Fatalf("owner %d: ack for transfer %d, chunk %d; want transfer 1, chunk 0", i, a.Transfer, a.Seq)
+			}
+			acked = true
+		}
 	}
 }

@@ -225,7 +225,7 @@ func TestInsertThenSearch(t *testing.T) {
 // platform's bound of simulated time and leaves the index as it was —
 // the id it would have had goes to the next insert that lands.
 func TestInsertRollsBackWhenNeverPlaced(t *testing.T) {
-	p, err := New(Options{Nodes: 48, Seed: 1, LossRate: 1})
+	p, err := New(Options{Nodes: 48, Seed: 1, Faults: &FaultOptions{Drop: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,19 +31,11 @@ type Options struct {
 	// codec (quantized 2-byte range bounds per the paper's size model)
 	// instead of size accounting alone.
 	WireCodec bool
-	// LossRate drops each overlay message with this probability (fault
-	// injection, deterministic per Seed; 0 disables).
-	LossRate float64
-	// Jitter adds a uniform random extra delay in [0, Jitter) to every
-	// message.
-	Jitter time.Duration
 	// Faults is the fault policy: message loss, duplication, latency
 	// faults and timed partitions inject at the overlay, deterministically
-	// per Seed. When set it supersedes
-	// LossRate/Jitter (which remain as shorthands for loss-and-jitter-
-	// only policies). FrameDrop and KillConn need a transport, which an
-	// in-process platform does not have: New rejects them — set them on
-	// NodeOptions.Faults.
+	// per Seed (nil injects nothing; New copies the policy). FrameDrop
+	// and KillConn need a transport, which an in-process platform does
+	// not have: New rejects them — set them on NodeOptions.Faults.
 	Faults *FaultOptions
 	// Retry configures reliable subquery/result delivery (ack, timeout,
 	// bounded retransmission with successor failover). The zero value
@@ -131,7 +123,6 @@ type Platform struct {
 	sys  *core.System
 	rng  *rand.Rand
 	opts Options
-	plan *chord.FaultPlan // overlay fault plan (nil when no faults)
 }
 
 // opTimeout bounds one protocol operation in simulated time, far above
@@ -156,16 +147,12 @@ func New(opts Options) (*Platform, error) {
 	cfg.Chord.NumSuccessors = opts.Successors
 	cfg.Chord.PNS = !opts.DisablePNS
 	cfg.EncodeWire = opts.WireCodec
-	if opts.Faults != nil && !opts.Faults.Zero() {
-		cfg.Chord.Faults = chord.FaultPlanFromPolicy(opts.Faults)
-	} else if opts.LossRate > 0 || opts.Jitter > 0 {
-		cfg.Chord.Faults = chord.NewFaultPlan().DropAll(opts.LossRate).Jitter(opts.Jitter)
-	}
+	cfg.Chord.Faults = opts.Faults
 	cfg.Retry = opts.Retry
 	cfg.Deadline = opts.Deadline
 	cfg.Hedge = opts.Hedge
 	cfg.MaxActiveQueries = opts.MaxActiveQueries
-	p := &Platform{rt: simrt.New(sim.NewEngine(opts.Seed)), opts: opts, plan: cfg.Chord.Faults}
+	p := &Platform{rt: simrt.New(sim.NewEngine(opts.Seed)), opts: opts}
 	if opts.DataDir != "" {
 		// Compaction stamps come from the simulated clock so durable
 		// runs replay deterministically.
@@ -304,10 +291,10 @@ type FaultStats struct {
 
 // Faults returns the cumulative injected-fault counters.
 func (p *Platform) Faults() FaultStats {
-	var fs FaultStats
-	if p.plan != nil {
-		fs.MessagesDropped = p.plan.TotalDropped()
-		fs.MessagesDuplicated = p.plan.Duplicated
+	tr := p.sys.Network().Traffic()
+	fs := FaultStats{MessagesDuplicated: tr.Duplicated}
+	for _, n := range tr.Dropped {
+		fs.MessagesDropped += n
 	}
 	return fs
 }
