@@ -308,7 +308,7 @@ func (ix *Index[T]) ReindexWith(landmarks []T, boundarySample []T) error {
 	if err := sys.BulkLoad(ix.name, entries); err != nil {
 		return err
 	}
-	sys.Network().RecordTraffic(chord.KindTransfer, sys.Config().Msg.TransferBytes(len(entries)))
+	sys.Network().RecordTraffic(chord.KindTransfer, core.TransferEntryBytes*len(entries))
 	ix.emb = emb
 	if ix.space.Bounded {
 		ix.maxDist = ix.space.Max

@@ -2,12 +2,7 @@ package chord
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
-	"time"
-
-	"landmarkdht/internal/netmodel"
-	"landmarkdht/internal/sim"
 )
 
 // Crashing nodes without any table refresh must not break lookups:
@@ -75,71 +70,5 @@ func TestFixAroundRepairsRegion(t *testing.T) {
 	}
 	if !owner.OwnsKey(ring[12]) {
 		t.Fatal("survivor does not own the dead region after FixAround")
-	}
-}
-
-// Protocol-mode maintenance must repair successor/predecessor pointers
-// after crashes, with no oracle help.
-func TestProtocolRepairsAfterCrash(t *testing.T) {
-	eng := sim.NewEngine(1)
-	model, _ := netmodel.NewSyntheticKing(netmodel.KingConfig{N: 48, Seed: 1})
-	cfg := DefaultConfig()
-	cfg.StabilizeEvery = 500 * time.Millisecond
-	net := NewNetwork(eng, model, cfg)
-	rng := rand.New(rand.NewSource(7))
-
-	var first *Node
-	for i := 0; i < 48; i++ {
-		nd, err := net.AddNode(ID(rng.Uint64()), i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			first = nd
-			nd.JoinVia(nd.ID(), nil)
-			continue
-		}
-		joiner := nd
-		_ = joiner
-		eng.Schedule(time.Duration(rng.Int63n(int64(5*time.Second))), func() {
-			joiner.JoinVia(first.ID(), nil)
-		})
-	}
-	eng.RunUntil(3 * time.Minute)
-
-	// Crash a third of the network.
-	live := net.Nodes()
-	for i := 0; i < 16; i++ {
-		victim := live[rng.Intn(len(live))]
-		if victim.Alive() && victim != first {
-			_ = net.CrashNode(victim.ID())
-		}
-	}
-	// Let stabilization repair.
-	eng.RunUntil(eng.Now() + 5*time.Minute)
-	for _, nd := range net.Nodes() {
-		nd.StopMaintenance()
-	}
-
-	ids := append([]ID(nil), net.ring...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, nd := range net.Nodes() {
-		self := sort.Search(len(ids), func(i int) bool { return ids[i] >= nd.ID() })
-		want := ids[(self+1)%len(ids)]
-		if nd.Successor() != want {
-			t.Fatalf("node %#x successor = %#x, want %#x (repair failed)", nd.ID(), nd.Successor(), want)
-		}
-	}
-	// Lookups correct post-repair.
-	for trial := 0; trial < 30; trial++ {
-		key := ID(rng.Uint64())
-		src := net.Nodes()[rng.Intn(net.Size())]
-		want, _ := net.SuccessorID(key)
-		var got ID
-		src.FindSuccessor(key, 40, func(owner ID, _ int) { got = owner })
-		eng.Run()
-		if got != want {
-			t.Fatalf("post-repair lookup(%#x) = %#x, want %#x", key, got, want)
-		}
 	}
 }

@@ -17,7 +17,8 @@ import (
 type MsgKind int
 
 const (
-	// KindMaintenance covers stabilize / notify / fix-finger traffic.
+	// KindMaintenance covers overlay upkeep charged without a message,
+	// such as the load balancer's piggybacked probes.
 	KindMaintenance MsgKind = iota
 	// KindLookup covers find-successor traffic (index publication).
 	KindLookup
@@ -85,9 +86,6 @@ type Config struct {
 	NumSuccessors int
 	// PNS enables proximity neighbor selection for fingers.
 	PNS bool
-	// StabilizeEvery enables message-driven maintenance with the given
-	// period when positive; zero relies on the oracle fast path.
-	StabilizeEvery time.Duration
 	// Faults, when non-nil, injects deterministic message-level
 	// failures (loss, duplication, latency jitter/spikes, partitions)
 	// into every send; see faults. The network copies the policy when
@@ -174,7 +172,7 @@ func (n *Network) Node(id ID) *Node {
 
 // AddNode inserts a node with the given identifier and latency-model
 // host index into the oracle ring. Its routing tables are empty until
-// BuildTables / BuildAllTables or protocol maintenance fills them.
+// BuildTables, BuildAllTables or FixAround fills them.
 func (n *Network) AddNode(id ID, host int) (*Node, error) {
 	if _, dup := n.nodes[id]; dup {
 		return nil, fmt.Errorf("chord: duplicate node id %#x", id)
@@ -199,7 +197,6 @@ func (n *Network) RemoveNode(id ID) error {
 		return fmt.Errorf("chord: remove of unknown node %#x", id)
 	}
 	node.alive = false
-	node.stopMaintenance()
 	delete(n.nodes, id)
 	i := sort.Search(len(n.ring), func(i int) bool { return n.ring[i] >= id })
 	if i < len(n.ring) && n.ring[i] == id {
@@ -218,8 +215,8 @@ func (n *Network) RemoveNode(id ID) error {
 //
 // In-flight messages *to* the node are lost in both cases. Routing
 // state of other nodes is NOT refreshed — stale fingers and successor
-// entries are skipped by liveness checks and repaired by stabilization
-// or FixAround.
+// entries are skipped by liveness checks and repaired by FixAround,
+// which core's System.CrashNode runs for the crashed node's arc.
 func (n *Network) CrashNode(id ID) error {
 	node, ok := n.nodes[id]
 	if !ok {
@@ -265,18 +262,13 @@ func (n *Network) Latency(a, b *Node) time.Duration {
 	return n.model.Latency(a.host, b.host)
 }
 
-// Send simulates a message from node `from` to the node currently
-// identified by `to`: it accounts the bytes, waits the one-way
-// latency, and then runs deliver if the destination is still alive.
-// deliver receives the destination node.
-func (n *Network) Send(from *Node, to ID, kind MsgKind, bytes int, deliver func(dst *Node)) {
-	n.SendOrFail(from, to, kind, bytes, deliver, nil)
-}
-
-// SendOrFail is Send with an explicit loss callback: failed runs (at
-// send time or at the would-be delivery time) when the destination is
-// unknown, either endpoint crashes while the message is in flight, or
-// the network's fault policy drops the message.
+// SendOrFail simulates a message from node `from` to the node
+// currently identified by `to`: it accounts the bytes, waits the
+// one-way latency, and then runs deliver with the destination node if
+// it is still alive. failed (nil: a loss goes unreported) runs instead,
+// at send time or at the would-be delivery time, when the destination
+// is unknown, either endpoint crashes while the message is in flight,
+// or the network's fault policy drops the message.
 func (n *Network) SendOrFail(from *Node, to ID, kind MsgKind, bytes int, deliver func(dst *Node), failed func()) {
 	n.send(from, to, kind, bytes, handler{deliver: deliver, failed: failed})
 }
@@ -417,9 +409,9 @@ func (n *Network) acquireInflight() *inflight {
 // position pos: the node covering pos, its NumSuccessors predecessors
 // (whose successor lists reference the region) and its immediate
 // successor. Distant stale fingers remain; NextHop skips dead entries,
-// so routing stays correct while a periodic full refresh (or protocol
-// fix-fingers) restores optimality — exactly Chord's behavior under
-// churn.
+// so routing stays correct until a full refresh (BuildAllTables)
+// restores optimality — exactly Chord's behavior under churn between
+// fix-finger rounds.
 func (n *Network) FixAround(pos ID) {
 	if len(n.ring) == 0 {
 		return
@@ -511,32 +503,3 @@ func (n *Network) pickFinger(node *Node, start, end ID) ID {
 	}
 	return best
 }
-
-// Rejoin gracefully moves a node to a new identifier (used by the
-// §3.4 dynamic load migration: "ask it to leave and then rejoin the
-// system with a given node identifier"). The node keeps its physical
-// host. Routing state of the affected neighborhood is refreshed via
-// the oracle. It returns the new node.
-func (n *Network) Rejoin(oldID, newID ID) (*Node, error) {
-	old, ok := n.nodes[oldID]
-	if !ok {
-		return nil, fmt.Errorf("chord: rejoin of unknown node %#x", oldID)
-	}
-	if _, dup := n.nodes[newID]; dup {
-		return nil, fmt.Errorf("chord: rejoin target id %#x already taken", newID)
-	}
-	host := old.host
-	if err := n.RemoveNode(oldID); err != nil {
-		return nil, err
-	}
-	fresh, err := n.AddNode(newID, host)
-	if err != nil {
-		return nil, err
-	}
-	return fresh, nil
-}
-
-// RefreshNeighborhood rebuilds oracle tables for every live node —
-// cheap at simulation scale and equivalent to the network having
-// re-stabilized after membership churn.
-func (n *Network) RefreshNeighborhood() { n.BuildAllTables() }

@@ -4,10 +4,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"time"
-
-	"landmarkdht/internal/netmodel"
-	"landmarkdht/internal/sim"
 )
 
 // nextHopReference is NextHop as it was before the table was sorted:
@@ -134,107 +130,8 @@ func TestNextHopMatchesReference(t *testing.T) {
 			join(ID(rng.Uint64()), false)
 			checkNextHops(t, rng, nodes, "after joins")
 		}
-		net.RefreshNeighborhood()
+		net.BuildAllTables()
 		checkNextHops(t, rng, nodes, "refreshed")
-	}
-	checkMaintainedRing(t)
-}
-
-// checkMaintainedRing holds NextHop to the reference on a ring built by
-// the message-driven protocol alone: nodes join through JoinVia, a
-// timer runs stabilize and fix-fingers on each, and some crash between
-// rounds. Every node is checked after each round and a joiner also the
-// moment its join completes. A node whose whole successor list crashed
-// is checked right after the stabilize step that adopts its predecessor:
-// left to its timer, the fix-finger step of the same tick would mark the
-// table stale again and hide a missing mark.
-func checkMaintainedRing(t *testing.T) {
-	eng := sim.NewEngine(1)
-	model, err := netmodel.NewSyntheticKing(netmodel.KingConfig{N: 64, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.NumSuccessors = 4
-	cfg.StabilizeEvery = 500 * time.Millisecond
-	net := NewNetwork(eng, model, cfg)
-	rng := rand.New(rand.NewSource(34))
-	var nodes []*Node
-	join := func(boot *Node) {
-		nd, err := net.AddNode(ID(rng.Uint64()), len(nodes))
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, nd)
-		checkNextHops(t, rng, []*Node{nd}, "before its join")
-		if boot == nil {
-			boot = nd
-		}
-		nd.JoinVia(boot.id, func() { checkNextHops(t, rng, []*Node{nd}, "join completed") })
-	}
-	join(nil)
-	for round := 0; round < 14; round++ {
-		if round < 10 {
-			live := net.Nodes()
-			for range 4 {
-				join(live[rng.Intn(len(live))])
-			}
-		}
-		if round%4 == 3 {
-			// Crash the whole successor list of one node, and one more.
-			live := net.Nodes()
-			var x *Node
-			for _, i := range rng.Perm(len(live)) {
-				nd := live[i]
-				if nd.hasPred && net.Node(nd.pred) != nil && !slices.Contains(nd.succ, nd.pred) && !slices.Contains(nd.succ, nd.id) {
-					x = nd
-					break
-				}
-			}
-			if x == nil {
-				t.Fatalf("round %d: no node has a live predecessor outside its successor list", round)
-			}
-			for _, s := range x.succ {
-				if net.Node(s) != nil {
-					if err := net.CrashNode(s); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			if victim := live[rng.Intn(len(live))]; victim.Alive() && victim != x && victim.id != x.pred {
-				if err := net.CrashNode(victim.id); err != nil {
-					t.Fatal(err)
-				}
-			}
-			checkNextHops(t, rng, nodes, "after crashes")
-			x.stabilize()
-			if !slices.Equal(x.succ, []ID{x.pred}) {
-				t.Fatalf("round %d: node %#x with every successor crashed kept %x, not its predecessor %#x", round, x.id, x.succ, x.pred)
-			}
-			checkNextHops(t, rng, []*Node{x}, "successor list lost")
-		}
-		eng.RunUntil(eng.Now() + 700*time.Millisecond)
-		checkNextHops(t, rng, nodes, "after a round")
-	}
-	// The timers' fix-finger steps mark most tables stale again soon
-	// after a stabilize step rewrote the successor list. With them
-	// stopped, crashes and stabilize steps alone decide what a table
-	// holds.
-	for _, nd := range net.Nodes() {
-		nd.StopMaintenance()
-	}
-	for pass := 0; pass < 3; pass++ {
-		live := net.Nodes()
-		for _, i := range rng.Perm(len(live))[:3] {
-			if err := net.CrashNode(live[i].id); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, nd := range net.Nodes() {
-			nd.stabilize()
-		}
-		eng.Run()
-		checkNextHops(t, rng, nodes, "after a stabilize pass")
 	}
 }
 

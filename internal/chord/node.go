@@ -3,8 +3,6 @@ package chord
 import (
 	"fmt"
 	"slices"
-
-	"landmarkdht/internal/runtime"
 )
 
 // Node is one overlay participant.
@@ -26,8 +24,6 @@ type Node struct {
 	// rebuilds it in place (RoutingTable).
 	table  []ID
 	sorted bool
-
-	ticker *runtime.Ticker
 }
 
 // ID returns the node's ring identifier.
@@ -38,11 +34,6 @@ func (nd *Node) Host() int { return nd.host }
 
 // Alive reports whether the node is still part of the overlay.
 func (nd *Node) Alive() bool { return nd.alive }
-
-// Crashed reports whether the node left the overlay by crashing (as
-// opposed to a graceful leave). In-flight messages from a crashed node
-// are lost.
-func (nd *Node) Crashed() bool { return nd.crashed }
 
 // Network returns the overlay the node belongs to.
 func (nd *Node) Network() *Network { return nd.net }
@@ -144,18 +135,6 @@ func (nd *Node) String() string {
 	return fmt.Sprintf("chord.Node(%#x)", nd.id)
 }
 
-// StopMaintenance halts the node's protocol maintenance timer. Used
-// when a measurement phase wants a quiescent network.
-func (nd *Node) StopMaintenance() { nd.stopMaintenance() }
-
-// stopMaintenance halts the protocol timer if running.
-func (nd *Node) stopMaintenance() {
-	if nd.ticker != nil {
-		nd.ticker.Stop()
-		nd.ticker = nil
-	}
-}
-
 // FindSuccessor resolves successor(key) with the iterative Chord
 // lookup over simulated messages: at most one round trip per hop, each
 // hop chosen by NextHop at the queried node. done receives the
@@ -184,7 +163,7 @@ func (nd *Node) findStep(cur *Node, key ID, bytes, hops int, done func(ID, int))
 		return
 	}
 	// One message to the next hop; the continuation runs there.
-	nd.net.Send(cur, next, KindLookup, bytes, func(dst *Node) {
+	nd.net.SendOrFail(cur, next, KindLookup, bytes, func(dst *Node) {
 		nd.findStep(dst, key, bytes, hops+1, done)
-	})
+	}, nil)
 }

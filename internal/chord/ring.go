@@ -1,10 +1,11 @@
 // Package chord implements the Chord distributed hash table the index
 // architecture is built on (§3 of the paper; Stoica et al. [20]): a
 // 64-bit identifier ring with base-2 finger tables, successor lists,
-// proximity neighbor selection (Chord-PNS, Dabek et al. [9]), and both
-// message-driven maintenance (join / stabilize / fix-fingers) and an
-// oracle fast path used to bring large simulated networks to the
-// stabilized state instantly.
+// proximity neighbor selection (Chord-PNS, Dabek et al. [9]), and
+// iterative lookups over simulated messages. Routing state has one
+// writer, an oracle that installs the stabilized state the paper
+// measures in (BuildAllTables) and repairs a neighbourhood after churn
+// (FixAround).
 package chord
 
 // ID is a 64-bit ring identifier. Arithmetic wraps modulo 2^64.

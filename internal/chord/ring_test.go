@@ -69,50 +69,3 @@ func TestQuickDistArcs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// dedupeTrim invariants: no self, no duplicates, no dead nodes, length
-// capped, order preserved.
-func TestDedupeTrim(t *testing.T) {
-	_, net, nodes := newTestNet(t, 8, DefaultConfig())
-	self := nodes[0].ID()
-	alive1, alive2 := nodes[1].ID(), nodes[2].ID()
-	candidates := []ID{self, alive1, alive1, 0xdeadbeef, alive2, alive1}
-	out := dedupeTrim(self, candidates, 2, net)
-	if len(out) != 2 || out[0] != alive1 || out[1] != alive2 {
-		t.Fatalf("out = %#x", out)
-	}
-	// All-dead candidates: fall back to self.
-	out = dedupeTrim(self, []ID{0xdead, 0xbeef}, 4, net)
-	if len(out) != 1 || out[0] != self {
-		t.Fatalf("fallback = %#x", out)
-	}
-}
-
-// notify must only adopt candidates that tighten the predecessor.
-func TestNotifyTightens(t *testing.T) {
-	_, net, _ := newTestNet(t, 8, DefaultConfig())
-	net.BuildAllTables()
-	nd := net.Nodes()[3]
-	pred, _ := nd.Predecessor()
-	// A candidate behind the current predecessor must be rejected.
-	behind := pred - 10
-	if net.Node(behind) == nil {
-		nd.notify(behind)
-		if got, _ := nd.Predecessor(); got != pred {
-			t.Fatalf("notify adopted a looser predecessor %#x over %#x", got, pred)
-		}
-	}
-	// A candidate strictly between pred and self must be adopted.
-	between := pred + 1
-	if between != nd.ID() {
-		nd.notify(between)
-		if got, _ := nd.Predecessor(); got != between {
-			t.Fatalf("notify rejected tighter predecessor: got %#x want %#x", got, between)
-		}
-	}
-	// Self-notify is a no-op.
-	nd.notify(nd.ID())
-	if got, _ := nd.Predecessor(); got != between {
-		t.Fatal("self-notify changed predecessor")
-	}
-}

@@ -160,38 +160,8 @@ type QueryResult struct {
 	Uncovered []query.Region
 }
 
-// MessageModel is the paper's §4.1 byte accounting: a query message
-// carrying n subqueries over a k-landmark index costs
-// Header + n·(4k + PerSubquery); a result message costs ResultHeader +
-// PerEntry·entries.
-type MessageModel struct {
-	QueryHeader  int // packet header + source IP (paper: 20 + 4)
-	PerSubquery  int // prefix key + prefix length (paper: 8 + 1)
-	ResultHeader int // packet header (paper: 20)
-	PerEntry     int // per index entry in a result (paper: 6)
-	PerTransfer  int // per entry moved during load migration
-}
-
-// DefaultMessageModel returns the paper's message size model.
-func DefaultMessageModel() MessageModel {
-	return MessageModel{QueryHeader: 24, PerSubquery: 9, ResultHeader: 20, PerEntry: 6, PerTransfer: 14}
-}
-
-// QueryMsgBytes returns the size of a query message carrying n
-// subqueries in a k-dimensional index space: each subquery carries its
-// k range pairs at 2 bytes per bound (2·2·k) plus prefix metadata.
-func (m MessageModel) QueryMsgBytes(n, k int) int {
-	return m.QueryHeader + n*(4*k+m.PerSubquery)
-}
-
-// ResultMsgBytes returns the size of a result message with the given
-// number of entries.
-func (m MessageModel) ResultMsgBytes(entries int) int {
-	return m.ResultHeader + m.PerEntry*entries
-}
-
-// TransferBytes returns the size of a migration transfer of the given
-// number of entries.
-func (m MessageModel) TransferBytes(entries int) int {
-	return m.PerTransfer * entries
-}
+// TransferEntryBytes is the size charged for one index entry moved
+// between nodes: a publication, or an entry a migration reindexes. The
+// query and result messages are charged their §4.1 sizes,
+// wire.QuerySize and wire.ResultSize.
+const TransferEntryBytes = 14

@@ -16,6 +16,7 @@ import (
 	"landmarkdht/internal/metric"
 	"landmarkdht/internal/netmodel"
 	"landmarkdht/internal/sim"
+	"landmarkdht/internal/wire"
 )
 
 // fixture is a small, brute-forceable deployment: a clustered 2-d
@@ -382,16 +383,17 @@ func TestNaiveCostsMore(t *testing.T) {
 	}
 }
 
+// TestMessageModel checks the message sizes core charges against the
+// paper's §4.1 byte accounting.
 func TestMessageModel(t *testing.T) {
-	m := DefaultMessageModel()
 	// Paper formula: 20 + 4 + n(4k + 9).
-	if got := m.QueryMsgBytes(3, 10); got != 24+3*(40+9) {
+	if got := wire.QuerySize(3, 10); got != 24+3*(40+9) {
 		t.Fatalf("query bytes = %d", got)
 	}
-	if got := m.ResultMsgBytes(10); got != 20+60 {
+	if got := wire.ResultSize(10); got != 20+60 {
 		t.Fatalf("result bytes = %d", got)
 	}
-	if got := m.TransferBytes(5); got != 70 {
+	if got := 5 * TransferEntryBytes; got != 70 {
 		t.Fatalf("transfer bytes = %d", got)
 	}
 }

@@ -527,7 +527,7 @@ func (s *System) ship(m *queryMsg) {
 		}
 		m.payload, bytes = data, len(data)
 	} else {
-		bytes = s.cfg.Msg.QueryMsgBytes(k, aq.ix.Part.K())
+		bytes = wire.QuerySize(k, aq.ix.Part.K())
 	}
 	aq.stats.QueryMsgs++
 	aq.stats.QueryBytes += int64(bytes)
@@ -850,7 +850,7 @@ func (s *System) answerDone(n *IndexNode, aq *activeQuery, q query.Region, hops 
 		s.mergeResult(aq, nodeID, local, tok)
 		return
 	}
-	var bytes int
+	bytes := wire.ResultSize(len(local))
 	if s.cfg.EncodeWire && aq.ix.MaxDist > 0 {
 		// Real binary encoding: distances are quantized against the
 		// index's maximum distance (rounded up, never understated).
@@ -866,11 +866,7 @@ func (s *System) answerDone(n *IndexNode, aq *activeQuery, q query.Region, hops 
 				}
 			}
 			bytes = len(data)
-		} else {
-			bytes = s.cfg.Msg.ResultMsgBytes(len(local))
 		}
-	} else {
-		bytes = s.cfg.Msg.ResultMsgBytes(len(local))
 	}
 	aq.stats.ResultMsgs++
 	aq.stats.ResultBytes += int64(bytes)
@@ -1109,8 +1105,8 @@ func (s *System) NaiveRangeQuery(indexName string, srcID chord.ID, payload any, 
 		rk := ix.Part.Ring(sq.PreKey)
 		// One full Chord lookup per piece, then one direct query
 		// message to the owner.
-		src.node.FindSuccessor(rk, s.cfg.Msg.QueryMsgBytes(1, k), func(owner chord.ID, hops int) {
-			bytes := s.cfg.Msg.QueryMsgBytes(1, k)
+		src.node.FindSuccessor(rk, wire.QuerySize(1, k), func(owner chord.ID, hops int) {
+			bytes := wire.QuerySize(1, k)
 			aq.stats.QueryMsgs += hops + 1
 			aq.stats.QueryBytes += int64(bytes * (hops + 1))
 			answered := false // idempotence against duplicated query frames

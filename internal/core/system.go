@@ -17,8 +17,6 @@ import (
 type Config struct {
 	// Chord is the overlay configuration.
 	Chord chord.Config
-	// Msg is the message-size model (§4.1).
-	Msg MessageModel
 	// EncodeWire runs query and result messages through the real
 	// binary codec (internal/wire) instead of size accounting alone:
 	// subquery cubes are quantized to the paper's 2-byte bounds in
@@ -133,7 +131,6 @@ func (rc *RetryConfig) fillDefaults() {
 func DefaultConfig() Config {
 	return Config{
 		Chord: chord.DefaultConfig(),
-		Msg:   DefaultMessageModel(),
 	}
 }
 
@@ -220,9 +217,6 @@ func NewSystem(eng *sim.Engine, model netmodel.Model, cfg Config) *System {
 // NewSystemRuntime creates an empty system over explicit runtime
 // seams.
 func NewSystemRuntime(rt runtime.Runtime, tr runtime.Transport, model netmodel.Model, cfg Config) *System {
-	if cfg.Msg == (MessageModel{}) {
-		cfg.Msg = DefaultMessageModel()
-	}
 	cfg.Retry.fillDefaults()
 	cfg.Hedge.fillDefaults()
 	return &System{
@@ -415,12 +409,11 @@ func (s *System) Publish(indexName string, srcID chord.ID, e Entry, done func(ow
 	key := ix.Part.Ring(ix.Part.Hash(e.Point))
 	lookupBytes := 40
 	src.node.FindSuccessor(key, lookupBytes, func(owner chord.ID, hops int) {
-		entryBytes := s.cfg.Msg.TransferBytes(1)
 		if s.cfg.Retry.Enabled() {
-			s.publishReliably(src, owner, key, indexName, e, entryBytes, hops, done)
+			s.publishReliably(src, owner, key, indexName, e, TransferEntryBytes, hops, done)
 			return
 		}
-		s.net.SendOrFail(src.node, owner, chord.KindLookup, entryBytes, func(dst *chord.Node) {
+		s.net.SendOrFail(src.node, owner, chord.KindLookup, TransferEntryBytes, func(dst *chord.Node) {
 			s.storePublished(dst.ID(), indexName, key, e, hops+1, done)
 		}, func() {
 			// Owner vanished: re-resolve through the oracle so the
@@ -586,16 +579,6 @@ func (s *System) Loads() []int {
 	out := make([]int, 0, len(s.nodes))
 	for _, in := range s.Nodes() {
 		out = append(out, in.Load())
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
-}
-
-// LoadsFor returns per-node loads for one scheme, descending.
-func (s *System) LoadsFor(indexName string) []int {
-	out := make([]int, 0, len(s.nodes))
-	for _, in := range s.Nodes() {
-		out = append(out, in.LoadFor(indexName))
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(out)))
 	return out

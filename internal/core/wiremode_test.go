@@ -15,20 +15,20 @@ import (
 	"landmarkdht/internal/wire"
 )
 
-// The accounting model and the real codec must agree byte-for-byte.
+// Size accounting charges each message what the codec encodes: the
+// same searches with and without EncodeWire send as many query and
+// result messages and as many bytes of each.
 func TestModelMatchesWireSizes(t *testing.T) {
-	model := DefaultMessageModel()
-	for _, k := range []int{1, 3, 10} {
-		for _, n := range []int{0, 1, 5} {
-			if model.QueryMsgBytes(n, k) != wire.QuerySize(n, k) {
-				t.Fatalf("model %d != wire %d for n=%d k=%d",
-					model.QueryMsgBytes(n, k), wire.QuerySize(n, k), n, k)
-			}
-		}
-	}
-	for _, n := range []int{0, 7, 42} {
-		if model.ResultMsgBytes(n) != wire.ResultSize(n) {
-			t.Fatalf("result model %d != wire %d for n=%d", model.ResultMsgBytes(n), wire.ResultSize(n), n)
+	acct, enc := buildFixture(t, 32, 2000, 3, false), buildWireFixture(t, 32, 2000)
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 10; trial++ {
+		q := acct.data[rng.Intn(len(acct.data))].Clone()
+		src, r := rng.Intn(32), 2+rng.Float64()*15
+		a := acct.runRange(t, src, q, r, QueryOpts{}).Stats
+		w := enc.runRange(t, src, q, r, QueryOpts{}).Stats
+		if a.QueryMsgs != w.QueryMsgs || a.QueryBytes != w.QueryBytes || a.ResultMsgs != w.ResultMsgs || a.ResultBytes != w.ResultBytes {
+			t.Fatalf("trial %d: accounted %d query msgs / %d B, %d result msgs / %d B; encoded %d / %d B, %d / %d B",
+				trial, a.QueryMsgs, a.QueryBytes, a.ResultMsgs, a.ResultBytes, w.QueryMsgs, w.QueryBytes, w.ResultMsgs, w.ResultBytes)
 		}
 	}
 }
@@ -140,13 +140,13 @@ func TestWireModeBytesMatchModel(t *testing.T) {
 	// line up with the closed-form: since message sizes depend on the
 	// subquery count per message, check the floor/ceiling instead.
 	if st.QueryMsgs > 0 {
-		minBytes := int64(st.QueryMsgs) * int64(f.sys.cfg.Msg.QueryMsgBytes(1, 3))
+		minBytes := int64(st.QueryMsgs) * int64(wire.QuerySize(1, 3))
 		if st.QueryBytes < minBytes {
 			t.Fatalf("query bytes %d below 1-subquery floor %d", st.QueryBytes, minBytes)
 		}
 	}
 	if st.ResultMsgs > 0 {
-		minBytes := int64(st.ResultMsgs) * int64(f.sys.cfg.Msg.ResultMsgBytes(0))
+		minBytes := int64(st.ResultMsgs) * int64(wire.ResultSize(0))
 		if st.ResultBytes < minBytes {
 			t.Fatalf("result bytes %d below header floor %d", st.ResultBytes, minBytes)
 		}

@@ -51,8 +51,6 @@ type DeploySpec[T any] struct {
 	LB *core.LBConfig
 	// MaxDist overrides the range-factor scale (default: Space.Max).
 	MaxDist float64
-	// Naive switches query routing to the §3.3 strawman.
-	Naive bool
 	// DisablePNS turns off proximity neighbor selection.
 	DisablePNS bool
 	// LossRate drops each message with this probability (fault

@@ -83,12 +83,3 @@ func (s *EditScratch) EditInt(a, b string) int {
 func EditSpace(name string, maxLen int) Space[string] {
 	return Space[string]{Name: name, Dist: Edit, Bounded: maxLen > 0, Max: float64(maxLen)}
 }
-
-// EditSpaceScratch is EditSpace with a per-space EditScratch backing
-// the distance function, making warm distance calls allocation-free.
-// The returned Space (and copies of it — they share the scratch) must
-// be confined to a single goroutine/engine; build one Space per trial.
-func EditSpaceScratch(name string, maxLen int) Space[string] {
-	var s EditScratch
-	return Space[string]{Name: name, Dist: s.Edit, Bounded: maxLen > 0, Max: float64(maxLen)}
-}

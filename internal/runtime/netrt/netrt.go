@@ -4,18 +4,19 @@
 //
 // # Relationship to the other runtimes
 //
-// The simulated runtime (runtime/simrt) and the live runtime
-// (runtime/livert) both execute the protocol in one address space,
-// where delivery callbacks carry prebound local state across "nodes".
-// A multi-process ring has no shared memory, so netrt speaks a fully
-// self-describing frame protocol over the existing internal/wire
-// [id|len|payload] framing: membership handshake and gossip, the
-// paper's surrogate-refinement query decomposition (Algorithm 5), and
-// credit-based completion accounting replace the in-process token
-// bookkeeping. Every frame — peer and client alike, handshakes and
-// gossip included — is a fixed-layout, lossless binary message
-// (proto.go). The livert executor is reused verbatim as each node's
-// single-threaded protocol goroutine, clock, and seeded random source.
+// The simulated runtime (runtime/simrt) executes core and chord in
+// one address space, where delivery callbacks carry prebound local
+// state across "nodes". The live runtime (runtime/livert) runs no
+// protocol of its own: it is netrt's executor. A multi-process ring
+// has no shared memory, so netrt speaks a fully self-describing frame
+// protocol over the existing internal/wire [id|len|payload] framing:
+// membership handshake and gossip, the paper's surrogate-refinement
+// query decomposition (Algorithm 5), and credit-based completion
+// accounting replace the in-process token bookkeeping. Every frame —
+// peer and client alike, handshakes and gossip included — is a
+// fixed-layout, lossless binary message (proto.go). The livert
+// executor is reused verbatim as each node's single-threaded protocol
+// goroutine, clock, and seeded random source.
 //
 // # Link layer
 //

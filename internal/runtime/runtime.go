@@ -116,8 +116,8 @@ type Driver interface {
 }
 
 // Ticker repeatedly invokes fn every period until Stop is called. It is
-// the building block for protocol maintenance timers (stabilize,
-// fix-fingers, load probing) and works over any Clock; the tick
+// the building block for periodic protocol work (load probing, netrt's
+// gossip, heartbeats and anti-entropy) and works over any Clock; the tick
 // closure is allocated once per ticker and rescheduling it reuses the
 // same function value.
 type Ticker struct {

@@ -301,40 +301,3 @@ func (t Timer) Stopped() bool {
 	s := &t.eng.slots[t.slot]
 	return s.gen != t.gen || s.stopped
 }
-
-// Ticker repeatedly invokes fn every period until Stop is called or the
-// predicate returns false. It is the building block for protocol
-// maintenance timers (stabilize, fix-fingers, load probing).
-type Ticker struct {
-	stopped bool
-}
-
-// NewTicker schedules fn every period, with the first invocation after
-// an initial offset (use offset = period for a plain ticker; a random
-// offset desynchronizes node timers). fn runs until Stop is called.
-// The tick closure is allocated once per ticker; rescheduling it each
-// period reuses the same function value and allocates nothing.
-func NewTicker(e *Engine, offset, period Time, fn func()) *Ticker {
-	if period <= 0 {
-		panic("sim: NewTicker with non-positive period")
-	}
-	t := &Ticker{}
-	var tick func()
-	tick = func() {
-		if t.stopped {
-			return
-		}
-		fn()
-		if !t.stopped {
-			e.Schedule(period, tick)
-		}
-	}
-	e.Schedule(offset, tick)
-	return t
-}
-
-// Stop cancels future invocations. It is idempotent.
-func (t *Ticker) Stop() { t.stopped = true }
-
-// Stopped reports whether the ticker has been stopped.
-func (t *Ticker) Stopped() bool { return t.stopped }

@@ -191,68 +191,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestTickerPeriodic(t *testing.T) {
-	e := NewEngine(1)
-	var ticks []Time
-	tk := NewTicker(e, time.Second, time.Second, func() {
-		ticks = append(ticks, e.Now())
-	})
-	e.RunUntil(5 * time.Second)
-	tk.Stop()
-	e.RunUntil(10 * time.Second)
-	if len(ticks) != 5 {
-		t.Fatalf("ticks = %v, want 5 ticks", ticks)
-	}
-	for i, at := range ticks {
-		if at != time.Duration(i+1)*time.Second {
-			t.Fatalf("tick %d at %v", i, at)
-		}
-	}
-}
-
-func TestTickerStopInsideCallback(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	var tk *Ticker
-	tk = NewTicker(e, 0, time.Second, func() {
-		count++
-		if count == 3 {
-			tk.Stop()
-		}
-	})
-	e.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-	if !tk.Stopped() {
-		t.Fatal("ticker not stopped")
-	}
-}
-
-func TestTickerOffsetZero(t *testing.T) {
-	e := NewEngine(1)
-	first := Time(-1)
-	tk := NewTicker(e, 0, time.Minute, func() {
-		if first < 0 {
-			first = e.Now()
-		}
-	})
-	e.RunUntil(time.Second)
-	tk.Stop()
-	if first != 0 {
-		t.Fatalf("first tick at %v, want 0", first)
-	}
-}
-
-func TestTickerPanicsOnBadPeriod(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on zero period")
-		}
-	}()
-	NewTicker(NewEngine(1), 0, 0, func() {})
-}
-
 // Property: for any batch of events with random delays, execution order
 // is sorted by (time, insertion order).
 func TestQuickEventOrderSorted(t *testing.T) {

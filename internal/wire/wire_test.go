@@ -35,8 +35,7 @@ func randRegion(rng *rand.Rand, p *lph.Partitioner) query.Region {
 }
 
 // The sizes of the wire encodings must equal the paper's §4.1
-// formulas (core's MessageModel cross-checks them from the other side
-// to avoid an import cycle here).
+// formulas, which core charges for every query and result message.
 func TestSizesMatchPaperFormulas(t *testing.T) {
 	for _, k := range []int{1, 2, 5, 10, 20} {
 		for _, n := range []int{0, 1, 3, 7} {
