@@ -47,15 +47,19 @@ test-short:
 test-race:
 	$(GO) test -race -short ./...
 
-# The small-scale transcripts of figures 2, 3 and 5 and of the fault
-# ablation (A9) against the recorded ones (testdata/golden, ~35 s): a
-# change to the store, the router, the overlay or its fault injection
-# that is meant to leave the protocol alone prints the same bytes —
-# recall, hops, messages, migrations, load, drops and retransmissions —
-# apart from the wall-clock line. A change that means to move them
-# regenerates the files with the same four commands and says why.
+# The small-scale transcript of every lmsim experiment — tables 1 and
+# 2, figures 2 to 6, the ablations (rotation, naive, lbsweep, ksweep,
+# mapping, pns), churn and the fault sweep (A9) — against the recorded
+# ones (testdata/golden, ~60 s): a change to the store, the router, the
+# overlay, its fault injection or the region streams that is meant to
+# leave the protocol alone prints the same bytes — recall, hops,
+# messages, migrations, load, drops and retransmissions — apart from the
+# wall-clock line. A change that means to move them regenerates the
+# files with the same commands and says why.
+GOLDEN = table1 table2 fig2 fig3 fig4 fig5 fig6 rotation naive lbsweep ksweep mapping churn pns faults
+
 golden-check:
-	@for f in fig2 fig3 fig5 faults; do \
+	@for f in $(GOLDEN); do \
 		$(GO) run ./cmd/lmsim -exp $$f -scale small | grep -v "^\[$$f completed in " | diff testdata/golden/$${f}_small.txt - || exit 1; \
 	done
 

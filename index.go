@@ -2,14 +2,12 @@ package landmarkdht
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"landmarkdht/internal/chord"
 	"landmarkdht/internal/core"
 	"landmarkdht/internal/indexspace"
 	"landmarkdht/internal/landmark"
-	"landmarkdht/internal/lph"
 	"landmarkdht/internal/metric"
 )
 
@@ -181,96 +179,91 @@ func AddIndex[T any](p *Platform, space Space[T], objects []T, mean Meaner[T], o
 		return nil, err
 	}
 
-	var iopts []indexspace.Option[T]
+	var boundary []T
 	if opts.BoundaryFromSample {
-		iopts = append(iopts, indexspace.WithSampleBoundary(sample))
+		boundary = sample
 	}
-	emb, err := indexspace.New(space, lms, iopts...)
-	if err != nil {
-		return nil, err
-	}
-	part, err := emb.Partitioner(!opts.DisableRotation)
-	if err != nil {
-		return nil, err
-	}
-	ix := &Index[T]{p: p, emb: emb, name: space.Name, objects: objects,
+	ix := &Index[T]{p: p, name: space.Name, objects: objects,
 		space: space, mean: mean, opts: opts, slab: metric.NewL2Slab(space, objects)}
-	if space.Bounded {
-		ix.maxDist = space.Max
-	} else {
-		// Sample boundary: the widest dimension bounds distances we
-		// can meaningfully query.
-		for _, b := range emb.Bounds() {
-			if b.Hi > ix.maxDist {
-				ix.maxDist = b.Hi
-			}
-		}
-	}
-	if err := p.sys.DeployIndex(ix.coreIndex(part)); err != nil {
-		return nil, err
-	}
-	if err := p.sys.BulkLoad(space.Name, batchEntries(emb, objects)); err != nil {
+	if err := ix.deploy(lms, boundary, false); err != nil {
 		return nil, err
 	}
 	return ix, nil
 }
 
-// coreIndex is the scheme core deploys for part: exact distances come
-// from the space's Dist, a batch at a time over the slab when there is
-// one.
-func (ix *Index[T]) coreIndex(part *lph.Partitioner) *core.Index {
+// deploy embeds every object against landmarks (the index-space
+// boundary derived from boundary when it is non-nil) and loads the
+// scheme, removing the one it replaces first when replace is set: the
+// tail AddIndex and ReindexWith share. The index adopts the new
+// embedding only once the load succeeded.
+func (ix *Index[T]) deploy(landmarks, boundary []T, replace bool) error {
+	var iopts []indexspace.Option[T]
+	if boundary != nil {
+		iopts = append(iopts, indexspace.WithSampleBoundary(boundary))
+	}
+	emb, err := indexspace.New(ix.space, landmarks, iopts...)
+	if err != nil {
+		return err
+	}
+	part, err := emb.Partitioner(!ix.opts.DisableRotation)
+	if err != nil {
+		return err
+	}
+	maxDist := ix.space.Max
+	if !ix.space.Bounded {
+		// Sample boundary: the widest dimension bounds distances we
+		// can meaningfully query.
+		maxDist = 0
+		for _, b := range emb.Bounds() {
+			maxDist = max(maxDist, b.Hi)
+		}
+	}
 	cix := &core.Index{
 		Name:    ix.name,
 		Part:    part,
-		MaxDist: ix.maxDist,
+		MaxDist: maxDist,
 		Dist: func(payload any, obj core.ObjectID) float64 {
 			return ix.space.Dist(payload.(T), ix.objects[obj])
 		},
 	}
 	if ix.slab != nil {
+		// Exact distances a batch at a time over the slab.
 		cix.Refine = ix.slab.Refine
 	}
-	return cix
+	// One MapBatch arena: two allocations for the whole load instead of
+	// one per object, and contiguous coordinates for the bulk-load scan.
+	rows, _ := emb.MapBatch(ix.objects, nil)
+	sys := ix.p.sys
+	if replace {
+		if err := sys.RemoveIndex(ix.name); err != nil {
+			return err
+		}
+	}
+	if err := sys.DeployIndex(cix); err != nil {
+		return err
+	}
+	if err := sys.BulkLoadRows(ix.name, rows); err != nil {
+		return err
+	}
+	ix.emb, ix.maxDist = emb, maxDist
+	return nil
 }
 
-// batchEntries embeds all objects through one MapBatch arena: two
-// allocations for the whole load instead of one per object, and
-// contiguous coordinates for the bulk-load scan.
-func batchEntries[T any](emb *indexspace.Embedding[T], objects []T) []core.Entry {
-	rows, _ := emb.MapBatch(objects, nil)
-	entries := make([]core.Entry, len(objects))
-	for i := range objects {
-		entries[i] = core.Entry{Obj: core.ObjectID(i), Point: rows[i]}
-	}
-	return entries
+// selectionMethods maps each SelectionMethod to landmark.Select's.
+var selectionMethods = map[SelectionMethod]landmark.Method{
+	GreedySelection:   landmark.MaxMin,
+	KMeansSelection:   landmark.Centroids,
+	KMedoidsSelection: landmark.Medoids,
 }
 
 // pickLandmarks runs the §3.1 selection procedure over a seeded random
 // sample of the objects.
 func pickLandmarks[T any](objects []T, space Space[T], mean Meaner[T], opts IndexOptions, seed int64) (lms, sample []T, err error) {
-	rng := rand.New(rand.NewSource(seed))
-	sampleN := opts.SampleSize
-	if sampleN > len(objects) {
-		sampleN = len(objects)
+	method, ok := selectionMethods[opts.Selection]
+	if !ok {
+		return nil, nil, fmt.Errorf("landmarkdht: unknown selection method %q", opts.Selection)
 	}
-	sample = make([]T, sampleN)
-	for i, idx := range rng.Perm(len(objects))[:sampleN] {
-		sample[i] = objects[idx]
-	}
-	switch opts.Selection {
-	case GreedySelection:
-		lms, err = landmark.Greedy(rng, sample, opts.Landmarks, space.Dist)
-	case KMeansSelection:
-		if mean == nil {
-			return nil, nil, fmt.Errorf("landmarkdht: KMeansSelection requires a Meaner")
-		}
-		lms, err = landmark.KMeans(rng, sample, opts.Landmarks, space.Dist, mean, 50)
-	case KMedoidsSelection:
-		lms, err = landmark.KMedoids(rng, sample, opts.Landmarks, space.Dist, 20)
-	default:
-		err = fmt.Errorf("landmarkdht: unknown selection method %q", opts.Selection)
-	}
-	return lms, sample, err
+	return landmark.Select(method, objects, opts.SampleSize, opts.Landmarks, space.Dist, mean, seed)
 }
 
 // ReindexWith installs a new landmark set (§6 future work #3): every
@@ -282,44 +275,13 @@ func (ix *Index[T]) ReindexWith(landmarks []T, boundarySample []T) error {
 	if len(landmarks) == 0 {
 		return fmt.Errorf("landmarkdht: empty landmark set")
 	}
-	var iopts []indexspace.Option[T]
-	if boundarySample != nil {
-		iopts = append(iopts, indexspace.WithSampleBoundary(boundarySample))
-	} else if !ix.space.Bounded {
+	if boundarySample == nil && !ix.space.Bounded {
 		return fmt.Errorf("landmarkdht: unbounded metric requires a boundary sample")
 	}
-	emb, err := indexspace.New(ix.space, landmarks, iopts...)
-	if err != nil {
+	if err := ix.deploy(landmarks, boundarySample, true); err != nil {
 		return err
 	}
-	part, err := emb.Partitioner(!ix.opts.DisableRotation)
-	if err != nil {
-		return err
-	}
-	coreIx := ix.coreIndex(part)
-	entries := batchEntries(emb, ix.objects)
-	sys := ix.p.sys
-	if err := sys.RemoveIndex(ix.name); err != nil {
-		return err
-	}
-	if err := sys.DeployIndex(coreIx); err != nil {
-		return err
-	}
-	if err := sys.BulkLoad(ix.name, entries); err != nil {
-		return err
-	}
-	sys.Network().RecordTraffic(chord.KindTransfer, core.TransferEntryBytes*len(entries))
-	ix.emb = emb
-	if ix.space.Bounded {
-		ix.maxDist = ix.space.Max
-	} else {
-		ix.maxDist = 0
-		for _, b := range emb.Bounds() {
-			if b.Hi > ix.maxDist {
-				ix.maxDist = b.Hi
-			}
-		}
-	}
+	ix.p.sys.Network().RecordTraffic(chord.KindTransfer, core.TransferEntryBytes*len(ix.objects))
 	return nil
 }
 

@@ -82,8 +82,6 @@ func (t *Traffic) Total() (msgs, bytes int64) {
 // Config parameterizes the overlay. The defaults match the paper's
 // simulation setup: base-2 fingers, 16 successors, PNS enabled.
 type Config struct {
-	// NumSuccessors is the successor-list length (paper: 16).
-	NumSuccessors int
 	// PNS enables proximity neighbor selection for fingers.
 	PNS bool
 	// Faults, when non-nil, injects deterministic message-level
@@ -94,15 +92,12 @@ type Config struct {
 	Faults *runtime.FaultPolicy
 }
 
+// Successors is the successor-list length, the paper's 16.
+const Successors = 16
+
 // DefaultConfig returns the paper's parameters.
 func DefaultConfig() Config {
-	return Config{NumSuccessors: 16, PNS: true}
-}
-
-func (c *Config) fillDefaults() {
-	if c.NumSuccessors <= 0 {
-		c.NumSuccessors = 16
-	}
+	return Config{PNS: true}
 }
 
 // Network is the overlay: the set of live nodes, the latency model,
@@ -136,7 +131,6 @@ func NewNetwork(eng *sim.Engine, model netmodel.Model, cfg Config) *Network {
 // NewNetworkRuntime creates an empty overlay over explicit runtime
 // seams.
 func NewNetworkRuntime(rt runtime.Runtime, tr runtime.Transport, model netmodel.Model, cfg Config) *Network {
-	cfg.fillDefaults()
 	return &Network{rt: rt, tr: tr, model: model, cfg: cfg, faults: newFaults(cfg.Faults), nodes: make(map[ID]*Node)}
 }
 
@@ -406,7 +400,7 @@ func (n *Network) acquireInflight() *inflight {
 }
 
 // FixAround rebuilds oracle routing state in the neighborhood of ring
-// position pos: the node covering pos, its NumSuccessors predecessors
+// position pos: the node covering pos, its Successors predecessors
 // (whose successor lists reference the region) and its immediate
 // successor. Distant stale fingers remain; NextHop skips dead entries,
 // so routing stays correct until a full refresh (BuildAllTables)
@@ -418,7 +412,7 @@ func (n *Network) FixAround(pos ID) {
 	}
 	ln := len(n.ring)
 	idx := n.successorIndex(pos)
-	span := n.cfg.NumSuccessors + 2
+	span := Successors + 2
 	if span > ln {
 		span = ln
 	}
@@ -453,7 +447,7 @@ func (n *Network) BuildTables(node *Node) {
 	node.pred = r[(self-1+ln)%ln]
 	node.hasPred = true
 	// Successor list.
-	ns := n.cfg.NumSuccessors
+	ns := Successors
 	if ns > ln-1 {
 		ns = ln - 1
 	}

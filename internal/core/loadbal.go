@@ -338,7 +338,7 @@ func (s *System) JoinAtHotspot(host int) (*IndexNode, error) {
 		s.noteStoreErr(fresh.st.PutBatch(name, keys, entries))
 		// The handover between ring neighbors is synchronous here, but
 		// it is priced as the bulk stream it would be on a real wire.
-		s.accountBulk(name, keys, entries)
+		s.accountBulk(name, entries)
 	}
 	return fresh, nil
 }

@@ -42,9 +42,9 @@ func (s *System) ReplicateAll(indexName string, replicas int) error {
 	if s.lb != nil {
 		return fmt.Errorf("core: replication and dynamic load migration cannot be combined")
 	}
-	if replicas > s.cfg.Chord.NumSuccessors {
+	if replicas > chord.Successors {
 		return fmt.Errorf("core: %d replicas exceed the successor-list length %d",
-			replicas, s.cfg.Chord.NumSuccessors)
+			replicas, chord.Successors)
 	}
 	s.replicated[indexName] = replicas
 	s.repairIndex(indexName, replicas)
@@ -127,7 +127,6 @@ func (s *System) repairIndex(indexName string, replicas int) {
 	}
 	wantK := make([]lph.Key, 0, 64)
 	wantE := make([]Entry, 0, 64)
-	addK := make([]lph.Key, 0, 64)
 	addE := make([]Entry, 0, 64)
 	for _, in := range nodes {
 		want := desired[in.ID()]
@@ -137,12 +136,11 @@ func (s *System) repairIndex(indexName string, replicas int) {
 		}
 		h := have[in.ID()]
 		wantK, wantE = wantK[:0], wantE[:0]
-		addK, addE = addK[:0], addE[:0]
+		addE = addE[:0]
 		for _, i := range want {
 			wantK = append(wantK, keys[i])
 			wantE = append(wantE, entries[i])
 			if !h[kobj{keys[i], entries[i].Obj}] {
-				addK = append(addK, keys[i])
 				addE = append(addE, entries[i])
 			}
 		}
@@ -150,7 +148,7 @@ func (s *System) repairIndex(indexName string, replicas int) {
 		// The copies this node gained travelled from a replica holder:
 		// price them as one bulk stream per destination rather than an
 		// entry-at-a-time republication.
-		s.accountBulk(indexName, addK, addE)
+		s.accountBulk(indexName, addE)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"time"
 
@@ -192,9 +193,6 @@ type System struct {
 	transfers TransferStats
 	// nextTransfer allocates stream ids; deterministic counter.
 	nextTransfer uint64
-	// rxApplied is the receiver-side dedup state: chunk sequence
-	// numbers already applied, per in-flight transfer id.
-	rxApplied map[uint64]map[uint32]bool
 }
 
 // IndexNode is the per-node application state: the index entries this
@@ -289,6 +287,27 @@ func (s *System) AddNode(id chord.ID, host int) (*IndexNode, error) {
 	return in, nil
 }
 
+// Populate adds n nodes with distinct ring identifiers drawn from rng,
+// node i on latency-model host i, and stabilizes the ring. It returns
+// the identifiers in the order they were drawn.
+func (s *System) Populate(n int, rng *rand.Rand) ([]chord.ID, error) {
+	ids := make([]chord.ID, 0, n)
+	used := make(map[chord.ID]bool, n)
+	for i := 0; i < n; i++ {
+		id := chord.ID(rng.Uint64())
+		for used[id] {
+			id = chord.ID(rng.Uint64())
+		}
+		used[id] = true
+		if _, err := s.AddNode(id, i); err != nil {
+			return nil, err
+		}
+		ids = append(ids, id)
+	}
+	s.Stabilize()
+	return ids, nil
+}
+
 // newStore builds a node's storage backend from the configured factory.
 func (s *System) newStore(id chord.ID) (Store, error) {
 	if s.cfg.Store == nil {
@@ -364,6 +383,16 @@ func (s *System) lookupIndex(name string) (*Index, error) {
 		return nil, fmt.Errorf("core: unknown index %q", name)
 	}
 	return ix, nil
+}
+
+// BulkLoadRows bulk-loads object i at point rows[i] — the rows an
+// embedding's MapBatch writes into one arena.
+func (s *System) BulkLoadRows(indexName string, rows [][]float64) error {
+	entries := make([]Entry, len(rows))
+	for i, p := range rows {
+		entries[i] = Entry{Obj: ObjectID(i), Point: p}
+	}
+	return s.BulkLoad(indexName, entries)
 }
 
 // BulkLoad places entries directly on their responsible nodes through

@@ -5,44 +5,28 @@ import (
 
 	"landmarkdht/internal/chord"
 	"landmarkdht/internal/lph"
-	"landmarkdht/internal/runtime"
 	"landmarkdht/internal/wire"
+	"landmarkdht/internal/xfer"
 )
 
-// Streaming bulk region transfer (DESIGN.md §14): join/leave handoff,
-// load migration and replica repair ship whole serialized regions as
-// chunked, credit-acked streams instead of republishing entry-at-a-time
-// (one reliable round-trip per object). A stream serializes its region
-// with the region codec, packs entries greedily into chunks of about
-// transferChunkBytes, and keeps at most transferWindow chunks in
-// flight; every chunk is individually acknowledged, returning
-// its credit, and a chunk whose ack does not arrive in time is
-// retransmitted to the current successor of the destination's ring
-// position — the stream resumes at chunk granularity, it never
-// restarts. A chunk that exhausts its retries (or whose sender dies)
-// falls back to oracle reinsertion so migration can degrade to the old
-// teleport behavior but never silently lose entries.
+// Streaming bulk region transfer (DESIGN.md §14.3): handoff, load
+// migration and replica repair ship whole serialized regions as
+// xfer streams instead of republishing entry-at-a-time. On top of the
+// engine core adds the serialization delay before each chunk leaves,
+// applying a chunk as it lands, and its idle hook, which retargets the
+// current successor of the destination's ring position (the stream
+// resumes at chunk granularity) and checks the sender is alive. A
+// stream the engine gives up on falls back to oracle reinsertion of the
+// chunks the receiver never took: entries are never lost or duplicated.
 //
-// The receiver applies each chunk exactly once (duplicates from
-// premature retransmission are dropped by sequence number): entries
-// whose key the receiver now owns are stored locally; entries still
-// owned by the *sender* are stored locally too — that is the leave
-// handoff, where ownership arrives with the sender's departure; and
-// entries owned by some third node (membership drifted mid-stream) are
-// rerouted to that owner.
+// The receiver stores entries whose key it owns, and entries the
+// *sender* still owns — the leave handoff, where ownership arrives with
+// the sender's departure; entries owned by a third node (membership
+// drifted mid-stream) are rerouted to that owner.
 
-const (
-	// transferChunkBytes is the target chunk payload size. Far below
-	// wire.MaxChunkData: small enough to interleave with query traffic,
-	// large enough that per-chunk overhead is negligible.
-	transferChunkBytes = 8 << 10
-	// transferWindow is the credit window: chunks in flight before the
-	// first unacknowledged one stalls the stream.
-	transferWindow = 4
-	// transferMaxRetries bounds per-chunk retransmissions when the
-	// reliability layer is not configured.
-	transferMaxRetries = 3
-)
+// transferPolicy resends an idle stream's unacked chunks every second,
+// and gives up after 15 such rounds without an acknowledgement.
+var transferPolicy = xfer.Policy{Idle: time.Second, Rounds: 15}
 
 // TransferStats accounts bulk region streams against the point-wise
 // republication they replaced. The point-wise counters are the
@@ -81,21 +65,18 @@ type transferChunk struct {
 	payload []byte // encoded wire.RegionChunk
 	keys    []lph.Key
 	entries []Entry
-	acked   bool
 }
 
-// outTransfer is the sender-side state of one stream.
+// outTransfer is one stream: the sender's engine and chunks, and the
+// receiver's record of the chunks it took.
 type outTransfer struct {
-	id     uint64
 	index  string
 	src    *chord.Node
 	dst    chord.ID
 	chunks []transferChunk
-	next   int // next chunk to ship
-	flight int // chunks in flight (credit used)
-	acked  int
+	snd    *xfer.Sender
+	rx     xfer.Receiver
 	done   func()
-	ended  bool
 }
 
 // transferBytesPerSec is the bandwidth assumed for region transfers,
@@ -119,23 +100,32 @@ func (s *System) accountPointwise(index string, entries []Entry) {
 	}
 }
 
-// buildChunks serializes a region into greedy chunks of about
-// transferChunkBytes (at least one entry per chunk).
+// packChunks cuts a region greedily into runs of about xfer.ChunkBytes
+// encoded bytes, at least one entry each, and hands emit each run's
+// bounds and encoded size. entries must not be empty.
+func packChunks(entries []Entry, emit func(start, end, size int)) {
+	start, size := 0, 0
+	for i := range entries {
+		esz := EncodedEntrySize(entries[i])
+		if size > 0 && size+esz > xfer.ChunkBytes {
+			emit(start, i, size)
+			start, size = i, 0
+		}
+		size += esz
+	}
+	emit(start, len(entries), size)
+}
+
+// buildChunks serializes a region into its stream's chunks.
 func (s *System) buildChunks(id uint64, index string, keys []lph.Key, entries []Entry) []transferChunk {
 	var chunks []transferChunk
-	start := 0
-	size := 0
-	flush := func(end int, last bool) {
-		if end == start {
-			return
-		}
-		ck := keys[start:end:end]
-		ce := entries[start:end:end]
+	packChunks(entries, func(start, end, size int) {
+		ck, ce := keys[start:end:end], entries[start:end:end]
 		wc := wire.RegionChunk{
 			Transfer: id,
 			Index:    index,
 			Seq:      uint32(len(chunks)),
-			Last:     last,
+			Last:     end == len(entries),
 			Data:     AppendRegion(make([]byte, 0, size), ck, ce),
 		}
 		payload, err := wire.AppendChunk(nil, &wc)
@@ -146,21 +136,12 @@ func (s *System) buildChunks(id uint64, index string, keys []lph.Key, entries []
 			payload = make([]byte, wc.EncodedSize())
 		}
 		chunks = append(chunks, transferChunk{payload: payload, keys: ck, entries: ce})
-		start, size = end, 0
-	}
-	for i := range entries {
-		esz := EncodedEntrySize(entries[i])
-		if size > 0 && size+esz > transferChunkBytes {
-			flush(i, false)
-		}
-		size += esz
-	}
-	flush(len(entries), true)
+	})
 	return chunks
 }
 
 // streamRegion ships one index region from a live sender to the node
-// at ring position dst as a chunked, credit-acked stream. done
+// at ring position dst as a chunked, acknowledged stream. done
 // (optional) runs on the protocol executor once every chunk has been
 // acknowledged or fallen back. Entries are never lost: any chunk the
 // stream cannot deliver is oracle-reinserted.
@@ -173,104 +154,79 @@ func (s *System) streamRegion(src *IndexNode, dst chord.ID, index string, keys [
 	}
 	s.nextTransfer++
 	tr := &outTransfer{
-		id:     s.nextTransfer,
 		index:  index,
 		src:    src.node,
 		dst:    dst,
 		chunks: s.buildChunks(s.nextTransfer, index, keys, entries),
 		done:   done,
 	}
-	s.accountPointwise(index, entries)
-	s.pumpTransfer(tr)
-}
-
-// pumpTransfer ships chunks while credit remains.
-func (s *System) pumpTransfer(tr *outTransfer) {
-	for !tr.ended && tr.flight < transferWindow && tr.next < len(tr.chunks) {
-		i := tr.next
-		tr.next++
-		tr.flight++
-		s.transfers.Chunks++
-		s.shipChunk(tr, i, 0)
-	}
-}
-
-// shipChunk transmits one chunk (serialization delay, then the network
-// message) and arms its retransmission timer.
-func (s *System) shipChunk(tr *outTransfer, i, attempt int) {
-	ch := &tr.chunks[i]
-	s.rt.Schedule(s.serializationDelay(len(ch.payload)), func() {
-		if tr.ended || ch.acked {
-			return
-		}
-		if !tr.src.Alive() {
-			// The sender died mid-stream: its un-acked state dies with
-			// it. Oracle-reinsert everything unfinished so migration
-			// degrades to teleporting rather than losing entries.
-			s.abandonTransfer(tr)
-			return
-		}
-		if attempt > 0 {
-			s.transfers.Retransmits++
-		}
-		bytes := wire.PacketHeader + len(ch.payload)
-		s.transfers.BulkMessages++
-		s.transfers.BulkBytes += bytes
-		timer := s.rt.AfterFunc(s.transferTimeout(attempt), func() {
-			if tr.ended || ch.acked {
-				return
-			}
-			if attempt >= s.transferRetries() {
-				// This chunk is undeliverable; reinsert its entries and
-				// treat it as settled so the stream can finish.
-				s.transfers.FallbackEntries += len(ch.entries)
-				s.reinsert(tr.index, ch.keys, ch.entries)
-				s.settleChunk(tr, ch)
-				return
-			}
+	tr.rx = xfer.NewReceiver(len(tr.chunks))
+	tr.snd = xfer.NewSender(s.rt, len(tr.chunks), transferPolicy, xfer.Hooks{
+		Send: func(i int, resend bool) { s.shipChunk(tr, i, resend) },
+		Idle: func() bool {
 			// Retarget the stream at whoever now covers the
 			// destination's ring position (the destination itself while
 			// it lives, its successor after a crash).
 			if cur, err := s.net.SuccessorID(tr.dst); err == nil {
 				tr.dst = cur
 			}
-			s.shipChunk(tr, i, attempt+1)
-		})
+			return tr.src.Alive()
+		},
+		Done:   func() { s.finishTransfer(tr) },
+		GiveUp: func(unacked []int) { s.fallBack(tr, unacked) },
+	})
+	s.accountPointwise(index, entries)
+	tr.snd.Start()
+}
+
+// shipChunk transmits one chunk: the serialization delay, then the
+// network message.
+func (s *System) shipChunk(tr *outTransfer, i int, resend bool) {
+	if !resend {
+		s.transfers.Chunks++
+	}
+	ch := &tr.chunks[i]
+	s.rt.Schedule(s.serializationDelay(len(ch.payload)), func() {
+		if tr.snd.Ended() || tr.snd.Acked(i) {
+			return
+		}
+		if !tr.src.Alive() {
+			// The sender died mid-stream: its un-acked state dies with
+			// it, and what the receiver never took is reinserted.
+			tr.snd.GiveUp()
+			return
+		}
+		if resend {
+			s.transfers.Retransmits++
+		}
+		bytes := wire.PacketHeader + len(ch.payload)
+		s.transfers.BulkMessages++
+		s.transfers.BulkBytes += bytes
 		s.net.SendOrFail(tr.src, tr.dst, chord.KindTransfer, bytes, func(dstNode *chord.Node) {
-			s.deliverChunk(tr, dstNode, i, timer)
+			s.deliverChunk(tr, dstNode, i)
 		}, nil)
 	})
 }
 
-// deliverChunk is the receiver side: apply the chunk once, acknowledge
-// it, and let the sender's credit window advance.
-func (s *System) deliverChunk(tr *outTransfer, dstNode *chord.Node, i int, timer runtime.Timer) {
+// deliverChunk is the receiver side: apply the chunk once and
+// acknowledge it, so the sender's window moves on.
+func (s *System) deliverChunk(tr *outTransfer, dstNode *chord.Node, i int) {
 	ch := &tr.chunks[i]
 	keys, entries := ch.keys, ch.entries
 	if s.cfg.EncodeWire {
 		// Round-trip through the real codec: what the receiver applies
 		// is what was actually on the wire.
-		wc, err := wire.DecodeChunk(tr.chunks[i].payload[:])
+		wc, err := wire.DecodeChunk(ch.payload)
 		if err == nil {
-			keys, entries = nil, nil
-			keys, entries, err = DecodeRegion(wc.Data, keys, entries)
+			keys, entries, err = DecodeRegion(wc.Data, nil, nil)
 		}
 		if err != nil {
 			// A corrupt chunk never reaches the store; the sender's
-			// timer will retransmit it.
+			// idle round will send it again.
 			return
 		}
 	}
-	if s.rxApplied == nil {
-		s.rxApplied = make(map[uint64]map[uint32]bool)
-	}
-	applied := s.rxApplied[tr.id]
-	if applied == nil {
-		applied = make(map[uint32]bool)
-		s.rxApplied[tr.id] = applied
-	}
-	if !applied[uint32(i)] {
-		applied[uint32(i)] = true
+	if tr.rx.Take(i) {
 		s.applyChunk(tr, dstNode, keys, entries)
 	}
 	// Acknowledge even duplicates: the first ack may have been lost.
@@ -278,11 +234,7 @@ func (s *System) deliverChunk(tr *outTransfer, dstNode *chord.Node, i int, timer
 	s.transfers.BulkMessages++
 	s.transfers.BulkBytes += ackBytes
 	s.net.SendOrFail(dstNode, tr.src.ID(), chord.KindAck, ackBytes, func(*chord.Node) {
-		if tr.ended || ch.acked {
-			return
-		}
-		timer.Stop()
-		s.settleChunk(tr, ch)
+		tr.snd.Ack(i)
 	}, nil)
 }
 
@@ -321,108 +273,47 @@ func (s *System) applyChunk(tr *outTransfer, dstNode *chord.Node, keys []lph.Key
 	}
 }
 
-// settleChunk marks a chunk finished (acked or fallen back) and
-// finishes the stream when it was the last one.
-func (s *System) settleChunk(tr *outTransfer, ch *transferChunk) {
-	if ch.acked {
-		return
-	}
-	ch.acked = true
-	tr.flight--
-	tr.acked++
-	if tr.acked == len(tr.chunks) {
-		s.finishTransfer(tr)
-		return
-	}
-	s.pumpTransfer(tr)
-}
-
-// abandonTransfer oracle-reinserts every unfinished chunk of a stream
-// whose sender died and finishes it.
-func (s *System) abandonTransfer(tr *outTransfer) {
-	if tr.ended {
-		return
-	}
-	for i := range tr.chunks {
-		ch := &tr.chunks[i]
-		if ch.acked {
-			continue
+// fallBack finishes a stream the engine gave up on: every chunk the
+// receiver has not taken is oracle-reinserted, and taking it here means
+// a copy still on the wire is dropped when it lands.
+func (s *System) fallBack(tr *outTransfer, unacked []int) {
+	for _, i := range unacked {
+		if !tr.rx.Take(i) {
+			continue // applied; only its ack was lost
 		}
+		ch := &tr.chunks[i]
 		s.transfers.FallbackEntries += len(ch.entries)
 		s.reinsert(tr.index, ch.keys, ch.entries)
-		ch.acked = true
 	}
 	s.finishTransfer(tr)
 }
 
-// finishTransfer completes a stream: clears receiver dedup state and
-// runs the completion callback.
+// finishTransfer completes a stream and runs its completion callback.
 func (s *System) finishTransfer(tr *outTransfer) {
-	if tr.ended {
-		return
-	}
-	tr.ended = true
-	delete(s.rxApplied, tr.id)
 	s.transfers.Transfers++
 	if tr.done != nil {
 		tr.done()
 	}
 }
 
-// transferTimeout returns the per-chunk retransmission timeout for an
-// attempt, borrowing the reliability layer's configuration when it is
-// enabled.
-func (s *System) transferTimeout(attempt int) time.Duration {
-	if s.cfg.Retry.Enabled() {
-		return s.retryTimeout(attempt)
-	}
-	d := float64(time.Second)
-	for i := 0; i < attempt; i++ {
-		d *= 2
-	}
-	return time.Duration(d)
-}
-
-// transferRetries bounds per-chunk retransmissions.
-func (s *System) transferRetries() int {
-	if s.cfg.Retry.Enabled() {
-		return s.cfg.Retry.MaxRetries
-	}
-	return transferMaxRetries
-}
-
 // accountBulk charges a region handed over without an in-flight stream
 // (synchronous split handover, replica repair's placement rebuild) as
 // if it had been streamed: chunked messages plus acks, against the
-// point-wise counterfactual. Returns the modeled stream bytes.
-func (s *System) accountBulk(index string, keys []lph.Key, entries []Entry) int {
+// point-wise counterfactual.
+func (s *System) accountBulk(index string, entries []Entry) {
 	if len(entries) == 0 {
-		return 0
+		return
 	}
 	s.accountPointwise(index, entries)
-	chunkBytes, size, msgs, total := 0, 0, 0, 0
-	flushOverhead := wire.PacketHeader + wire.ChunkHeaderBytes + len(index)
-	flush := func() {
-		if size == 0 {
-			return
-		}
-		msgs += 2 // chunk + ack
-		total += flushOverhead + size + wire.PacketHeader + wire.AckBytes
-		chunkBytes += flushOverhead + size
-		size = 0
-	}
-	for i := range entries {
-		esz := EncodedEntrySize(entries[i])
-		if size > 0 && size+esz > transferChunkBytes {
-			flush()
-		}
-		size += esz
-	}
-	flush()
-	s.transfers.Chunks += msgs / 2
-	s.transfers.BulkMessages += msgs
-	s.transfers.BulkBytes += total
+	chunks, chunkBytes := 0, 0
+	packChunks(entries, func(_, _, size int) {
+		chunks++
+		chunkBytes += wire.PacketHeader + wire.ChunkHeaderBytes + len(index) + size
+	})
+	ackBytes := chunks * (wire.PacketHeader + wire.AckBytes)
+	s.transfers.Chunks += chunks
+	s.transfers.BulkMessages += 2 * chunks
+	s.transfers.BulkBytes += chunkBytes + ackBytes
 	s.net.RecordTraffic(chord.KindTransfer, chunkBytes)
-	s.net.RecordTraffic(chord.KindAck, total-chunkBytes)
-	return total
+	s.net.RecordTraffic(chord.KindAck, ackBytes)
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
+
+	"landmarkdht/internal/runtime"
 )
 
 // xferFixtureEntries builds n synthetic entries whose ring keys fall
@@ -198,5 +201,56 @@ func TestMigrationUsesBulkTransfer(t *testing.T) {
 	// Conservation: every entry still lives exactly once.
 	if got := f.sys.TotalEntries(); got != 3000 {
 		t.Fatalf("entries = %d, want 3000", got)
+	}
+}
+
+// A chunk copy that lands late — the delayed original after its
+// retransmission, or either after the stream has finished or given up —
+// must find the chunk already taken: every entry is stored exactly once,
+// and the finished stream leaves nothing pending behind it.
+func TestLateChunkAppliedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		prob  float64
+		delay time.Duration
+	}{{0.1, 3 * time.Second}, {0.3, 3 * time.Second}, {0.5, 3 * time.Second}, {0.3, 40 * time.Second}, {0.5, 40 * time.Second}, {1, 40 * time.Second}} {
+		t.Run(fmt.Sprintf("spike=%v/%v", tc.prob, tc.delay), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Chord.Faults = &runtime.FaultPolicy{SpikeProb: tc.prob, SpikeDelay: tc.delay}
+			f := buildFixtureCfg(t, 8, 50, 2, false, cfg)
+			nodes := f.sys.Nodes()
+			src, dst := nodes[0], nodes[1]
+			pred, ok := dst.node.Predecessor()
+			if !ok {
+				t.Fatal("unstabilized ring")
+			}
+			keys, entries := xferEntries(pred, 2000)
+			done := 0
+			f.sys.streamRegion(src, dst.ID(), "xfer-late", keys, entries, func() { done++ })
+			f.eng.Run()
+			if done != 1 {
+				t.Fatalf("stream finished %d times", done)
+			}
+			copies := make([]int, len(entries))
+			for _, in := range f.sys.Nodes() {
+				in.st.View("xfer-late", func(_ []uint64, es []Entry) {
+					for _, e := range es {
+						copies[e.Obj]++
+					}
+				})
+			}
+			for obj, n := range copies {
+				if n != 1 {
+					t.Fatalf("object %d stored %d times (%+v)", obj, n, f.sys.TransferStats())
+				}
+			}
+			if n := f.eng.Pending(); n != 0 {
+				t.Fatalf("%d events left after the stream", n)
+			}
+			ts := f.sys.TransferStats()
+			t.Logf("%+v", ts)
+			if ts.Retransmits == 0 {
+				t.Fatal("no chunk was sent twice: nothing could land late")
+			}
+		})
 	}
 }

@@ -52,19 +52,9 @@ func AblationRotation(scale Scale, numIndexes int) ([]RotationResult, error) {
 			return nil, err
 		}
 		sys := core.NewSystem(eng, model, core.DefaultConfig())
-		rng := rand.New(rand.NewSource(scale.Seed + 7))
-		used := map[chord.ID]bool{}
-		for i := 0; i < scale.Nodes; i++ {
-			id := chord.ID(rng.Uint64())
-			for used[id] {
-				id = chord.ID(rng.Uint64())
-			}
-			used[id] = true
-			if _, err := sys.AddNode(id, i); err != nil {
-				return nil, err
-			}
+		if _, err := sys.Populate(scale.Nodes, rand.New(rand.NewSource(scale.Seed+7))); err != nil {
+			return nil, err
 		}
-		sys.Stabilize()
 
 		names := make([]string, numIndexes)
 		for idx := 0; idx < numIndexes; idx++ {
@@ -99,11 +89,7 @@ func AblationRotation(scale Scale, numIndexes int) ([]RotationResult, error) {
 				return nil, err
 			}
 			rows, _ := emb.MapBatch(data, nil)
-			entries := make([]core.Entry, len(data))
-			for i := range data {
-				entries[i] = core.Entry{Obj: core.ObjectID(i), Point: rows[i]}
-			}
-			if err := sys.BulkLoad(ix.Name, entries); err != nil {
+			if err := sys.BulkLoadRows(ix.Name, rows); err != nil {
 				return nil, err
 			}
 		}

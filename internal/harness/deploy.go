@@ -62,35 +62,21 @@ type DeploySpec[T any] struct {
 }
 
 // SelectLandmarks runs the configured selection scheme over a random
-// sample of the dataset, mirroring §3.1's well-known-node procedure.
-// mean may be nil for Greedy; KMeans requires it.
+// sample of the dataset, mirroring §3.1's well-known-node procedure
+// (landmark.Select). KMeans without a mean clusters by medoids.
 func SelectLandmarks[T any](sc Scheme, data []T, sampleN int, d metric.Distance[T], mean landmark.Meaner[T], seed int64) ([]T, []T, error) {
-	rng := rand.New(rand.NewSource(seed))
-	if sampleN > len(data) {
-		sampleN = len(data)
-	}
-	sample := make([]T, sampleN)
-	for i, idx := range rng.Perm(len(data))[:sampleN] {
-		sample[i] = data[idx]
-	}
-	var lms []T
-	var err error
-	switch sc.Method {
-	case Greedy:
-		lms, err = landmark.Greedy(rng, sample, sc.K, d)
-	case KMeans:
-		if mean == nil {
-			lms, err = landmark.KMedoids(rng, sample, sc.K, d, 20)
-		} else {
-			lms, err = landmark.KMeans(rng, sample, sc.K, d, mean, 50)
-		}
+	var method landmark.Method
+	switch {
+	case sc.Method == Greedy:
+		method = landmark.MaxMin
+	case sc.Method == KMeans && mean == nil:
+		method = landmark.Medoids
+	case sc.Method == KMeans:
+		method = landmark.Centroids
 	default:
-		err = fmt.Errorf("harness: unknown scheme method %q", sc.Method)
+		return nil, nil, fmt.Errorf("harness: unknown scheme method %q", sc.Method)
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return lms, sample, nil
+	return landmark.Select(method, data, sampleN, sc.K, d, mean, seed)
 }
 
 // Deploy builds the simulated system: overlay, embedding, index, bulk
@@ -117,20 +103,10 @@ func Deploy[T any](spec DeploySpec[T]) (*Deployment[T], error) {
 	cfg.Retry = spec.Retry
 	sys := core.NewSystem(eng, model, cfg)
 	rng := rand.New(rand.NewSource(spec.Scale.Seed + 7))
-	ids := make([]chord.ID, 0, spec.Scale.Nodes)
-	used := map[chord.ID]bool{}
-	for i := 0; i < spec.Scale.Nodes; i++ {
-		id := chord.ID(rng.Uint64())
-		for used[id] {
-			id = chord.ID(rng.Uint64())
-		}
-		used[id] = true
-		if _, err := sys.AddNode(id, i); err != nil {
-			return nil, err
-		}
-		ids = append(ids, id)
+	ids, err := sys.Populate(spec.Scale.Nodes, rng)
+	if err != nil {
+		return nil, err
 	}
-	sys.Stabilize()
 
 	var opts []indexspace.Option[T]
 	if spec.BoundarySample != nil {
@@ -168,11 +144,7 @@ func Deploy[T any](spec DeploySpec[T]) (*Deployment[T], error) {
 	// allocations instead of one per object, and the per-object
 	// embedding loop is the dominant cost of standing up a deployment.
 	rows, _ := emb.MapBatch(data, nil)
-	entries := make([]core.Entry, len(data))
-	for i := range data {
-		entries[i] = core.Entry{Obj: core.ObjectID(i), Point: rows[i]}
-	}
-	if err := sys.BulkLoad(ix.Name, entries); err != nil {
+	if err := sys.BulkLoadRows(ix.Name, rows); err != nil {
 		return nil, err
 	}
 	if spec.LB != nil {

@@ -16,6 +16,49 @@ import (
 	"landmarkdht/internal/metric"
 )
 
+// Method names a selection scheme for Select.
+type Method int
+
+const (
+	// MaxMin is Algorithm 1, Greedy.
+	MaxMin Method = iota
+	// Centroids is KMeans (50 iterations); it needs a Meaner.
+	Centroids
+	// Medoids is KMedoids (20 iterations).
+	Medoids
+)
+
+// Select is the §3.1 procedure a well-known node runs: it draws a
+// random sample of up to sampleN objects of data from a source seeded
+// with seed, then picks k landmarks from the sample with method, the
+// same source driving both. It returns the landmarks and the sample.
+// mean may be nil unless method is Centroids.
+func Select[T any](method Method, data []T, sampleN, k int, d metric.Distance[T], mean Meaner[T], seed int64) (lms, sample []T, err error) {
+	rng := rand.New(rand.NewSource(seed))
+	sampleN = min(sampleN, len(data))
+	sample = make([]T, sampleN)
+	for i, idx := range rng.Perm(len(data))[:sampleN] {
+		sample[i] = data[idx]
+	}
+	switch method {
+	case MaxMin:
+		lms, err = Greedy(rng, sample, k, d)
+	case Centroids:
+		if mean == nil {
+			return nil, nil, fmt.Errorf("landmark: k-means selection needs a Meaner")
+		}
+		lms, err = KMeans(rng, sample, k, d, mean, 50)
+	case Medoids:
+		lms, err = KMedoids(rng, sample, k, d, 20)
+	default:
+		err = fmt.Errorf("landmark: unknown selection method %d", method)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return lms, sample, nil
+}
+
 // Greedy is Algorithm 1: start from a random sample member, then
 // repeatedly move the sample object with the maximum distance to the
 // current landmark set (distance of an object to a set being the

@@ -390,9 +390,7 @@ func (n *Node) Close() {
 			n.antiEntropy.Stop()
 		}
 		for _, p := range n.pushes {
-			if p.timer != nil {
-				p.timer.Stop()
-			}
+			p.snd.Stop()
 		}
 		for rid, pp := range n.pubs {
 			pp.timer.Stop()

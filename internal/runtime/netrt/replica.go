@@ -9,7 +9,7 @@ package netrt
 // mutation and fans it out (publish.go); a copy that missed one is
 // repaired by streaming the owner's whole delta over the bulk
 // region-transfer frames (internal/wire: sequenced chunks, per-chunk
-// acks, a windowed sender).
+// acks, the windowed sender of internal/xfer).
 //
 // Synchronization is digest-driven: every AntiEntropyPeriod an owner
 // advertises its delta's (count, XOR digest) to each replica; a replica
@@ -28,25 +28,14 @@ import (
 	"sort"
 	"time"
 
-	"landmarkdht/internal/runtime"
 	"landmarkdht/internal/wire"
+	"landmarkdht/internal/xfer"
 )
 
 const (
 	// repIndexName names the index scheme in every replica chunk; a
 	// chunk for any other scheme is ignored.
 	repIndexName = "netrt-region"
-	// repChunkData bounds one chunk's delta bytes (well under
-	// wire.MaxChunkData so the whole frame stays small).
-	repChunkData = 8 << 10
-	// repWindow is the sender's in-flight chunk window.
-	repWindow = 4
-	// repRetryDelay is the sender's retransmit timer; progress (any new
-	// ack) resets the retry budget.
-	repRetryDelay = 300 * time.Millisecond
-	// repMaxRetries bounds a stream with no progress before the sender
-	// gives up (the next anti-entropy exchange starts over).
-	repMaxRetries = 30
 	// maxRepChunks and maxRepBytes bound what a receiver will stage for
 	// one stream, whatever the header claims.
 	maxRepChunks = 1 << 14
@@ -56,6 +45,11 @@ const (
 	// a header may claim.
 	minRepEntry = 4
 )
+
+// repPolicy re-announces an idle stream and resends its unacked chunks
+// every 300 ms, for up to 30 rounds without an acknowledgement (the next
+// anti-entropy exchange starts over).
+var repPolicy = xfer.Policy{Idle: 300 * time.Millisecond, Rounds: 30}
 
 // replicaCopy is this node's copy of one owner's delta. Only a synced
 // copy — digest-confirmed against the owner's advert, or freshly
@@ -71,13 +65,9 @@ type repPush struct {
 	addr     string
 	transfer uint64
 	chunks   [][]byte // pre-encoded kind-prefixed chunk frames
-	acked    []bool
-	ackedN   int
-	sent     int
-	retries  int
-	timer    runtime.Timer
-	digest   uint64 // delta digest the stream was cut at
+	digest   uint64   // delta digest the stream was cut at
 	entries  int
+	snd      *xfer.Sender
 }
 
 // repStage is one inbound replica stream being reassembled.
@@ -87,8 +77,7 @@ type repStage struct {
 	digest   uint64
 	entries  int
 	data     [][]byte
-	got      []bool
-	have     int
+	rx       xfer.Receiver
 	bytes    int
 }
 
@@ -194,34 +183,55 @@ func (n *Node) startPush(to uint64) {
 		if p.digest == n.mine.digest && p.entries == n.mine.size() {
 			return
 		}
-		n.dropPush(p)
+		p.snd.Stop()
+		delete(n.pushes, to)
 	}
 	// An empty delta still encodes its two counts: every stream has a chunk.
 	blob := n.mine.appendTo(nil)
-	chunks := (len(blob) + repChunkData - 1) / repChunkData
+	chunks := (len(blob) + xfer.ChunkBytes - 1) / xfer.ChunkBytes
 	n.nextXfer++
 	p := &repPush{to: to, addr: addr, transfer: n.nextXfer,
-		digest: n.mine.digest, entries: n.mine.size(),
-		chunks: make([][]byte, chunks), acked: make([]bool, chunks)}
+		digest: n.mine.digest, entries: n.mine.size(), chunks: make([][]byte, chunks)}
 	for i := range chunks {
 		c := wire.RegionChunk{Transfer: p.transfer, Index: repIndexName, Seq: uint32(i),
-			Last: i == chunks-1, Data: blob[i*repChunkData : min(len(blob), (i+1)*repChunkData)]}
+			Last: i == chunks-1, Data: blob[i*xfer.ChunkBytes : min(len(blob), (i+1)*xfer.ChunkBytes)]}
 		var err error
 		p.chunks[i], err = wire.AppendChunk(append(make([]byte, 0, 1+c.EncodedSize()), kindRepChunk), &c)
 		if err != nil {
 			return // unreachable: name and chunk sizes are in range by construction
 		}
 	}
+	// An idle stream is re-announced — the receiver acks duplicates
+	// idempotently, so a lost ack costs one redundant chunk, never a
+	// stuck stream — unless its target is down.
+	p.snd = xfer.NewSender(n.rt, chunks, repPolicy, xfer.Hooks{
+		Send: func(seq int, _ bool) { n.sendRaw(p.addr, p.chunks[seq]) },
+		Idle: func() bool {
+			if n.isDown(p.to) {
+				return false
+			}
+			n.sendRepBegin(p)
+			return true
+		},
+		Done: func() {
+			n.repairsSent.Add(1)
+			delete(n.pushes, p.to)
+			n.logf("replica push to %016x complete (transfer %d)", p.to, p.transfer)
+		},
+		GiveUp: func([]int) {
+			delete(n.pushes, p.to)
+			n.logf("replica push to %016x abandoned (transfer %d)", p.to, p.transfer)
+		},
+	})
 	n.pushes[to] = p
 	n.sendRepBegin(p)
-	n.pumpPush(p)
-	p.timer = n.rt.AfterFunc(repRetryDelay, func() { n.retryPush(p) })
+	p.snd.Start()
 	n.logf("replica push to %016x: %d items in %d chunks (transfer %d)",
 		to, p.entries, len(p.chunks), p.transfer)
 }
 
-// sendRepBegin announces (or, on a retry, re-announces) the stream to its
-// target.
+// sendRepBegin announces (or, on an idle round, re-announces) the
+// stream to its target.
 //
 //lint:context executor
 func (n *Node) sendRepBegin(p *repPush) {
@@ -229,76 +239,14 @@ func (n *Node) sendRepBegin(p *repPush) {
 		Chunks: len(p.chunks), Entries: p.entries, Digest: p.digest}))
 }
 
-// pumpPush keeps the window full.
-//
-//lint:context executor
-func (n *Node) pumpPush(p *repPush) {
-	for p.sent < len(p.chunks) && p.sent-p.ackedN < repWindow {
-		n.sendRaw(p.addr, p.chunks[p.sent])
-		p.sent++
-	}
-}
-
-// retryPush re-announces the stream and retransmits everything sent
-// but unacked. The receiver acks duplicates idempotently, so a lost
-// ack costs one redundant chunk, never a stuck stream.
-//
-//lint:context executor
-func (n *Node) retryPush(p *repPush) {
-	if n.pushes[p.to] != p {
-		return // finished or replaced
-	}
-	if n.isDown(p.to) {
-		n.dropPush(p)
-		return
-	}
-	p.retries++
-	if p.retries > repMaxRetries {
-		n.dropPush(p)
-		n.logf("replica push to %016x abandoned after %d retries (transfer %d)", p.to, p.retries-1, p.transfer)
-		return
-	}
-	n.sendRepBegin(p)
-	for i := 0; i < p.sent; i++ {
-		if !p.acked[i] {
-			n.sendRaw(p.addr, p.chunks[i])
-		}
-	}
-	n.pumpPush(p)
-	p.timer = n.rt.AfterFunc(repRetryDelay, func() { n.retryPush(p) })
-}
-
-// onRepAck books one acked chunk and advances the window. Only the
-// push's target acks it, and only for the push's transfer: transfer ids
-// are numbered by each node for its own pushes alone.
+// onRepAck books one acked chunk. Only the push's target acks it, and
+// only for the push's transfer: transfer ids are numbered by each node
+// for its own pushes alone.
 //
 //lint:context executor
 func (n *Node) onRepAck(peer uint64, a wire.RegionAck) {
-	p := n.pushes[peer]
-	if p == nil || p.transfer != a.Transfer || int(a.Seq) >= len(p.chunks) || p.acked[a.Seq] {
-		return
-	}
-	p.acked[a.Seq] = true
-	p.ackedN++
-	p.retries = 0 // progress restores the retry budget
-	if p.ackedN == len(p.chunks) {
-		n.repairsSent.Add(1)
-		n.dropPush(p)
-		n.logf("replica push to %016x complete (transfer %d)", p.to, p.transfer)
-		return
-	}
-	n.pumpPush(p)
-}
-
-// dropPush forgets a stream and stops its timer.
-//
-//lint:context executor
-func (n *Node) dropPush(p *repPush) {
-	if p.timer != nil {
-		p.timer.Stop()
-	}
-	if n.pushes[p.to] == p {
-		delete(n.pushes, p.to)
+	if p := n.pushes[peer]; p != nil && p.transfer == a.Transfer {
+		p.snd.Ack(int(a.Seq))
 	}
 }
 
@@ -317,7 +265,7 @@ func (n *Node) onRepBegin(peer uint64, b *repBeginMsg) {
 		return // retry of the stream already in progress
 	}
 	n.staging[b.Owner] = &repStage{owner: b.Owner, transfer: b.Transfer, digest: b.Digest, entries: b.Entries,
-		data: make([][]byte, b.Chunks), got: make([]bool, b.Chunks)}
+		data: make([][]byte, b.Chunks), rx: xfer.NewReceiver(b.Chunks)}
 }
 
 // onRepChunk stages one chunk and acks it. Duplicates are acked
@@ -326,22 +274,19 @@ func (n *Node) onRepBegin(peer uint64, b *repBeginMsg) {
 //lint:context executor
 func (n *Node) onRepChunk(peer uint64, c wire.RegionChunk) {
 	st := n.staging[peer]
-	if st == nil || st.transfer != c.Transfer || c.Index != repIndexName || int(c.Seq) >= len(st.got) {
+	if st == nil || st.transfer != c.Transfer || c.Index != repIndexName || int(c.Seq) >= len(st.data) {
 		return
 	}
-	if !st.got[c.Seq] {
-		if st.bytes+len(c.Data) > maxRepBytes {
+	if st.rx.Take(int(c.Seq)) {
+		if st.bytes += len(c.Data); st.bytes > maxRepBytes {
 			delete(n.staging, peer)
 			return
 		}
 		st.data[c.Seq] = c.Data
-		st.got[c.Seq] = true
-		st.have++
-		st.bytes += len(c.Data)
 	}
 	n.sendRaw(n.members[st.owner],
 		wire.AppendAck([]byte{kindRepAck}, wire.RegionAck{Transfer: c.Transfer, Seq: c.Seq}))
-	if st.have == len(st.got) {
+	if st.rx.Complete() {
 		n.installStage(st)
 	}
 }
@@ -366,8 +311,8 @@ func (n *Node) installStage(st *repStage) {
 	}
 	n.copies[st.owner] = &replicaCopy{delta: d, synced: true}
 	n.repairsApplied.Add(1)
-	n.repairChunksRx.Add(int64(len(st.got)))
-	n.logf("installed replica copy of %016x: %d items from %d chunks", st.owner, d.size(), len(st.got))
+	n.repairChunksRx.Add(int64(len(st.data)))
+	n.logf("installed replica copy of %016x: %d items from %d chunks", st.owner, d.size(), len(st.data))
 }
 
 // replicates reports whether this node is one of owner's replicas under

@@ -808,3 +808,81 @@ func TestStagesOfTwoOwnersWithOneTransferID(t *testing.T) {
 		}
 	}
 }
+
+// TestReplicaPushReannouncesWhenIdle plays a replica that reports a
+// divergent copy and then leaves the owner's first chunk unacked: after
+// an idle round the owner must announce the stream again and resend the
+// chunk, and the ack of the resent chunk must finish the push.
+func TestReplicaPushReannouncesWhenIdle(t *testing.T) {
+	cfg := testConfig(testData())
+	cfg.Replicas = 1
+	cfg.HeartbeatPeriod, cfg.AntiEntropyPeriod = time.Hour, time.Hour
+	n, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+
+	conn, err := net.DialTimeout("tcp", n.Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const peerAddr = "127.0.0.1:9"
+	if _, err := dialHandshake(conn, peerAddr, n.sig, nil); err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
+	// A copy that disagrees with the owner's empty delta.
+	err = writePayload(conn, 2, wire.AppendDigest([]byte{kindRepDigest},
+		wire.RegionDigest{Owner: n.id, Entries: 1, Digest: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	begins, chunks := 0, 0
+	var transfer uint64
+	for chunks < 2 {
+		_, p, next, err := wire.ReadFrame(conn, buf)
+		if err != nil {
+			t.Fatalf("after %d headers and %d chunks: %v", begins, chunks, err)
+		}
+		buf = next
+		kind, body, err := splitMsg(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch kind {
+		case kindRepBegin:
+			b, err := decodeRepBegin(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			begins++
+			transfer = b.Transfer
+		case kindRepChunk:
+			c, err := wire.DecodeChunk(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Transfer != transfer || c.Seq != 0 {
+				t.Fatalf("chunk %d of transfer %d, want chunk 0 of %d", c.Seq, c.Transfer, transfer)
+			}
+			chunks++
+		}
+	}
+	if begins != 2 {
+		t.Fatalf("%d headers before the resent chunk, want the first and its re-announcement", begins)
+	}
+	err = writePayload(conn, 3, wire.AppendAck([]byte{kindRepAck}, wire.RegionAck{Transfer: transfer, Seq: 0}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		done := false
+		execRead(t, n, func() { done = len(n.pushes) == 0 })
+		return done && n.Stats().RepairsSent == 1
+	})
+}

@@ -20,11 +20,6 @@ type Options struct {
 	Nodes int
 	// Seed makes the whole simulation deterministic (default 1).
 	Seed int64
-	// MeanRTT calibrates the synthetic latency model (default 180 ms,
-	// the King dataset average the paper simulates).
-	MeanRTT time.Duration
-	// Successors is the Chord successor-list length (default 16).
-	Successors int
 	// DisablePNS turns off proximity neighbor selection.
 	DisablePNS bool
 	// WireCodec runs query/result messages through the real binary
@@ -102,12 +97,6 @@ func (o *Options) fillDefaults() {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.MeanRTT <= 0 {
-		o.MeanRTT = 180 * time.Millisecond
-	}
-	if o.Successors <= 0 {
-		o.Successors = 16
-	}
 }
 
 // Platform is a peer-to-peer deployment of the landmark index
@@ -138,13 +127,12 @@ func New(opts Options) (*Platform, error) {
 	}
 	opts.fillDefaults()
 	model, err := netmodel.NewSyntheticKing(netmodel.KingConfig{
-		N: opts.Nodes, MeanRTT: opts.MeanRTT, Seed: opts.Seed,
+		N: opts.Nodes, Seed: opts.Seed,
 	})
 	if err != nil {
 		return nil, err
 	}
 	cfg := core.DefaultConfig()
-	cfg.Chord.NumSuccessors = opts.Successors
 	cfg.Chord.PNS = !opts.DisablePNS
 	cfg.EncodeWire = opts.WireCodec
 	cfg.Chord.Faults = opts.Faults
@@ -162,19 +150,10 @@ func New(opts Options) (*Platform, error) {
 	}
 	p.sys = core.NewSystemRuntime(p.rt, p.rt, model, cfg)
 	p.rng = rand.New(rand.NewSource(opts.Seed + 99))
-	used := map[chord.ID]bool{}
-	for i := 0; i < opts.Nodes; i++ {
-		id := chord.ID(p.rng.Uint64())
-		for used[id] {
-			id = chord.ID(p.rng.Uint64())
-		}
-		used[id] = true
-		if _, err := p.sys.AddNode(id, i); err != nil {
-			p.Close()
-			return nil, err
-		}
+	if _, err := p.sys.Populate(opts.Nodes, p.rng); err != nil {
+		p.Close()
+		return nil, err
 	}
-	p.sys.Stabilize()
 	return p, nil
 }
 
