@@ -2,15 +2,21 @@ package landmarkdht
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
+
+	"landmarkdht/internal/core"
 )
 
 // searchAllocsCeiling bounds the heap allocations of one range search
-// through the public facade on the simulated runtime. Measured 34 per
-// search on go1.24 since query and result messages are one record each
-// (46 before); the ceiling is that + 10 %, and still fails when a hot
-// path starts allocating per message or per candidate.
-const searchAllocsCeiling = 38
+// through the public facade on the simulated runtime. Measured 8 per
+// search on go1.24 since a core query takes its records, cubes and
+// result slices from a recycled arena (34 before, when each message was
+// a record of its own; 46 before that); the ceiling is that + 10 %, and
+// still fails when a hot path starts allocating per message or per
+// candidate.
+const searchAllocsCeiling = 9
 
 // TestSearchAllocsCeiling pins the allocation cost of the end-to-end
 // search path: 64 nodes, 4000 8-d points, 5 landmarks, radius 10,
@@ -45,14 +51,16 @@ func TestSearchAllocsCeiling(t *testing.T) {
 
 // wideSearchAllocsCeiling bounds the allocations of one search at the
 // shape of the benchmark's sim-search workload, where a query is ≈ 290
-// messages and ≈ 100 local scans: measured 512 per search on go1.24,
-// + 10 %. A query or result message is one record and a routing split
-// allocates no slice of regions; this read 1300 while a message was a
-// unit list and two closures, and 4295 while surrogate refinement
-// cloned the cube for every zero bit of the node's id.
-// TestSearchAllocsCeiling's query sends a handful of messages and
+// messages and ≈ 100 local scans: measured 10 per search on go1.24, +
+// 10 %. A core query allocates only its answer — its message records,
+// split and refined cubes, result slices and merge maps come from an
+// arena recycled when its last holder lets go — and the rest is the
+// facade's. This read 512 while every message was a record of its own,
+// 1300 while a message was a unit list and two closures, and 4295 while
+// surrogate refinement cloned the cube for every zero bit of the node's
+// id. TestSearchAllocsCeiling's query sends a handful of messages and
 // cannot see per-message work.
-const wideSearchAllocsCeiling = 564
+const wideSearchAllocsCeiling = 11
 
 // wideSearchFixture is sim-search's shape (bench/run.go): 256 nodes,
 // 20 000 uniform 8-d objects in [0, 1)⁸, 6 landmarks, radius-0.4 queries
@@ -99,6 +107,49 @@ func TestWideSearchAllocsCeiling(t *testing.T) {
 	t.Logf("%.0f allocs per search (ceiling %d)", allocs, wideSearchAllocsCeiling)
 	if allocs > wideSearchAllocsCeiling {
 		t.Fatalf("%.0f allocs per search, ceiling %d", allocs, wideSearchAllocsCeiling)
+	}
+}
+
+// TestQueryAllocatesOnlyItsAnswer holds a fault-free core query in
+// steady state to its answer: one search through System.RangeQuery at
+// the wide search's shape allocates the QueryResult and its Results and
+// nothing else — its records, cubes, result slices and merge maps come
+// from a recycled query arena. Every query of the set runs once first,
+// so the arena and the simulator's pools have grown to the largest.
+func TestQueryAllocatesOnlyItsAnswer(t *testing.T) {
+	ix, queries := wideSearchFixture(t)
+	p := ix.p
+	payloads := make([]any, len(queries))
+	centers := make([][]float64, len(queries))
+	for i, q := range queries {
+		payloads[i], centers[i] = q, slices.Clone(ix.mapCenter(q))
+	}
+	var res *core.QueryResult
+	done := func(qr *core.QueryResult) { res = qr }
+	search := func(i int) {
+		res = nil
+		if err := p.sys.RangeQuery(ix.name, p.sys.NodeAt(i%p.Nodes()), payloads[i], centers[i], wideSearchRadius,
+			core.QueryOpts{}, done); err != nil {
+			t.Fatal(err)
+		}
+		for res == nil {
+			p.rt.Sleep(time.Second)
+		}
+		if !res.Complete {
+			t.Fatalf("query %d: incomplete", i)
+		}
+	}
+	for i := range queries {
+		search(i)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		search(i % len(queries))
+		i++
+	})
+	t.Logf("%.0f allocs per query", allocs)
+	if allocs > 2 {
+		t.Fatalf("%.0f allocs per query; the answer is 2, the QueryResult and its Results", allocs)
 	}
 }
 

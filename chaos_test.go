@@ -77,9 +77,9 @@ func TestChaosSoak(t *testing.T) {
 	var total chaosCounters
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			got, _ := chaosRun(t, seed, chaosSoak)
+			got, _ := chaosRun(t, seed, chaosSoak, nil)
 			if seed == 1 {
-				if again, _ := chaosRun(t, seed, chaosSoak); again != got {
+				if again, _ := chaosRun(t, seed, chaosSoak, nil); again != got {
 					t.Fatalf("seed %d replayed to different counters:\n first %+v\nsecond %+v", seed, got, again)
 				}
 			}
@@ -99,12 +99,77 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
+// TestQueryArenasReturn runs the soak's fault mix — loss, duplication,
+// retries, hedges, deadlines, crashes and joins, and on seed 4 admission
+// rejects — and then lets every timer run out. At that quiescence no
+// query may be live: every query arena the core made is back on its
+// free list, none leaked to a hold nobody let go, and no handler found
+// its query recycled under it (or let a hold go twice). The same holds
+// fire-and-forget, where a lost message is dropped where it is lost.
+func TestQueryArenasReturn(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			chaosRun(t, seed, chaosSoak, func(p *Platform) { checkArenas(t, p, chaosQueries) })
+		})
+	}
+	t.Run("fire-and-forget", func(t *testing.T) {
+		p, err := New(Options{Nodes: chaosNodes, Seed: 1, Faults: &FaultOptions{Drop: 0.05, Duplicate: 0.02}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		rng := rand.New(rand.NewSource(1))
+		data := make([]Vector, chaosObjects)
+		for i := range data {
+			data[i] = chaosVector(rng)
+		}
+		ix, err := AddIndex(p, EuclideanSpace("arenas", chaosDim, 0, 1), data, DenseMean, IndexOptions{SampleSize: 500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		incomplete := 0
+		for range chaosQueries {
+			_, st, err := ix.RangeSearch(chaosVector(rng), 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !st.Complete {
+				incomplete++
+			}
+		}
+		if incomplete == 0 {
+			t.Fatal("no query lost a message: the fire-and-forget case is vacuous")
+		}
+		checkArenas(t, p, chaosQueries)
+	})
+}
+
+// checkArenas lets every timer of p run out and then requires every
+// query arena idle, at least one reused over queries queries, and no
+// stale handler.
+func checkArenas(t *testing.T, p *Platform, queries int) {
+	t.Helper()
+	p.rt.Sleep(time.Minute) // past the last retry, hedge and deadline
+	made, idle := p.sys.QueryArenas()
+	t.Logf("%d arenas made for %d queries, %d idle", made, queries, idle)
+	if made == 0 || idle != made {
+		t.Errorf("%d of %d query arenas idle at quiescence", idle, made)
+	}
+	if made >= queries {
+		t.Errorf("%d arenas for %d queries: none was reused", made, queries)
+	}
+	if n := p.sys.StaleHandlers; n != 0 {
+		t.Errorf("%d handlers found their query recycled", n)
+	}
+}
+
 // chaosRun runs one seed under cfg and returns its counters and the
 // latency of every admitted query, failing t on any broken promise. The
 // soak's configuration promises the most: with every entry on three
 // nodes, a Complete answer must be exact, and each seed must exercise
-// what the soak means to.
-func chaosRun(t testing.TB, seed int64, cfg chaosConfig) (chaosCounters, []time.Duration) {
+// what the soak means to. quiesce, when not nil, runs on the platform
+// once every query has answered and every churn cycle has run.
+func chaosRun(t testing.TB, seed int64, cfg chaosConfig, quiesce func(*Platform)) (chaosCounters, []time.Duration) {
 	t.Helper()
 	capped := seed%4 == 0
 	opts := Options{
@@ -207,6 +272,9 @@ func chaosRun(t testing.TB, seed int64, cfg chaosConfig) (chaosCounters, []time.
 			seed, finished, chaosQueries, cyclesDone, chaosCycles, err)
 	}
 
+	if quiesce != nil {
+		quiesce(p)
+	}
 	rel, fs := p.Reliability(), p.Faults()
 	c.rejected, c.retries, c.recovered, c.hedges = rel.AdmissionRejected, rel.RetriesIssued, rel.Recovered, rel.Hedges
 	c.lostSubqueries = rel.Dropped
@@ -304,7 +372,7 @@ func BenchmarkChaosSweep(b *testing.B) {
 				var total chaosCounters
 				var lat []time.Duration
 				for seed := int64(1); seed <= seeds; seed++ {
-					c, l := chaosRun(b, seed, cfg)
+					c, l := chaosRun(b, seed, cfg, nil)
 					total.add(c)
 					lat = append(lat, l...)
 				}

@@ -159,6 +159,10 @@ func (n *Network) Nodes() []*Node {
 	return out
 }
 
+// At returns the identifier of the i-th live node in ring order, the
+// order Nodes lists them in; 0 <= i < Size().
+func (n *Network) At(i int) ID { return n.ring[i] }
+
 // Node returns the live node with the given identifier, or nil.
 func (n *Network) Node(id ID) *Node {
 	return n.nodes[id]
@@ -268,22 +272,43 @@ func (n *Network) SendOrFail(from *Node, to ID, kind MsgKind, bytes int, deliver
 }
 
 // SendRecord is SendOrFail without closures: the message is the record
-// arg, delivered by recv(dst, arg) or lost through lost(arg) (nil: a
-// loss goes unreported) under exactly SendOrFail's rules. recv and lost
-// are meant to be package-level functions, so a send allocates nothing
-// beyond the record the caller already built.
-func (n *Network) SendRecord(from *Node, to ID, kind MsgKind, bytes int, recv func(dst *Node, arg any), lost func(arg any), arg any) {
-	n.send(from, to, kind, bytes, handler{recv: recv, lost: lost, arg: arg})
+// arg, and h's package-level functions are what it runs, under exactly
+// SendOrFail's rules, so a send allocates nothing beyond the record the
+// caller already built. Unlike SendOrFail it accounts for every copy of
+// the message: when the fault policy duplicates it, h.Copy hears of the
+// copy before the copy is in flight, and a copy that dies ends in
+// h.Drop. Each copy therefore ends exactly once — delivered (h.Recv),
+// lost (h.Lost, the original only) or dropped (h.Drop, a duplicate
+// only) — which lets a record's owner count the copies that can still
+// reach it.
+func (n *Network) SendRecord(from *Node, to ID, kind MsgKind, bytes int, h *Handlers, arg any) {
+	n.send(from, to, kind, bytes, handler{rec: h, arg: arg})
+}
+
+// Handlers are what a record sent by SendRecord runs. Recv is required;
+// a nil Lost lets a loss go unreported, and nil Copy and Drop leave
+// duplicates unaccounted, as SendOrFail does. They are meant to be
+// package-level functions, in a Handlers that outlives the message.
+type Handlers struct {
+	// Recv delivers one copy at dst.
+	Recv func(dst *Node, arg any)
+	// Lost is the original copy's loss.
+	Lost func(arg any)
+	// Copy runs at send time for each duplicate the fault policy adds.
+	Copy func(arg any)
+	// Drop is a duplicate copy's loss.
+	Drop func(arg any)
 }
 
 // handler is what a message runs on arrival or on loss: a closure pair
 // (SendOrFail) or a record and its package-level functions (SendRecord).
+// dup marks a fault duplicate's copy.
 type handler struct {
 	deliver func(dst *Node)
 	failed  func()
-	recv    func(dst *Node, arg any)
-	lost    func(arg any)
+	rec     *Handlers
 	arg     any
+	dup     bool
 }
 
 func (h handler) arrive(dst *Node) {
@@ -291,18 +316,23 @@ func (h handler) arrive(dst *Node) {
 		h.deliver(dst)
 		return
 	}
-	h.recv(dst, h.arg)
+	h.rec.Recv(dst, h.arg)
 }
 
-// canFail reports whether the handler has a loss callback to run.
-func (h handler) canFail() bool { return h.failed != nil || h.lost != nil }
+// canFail reports whether an original copy has a loss callback to run.
+func (h handler) canFail() bool { return h.failed != nil || h.rec != nil && h.rec.Lost != nil }
 
 func (h handler) fail() {
 	switch {
 	case h.failed != nil:
 		h.failed()
-	case h.lost != nil:
-		h.lost(h.arg)
+	case h.rec == nil:
+	case h.dup:
+		if h.rec.Drop != nil {
+			h.rec.Drop(h.arg)
+		}
+	case h.rec.Lost != nil:
+		h.rec.Lost(h.arg)
 	}
 }
 
@@ -328,7 +358,9 @@ func (n *Network) send(from *Node, to ID, kind MsgKind, bytes int, h handler) {
 			// real one would, by timeout — or, in the fire-and-forget
 			// accounting mode, through the loss callback.
 			if h.canFail() {
-				n.rt.Schedule(delay, func() { h.fail() })
+				m := n.acquireInflight()
+				m.net, m.h, m.lost = n, h, true
+				n.rt.ScheduleArg(delay, runInflight, m)
 			}
 			return
 		}
@@ -340,26 +372,32 @@ func (n *Network) send(from *Node, to ID, kind MsgKind, bytes int, h handler) {
 	if f != nil && f.duplicated(n.rt.Rand(), kind) {
 		// A spurious retransmission: the copy is charged like any other
 		// message and arrives after twice the original's delay, on its
-		// own pooled record. It carries no loss callback — losing a
-		// duplicate means nothing, and firing the real one twice would
-		// double-account the loss.
+		// own pooled record. It never runs the original's loss callback —
+		// losing a duplicate means nothing, and firing that twice would
+		// double-account the loss — but a record hears of the copy and
+		// of its end (Handlers.Copy, Handlers.Drop).
 		n.traffic.Add(kind, bytes)
 		n.traffic.Duplicated++
 		d := n.acquireInflight()
 		d.net, d.from, d.to, d.h = n, from, to, h
-		d.h.failed, d.h.lost = nil, nil
+		d.h.failed, d.h.dup = nil, true
+		if h.rec != nil && h.rec.Copy != nil {
+			h.rec.Copy(h.arg)
+		}
 		n.tr.Send(uint64(to), 2*delay, runInflight, d)
 	}
 }
 
 // inflight is one in-transit message: the prebound per-event state for
 // the delivery event, pooled on the Network so the hot send path does
-// not allocate a closure per message.
+// not allocate a closure per message. lost marks a message the fault
+// policy dropped: its event only reports the loss.
 type inflight struct {
 	net  *Network
 	from *Node
 	to   ID
 	h    handler
+	lost bool
 }
 
 // runInflight is the prebound delivery callback passed to
@@ -372,12 +410,13 @@ func runInflight(arg any) { arg.(*inflight).run() }
 // to the pool before any callback runs, because callbacks routinely
 // send further messages.
 func (m *inflight) run() {
-	n, from, to, h := m.net, m.from, m.to, m.h
-	m.net, m.from, m.h = nil, nil, handler{}
+	n, from, to, h, lost := m.net, m.from, m.to, m.h, m.lost
+	*m = inflight{}
 	n.pool = append(n.pool, m)
-	if from.crashed {
-		// The sender's process died while the message was in flight
-		// (CrashNode semantics); the message dies with it.
+	if lost || from.crashed {
+		// Dropped by the fault policy, or the sender's process died
+		// while the message was in flight (CrashNode semantics) and the
+		// message dies with it.
 		h.fail()
 		return
 	}

@@ -20,12 +20,24 @@ var sendForms = []struct {
 			func(dst *Node) { recvLog(dst, arg) }, func() { lostLog(arg) })
 	}},
 	{"record", func(net *Network, from *Node, to ID, kind MsgKind, bytes int, arg *int) {
-		net.SendRecord(from, to, kind, bytes, recvLog, lostLog, arg)
+		copies[*arg]++
+		net.SendRecord(from, to, kind, bytes, &logHandlers, arg)
 	}},
 }
 
 // sendLog is what recvLog and lostLog saw, in order.
 var sendLog []string
+
+// copies counts each record message's copies in flight: one at send,
+// one more per duplicate, one less per end.
+var copies map[int]int
+
+var logHandlers = Handlers{
+	Recv: func(dst *Node, arg any) { recvLog(dst, arg); endCopy(arg) },
+	Lost: func(arg any) { lostLog(arg); endCopy(arg) },
+	Copy: func(arg any) { copies[*arg.(*int)]++ },
+	Drop: endCopy,
+}
 
 func recvLog(dst *Node, arg any) {
 	sendLog = append(sendLog, fmt.Sprintf("recv %d at %#x", *arg.(*int), dst.ID()))
@@ -33,13 +45,16 @@ func recvLog(dst *Node, arg any) {
 
 func lostLog(arg any) { sendLog = append(sendLog, fmt.Sprintf("lost %d", *arg.(*int))) }
 
+func endCopy(arg any) { copies[*arg.(*int)]-- }
+
 // TestSendFormsAgree runs SendOrFail and SendRecord through the same
 // scenarios — loss, duplication, a sender crashed in flight, a
 // destination gone at send time and at delivery — and holds them to the
 // same deliveries and losses, in the same order, and the same traffic
 // and fault counters. A duplicate's copy never reports a loss: with
 // every message doubled, a destination gone in flight is one loss per
-// message.
+// message. SendRecord also reports each duplicate and each dropped
+// duplicate, so every copy of a record ends exactly once.
 func TestSendFormsAgree(t *testing.T) {
 	const msgs = 200
 	cases := []struct {
@@ -85,7 +100,7 @@ func TestSendFormsAgree(t *testing.T) {
 				cfg.Faults = c.faults
 				eng, net, nodes := newTestNet(t, 8, cfg)
 				net.BuildAllTables()
-				sendLog = nil
+				sendLog, copies = nil, make(map[int]int)
 				for i := 0; i < msgs; i++ {
 					to := nodes[1].ID()
 					if c.to != nil {
@@ -97,6 +112,12 @@ func TestSendFormsAgree(t *testing.T) {
 					c.before(t, net, nodes)
 				}
 				eng.Run()
+				for i, n := range copies {
+					if n != 0 {
+						t.Errorf("%s: message %d ends with %d copies unaccounted", form.name, i, n)
+					}
+				}
+				copies = nil
 				o := outcome{log: sendLog, traffic: net.Traffic()}
 				recv, lost := 0, 0
 				for _, l := range o.log {

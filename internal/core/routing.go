@@ -10,13 +10,17 @@ import (
 	"landmarkdht/internal/chord"
 	"landmarkdht/internal/lph"
 	"landmarkdht/internal/query"
-	"landmarkdht/internal/runtime"
 	"landmarkdht/internal/wire"
 )
 
-// activeQuery tracks one in-flight range query across the system.
+// activeQuery tracks one in-flight range query across the system. It is
+// also the query's arena (arena.go): the records, cubes and result
+// slices its path hands out, and the merge maps, all reused by the next
+// query once holds has fallen to zero after finish.
 type activeQuery struct {
-	id      int
+	sys     *System
+	gen     uint32 // bumped at every release
+	holds   int    // what can still reach the query; see arena.go
 	ix      *Index
 	payload any
 	r       float64
@@ -25,7 +29,9 @@ type activeQuery struct {
 	stats   QueryStats
 	// pending counts subqueries whose results have not yet reached
 	// the querier; the query completes when it hits zero.
-	pending  int
+	pending int
+	// results and answered are the merge state, cleared and kept at
+	// release.
 	results  map[ObjectID]float64
 	answered map[chord.ID]bool
 	done     func(*QueryResult)
@@ -36,18 +42,28 @@ type activeQuery struct {
 	// token; settling a token (answer or drop) is idempotent, which is
 	// what lets hedged duplicates and post-deadline stragglers arrive
 	// without corrupting the pending count or the result set. The
-	// outstanding list exists only when a deadline or hedging is
-	// configured, so the default path allocates nothing extra.
+	// outstanding list is kept only when a deadline or hedging is
+	// configured (tracked).
 	nextTok     int
+	tracked     bool
 	outstanding []pendingRegion
 	dropped     int
 	uncovered   []query.Region
 	expired     bool
-	deadline    runtime.Timer
+	deadline    *timer
 	// admitted marks queries counted by the admission gate; finish
 	// releases their slot. Queries issued outside the gate (the naive
 	// router) never set it.
 	admitted bool
+	// The arena: every cube of a split half or refined sibling, the
+	// message records handed out (qmsgs[:nq], rmsgs[:nr]) and the
+	// results they carry.
+	cubes  query.Cubes
+	qmsgs  []*queryMsg
+	nq     int
+	rmsgs  []*resultMsg
+	nr     int
+	resBuf []Result
 }
 
 // pendingRegion pairs a subquery region with its settlement token.
@@ -65,14 +81,14 @@ type pendingRegion struct {
 
 // tracking reports whether outstanding regions are tracked (a deadline
 // or hedging is configured for this query).
-func (aq *activeQuery) tracking() bool { return aq.outstanding != nil }
+func (aq *activeQuery) tracking() bool { return aq.tracked }
 
 // newToken registers one more outstanding subquery region and returns
 // its settlement token.
 func (aq *activeQuery) newToken(reg query.Region) int {
 	aq.nextTok++
 	aq.pending++
-	if aq.outstanding != nil {
+	if aq.tracked {
 		aq.outstanding = append(aq.outstanding, pendingRegion{tok: aq.nextTok, reg: reg, chains: 1})
 	}
 	return aq.nextTok
@@ -119,7 +135,7 @@ func (aq *activeQuery) moveToken(tok int, reg query.Region) {
 // path is made idempotent by sqUnit.delivered flags, so each settle is
 // necessarily the first.
 func (aq *activeQuery) settle(tok int) bool {
-	if aq.outstanding == nil {
+	if !aq.tracked {
 		aq.pending--
 		return true
 	}
@@ -189,20 +205,20 @@ func (s *System) RangeQuery(indexName string, srcID chord.ID, payload any, cente
 	if r < 0 {
 		return fmt.Errorf("core: negative query range %v", r)
 	}
-	region, err := query.Around(ix.Part, center, r)
-	if err != nil {
-		return err
-	}
 	if s.cfg.MaxActiveQueries > 0 && s.active >= s.cfg.MaxActiveQueries {
 		// Admission control: the system is saturated, so the query is
 		// rejected up front with an honest incomplete result — its whole
 		// region is Uncovered and the rejection is counted. Nothing is
 		// silently lost and no work is queued.
+		region, err := query.Around(ix.Part, center, r)
+		if err != nil {
+			return err
+		}
 		s.AdmissionRejected++
 		now := s.rt.Now()
 		res := &QueryResult{
 			Complete:  false,
-			Uncovered: []query.Region{region.Clone()},
+			Uncovered: []query.Region{region},
 			Stats:     QueryStats{Issued: now, FirstResult: now, LastResult: now},
 		}
 		if done != nil {
@@ -210,58 +226,60 @@ func (s *System) RangeQuery(indexName string, srcID chord.ID, payload any, cente
 		}
 		return nil
 	}
-	aq := s.newQuery(ix, srcID, payload, r, opts, done)
+	aq, region, err := s.newQuery(ix, srcID, payload, center, r, opts, done)
+	if err != nil {
+		return err
+	}
 	aq.admitted = true
 	s.active++
-	dl := s.trackRegions(aq, opts, 4)
+	dl := s.trackRegions(aq, opts)
 	tok := aq.newToken(region)
 	s.armDeadline(aq, dl)
 	s.routeAt(src, aq, region, 0, tok)
+	s.letGo(aq)
 	return nil
 }
 
-// newQuery starts the record of one query issued at srcID.
-func (s *System) newQuery(ix *Index, srcID chord.ID, payload any, r float64, opts QueryOpts, done func(*QueryResult)) *activeQuery {
-	s.nextQ++
-	aq := &activeQuery{
-		id:       s.nextQ,
-		ix:       ix,
-		payload:  payload,
-		r:        r,
-		topK:     opts.TopK,
-		srcID:    srcID,
-		results:  make(map[ObjectID]float64),
-		answered: make(map[chord.ID]bool),
-		done:     done,
+// newQuery starts the record of one query issued at srcID, in an idle
+// arena, and builds its region there. The query comes back held by the
+// caller, which lets go once it has issued it; on error it is already
+// released.
+func (s *System) newQuery(ix *Index, srcID chord.ID, payload any, center []float64, r float64, opts QueryOpts, done func(*QueryResult)) (*activeQuery, query.Region, error) {
+	aq := s.takeQuery()
+	aq.holds = 1
+	region, err := aq.cubes.Around(ix.Part, center, r)
+	if err != nil {
+		aq.finished = true
+		s.letGo(aq)
+		return nil, query.Region{}, err
 	}
+	aq.ix, aq.payload, aq.r, aq.topK, aq.srcID, aq.done = ix, payload, r, opts.TopK, srcID, done
 	if opts.Trace {
 		aq.trace = &Trace{}
 	}
 	aq.stats.Issued = s.rt.Now()
-	return aq
+	return aq, region, nil
 }
 
 // trackRegions returns a query's effective deadline and, when the
-// deadline or hedging needs them, makes room to track n outstanding
+// deadline or hedging needs them, has the query track its outstanding
 // regions. Its caller then issues the query's tokens and arms the
-// deadline. With every resilience knob zero there is no tracking list,
-// no timer and no extra allocation, and — because the deadline timer is
-// the only new event source — a byte-identical simulation schedule.
-func (s *System) trackRegions(aq *activeQuery, opts QueryOpts, n int) time.Duration {
+// deadline. With every resilience knob zero there is no tracking and no
+// timer, and — because the deadline timer is the only new event source
+// — a byte-identical simulation schedule.
+func (s *System) trackRegions(aq *activeQuery, opts QueryOpts) time.Duration {
 	dl := opts.Deadline
 	if dl == 0 {
 		dl = s.cfg.Deadline
 	}
-	if dl > 0 || s.cfg.Hedge.Enabled() {
-		aq.outstanding = make([]pendingRegion, 0, n)
-	}
+	aq.tracked = dl > 0 || s.cfg.Hedge.Enabled()
 	return dl
 }
 
 // armDeadline ends the query at its deadline, if it has one.
 func (s *System) armDeadline(aq *activeQuery, dl time.Duration) {
 	if dl > 0 {
-		aq.deadline = s.rt.AfterFunc(dl, func() { s.expireQuery(aq) })
+		aq.deadline = s.arm(aq, dl, deadlineTimer, nil, nil)
 	}
 }
 
@@ -301,7 +319,7 @@ func (s *System) routeAt(n *IndexNode, aq *activeQuery, q query.Region, hops int
 	switch {
 	case q.PreLen == lph.M:
 		// One key: nothing left to split.
-	case query.SplitInto(&subs, aq.ix.Part, q, q.PreLen+1) == 1:
+	case query.SplitInto(&subs, aq.ix.Part, q, q.PreLen+1, &aq.cubes) == 1:
 		// The query lies in one half: forward the refined query
 		// (equivalent to forwarding q; the prefix is just longer).
 		aq.moveToken(tok, subs[0])
@@ -339,15 +357,18 @@ type sqUnit struct {
 }
 
 // queryMsg is one query message: the subquery units it carries and all
-// its receiver needs, sent as one record to recvQuery (or lostQuery).
-// routeAt ships at most two regions per hop, so a message carries at
-// most two units: the record holds the ones it ships first inline, in
-// own, and points at them from units. A retransmission's units point
-// into the original message's own instead, so every attempt at a region
-// shares one delivered flag; a hedge owns fresh copies (hedgeFire).
+// its receiver needs, sent as one record to recvQuery (or lostQuery),
+// and acknowledged, under Config.Retry, as the same record. routeAt
+// ships at most two regions per hop, so a message carries at most two
+// units: the record holds the ones it ships first inline, in own, and
+// points at them from units. A retransmission's units point into the
+// original message's own instead, so every attempt at a region shares
+// one delivered flag; a hedge owns fresh copies (hedgeFire). Records
+// come from the query's arena, so a retransmission's original outlives
+// it.
 type queryMsg struct {
+	rec
 	from      *IndexNode
-	aq        *activeQuery
 	dest      chord.ID
 	surrogate bool
 	hops      int
@@ -358,8 +379,8 @@ type queryMsg struct {
 	nunits    int
 	// payload is the message's wire encoding (Config.EncodeWire).
 	payload []byte
-	// timer is the retransmission timer (Config.Retry).
-	timer runtime.Timer
+	// timer is the retransmission timer (Config.Retry) while armed.
+	timer *timer
 }
 
 // add appends a fresh unit, owned by the message.
@@ -461,7 +482,7 @@ func (s *System) dispatch(n *IndexNode, aq *activeQuery, list []pendingRegion, h
 		}
 		m := out.find(d)
 		if m == nil {
-			m = out.open(&queryMsg{from: n, aq: aq, dest: d.id, surrogate: d.surrogate, hops: hops})
+			m = out.open(aq.newQueryMsg(n, d, hops))
 		}
 		m.add(sq.reg, sq.tok)
 	}
@@ -550,26 +571,55 @@ func (s *System) ship(m *queryMsg) {
 		s.armHedge(m)
 	}
 	if !s.cfg.Retry.Enabled() {
-		s.net.SendRecord(n.node, m.dest, chord.KindQuery, bytes, recvQuery, lostQuery, m)
+		s.send(n.node, m.dest, chord.KindQuery, bytes, &s.handlers.query, m)
 		return
 	}
-	m.timer = s.rt.AfterFunc(s.retryTimeout(m.attempt), func() { s.shipTimeout(m) })
-	s.net.SendRecord(n.node, m.dest, chord.KindQuery, bytes, recvQuery, nil, m)
+	m.timer = s.arm(aq, s.retryTimeout(m.attempt), retryQueryTimer, m, nil)
+	s.send(n.node, m.dest, chord.KindQuery, bytes, &s.handlers.reliableQuery, m)
 }
 
-// recvQuery delivers a query message at dst: each unit not yet delivered
-// is routed onward or, in surrogate mode, refined.
+// recvQuery delivers a query message at dst.
 func recvQuery(dst *chord.Node, arg any) {
 	m := arg.(*queryMsg)
-	s, aq := m.from.sys, m.aq
-	if timer, dest := m.timer, m.dest; timer != nil {
-		// Acknowledge first (duplicates too: the sender's timer must
-		// stop either way), then process the undelivered units.
-		s.net.SendOrFail(dst, m.from.node.ID(), chord.KindAck, retryAckBytes, func(*chord.Node) {
-			timer.Stop()
-			s.unsuspect(dest)
-		}, nil)
+	if m.released() {
+		return
 	}
+	m.deliver(dst)
+	m.from.sys.letGo(m.aq)
+}
+
+// recvReliableQuery acknowledges a query message first (duplicates too:
+// the sender's timer must stop either way), then delivers it.
+func recvReliableQuery(dst *chord.Node, arg any) {
+	m := arg.(*queryMsg)
+	if m.released() {
+		return
+	}
+	s := m.from.sys
+	s.send(dst, m.from.node.ID(), chord.KindAck, retryAckBytes, &s.handlers.queryAck, m)
+	m.deliver(dst)
+	s.letGo(m.aq)
+}
+
+// recvQueryAck stops the acknowledged message's retry timer.
+func recvQueryAck(_ *chord.Node, arg any) {
+	m := arg.(*queryMsg)
+	if m.released() {
+		return
+	}
+	s := m.from.sys
+	if m.timer != nil {
+		s.stop(m.timer)
+		m.timer = nil
+	}
+	s.unsuspect(m.dest)
+	s.letGo(m.aq)
+}
+
+// deliver processes a query message at dst: each unit not yet delivered
+// is routed onward or, in surrogate mode, refined.
+func (m *queryMsg) deliver(dst *chord.Node) {
+	s, aq := m.from.sys, m.aq
 	in := s.nodes[dst.ID()]
 	var use []query.Region // decoded cubes; nil = use the units' own regions
 	if m.payload != nil {
@@ -605,7 +655,14 @@ func recvQuery(dst *chord.Node, arg any) {
 
 // lostQuery is a fire-and-forget query message's loss: its undelivered
 // units are dropped.
-func lostQuery(arg any) { arg.(*queryMsg).dropUndelivered() }
+func lostQuery(arg any) {
+	m := arg.(*queryMsg)
+	if m.released() {
+		return
+	}
+	m.dropUndelivered()
+	m.from.sys.letGo(m.aq)
+}
 
 // armHedge schedules the hedge check for a freshly shipped message: any
 // of its units still outstanding after the hedge delay get a duplicate
@@ -614,7 +671,7 @@ func (s *System) armHedge(m *queryMsg) {
 	if m.aq.stats.Hedges >= s.cfg.Hedge.MaxPerQuery {
 		return
 	}
-	s.rt.AfterFunc(s.cfg.Hedge.Delay, func() { s.hedgeFire(m) })
+	s.arm(m.aq, s.cfg.Hedge.Delay, hedgeTimer, m, nil)
 }
 
 // hedgeFire runs when a message's hedge delay elapses. Each unit whose
@@ -663,9 +720,11 @@ func (s *System) hedgeFire(orig *queryMsg) {
 		// shared token arbitrates which copy's answer counts. The extra
 		// chain keeps a later primary-side loss from settling a token
 		// this hedge can still answer.
-		m := out.find(destKey{id: target, surrogate: true})
+		d := destKey{id: target, surrogate: true}
+		m := out.find(d)
 		if m == nil {
-			m = out.open(&queryMsg{from: n, aq: aq, dest: target, surrogate: true, hops: orig.hops, hedge: true})
+			m = out.open(aq.newQueryMsg(n, d, orig.hops))
+			m.hedge = true
 		}
 		m.add(u.reg, u.tok)
 		aq.addChain(u.tok)
@@ -720,9 +779,11 @@ func (s *System) shipTimeout(orig *queryMsg) {
 			s.dropSubquery(aq, u.reg, u.tok)
 			continue
 		}
-		m := out.find(destKey{id: owner, surrogate: true})
+		d := destKey{id: owner, surrogate: true}
+		m := out.find(d)
 		if m == nil {
-			m = out.open(&queryMsg{from: n, aq: aq, dest: owner, surrogate: true, hops: orig.hops, attempt: orig.attempt + 1})
+			m = out.open(aq.newQueryMsg(n, d, orig.hops))
+			m.attempt = orig.attempt + 1
 		}
 		m.carry(u)
 	}
@@ -763,7 +824,7 @@ func (s *System) surrogateRefine(n *IndexNode, aq *activeQuery, q query.Region, 
 	// the cuboid, so no node exists inside it, Refine emits nothing and
 	// this node covers the whole region (Algorithm 5 lines 1–3). Either
 	// way, answer the covered part locally.
-	query.Refine(part, q, vid, func(sub query.Region) {
+	query.Refine(part, q, vid, &aq.cubes, func(sub query.Region) {
 		s.routeAt(n, aq, sub, hops, aq.newToken(sub))
 	})
 	s.answerLocal(n, aq, q, hops, tok)
@@ -777,23 +838,28 @@ func (s *System) answerLocal(n *IndexNode, aq *activeQuery, q query.Region, hops
 	}
 	// Scan into the system-wide scratch buffer: the candidate ids are
 	// fully consumed below before any other scan can run (the engine is
-	// single-threaded and Refine callbacks never re-enter the system).
+	// single-threaded and Refine callbacks never re-enter the system);
+	// the results go to the batch's scratch, which answerDone consumes.
 	s.scanBuf = n.st.ScanIDs(aq.ix.Name, q, s.scanBuf[:0])
 	s.answerDone(n, aq, q, hops, tok, refineLocal(aq, s.scanBuf, &s.refine), len(s.scanBuf))
 }
 
-// refineBatch is the scratch of one Index.Refine call: the exact
-// distances of up to 64 candidates.
+// refineBatch is refineLocal's scratch: the exact distances of up to 64
+// candidates, one Index.Refine call's worth, and the results of the
+// last refineLocal.
 type refineBatch struct {
-	dist [64]float64
+	dist  [64]float64
+	local []Result
 }
 
 // refineLocal applies exact-distance refinement (and the paper's
 // per-node top-k cut) to a scan's candidate ids, up to 64 at a time
 // through the index's Refine, and returns the results in candidate
-// order: the hits of a range query, every candidate of a top-k one.
+// order: the hits of a range query, every candidate of a top-k one —
+// nearest first, after the cut, when the cut removed any. The slice is
+// b's scratch: the next call on b overwrites it.
 func refineLocal(aq *activeQuery, ids []int32, b *refineBatch) []Result {
-	var local []Result
+	local := b.local[:0]
 	for len(ids) > 0 {
 		n := min(len(ids), len(b.dist))
 		hits := aq.ix.Refine(aq.payload, ids[:n], aq.r, b.dist[:n])
@@ -814,6 +880,7 @@ func refineLocal(aq *activeQuery, ids []int32, b *refineBatch) []Result {
 		slices.SortFunc(local, compareResults)
 		local = local[:aq.topK]
 	}
+	b.local = local
 	return local
 }
 
@@ -838,7 +905,9 @@ func compareResults(a, b Result) int {
 }
 
 // answerDone is answerLocal's tail: accounting, tracing, and result
-// shipment for one locally answered subquery.
+// shipment for one locally answered subquery. local is refineLocal's
+// scratch: the querier merges it at once, any other node copies it into
+// a result message from the query's arena.
 func (s *System) answerDone(n *IndexNode, aq *activeQuery, q query.Region, hops int, tok int, local []Result, ncands int) {
 	aq.stats.Candidates += ncands
 	nodeID := n.node.ID()
@@ -850,6 +919,10 @@ func (s *System) answerDone(n *IndexNode, aq *activeQuery, q query.Region, hops 
 		s.mergeResult(aq, nodeID, local, tok)
 		return
 	}
+	m := aq.newResultMsg()
+	m.from, m.q, m.tok = n, q, tok
+	m.local = aq.takeResults(len(local))
+	copy(m.local, local)
 	bytes := wire.ResultSize(len(local))
 	if s.cfg.EncodeWire && aq.ix.MaxDist > 0 {
 		// Real binary encoding: distances are quantized against the
@@ -862,7 +935,7 @@ func (s *System) answerDone(n *IndexNode, aq *activeQuery, q query.Region, hops 
 		if err == nil {
 			if decoded, derr := wire.DecodeResult(data, aq.ix.MaxDist); derr == nil {
 				for i, e := range decoded {
-					local[i] = Result{Obj: ObjectID(e.Obj), Dist: e.Dist}
+					m.local[i] = Result{Obj: ObjectID(e.Obj), Dist: e.Dist}
 				}
 			}
 			bytes = len(data)
@@ -871,80 +944,121 @@ func (s *System) answerDone(n *IndexNode, aq *activeQuery, q query.Region, hops 
 	aq.stats.ResultMsgs++
 	aq.stats.ResultBytes += int64(bytes)
 	if s.cfg.Retry.Enabled() {
-		s.sendResultReliably(n, aq, nodeID, local, q, tok, bytes)
+		m.bytes, m.first = bytes, m
+		s.sendResult(m)
 		return
 	}
-	s.net.SendRecord(n.node, aq.srcID, chord.KindResult, bytes, recvResult, lostResult,
-		&resultMsg{from: n, aq: aq, local: local, q: q, tok: tok})
+	s.send(n.node, aq.srcID, chord.KindResult, bytes, &s.handlers.result, m)
 }
 
 // resultMsg is one result message: an index node's answer to one
-// subquery, sent as one record to recvResult (or lostResult).
+// subquery, sent as one record to recvResult (or lostResult). Under
+// Config.Retry each attempt is a record of its own, acknowledged as
+// itself, and first is attempt 0's, whose delivered flag every attempt
+// shares.
 type resultMsg struct {
-	from  *IndexNode
-	aq    *activeQuery
-	local []Result
-	q     query.Region
-	tok   int
+	rec
+	from      *IndexNode
+	local     []Result
+	q         query.Region
+	tok       int
+	bytes     int
+	attempt   int
+	timer     *timer
+	first     *resultMsg
+	delivered bool
 }
 
 func recvResult(_ *chord.Node, arg any) {
 	m := arg.(*resultMsg)
-	m.from.sys.mergeResult(m.aq, m.from.node.ID(), m.local, m.tok)
+	if m.released() {
+		return
+	}
+	s := m.from.sys
+	s.mergeResult(m.aq, m.from.node.ID(), m.local, m.tok)
+	s.letGo(m.aq)
 }
 
 // lostResult drops the answered subquery: the querier itself left (only
 // possible under heavy churn) or the fault plan lost the message.
 func lostResult(arg any) {
 	m := arg.(*resultMsg)
-	m.from.sys.dropSubquery(m.aq, m.q, m.tok)
+	if m.released() {
+		return
+	}
+	s := m.from.sys
+	s.dropSubquery(m.aq, m.q, m.tok)
+	s.letGo(m.aq)
 }
 
-// sendResultReliably ships one result message to the querier with the
-// ack/timeout/retry state machine. Unlike subqueries the destination is
-// fixed — a result only makes sense at the querier — so exhausted
-// retries (the querier or the answering node died) surface as a dropped
-// subquery.
-func (s *System) sendResultReliably(n *IndexNode, aq *activeQuery, from chord.ID, local []Result, q query.Region, tok int, bytes int) {
-	delivered := false
-	var send func(attempt int)
-	send = func(attempt int) {
-		if attempt > 0 {
-			s.RetriesIssued++
-			aq.stats.Retries++
-			aq.stats.ResultMsgs++
-			aq.stats.ResultBytes += int64(bytes)
-		}
-		timer := s.rt.AfterFunc(s.retryTimeout(attempt), func() {
-			if delivered {
-				return
-			}
-			if aq.stale(tok) {
-				delivered = true // settled elsewhere: stop retrying
-				return
-			}
-			if attempt >= s.cfg.Retry.MaxRetries || !n.node.Alive() {
-				delivered = true
-				s.dropSubquery(aq, q, tok)
-				return
-			}
-			send(attempt + 1)
-		})
-		s.net.SendOrFail(n.node, aq.srcID, chord.KindResult, bytes, func(dst *chord.Node) {
-			s.net.SendOrFail(dst, n.node.ID(), chord.KindAck, retryAckBytes, func(*chord.Node) {
-				timer.Stop()
-			}, nil)
-			if delivered {
-				return // duplicate from a premature timeout
-			}
-			delivered = true
-			if attempt > 0 {
-				s.RecoveredSubqueries++
-			}
-			s.mergeResult(aq, from, local, tok)
-		}, nil)
+// sendResult ships one attempt of a result message to the querier with
+// the ack/timeout/retry state machine (resultTimeout). Unlike subqueries
+// the destination is fixed — a result only makes sense at the querier —
+// so exhausted retries (the querier or the answering node died) surface
+// as a dropped subquery.
+func (s *System) sendResult(m *resultMsg) {
+	aq := m.aq
+	if m.attempt > 0 {
+		s.RetriesIssued++
+		aq.stats.Retries++
+		aq.stats.ResultMsgs++
+		aq.stats.ResultBytes += int64(m.bytes)
 	}
-	send(0)
+	m.timer = s.arm(aq, s.retryTimeout(m.attempt), retryResultTimer, nil, m)
+	s.send(m.from.node, aq.srcID, chord.KindResult, m.bytes, &s.handlers.reliableResult, m)
+}
+
+// recvReliableResult acknowledges a result attempt (duplicates from a
+// premature timeout too) and merges the first attempt to arrive.
+func recvReliableResult(dst *chord.Node, arg any) {
+	m := arg.(*resultMsg)
+	if m.released() {
+		return
+	}
+	s := m.from.sys
+	s.send(dst, m.from.node.ID(), chord.KindAck, retryAckBytes, &s.handlers.resultAck, m)
+	if !m.first.delivered {
+		m.first.delivered = true
+		if m.attempt > 0 {
+			s.RecoveredSubqueries++
+		}
+		s.mergeResult(m.aq, m.from.node.ID(), m.local, m.tok)
+	}
+	s.letGo(m.aq)
+}
+
+// recvResultAck stops the acknowledged attempt's retry timer.
+func recvResultAck(_ *chord.Node, arg any) {
+	m := arg.(*resultMsg)
+	if m.released() {
+		return
+	}
+	s := m.from.sys
+	if m.timer != nil {
+		s.stop(m.timer)
+		m.timer = nil
+	}
+	s.letGo(m.aq)
+}
+
+// resultTimeout runs when a result attempt's ack timer fires: unless an
+// attempt arrived or the token settled elsewhere, the result is sent
+// again, or dropped once retries are exhausted or its sender died.
+func (s *System) resultTimeout(m *resultMsg) {
+	aq := m.aq
+	switch {
+	case m.first.delivered:
+	case aq.stale(m.tok):
+		m.first.delivered = true // settled elsewhere: stop retrying
+	case m.attempt >= s.cfg.Retry.MaxRetries || !m.from.node.Alive():
+		m.first.delivered = true
+		s.dropSubquery(aq, m.q, m.tok)
+	default:
+		next := aq.newResultMsg()
+		next.from, next.local, next.q, next.tok = m.from, m.local, m.q, m.tok
+		next.bytes, next.attempt, next.first = m.bytes, m.attempt+1, m.first
+		s.sendResult(next)
+	}
 }
 
 // mergeResult runs at the querier when one index node's answer
@@ -1007,7 +1121,8 @@ func (s *System) finish(aq *activeQuery) {
 		s.active-- // release the admission-gate slot
 	}
 	if aq.deadline != nil {
-		aq.deadline.Stop()
+		s.stop(aq.deadline)
+		aq.deadline = nil
 	}
 	out := make([]Result, 0, len(aq.results))
 	//lint:allow maporder the sort below totally orders results (Dist, then Obj)
@@ -1057,11 +1172,10 @@ func (s *System) NaiveRangeQuery(indexName string, srcID chord.ID, payload any, 
 	if !ok {
 		return fmt.Errorf("core: unknown source node %#x", srcID)
 	}
-	region, err := query.Around(ix.Part, center, r)
+	aq, region, err := s.newQuery(ix, srcID, payload, center, r, opts, done)
 	if err != nil {
 		return err
 	}
-	aq := s.newQuery(ix, srcID, payload, r, opts, done)
 
 	// Decompose until every subregion's key span has a single owner.
 	// The querier cannot know ownership, so it refines pessimistically:
@@ -1091,9 +1205,10 @@ func (s *System) NaiveRangeQuery(indexName string, srcID chord.ID, payload any, 
 	decompose(region)
 	if len(pieces) == 0 {
 		s.finish(aq)
+		s.letGo(aq)
 		return nil
 	}
-	dl := s.trackRegions(aq, opts, len(pieces))
+	dl := s.trackRegions(aq, opts)
 	toks := make([]int, len(pieces))
 	for i, sq := range pieces {
 		toks[i] = aq.newToken(sq)
@@ -1101,29 +1216,36 @@ func (s *System) NaiveRangeQuery(indexName string, srcID chord.ID, payload any, 
 	s.armDeadline(aq, dl)
 	k := ix.Part.K()
 	for i, sq := range pieces {
-		sq, tok := sq, toks[i]
-		rk := ix.Part.Ring(sq.PreKey)
+		m := aq.newQueryMsg(src, destKey{}, 0)
+		m.add(sq, toks[i])
 		// One full Chord lookup per piece, then one direct query
-		// message to the owner.
-		src.node.FindSuccessor(rk, wire.QuerySize(1, k), func(owner chord.ID, hops int) {
+		// message to the owner. The lookup holds the query, and the
+		// message takes its hold over; a lookup lost on the way never
+		// calls back, and its query is left to the collector.
+		aq.holds++
+		src.node.FindSuccessor(ix.Part.Ring(sq.PreKey), wire.QuerySize(1, k), func(owner chord.ID, hops int) {
 			bytes := wire.QuerySize(1, k)
 			aq.stats.QueryMsgs += hops + 1
 			aq.stats.QueryBytes += int64(bytes * (hops + 1))
-			answered := false // idempotence against duplicated query frames
-			s.net.SendOrFail(src.node, owner, chord.KindQuery, bytes, func(dst *chord.Node) {
-				if answered {
-					return
-				}
-				answered = true
-				s.answerLocal(s.nodes[dst.ID()], aq, sq, hops+1, tok)
-			}, func() {
-				if answered {
-					return
-				}
-				answered = true
-				s.dropSubquery(aq, sq, tok)
-			})
+			m.dest, m.hops = owner, hops
+			s.net.SendRecord(src.node, owner, chord.KindQuery, bytes, &s.handlers.naive, m)
 		})
 	}
+	s.letGo(aq)
 	return nil
+}
+
+// recvNaive delivers a naive query message: its one unit is answered
+// from the owner's store, once however many copies arrive.
+func recvNaive(dst *chord.Node, arg any) {
+	m := arg.(*queryMsg)
+	if m.released() {
+		return
+	}
+	s := m.from.sys
+	if u := &m.own[0]; !u.delivered {
+		u.delivered = true
+		s.answerLocal(s.nodes[dst.ID()], m.aq, u.reg, m.hops+1, u.tok)
+	}
+	s.letGo(m.aq)
 }

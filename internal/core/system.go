@@ -146,7 +146,6 @@ type System struct {
 	cfg   Config
 	nodes map[chord.ID]*IndexNode
 	index map[string]*Index
-	nextQ int
 	lb    *lbController
 	// replicated maps index names to their ReplicateAll replica counts;
 	// RepairReplicas re-establishes these placements after membership
@@ -170,6 +169,10 @@ type System struct {
 	// (Config.MaxActiveQueries); every rejection produced an honest
 	// incomplete result.
 	AdmissionRejected int
+	// StaleHandlers counts handlers that found their query's arena
+	// recycled under them, and holds let go twice (arena.go): a
+	// miscount of what can reach a query. It stays 0.
+	StaleHandlers int
 	// StoreErrors counts storage-backend failures (a durable store's
 	// journal write or close failing). The in-memory state stays
 	// coherent when this is non-zero, but durability of the counted
@@ -188,6 +191,13 @@ type System struct {
 	// refine is the batch refineLocal hands Index.Refine, reused for
 	// every batch of every scan on the same single-threaded grounds.
 	refine refineBatch
+	// idle is the free list of query arenas, arenas how many were made,
+	// and timers the pool of query timers (arena.go).
+	idle   []*activeQuery
+	arenas int
+	timers []*timer
+	// handlers are what a range query's messages run (arena.go).
+	handlers messageHandlers
 	// transfers accounts bulk region streams against the point-wise
 	// republication they replaced (internal/core/transfer.go).
 	transfers TransferStats
@@ -225,6 +235,7 @@ func NewSystemRuntime(rt runtime.Runtime, tr runtime.Transport, model netmodel.M
 		index:      make(map[string]*Index),
 		replicated: make(map[string]int),
 		suspicion:  make(map[chord.ID]int),
+		handlers:   newMessageHandlers(),
 	}
 }
 
@@ -331,6 +342,10 @@ func (s *System) Nodes() []*IndexNode {
 	}
 	return out
 }
+
+// NodeAt returns the identifier of Nodes()[i] without building the
+// list: the i-th live node in ring order.
+func (s *System) NodeAt(i int) chord.ID { return s.net.At(i) }
 
 // DeployIndex registers an index scheme on the platform. Multiple
 // schemes can coexist; each is rotated by its partitioner's offset.

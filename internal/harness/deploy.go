@@ -286,8 +286,7 @@ func (d *Deployment[T]) RunWorkload(schemeName string, rangeFactor float64, naiv
 
 // liveSourceAt picks a random live node id.
 func (d *Deployment[T]) liveSourceAt() chord.ID {
-	nodes := d.Sys.Nodes()
-	return nodes[d.rng.Intn(len(nodes))].ID()
+	return d.Sys.NodeAt(d.rng.Intn(d.Sys.Network().Size()))
 }
 
 // Loads returns the current sorted (descending) load distribution.

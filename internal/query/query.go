@@ -74,24 +74,39 @@ func (r Region) Validate(p *lph.Partitioner) error {
 // and the exact-distance refinement removes any false positives the
 // widening admits.
 func Around(p *lph.Partitioner, center []float64, r float64) (Region, error) {
-	cube := make([]lph.Bounds, len(center))
-	for j, c := range center {
-		b := p.Bounds(j)
-		eps := 1e-9 * (1 + math.Abs(c) + r)
-		cube[j] = lph.Bounds{Lo: b.Clamp(c - r - eps), Hi: b.Clamp(c + r + eps)}
+	return (*Cubes)(nil).Around(p, center, r)
+}
+
+// Around is the package's Around with the region's cube cut from the
+// arena.
+func (c *Cubes) Around(p *lph.Partitioner, center []float64, r float64) (Region, error) {
+	if len(center) != p.K() {
+		return Region{}, fmt.Errorf("query: cube has %d dims, want %d", len(center), p.K())
 	}
-	return New(p, cube)
+	cube := c.New(len(center))
+	for j, x := range center {
+		b := p.Bounds(j)
+		eps := 1e-9 * (1 + math.Abs(x) + r)
+		cube[j] = lph.Bounds{Lo: b.Clamp(x - r - eps), Hi: b.Clamp(x + r + eps)}
+	}
+	return prefixOf(p, cube)
 }
 
 // New builds the initial query region for a cube: it computes the
 // prefix of the smallest hypercuboid completely holding the cube by
 // descending divisions while the cube stays in one half (figure 1(a)).
-// The cube is clamped to the partitioner's boundary first.
+// The cube is clamped to the partitioner's boundary first, in a copy.
 func New(p *lph.Partitioner, cube []lph.Bounds) (Region, error) {
 	if len(cube) != p.K() {
 		return Region{}, fmt.Errorf("query: cube has %d dims, want %d", len(cube), p.K())
 	}
-	r := Region{Cube: make([]lph.Bounds, len(cube))}
+	return prefixOf(p, append(make([]lph.Bounds, 0, len(cube)), cube...))
+}
+
+// prefixOf clamps cube, which has p.K() dimensions, in place and returns
+// it as the region New describes.
+func prefixOf(p *lph.Partitioner, cube []lph.Bounds) (Region, error) {
+	r := Region{Cube: cube}
 	for j, b := range cube {
 		bounds := p.Bounds(j)
 		lo, hi := bounds.Clamp(b.Lo), bounds.Clamp(b.Hi)
@@ -129,7 +144,7 @@ func New(p *lph.Partitioner, cube []lph.Bounds) (Region, error) {
 // midpoint.
 func Split(p *lph.Partitioner, q Region, pos int) []Region {
 	var dst [2]Region
-	if SplitInto(&dst, p, q, pos) == 1 {
+	if SplitInto(&dst, p, q, pos, nil) == 1 {
 		return []Region{dst[0]}
 	}
 	return []Region{dst[0], dst[1]}
@@ -138,8 +153,8 @@ func Split(p *lph.Partitioner, q Region, pos int) []Region {
 // SplitInto is Split into a caller's array: it writes the regions Split
 // returns to dst[0] and, when the cube straddles the midpoint, dst[1],
 // and returns how many it wrote. The halves of a straddling cube are
-// clones; no slice of regions is allocated.
-func SplitInto(dst *[2]Region, p *lph.Partitioner, q Region, pos int) int {
+// clones cut from cubes; no slice of regions is allocated.
+func SplitInto(dst *[2]Region, p *lph.Partitioner, q Region, pos int, cubes *Cubes) int {
 	if pos < 1 || pos > lph.M {
 		panic(fmt.Sprintf("query: split position %d out of [1,64]", pos))
 	}
@@ -159,11 +174,11 @@ func SplitInto(dst *[2]Region, p *lph.Partitioner, q Region, pos int) int {
 		dst[0].PreLen = pos
 		return 1
 	default:
-		upper := q.Clone()
+		upper := cubes.Clone(q)
 		upper.Cube[j].Lo = mid
 		upper.PreKey = lph.SetBit(upper.PreKey, pos)
 		upper.PreLen = pos
-		lower := q.Clone()
+		lower := cubes.Clone(q)
 		lower.Cube[j].Hi = mid
 		lower.PreLen = pos
 		dst[0], dst[1] = upper, lower
@@ -201,7 +216,7 @@ func Restrict(p *lph.Partitioner, q Region, prekey lph.Key, prelen int) (Region,
 // exactly the union, over every zero bit z of vid past q's prefix, of
 // the sibling cuboid (vid's first z-1 bits, then a one). Refine calls
 // emit, in ascending z, with q restricted to each sibling its cube
-// touches — region for region what
+// touches, its cube cut from cubes — region for region what
 //
 //	Restrict(p, q, SetBit(Prefix(vid, z-1), z), z)
 //
@@ -214,12 +229,12 @@ func Restrict(p *lph.Partitioner, q Region, prekey lph.Key, prelen int) (Region,
 // level by the (Lo+Hi)/2 sequence Cuboid performs; a sibling differs
 // from it in that level's dimension only, so clip — the cube cut to cu,
 // kept per dimension — is the sibling's restriction everywhere else, and
-// a cube is allocated only for a sibling that survives. Intervals are
+// a cube is taken only for a sibling that survives. Intervals are
 // closed and a deeper cuboid lies inside a shallower one in every
 // dimension, so once clip is empty in any dimension every deeper
 // sibling's restriction is empty too and the walk stops: a path that
 // leaves the cube, as most do within a few levels, costs those levels.
-func Refine(p *lph.Partitioner, q Region, vid lph.Key, emit func(Region)) {
+func Refine(p *lph.Partitioner, q Region, vid lph.Key, cubes *Cubes, emit func(Region)) {
 	if !lph.SamePrefix(q.PreKey, vid, q.PreLen) {
 		return
 	}
@@ -257,7 +272,7 @@ func Refine(p *lph.Partitioner, q Region, vid lph.Key, emit func(Region)) {
 			cu[j].Lo = mid
 		} else {
 			if b, ok := clipTo(q.Cube[j], lph.Bounds{Lo: mid, Hi: cu[j].Hi}); ok {
-				cube := make([]lph.Bounds, k)
+				cube := cubes.New(k)
 				copy(cube, clip)
 				cube[j] = b
 				emit(Region{Cube: cube, PreKey: lph.SetBit(lph.Prefix(vid, z-1), z), PreLen: z})

@@ -48,8 +48,11 @@ func refinePart(tb testing.TB, k int) *lph.Partitioner {
 func checkRefine(t *testing.T, p *lph.Partitioner, q Region, vid lph.Key) int {
 	t.Helper()
 	in := q.Clone()
-	var got []Region
-	Refine(p, q, vid, func(r Region) { got = append(got, r) })
+	var (
+		got   []Region
+		cubes Cubes
+	)
+	Refine(p, q, vid, &cubes, func(r Region) { got = append(got, r) })
 	want := refineReference(p, in, vid)
 	if len(got) != len(want) {
 		t.Fatalf("k=%d %+v vid %#x: %d regions, reference %d", p.K(), in, vid, len(got), len(want))
@@ -202,7 +205,7 @@ func TestRefineAllocatesOnlySurvivors(t *testing.T) {
 	n := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		n = 0
-		Refine(p, q, 0, func(Region) { n++ }) // vid 0: all 64 bits zero, the path runs to the bottom corner
+		Refine(p, q, 0, nil, func(Region) { n++ }) // vid 0: all 64 bits zero, the path runs to the bottom corner
 	})
 	// The sibling of bit 1 (x ≥ 0.5) holds the cube; the path's own half,
 	// x ≤ 0.5, does not meet it, and neither does any sibling below.

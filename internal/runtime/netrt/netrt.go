@@ -84,6 +84,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"landmarkdht/internal/query"
 	"landmarkdht/internal/runtime"
 	"landmarkdht/internal/runtime/livert"
 	"landmarkdht/internal/wal"
@@ -191,6 +192,7 @@ type Node struct {
 	tested  uint64 // entries tested against a query cube (the descent's leaves, the extras' spans), cumulative
 	refined uint64 // of those, the ones inside it and alive: exact distances computed, cumulative
 	leaves  leafState
+	cubes   query.Cubes // process's sub-cuboids, reset per message
 	gossip  *runtime.Ticker
 
 	// Replication and failure detection (executor-owned; see failure.go,

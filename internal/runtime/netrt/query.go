@@ -164,6 +164,9 @@ func addShare(shares []share, d *delta, reg query.Region, cut lph.Key) []share {
 //
 //lint:context executor
 func (n *Node) process(q *queryMsg) {
+	// The sub-cuboids' cubes are dead once the message is handled, and a
+	// node handles one message at a time.
+	n.cubes.Reset()
 	if q.TTL <= 0 {
 		// Forwarding did not converge (membership views disagree under
 		// churn). Return the credit as dropped: the origin terminates
@@ -270,7 +273,8 @@ func (n *Node) process(q *queryMsg) {
 // at or below the surrogate's virtual id are the surrogate's local
 // share, and every maximal sub-cuboid above it (one per zero bit past
 // the prefix; query.Refine, the decomposition core runs too) is clipped
-// to the query cube and appended to work, to be routed to its own owner.
+// to the query cube, in a cube from the node's arena, and appended to
+// work, to be routed to its own owner.
 // It returns the top key of the local share —
 // the virtual id, or the top of the key space when the cuboid does not
 // contain it and the whole cuboid is local. The local shares and
@@ -286,7 +290,7 @@ func (n *Node) refine(reg query.Region, surrogate uint64, work []query.Region) (
 	if !lph.SamePrefix(reg.PreKey, vid, reg.PreLen) {
 		return ^lph.Key(0), work
 	}
-	query.Refine(part, reg, vid, func(sub query.Region) { work = append(work, sub) })
+	query.Refine(part, reg, vid, &n.cubes, func(sub query.Region) { work = append(work, sub) })
 	return vid, work
 }
 

@@ -336,6 +336,5 @@ func (p *Platform) Traffic() Traffic {
 
 // randomNode picks a live node as a query/publish source.
 func (p *Platform) randomNode() chord.ID {
-	nodes := p.sys.Nodes()
-	return nodes[p.rng.Intn(len(nodes))].ID()
+	return p.sys.NodeAt(p.rng.Intn(p.sys.Network().Size()))
 }
