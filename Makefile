@@ -23,12 +23,17 @@ vet:
 # unexplained suppressions). The analyzer suite's own tests run first
 # so a broken analyzer can't silently pass the module. Last, lmnode's
 # dependency closure must not name encoding/gob: every frame netrt reads
-# off a socket goes through a bounded, fuzzed decoder (netrt/proto.go).
+# off a socket goes through a bounded, fuzzed decoder (netrt/proto.go);
+# and chord's and core's must not name the simulator: they are written
+# against runtime.Runtime alone.
 lint:
 	$(GO) test ./internal/analysis/...
 	$(GO) run ./cmd/lmlint ./...
 	@if $(GO) list -deps ./cmd/lmnode | grep -qx encoding/gob; then \
 		echo "cmd/lmnode depends on encoding/gob" >&2; exit 1; \
+	fi
+	@if $(GO) list -deps ./internal/chord ./internal/core | grep -Ex 'landmarkdht/internal/(sim|runtime/simrt)'; then \
+		echo "internal/chord or internal/core depends on the simulator" >&2; exit 1; \
 	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

@@ -33,10 +33,12 @@ var Analyzer = &analysis.Analyzer{
 // the same name is annotated away at the site.
 var sensitiveCalls = map[string]bool{
 	"Schedule":      true,
+	"ScheduleArg":   true,
 	"ScheduleAt":    true,
 	"AfterFunc":     true,
-	"SendOrFail":    true,
 	"SendRecord":    true,
+	"send":          true, // core's SendRecord that takes a hold
+	"arm":           true, // core's query timer on ScheduleArg
 	"FindSuccessor": true,
 	"BulkLoad":      true,
 	"Publish":       true,

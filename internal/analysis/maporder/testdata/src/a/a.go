@@ -12,6 +12,8 @@ type engine struct{}
 
 func (engine) Schedule(d int, fn func()) {}
 
+func (engine) ScheduleArg(d int, fn func(any), arg any) {}
+
 func appendOuter(m map[string]int) []int {
 	var out []int
 	for _, v := range m { // want "append to slice declared outside the loop"
@@ -45,6 +47,14 @@ func scheduling(e engine, m map[string]int) {
 		e.Schedule(v, func() {})
 	}
 }
+
+func schedulingArg(e engine, m map[string]int) {
+	for _, v := range m { // want "call to ScheduleArg"
+		e.ScheduleArg(v, deliver, v)
+	}
+}
+
+func deliver(any) {}
 
 func draws(rng *rand.Rand, m map[string]bool) int {
 	n := 0

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"landmarkdht/internal/netmodel"
+	"landmarkdht/internal/runtime/simrt"
 	"landmarkdht/internal/sim"
 )
 
@@ -17,7 +18,7 @@ func newTestNet(t *testing.T, n int, cfg Config) (*sim.Engine, *Network, []*Node
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := NewNetwork(eng, model, cfg)
+	net := NewNetwork(simrt.New(eng), model, cfg)
 	rng := rand.New(rand.NewSource(2))
 	nodes := make([]*Node, 0, n)
 	used := map[ID]bool{}
@@ -34,6 +35,56 @@ func newTestNet(t *testing.T, n int, cfg Config) (*sim.Engine, *Network, []*Node
 		nodes = append(nodes, nd)
 	}
 	return eng, net, nodes
+}
+
+// testMsg is a test message: what its delivery and its loss run (nil:
+// nothing).
+type testMsg struct {
+	recv func(dst *Node)
+	lost func()
+}
+
+var testHandlers = Handlers{
+	Recv: func(dst *Node, arg any) {
+		if m := arg.(*testMsg); m.recv != nil {
+			m.recv(dst)
+		}
+	},
+	Lost: func(arg any) {
+		if m := arg.(*testMsg); m.lost != nil {
+			m.lost()
+		}
+	},
+}
+
+// testSend sends one message through SendRecord.
+func testSend(net *Network, from *Node, to ID, kind MsgKind, bytes int, recv func(dst *Node), lost func()) {
+	net.SendRecord(from, to, kind, bytes, &testHandlers, &testMsg{recv: recv, lost: lost})
+}
+
+// lookupEnd is how a test lookup ended, and when.
+type lookupEnd struct {
+	net         *Network
+	owner       ID
+	hops        int
+	found, lost bool
+	at          time.Duration
+}
+
+var testLookup = Lookup{
+	Found: func(owner ID, hops int, arg any) {
+		e := arg.(*lookupEnd)
+		e.owner, e.hops, e.found, e.at = owner, hops, true, e.net.Runtime().Now()
+	},
+	Lost: func(arg any) { arg.(*lookupEnd).lost = true },
+}
+
+// runLookup runs one FindSuccessor from src to its end.
+func runLookup(eng *sim.Engine, src *Node, key ID, bytes int) lookupEnd {
+	e := lookupEnd{net: src.Network()}
+	src.FindSuccessor(key, bytes, &testLookup, &e)
+	eng.Run()
+	return e
 }
 
 func TestIntervalHelpers(t *testing.T) {
@@ -204,14 +255,9 @@ func TestFindSuccessorMatchesOracle(t *testing.T) {
 		key := ID(rng.Uint64())
 		src := nodes[rng.Intn(len(nodes))]
 		want, _ := net.SuccessorID(key)
-		var got ID
-		var hops int
-		done := false
-		src.FindSuccessor(key, 40, func(owner ID, h int) {
-			got, hops, done = owner, h, true
-		})
-		eng.Run()
-		if !done {
+		e := runLookup(eng, src, key, 40)
+		got, hops := e.owner, e.hops
+		if !e.found {
 			t.Fatal("lookup did not complete")
 		}
 		if got != want {
@@ -232,8 +278,7 @@ func TestLookupHopsLogarithmic(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		key := ID(rng.Uint64())
 		src := nodes[rng.Intn(len(nodes))]
-		src.FindSuccessor(key, 40, func(_ ID, h int) { total += h })
-		eng.Run()
+		total += runLookup(eng, src, key, 40).hops
 	}
 	avg := float64(total) / trials
 	// log2(256) = 8; with fingers + 16 successors expect ~4-5.
@@ -258,10 +303,7 @@ func TestPNSReducesLatency(t *testing.T) {
 			key := ID(rng.Uint64())
 			src := nodes[rng.Intn(len(nodes))]
 			start := eng.Now()
-			src.FindSuccessor(key, 40, func(_ ID, _ int) {
-				total += eng.Now() - start
-			})
-			eng.Run()
+			total += runLookup(eng, src, key, 40).at - start
 		}
 		return total / trials
 	}
@@ -274,8 +316,7 @@ func TestPNSReducesLatency(t *testing.T) {
 func TestTrafficAccounting(t *testing.T) {
 	eng, net, nodes := newTestNet(t, 16, DefaultConfig())
 	net.BuildAllTables()
-	nodes[0].FindSuccessor(nodes[8].ID()+1, 100, func(ID, int) {})
-	eng.Run()
+	runLookup(eng, nodes[0], nodes[8].ID()+1, 100)
 	tr := net.Traffic()
 	msgs, bytes := tr.Total()
 	if msgs == 0 && nodes[0].NextHop(nodes[8].ID()+1) != nodes[0].ID() {
@@ -291,7 +332,7 @@ func TestSendToDeadNodeDropped(t *testing.T) {
 	net.BuildAllTables()
 	delivered := false
 	target := nodes[5].ID()
-	net.SendOrFail(nodes[0], target, KindQuery, 10, func(*Node) { delivered = true }, nil)
+	testSend(net, nodes[0], target, KindQuery, 10, func(*Node) { delivered = true }, nil)
 	// Kill the target while the message is in flight.
 	if err := net.RemoveNode(target); err != nil {
 		t.Fatal(err)
@@ -325,7 +366,7 @@ func TestNodesInRingOrder(t *testing.T) {
 func BenchmarkLookup1024(b *testing.B) {
 	eng := sim.NewEngine(1)
 	model, _ := netmodel.NewSyntheticKing(netmodel.KingConfig{N: 1024, Seed: 1})
-	net := NewNetwork(eng, model, DefaultConfig())
+	net := NewNetwork(simrt.New(eng), model, DefaultConfig())
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 1024; i++ {
 		if _, err := net.AddNode(ID(rng.Uint64()), i); err != nil {
@@ -337,7 +378,6 @@ func BenchmarkLookup1024(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		nodes[i%1024].FindSuccessor(ID(rng.Uint64()), 40, func(ID, int) {})
-		eng.Run()
+		runLookup(eng, nodes[i%1024], ID(rng.Uint64()), 40)
 	}
 }

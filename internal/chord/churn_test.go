@@ -32,14 +32,11 @@ func TestLookupSurvivesCrashesWithoutRefresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got ID
-		completed := false
-		src.FindSuccessor(key, 40, func(owner ID, _ int) { got, completed = owner, true })
-		eng.Run()
-		if !completed {
+		e := runLookup(eng, src, key, 40)
+		if !e.found {
 			t.Fatal("lookup hung after crashes")
 		}
-		if got != want {
+		if got := e.owner; got != want {
 			t.Fatalf("lookup(%#x) = %#x, want %#x after crashes", key, got, want)
 		}
 	}

@@ -10,9 +10,8 @@ import (
 
 // faults is a Network's fault injection: a copy of the
 // runtime.FaultPolicy passed through Config.Faults, taken once by
-// NewNetworkRuntime, so a caller that edits its policy afterwards
-// changes nothing. The overlay reads the policy's protocol-level
-// faults:
+// NewNetwork, so a caller that edits its policy afterwards changes
+// nothing. The overlay reads the policy's protocol-level faults:
 //
 //   - message loss: each message is dropped with probability Drop (the
 //     sender is NOT told synchronously; the loss surfaces at the

@@ -21,7 +21,7 @@ func TestFaultPlanDropRate(t *testing.T) {
 	for i := 0; i < total; i++ {
 		from := nodes[i%len(nodes)]
 		to := nodes[(i+1)%len(nodes)]
-		net.SendOrFail(from, to.ID(), KindQuery, 100,
+		testSend(net, from, to.ID(), KindQuery, 100,
 			func(*Node) { delivered++ }, func() { failed++ })
 	}
 	eng.Run()
@@ -47,7 +47,7 @@ func TestFaultPlanPartitionWindow(t *testing.T) {
 	net.BuildAllTables()
 	var beforeOK, insideCrossFail, insideSameOK, afterOK bool
 	send := func(from, to *Node, ok *bool, fail *bool) {
-		net.SendOrFail(from, to.ID(), KindQuery, 10,
+		testSend(net, from, to.ID(), KindQuery, 10,
 			func(*Node) {
 				if ok != nil {
 					*ok = true
@@ -94,7 +94,7 @@ func TestFaultPlanJitterDelaysDelivery(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		sent := eng.Now()
 		done := false
-		net.SendOrFail(nodes[0], nodes[1].ID(), KindQuery, 10, func(*Node) {
+		testSend(net, nodes[0], nodes[1].ID(), KindQuery, 10, func(*Node) {
 			if eng.Now()-sent > base {
 				sawExtra = true
 			}
@@ -117,7 +117,7 @@ func faultLog(net *Network, eng *sim.Engine, nodes []*Node, msgs int) []string {
 	for i := 0; i < msgs; i++ {
 		for kind := MsgKind(0); kind < numKinds; kind++ {
 			msg := fmt.Sprintf("%v %d", kind, i)
-			net.SendOrFail(nodes[0], nodes[1].ID(), kind, 10+i,
+			testSend(net, nodes[0], nodes[1].ID(), kind, 10+i,
 				func(*Node) { log = append(log, fmt.Sprintf("recv %s at %v", msg, eng.Now())) },
 				func() { log = append(log, fmt.Sprintf("lost %s at %v", msg, eng.Now())) })
 		}
@@ -200,7 +200,7 @@ func TestCrashLosesInflightMessages(t *testing.T) {
 
 	// Crash case: sender dies while its message is in flight.
 	delivered, failed := false, false
-	net.SendOrFail(nodes[0], nodes[1].ID(), KindQuery, 10,
+	testSend(net, nodes[0], nodes[1].ID(), KindQuery, 10,
 		func(*Node) { delivered = true }, func() { failed = true })
 	if err := net.CrashNode(nodes[0].ID()); err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestCrashLosesInflightMessages(t *testing.T) {
 
 	// Graceful case: the leaver's in-flight message still arrives.
 	delivered, failed = false, false
-	net.SendOrFail(nodes[2], nodes[3].ID(), KindQuery, 10,
+	testSend(net, nodes[2], nodes[3].ID(), KindQuery, 10,
 		func(*Node) { delivered = true }, func() { failed = true })
 	if err := net.RemoveNode(nodes[2].ID()); err != nil {
 		t.Fatal(err)

@@ -7,8 +7,6 @@ import (
 
 	"landmarkdht/internal/netmodel"
 	"landmarkdht/internal/runtime"
-	"landmarkdht/internal/runtime/simrt"
-	"landmarkdht/internal/sim"
 )
 
 // MsgKind classifies simulated messages for cost accounting. The paper
@@ -101,14 +99,13 @@ func DefaultConfig() Config {
 }
 
 // Network is the overlay: the set of live nodes, the latency model,
-// and traffic accounting. It executes over the runtime seams — a
-// Clock for timing and a Transport for message movement — and its
-// protocol callbacks are single-threaded by contract: the simulated
-// runtime drives them from one engine. A Network is therefore never
-// touched from more than one execution context at a time.
+// and traffic accounting. It runs on a runtime.Runtime — time, the
+// seeded random source, and ScheduleArg, which carries every message —
+// and its protocol callbacks are single-threaded by contract: the
+// simulated runtime drives them from one engine. A Network is therefore
+// never touched from more than one execution context at a time.
 type Network struct {
 	rt      runtime.Runtime
-	tr      runtime.Transport
 	model   netmodel.Model
 	cfg     Config
 	nodes   map[ID]*Node
@@ -118,20 +115,19 @@ type Network struct {
 	// pool recycles inflight records so the per-message delivery path
 	// allocates nothing in steady state (DESIGN.md §9).
 	pool []*inflight
+	// lookups recycles FindSuccessor's lookup records, and hop is what
+	// one of them runs as a message (node.go).
+	lookups []*lookup
+	hop     Handlers
 }
 
-// NewNetwork creates an empty overlay driven by a simulation engine —
-// the historical constructor, equivalent to NewNetworkRuntime over the
-// simrt adapter.
-func NewNetwork(eng *sim.Engine, model netmodel.Model, cfg Config) *Network {
-	rt := simrt.New(eng)
-	return NewNetworkRuntime(rt, rt, model, cfg)
-}
-
-// NewNetworkRuntime creates an empty overlay over explicit runtime
-// seams.
-func NewNetworkRuntime(rt runtime.Runtime, tr runtime.Transport, model netmodel.Model, cfg Config) *Network {
-	return &Network{rt: rt, tr: tr, model: model, cfg: cfg, faults: newFaults(cfg.Faults), nodes: make(map[ID]*Node)}
+// NewNetwork creates an empty overlay driven by rt (simrt.New over a
+// sim.Engine).
+func NewNetwork(rt runtime.Runtime, model netmodel.Model, cfg Config) *Network {
+	return &Network{
+		rt: rt, model: model, cfg: cfg, faults: newFaults(cfg.Faults), nodes: make(map[ID]*Node),
+		hop: Handlers{Recv: recvHop, Lost: lostHop},
+	}
 }
 
 // Runtime returns the runtime driving the overlay.
@@ -260,35 +256,71 @@ func (n *Network) Latency(a, b *Node) time.Duration {
 	return n.model.Latency(a.host, b.host)
 }
 
-// SendOrFail simulates a message from node `from` to the node
+// SendRecord simulates a message from node `from` to the node
 // currently identified by `to`: it accounts the bytes, waits the
-// one-way latency, and then runs deliver with the destination node if
-// it is still alive. failed (nil: a loss goes unreported) runs instead,
+// one-way latency, and then runs h.Recv with the destination node, if
+// it is still alive, and arg, the message's record. h.Lost runs instead,
 // at send time or at the would-be delivery time, when the destination
 // is unknown, either endpoint crashes while the message is in flight,
-// or the network's fault policy drops the message.
-func (n *Network) SendOrFail(from *Node, to ID, kind MsgKind, bytes int, deliver func(dst *Node), failed func()) {
-	n.send(from, to, kind, bytes, handler{deliver: deliver, failed: failed})
-}
-
-// SendRecord is SendOrFail without closures: the message is the record
-// arg, and h's package-level functions are what it runs, under exactly
-// SendOrFail's rules, so a send allocates nothing beyond the record the
-// caller already built. Unlike SendOrFail it accounts for every copy of
-// the message: when the fault policy duplicates it, h.Copy hears of the
-// copy before the copy is in flight, and a copy that dies ends in
-// h.Drop. Each copy therefore ends exactly once — delivered (h.Recv),
-// lost (h.Lost, the original only) or dropped (h.Drop, a duplicate
-// only) — which lets a record's owner count the copies that can still
-// reach it.
+// or the network's fault policy drops the message. When the fault
+// policy duplicates the message, h.Copy hears of the copy before the
+// copy is in flight, and a copy that dies ends in h.Drop. Each copy
+// therefore ends exactly once — delivered (h.Recv), lost (h.Lost, the
+// original only) or dropped (h.Drop, a duplicate only) — which lets a
+// record's owner count the copies that can still reach it. A send
+// allocates nothing beyond the record the caller already built.
 func (n *Network) SendRecord(from *Node, to ID, kind MsgKind, bytes int, h *Handlers, arg any) {
-	n.send(from, to, kind, bytes, handler{rec: h, arg: arg})
+	n.traffic.Add(kind, bytes)
+	dst, ok := n.nodes[to]
+	if !ok {
+		// Destination unknown at send time: the message is charged and
+		// lost.
+		h.end(arg, false)
+		return
+	}
+	delay := n.model.Latency(from.host, dst.host)
+	f := n.faults
+	if f != nil {
+		if f.lost(n.rt.Rand(), from.host, dst.host, n.rt.Now()) {
+			n.traffic.Dropped[kind]++
+			// The loss surfaces at the would-be delivery time (not
+			// synchronously): a sender can only learn of it the way a
+			// real one would, by timeout — or, in the fire-and-forget
+			// accounting mode, through h.Lost.
+			if h.Lost != nil {
+				m := n.acquireInflight()
+				m.net, m.h, m.arg, m.lost = n, h, arg, true
+				n.rt.ScheduleArg(delay, runInflight, m)
+			}
+			return
+		}
+		delay += f.extraDelay(n.rt.Rand())
+	}
+	m := n.acquireInflight()
+	m.net, m.from, m.to, m.h, m.arg = n, from, to, h, arg
+	n.rt.ScheduleArg(delay, runInflight, m)
+	if f != nil && f.duplicated(n.rt.Rand(), kind) {
+		// A spurious retransmission: the copy is charged like any other
+		// message and arrives after twice the original's delay, on its
+		// own pooled record. It never runs h.Lost — losing a duplicate
+		// means nothing, and firing that twice would double-account the
+		// loss — but the record hears of the copy and of its end
+		// (h.Copy, h.Drop).
+		n.traffic.Add(kind, bytes)
+		n.traffic.Duplicated++
+		d := n.acquireInflight()
+		d.net, d.from, d.to, d.h, d.arg, d.dup = n, from, to, h, arg, true
+		if h.Copy != nil {
+			h.Copy(arg)
+		}
+		n.rt.ScheduleArg(2*delay, runInflight, d)
+	}
 }
 
 // Handlers are what a record sent by SendRecord runs. Recv is required;
 // a nil Lost lets a loss go unreported, and nil Copy and Drop leave
-// duplicates unaccounted, as SendOrFail does. They are meant to be
-// package-level functions, in a Handlers that outlives the message.
+// duplicates unaccounted. They are meant to be package-level functions,
+// in a Handlers that outlives the message.
 type Handlers struct {
 	// Recv delivers one copy at dst.
 	Recv func(dst *Node, arg any)
@@ -300,132 +332,57 @@ type Handlers struct {
 	Drop func(arg any)
 }
 
-// handler is what a message runs on arrival or on loss: a closure pair
-// (SendOrFail) or a record and its package-level functions (SendRecord).
-// dup marks a fault duplicate's copy.
-type handler struct {
-	deliver func(dst *Node)
-	failed  func()
-	rec     *Handlers
-	arg     any
-	dup     bool
-}
-
-func (h handler) arrive(dst *Node) {
-	if h.deliver != nil {
-		h.deliver(dst)
-		return
-	}
-	h.rec.Recv(dst, h.arg)
-}
-
-// canFail reports whether an original copy has a loss callback to run.
-func (h handler) canFail() bool { return h.failed != nil || h.rec != nil && h.rec.Lost != nil }
-
-func (h handler) fail() {
+// end runs a copy's loss: Drop for a duplicate, Lost for the original.
+func (h *Handlers) end(arg any, dup bool) {
 	switch {
-	case h.failed != nil:
-		h.failed()
-	case h.rec == nil:
-	case h.dup:
-		if h.rec.Drop != nil {
-			h.rec.Drop(h.arg)
+	case dup:
+		if h.Drop != nil {
+			h.Drop(arg)
 		}
-	case h.rec.Lost != nil:
-		h.rec.Lost(h.arg)
+	case h.Lost != nil:
+		h.Lost(arg)
 	}
 }
 
-// send is the one send path of both forms: traffic accounting, fault
-// injection, and handoff to the transport with the pooled inflight
-// record as the prebound delivery argument.
-func (n *Network) send(from *Node, to ID, kind MsgKind, bytes int, h handler) {
-	n.traffic.Add(kind, bytes)
-	dst, ok := n.nodes[to]
-	if !ok {
-		// Destination unknown at send time: the message is charged and
-		// lost.
-		h.fail()
-		return
-	}
-	delay := n.model.Latency(from.host, dst.host)
-	f := n.faults
-	if f != nil {
-		if f.lost(n.rt.Rand(), from.host, dst.host, n.rt.Now()) {
-			n.traffic.Dropped[kind]++
-			// The loss surfaces at the would-be delivery time (not
-			// synchronously): a sender can only learn of it the way a
-			// real one would, by timeout — or, in the fire-and-forget
-			// accounting mode, through the loss callback.
-			if h.canFail() {
-				m := n.acquireInflight()
-				m.net, m.h, m.lost = n, h, true
-				n.rt.ScheduleArg(delay, runInflight, m)
-			}
-			return
-		}
-		delay += f.extraDelay(n.rt.Rand())
-	}
-	m := n.acquireInflight()
-	m.net, m.from, m.to, m.h = n, from, to, h
-	n.tr.Send(uint64(to), delay, runInflight, m)
-	if f != nil && f.duplicated(n.rt.Rand(), kind) {
-		// A spurious retransmission: the copy is charged like any other
-		// message and arrives after twice the original's delay, on its
-		// own pooled record. It never runs the original's loss callback —
-		// losing a duplicate means nothing, and firing that twice would
-		// double-account the loss — but a record hears of the copy and
-		// of its end (Handlers.Copy, Handlers.Drop).
-		n.traffic.Add(kind, bytes)
-		n.traffic.Duplicated++
-		d := n.acquireInflight()
-		d.net, d.from, d.to, d.h = n, from, to, h
-		d.h.failed, d.h.dup = nil, true
-		if h.rec != nil && h.rec.Copy != nil {
-			h.rec.Copy(h.arg)
-		}
-		n.tr.Send(uint64(to), 2*delay, runInflight, d)
-	}
-}
-
-// inflight is one in-transit message: the prebound per-event state for
-// the delivery event, pooled on the Network so the hot send path does
-// not allocate a closure per message. lost marks a message the fault
-// policy dropped: its event only reports the loss.
+// inflight is one in-transit copy of a message: its record and
+// handlers, the argument of its delivery event, pooled on the Network
+// so the send path allocates nothing. lost marks a message the fault
+// policy dropped: its event only reports the loss. dup marks a fault
+// duplicate's copy.
 type inflight struct {
-	net  *Network
-	from *Node
-	to   ID
-	h    handler
-	lost bool
+	net       *Network
+	from      *Node
+	to        ID
+	h         *Handlers
+	arg       any
+	dup, lost bool
 }
 
-// runInflight is the prebound delivery callback passed to
-// Transport.Send (a package-level function value allocates nothing at
-// the call site).
+// runInflight is the delivery event of every message (a package-level
+// function value allocates nothing at the ScheduleArg call).
 func runInflight(arg any) { arg.(*inflight).run() }
 
-// run performs the delivery-time liveness checks of send and then
+// run performs the delivery-time liveness checks of SendRecord and then
 // recycles the record. Fields are copied out and the record is returned
-// to the pool before any callback runs, because callbacks routinely
-// send further messages.
+// to the pool before any handler runs, because handlers routinely send
+// further messages.
 func (m *inflight) run() {
-	n, from, to, h, lost := m.net, m.from, m.to, m.h, m.lost
+	n, from, to, h, arg, dup, lost := m.net, m.from, m.to, m.h, m.arg, m.dup, m.lost
 	*m = inflight{}
 	n.pool = append(n.pool, m)
 	if lost || from.crashed {
 		// Dropped by the fault policy, or the sender's process died
 		// while the message was in flight (CrashNode semantics) and the
 		// message dies with it.
-		h.fail()
+		h.end(arg, dup)
 		return
 	}
 	cur, ok := n.nodes[to]
 	if !ok || !cur.alive {
-		h.fail()
+		h.end(arg, dup)
 		return // destination departed in flight
 	}
-	h.arrive(cur)
+	h.Recv(cur, arg)
 }
 
 // acquireInflight pops a recycled record or allocates a fresh one.

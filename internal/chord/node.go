@@ -135,35 +135,94 @@ func (nd *Node) String() string {
 	return fmt.Sprintf("chord.Node(%#x)", nd.id)
 }
 
+// Lookup is what a FindSuccessor lookup runs when it ends, in the
+// shape of Handlers: Found receives the successor's identifier, the
+// number of hops taken and the lookup's arg; Lost (nil: the loss goes
+// unreported) runs with arg when a hop's message is lost. They are
+// meant to be package-level functions, in a Lookup that outlives the
+// lookup.
+type Lookup struct {
+	Found func(owner ID, hops int, arg any)
+	Lost  func(arg any)
+}
+
 // FindSuccessor resolves successor(key) with the iterative Chord
 // lookup over simulated messages: at most one round trip per hop, each
-// hop chosen by NextHop at the queried node. done receives the
-// successor's identifier and the number of hops taken.
-func (nd *Node) FindSuccessor(key ID, bytes int, done func(owner ID, hops int)) {
-	nd.findStep(nd, key, bytes, 0, done)
+// hop chosen by NextHop at the queried node. The lookup ends in
+// exactly one of h.Found and h.Lost; Found runs inside the call when
+// the node itself knows the answer.
+func (nd *Node) FindSuccessor(key ID, bytes int, h *Lookup, arg any) {
+	n := nd.net
+	var l *lookup
+	if ln := len(n.lookups); ln > 0 {
+		l = n.lookups[ln-1]
+		n.lookups = n.lookups[:ln-1]
+	} else {
+		l = new(lookup)
+	}
+	*l = lookup{net: n, key: key, bytes: bytes, h: h, arg: arg}
+	l.step(nd)
 }
 
 const maxLookupHops = 128
 
-func (nd *Node) findStep(cur *Node, key ID, bytes, hops int, done func(ID, int)) {
+// lookup is one FindSuccessor in progress: the record its hop messages
+// carry, pooled on the Network.
+type lookup struct {
+	net   *Network
+	key   ID
+	bytes int
+	hops  int
+	h     *Lookup
+	arg   any
+}
+
+// step runs the lookup at cur: it ends there or sends one message to
+// the next hop, where recvHop continues it.
+func (l *lookup) step(cur *Node) {
 	// If key ∈ (cur, successor(cur)], the successor owns it.
 	succ := cur.Successor()
-	if succ == cur.id || InOpenClosed(cur.id, key, succ) {
-		done(succ, hops)
+	if succ == cur.id || InOpenClosed(cur.id, l.key, succ) {
+		l.found(succ)
 		return
 	}
-	next := cur.NextHop(key)
-	if next == cur.id {
-		// No table entry improves: the successor is the best guess.
-		done(succ, hops)
+	next := cur.NextHop(l.key)
+	if next == cur.id || l.hops >= maxLookupHops {
+		// No table entry improves, or the hop budget is spent: the
+		// successor is the best guess.
+		l.found(succ)
 		return
 	}
-	if hops >= maxLookupHops {
-		done(succ, hops)
-		return
+	l.net.SendRecord(cur, next, KindLookup, l.bytes, &l.net.hop, l)
+}
+
+// found ends the lookup at owner. The record goes back to the pool
+// before Found runs, which may start another lookup.
+func (l *lookup) found(owner ID) {
+	h, arg, hops := l.h, l.arg, l.hops
+	l.free()
+	h.Found(owner, hops, arg)
+}
+
+func (l *lookup) free() {
+	n := l.net
+	*l = lookup{}
+	n.lookups = append(n.lookups, l)
+}
+
+// recvHop continues a lookup at the node its hop reached.
+func recvHop(dst *Node, arg any) {
+	l := arg.(*lookup)
+	l.hops++
+	l.step(dst)
+}
+
+// lostHop ends a lookup whose hop was lost.
+func lostHop(arg any) {
+	l := arg.(*lookup)
+	h, arg := l.h, l.arg
+	l.free()
+	if h.Lost != nil {
+		h.Lost(arg)
 	}
-	// One message to the next hop; the continuation runs there.
-	nd.net.SendOrFail(cur, next, KindLookup, bytes, func(dst *Node) {
-		nd.findStep(dst, key, bytes, hops+1, done)
-	}, nil)
 }

@@ -16,6 +16,9 @@ import (
 //     chord.Network.SendRecord (a query, a result or an ack), from the
 //     send until the copy is delivered, lost or, being a fault
 //     duplicate, dropped;
+//   - every lookup of the naive router (NaiveRangeQuery), until it
+//     finds its owner, when its query message takes the hold over, or
+//     is lost;
 //   - every armed timer (retry, hedge, deadline), until it fires or is
 //     stopped;
 //   - the call that runs the query's code: RangeQuery while it issues
@@ -60,10 +63,12 @@ func endCopy(arg any) {
 	}
 }
 
-// messageHandlers are the SendRecord handlers of a range query's
-// messages. A System builds its own in NewSystemRuntime rather than the
+// messageHandlers are what core's messages run: the SendRecord
+// handlers of a range query's messages, of a publish's and of a region
+// stream's, and the FindSuccessor handlers of a publish's lookup and a
+// naive query's. A System builds its own in NewSystem rather than the
 // package at init, so a binary that links this package without running
-// a System does not link the query path with it.
+// a System does not link the message paths with it.
 type messageHandlers struct {
 	// A query message fire-and-forget, where a loss drops the
 	// undelivered units; acknowledged (Config.Retry), where the retry
@@ -72,19 +77,36 @@ type messageHandlers struct {
 	query, reliableQuery, queryAck chord.Handlers
 	// The same three for a result message.
 	result, reliableResult, resultAck chord.Handlers
-	// A naive query message (NaiveRangeQuery).
-	naive chord.Handlers
+	// A naive query message (NaiveRangeQuery), and the lookup that finds
+	// its destination, whose loss drops the query's piece.
+	naive       chord.Handlers
+	naiveLookup chord.Lookup
+	// A publish's lookup; its entry message fire-and-forget, where the
+	// oracle places the entry of a lost one, and acknowledged
+	// (Config.Retry), where a timer covers a loss; and that ack.
+	publishLookup                        chord.Lookup
+	publish, reliablePublish, publishAck chord.Handlers
+	// A region stream's chunk and its acknowledgement; the stream's
+	// idle round covers the loss of either.
+	chunk, chunkAck chord.Handlers
 }
 
 func newMessageHandlers() messageHandlers {
 	return messageHandlers{
-		query:          chord.Handlers{Recv: recvQuery, Lost: lostQuery, Copy: addCopy, Drop: endCopy},
-		reliableQuery:  chord.Handlers{Recv: recvReliableQuery, Lost: endCopy, Copy: addCopy, Drop: endCopy},
-		queryAck:       chord.Handlers{Recv: recvQueryAck, Lost: endCopy, Copy: addCopy, Drop: endCopy},
-		result:         chord.Handlers{Recv: recvResult, Lost: lostResult, Copy: addCopy, Drop: endCopy},
-		reliableResult: chord.Handlers{Recv: recvReliableResult, Lost: endCopy, Copy: addCopy, Drop: endCopy},
-		resultAck:      chord.Handlers{Recv: recvResultAck, Lost: endCopy, Copy: addCopy, Drop: endCopy},
-		naive:          chord.Handlers{Recv: recvNaive, Lost: lostQuery, Copy: addCopy, Drop: endCopy},
+		query:           chord.Handlers{Recv: recvQuery, Lost: lostQuery, Copy: addCopy, Drop: endCopy},
+		reliableQuery:   chord.Handlers{Recv: recvReliableQuery, Lost: endCopy, Copy: addCopy, Drop: endCopy},
+		queryAck:        chord.Handlers{Recv: recvQueryAck, Lost: endCopy, Copy: addCopy, Drop: endCopy},
+		result:          chord.Handlers{Recv: recvResult, Lost: lostResult, Copy: addCopy, Drop: endCopy},
+		reliableResult:  chord.Handlers{Recv: recvReliableResult, Lost: endCopy, Copy: addCopy, Drop: endCopy},
+		resultAck:       chord.Handlers{Recv: recvResultAck, Lost: endCopy, Copy: addCopy, Drop: endCopy},
+		naive:           chord.Handlers{Recv: recvNaive, Lost: lostQuery, Copy: addCopy, Drop: endCopy},
+		naiveLookup:     chord.Lookup{Found: foundNaive, Lost: lostQuery},
+		publishLookup:   chord.Lookup{Found: foundOwner},
+		publish:         chord.Handlers{Recv: recvPublish, Lost: lostPublish},
+		reliablePublish: chord.Handlers{Recv: recvReliablePublish},
+		publishAck:      chord.Handlers{Recv: recvPublishAck},
+		chunk:           chord.Handlers{Recv: recvChunk},
+		chunkAck:        chord.Handlers{Recv: recvChunkAck},
 	}
 }
 

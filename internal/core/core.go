@@ -14,10 +14,10 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"landmarkdht/internal/lph"
 	"landmarkdht/internal/query"
-	"landmarkdht/internal/sim"
 )
 
 // ObjectID references a data object in the application's object store.
@@ -104,13 +104,13 @@ type QueryStats struct {
 	// to all of the corresponding index nodes.
 	Hops int
 	// Issued is when the query entered the system.
-	Issued sim.Time
+	Issued time.Duration
 	// FirstResult is when the first result message arrived (response
 	// time = FirstResult - Issued).
-	FirstResult sim.Time
+	FirstResult time.Duration
 	// LastResult is when the final result message arrived (maximum
 	// latency = LastResult - Issued).
-	LastResult sim.Time
+	LastResult time.Duration
 	// QueryMsgs / QueryBytes cover query-delivery traffic.
 	QueryMsgs  int
 	QueryBytes int64
@@ -131,10 +131,10 @@ type QueryStats struct {
 }
 
 // ResponseTime returns FirstResult - Issued.
-func (qs *QueryStats) ResponseTime() sim.Time { return qs.FirstResult - qs.Issued }
+func (qs *QueryStats) ResponseTime() time.Duration { return qs.FirstResult - qs.Issued }
 
 // MaxLatency returns LastResult - Issued.
-func (qs *QueryStats) MaxLatency() sim.Time { return qs.LastResult - qs.Issued }
+func (qs *QueryStats) MaxLatency() time.Duration { return qs.LastResult - qs.Issued }
 
 // QueryResult is the completed answer to a range query.
 type QueryResult struct {

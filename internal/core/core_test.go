@@ -15,6 +15,7 @@ import (
 	"landmarkdht/internal/lph"
 	"landmarkdht/internal/metric"
 	"landmarkdht/internal/netmodel"
+	"landmarkdht/internal/runtime/simrt"
 	"landmarkdht/internal/sim"
 	"landmarkdht/internal/wire"
 )
@@ -41,7 +42,7 @@ func buildFixtureCfg(t *testing.T, nNodes, nData, nLandmarks int, rotate bool, c
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := NewSystem(eng, model, cfg)
+	sys := NewSystem(simrt.New(eng), model, cfg)
 	rng := rand.New(rand.NewSource(2))
 	ids := make([]chord.ID, 0, nNodes)
 	used := map[chord.ID]bool{}

@@ -14,6 +14,7 @@ import (
 	"landmarkdht/internal/metric"
 	"landmarkdht/internal/netmodel"
 	"landmarkdht/internal/runtime"
+	"landmarkdht/internal/runtime/simrt"
 	"landmarkdht/internal/sim"
 )
 
@@ -54,7 +55,7 @@ func seedStabilityTrace(t *testing.T, seed int64, resilient bool) string {
 		cfg.Deadline = 20 * time.Second
 		cfg.Hedge = HedgeConfig{Delay: 200 * time.Millisecond}
 	}
-	sys := NewSystem(eng, model, cfg)
+	sys := NewSystem(simrt.New(eng), model, cfg)
 
 	rng := rand.New(rand.NewSource(seed + 2))
 	ids := make([]chord.ID, 0, nNodes)

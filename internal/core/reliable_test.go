@@ -88,6 +88,64 @@ func TestFireAndForgetDropsUnderLoss(t *testing.T) {
 	}
 }
 
+// TestNaiveLostLookupFinishes runs the §3.3 naive router under loss
+// with no retries and no deadline: every query must still finish,
+// because a piece whose lookup loses a hop is dropped (counted in
+// DroppedSubqueries, its region Uncovered) rather than left waiting.
+// Every answer is a subset of brute force, and exact when complete, and
+// at quiescence every query arena is back on the free list.
+func TestNaiveLostLookupFinishes(t *testing.T) {
+	for _, drop := range []float64{0.02, 0.2} {
+		t.Run(fmt.Sprintf("drop=%v", drop), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Chord.Faults = &runtime.FaultPolicy{Drop: drop}
+			f := buildFixtureCfg(t, 64, 2000, 3, false, cfg)
+			const queries, r = 40, 20.0
+			rng := rand.New(rand.NewSource(11))
+			finished, incomplete := 0, 0
+			for i := 0; i < queries; i++ {
+				q := f.data[rng.Intn(len(f.data))]
+				var out *QueryResult
+				if err := f.sys.NaiveRangeQuery("test-l2", f.ids[rng.Intn(len(f.ids))], q, f.emb.Map(q), r, QueryOpts{},
+					func(qr *QueryResult) { out = qr }); err != nil {
+					t.Fatal(err)
+				}
+				f.eng.Run()
+				if out == nil {
+					continue
+				}
+				finished++
+				want, got := f.bruteRange(q, r), resultSet(out)
+				for obj := range got {
+					if !want[obj] {
+						t.Fatalf("query %d: object %d is not within %v", i, obj, r)
+					}
+				}
+				if !out.Complete {
+					incomplete++
+					if len(out.Uncovered) == 0 {
+						t.Errorf("query %d: incomplete with nothing Uncovered", i)
+					}
+				} else if len(got) != len(want) {
+					t.Errorf("query %d: complete with %d results, want %d", i, len(got), len(want))
+				}
+			}
+			if finished != queries {
+				t.Fatalf("%d of %d naive queries never finished", queries-finished, queries)
+			}
+			if lost := f.sys.Network().Traffic().Dropped[chord.KindLookup]; lost == 0 || incomplete == 0 {
+				t.Fatalf("%d lookup hops lost, %d queries incomplete: the loss never reached a lookup", lost, incomplete)
+			}
+			if made, idle := f.sys.QueryArenas(); made != idle {
+				t.Errorf("%d query arenas made, %d idle at quiescence", made, idle)
+			}
+			if f.sys.StaleHandlers != 0 {
+				t.Errorf("StaleHandlers = %d", f.sys.StaleHandlers)
+			}
+		})
+	}
+}
+
 // regionKey returns the ring position owning q's index entry.
 func (f *fixture) regionKey(t *testing.T, q metric.Vector) lph.Key {
 	t.Helper()

@@ -189,7 +189,7 @@ type QueryOpts struct {
 // embedded-tree routing of §3.3. done fires when all index-node
 // results have arrived.
 //
-// The call only schedules work; drive the sim.Engine to completion.
+// The call only schedules work; drive the runtime to completion.
 func (s *System) RangeQuery(indexName string, srcID chord.ID, payload any, center []float64, r float64, opts QueryOpts, done func(*QueryResult)) error {
 	ix, err := s.lookupIndex(indexName)
 	if err != nil {
@@ -1214,25 +1214,34 @@ func (s *System) NaiveRangeQuery(indexName string, srcID chord.ID, payload any, 
 		toks[i] = aq.newToken(sq)
 	}
 	s.armDeadline(aq, dl)
-	k := ix.Part.K()
+	bytes := wire.QuerySize(1, ix.Part.K())
 	for i, sq := range pieces {
 		m := aq.newQueryMsg(src, destKey{}, 0)
 		m.add(sq, toks[i])
 		// One full Chord lookup per piece, then one direct query
-		// message to the owner. The lookup holds the query, and the
-		// message takes its hold over; a lookup lost on the way never
-		// calls back, and its query is left to the collector.
+		// message to the owner. The lookup carries the piece's message
+		// and holds the query; the message takes its hold over, and a
+		// lookup lost on the way drops the piece (lostQuery).
 		aq.holds++
-		src.node.FindSuccessor(ix.Part.Ring(sq.PreKey), wire.QuerySize(1, k), func(owner chord.ID, hops int) {
-			bytes := wire.QuerySize(1, k)
-			aq.stats.QueryMsgs += hops + 1
-			aq.stats.QueryBytes += int64(bytes * (hops + 1))
-			m.dest, m.hops = owner, hops
-			s.net.SendRecord(src.node, owner, chord.KindQuery, bytes, &s.handlers.naive, m)
-		})
+		src.node.FindSuccessor(ix.Part.Ring(sq.PreKey), bytes, &s.handlers.naiveLookup, m)
 	}
 	s.letGo(aq)
 	return nil
+}
+
+// foundNaive sends a naive query message to the owner its lookup
+// found, charging the query for the lookup's hops as query messages.
+func foundNaive(owner chord.ID, hops int, arg any) {
+	m := arg.(*queryMsg)
+	if m.released() {
+		return
+	}
+	s, aq := m.from.sys, m.aq
+	bytes := wire.QuerySize(1, aq.ix.Part.K())
+	aq.stats.QueryMsgs += hops + 1
+	aq.stats.QueryBytes += int64(bytes * (hops + 1))
+	m.dest, m.hops = owner, hops
+	s.net.SendRecord(m.from.node, owner, chord.KindQuery, bytes, &s.handlers.naive, m)
 }
 
 // recvNaive delivers a naive query message: its one unit is answered

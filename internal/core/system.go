@@ -10,8 +10,6 @@ import (
 	"landmarkdht/internal/lph"
 	"landmarkdht/internal/netmodel"
 	"landmarkdht/internal/runtime"
-	"landmarkdht/internal/runtime/simrt"
-	"landmarkdht/internal/sim"
 )
 
 // Config parameterizes a System.
@@ -136,10 +134,9 @@ func DefaultConfig() Config {
 }
 
 // System is a deployment of the index architecture: an overlay of
-// index nodes hosting any number of index schemes. It runs over the
-// runtime seams, driven by the simulator (NewSystem, or
-// NewSystemRuntime over simrt), and, like the overlay, its protocol
-// callbacks are single-threaded by contract.
+// index nodes hosting any number of index schemes. It runs on a
+// runtime.Runtime, the simulator's (simrt), and, like the overlay, its
+// protocol callbacks are single-threaded by contract.
 type System struct {
 	rt    runtime.Runtime
 	net   *chord.Network
@@ -214,22 +211,14 @@ type IndexNode struct {
 	migrating bool
 }
 
-// NewSystem creates an empty system over a fresh overlay driven by a
-// simulation engine — the historical constructor, equivalent to
-// NewSystemRuntime over the simrt adapter.
-func NewSystem(eng *sim.Engine, model netmodel.Model, cfg Config) *System {
-	rt := simrt.New(eng)
-	return NewSystemRuntime(rt, rt, model, cfg)
-}
-
-// NewSystemRuntime creates an empty system over explicit runtime
-// seams.
-func NewSystemRuntime(rt runtime.Runtime, tr runtime.Transport, model netmodel.Model, cfg Config) *System {
+// NewSystem creates an empty system over a fresh overlay driven by rt
+// (simrt.New over a sim.Engine).
+func NewSystem(rt runtime.Runtime, model netmodel.Model, cfg Config) *System {
 	cfg.Retry.fillDefaults()
 	cfg.Hedge.fillDefaults()
 	return &System{
 		rt:         rt,
-		net:        chord.NewNetworkRuntime(rt, tr, model, cfg.Chord),
+		net:        chord.NewNetwork(rt, model, cfg.Chord),
 		cfg:        cfg,
 		nodes:      make(map[chord.ID]*IndexNode),
 		index:      make(map[string]*Index),
@@ -451,76 +440,122 @@ func (s *System) Publish(indexName string, srcID chord.ID, e Entry, done func(ow
 		return fmt.Errorf("core: entry has %d coordinates, want %d", len(e.Point), ix.Part.K())
 	}
 	key := ix.Part.Ring(ix.Part.Hash(e.Point))
-	lookupBytes := 40
-	src.node.FindSuccessor(key, lookupBytes, func(owner chord.ID, hops int) {
-		if s.cfg.Retry.Enabled() {
-			s.publishReliably(src, owner, key, indexName, e, TransferEntryBytes, hops, done)
-			return
-		}
-		s.net.SendOrFail(src.node, owner, chord.KindLookup, TransferEntryBytes, func(dst *chord.Node) {
-			s.storePublished(dst.ID(), indexName, key, e, hops+1, done)
-		}, func() {
-			// Owner vanished: re-resolve through the oracle so the
-			// entry is not lost (models retry).
-			cur, err := s.net.SuccessorNode(key)
-			if err != nil {
-				return
-			}
-			s.storePublished(cur.ID(), indexName, key, e, hops+1, done)
-		})
-	})
+	p := &publish{src: src, index: indexName, key: key, e: e, done: done}
+	src.node.FindSuccessor(key, publishLookupBytes, &s.handlers.publishLookup, p)
 	return nil
+}
+
+// publishLookupBytes is the size of a publish's lookup message.
+const publishLookupBytes = 40
+
+// publish is one entry on its way to its owner: the record of its
+// lookup and, without Config.Retry, of its one entry message. delivered
+// is what every attempt of a reliable publish shares.
+type publish struct {
+	src       *IndexNode
+	index     string
+	key       lph.Key
+	e         Entry
+	hops      int // the lookup's
+	done      func(owner chord.ID, hops int)
+	delivered bool
+}
+
+// publishTry is one attempt of a reliable publish: the record of the
+// entry message and of its acknowledgement.
+type publishTry struct {
+	p       *publish
+	attempt int
+	timer   runtime.Timer
+}
+
+// foundOwner sends a publish's entry to the owner its lookup found.
+// A lost lookup goes unreported: the entry is never placed.
+func foundOwner(owner chord.ID, hops int, arg any) {
+	p := arg.(*publish)
+	s := p.src.sys
+	p.hops = hops
+	if s.cfg.Retry.Enabled() {
+		s.publishReliably(p, owner, 0)
+		return
+	}
+	s.net.SendRecord(p.src.node, owner, chord.KindLookup, TransferEntryBytes, &s.handlers.publish, p)
+}
+
+func recvPublish(dst *chord.Node, arg any) {
+	p := arg.(*publish)
+	p.src.sys.storePublished(dst.ID(), p)
+}
+
+// lostPublish re-resolves the owner of an entry whose owner vanished
+// through the oracle, so the entry is not lost (models retry).
+func lostPublish(arg any) {
+	p := arg.(*publish)
+	s := p.src.sys
+	cur, err := s.net.SuccessorNode(p.key)
+	if err != nil {
+		return
+	}
+	s.storePublished(cur.ID(), p)
 }
 
 // storePublished lands a published entry on its owner's store and
 // reports the owner and hop count to done (optional).
-func (s *System) storePublished(owner chord.ID, indexName string, key lph.Key, e Entry, hops int, done func(chord.ID, int)) {
-	s.noteStoreErr(s.nodes[owner].st.Put(indexName, key, e))
-	if done != nil {
-		done(owner, hops)
+func (s *System) storePublished(owner chord.ID, p *publish) {
+	s.noteStoreErr(s.nodes[owner].st.Put(p.index, p.key, p.e))
+	if p.done != nil {
+		p.done(owner, p.hops+1)
 	}
 }
 
-// publishReliably delivers a published entry with the ack/timeout/retry
-// state machine: the receiver acknowledges storing the entry; a sender
-// seeing no ack within the timeout re-resolves the key's current owner
-// and retransmits with exponential backoff, up to MaxRetries.
-func (s *System) publishReliably(src *IndexNode, owner chord.ID, key lph.Key, indexName string, e Entry, entryBytes, hops int, done func(chord.ID, int)) {
-	delivered := false
-	var send func(dest chord.ID, attempt int)
-	send = func(dest chord.ID, attempt int) {
-		if attempt > 0 {
-			s.RetriesIssued++
-		}
-		timer := s.rt.AfterFunc(s.retryTimeout(attempt), func() {
-			if delivered || !src.node.Alive() {
-				return
-			}
-			if attempt >= s.cfg.Retry.MaxRetries {
-				return // entry lost: retries exhausted
-			}
-			cur, err := s.net.SuccessorID(key)
-			if err != nil {
-				return
-			}
-			send(cur, attempt+1)
-		})
-		s.net.SendOrFail(src.node, dest, chord.KindLookup, entryBytes, func(dst *chord.Node) {
-			s.net.SendOrFail(dst, src.node.ID(), chord.KindAck, retryAckBytes, func(*chord.Node) {
-				timer.Stop()
-			}, nil)
-			if delivered {
-				return // duplicate from a premature timeout
-			}
-			delivered = true
-			if attempt > 0 {
-				s.RecoveredSubqueries++
-			}
-			s.storePublished(dst.ID(), indexName, key, e, hops+1, done)
-		}, nil)
+// publishReliably sends one attempt of a published entry under the
+// ack/timeout/retry state machine: the receiver acknowledges storing
+// the entry; a sender seeing no ack within the timeout re-resolves the
+// key's current owner and retransmits with exponential backoff, up to
+// MaxRetries.
+func (s *System) publishReliably(p *publish, dest chord.ID, attempt int) {
+	if attempt > 0 {
+		s.RetriesIssued++
 	}
-	send(owner, 0)
+	t := &publishTry{p: p, attempt: attempt}
+	t.timer = s.rt.AfterFunc(s.retryTimeout(attempt), func() { s.publishTimeout(t) })
+	s.net.SendRecord(p.src.node, dest, chord.KindLookup, TransferEntryBytes, &s.handlers.reliablePublish, t)
 }
+
+// publishTimeout runs when an attempt's ack timer fires: unless an
+// attempt arrived or the sender died, the entry is sent again to the
+// key's current owner, or given up once retries are exhausted.
+func (s *System) publishTimeout(t *publishTry) {
+	p := t.p
+	if p.delivered || !p.src.node.Alive() || t.attempt >= s.cfg.Retry.MaxRetries {
+		return
+	}
+	cur, err := s.net.SuccessorID(p.key)
+	if err != nil {
+		return
+	}
+	s.publishReliably(p, cur, t.attempt+1)
+}
+
+// recvReliablePublish acknowledges an attempt (duplicates from a
+// premature timeout too) and stores the first attempt to arrive.
+func recvReliablePublish(dst *chord.Node, arg any) {
+	t := arg.(*publishTry)
+	p := t.p
+	s := p.src.sys
+	s.net.SendRecord(dst, p.src.node.ID(), chord.KindAck, retryAckBytes, &s.handlers.publishAck, t)
+	if p.delivered {
+		return
+	}
+	p.delivered = true
+	if t.attempt > 0 {
+		s.RecoveredSubqueries++
+	}
+	s.storePublished(dst.ID(), p)
+}
+
+// recvPublishAck stops the acknowledged attempt's timer.
+func recvPublishAck(_ *chord.Node, arg any) { arg.(*publishTry).timer.Stop() }
 
 // Store returns the node's storage backend.
 func (in *IndexNode) Store() Store { return in.st }

@@ -3,10 +3,10 @@ package core
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"landmarkdht/internal/chord"
 	"landmarkdht/internal/lph"
-	"landmarkdht/internal/sim"
 )
 
 // TraceAction classifies one step of a query's distributed execution.
@@ -38,7 +38,7 @@ const (
 // events reconstructs how the query was split and refined across the
 // embedded DHT trees — the paper's Figure 1 in executable form.
 type TraceEvent struct {
-	At     sim.Time
+	At     time.Duration
 	Node   chord.ID
 	Action TraceAction
 	PreKey lph.Key

@@ -60,8 +60,11 @@ func (ts TransferStats) BytesSaved() int    { return ts.PointwiseBytes - ts.Bulk
 // TransferStats returns the system's bulk-transfer accounting.
 func (s *System) TransferStats() TransferStats { return s.transfers }
 
-// transferChunk is one sequenced piece of an outgoing stream.
+// transferChunk is one sequenced piece of an outgoing stream, and the
+// record its messages carry: the chunk, and its acknowledgement back.
 type transferChunk struct {
+	tr      *outTransfer
+	seq     int    // the chunk's index in tr.chunks
 	payload []byte // encoded wire.RegionChunk
 	keys    []lph.Key
 	entries []Entry
@@ -70,6 +73,7 @@ type transferChunk struct {
 // outTransfer is one stream: the sender's engine and chunks, and the
 // receiver's record of the chunks it took.
 type outTransfer struct {
+	sys    *System
 	index  string
 	src    *chord.Node
 	dst    chord.ID
@@ -154,11 +158,15 @@ func (s *System) streamRegion(src *IndexNode, dst chord.ID, index string, keys [
 	}
 	s.nextTransfer++
 	tr := &outTransfer{
+		sys:    s,
 		index:  index,
 		src:    src.node,
 		dst:    dst,
 		chunks: s.buildChunks(s.nextTransfer, index, keys, entries),
 		done:   done,
+	}
+	for i := range tr.chunks {
+		tr.chunks[i].tr, tr.chunks[i].seq = tr, i
 	}
 	tr.rx = xfer.NewReceiver(len(tr.chunks))
 	tr.snd = xfer.NewSender(s.rt, len(tr.chunks), transferPolicy, xfer.Hooks{
@@ -180,38 +188,49 @@ func (s *System) streamRegion(src *IndexNode, dst chord.ID, index string, keys [
 }
 
 // shipChunk transmits one chunk: the serialization delay, then the
-// network message.
+// network message (shipDue).
 func (s *System) shipChunk(tr *outTransfer, i int, resend bool) {
-	if !resend {
+	due := shipDue
+	if resend {
+		due = reshipDue
+	} else {
 		s.transfers.Chunks++
 	}
 	ch := &tr.chunks[i]
-	s.rt.Schedule(s.serializationDelay(len(ch.payload)), func() {
-		if tr.snd.Ended() || tr.snd.Acked(i) {
-			return
-		}
-		if !tr.src.Alive() {
-			// The sender died mid-stream: its un-acked state dies with
-			// it, and what the receiver never took is reinserted.
-			tr.snd.GiveUp()
-			return
-		}
-		if resend {
-			s.transfers.Retransmits++
-		}
-		bytes := wire.PacketHeader + len(ch.payload)
-		s.transfers.BulkMessages++
-		s.transfers.BulkBytes += bytes
-		s.net.SendOrFail(tr.src, tr.dst, chord.KindTransfer, bytes, func(dstNode *chord.Node) {
-			s.deliverChunk(tr, dstNode, i)
-		}, nil)
-	})
+	s.rt.ScheduleArg(s.serializationDelay(len(ch.payload)), due, ch)
 }
 
-// deliverChunk is the receiver side: apply the chunk once and
-// acknowledge it, so the sender's window moves on.
-func (s *System) deliverChunk(tr *outTransfer, dstNode *chord.Node, i int) {
-	ch := &tr.chunks[i]
+func shipDue(arg any)   { arg.(*transferChunk).ship(false) }
+func reshipDue(arg any) { arg.(*transferChunk).ship(true) }
+
+// ship sends a serialized chunk unless the stream no longer needs it.
+func (ch *transferChunk) ship(resend bool) {
+	tr := ch.tr
+	s := tr.sys
+	if tr.snd.Ended() || tr.snd.Acked(ch.seq) {
+		return
+	}
+	if !tr.src.Alive() {
+		// The sender died mid-stream: its un-acked state dies with
+		// it, and what the receiver never took is reinserted.
+		tr.snd.GiveUp()
+		return
+	}
+	if resend {
+		s.transfers.Retransmits++
+	}
+	bytes := wire.PacketHeader + len(ch.payload)
+	s.transfers.BulkMessages++
+	s.transfers.BulkBytes += bytes
+	s.net.SendRecord(tr.src, tr.dst, chord.KindTransfer, bytes, &s.handlers.chunk, ch)
+}
+
+// recvChunk is the receiver side: apply the chunk once and acknowledge
+// it, so the sender's window moves on.
+func recvChunk(dstNode *chord.Node, arg any) {
+	ch := arg.(*transferChunk)
+	tr := ch.tr
+	s := tr.sys
 	keys, entries := ch.keys, ch.entries
 	if s.cfg.EncodeWire {
 		// Round-trip through the real codec: what the receiver applies
@@ -226,16 +245,20 @@ func (s *System) deliverChunk(tr *outTransfer, dstNode *chord.Node, i int) {
 			return
 		}
 	}
-	if tr.rx.Take(i) {
+	if tr.rx.Take(ch.seq) {
 		s.applyChunk(tr, dstNode, keys, entries)
 	}
 	// Acknowledge even duplicates: the first ack may have been lost.
 	ackBytes := wire.PacketHeader + wire.AckBytes
 	s.transfers.BulkMessages++
 	s.transfers.BulkBytes += ackBytes
-	s.net.SendOrFail(dstNode, tr.src.ID(), chord.KindAck, ackBytes, func(*chord.Node) {
-		tr.snd.Ack(i)
-	}, nil)
+	s.net.SendRecord(dstNode, tr.src.ID(), chord.KindAck, ackBytes, &s.handlers.chunkAck, ch)
+}
+
+// recvChunkAck moves the sender's window past an acknowledged chunk.
+func recvChunkAck(_ *chord.Node, arg any) {
+	ch := arg.(*transferChunk)
+	ch.tr.snd.Ack(ch.seq)
 }
 
 // applyChunk stores a delivered chunk's entries: locally when the

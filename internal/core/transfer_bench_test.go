@@ -6,6 +6,7 @@ import (
 
 	"landmarkdht/internal/chord"
 	"landmarkdht/internal/netmodel"
+	"landmarkdht/internal/runtime/simrt"
 	"landmarkdht/internal/sim"
 )
 
@@ -18,7 +19,7 @@ func regionTransfer10k(tb testing.TB) (sys *System, transfer func()) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sys = NewSystem(eng, model, DefaultConfig())
+	sys = NewSystem(simrt.New(eng), model, DefaultConfig())
 	rng := rand.New(rand.NewSource(2))
 	used := map[chord.ID]bool{}
 	for i := 0; i < 8; i++ {
@@ -76,10 +77,9 @@ func BenchmarkRegionTransfer10k(b *testing.B) {
 }
 
 // regionTransferAllocsCeiling bounds the heap allocations of one
-// 10k-object region stream (measured 479 warm, 509 on the first
-// transfer): a handful per chunk, nowhere near one per entry. The
-// ceiling is the first-transfer figure plus 20 %.
-const regionTransferAllocsCeiling = 610
+// 10k-object region stream (measured 265): a few per chunk, nowhere
+// near one per entry. The ceiling is the measurement plus 10 %.
+const regionTransferAllocsCeiling = 291
 
 // TestRegionTransferAllocsCeiling fails when streaming a region starts
 // allocating per entry again (point-wise republication of the same

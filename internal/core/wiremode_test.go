@@ -11,6 +11,7 @@ import (
 	"landmarkdht/internal/landmark"
 	"landmarkdht/internal/metric"
 	"landmarkdht/internal/netmodel"
+	"landmarkdht/internal/runtime/simrt"
 	"landmarkdht/internal/sim"
 	"landmarkdht/internal/wire"
 )
@@ -44,7 +45,7 @@ func buildWireFixture(t *testing.T, nNodes, nData int) *fixture {
 	}
 	cfg := DefaultConfig()
 	cfg.EncodeWire = true
-	sys := NewSystem(eng, model, cfg)
+	sys := NewSystem(simrt.New(eng), model, cfg)
 	rng := rand.New(rand.NewSource(2))
 	ids := make([]chord.ID, 0, nNodes)
 	used := map[chord.ID]bool{}

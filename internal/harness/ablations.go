@@ -10,6 +10,7 @@ import (
 	"landmarkdht/internal/landmark"
 	"landmarkdht/internal/metric"
 	"landmarkdht/internal/netmodel"
+	"landmarkdht/internal/runtime/simrt"
 	"landmarkdht/internal/sim"
 )
 
@@ -51,7 +52,7 @@ func AblationRotation(scale Scale, numIndexes int) ([]RotationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		sys := core.NewSystem(eng, model, core.DefaultConfig())
+		sys := core.NewSystem(simrt.New(eng), model, core.DefaultConfig())
 		if _, err := sys.Populate(scale.Nodes, rand.New(rand.NewSource(scale.Seed+7))); err != nil {
 			return nil, err
 		}

@@ -13,6 +13,7 @@ import (
 	"landmarkdht/internal/metric"
 	"landmarkdht/internal/netmodel"
 	"landmarkdht/internal/runtime"
+	"landmarkdht/internal/runtime/simrt"
 	"landmarkdht/internal/sim"
 )
 
@@ -101,7 +102,7 @@ func Deploy[T any](spec DeploySpec[T]) (*Deployment[T], error) {
 		cfg.Chord.Faults = &runtime.FaultPolicy{Drop: spec.LossRate}
 	}
 	cfg.Retry = spec.Retry
-	sys := core.NewSystem(eng, model, cfg)
+	sys := core.NewSystem(simrt.New(eng), model, cfg)
 	rng := rand.New(rand.NewSource(spec.Scale.Seed + 7))
 	ids, err := sys.Populate(spec.Scale.Nodes, rng)
 	if err != nil {

@@ -2,21 +2,21 @@
 // protocol layers (internal/chord, internal/core) from how they are
 // driven. The paper's protocol logic — query routing, surrogate
 // refinement, reliable delivery, replication, load migration — is
-// written against two narrow interfaces:
-//
-//   - Clock: the time seam (now / schedule / cancellable timers).
-//   - Transport: the messaging seam (move one message to a node and run
-//     its delivery callback on that node's execution context).
+// written against one narrow interface, Runtime: a Clock (now /
+// schedule / cancellable timers) and the seeded random source. A
+// message is an event too: the overlay (chord.Network) decides its
+// destination, latency, faults and liveness at delivery, and hands its
+// delivery to ScheduleArg.
 //
 // Two implementations exist:
 //
 //   - runtime/simrt wraps a sim.Engine: virtual time, deterministic
 //     event ordering, zero-allocation scheduling. core and chord run on
 //     it and nothing else — every experiment, test and Platform. A
-//     message is a prebound callback that runs later, its size charged
-//     by the overlay's §4.1 model (or, under EncodeWire, by the length of
-//     the encoding the protocol itself produces and decodes); no byte
-//     crosses it.
+//     message is a record whose delivery event runs later, its size
+//     charged by the overlay's §4.1 model (or, under EncodeWire, by the
+//     length of the encoding the protocol itself produces and decodes);
+//     no byte crosses it.
 //   - runtime/livert is netrt's executor: one goroutine draining a FIFO
 //     task queue, time.Timer-backed delays, and the Do/Await bridges
 //     netrt's clients and readers use. netrt's nodes are separate
@@ -75,24 +75,6 @@ type Runtime interface {
 	// Rand returns the runtime's random source. It must only be used
 	// from protocol callbacks (the source is not concurrency-safe).
 	Rand() *rand.Rand
-}
-
-// Transport is the messaging seam. The overlay (chord.Network) decides
-// everything about a message — destination, modeled latency, fault
-// injection, liveness at delivery time — and the transport only moves
-// it: deliver(arg) must run on the destination's protocol execution
-// context no earlier than delay from now.
-//
-// deliver/arg mirror Clock.ScheduleArg so the per-message hot path
-// allocates no closures. to names the destination for a transport that
-// keeps per-node state; simrt, the one implementation, does not.
-//
-// Send never fails synchronously and never runs deliver inside the
-// call. Loss is modeled above the transport (fault plans, delivery-time
-// liveness checks in the overlay), and the reliability layer's timeout
-// surfaces it.
-type Transport interface {
-	Send(to uint64, delay time.Duration, deliver func(any), arg any)
 }
 
 // Driver is a runtime as the code that drives a protocol holds it (a

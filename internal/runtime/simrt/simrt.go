@@ -3,13 +3,13 @@
 // protocol layers stop depending on it directly.
 //
 // The adapter is a strict pass-through. Every Clock call forwards to
-// the engine method of the same name in the same order, and Send is
-// exactly the engine's ScheduleArg, so a simulation driven through
+// the engine method of the same name in the same order — chord delivers
+// each message through ScheduleArg — so a simulation driven through
 // simrt replays byte-identically to one that called the engine
-// directly (TestSeedStability pins this). The zero-allocation
-// contract of the engine's hot paths is preserved: the adapter is
-// pointer-shaped (it boxes into the interfaces without allocating)
-// and Send passes the prebound deliver/arg pair straight through.
+// directly (TestSeedStability pins this). The zero-allocation contract
+// of the engine's hot paths is preserved: the adapter is pointer-shaped
+// (it boxes into the interfaces without allocating) and ScheduleArg
+// passes the prebound fn/arg pair straight through.
 //
 // The bridges of runtime.Driver (Do, Await) and Sleep run inline and
 // spend simulated time: the goroutine driving a simulation is the
@@ -25,9 +25,8 @@ import (
 	"landmarkdht/internal/sim"
 )
 
-// RT wraps one engine as a runtime.Driver and a runtime.Transport: the
-// seams the protocol is written against, and the bridges its driver
-// uses.
+// RT wraps one engine as a runtime.Driver: the seam the protocol is
+// written against, and the bridges its driver uses.
 type RT struct {
 	eng *sim.Engine
 }
@@ -55,13 +54,6 @@ func (r *RT) AfterFunc(delay time.Duration, fn func()) runtime.Timer {
 
 // Rand returns the engine's seeded random source.
 func (r *RT) Rand() *rand.Rand { return r.eng.Rand() }
-
-// Send implements runtime.Transport: delivery is one engine event at
-// now+delay. Message sizes are charged by the overlay's traffic
-// accounting before Send is reached.
-func (r *RT) Send(_ uint64, delay time.Duration, deliver func(any), arg any) {
-	r.eng.ScheduleArg(delay, deliver, arg)
-}
 
 // Do runs fn at once.
 func (r *RT) Do(fn func()) error {

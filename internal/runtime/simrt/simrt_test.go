@@ -62,25 +62,25 @@ type errNothingToDo struct{}
 
 func (errNothingToDo) Error() string { return "nothing to do" }
 
-// TestSendOrdering pins runtime.Transport's promise on the one
-// implementation core and chord send through: deliver(arg) never runs
-// inside Send, runs at now+delay, and a zero-delay delivery runs as the
-// next event, ahead of a task scheduled after it.
+// TestSendOrdering pins what chord's message delivery rests on, on the
+// one runtime core and chord run on: ScheduleArg never runs fn(arg)
+// inside the call, runs it at now+delay, and runs a zero-delay event as
+// the next event, ahead of a Schedule(0) made after it.
 func TestSendOrdering(t *testing.T) {
 	eng := sim.NewEngine(1)
 	rt := simrt.New(eng)
 	var order []string
 	ran := false
-	rt.Send(7, 0, func(arg any) {
+	rt.ScheduleArg(0, func(arg any) {
 		ran = true
 		order = append(order, arg.(string))
 	}, "deliver")
 	if ran {
-		t.Fatal("deliver ran inside Send")
+		t.Fatal("fn ran inside ScheduleArg")
 	}
 	rt.Schedule(0, func() { order = append(order, "after") })
 	var at time.Duration
-	rt.Send(7, 40*time.Millisecond, func(any) { at = eng.Now() }, nil)
+	rt.ScheduleArg(40*time.Millisecond, func(any) { at = eng.Now() }, nil)
 	rt.Sleep(time.Second)
 	if len(order) != 2 || order[0] != "deliver" || order[1] != "after" {
 		t.Fatalf("task order %v, want [deliver after]", order)

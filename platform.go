@@ -148,7 +148,7 @@ func New(opts Options) (*Platform, error) {
 			Sync: opts.DataSync, Now: func() int64 { return int64(p.rt.Now()) },
 		})
 	}
-	p.sys = core.NewSystemRuntime(p.rt, p.rt, model, cfg)
+	p.sys = core.NewSystem(p.rt, model, cfg)
 	p.rng = rand.New(rand.NewSource(opts.Seed + 99))
 	if _, err := p.sys.Populate(opts.Nodes, p.rng); err != nil {
 		p.Close()
