@@ -25,7 +25,10 @@ vet:
 # dependency closure must not name encoding/gob: every frame netrt reads
 # off a socket goes through a bounded, fuzzed decoder (netrt/proto.go);
 # and chord's and core's must not name the simulator: they are written
-# against runtime.Runtime alone.
+# against runtime.Runtime alone. And no non-test file in internal/core
+# calls AfterFunc: every core timer is a record on ScheduleArg (a query
+# timer, a publish attempt), which holds what it needs and allocates no
+# closure.
 lint:
 	$(GO) test ./internal/analysis/...
 	$(GO) run ./cmd/lmlint ./...
@@ -34,6 +37,9 @@ lint:
 	fi
 	@if $(GO) list -deps ./internal/chord ./internal/core | grep -Ex 'landmarkdht/internal/(sim|runtime/simrt)'; then \
 		echo "internal/chord or internal/core depends on the simulator" >&2; exit 1; \
+	fi
+	@if grep -n 'AfterFunc(' $$(ls internal/core/*.go | grep -v '_test\.go$$'); then \
+		echo "internal/core calls AfterFunc: arm a ScheduleArg record instead" >&2; exit 1; \
 	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

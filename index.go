@@ -335,8 +335,11 @@ func (ix *Index[T]) MaxDistance() float64 { return ix.maxDist }
 func (ix *Index[T]) Object(id int) T { return ix.objects[id] }
 
 // Insert publishes a new object through the overlay: a Chord lookup
-// resolves the responsible node and the index entry travels there. If
-// the entry is never placed the index is left as it was.
+// resolves the responsible node and the index entry travels there. It
+// returns once the entry is placed or the publish has failed: under
+// Options.Retry, when every attempt is lost or the source node dies,
+// within the retry budget of simulated time. If the entry is not placed
+// the index is left as it was.
 func (ix *Index[T]) Insert(obj T) (int, error) {
 	id := len(ix.objects)
 	entry := core.Entry{Obj: core.ObjectID(id), Point: ix.emb.Map(obj)}
@@ -344,10 +347,14 @@ func (ix *Index[T]) Insert(obj T) (int, error) {
 	if ix.slab != nil {
 		ix.slab.Append(any(obj).(metric.Vector))
 	}
+	var placeErr error
 	err := ix.p.rt.Await(opTimeout, func(finish func()) error {
 		return ix.p.sys.Publish(ix.name, ix.p.randomNode(), entry,
-			func(chordID uint64, hops int) { finish() })
+			func(_ uint64, _ int, err error) { placeErr = err; finish() })
 	})
+	if err == nil {
+		err = placeErr
+	}
 	if err != nil {
 		ix.objects = ix.objects[:id]
 		if ix.slab != nil {

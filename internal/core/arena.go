@@ -17,8 +17,7 @@ import (
 //     send until the copy is delivered, lost or, being a fault
 //     duplicate, dropped;
 //   - every lookup of the naive router (NaiveRangeQuery), until it
-//     finds its owner, when its query message takes the hold over, or
-//     is lost;
+//     finds its owner or is lost;
 //   - every armed timer (retry, hedge, deadline), until it fires or is
 //     stopped;
 //   - the call that runs the query's code: RangeQuery while it issues
@@ -50,42 +49,50 @@ func (r *rec) released() bool {
 func (r *rec) header() *rec { return r }
 
 // record is a query or result message as SendRecord's handlers see it.
-type record interface{ header() *rec }
+// acked is what its acknowledgement does (Config.Retry).
+type record interface {
+	header() *rec
+	acked()
+}
 
 // addCopy is Handlers.Copy for every record: one more copy in flight.
 func addCopy(arg any) { arg.(record).header().aq.holds++ }
 
-// endCopy ends one copy that carries nothing to do: a dropped duplicate,
-// a lost ack, the loss of a message whose timer already covers it.
+// endCopy ends one copy that carries nothing to do: a dropped duplicate
+// or a lost ack, whose loss the acknowledged message's timer covers.
 func endCopy(arg any) {
 	if r := arg.(record).header(); !r.released() {
 		r.aq.sys.letGo(r.aq)
 	}
 }
 
+// recvAck delivers the acknowledgement of a query or result message.
+func recvAck(_ *chord.Node, arg any) {
+	r := arg.(record)
+	if h := r.header(); !h.released() {
+		r.acked()
+		h.aq.sys.letGo(h.aq)
+	}
+}
+
 // messageHandlers are what core's messages run: the SendRecord
 // handlers of a range query's messages, of a publish's and of a region
 // stream's, and the FindSuccessor handlers of a publish's lookup and a
-// naive query's. A System builds its own in NewSystem rather than the
-// package at init, so a binary that links this package without running
-// a System does not link the message paths with it.
+// naive query's. Each message kind has one table, with or without
+// Config.Retry: its Recv acknowledges only under Retry, and its Lost
+// gives the message up only without it — under Retry the sender's
+// timer covers the loss. A System builds its own in NewSystem rather
+// than the package at init, so a binary that links this package
+// without running a System does not link the message paths with it.
 type messageHandlers struct {
-	// A query message fire-and-forget, where a loss drops the
-	// undelivered units; acknowledged (Config.Retry), where the retry
-	// timer covers a loss; and its acknowledgement, which stops that
-	// timer.
-	query, reliableQuery, queryAck chord.Handlers
-	// The same three for a result message.
-	result, reliableResult, resultAck chord.Handlers
-	// A naive query message (NaiveRangeQuery), and the lookup that finds
-	// its destination, whose loss drops the query's piece.
-	naive       chord.Handlers
+	// A query message (of either router), a result message, and the
+	// acknowledgement of either, which stops the sender's retry timer.
+	query, result, ack chord.Handlers
+	// The lookup that finds a naive query piece's owner.
 	naiveLookup chord.Lookup
-	// A publish's lookup; its entry message fire-and-forget, where the
-	// oracle places the entry of a lost one, and acknowledged
-	// (Config.Retry), where a timer covers a loss; and that ack.
-	publishLookup                        chord.Lookup
-	publish, reliablePublish, publishAck chord.Handlers
+	// A publish's lookup, its entry message and that message's ack.
+	publishLookup       chord.Lookup
+	publish, publishAck chord.Handlers
 	// A region stream's chunk and its acknowledgement; the stream's
 	// idle round covers the loss of either.
 	chunk, chunkAck chord.Handlers
@@ -93,20 +100,15 @@ type messageHandlers struct {
 
 func newMessageHandlers() messageHandlers {
 	return messageHandlers{
-		query:           chord.Handlers{Recv: recvQuery, Lost: lostQuery, Copy: addCopy, Drop: endCopy},
-		reliableQuery:   chord.Handlers{Recv: recvReliableQuery, Lost: endCopy, Copy: addCopy, Drop: endCopy},
-		queryAck:        chord.Handlers{Recv: recvQueryAck, Lost: endCopy, Copy: addCopy, Drop: endCopy},
-		result:          chord.Handlers{Recv: recvResult, Lost: lostResult, Copy: addCopy, Drop: endCopy},
-		reliableResult:  chord.Handlers{Recv: recvReliableResult, Lost: endCopy, Copy: addCopy, Drop: endCopy},
-		resultAck:       chord.Handlers{Recv: recvResultAck, Lost: endCopy, Copy: addCopy, Drop: endCopy},
-		naive:           chord.Handlers{Recv: recvNaive, Lost: lostQuery, Copy: addCopy, Drop: endCopy},
-		naiveLookup:     chord.Lookup{Found: foundNaive, Lost: lostQuery},
-		publishLookup:   chord.Lookup{Found: foundOwner},
-		publish:         chord.Handlers{Recv: recvPublish, Lost: lostPublish},
-		reliablePublish: chord.Handlers{Recv: recvReliablePublish},
-		publishAck:      chord.Handlers{Recv: recvPublishAck},
-		chunk:           chord.Handlers{Recv: recvChunk},
-		chunkAck:        chord.Handlers{Recv: recvChunkAck},
+		query:         chord.Handlers{Recv: recvQuery, Lost: lostQuery, Copy: addCopy, Drop: endCopy},
+		result:        chord.Handlers{Recv: recvResult, Lost: lostResult, Copy: addCopy, Drop: endCopy},
+		ack:           chord.Handlers{Recv: recvAck, Lost: endCopy, Copy: addCopy, Drop: endCopy},
+		naiveLookup:   chord.Lookup{Found: foundNaive, Lost: lostNaiveLookup},
+		publishLookup: chord.Lookup{Found: foundOwner, Lost: lostPublishLookup},
+		publish:       chord.Handlers{Recv: recvPublish, Lost: lostPublish},
+		publishAck:    chord.Handlers{Recv: recvPublishAck},
+		chunk:         chord.Handlers{Recv: recvChunk},
+		chunkAck:      chord.Handlers{Recv: recvChunkAck},
 	}
 }
 
@@ -154,17 +156,17 @@ func (s *System) release(aq *activeQuery) {
 	clear(aq.resBuf)
 	clear(aq.results)
 	clear(aq.answered)
-	clear(aq.outstanding[:cap(aq.outstanding)])
+	clear(aq.toks)
 	*aq = activeQuery{
-		sys:         aq.sys,
-		gen:         aq.gen + 1,
-		results:     aq.results,
-		answered:    aq.answered,
-		outstanding: aq.outstanding[:0],
-		cubes:       aq.cubes,
-		qmsgs:       aq.qmsgs,
-		rmsgs:       aq.rmsgs,
-		resBuf:      aq.resBuf[:0],
+		sys:      aq.sys,
+		gen:      aq.gen + 1,
+		results:  aq.results,
+		answered: aq.answered,
+		toks:     aq.toks[:0],
+		cubes:    aq.cubes,
+		qmsgs:    aq.qmsgs,
+		rmsgs:    aq.rmsgs,
+		resBuf:   aq.resBuf[:0],
 	}
 	s.idle = append(s.idle, aq)
 }
@@ -271,7 +273,7 @@ func runTimer(arg any) {
 	switch kind {
 	case retryQueryTimer:
 		qm.timer = nil
-		s.shipTimeout(qm)
+		s.shipTimeout(qm, true)
 	case retryResultTimer:
 		rm.timer = nil
 		s.resultTimeout(rm)

@@ -143,8 +143,10 @@ func TestInsertDuringMigration(t *testing.T) {
 		f.eng.Schedule(at, func() {
 			nodes := f.sys.Nodes()
 			src := nodes[rng.Intn(len(nodes))].ID()
-			err := f.sys.Publish("test-l2", src, Entry{Obj: obj, Point: point}, func(chordID uint64, _ int) {
-				placed++
+			err := f.sys.Publish("test-l2", src, Entry{Obj: obj, Point: point}, func(_ uint64, _ int, err error) {
+				if err == nil {
+					placed++
+				}
 			})
 			if err != nil {
 				t.Errorf("publish: %v", err)

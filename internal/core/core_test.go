@@ -303,7 +303,10 @@ func TestPublishMatchesBulkLoad(t *testing.T) {
 	v := metric.Vector{50, 50}
 	point := f.emb.Map(v)
 	var owner chord.ID
-	err := f.sys.Publish("test-l2", f.ids[0], Entry{Obj: 9999, Point: point}, func(o chord.ID, hops int) {
+	err := f.sys.Publish("test-l2", f.ids[0], Entry{Obj: 9999, Point: point}, func(o chord.ID, _ int, err error) {
+		if err != nil {
+			t.Error(err)
+		}
 		owner = o
 	})
 	if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -89,24 +90,37 @@ func TestFireAndForgetDropsUnderLoss(t *testing.T) {
 }
 
 // TestNaiveLostLookupFinishes runs the §3.3 naive router under loss
-// with no retries and no deadline: every query must still finish,
-// because a piece whose lookup loses a hop is dropped (counted in
-// DroppedSubqueries, its region Uncovered) rather than left waiting.
-// Every answer is a subset of brute force, and exact when complete, and
-// at quiescence every query arena is back on the free list.
+// with no deadline: every query must still finish. Without retries a
+// piece whose lookup loses a hop is dropped (counted in
+// DroppedSubqueries, its region Uncovered) rather than left waiting;
+// with them it is retransmitted like any query message, so no more naive
+// queries come back incomplete than tree-routed ones from the same
+// sources. Every answer is a subset of brute force, and exact when
+// complete, and at quiescence every query arena is back on the free
+// list.
 func TestNaiveLostLookupFinishes(t *testing.T) {
-	for _, drop := range []float64{0.02, 0.2} {
-		t.Run(fmt.Sprintf("drop=%v", drop), func(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		drop  float64
+		retry RetryConfig
+	}{
+		{"drop=0.02", 0.02, RetryConfig{}},
+		{"drop=0.2", 0.2, RetryConfig{}},
+		{"drop=0.2,retries=6", 0.2, RetryConfig{MaxRetries: 6}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
-			cfg.Chord.Faults = &runtime.FaultPolicy{Drop: drop}
+			cfg.Chord.Faults = &runtime.FaultPolicy{Drop: tc.drop}
+			cfg.Retry = tc.retry
 			f := buildFixtureCfg(t, 64, 2000, 3, false, cfg)
 			const queries, r = 40, 20.0
 			rng := rand.New(rand.NewSource(11))
-			finished, incomplete := 0, 0
+			finished, incomplete, treeIncomplete := 0, 0, 0
 			for i := 0; i < queries; i++ {
 				q := f.data[rng.Intn(len(f.data))]
+				src := rng.Intn(len(f.ids))
 				var out *QueryResult
-				if err := f.sys.NaiveRangeQuery("test-l2", f.ids[rng.Intn(len(f.ids))], q, f.emb.Map(q), r, QueryOpts{},
+				if err := f.sys.NaiveRangeQuery("test-l2", f.ids[src], q, f.emb.Map(q), r, QueryOpts{},
 					func(qr *QueryResult) { out = qr }); err != nil {
 					t.Fatal(err)
 				}
@@ -129,12 +143,26 @@ func TestNaiveLostLookupFinishes(t *testing.T) {
 				} else if len(got) != len(want) {
 					t.Errorf("query %d: complete with %d results, want %d", i, len(got), len(want))
 				}
+				if tc.retry.Enabled() {
+					if tree := f.runRange(t, src, q, r, QueryOpts{}); !tree.Complete {
+						treeIncomplete++
+					}
+				}
 			}
 			if finished != queries {
 				t.Fatalf("%d of %d naive queries never finished", queries-finished, queries)
 			}
-			if lost := f.sys.Network().Traffic().Dropped[chord.KindLookup]; lost == 0 || incomplete == 0 {
-				t.Fatalf("%d lookup hops lost, %d queries incomplete: the loss never reached a lookup", lost, incomplete)
+			lost := f.sys.Network().Traffic().Dropped[chord.KindLookup]
+			t.Logf("%d lookup hops lost; %d of %d naive queries incomplete", lost, incomplete, queries)
+			switch {
+			case lost == 0:
+				t.Fatal("no lookup hop was lost: the loss never reached a lookup")
+			case !tc.retry.Enabled() && incomplete == 0:
+				t.Fatalf("%d lookup hops lost and no query incomplete", lost)
+			case tc.retry.Enabled() && incomplete > treeIncomplete:
+				t.Errorf("%d of %d naive queries incomplete under retries, %d tree-routed", incomplete, queries, treeIncomplete)
+			case tc.retry.Enabled() && f.sys.RecoveredSubqueries == 0:
+				t.Error("no retransmission delivered anything")
 			}
 			if made, idle := f.sys.QueryArenas(); made != idle {
 				t.Errorf("%d query arenas made, %d idle at quiescence", made, idle)
@@ -429,4 +457,44 @@ func injectedDrops(sys *System) int64 {
 		n += d
 	}
 	return n
+}
+
+// cannotBeLost names the handler tables of System.handlers without a
+// Lost, each with the reason its message's loss needs no handler.
+var cannotBeLost = map[string]string{
+	"publishAck": "the entry's retry timer covers a lost ack; the entry is stored already",
+	"chunk":      "the stream's idle round resends a lost chunk (internal/xfer)",
+	"chunkAck":   "the stream's idle round resends the chunk a lost ack leaves unacknowledged",
+}
+
+// TestEveryHandlerHearsItsLoss walks every chord.Handlers and
+// chord.Lookup in System.handlers: each has a Lost, so its sender hears
+// of a lost message, or is named in cannotBeLost.
+func TestEveryHandlerHearsItsLoss(t *testing.T) {
+	h := reflect.ValueOf(newMessageHandlers())
+	handlers, lookups := reflect.TypeOf(chord.Handlers{}), reflect.TypeOf(chord.Lookup{})
+	seen := 0
+	for i := 0; i < h.NumField(); i++ {
+		name, f := h.Type().Field(i).Name, h.Field(i)
+		if f.Type() != handlers && f.Type() != lookups {
+			t.Errorf("handlers.%s is a %v, neither chord.Handlers nor chord.Lookup", name, f.Type())
+			continue
+		}
+		seen++
+		_, exempt := cannotBeLost[name]
+		switch lost := !f.FieldByName("Lost").IsNil(); {
+		case !lost && !exempt:
+			t.Errorf("handlers.%s has no Lost: its sender never hears of a lost message", name)
+		case lost && exempt:
+			t.Errorf("handlers.%s has a Lost but is listed in cannotBeLost", name)
+		}
+	}
+	for name := range cannotBeLost {
+		if !h.FieldByName(name).IsValid() {
+			t.Errorf("cannotBeLost names handlers.%s, which does not exist", name)
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no handler tables found")
+	}
 }

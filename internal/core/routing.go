@@ -38,19 +38,20 @@ type activeQuery struct {
 	finished bool
 	gotFirst bool
 	trace    *Trace
-	// Resilience bookkeeping. Every live subquery region holds a
-	// token; settling a token (answer or drop) is idempotent, which is
-	// what lets hedged duplicates and post-deadline stragglers arrive
-	// without corrupting the pending count or the result set. The
-	// outstanding list is kept only when a deadline or hedging is
-	// configured (tracked).
-	nextTok     int
-	tracked     bool
-	outstanding []pendingRegion
-	dropped     int
-	uncovered   []query.Region
-	expired     bool
-	deadline    *timer
+	// naive marks a query of the naive router (NaiveRangeQuery): each of
+	// its messages is answered at the node it reaches.
+	naive bool
+	// Resilience bookkeeping. toks is the token table: every subquery
+	// region holds a token, its index here, from the moment it is
+	// shipped until it settles — answered or dropped — once. Settlement
+	// is O(1) and idempotent, which is what lets hedged duplicates,
+	// retransmissions and post-deadline stragglers arrive without
+	// corrupting the pending count or the result set.
+	toks      []token
+	dropped   int
+	uncovered []query.Region
+	expired   bool
+	deadline  *timer
 	// admitted marks queries counted by the admission gate; finish
 	// releases their slot. Queries issued outside the gate (the naive
 	// router) never set it.
@@ -66,103 +67,54 @@ type activeQuery struct {
 	resBuf []Result
 }
 
-// pendingRegion pairs a subquery region with its settlement token.
-// chains counts the independent delivery attempts able to answer it:
-// 1 for the original shipment, +1 per hedge. A loss only settles the
-// token as dropped when its last chain dies. hop, when routed is set, is
-// the next hop routeAt already chose for the region's prefix key.
+// token is one subquery region's entry in its query's token table:
+// the region it stands for (refined in place as routing narrows it, so
+// a deadline reports the region actually outstanding), whether it is
+// still unsettled, and chains, the independent delivery attempts able
+// to answer it: 1 for the original shipment, +1 per hedge. A loss only
+// settles the token as dropped when its last chain dies.
+type token struct {
+	reg    query.Region
+	chains int
+	live   bool
+}
+
+// pendingRegion is one region a routing step ships, with its token.
+// hop, when routed is set, is the next hop routeAt already chose for
+// the region's prefix key.
 type pendingRegion struct {
 	tok    int
 	reg    query.Region
-	chains int
 	hop    chord.ID
 	routed bool
 }
 
-// tracking reports whether outstanding regions are tracked (a deadline
-// or hedging is configured for this query).
-func (aq *activeQuery) tracking() bool { return aq.tracked }
-
 // newToken registers one more outstanding subquery region and returns
 // its settlement token.
 func (aq *activeQuery) newToken(reg query.Region) int {
-	aq.nextTok++
 	aq.pending++
-	if aq.tracked {
-		aq.outstanding = append(aq.outstanding, pendingRegion{tok: aq.nextTok, reg: reg, chains: 1})
-	}
-	return aq.nextTok
-}
-
-// addChain records one more delivery chain (a hedge) for a token.
-func (aq *activeQuery) addChain(tok int) {
-	for i := range aq.outstanding {
-		if aq.outstanding[i].tok == tok {
-			aq.outstanding[i].chains++
-			return
-		}
-	}
-}
-
-// lastChain records the death of one delivery chain for a token and
-// reports whether no chain remains — only then is the token truly
-// lost. An already-settled token reports true; the caller's settle is
-// the no-op that filters it.
-func (aq *activeQuery) lastChain(tok int) bool {
-	for i := range aq.outstanding {
-		if aq.outstanding[i].tok == tok {
-			aq.outstanding[i].chains--
-			return aq.outstanding[i].chains <= 0
-		}
-	}
-	return true
-}
-
-// moveToken records that a token's region was refined in place, so a
-// deadline snapshot reports the region actually outstanding.
-func (aq *activeQuery) moveToken(tok int, reg query.Region) {
-	for i := range aq.outstanding {
-		if aq.outstanding[i].tok == tok {
-			aq.outstanding[i].reg = reg
-			return
-		}
-	}
+	aq.toks = append(aq.toks, token{reg: reg, chains: 1, live: true})
+	return len(aq.toks) - 1
 }
 
 // settle resolves a token, reporting false when it was already settled
 // (a hedged duplicate or a stale retransmission) — the caller must
-// then ignore the answer entirely. With tracking off, every delivery
-// path is made idempotent by sqUnit.delivered flags, so each settle is
-// necessarily the first.
+// then ignore the answer entirely.
 func (aq *activeQuery) settle(tok int) bool {
-	if !aq.tracked {
-		aq.pending--
-		return true
+	t := &aq.toks[tok]
+	if !t.live {
+		return false
 	}
-	for i := range aq.outstanding {
-		if aq.outstanding[i].tok == tok {
-			aq.outstanding = append(aq.outstanding[:i], aq.outstanding[i+1:]...)
-			aq.pending--
-			return true
-		}
-	}
-	return false
-}
-
-// stillOutstanding reports whether a tracked token has not settled.
-func (aq *activeQuery) stillOutstanding(tok int) bool {
-	for i := range aq.outstanding {
-		if aq.outstanding[i].tok == tok {
-			return true
-		}
-	}
-	return false
+	t.live = false
+	aq.pending--
+	return true
 }
 
 // stale reports whether work on a token is moot: the query finished
-// (deadline expiry) or the token settled elsewhere (a hedge won).
+// (deadline expiry) or the token settled elsewhere (an answer arrived,
+// a hedge won).
 func (aq *activeQuery) stale(tok int) bool {
-	return aq.finished || (aq.tracking() && !aq.stillOutstanding(tok))
+	return aq.finished || !aq.toks[tok].live
 }
 
 // QueryOpts tunes one query.
@@ -232,9 +184,8 @@ func (s *System) RangeQuery(indexName string, srcID chord.ID, payload any, cente
 	}
 	aq.admitted = true
 	s.active++
-	dl := s.trackRegions(aq, opts)
 	tok := aq.newToken(region)
-	s.armDeadline(aq, dl)
+	s.armDeadline(aq, opts)
 	s.routeAt(src, aq, region, 0, tok)
 	s.letGo(aq)
 	return nil
@@ -261,23 +212,13 @@ func (s *System) newQuery(ix *Index, srcID chord.ID, payload any, center []float
 	return aq, region, nil
 }
 
-// trackRegions returns a query's effective deadline and, when the
-// deadline or hedging needs them, has the query track its outstanding
-// regions. Its caller then issues the query's tokens and arms the
-// deadline. With every resilience knob zero there is no tracking and no
-// timer, and — because the deadline timer is the only new event source
-// — a byte-identical simulation schedule.
-func (s *System) trackRegions(aq *activeQuery, opts QueryOpts) time.Duration {
+// armDeadline ends the query at its deadline — QueryOpts.Deadline, or
+// else Config.Deadline — if it has one.
+func (s *System) armDeadline(aq *activeQuery, opts QueryOpts) {
 	dl := opts.Deadline
 	if dl == 0 {
 		dl = s.cfg.Deadline
 	}
-	aq.tracked = dl > 0 || s.cfg.Hedge.Enabled()
-	return dl
-}
-
-// armDeadline ends the query at its deadline, if it has one.
-func (s *System) armDeadline(aq *activeQuery, dl time.Duration) {
 	if dl > 0 {
 		aq.deadline = s.arm(aq, dl, deadlineTimer, nil, nil)
 	}
@@ -291,8 +232,10 @@ func (s *System) expireQuery(aq *activeQuery) {
 		return
 	}
 	aq.expired = true
-	for _, pr := range aq.outstanding {
-		aq.uncovered = append(aq.uncovered, pr.reg.Clone())
+	for _, t := range aq.toks {
+		if t.live {
+			aq.uncovered = append(aq.uncovered, t.reg.Clone())
+		}
 	}
 	aq.trace.add(TraceEvent{At: s.rt.Now(), Node: aq.srcID, Action: TraceDeadline,
 		Hops: aq.stats.Hops})
@@ -322,7 +265,7 @@ func (s *System) routeAt(n *IndexNode, aq *activeQuery, q query.Region, hops int
 	case query.SplitInto(&subs, aq.ix.Part, q, q.PreLen+1, &aq.cubes) == 1:
 		// The query lies in one half: forward the refined query
 		// (equivalent to forwarding q; the prefix is just longer).
-		aq.moveToken(tok, subs[0])
+		aq.toks[tok].reg = subs[0]
 		list[0].reg = subs[0]
 	default:
 		n1 := n.node.NextHop(s.ring(aq, subs[0].PreKey))
@@ -334,7 +277,7 @@ func (s *System) routeAt(n *IndexNode, aq *activeQuery, q query.Region, hops int
 			list[0].hop, list[0].routed = n2, true
 		} else {
 			// One region became two.
-			aq.moveToken(tok, subs[0])
+			aq.toks[tok].reg = subs[0]
 			tok2 := aq.newToken(subs[1])
 			list = [2]pendingRegion{
 				{tok: tok, reg: subs[0], hop: n1, routed: true},
@@ -349,7 +292,7 @@ func (s *System) routeAt(n *IndexNode, aq *activeQuery, q query.Region, hops int
 // sqUnit tracks one subquery region across delivery attempts. The
 // delivered flag makes the receive path idempotent: duplicates caused
 // by premature timeouts or lost acknowledgements are ignored, so each
-// unit's token is settled exactly once.
+// unit is routed, refined or answered once.
 type sqUnit struct {
 	reg       query.Region
 	tok       int
@@ -515,8 +458,9 @@ func (s *System) suspectAlternate(aq *activeQuery, d destKey) (destKey, bool) {
 // on, the receiver acknowledges the message; if the ack does not arrive
 // within the retransmission timeout, shipTimeout re-resolves each
 // still-undelivered unit's owner and retransmits with exponential
-// backoff. A hedged duplicate is traced as such and never arms its own
-// hedge timer (hedges do not cascade).
+// backoff. Either way the message runs the one handler table
+// handlers.query. A hedged duplicate is traced as such and never arms
+// its own hedge timer (hedges do not cascade).
 func (s *System) ship(m *queryMsg) {
 	aq, n := m.aq, m.from
 	k := 0
@@ -570,54 +514,41 @@ func (s *System) ship(m *queryMsg) {
 	if m.attempt == 0 && !m.hedge && s.cfg.Hedge.Enabled() {
 		s.armHedge(m)
 	}
-	if !s.cfg.Retry.Enabled() {
-		s.send(n.node, m.dest, chord.KindQuery, bytes, &s.handlers.query, m)
-		return
+	if s.cfg.Retry.Enabled() {
+		m.timer = s.arm(aq, s.retryTimeout(m.attempt), retryQueryTimer, m, nil)
 	}
-	m.timer = s.arm(aq, s.retryTimeout(m.attempt), retryQueryTimer, m, nil)
-	s.send(n.node, m.dest, chord.KindQuery, bytes, &s.handlers.reliableQuery, m)
+	s.send(n.node, m.dest, chord.KindQuery, bytes, &s.handlers.query, m)
 }
 
-// recvQuery delivers a query message at dst.
+// recvQuery delivers a query message at dst. Under Config.Retry it
+// acknowledges the message first (duplicates too: the sender's timer
+// must stop either way).
 func recvQuery(dst *chord.Node, arg any) {
 	m := arg.(*queryMsg)
 	if m.released() {
 		return
 	}
-	m.deliver(dst)
-	m.from.sys.letGo(m.aq)
-}
-
-// recvReliableQuery acknowledges a query message first (duplicates too:
-// the sender's timer must stop either way), then delivers it.
-func recvReliableQuery(dst *chord.Node, arg any) {
-	m := arg.(*queryMsg)
-	if m.released() {
-		return
-	}
 	s := m.from.sys
-	s.send(dst, m.from.node.ID(), chord.KindAck, retryAckBytes, &s.handlers.queryAck, m)
+	if s.cfg.Retry.Enabled() {
+		s.send(dst, m.from.node.ID(), chord.KindAck, retryAckBytes, &s.handlers.ack, m)
+	}
 	m.deliver(dst)
 	s.letGo(m.aq)
 }
 
-// recvQueryAck stops the acknowledged message's retry timer.
-func recvQueryAck(_ *chord.Node, arg any) {
-	m := arg.(*queryMsg)
-	if m.released() {
-		return
-	}
+// acked stops the acknowledged message's retry timer.
+func (m *queryMsg) acked() {
 	s := m.from.sys
 	if m.timer != nil {
 		s.stop(m.timer)
 		m.timer = nil
 	}
 	s.unsuspect(m.dest)
-	s.letGo(m.aq)
 }
 
 // deliver processes a query message at dst: each unit not yet delivered
-// is routed onward or, in surrogate mode, refined.
+// is routed onward or, in surrogate mode, refined — or, for the naive
+// router, answered there.
 func (m *queryMsg) deliver(dst *chord.Node) {
 	s, aq := m.from.sys, m.aq
 	in := s.nodes[dst.ID()]
@@ -645,23 +576,29 @@ func (m *queryMsg) deliver(dst *chord.Node) {
 		if use != nil {
 			reg = use[i]
 		}
-		if m.surrogate {
+		switch {
+		case aq.naive:
+			s.answerLocal(in, aq, reg, m.hops+1, u.tok)
+		case m.surrogate:
 			s.surrogateRefine(in, aq, reg, m.hops+1, u.tok)
-		} else {
+		default:
 			s.routeAt(in, aq, reg, m.hops+1, u.tok)
 		}
 	}
 }
 
-// lostQuery is a fire-and-forget query message's loss: its undelivered
-// units are dropped.
+// lostQuery is a query message's loss. Fire-and-forget, its undelivered
+// units are dropped; under Config.Retry the retry timer covers it.
 func lostQuery(arg any) {
 	m := arg.(*queryMsg)
 	if m.released() {
 		return
 	}
-	m.dropUndelivered()
-	m.from.sys.letGo(m.aq)
+	s := m.from.sys
+	if !s.cfg.Retry.Enabled() {
+		m.dropUndelivered()
+	}
+	s.letGo(m.aq)
 }
 
 // armHedge schedules the hedge check for a freshly shipped message: any
@@ -691,7 +628,7 @@ func (s *System) hedgeFire(orig *queryMsg) {
 	)
 	suspected := false
 	for _, u := range orig.live() {
-		if !aq.stillOutstanding(u.tok) {
+		if aq.stale(u.tok) {
 			continue
 		}
 		if aq.stats.Hedges+queued >= s.cfg.Hedge.MaxPerQuery {
@@ -727,18 +664,20 @@ func (s *System) hedgeFire(orig *queryMsg) {
 			m.hedge = true
 		}
 		m.add(u.reg, u.tok)
-		aq.addChain(u.tok)
+		aq.toks[u.tok].chains++
 		queued++
 	}
 	out.ship(s)
 }
 
-// shipTimeout runs when a query message's ack timer fires: any units
-// still undelivered are re-resolved to the current successor of their
-// prefix key — under ReplicateAll placement, the first live replica of
-// a crashed owner — and retransmitted, or dropped once retries are
-// exhausted (or the sender itself died).
-func (s *System) shipTimeout(orig *queryMsg) {
+// shipTimeout runs when a query message's ack timer fires, or a naive
+// piece's lookup is lost under Config.Retry: any units still
+// undelivered are re-resolved to the current successor of their prefix
+// key — under ReplicateAll placement, the first live replica of a
+// crashed owner — and retransmitted, or dropped once retries are
+// exhausted (or the sender itself died). suspect charges the silent
+// destination one unit of suspicion; a lost lookup has none.
+func (s *System) shipTimeout(orig *queryMsg, suspect bool) {
 	n, aq := orig.from, orig.aq
 	var (
 		remaining [2]*sqUnit
@@ -758,7 +697,9 @@ func (s *System) shipTimeout(orig *queryMsg) {
 	if nr == 0 {
 		return
 	}
-	s.suspect(orig.dest)
+	if suspect {
+		s.suspect(orig.dest)
+	}
 	if orig.attempt >= s.cfg.Retry.MaxRetries || !n.node.Alive() {
 		for _, u := range remaining[:nr] {
 			u.delivered = true
@@ -943,59 +884,30 @@ func (s *System) answerDone(n *IndexNode, aq *activeQuery, q query.Region, hops 
 	}
 	aq.stats.ResultMsgs++
 	aq.stats.ResultBytes += int64(bytes)
-	if s.cfg.Retry.Enabled() {
-		m.bytes, m.first = bytes, m
-		s.sendResult(m)
-		return
-	}
-	s.send(n.node, aq.srcID, chord.KindResult, bytes, &s.handlers.result, m)
+	m.bytes = bytes
+	s.sendResult(m)
 }
 
 // resultMsg is one result message: an index node's answer to one
 // subquery, sent as one record to recvResult (or lostResult). Under
 // Config.Retry each attempt is a record of its own, acknowledged as
-// itself, and first is attempt 0's, whose delivered flag every attempt
-// shares.
+// itself; the token says whether an earlier attempt already arrived.
 type resultMsg struct {
 	rec
-	from      *IndexNode
-	local     []Result
-	q         query.Region
-	tok       int
-	bytes     int
-	attempt   int
-	timer     *timer
-	first     *resultMsg
-	delivered bool
+	from    *IndexNode
+	local   []Result
+	q       query.Region
+	tok     int
+	bytes   int
+	attempt int
+	timer   *timer
 }
 
-func recvResult(_ *chord.Node, arg any) {
-	m := arg.(*resultMsg)
-	if m.released() {
-		return
-	}
-	s := m.from.sys
-	s.mergeResult(m.aq, m.from.node.ID(), m.local, m.tok)
-	s.letGo(m.aq)
-}
-
-// lostResult drops the answered subquery: the querier itself left (only
-// possible under heavy churn) or the fault plan lost the message.
-func lostResult(arg any) {
-	m := arg.(*resultMsg)
-	if m.released() {
-		return
-	}
-	s := m.from.sys
-	s.dropSubquery(m.aq, m.q, m.tok)
-	s.letGo(m.aq)
-}
-
-// sendResult ships one attempt of a result message to the querier with
-// the ack/timeout/retry state machine (resultTimeout). Unlike subqueries
-// the destination is fixed — a result only makes sense at the querier —
-// so exhausted retries (the querier or the answering node died) surface
-// as a dropped subquery.
+// sendResult ships one attempt of a result message to the querier.
+// Under Config.Retry it arms the ack/timeout/retry state machine
+// (resultTimeout). Unlike subqueries the destination is fixed — a
+// result only makes sense at the querier — so exhausted retries (the
+// querier or the answering node died) surface as a dropped subquery.
 func (s *System) sendResult(m *resultMsg) {
 	aq := m.aq
 	if m.attempt > 0 {
@@ -1004,41 +916,55 @@ func (s *System) sendResult(m *resultMsg) {
 		aq.stats.ResultMsgs++
 		aq.stats.ResultBytes += int64(m.bytes)
 	}
-	m.timer = s.arm(aq, s.retryTimeout(m.attempt), retryResultTimer, nil, m)
-	s.send(m.from.node, aq.srcID, chord.KindResult, m.bytes, &s.handlers.reliableResult, m)
+	if s.cfg.Retry.Enabled() {
+		m.timer = s.arm(aq, s.retryTimeout(m.attempt), retryResultTimer, nil, m)
+	}
+	s.send(m.from.node, aq.srcID, chord.KindResult, m.bytes, &s.handlers.result, m)
 }
 
-// recvReliableResult acknowledges a result attempt (duplicates from a
-// premature timeout too) and merges the first attempt to arrive.
-func recvReliableResult(dst *chord.Node, arg any) {
+// recvResult merges the first attempt of a result to arrive. Under
+// Config.Retry it acknowledges every attempt first (duplicates from a
+// premature timeout too).
+func recvResult(dst *chord.Node, arg any) {
 	m := arg.(*resultMsg)
 	if m.released() {
 		return
 	}
-	s := m.from.sys
-	s.send(dst, m.from.node.ID(), chord.KindAck, retryAckBytes, &s.handlers.resultAck, m)
-	if !m.first.delivered {
-		m.first.delivered = true
+	s, aq := m.from.sys, m.aq
+	if s.cfg.Retry.Enabled() {
+		s.send(dst, m.from.node.ID(), chord.KindAck, retryAckBytes, &s.handlers.ack, m)
+	}
+	if !aq.stale(m.tok) {
 		if m.attempt > 0 {
 			s.RecoveredSubqueries++
 		}
-		s.mergeResult(m.aq, m.from.node.ID(), m.local, m.tok)
+		s.mergeResult(aq, m.from.node.ID(), m.local, m.tok)
 	}
-	s.letGo(m.aq)
+	s.letGo(aq)
 }
 
-// recvResultAck stops the acknowledged attempt's retry timer.
-func recvResultAck(_ *chord.Node, arg any) {
+// lostResult is a result message's loss. Fire-and-forget, the answered
+// subquery is dropped: the querier itself left (only possible under
+// heavy churn) or the fault plan lost the message. Under Config.Retry
+// the retry timer covers it.
+func lostResult(arg any) {
 	m := arg.(*resultMsg)
 	if m.released() {
 		return
 	}
 	s := m.from.sys
-	if m.timer != nil {
-		s.stop(m.timer)
-		m.timer = nil
+	if !s.cfg.Retry.Enabled() {
+		s.dropSubquery(m.aq, m.q, m.tok)
 	}
 	s.letGo(m.aq)
+}
+
+// acked stops the acknowledged attempt's retry timer.
+func (m *resultMsg) acked() {
+	if m.timer != nil {
+		m.from.sys.stop(m.timer)
+		m.timer = nil
+	}
 }
 
 // resultTimeout runs when a result attempt's ack timer fires: unless an
@@ -1047,16 +973,13 @@ func recvResultAck(_ *chord.Node, arg any) {
 func (s *System) resultTimeout(m *resultMsg) {
 	aq := m.aq
 	switch {
-	case m.first.delivered:
 	case aq.stale(m.tok):
-		m.first.delivered = true // settled elsewhere: stop retrying
 	case m.attempt >= s.cfg.Retry.MaxRetries || !m.from.node.Alive():
-		m.first.delivered = true
 		s.dropSubquery(aq, m.q, m.tok)
 	default:
 		next := aq.newResultMsg()
 		next.from, next.local, next.q, next.tok = m.from, m.local, m.q, m.tok
-		next.bytes, next.attempt, next.first = m.bytes, m.attempt+1, m.first
+		next.bytes, next.attempt = m.bytes, m.attempt+1
 		s.sendResult(next)
 	}
 }
@@ -1098,8 +1021,10 @@ func (s *System) dropSubquery(aq *activeQuery, reg query.Region, tok int) {
 	if aq.finished {
 		return
 	}
-	if aq.tracking() && !aq.lastChain(tok) {
-		return // another delivery chain (a hedge) may still answer
+	if t := &aq.toks[tok]; t.live {
+		if t.chains--; t.chains > 0 {
+			return // another delivery chain (a hedge) may still answer
+		}
 	}
 	if !aq.settle(tok) {
 		return // a hedged duplicate already answered this region
@@ -1208,20 +1133,22 @@ func (s *System) NaiveRangeQuery(indexName string, srcID chord.ID, payload any, 
 		s.letGo(aq)
 		return nil
 	}
-	dl := s.trackRegions(aq, opts)
-	toks := make([]int, len(pieces))
-	for i, sq := range pieces {
-		toks[i] = aq.newToken(sq)
+	aq.naive = true
+	// Every piece holds its token before any lookup starts, since a
+	// lookup can end inside FindSuccessor; the query's first tokens are
+	// numbered from 0, so piece i holds token i.
+	for _, sq := range pieces {
+		aq.newToken(sq)
 	}
-	s.armDeadline(aq, dl)
+	s.armDeadline(aq, opts)
 	bytes := wire.QuerySize(1, ix.Part.K())
-	for i, sq := range pieces {
+	for tok, sq := range pieces {
 		m := aq.newQueryMsg(src, destKey{}, 0)
-		m.add(sq, toks[i])
+		m.add(sq, tok)
 		// One full Chord lookup per piece, then one direct query
 		// message to the owner. The lookup carries the piece's message
-		// and holds the query; the message takes its hold over, and a
-		// lookup lost on the way drops the piece (lostQuery).
+		// and holds the query until it ends, in foundNaive or
+		// lostNaiveLookup.
 		aq.holds++
 		src.node.FindSuccessor(ix.Part.Ring(sq.PreKey), bytes, &s.handlers.naiveLookup, m)
 	}
@@ -1229,32 +1156,35 @@ func (s *System) NaiveRangeQuery(indexName string, srcID chord.ID, payload any, 
 	return nil
 }
 
-// foundNaive sends a naive query message to the owner its lookup
-// found, charging the query for the lookup's hops as query messages.
+// foundNaive ships a naive query message to the owner its lookup found
+// as any query message is shipped, charging the query for the lookup's
+// hops as query messages.
 func foundNaive(owner chord.ID, hops int, arg any) {
 	m := arg.(*queryMsg)
 	if m.released() {
 		return
 	}
 	s, aq := m.from.sys, m.aq
-	bytes := wire.QuerySize(1, aq.ix.Part.K())
-	aq.stats.QueryMsgs += hops + 1
-	aq.stats.QueryBytes += int64(bytes * (hops + 1))
+	aq.stats.QueryMsgs += hops
+	aq.stats.QueryBytes += int64(wire.QuerySize(1, aq.ix.Part.K()) * hops)
 	m.dest, m.hops = owner, hops
-	s.net.SendRecord(m.from.node, owner, chord.KindQuery, bytes, &s.handlers.naive, m)
+	s.ship(m)
+	s.letGo(aq)
 }
 
-// recvNaive delivers a naive query message: its one unit is answered
-// from the owner's store, once however many copies arrive.
-func recvNaive(dst *chord.Node, arg any) {
+// lostNaiveLookup is the loss of a naive piece's lookup. Fire-and-forget,
+// the piece is dropped; under Config.Retry it is retransmitted to its
+// owner at once, as a timed-out query message would be.
+func lostNaiveLookup(arg any) {
 	m := arg.(*queryMsg)
 	if m.released() {
 		return
 	}
 	s := m.from.sys
-	if u := &m.own[0]; !u.delivered {
-		u.delivered = true
-		s.answerLocal(s.nodes[dst.ID()], m.aq, u.reg, m.hops+1, u.tok)
+	if s.cfg.Retry.Enabled() {
+		s.shipTimeout(m, false)
+	} else {
+		m.dropUndelivered()
 	}
 	s.letGo(m.aq)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -22,9 +23,15 @@ type Config struct {
 	// transit (widened, so exactness of result sets is preserved) and
 	// result distances are quantized against Index.MaxDist.
 	EncodeWire bool
-	// Retry configures reliable subquery/result delivery. The zero
-	// value disables it, preserving the paper's fire-and-forget
-	// behavior (lost subqueries surface as recall loss).
+	// Retry configures reliable delivery of every query message (of
+	// both routers: RangeQuery and NaiveRangeQuery), result message and
+	// published entry, over the same handler tables as fire-and-forget.
+	// The zero value disables it, preserving the paper's fire-and-forget
+	// behavior: lost subqueries surface as recall loss, and a lost entry
+	// or publish lookup is placed at its key's current owner. With it a
+	// naive piece whose lookup is lost is retransmitted to its owner, and
+	// a publish whose every attempt is lost ends in ErrNotPlaced once its
+	// retries are spent.
 	Retry RetryConfig
 	// Deadline, when positive, bounds every query's total time
 	// (QueryOpts.Deadline overrides it per query). On expiry the query
@@ -48,11 +55,13 @@ type Config struct {
 	Store StoreFactory
 }
 
-// RetryConfig tunes the reliable-delivery layer: every subquery and
-// result message is acknowledged by its receiver; a sender that sees
+// RetryConfig tunes the reliable-delivery layer: every query, result
+// and entry message is acknowledged by its receiver; a sender that sees
 // no ack within the timeout re-resolves the destination (failing over
 // to the region's current successor — under ReplicateAll placement,
-// the first live replica) and retransmits with exponential backoff.
+// the first live replica) and retransmits with exponential backoff. A
+// lost lookup (a naive piece's, a publish's) goes straight to its next
+// attempt.
 type RetryConfig struct {
 	// MaxRetries bounds retransmissions per message; 0 disables the
 	// reliability layer entirely.
@@ -425,9 +434,11 @@ func (s *System) BulkLoad(indexName string, entries []Entry) error {
 
 // Publish inserts one entry through the overlay: a Chord lookup from
 // the source node resolves the responsible node, then the entry
-// travels there. done (optional) receives the owner and lookup hop
-// count.
-func (s *System) Publish(indexName string, srcID chord.ID, e Entry, done func(owner chord.ID, hops int)) error {
+// travels there. done (optional) hears of every publish's end once:
+// the owner that stored the entry and the hop count, or, under
+// Config.Retry when every attempt is lost or the source dies,
+// ErrNotPlaced.
+func (s *System) Publish(indexName string, srcID chord.ID, e Entry, done func(owner chord.ID, hops int, err error)) error {
 	ix, err := s.lookupIndex(indexName)
 	if err != nil {
 		return err
@@ -440,122 +451,150 @@ func (s *System) Publish(indexName string, srcID chord.ID, e Entry, done func(ow
 		return fmt.Errorf("core: entry has %d coordinates, want %d", len(e.Point), ix.Part.K())
 	}
 	key := ix.Part.Ring(ix.Part.Hash(e.Point))
-	p := &publish{src: src, index: indexName, key: key, e: e, done: done}
-	src.node.FindSuccessor(key, publishLookupBytes, &s.handlers.publishLookup, p)
+	t := &publishTry{p: &publish{src: src, index: indexName, key: key, e: e, done: done}}
+	src.node.FindSuccessor(key, publishLookupBytes, &s.handlers.publishLookup, t)
 	return nil
 }
+
+// ErrNotPlaced is a publish's end when its entry reached no owner.
+var ErrNotPlaced = errors.New("core: entry not placed")
 
 // publishLookupBytes is the size of a publish's lookup message.
 const publishLookupBytes = 40
 
-// publish is one entry on its way to its owner: the record of its
-// lookup and, without Config.Retry, of its one entry message. delivered
-// is what every attempt of a reliable publish shares.
+// publish is one entry on its way to its owner. ended is set when done
+// has heard of it, placed or not.
 type publish struct {
-	src       *IndexNode
-	index     string
-	key       lph.Key
-	e         Entry
-	hops      int // the lookup's
-	done      func(owner chord.ID, hops int)
-	delivered bool
+	src   *IndexNode
+	index string
+	key   lph.Key
+	e     Entry
+	hops  int // the lookup's
+	done  func(owner chord.ID, hops int, err error)
+	ended bool
 }
 
-// publishTry is one attempt of a reliable publish: the record of the
-// entry message and of its acknowledgement.
+// publishTry is one attempt of a publish: the record of its entry
+// message, of that message's acknowledgement (Config.Retry) and of its
+// retry timer, and, for attempt 0, of the lookup before them.
 type publishTry struct {
 	p       *publish
 	attempt int
-	timer   runtime.Timer
 }
 
 // foundOwner sends a publish's entry to the owner its lookup found.
-// A lost lookup goes unreported: the entry is never placed.
 func foundOwner(owner chord.ID, hops int, arg any) {
-	p := arg.(*publish)
-	s := p.src.sys
-	p.hops = hops
-	if s.cfg.Retry.Enabled() {
-		s.publishReliably(p, owner, 0)
+	t := arg.(*publishTry)
+	t.p.hops = hops
+	t.p.src.sys.sendPublish(t, owner)
+}
+
+// lostPublishLookup is the loss of a publish's lookup, which takes the
+// path of a lost entry message: lostPublish fire-and-forget, and under
+// Config.Retry the next attempt at once.
+func lostPublishLookup(arg any) {
+	t := arg.(*publishTry)
+	if s := t.p.src.sys; s.cfg.Retry.Enabled() {
+		s.publishTimeout(t)
 		return
 	}
-	s.net.SendRecord(p.src.node, owner, chord.KindLookup, TransferEntryBytes, &s.handlers.publish, p)
+	lostPublish(t)
 }
 
-func recvPublish(dst *chord.Node, arg any) {
-	p := arg.(*publish)
-	p.src.sys.storePublished(dst.ID(), p)
-}
-
-// lostPublish re-resolves the owner of an entry whose owner vanished
-// through the oracle, so the entry is not lost (models retry).
-func lostPublish(arg any) {
-	p := arg.(*publish)
-	s := p.src.sys
-	cur, err := s.net.SuccessorNode(p.key)
-	if err != nil {
-		return
-	}
-	s.storePublished(cur.ID(), p)
-}
-
-// storePublished lands a published entry on its owner's store and
-// reports the owner and hop count to done (optional).
-func (s *System) storePublished(owner chord.ID, p *publish) {
-	s.noteStoreErr(s.nodes[owner].st.Put(p.index, p.key, p.e))
-	if p.done != nil {
-		p.done(owner, p.hops+1)
-	}
-}
-
-// publishReliably sends one attempt of a published entry under the
-// ack/timeout/retry state machine: the receiver acknowledges storing
-// the entry; a sender seeing no ack within the timeout re-resolves the
-// key's current owner and retransmits with exponential backoff, up to
-// MaxRetries.
-func (s *System) publishReliably(p *publish, dest chord.ID, attempt int) {
-	if attempt > 0 {
+// sendPublish sends one attempt of a published entry. Under
+// Config.Retry the receiver acknowledges it, and a sender seeing no ack
+// within the timeout re-resolves the key's current owner and
+// retransmits with exponential backoff, up to MaxRetries.
+func (s *System) sendPublish(t *publishTry, dest chord.ID) {
+	if t.attempt > 0 {
 		s.RetriesIssued++
 	}
-	t := &publishTry{p: p, attempt: attempt}
-	t.timer = s.rt.AfterFunc(s.retryTimeout(attempt), func() { s.publishTimeout(t) })
-	s.net.SendRecord(p.src.node, dest, chord.KindLookup, TransferEntryBytes, &s.handlers.reliablePublish, t)
+	if s.cfg.Retry.Enabled() {
+		s.rt.ScheduleArg(s.retryTimeout(t.attempt), runPublishTimer, t)
+	}
+	s.net.SendRecord(t.p.src.node, dest, chord.KindLookup, TransferEntryBytes, &s.handlers.publish, t)
 }
 
-// publishTimeout runs when an attempt's ack timer fires: unless an
-// attempt arrived or the sender died, the entry is sent again to the
-// key's current owner, or given up once retries are exhausted.
-func (s *System) publishTimeout(t *publishTry) {
-	p := t.p
-	if p.delivered || !p.src.node.Alive() || t.attempt >= s.cfg.Retry.MaxRetries {
-		return
-	}
-	cur, err := s.net.SuccessorID(p.key)
-	if err != nil {
-		return
-	}
-	s.publishReliably(p, cur, t.attempt+1)
-}
-
-// recvReliablePublish acknowledges an attempt (duplicates from a
-// premature timeout too) and stores the first attempt to arrive.
-func recvReliablePublish(dst *chord.Node, arg any) {
+// recvPublish stores the first attempt to arrive. Under Config.Retry it
+// acknowledges every attempt (duplicates from a premature timeout too).
+func recvPublish(dst *chord.Node, arg any) {
 	t := arg.(*publishTry)
 	p := t.p
 	s := p.src.sys
-	s.net.SendRecord(dst, p.src.node.ID(), chord.KindAck, retryAckBytes, &s.handlers.publishAck, t)
-	if p.delivered {
+	if s.cfg.Retry.Enabled() {
+		s.net.SendRecord(dst, p.src.node.ID(), chord.KindAck, retryAckBytes, &s.handlers.publishAck, t)
+	}
+	if p.ended {
 		return
 	}
-	p.delivered = true
 	if t.attempt > 0 {
 		s.RecoveredSubqueries++
 	}
 	s.storePublished(dst.ID(), p)
 }
 
-// recvPublishAck stops the acknowledged attempt's timer.
-func recvPublishAck(_ *chord.Node, arg any) { arg.(*publishTry).timer.Stop() }
+// lostPublish is an entry message's loss. Fire-and-forget, it
+// re-resolves the owner of the entry through the oracle, so the entry
+// is not lost (models retry); under Config.Retry the attempt's timer
+// covers it.
+func lostPublish(arg any) {
+	p := arg.(*publishTry).p
+	s := p.src.sys
+	if s.cfg.Retry.Enabled() {
+		return
+	}
+	cur, err := s.net.SuccessorNode(p.key)
+	if err != nil {
+		s.endPublish(p, 0, err)
+		return
+	}
+	s.storePublished(cur.ID(), p)
+}
+
+// recvPublishAck needs to do nothing: the attempt it answers found the
+// entry stored, so the attempt's timer finds the publish ended.
+func recvPublishAck(*chord.Node, any) {}
+
+// runPublishTimer is a publish attempt's retry timer.
+func runPublishTimer(arg any) {
+	t := arg.(*publishTry)
+	t.p.src.sys.publishTimeout(t)
+}
+
+// publishTimeout runs when an attempt went unacknowledged, or the
+// lookup was lost: unless an attempt arrived, the entry is sent again
+// to the key's current owner, or, once retries are exhausted or the
+// sender died, the publish ends unplaced.
+func (s *System) publishTimeout(t *publishTry) {
+	p := t.p
+	switch {
+	case p.ended:
+	case t.attempt >= s.cfg.Retry.MaxRetries || !p.src.node.Alive():
+		s.endPublish(p, 0, ErrNotPlaced)
+	default:
+		cur, err := s.net.SuccessorID(p.key)
+		if err != nil {
+			s.endPublish(p, 0, err)
+			return
+		}
+		s.sendPublish(&publishTry{p: p, attempt: t.attempt + 1}, cur)
+	}
+}
+
+// storePublished lands a published entry on its owner's store and ends
+// the publish.
+func (s *System) storePublished(owner chord.ID, p *publish) {
+	s.noteStoreErr(s.nodes[owner].st.Put(p.index, p.key, p.e))
+	s.endPublish(p, owner, nil)
+}
+
+// endPublish reports a publish's end to done (optional), once.
+func (s *System) endPublish(p *publish, owner chord.ID, err error) {
+	p.ended = true
+	if p.done != nil {
+		p.done(owner, p.hops+1, err)
+	}
+}
 
 // Store returns the node's storage backend.
 func (in *IndexNode) Store() Store { return in.st }

@@ -1,6 +1,7 @@
 package landmarkdht
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -225,7 +226,10 @@ func TestInsertThenSearch(t *testing.T) {
 // platform's bound of simulated time and leaves the index as it was —
 // the id it would have had goes to the next insert that lands.
 func TestInsertRollsBackWhenNeverPlaced(t *testing.T) {
-	p, err := New(Options{Nodes: 48, Seed: 1, Faults: &FaultOptions{Drop: 1}})
+	// Without Retry the overlay places a lost entry at its current owner
+	// (lostPublish); with it, an entry whose every attempt is lost is
+	// given up.
+	p, err := New(Options{Nodes: 48, Seed: 1, Faults: &FaultOptions{Drop: 1}, Retry: RetryConfig{MaxRetries: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,6 +244,77 @@ func TestInsertRollsBackWhenNeverPlaced(t *testing.T) {
 	}
 	if ix.Len() != 100 {
 		t.Fatalf("the failed insert left %d objects, want 100", ix.Len())
+	}
+}
+
+// TestInsertLostLookup runs 40 inserts at 20 % loss, where many a
+// publish loses its lookup or its entry message, without and with
+// Retry. No insert may wait out opTimeout: one that fails returns
+// within its retry budget of simulated time, and one that succeeds is
+// found by a later Complete search.
+func TestInsertLostLookup(t *testing.T) {
+	for _, retry := range []RetryConfig{{}, {MaxRetries: 2}} {
+		t.Run(fmt.Sprintf("retries=%d", retry.MaxRetries), func(t *testing.T) {
+			p, err := New(Options{Nodes: 48, Seed: 1, Faults: &FaultOptions{Drop: 0.2}, Retry: retry})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			ix, err := AddIndex(p, EuclideanSpace("vecs", 8, -100, 200), testData(100, 8, 2), DenseMean,
+				IndexOptions{Landmarks: 4, SampleSize: 100})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Every attempt's timeout, the lookup's hops and Await's
+			// whole-second steps.
+			budget := 2 * time.Second
+			for a, d := 0, time.Second; a <= retry.MaxRetries; a, d = a+1, 2*d {
+				budget += d
+			}
+			var placed []int
+			failed := 0
+			for i, v := range testData(40, 8, 3) {
+				start := p.rt.Now()
+				id, err := ix.Insert(v)
+				took := p.rt.Now() - start
+				if took >= opTimeout {
+					t.Fatalf("insert %d waited out the %v timeout", i, opTimeout)
+				}
+				if err != nil {
+					failed++
+					if took > budget {
+						t.Errorf("insert %d failed after %v, budget %v", i, took, budget)
+					}
+					continue
+				}
+				placed = append(placed, id)
+			}
+			t.Logf("%d of 40 inserts placed", len(placed))
+			if retry.MaxRetries > 0 && failed == 0 {
+				t.Error("no insert failed: the loss never exhausted a retry budget")
+			}
+			for _, id := range placed {
+				found := false
+				for try := 0; try < 100 && !found; try++ {
+					matches, st, err := ix.RangeSearch(ix.Object(id), 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !st.Complete {
+						continue
+					}
+					for _, m := range matches {
+						found = found || m.ID == id
+					}
+					if !found {
+						t.Fatalf("inserted object %d missing from a Complete search", id)
+					}
+				}
+				if !found {
+					t.Fatalf("no Complete search for object %d in 100 tries", id)
+				}
+			}
+		})
 	}
 }
 

@@ -32,9 +32,11 @@ type Options struct {
 	// and KillConn need a transport, which an in-process platform does
 	// not have: New rejects them — set them on NodeOptions.Faults.
 	Faults *FaultOptions
-	// Retry configures reliable subquery/result delivery (ack, timeout,
-	// bounded retransmission with successor failover). The zero value
-	// keeps the paper's fire-and-forget behavior.
+	// Retry configures reliable delivery of query, result and entry
+	// messages (ack, timeout, bounded retransmission with successor
+	// failover), for both routers and for Insert, which then fails once
+	// every attempt is lost. The zero value keeps the paper's
+	// fire-and-forget behavior.
 	Retry RetryConfig
 	// Deadline, when positive, bounds every query's total time: on
 	// expiry the query finishes immediately with whatever results have
