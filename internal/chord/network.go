@@ -226,11 +226,7 @@ func (n *Network) SuccessorID(key ID) (ID, error) {
 	if len(n.ring) == 0 {
 		return 0, fmt.Errorf("chord: empty ring")
 	}
-	i := sort.Search(len(n.ring), func(i int) bool { return n.ring[i] >= key })
-	if i == len(n.ring) {
-		i = 0
-	}
-	return n.ring[i], nil
+	return n.ring[n.SuccessorIndex(key)], nil
 }
 
 // SuccessorNode returns the oracle successor node of key.
@@ -242,8 +238,9 @@ func (n *Network) SuccessorNode(key ID) (*Node, error) {
 	return n.nodes[id], nil
 }
 
-// successorIndex returns the ring index of the successor of key.
-func (n *Network) successorIndex(key ID) int {
+// SuccessorIndex returns the ring index of the oracle successor of
+// key, the position At gives it. The ring must not be empty.
+func (n *Network) SuccessorIndex(key ID) int {
 	i := sort.Search(len(n.ring), func(i int) bool { return n.ring[i] >= key })
 	if i == len(n.ring) {
 		i = 0
@@ -407,7 +404,7 @@ func (n *Network) FixAround(pos ID) {
 		return
 	}
 	ln := len(n.ring)
-	idx := n.successorIndex(pos)
+	idx := n.SuccessorIndex(pos)
 	span := Successors + 2
 	if span > ln {
 		span = ln
@@ -470,7 +467,7 @@ const pnsSample = 16
 // the successor of start; with PNS the lowest-latency node among the
 // first pnsSample ring-order candidates inside the interval.
 func (n *Network) pickFinger(node *Node, start, end ID) ID {
-	idx := n.successorIndex(start)
+	idx := n.SuccessorIndex(start)
 	first := n.ring[idx]
 	if !n.cfg.PNS {
 		return first

@@ -298,6 +298,67 @@ func TestBulkLoadOwnership(t *testing.T) {
 	}
 }
 
+// BulkLoad gives each owner its entries in one batch; every node must
+// hold what one Put per entry, in the order given, stores — keys and
+// entries, in storage order — including a second load behind the first
+// whose points repeat the first's keys. An entry of the wrong
+// dimensionality fails the load with nothing of it stored.
+func TestBulkLoadMatchesPutPerEntry(t *testing.T) {
+	f := buildFixture(t, 32, 1000, 3, true)
+	more := make([]Entry, 300)
+	for i := range more {
+		more[i] = Entry{Obj: ObjectID(len(f.data) + i), Point: f.emb.Map(f.data[i*7%len(f.data)])}
+	}
+	if err := f.sys.BulkLoad("test-l2", more); err != nil {
+		t.Fatal(err)
+	}
+	part := f.sys.index["test-l2"].Part
+	want := map[chord.ID]*MemStore{}
+	put := func(e Entry) {
+		key := part.Ring(part.Hash(e.Point))
+		owner, err := f.sys.net.SuccessorNode(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[owner.ID()] == nil {
+			want[owner.ID()] = NewMemStore()
+		}
+		if err := want[owner.ID()].Put("test-l2", key, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, v := range f.data {
+		put(Entry{Obj: ObjectID(i), Point: f.emb.Map(v)})
+	}
+	for _, e := range more {
+		put(e)
+	}
+	for _, in := range f.sys.Nodes() {
+		keys, entries := in.st.RegionSnapshot("test-l2")
+		var wantKeys []lph.Key
+		var wantEntries []Entry
+		if st := want[in.ID()]; st != nil {
+			wantKeys, wantEntries = st.RegionSnapshot("test-l2")
+		}
+		if !slices.Equal(keys, wantKeys) || len(entries) != len(wantEntries) {
+			t.Fatalf("node %#x holds %d keys, one Put per entry stores %d", in.ID(), len(keys), len(wantKeys))
+		}
+		for i, e := range entries {
+			if e.Obj != wantEntries[i].Obj || !slices.Equal(e.Point, wantEntries[i].Point) {
+				t.Fatalf("node %#x row %d holds %v, one Put per entry stores %v", in.ID(), i, e, wantEntries[i])
+			}
+		}
+	}
+	before := f.sys.TotalEntries()
+	bad := []Entry{{Obj: 1, Point: more[0].Point}, {Obj: 2, Point: []float64{1}}}
+	if err := f.sys.BulkLoad("test-l2", bad); err == nil {
+		t.Fatal("a load with a point of the wrong dimensionality succeeded")
+	}
+	if got := f.sys.TotalEntries(); got != before {
+		t.Fatalf("a refused load stored %d entries", got-before)
+	}
+}
+
 func TestPublishMatchesBulkLoad(t *testing.T) {
 	f := buildFixture(t, 16, 100, 2, false)
 	v := metric.Vector{50, 50}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -410,22 +411,52 @@ func (s *System) BulkLoadRows(indexName string, rows [][]float64) error {
 
 // BulkLoad places entries directly on their responsible nodes through
 // the successor oracle — the fast path used to populate large
-// experiments. It is equivalent to every publish having completed.
+// experiments. It is equivalent to every publish having completed: each
+// owner stores its entries in the order they are given, in one PutBatch.
+// An entry of the wrong dimensionality fails the load before anything
+// is stored.
 func (s *System) BulkLoad(indexName string, entries []Entry) error {
 	ix, err := s.lookupIndex(indexName)
 	if err != nil {
 		return err
 	}
-	for _, e := range entries {
+	if len(entries) == 0 {
+		return nil
+	}
+	keys := make([]lph.Key, len(entries))
+	for i, e := range entries {
 		if len(e.Point) != ix.Part.K() {
 			return fmt.Errorf("core: entry for %q has %d coordinates, want %d", indexName, len(e.Point), ix.Part.K())
 		}
-		key := ix.Part.Ring(ix.Part.Hash(e.Point))
-		owner, err := s.net.SuccessorNode(key)
-		if err != nil {
-			return err
+		keys[i] = ix.Part.Ring(ix.Part.Hash(e.Point))
+	}
+	n := s.net.Size()
+	if n == 0 {
+		return fmt.Errorf("core: bulk load of %q into an empty ring", indexName)
+	}
+	// A stable counting sort by owner: the entries of the owner at ring
+	// index i are batch[at[i]:at[i+1]], in the order they were given.
+	owner := make([]int32, len(entries))
+	at := make([]int, n+1)
+	for i, key := range keys {
+		o := s.net.SuccessorIndex(key)
+		owner[i] = int32(o)
+		at[o+1]++
+	}
+	for i := 1; i <= n; i++ {
+		at[i] += at[i-1]
+	}
+	next := slices.Clone(at[:n])
+	batchKeys, batch := make([]lph.Key, len(entries)), make([]Entry, len(entries))
+	for i, o := range owner {
+		batchKeys[next[o]], batch[next[o]] = keys[i], entries[i]
+		next[o]++
+	}
+	for i := range n {
+		if at[i] == at[i+1] {
+			continue
 		}
-		if err := s.nodes[owner.ID()].st.Put(indexName, key, e); err != nil {
+		if err := s.nodes[s.net.At(i)].st.PutBatch(indexName, batchKeys[at[i]:at[i+1]], batch[at[i]:at[i+1]]); err != nil {
 			return err
 		}
 	}

@@ -14,6 +14,7 @@ package lph
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 )
 
 // M is the number of bits in key and node identifiers (the paper's
@@ -55,6 +56,21 @@ type Partitioner struct {
 	k      int
 	bounds []Bounds
 	phi    Key
+	// wide is set when some bound lies beyond ±MaxFloat64/2, where a
+	// midpoint's sum can overflow to ±Inf and the narrowed interval
+	// leave the boundary: Hash then runs Algorithm 2's per-step clamp.
+	wide bool
+}
+
+// wide reports whether a boundary needs Algorithm 2's per-step clamp
+// (Partitioner.wide).
+func wide(bounds []Bounds) bool {
+	for _, b := range bounds {
+		if !(math.Abs(b.Lo) <= math.MaxFloat64/2 && math.Abs(b.Hi) <= math.MaxFloat64/2) {
+			return true
+		}
+	}
+	return false
 }
 
 // New creates a Partitioner for a k-dimensional index space where
@@ -71,7 +87,7 @@ func New(k int, lo, hi float64) (*Partitioner, error) {
 	for i := range b {
 		b[i] = Bounds{lo, hi}
 	}
-	return &Partitioner{k: k, bounds: b}, nil
+	return &Partitioner{k: k, bounds: b, wide: wide(b)}, nil
 }
 
 // NewWithBounds creates a Partitioner with per-dimension boundaries
@@ -88,7 +104,7 @@ func NewWithBounds(bounds []Bounds) (*Partitioner, error) {
 	}
 	cp := make([]Bounds, len(bounds))
 	copy(cp, bounds)
-	return &Partitioner{k: len(bounds), bounds: cp}, nil
+	return &Partitioner{k: len(bounds), bounds: cp, wide: wide(cp)}, nil
 }
 
 // WithRotation returns a copy of p whose keys are rotated by φ on the
@@ -117,30 +133,93 @@ func (p *Partitioner) Phi() Key { return p.phi }
 // Coordinates outside the boundary are clamped (the paper maps such
 // objects to the boundary points). The point must have exactly k
 // coordinates.
+//
+// The bisection is Algorithm 2's, step for step and bit for bit
+// (TestHashMatchesAlgorithm2 holds it to the literal loop), written so
+// that no step branches on the data or divides:
+//   - Each coordinate is clamped once, to its dimension's boundary.
+//     Within ±MaxFloat64/2 a midpoint lies inside its interval, and a
+//     clamped x stays inside the narrowed one — lo moves up to mid only
+//     when x > mid, hi down to mid only when it is not — so the literal
+//     per-step Clamp to the current interval is the identity after the
+//     first step. NaN passes Clamp and fails every x > mid: its
+//     dimension's bits are all 0, as in the literal loop.
+//   - The divisions run in rounds over the dimensions, not as one loop
+//     that takes (i-1) mod k at every step.
+//   - The bit is the comparison x > mid, which compiles to a flag set,
+//     and the new bound is chosen by masking the bounds' bit patterns
+//     with it.
+//
+// A boundary beyond ±MaxFloat64/2 (wide) runs the literal loop.
 func (p *Partitioner) Hash(point []float64) Key {
 	if len(point) != p.k {
 		panic(fmt.Sprintf("lph: point has %d coordinates, want %d", len(point), p.k))
 	}
-	// Per-dimension current range, narrowed as we descend.
-	var local [16]Bounds
-	var r []Bounds
+	if p.wide {
+		return p.hashWide(point)
+	}
+	// Per-dimension current range, narrowed as we descend, and the
+	// clamped coordinate it is tested against.
+	type bisection struct {
+		lo, hi uint64 // math.Float64bits of the bounds
+		x      float64
+	}
+	var local [16]bisection
+	var r []bisection
 	if p.k <= len(local) {
 		r = local[:p.k]
 	} else {
-		r = make([]Bounds, p.k)
+		r = make([]bisection, p.k)
 	}
-	copy(r, p.bounds)
+	for j, b := range p.bounds {
+		r[j] = bisection{math.Float64bits(b.Lo), math.Float64bits(b.Hi), b.Clamp(point[j])}
+	}
 	var key Key
-	for i := 1; i <= M; i++ {
-		j := (i - 1) % p.k
+	// Rounds of one division per dimension; the last round is cut
+	// short where the 64 bits run out.
+	for left := M; left > 0; left -= len(r) {
+		r = r[:min(left, len(r))]
+		for j := range r {
+			d := &r[j]
+			mid := (math.Float64frombits(d.lo) + math.Float64frombits(d.hi)) / 2
+			bit := above(d.x, mid)
+			key = key<<1 | bit
+			up := -bit // all ones when lo moves up to mid, zero when hi moves down
+			m := math.Float64bits(mid)
+			d.lo ^= (d.lo ^ m) & up
+			d.hi ^= (d.hi ^ m) &^ up
+		}
+	}
+	return key
+}
+
+// above is 1 when x > mid and 0 otherwise, NaN included: the compiler
+// turns it into one comparison and a flag set, not a branch.
+func above(x, mid float64) Key {
+	if x > mid {
+		return 1
+	}
+	return 0
+}
+
+// hashWide is Algorithm 2 with its Clamp at every step, for a wide
+// boundary: there a midpoint can overflow to ±Inf, the interval leave
+// the boundary, and the point clamped against it differ from the point
+// clamped once.
+func (p *Partitioner) hashWide(point []float64) Key {
+	r := append([]Bounds(nil), p.bounds...)
+	var key Key
+	for i, j := 0, 0; i < M; i++ {
 		mid := r[j].Mid()
-		x := r[j].Clamp(point[j])
-		if x > mid {
+		if r[j].Clamp(point[j]) > mid {
 			r[j].Lo = mid
 			key = key<<1 | 1
 		} else {
 			r[j].Hi = mid
 			key <<= 1
+		}
+		if j++; j == len(r) {
+			j = 0
 		}
 	}
 	return key
@@ -172,12 +251,15 @@ func (p *Partitioner) CuboidTo(dst []Bounds, prekey Key, prelen int) []Bounds {
 		panic(fmt.Sprintf("lph: prefix length %d out of [0,64]", prelen))
 	}
 	r := append(dst[:0], p.bounds...)
-	for i := 1; i <= prelen; i++ {
-		b := &r[(i-1)%p.k]
+	for i, j := 1, 0; i <= prelen; i++ {
+		b := &r[j]
 		if GetBit(prekey, i) == 1 {
 			b.Lo = b.Mid()
 		} else {
 			b.Hi = b.Mid()
+		}
+		if j++; j == len(r) {
+			j = 0
 		}
 	}
 	return r
@@ -194,7 +276,7 @@ func (pt *Partitioner) SplitMid(prekey Key, p int) float64 {
 	r := pt.bounds[j]
 	// Walk earlier divisions of the same dimension: positions
 	// i ≡ p (mod k), i < p.
-	for i := ((p - 1) % pt.k) + 1; i < p; i += pt.k {
+	for i := j + 1; i < p; i += pt.k {
 		if GetBit(prekey, i) == 1 {
 			r.Lo = r.Mid()
 		} else {

@@ -1,6 +1,9 @@
 package lph
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -394,15 +397,231 @@ func TestAllBoundsIsCopy(t *testing.T) {
 	}
 }
 
-func BenchmarkHashDim10(b *testing.B) {
-	p, _ := New(10, 0, 1000)
-	pt := make([]float64, 10)
-	rng := rand.New(rand.NewSource(1))
-	for i := range pt {
-		pt[i] = rng.Float64() * 1000
+// hashAlgorithm2 is Algorithm 2 as the paper writes it, the loop Hash
+// replaced, kept as it was: at division i the dimension is (i-1) mod k,
+// the coordinate is clamped to the current interval, and a branch picks
+// the half.
+func hashAlgorithm2(p *Partitioner, point []float64) Key {
+	var local [16]Bounds
+	var r []Bounds
+	if p.k <= len(local) {
+		r = local[:p.k]
+	} else {
+		r = make([]Bounds, p.k)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.Hash(pt)
+	copy(r, p.bounds)
+	var key Key
+	for i := 1; i <= M; i++ {
+		j := (i - 1) % p.k
+		mid := r[j].Mid()
+		x := r[j].Clamp(point[j])
+		if x > mid {
+			r[j].Lo = mid
+			key = key<<1 | 1
+		} else {
+			r[j].Hi = mid
+			key <<= 1
+		}
+	}
+	return key
+}
+
+// cuboidAlgorithm2 is the prefix walk CuboidTo replaced, with the
+// dimension taken as (i-1) mod k at every division.
+func cuboidAlgorithm2(p *Partitioner, prekey Key, prelen int) []Bounds {
+	r := append([]Bounds(nil), p.bounds...)
+	for i := 1; i <= prelen; i++ {
+		b := &r[(i-1)%p.k]
+		if GetBit(prekey, i) == 1 {
+			b.Lo = b.Mid()
+		} else {
+			b.Hi = b.Mid()
+		}
+	}
+	return r
+}
+
+// hashBounds are boundaries that stress the bisection's arithmetic:
+// the ordinary, per-dimension ones, midpoints that underflow to −0
+// (where a bit read from the sign of mid − x would part from x > mid,
+// −0 − (+0) being −0), the widest that Hash clamps once
+// (±MaxFloat64/2), sums that overflow and infinite ends, whose
+// midpoints are ±Inf or NaN.
+func hashBounds(k int) [][]Bounds {
+	tiny := math.SmallestNonzeroFloat64
+	shapes := [][2]float64{
+		{0, 1}, {-1000, 1000}, {3, 3.5}, {-tiny, 0}, {-tiny, math.Copysign(0, -1)}, {0, 4 * tiny},
+		{-math.MaxFloat64 / 2, math.MaxFloat64 / 2}, {math.MaxFloat64 / 4, math.MaxFloat64 / 2},
+		{math.MaxFloat64 / 2, math.MaxFloat64}, {-math.MaxFloat64, math.MaxFloat64},
+		{math.Inf(-1), 0}, {0, math.Inf(1)}, {math.Inf(-1), math.Inf(1)},
+	}
+	var out [][]Bounds
+	for _, s := range shapes {
+		b := make([]Bounds, k)
+		for j := range b {
+			b[j] = Bounds{s[0], s[1]}
+		}
+		out = append(out, b)
+	}
+	mixed := make([]Bounds, k) // every dimension its own shape
+	for j := range mixed {
+		s := shapes[j%len(shapes)]
+		mixed[j] = Bounds{s[0], s[1]}
+	}
+	return append(out, mixed)
+}
+
+// hashCoord draws one coordinate for dimension b: inside, outside, on
+// a bound or a midpoint, or one of the values no comparison orders
+// the usual way.
+func hashCoord(rng *rand.Rand, b Bounds) float64 {
+	specials := []float64{
+		b.Lo, b.Hi, b.Mid(), math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(math.NaN(), -1),
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Nextafter(b.Lo, math.Inf(-1)), math.Nextafter(b.Hi, math.Inf(1)),
+	}
+	switch c := rng.Intn(4); {
+	case c == 0:
+		return specials[rng.Intn(len(specials))]
+	case c == 1 && !math.IsInf(b.Hi-b.Lo, 0):
+		return b.Lo + (rng.Float64()*3-1)*(b.Hi-b.Lo) // a third below, a third inside, a third above
+	default:
+		return b.Lo + rng.Float64()*(b.Hi-b.Lo)
+	}
+}
+
+// Hash is Algorithm 2 bit for bit: on k from 1 to 20 (above 16 the
+// bisection state leaves the stack), on every boundary shape, and on
+// points below, above, on and between the bounds, ±Inf, ±NaN and −0.
+func TestHashMatchesAlgorithm2(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for k := 1; k <= 20; k++ {
+		for _, bounds := range hashBounds(k) {
+			p, err := NewWithBounds(bounds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pt := make([]float64, k)
+			for trial := 0; trial < 200; trial++ {
+				for j := range pt {
+					pt[j] = hashCoord(rng, bounds[j])
+				}
+				if got, want := p.Hash(pt), hashAlgorithm2(p, pt); got != want {
+					t.Fatalf("k=%d bounds %v: Hash(%v) = %#x, Algorithm 2 %#x", k, bounds, pt, got, want)
+				}
+			}
+		}
+	}
+}
+
+// CuboidTo and SplitMid walk the prefix with a wrapping counter; they
+// must give the bounds the (i-1) mod k walk gives, to the bit.
+func TestCuboidMatchesAlgorithm2(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	same := func(a, b Bounds) bool {
+		return math.Float64bits(a.Lo) == math.Float64bits(b.Lo) && math.Float64bits(a.Hi) == math.Float64bits(b.Hi)
+	}
+	for k := 1; k <= 20; k++ {
+		for _, bounds := range hashBounds(k) {
+			p, err := NewWithBounds(bounds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for trial := 0; trial < 20; trial++ {
+				key, prelen := Key(rng.Uint64()), rng.Intn(M+1)
+				got, want := p.Cuboid(key, prelen), cuboidAlgorithm2(p, key, prelen)
+				for j := range want {
+					if !same(got[j], want[j]) {
+						t.Fatalf("k=%d bounds %v: Cuboid(%#x, %d)[%d] = %v, want %v", k, bounds, key, prelen, j, got[j], want[j])
+					}
+				}
+				pos := 1 + rng.Intn(M)
+				mid := cuboidAlgorithm2(p, key, pos-1)[(pos-1)%k].Mid()
+				if got := p.SplitMid(key, pos); math.Float64bits(got) != math.Float64bits(mid) {
+					t.Fatalf("k=%d bounds %v: SplitMid(%#x, %d) = %v, want %v", k, bounds, key, pos, got, mid)
+				}
+			}
+		}
+	}
+}
+
+// FuzzHash holds Hash to Algorithm 2 on any floats: k from 1 to 20,
+// each dimension's boundary and coordinate read from the input, eight
+// bytes a float (a dimension whose pair is not a boundary takes
+// [lo, hi]).
+func FuzzHash(f *testing.F) {
+	f.Add(uint8(6), 0.0, 1.0, []byte{})
+	f.Add(uint8(1), -1.0, 1.0, binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.NaN())))
+	f.Add(uint8(19), math.Inf(-1), math.Inf(1), binary.LittleEndian.AppendUint64(nil, 1<<63))
+	f.Add(uint8(3), -math.SmallestNonzeroFloat64, 0.0, make([]byte, 72))
+	f.Fuzz(func(t *testing.T, k uint8, lo, hi float64, data []byte) {
+		if !(hi > lo) {
+			return
+		}
+		next := func() float64 {
+			if len(data) < 8 {
+				return 0
+			}
+			x := math.Float64frombits(binary.LittleEndian.Uint64(data))
+			data = data[8:]
+			return x
+		}
+		n := 1 + int(k)%20
+		bounds := make([]Bounds, n)
+		pt := make([]float64, n)
+		for j := range bounds {
+			if a, b := next(), next(); b > a {
+				bounds[j] = Bounds{a, b}
+			} else {
+				bounds[j] = Bounds{lo, hi}
+			}
+			pt[j] = next()
+		}
+		p, err := NewWithBounds(bounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := p.Hash(pt), hashAlgorithm2(p, pt); got != want {
+			t.Fatalf("bounds %v: Hash(%v) = %#x, Algorithm 2 %#x", bounds, pt, got, want)
+		}
+	})
+}
+
+// BenchmarkHash hashes a seeded cycle of 1024 points, so that the
+// branch predictor cannot learn one point's bits, at k = 6 (bench's
+// corpora) and k = 10, beside the literal Algorithm 2 on the same
+// points.
+func BenchmarkHash(b *testing.B) {
+	for _, k := range []int{6, 10} {
+		p, err := New(k, 0, 1000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		pts := make([][]float64, 1024)
+		for i := range pts {
+			pts[i] = make([]float64, k)
+			for j := range pts[i] {
+				pts[i][j] = rng.Float64() * 1000
+			}
+		}
+		for _, impl := range []struct {
+			name string
+			hash func([]float64) Key
+		}{
+			{"Hash", p.Hash},
+			{"algorithm2", func(pt []float64) Key { return hashAlgorithm2(p, pt) }},
+		} {
+			b.Run(fmt.Sprintf("%s/k=%d", impl.name, k), func(b *testing.B) {
+				b.ReportAllocs()
+				var sink Key
+				for i := 0; i < b.N; i++ {
+					sink += impl.hash(pts[i%len(pts)])
+				}
+				if sink == 1 {
+					b.Log(sink)
+				}
+			})
+		}
 	}
 }

@@ -165,34 +165,66 @@ func (c *columns) arc(part *lph.Partitioner, pred, me uint64) [2]run {
 }
 
 // sortByKey turns corpus order into key order and bisects the sorted
-// keys. The (key, id) pairs are sorted aside — the sorted keys and ids
-// fall out of them directly — and the points are then permuted in place,
-// so the build never holds a second copy of the coordinates (on the
-// prototype of this layout a key-ordered copy beside the corpus-ordered
-// one read +31 % rss_mb on bench's ring-scan, and dropping the old one
-// afterwards still +19 %: VmHWM is a peak; in place it reads −6 %).
+// keys. The keys are radix-sorted with their corpus ids (radixSort): the
+// ids start in order and every pass is stable, so equal keys keep id
+// order and the result is the (key, id) order. The points are then
+// permuted in place, so the build never holds a second copy of the
+// coordinates (on the prototype of this layout a key-ordered copy beside
+// the corpus-ordered one read +31 % rss_mb on bench's ring-scan, and
+// dropping the old one afterwards still +19 %: VmHWM is a peak; in place
+// it reads −6 %). The sort's scratch is a second key and id column, and
+// the id column it leaves free becomes pos.
 func (c *columns) sortByKey() {
-	type pair struct {
-		key lph.Key
-		id  int32
+	n := len(c.keys)
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
 	}
-	pairs := make([]pair, len(c.keys))
-	for i, k := range c.keys {
-		pairs[i] = pair{k, int32(i)}
+	var pos []int32
+	c.keys, c.ids, pos = radixSort(c.keys, make([]lph.Key, n), ids, make([]int32, n))
+	for j, id := range c.ids {
+		pos[id] = int32(j)
 	}
-	slices.SortFunc(pairs, func(a, b pair) int {
-		if o := cmp.Compare(a.key, b.key); o != 0 {
-			return o
-		}
-		return cmp.Compare(a.id, b.id)
-	})
-	c.ids = make([]int32, len(pairs))
-	c.pos = make([]int32, len(pairs))
-	for j, p := range pairs {
-		c.keys[j], c.ids[j], c.pos[p.id] = p.key, p.id, int32(j)
-	}
+	c.pos = pos
 	permuteRows(c.pts, c.k, c.ids)
 	c.splits = query.NewSplitIndex(c.keys, leafEntries)
+}
+
+// radixSort sorts keys ascending a byte a pass, lowest byte first,
+// moving ids with them; every pass is stable, so keys that tie keep the
+// order of their ids. keys2 and ids2 are scratch of the same length:
+// the passes alternate between the two pairs of columns, a pass whose
+// byte is the same in every key is skipped, and the sorted pair is
+// whichever ends up holding the data. It returns that pair and the
+// other id column, free for the caller's use.
+func radixSort(keys, keys2 []lph.Key, ids, ids2 []int32) ([]lph.Key, []int32, []int32) {
+	if len(keys) == 0 {
+		return keys, ids, ids2
+	}
+	var counts [8][256]int
+	for _, k := range keys {
+		for b := range counts {
+			counts[b][byte(k>>(8*b))]++
+		}
+	}
+	for b := range counts {
+		shift := uint(8 * b)
+		at := &counts[b]
+		if at[byte(keys[0]>>shift)] == len(keys) {
+			continue
+		}
+		sum := 0
+		for d, n := range at {
+			at[d], sum = sum, sum+n
+		}
+		for i, k := range keys {
+			d := byte(k >> shift)
+			keys2[at[d]], ids2[at[d]] = k, ids[i]
+			at[d]++
+		}
+		keys, keys2, ids, ids2 = keys2, keys, ids2, ids
+	}
+	return keys, ids, ids2
 }
 
 // permuteRows reorders rows, len(ids) rows of width elements each, in

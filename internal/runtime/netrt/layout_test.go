@@ -1,7 +1,9 @@
 package netrt
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -15,7 +17,7 @@ import (
 
 // checkBuiltColumns holds a built dataset against a serial rebuild of
 // the same entries from ref, the corpus' objects in corpus order as the
-// test drew them itself: the parallel map-and-hash, the pair sort and
+// test drew them itself: the parallel map-and-hash, the radix sort and
 // the in-place permutations must leave every entry's key and point
 // exactly what mapping its object alone gives, in ascending key order
 // with ties by id, under the signature of the corpus-order keys — and
@@ -120,9 +122,14 @@ func TestBuiltColumnsMatchSerialBuild(t *testing.T) {
 	}
 }
 
-// TestCorpusSignatureStable pins the handshake signature of three
-// corpora — testData, the edit corpus above, bench's ring-selective — to
-// what the commit before the objects moved into key order computes. The
+// ringScanData is bench's ring-scan corpus.
+var ringScanData = DataConfig{Metric: "euclid", Seed: 1, Objects: 131072, Dim: 8, Landmarks: 6}
+
+// TestCorpusSignatureStable pins the handshake signature of four
+// corpora — testData, the edit corpus above, bench's ring-selective and
+// ring-scan — to what the commit before the objects moved into key order
+// computes (ring-scan's to what the commit before Hash lost its branches
+// computes). The
 // signature covers every key in corpus order, so a draw that changed
 // order, or a landmark that changed under the permutation, shows here
 // even though a ring of one build would still agree with itself. That
@@ -136,6 +143,7 @@ func TestCorpusSignatureStable(t *testing.T) {
 		{testData(), 0xa33e2c25e2f97fbb},
 		{DataConfig{Metric: "edit", Seed: 3, Objects: 700, Landmarks: 3}, 0x7b3537cd71e3842f},
 		{DataConfig{Metric: "euclid", Seed: 1, Objects: 8192, Dim: 8, Landmarks: 6}, 0x9b68712dd3be061},
+		{ringScanData, 0x7d13e5f921f65fa4},
 	} {
 		c, err := buildCorpus(tc.cfg)
 		if err != nil {
@@ -236,6 +244,89 @@ func randomColumns(rng *rand.Rand, part *lph.Partitioner, n int) *columns {
 	}
 	c.sortByKey()
 	return c
+}
+
+// sortByKeyReference is the comparison sort radixSort replaced: the
+// (key, id) pairs sorted by key, ties by id.
+func sortByKeyReference(keys []lph.Key) ([]lph.Key, []int32) {
+	type pair struct {
+		key lph.Key
+		id  int32
+	}
+	pairs := make([]pair, len(keys))
+	for i, k := range keys {
+		pairs[i] = pair{k, int32(i)}
+	}
+	slices.SortFunc(pairs, func(a, b pair) int {
+		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.id, b.id))
+	})
+	sorted, ids := make([]lph.Key, len(keys)), make([]int32, len(keys))
+	for j, p := range pairs {
+		sorted[j], ids[j] = p.key, p.id
+	}
+	return sorted, ids
+}
+
+// The radix sort must put the columns in the order the (key, id)
+// comparison sort gives, ties included: points out of bounds clamp onto
+// the boundary and NaN coordinates give 0 bits, so such points collide
+// on a handful of keys, beside coarse in-bounds ones that collide too.
+func TestRadixOrderMatchesComparisonSort(t *testing.T) {
+	part, err := lph.New(3, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coords := []float64{math.NaN(), -5, 7, math.Inf(1), math.Inf(-1), 0, 1, 0.5}
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{0, 1, 2, 300, 5000} {
+		c := &columns{k: 3, keys: make([]lph.Key, n), pts: make([]float64, 3*n)}
+		for i := 0; i < n; i++ {
+			p := c.point(i)
+			for j := range p {
+				if rng.Intn(3) == 0 {
+					p[j] = rng.Float64()
+				} else {
+					p[j] = coords[rng.Intn(len(coords))]
+				}
+			}
+			c.keys[i] = part.Hash(p)
+		}
+		pts := slices.Clone(c.pts)
+		wantKeys, wantIDs := sortByKeyReference(c.keys)
+		c.sortByKey()
+		if !slices.Equal(c.keys, wantKeys) || !slices.Equal(c.ids, wantIDs) {
+			t.Fatalf("n=%d: radix order differs from the (key, id) sort", n)
+		}
+		for j, id := range c.ids {
+			if c.pos[id] != int32(j) {
+				t.Fatalf("n=%d: pos[%d] = %d, want %d", n, id, c.pos[id], j)
+			}
+			for d, x := range c.point(j) {
+				if math.Float64bits(x) != math.Float64bits(pts[int(id)*3+d]) {
+					t.Fatalf("n=%d: position %d holds %v, entry %d was %v", n, j, c.point(j), id, pts[int(id)*3:int(id)*3+3])
+				}
+			}
+		}
+	}
+	// Keys that differ in every byte, in some bytes and in none.
+	for _, spread := range []uint64{^uint64(0), 0xff00ff0000ff00ff, 0} {
+		keys := make([]lph.Key, 4000)
+		for i := range keys {
+			keys[i] = rng.Uint64()&spread | 0x1200340056007800&^spread
+			if i%5 == 0 && i > 0 {
+				keys[i] = keys[rng.Intn(i)]
+			}
+		}
+		wantKeys, wantIDs := sortByKeyReference(keys)
+		ids := make([]int32, len(keys))
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+		gotKeys, gotIDs, _ := radixSort(slices.Clone(keys), make([]lph.Key, len(keys)), ids, make([]int32, len(keys)))
+		if !slices.Equal(gotKeys, wantKeys) || !slices.Equal(gotIDs, wantIDs) {
+			t.Fatalf("spread %#x: radix order differs from the (key, id) sort", spread)
+		}
+	}
 }
 
 // The in-place permutation must carry every point to its key's sorted
@@ -356,6 +447,19 @@ func TestColumnsIndexSize(t *testing.T) {
 		}
 		if got := c.Cols().splits.Nodes(); got != tc.nodes {
 			t.Errorf("%d entries: the index bisects %d runs, want %d", tc.objects, got, tc.nodes)
+		}
+	}
+}
+
+// BenchmarkCorpusBuild builds bench's ring-scan corpus, what every
+// lmnode does at boot and at every restart: the objects drawn, the
+// landmarks picked, every object mapped and hashed, the columns sorted
+// into key order and the split index built.
+func BenchmarkCorpusBuild(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := buildCorpus(ringScanData); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
