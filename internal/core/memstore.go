@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -21,24 +20,19 @@ import (
 // transfer chunks cut from them — reads these two and nothing else, so
 // that order is a function of the mutations alone.
 //
-// pts, objs, order, bmin, bmax and body are the scan index, derived
-// from the two and never the other way round. Row i of the index is entry
+// pts, objs, order, boxes and body are the scan index, derived from the
+// two and never the other way round. Row i of the index is entry
 // order[i], its index point copied to pts[i*k : (i+1)*k] and its object
 // id to objs[i]: columns owned by the region (no Entry's Point aliases
 // them), so a scan streams memory and ScanIDs touches no Entry at all.
 // Rows [0, body) are in ascending ring-key order, equal keys in storage
-// order. A ring key is its point's path down the k-d partition, so
-// neighbours in that order are neighbours in the index space, and every
-// leafRows consecutive rows (a leaf) lie under one axis-aligned box, its
-// k minima a row of bmin and its k maxima a row of bmax: a scan tests
-// the boxes first and the rows only under those that meet the cube. A
-// box bounds the coordinates that are not NaN — a row with a NaN is in
-// no cube — so a leaf whose column is all NaN has the empty box
-// (+Inf, −Inf) there. The keys decide
-// how tight a box is, not whether it is right: a box bounds its own rows
-// whatever order put them there, so the region needs no partitioner.
-// Rows [body, len(order)) are the tail: entries appended since the body
-// was sorted, in storage order, under no box, tested row by row.
+// order, and every leafRows of them lie under one of boxes' leaf boxes
+// (query.LeafBoxes): a scan tests the boxes first and the rows only
+// under those that meet the cube. The keys decide how tight a box is,
+// not whether it is right: a box bounds its own rows whatever order put
+// them there, so the region needs no partitioner. Rows [body,
+// len(order)) are the tail: entries appended since the body was sorted,
+// in storage order, under no box, tested row by row.
 //
 // The index is brought up to date by the scan that needs it (index), not
 // by the mutators: add leaves new entries for the next scan to copy into
@@ -51,20 +45,15 @@ type region struct {
 	entries []Entry
 	k       int // point length of the index, set by the first entry of an empty region
 
-	pts        []float64
-	objs       []int32
-	order      []int32
-	bmin, bmax []float64
-	body       int
+	pts   []float64
+	objs  []int32
+	order []int32
+	boxes query.LeafBoxes
+	body  int
 
 	// rows is Scan's scratch: the rows of one scan, mapped to entries
 	// before Scan returns.
 	rows []int32
-	// open is scanRows' scratch: the cube opened upward, then the cube
-	// opened downward, against which bmax and bmin are tested. It lives
-	// here because query.Box keeps the slice it is set to, which would
-	// move a local array to the heap on every scan.
-	open []lph.Bounds
 
 	// boxTests and rowTests count the boxes and the rows scans have
 	// compared with a cube, added up once per leaf, not per row
@@ -160,28 +149,8 @@ func (s *region) index() {
 		s.pts = append(s.pts, s.entries[e].Point...)
 		s.objs = append(s.objs, int32(s.entries[e].Obj))
 	}
-	if !fold {
-		return
-	}
-	leaves := (n + leafRows - 1) / leafRows
-	s.bmin = slices.Grow(s.bmin[:0], leaves*k)[:leaves*k]
-	s.bmax = slices.Grow(s.bmax[:0], leaves*k)[:leaves*k]
-	for l := range leaves {
-		mins, maxs := s.bmin[l*k:][:k], s.bmax[l*k:][:k]
-		for j := range mins {
-			mins[j], maxs[j] = math.Inf(1), math.Inf(-1)
-		}
-		for p := s.pts[l*leafRows*k : min((l+1)*leafRows, n)*k]; len(p) > 0; p = p[k:] {
-			for j, x := range p[:k] {
-				// A NaN moves neither bound.
-				if x < mins[j] {
-					mins[j] = x
-				}
-				if x > maxs[j] {
-					maxs[j] = x
-				}
-			}
-		}
+	if fold {
+		s.boxes.Fill(s.pts, 0, s.boxes.Reset(n, k, leafRows))
 	}
 }
 
@@ -189,44 +158,25 @@ func (s *region) index() {
 // buf and returns it (the zero-allocation hot path once the index is
 // built); Scan and ScanIDs map them to entries and to ids. The test is
 // Region.Contains' — same length, every coordinate in its closed
-// interval — read from the column by query.Box.Mask, and made only under
-// the boxes that meet the cube. The boxes are tested by the same kernel,
-// 64 leaves a call: a box meets the cube when its maxima lie in the cube
-// opened upward, [Lo, +Inf], and its minima in the cube opened downward,
-// [−Inf, Hi]. Each run of consecutive leaves that pass is then
-// row-tested as one, so rows come out in ascending order. A NaN bound
-// passes no box, and contains no row either; an inverted one may pass a
-// box whose rows it then does not contain.
+// interval — read from the column by query.Box.Mask, and made only in
+// the runs of the body under leaf boxes that meet the cube
+// (query.LeafBoxes.Walk), then in the tail, so rows come out in
+// ascending order.
 func (s *region) scanRows(cube []lph.Bounds, buf []int32) []int32 {
-	k := s.k
-	if len(cube) != k {
+	if len(cube) != s.k {
 		return buf
 	}
 	if len(s.order) < len(s.entries) {
 		s.index()
 	}
-	s.open = slices.Grow(s.open[:0], 2*k)[:2*k]
-	for j, c := range cube {
-		s.open[j] = lph.Bounds{Lo: c.Lo, Hi: math.Inf(1)}
-		s.open[k+j] = lph.Bounds{Lo: math.Inf(-1), Hi: c.Hi}
-	}
-	var in, up, down query.Box
+	var in query.Box
 	in.Set(cube)
-	up.Set(s.open[:k])
-	down.Set(s.open[k:])
-	leaves, rows := (s.body+leafRows-1)/leafRows, len(s.order)-s.body
-	for l := 0; l < leaves; l += 64 {
-		n := min(leaves-l, 64)
-		for m := up.Mask(s.bmax[l*k:], n) & down.Mask(s.bmin[l*k:], n); m != 0; {
-			first := bits.TrailingZeros64(m)
-			run := bits.TrailingZeros64(^(m >> first))
-			m &^= (uint64(1)<<run - 1) << first
-			lo, hi := (l+first)*leafRows, min((l+first+run)*leafRows, s.body)
-			rows += hi - lo
-			buf = s.appendMatches(&in, lo, hi, buf)
-		}
-	}
-	s.boxTests += leaves
+	rows := len(s.order) - s.body
+	s.boxes.Walk(cube, 0, s.body, func(lo, hi int) {
+		rows += hi - lo
+		buf = s.appendMatches(&in, lo, hi, buf)
+	})
+	s.boxTests += (s.body + leafRows - 1) / leafRows
 	s.rowTests += rows
 	return s.appendMatches(&in, s.body, len(s.order), buf)
 }

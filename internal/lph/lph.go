@@ -240,17 +240,10 @@ func (p *Partitioner) MapPoint(point []float64) Key { return p.Ring(p.Hash(point
 // denoted by the first prelen bits of prekey (in unrotated space).
 // prelen must be in [0, 64].
 func (p *Partitioner) Cuboid(prekey Key, prelen int) []Bounds {
-	return p.CuboidTo(nil, prekey, prelen)
-}
-
-// CuboidTo is Cuboid written into dst's storage: it overwrites dst[:k],
-// growing dst only if its capacity is below k, and returns the cuboid.
-// A caller with room for k bounds narrows without allocating.
-func (p *Partitioner) CuboidTo(dst []Bounds, prekey Key, prelen int) []Bounds {
 	if prelen < 0 || prelen > M {
 		panic(fmt.Sprintf("lph: prefix length %d out of [0,64]", prelen))
 	}
-	r := append(dst[:0], p.bounds...)
+	r := append([]Bounds(nil), p.bounds...)
 	for i, j := 1, 0; i <= prelen; i++ {
 		b := &r[j]
 		if GetBit(prekey, i) == 1 {

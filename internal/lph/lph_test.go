@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -278,33 +277,6 @@ func TestSplitMidMatchesCuboid(t *testing.T) {
 	}
 }
 
-// CuboidTo writes what Cuboid returns into the caller's storage, and
-// with room for k bounds allocates nothing; a short dst is grown.
-func TestCuboidToMatchesCuboid(t *testing.T) {
-	p := mustNew(t, 3, 0, 8)
-	rng := rand.New(rand.NewSource(4))
-	var room [16]Bounds
-	for trial := 0; trial < 300; trial++ {
-		key, prelen := Key(rng.Uint64()), rng.Intn(M+1)
-		got := p.CuboidTo(room[:0], key, prelen)
-		if want := p.Cuboid(key, prelen); !slices.Equal(got, want) {
-			t.Fatalf("CuboidTo(%x, %d) = %v, Cuboid = %v", key, prelen, got, want)
-		}
-		if &got[0] != &room[0] {
-			t.Fatal("CuboidTo did not write into dst")
-		}
-	}
-	if got := p.CuboidTo(room[:1], 0, 0); len(got) != 3 {
-		t.Fatalf("CuboidTo returned %d bounds, want 3", len(got))
-	}
-	if got := p.CuboidTo(make([]Bounds, 0, 1), 0, 0); !slices.Equal(got, p.AllBounds()) {
-		t.Fatalf("CuboidTo into a short dst = %v", got)
-	}
-	if n := testing.AllocsPerRun(100, func() { p.CuboidTo(room[:0], 0xdeadbeef, 40) }); n != 0 {
-		t.Fatalf("CuboidTo with room allocates %v times", n)
-	}
-}
-
 func TestRotation(t *testing.T) {
 	p := mustNew(t, 2, 0, 1)
 	r := p.WithRotation(1000)
@@ -426,7 +398,7 @@ func hashAlgorithm2(p *Partitioner, point []float64) Key {
 	return key
 }
 
-// cuboidAlgorithm2 is the prefix walk CuboidTo replaced, with the
+// cuboidAlgorithm2 is the prefix walk Cuboid replaced, with the
 // dimension taken as (i-1) mod k at every division.
 func cuboidAlgorithm2(p *Partitioner, prekey Key, prelen int) []Bounds {
 	r := append([]Bounds(nil), p.bounds...)
@@ -514,7 +486,7 @@ func TestHashMatchesAlgorithm2(t *testing.T) {
 	}
 }
 
-// CuboidTo and SplitMid walk the prefix with a wrapping counter; they
+// Cuboid and SplitMid walk the prefix with a wrapping counter; they
 // must give the bounds the (i-1) mod k walk gives, to the bit.
 func TestCuboidMatchesAlgorithm2(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))

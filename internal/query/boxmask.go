@@ -22,13 +22,18 @@ type Box struct {
 
 // Set lays out cube. The box keeps cube, not a copy: it must not change
 // while the box is in use.
-func (b *Box) Set(cube []lph.Bounds) {
-	b.cube = cube
+func (b *Box) Set(cube []lph.Bounds) { *b = boxOf(cube) }
+
+// boxOf is Set by value: a cube stored through a pointer escapes to the
+// heap, one stored in a local Box does not.
+func boxOf(cube []lph.Bounds) Box {
+	b := Box{cube: cube}
 	if len(cube) <= vecDims {
 		for j, c := range cube {
 			b.lo[j], b.hi[j] = c.Lo, c.Hi
 		}
 	}
+	return b
 }
 
 // Mask tests the first n rows of pts, row-major with as many coordinates

@@ -8,6 +8,7 @@ package query
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"landmarkdht/internal/lph"
 )
@@ -41,6 +42,22 @@ func (r Region) Contains(point []float64) bool {
 		}
 	}
 	return true
+}
+
+// Run returns the positions [a, b) of an ascending key column that hold
+// the keys under the region's prefix: a key is its point's path down
+// the k-d partition, so they are one contiguous run, found by two binary
+// searches. CuboidSpan's hi is exclusive and wraps to 0 whenever the
+// span ends at the top of the key space; the inclusive last key, hi-1,
+// never wraps.
+func (r Region) Run(keys []lph.Key) (a, b int) {
+	lo, hi := lph.CuboidSpan(r.PreKey, r.PreLen)
+	a, _ = slices.BinarySearch(keys, lo)
+	b = len(keys)
+	if last := hi - 1; last != ^lph.Key(0) {
+		b, _ = slices.BinarySearch(keys, last+1)
+	}
+	return a, b
 }
 
 // Validate checks the structural invariants.

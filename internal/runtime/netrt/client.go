@@ -53,11 +53,11 @@ type Info struct {
 	RepairChunks int64
 	// The work of answering, counted where it is done and cumulative
 	// since boot: Tested is the entries whose points were compared with
-	// a query cube — boot entries at the leaves of the k-d descent,
+	// a query cube — boot entries under the leaf boxes that met it,
 	// published extras in a region's stretch of the delta's run — and
 	// Refined the ones that were inside and alive, i.e. the exact
 	// distances computed — for this node's own regions and for a down
-	// owner's, which are the same descent filtered by its copy.
+	// owner's, which are the same walk filtered by its copy.
 	Tested  uint64
 	Refined uint64
 }

@@ -113,20 +113,20 @@ type evaluator interface {
 // bisection, so a key is its entry's root-to-leaf path and the sorted
 // column is the k-d tree laid flat: the entries under a region's prefix
 // are one contiguous run, and the ring arc a member owns is at most two
-// (arc). The column never changes after seal, so its bisection is
-// computed there once, down to leafEntries (splits), and every region's
-// descent reads it instead of searching the keys again. The dataset's
-// objects sit in the same order (dataset.at), so a sorted position
-// names an entry's key, id, point and object alike; pos alone is indexed
-// by corpus id. Until seal sorts them the columns are in corpus order
-// and ids/pos/splits are unset.
+// (arc). The column never changes after seal, so its leaf boxes, one
+// per leafRows sorted positions, are computed there once (boxes), and a
+// region reads those over its prefix's run. The dataset's objects sit
+// in the same order (dataset.at), so a sorted position names an entry's
+// key, id, point and object alike; pos alone is indexed by corpus id.
+// Until seal sorts them the columns are in corpus order and
+// ids/pos/boxes are unset.
 type columns struct {
-	k      int
-	keys   []lph.Key // ascending
-	ids    []int32   // corpus index of the entry at each sorted position
-	pts    []float64 // k coordinates per entry, in sorted order
-	pos    []int32   // inverse of ids: corpus index → sorted position
-	splits *query.SplitIndex
+	k     int
+	keys  []lph.Key // ascending
+	ids   []int32   // corpus index of the entry at each sorted position
+	pts   []float64 // k coordinates per entry, in sorted order
+	pos   []int32   // inverse of ids: corpus index → sorted position
+	boxes query.LeafBoxes
 }
 
 // run is a half-open range [a, b) of sorted positions.
@@ -164,8 +164,8 @@ func (c *columns) arc(part *lph.Partitioner, pred, me uint64) [2]run {
 	return [2]run{{0, c.above(to)}, {c.above(from), len(c.keys)}}
 }
 
-// sortByKey turns corpus order into key order and bisects the sorted
-// keys. The keys are radix-sorted with their corpus ids (radixSort): the
+// sortByKey turns corpus order into key order and boxes the sorted
+// points. The keys are radix-sorted with their corpus ids (radixSort): the
 // ids start in order and every pass is stable, so equal keys keep id
 // order and the result is the (key, id) order. The points are then
 // permuted in place, so the build never holds a second copy of the
@@ -173,8 +173,12 @@ func (c *columns) arc(part *lph.Partitioner, pred, me uint64) [2]run {
 // the corpus-ordered one read +31 % rss_mb on bench's ring-scan, and
 // dropping the old one afterwards still +19 %: VmHWM is a peak; in place
 // it reads −6 %). The sort's scratch is a second key and id column, and
-// the id column it leaves free becomes pos.
-func (c *columns) sortByKey() {
+// the id column it leaves free becomes pos. objects reorders whatever
+// else follows the entries, the dataset's objects, the way permuteRows
+// reorders the points. It runs beside the points' permutation and the
+// boxes: each reads one row per cache miss, so on two cores the two
+// overlap.
+func (c *columns) sortByKey(objects func(ids []int32)) {
 	n := len(c.keys)
 	ids := make([]int32, n)
 	for i := range ids {
@@ -186,8 +190,16 @@ func (c *columns) sortByKey() {
 		pos[id] = int32(j)
 	}
 	c.pos = pos
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		objects(c.ids)
+	}()
 	permuteRows(c.pts, c.k, c.ids)
-	c.splits = query.NewSplitIndex(c.keys, leafEntries)
+	// Leaves are independent: each core boxes a stretch of them.
+	eachChunk(c.boxes.Reset(n, c.k, leafRows), func(lo, hi int) { c.boxes.Fill(c.pts, lo, hi) })
+	wg.Wait()
 }
 
 // radixSort sorts keys ascending a byte a pass, lowest byte first,
@@ -256,7 +268,7 @@ func permuteRows[E any](rows []E, width int, ids []int32) {
 // dataset is the generic corpus implementation over one metric space.
 // Nothing of it is kept in corpus order: the index entries live in cols
 // and the objects beside them, both in key order, so refinement reads
-// memory in the order the descent produces candidates. A corpus id (what
+// memory in the order the leaf walk produces candidates. A corpus id (what
 // the wire and BruteForce speak) is cols.ids[j] going out and
 // cols.pos[i] coming in.
 type dataset[T any] struct {
@@ -455,8 +467,7 @@ func corpusRand(cfg DataConfig) *rand.Rand {
 // sorted by key and the objects follow them, row for row.
 func (d *dataset[T]) seal(cfg DataConfig, permute func(ids []int32)) {
 	d.sig = corpusSig(protoVersion, cfg, d.part, d.cols.keys)
-	d.cols.sortByKey()
-	permute(d.cols.ids)
+	d.cols.sortByKey(permute)
 }
 
 // buildEuclid draws the vectors into one slab of Objects·Dim floats,

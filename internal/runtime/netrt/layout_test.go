@@ -242,7 +242,7 @@ func randomColumns(rng *rand.Rand, part *lph.Partitioner, n int) *columns {
 		}
 		c.keys[i] = part.Hash(p)
 	}
-	c.sortByKey()
+	c.sortByKey(func([]int32) {})
 	return c
 }
 
@@ -293,7 +293,7 @@ func TestRadixOrderMatchesComparisonSort(t *testing.T) {
 		}
 		pts := slices.Clone(c.pts)
 		wantKeys, wantIDs := sortByKeyReference(c.keys)
-		c.sortByKey()
+		c.sortByKey(func([]int32) {})
 		if !slices.Equal(c.keys, wantKeys) || !slices.Equal(c.ids, wantIDs) {
 			t.Fatalf("n=%d: radix order differs from the (key, id) sort", n)
 		}
@@ -351,10 +351,10 @@ func TestSortByKeyKeepsPointsWithKeys(t *testing.T) {
 }
 
 // Ownership on a rotated ring. The columns are sorted by unrotated key,
-// so a prefix is one run whatever φ is and the descent needs no special
-// case; only the arc (pred, me] can wrap — at the ring's zero, or where
-// the rotation maps the top of the key space — and it is then exactly
-// two runs.
+// so a prefix is one run whatever φ is (Region.Run) and the walk of its
+// leaf boxes needs no special case; only the arc (pred, me] can wrap —
+// at the ring's zero, or where the rotation maps the top of the key
+// space — and it is then exactly two runs.
 func TestArcAndDescentUnderRotation(t *testing.T) {
 	base, err := lph.New(3, 0, 1)
 	if err != nil {
@@ -364,7 +364,6 @@ func TestArcAndDescentUnderRotation(t *testing.T) {
 	for _, phi := range []lph.Key{0, 1, 0x9e3779b97f4a7c15, ^lph.Key(0)} {
 		part := base.WithRotation(phi)
 		c := randomColumns(rng, part, 500)
-		splits := query.NewSplitIndex(c.keys, 4) // deeper than seal's leafEntries: more prunes checked
 		pick := func() uint64 {
 			if rng.Intn(2) == 0 {
 				return part.Ring(c.keys[rng.Intn(len(c.keys))]) // exactly on an entry
@@ -410,7 +409,8 @@ func TestArcAndDescentUnderRotation(t *testing.T) {
 			var got, want []int
 			var box query.Box
 			box.Set(reg.Cube)
-			splits.Descend(part, reg, len(c.keys), func(a, b int) {
+			a, b := reg.Run(c.keys)
+			c.boxes.Walk(reg.Cube, a, b, func(a, b int) {
 				for j := a; j < b; j++ {
 					if box.Mask(c.rows(j, 1), 1) == 1 {
 						got = append(got, j)
@@ -423,30 +423,8 @@ func TestArcAndDescentUnderRotation(t *testing.T) {
 				}
 			}
 			if !slices.Equal(got, want) {
-				t.Fatalf("phi %x: descent found %d entries, the cube contains %d", phi, len(got), len(want))
+				t.Fatalf("phi %x: the walk found %d entries, the cube contains %d", phi, len(got), len(want))
 			}
-		}
-	}
-}
-
-// TestColumnsIndexSize pins how many runs the bisection index of bench's
-// corpora holds at leafEntries: ring-selective's and ring-write-mix's
-// 8192 entries, the largest ring-scan share's 57 409 (localQueryFixture)
-// and ring-scan's 131 072. The counts are a property of the keys and the
-// leaf alone, so they repeat exactly; a build that bisects more — and
-// holds more memory in every process — fails here.
-func TestColumnsIndexSize(t *testing.T) {
-	for _, tc := range []struct{ objects, nodes int }{
-		{8192, 764},
-		{57409, 3776},
-		{131072, 7893},
-	} {
-		c, err := buildCorpus(DataConfig{Metric: "euclid", Seed: 1, Objects: tc.objects, Dim: 8, Landmarks: 6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := c.Cols().splits.Nodes(); got != tc.nodes {
-			t.Errorf("%d entries: the index bisects %d runs, want %d", tc.objects, got, tc.nodes)
 		}
 	}
 }
@@ -454,7 +432,7 @@ func TestColumnsIndexSize(t *testing.T) {
 // BenchmarkCorpusBuild builds bench's ring-scan corpus, what every
 // lmnode does at boot and at every restart: the objects drawn, the
 // landmarks picked, every object mapped and hashed, the columns sorted
-// into key order and the split index built.
+// into key order and their leaf boxes built.
 func BenchmarkCorpusBuild(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -57,7 +57,7 @@ func answerWork(tb testing.TB, n *Node) (tested, refined uint64) {
 }
 
 // BenchmarkLocalQuery is one member's whole share of a range query —
-// region, decomposition, descent, refinement, merge — with no peers.
+// region, decomposition, leaf walk, refinement, merge — with no peers.
 // tested/op and refined/op are the entries compared with a cube and the
 // exact distances computed per query: ns/op over refined/op bounds what
 // one candidate costs, and a change that moves ns/op but not the counts
@@ -107,7 +107,7 @@ func withExtras(tb testing.TB, n *Node) {
 
 // BenchmarkLocalQueryExtras is BenchmarkLocalQuery with localQueryExtras
 // published extras in the node's delta: what a write-heavy member's
-// answers cost beside the boot descent. tested/op and refined/op count
+// answers cost beside the boot entries. tested/op and refined/op count
 // extras as they count boot entries.
 func BenchmarkLocalQueryExtras(b *testing.B) {
 	n, query := localQueryFixture(b)
@@ -124,16 +124,17 @@ func BenchmarkLocalQueryExtras(b *testing.B) {
 
 // TestLocalQueryWorkPinned pins the two counters over one cycle of the
 // fixture's queries. They are a property of the corpus, the ring
-// position, the queries and leafEntries — nothing timed — so they repeat
+// position, the queries and leafRows — nothing timed — so they repeat
 // exactly, and a change to where a candidate's bytes live must leave
 // them where the by-id layout before it had them (the same test against
-// that commit, instrumented, reads these two numbers).
+// that commit, instrumented, reads these two numbers). refined does
+// not depend on the index; tested moves with it and with leafRows.
 func TestLocalQueryWorkPinned(t *testing.T) {
 	n, query := localQueryFixture(t)
 	for i := 0; i < localQueryCycle; i++ {
 		query()
 	}
-	const wantTested, wantRefined = 3_271_638, 977_533
+	const wantTested, wantRefined = 4_567_123, 977_533
 	if tested, refined := answerWork(t, n); tested != wantTested || refined != wantRefined {
 		t.Fatalf("one cycle tested %d entries and refined %d, want %d and %d", tested, refined, wantTested, wantRefined)
 	}
@@ -154,10 +155,11 @@ func localShares(n *Node, reg query.Region, d *delta) []share {
 	return shares
 }
 
-// answerReference is answer as it was before its distances were
-// batched: a leaf's points one at a time through Region.Contains and the
-// tombstones, then metric.L2 once per candidate, each hit appended as it
-// is found; then the share's extras, through metric.L2 as well.
+// answerReference is answer without its index or its batches: every
+// point of a region's run up to its cut, one at a time, through
+// Region.Contains and the tombstones, then metric.L2 once per
+// candidate, each hit appended as it is found; then the share's extras,
+// through metric.L2 as well.
 func answerReference(n *Node, q *queryMsg, shares []share) []ResultEntry {
 	ds := n.data.(*dataset[metric.Vector])
 	qv, err := ds.dec(q.QObj)
@@ -168,17 +170,16 @@ func answerReference(n *Node, q *queryMsg, shares []share) []ResultEntry {
 	var ents []ResultEntry
 	for _, s := range shares {
 		for i, reg := range s.regions {
-			cols.splits.Descend(n.data.Part(), reg, cols.above(s.cuts[i]), func(a, b int) {
-				for j := a; j < b; j++ {
-					id := cols.ids[j]
-					if _, dead := s.d.tombs[id]; dead || !reg.Contains(cols.point(j)) {
-						continue
-					}
-					if d := metric.L2(qv, ds.at(j)); d <= q.R {
-						ents = append(ents, ResultEntry{Obj: id, Dist: d})
-					}
+			a, b := reg.Run(cols.keys)
+			for j := a; j < min(b, cols.above(s.cuts[i])); j++ {
+				id := cols.ids[j]
+				if _, dead := s.d.tombs[id]; dead || !reg.Contains(cols.point(j)) {
+					continue
 				}
-			})
+				if d := metric.L2(qv, ds.at(j)); d <= q.R {
+					ents = append(ents, ResultEntry{Obj: id, Dist: d})
+				}
+			}
 		}
 		ents, _, _ = s.extrasWithin(ents, func(o any) float64 { return metric.L2(qv, o.(metric.Vector)) }, q.R)
 	}
@@ -251,12 +252,11 @@ func TestAnswerMatchesL2(t *testing.T) {
 
 // TestNaNBoundRefinesNothing: a peer's region whose cube has a NaN bound
 // contains no point (Region.Contains compares in order, and a NaN is
-// ordered with nothing), and the leaf test says so too. The region's
-// prefix is one stored key in full, so the descent lands on that key's
-// leaf run without comparing the cube with a single split, and the
-// run's points meet the cube at the leaf test alone. With the
-// bound restored the same region refines the key's entries, so the
-// leaf is reached.
+// ordered with nothing), and the leaf boxes say so too: the region's
+// prefix is one stored key in full, and its run lies under boxes the
+// NaN bound meets none of, so no entry is tested at all. With the bound
+// restored the same region tests and refines the key's entries, so the
+// run is reached.
 func TestNaNBoundRefinesNothing(t *testing.T) {
 	cfg := testConfig(testData())
 	cfg.GossipPeriod, cfg.HeartbeatPeriod, cfg.AntiEntropyPeriod = silent, silent, silent
@@ -284,8 +284,8 @@ func TestNaNBoundRefinesNothing(t *testing.T) {
 		t1, r1 := answerWork(t, n)
 		return t1 - t0, r1 - r0
 	}
-	if tested, got := answerOne(math.NaN()); tested == 0 || got != 0 {
-		t.Fatalf("a NaN bound: %d entries tested and %d refined, want some tested and none refined", tested, got)
+	if tested, got := answerOne(math.NaN()); tested != 0 || got != 0 {
+		t.Fatalf("a NaN bound: %d entries tested and %d refined, want none", tested, got)
 	}
 	if tested, got := answerOne(part.Bounds(0).Lo); tested == 0 || got != tested {
 		t.Fatalf("the bound restored: %d entries tested and %d refined, want all of them", tested, got)
@@ -297,8 +297,8 @@ func TestNaNBoundRefinesNothing(t *testing.T) {
 // and without the race detector: one per sub-cuboid Algorithm 5 cuts at
 // the fixture's position that the cube reaches (query.Refine's cube),
 // the executor hand-off, the deadline timer, and the doubling of the
-// result slice and of the origin's merge map — nothing per descent,
-// nothing per descent step, nothing per candidate, and nothing per zero
+// result slice and of the origin's merge map — nothing per region's
+// walk, nothing per leaf, nothing per candidate, and nothing per zero
 // bit of the node's id (92 while a Restrict per bit cloned the cube and
 // rebuilt its cuboid whether or not the cube reached it; 45 while every
 // descent built its cuboid on the heap). The ceiling is the measurement
@@ -306,9 +306,8 @@ func TestNaNBoundRefinesNothing(t *testing.T) {
 const localQueryAllocsCeiling = 52
 
 // TestLocalQueryAllocsCeiling fails when the local answer starts
-// allocating per descent step or per candidate again (the fixture
-// bisects thousands of times and tests tens of thousands of points per
-// query).
+// allocating per leaf or per candidate again (the fixture tests
+// thousands of leaf boxes and tens of thousands of points per query).
 func TestLocalQueryAllocsCeiling(t *testing.T) {
 	_, query := localQueryFixture(t)
 	for i := 0; i < localQueryCycle; i++ {

@@ -62,10 +62,10 @@
 // surrogate of (Algorithm 5), groups everything else by next hop,
 // splits the credit once so the shares always sum exactly, forwards one
 // message per hop, and answers its own share in one pass: each region
-// is one k-d descent over its run of the sorted columns, filtered by the
-// delta it is answered against — the node's own, or its copy of a down
-// owner's, whose regions it decomposes at the owner's position — then
-// exact-distance refinement (query.go). Credit comes home in Result
+// is one walk of the leaf boxes over its run of the sorted columns,
+// filtered by the delta it is answered against — the node's own, or its
+// copy of a down owner's, whose regions it decomposes at the owner's
+// position — then exact-distance refinement (query.go). Credit comes home in Result
 // frames — or Drop frames for regions that are unanswerable (TTL
 // exhausted, owner down with no replica, malformed query). The origin
 // completes when all credit is home; Complete means none of it came
@@ -189,7 +189,7 @@ type Node struct {
 	runs    [2]run   // the boot entries this node owns under members: its arc of the key-ordered columns
 	queries map[uint64]*originQuery
 	nextQID uint64
-	tested  uint64 // entries tested against a query cube (the descent's leaves, the extras' spans), cumulative
+	tested  uint64 // entries tested against a query cube (under the leaf boxes met, in the extras' spans), cumulative
 	refined uint64 // of those, the ones inside it and alive: exact distances computed, cumulative
 	leaves  leafState
 	cubes   query.Cubes // process's sub-cuboids, reset per message

@@ -91,22 +91,16 @@ func (n *Node) Query(qobj []byte, r float64, timeout time.Duration) (QueryOutcom
 	return out, qerr
 }
 
-// leafEntries is where the k-d descent stops bisecting a run and tests
-// the entries' points against the cube instead, and so where the
-// columns' split index stops. With the splits read from the index and a
-// leaf run tested in one query.Box.Mask call, BenchmarkLocalQuery's
-// fixture (57 409 entries, k = 6) reads 192 / 148 / 128 / 116 / 113 /
-// 116 µs per query at 8 / 16 / 32 / 64 / 128 / 256 with its radius of
-// 0.30, where most cells survive, and 14.8 / 12.9 / 11.6 / 10.8 / 10.9 /
-// 12.2 µs with a selective radius of 0.12 (medians of six alternated
-// rounds): a point test now costs less than the descent step that would
-// have pruned it, up to about 128 entries. When every split was a binary
-// search and every test a branch per coordinate, the same sweep read
-// flat from 32 up at 0.30 and best at 16–32 at 0.12. The value also
-// fixes which entries a query tests (TestLocalQueryWorkPinned) and the
-// index's size (TestColumnsIndexSize), so moving it is a change of its
-// own.
-const leafEntries = 32
+// leafRows is how many consecutive sorted positions of the columns
+// share one leaf box (query.LeafBoxes). BenchmarkLocalQuery's fixture
+// (57 409 entries, k = 6) reads 108.7 / 100.2 / 95.6 µs per query at
+// 8 / 16 / 32 with its radius of 0.30, and 20.1 / 16.0 / 15.4 µs at a
+// selective 0.12 (medians of six alternated rounds); bench's ring-scan
+// reads 3391 / 3718 / 3761 ops/s and 0.458 / 0.423 / 0.410 CPU ms per
+// query (four alternated rounds), and 64 read worse than 32 at 0.30.
+// The value also fixes which entries a query tests
+// (TestLocalQueryWorkPinned).
+const leafRows = 32
 
 // hop is the regions of one message bound for one next hop. A message
 // touches a handful of next hops, so a hop is found by scanning.
@@ -328,17 +322,17 @@ type leafState struct {
 	n     int
 }
 
-// answer resolves a message's local shares in one pass. Each region is
-// one k-d descent of the boot columns' split index over the region's
-// run, up to its cut — the cube is tested only at the leaves, the
-// share's tombstones and the exact distance only on what the cube lets
-// through — whether the delta
-// is this node's or a down owner's copy: every member holds the same
-// columns. A delta's extras then answer where a boot entry with their
-// key would: inside a region's key run up to its cut, and inside its
-// cube. They are kept in key order too, so each region binary-searches
-// its stretch of them (extrasWithin) and tests only that. The descent
-// hands out sorted positions and the objects are stored by sorted
+// answer resolves a message's local shares in one pass. Each region
+// reads the boot columns' run of its prefix, up to its cut, through
+// their leaf boxes — the cube is tested only under the boxes that meet
+// it, the share's tombstones and the exact distance only on what the
+// cube lets through — whether the delta is this node's or a down
+// owner's copy: every member holds the same columns. A delta's extras
+// then answer where a boot entry with their key would: inside a
+// region's key run up to its cut, and inside its cube. They are kept in
+// key order too, so each region binary-searches its stretch of them
+// (extrasWithin) and tests only that. The walk hands out sorted
+// positions and the objects are stored by sorted
 // position, so the exact distances of a region's batches read the slab
 // front to back; the corpus id is looked up only for what goes on the
 // wire. Over-coverage under membership-view skew is harmless: the
@@ -350,7 +344,7 @@ func (n *Node) answer(q *queryMsg, shares []share) ([]ResultEntry, error) {
 	if err != nil {
 		return nil, errBadQueryObject
 	}
-	part, cols := n.data.Part(), n.data.Cols()
+	cols := n.data.Cols()
 	var ents []ResultEntry
 	at := &n.leaves
 	// flush computes the batch's exact distances in one evaluator.Refine
@@ -392,7 +386,8 @@ func (n *Node) answer(q *queryMsg, shares []share) ([]ResultEntry, error) {
 		at.tombs = s.d.tombs
 		for i, reg := range s.regions {
 			at.box.Set(reg.Cube)
-			cols.splits.Descend(part, reg, cols.above(s.cuts[i]), leaf)
+			a, b := reg.Run(cols.keys)
+			cols.boxes.Walk(reg.Cube, a, min(b, cols.above(s.cuts[i])), leaf)
 		}
 		if len(s.d.extras) == 0 {
 			continue
