@@ -24,8 +24,8 @@ func TestCrashDuringQueries(t *testing.T) {
 		f.eng.Schedule(at, func() {
 			nodes := f.sys.Nodes()
 			victim := nodes[rng.Intn(len(nodes))]
-			for _, entries := range victim.Snapshot() {
-				for _, e := range entries {
+			for _, b := range victim.Snapshot() {
+				for _, e := range b.Entries {
 					crashed[e.Obj] = true
 				}
 			}

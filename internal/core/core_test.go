@@ -281,7 +281,7 @@ func TestBulkLoadOwnership(t *testing.T) {
 	// Every stored entry must live on the oracle successor of its key.
 	for _, in := range f.sys.Nodes() {
 		for _, name := range in.st.Indexes() {
-			keys, _ := in.st.RegionSnapshot(name)
+			keys, _ := viewCopy(in.st, name)
 			for _, key := range keys {
 				owner, err := f.sys.net.SuccessorNode(key)
 				if err != nil {
@@ -334,11 +334,11 @@ func TestBulkLoadMatchesPutPerEntry(t *testing.T) {
 		put(e)
 	}
 	for _, in := range f.sys.Nodes() {
-		keys, entries := in.st.RegionSnapshot("test-l2")
+		keys, entries := viewCopy(in.st, "test-l2")
 		var wantKeys []lph.Key
 		var wantEntries []Entry
 		if st := want[in.ID()]; st != nil {
-			wantKeys, wantEntries = st.RegionSnapshot("test-l2")
+			wantKeys, wantEntries = viewCopy(st, "test-l2")
 		}
 		if !slices.Equal(keys, wantKeys) || len(entries) != len(wantEntries) {
 			t.Fatalf("node %#x holds %d keys, one Put per entry stores %d", in.ID(), len(keys), len(wantKeys))
@@ -539,7 +539,7 @@ func TestLoadBalancingConservesAndStaysCorrect(t *testing.T) {
 	// Entries still live on their oracle owners.
 	for _, in := range f.sys.Nodes() {
 		for _, name := range in.st.Indexes() {
-			keys, _ := in.st.RegionSnapshot(name)
+			keys, _ := viewCopy(in.st, name)
 			for _, key := range keys {
 				owner, _ := f.sys.net.SuccessorNode(key)
 				if owner.ID() != in.ID() {

@@ -196,7 +196,8 @@ func (lb *lbController) migrate(heavy, light *IndexNode) {
 	light.migrating = true
 	lb.Migrations++
 
-	// 1. The light node drains its regions and streams them in bulk to
+	// 1. The light node takes every entry out of its regions (an
+	// extraction over the whole ring) and streams them in bulk to
 	// its ring successor — the node that will own them once it leaves —
 	// while it is still alive to drive the stream (chunk
 	// acknowledgements return to it). Queries during the stream can
@@ -210,7 +211,7 @@ func (lb *lbController) migrate(heavy, light *IndexNode) {
 	drainOrder := light.st.Indexes()
 	drained := make(map[string]batch)
 	for _, name := range drainOrder {
-		keys, entries, err := light.st.Drain(name)
+		keys, entries, err := light.st.ExtractUpTo(name, 0, ^lph.Key(0))
 		s.noteStoreErr(err)
 		drained[name] = batch{keys, entries}
 	}

@@ -16,9 +16,9 @@ import (
 //
 // keys and entries are the store's contents, in storage order: an append
 // goes to the end, Delete swap-removes, ExtractUpTo compacts. Everything
-// that hands entries out — View, RegionSnapshot, ExtractUpTo, Drain, the
-// transfer chunks cut from them — reads these two and nothing else, so
-// that order is a function of the mutations alone.
+// that hands entries out — View, ExtractUpTo, the transfer chunks cut
+// from them — reads these two and nothing else, so that order is a
+// function of the mutations alone.
 //
 // pts, objs, order, boxes and body are the scan index, derived from the
 // two and never the other way round. Row i of the index is entry
@@ -36,8 +36,8 @@ import (
 //
 // The index is brought up to date by the scan that needs it (index), not
 // by the mutators: add leaves new entries for the next scan to copy into
-// the tail, and whatever moves or removes an entry ends in truncate or
-// drain, which drop every row, so len(order) < len(entries) is all a scan
+// the tail, and whatever moves or removes an entry ends in truncate,
+// which drops every row, so len(order) < len(entries) is all a scan
 // has to check. A store belongs to the protocol executor (Store), which
 // is why a read may write.
 type region struct {
@@ -216,13 +216,6 @@ func (s *region) extractUpTo(base, split lph.Key) ([]lph.Key, []Entry) {
 	return outK, outE
 }
 
-// drain removes and returns everything.
-func (s *region) drain() ([]lph.Key, []Entry) {
-	k, e := s.keys, s.entries
-	*s = region{}
-	return k, e
-}
-
 // MemStore is the in-memory Store — the default backend, equivalent to
 // the pre-Store behavior and what the paper's simulations assume. Its
 // mutating methods fail only on an entry whose point length is not the
@@ -279,7 +272,8 @@ func (m *MemStore) Delete(index string, key lph.Key, obj ObjectID) (bool, error)
 	return false, nil
 }
 
-// Scan implements Store.
+// Scan is ScanIDs that appends the matching entries instead of their ids:
+// the same entries in the same order, under the same rules for buf.
 func (m *MemStore) Scan(index string, r query.Region, buf []Entry) []Entry {
 	st, ok := m.regions[index]
 	if !ok {
@@ -342,15 +336,6 @@ func (m *MemStore) View(index string, fn func(keys []lph.Key, entries []Entry)) 
 	}
 }
 
-// RegionSnapshot implements Store.
-func (m *MemStore) RegionSnapshot(index string) ([]lph.Key, []Entry) {
-	st, ok := m.regions[index]
-	if !ok || st.size() == 0 {
-		return nil, nil
-	}
-	return append([]lph.Key(nil), st.keys...), append([]Entry(nil), st.entries...)
-}
-
 // ApplyRegion implements Store.
 func (m *MemStore) ApplyRegion(index string, keys []lph.Key, entries []Entry) error {
 	if len(keys) == 0 && len(entries) == 0 {
@@ -378,16 +363,6 @@ func (m *MemStore) ExtractUpTo(index string, base, split lph.Key) ([]lph.Key, []
 		return nil, nil, nil
 	}
 	k, e := st.extractUpTo(base, split)
-	return k, e, nil
-}
-
-// Drain implements Store.
-func (m *MemStore) Drain(index string) ([]lph.Key, []Entry, error) {
-	st, ok := m.regions[index]
-	if !ok {
-		return nil, nil, nil
-	}
-	k, e := st.drain()
 	return k, e, nil
 }
 

@@ -26,6 +26,25 @@ func scanReference(st Store, index string, r query.Region) []Entry {
 	return out
 }
 
+// imageOf is the MemStore a store reads from: the store itself, or a
+// WALStore's image. Scan, ScanIDs that hands out entries, is a MemStore
+// method, not a Store one.
+func imageOf(st Store) *MemStore {
+	if ws, ok := st.(*WALStore); ok {
+		return ws.mem
+	}
+	return st.(*MemStore)
+}
+
+// viewCopy copies one index's keys and entries out through View, nil
+// when it holds none.
+func viewCopy(st Store, index string) (keys []lph.Key, entries []Entry) {
+	st.View(index, func(k []lph.Key, e []Entry) {
+		keys, entries = append(keys, k...), append(entries, e...)
+	})
+	return keys, entries
+}
+
 // entriesEqual: the same objects in the same order, their points equal
 // bit for bit — a NaN coordinate equals itself, and a decoded point of
 // no coordinates (nil) equals a stored empty one.
@@ -53,7 +72,7 @@ func checkScan(t *testing.T, st Store, index string, cube []lph.Bounds, after st
 	t.Helper()
 	r := query.Region{Cube: cube}
 	want := scanReference(st, index, r)
-	got := st.Scan(index, r, []Entry{{Obj: -1}})
+	got := imageOf(st).Scan(index, r, []Entry{{Obj: -1}})
 	if len(got) < 1 || got[0].Obj != -1 {
 		t.Fatalf("after %s: Scan(%q) did not append to its buffer", after, index)
 	}
@@ -68,7 +87,7 @@ func checkScanIDs(t *testing.T, st Store, index string, cube []lph.Bounds, after
 	t.Helper()
 	r := query.Region{Cube: cube}
 	var want []int32
-	for _, e := range st.Scan(index, r, nil) {
+	for _, e := range imageOf(st).Scan(index, r, nil) {
 		want = append(want, int32(e.Obj))
 	}
 	got := st.ScanIDs(index, r, []int32{-1})
@@ -196,18 +215,8 @@ func (r refStore) extractUpTo(index string, base, split lph.Key) (outK []lph.Key
 	return outK, outE
 }
 
-func (r refStore) drain(index string) ([]lph.Key, []Entry) {
-	reg := r[index]
-	if reg == nil {
-		return nil, nil
-	}
-	k, e := reg.keys, reg.entries
-	reg.keys, reg.entries = nil, nil
-	return k, e
-}
-
 // storeStep is one step of interleave: the operation just made, and for
-// ExtractUpTo and Drain what the store and the reference handed out.
+// ExtractUpTo what the store and the reference handed out.
 type storeStep struct {
 	op          string
 	handedOut   bool
@@ -286,7 +295,7 @@ func interleave(t *testing.T, durable bool, rng *rand.Rand, check func(st Store,
 			ref.put(index, keys, entries)
 		case x < 14:
 			step.op = "Delete"
-			keys, entries := st.RegionSnapshot(index)
+			keys, entries := viewCopy(st, index)
 			if len(keys) > 0 {
 				i := rng.Intn(len(keys))
 				ok, err := st.Delete(index, keys[i], entries[i].Obj)
@@ -312,11 +321,11 @@ func interleave(t *testing.T, durable bool, rng *rand.Rand, check func(st Store,
 			delete(ref, index)
 			ref.put(index, keys, entries)
 		case x < 18:
-			step.op = "Drain"
+			step.op = "ExtractUpTo(whole ring)"
 			var err error
-			step.gotK, step.gotE, err = st.Drain(index)
+			step.gotK, step.gotE, err = st.ExtractUpTo(index, 0, ^lph.Key(0))
 			must(step.op, err)
-			step.wantK, step.wantE = ref.drain(index)
+			step.wantK, step.wantE = ref.extractUpTo(index, 0, ^lph.Key(0))
 			step.handedOut = true
 		case x < 19:
 			step.op = "DropIndex"
@@ -353,8 +362,8 @@ func TestScanMatchesContains(t *testing.T) {
 }
 
 // TestStorageOrderUnchanged: the scan index sits beside the entries and
-// never reorders them. View, RegionSnapshot, ExtractUpTo and Drain hand
-// out what a store without the index did, in that order — which transfer
+// never reorders them. View and ExtractUpTo — over part of the ring or
+// all of it — hand out what a store without the index did, in that order — which transfer
 // chunk an entry rides in depends on it, and with it the transcripts of
 // the paper's figures (testdata/golden). Scans run between the steps, as
 // they do in a deployment: that is when the index is built.
@@ -380,9 +389,6 @@ func TestStorageOrderUnchanged(t *testing.T) {
 				})
 				if !viewed && len(wantK) > 0 {
 					t.Fatalf("after %s: View(%q) showed nothing, the reference holds %v", step.op, index, wantK)
-				}
-				if keys, entries := st.RegionSnapshot(index); !slices.Equal(keys, wantK) || !entriesEqual(entries, wantE) {
-					t.Fatalf("after %s: RegionSnapshot(%q) = %v %v, the reference holds %v %v", step.op, index, keys, entries, wantK, wantE)
 				}
 				if st.Size(index) != len(wantK) {
 					t.Fatalf("after %s: Size(%q) = %d, the reference holds %d", step.op, index, st.Size(index), len(wantK))
@@ -413,6 +419,60 @@ func hashedRegion(t testing.TB, st Store, index string, n, k int, rng *rand.Rand
 	}
 	if err := st.PutBatch(index, keys, entries); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExtractWholeRing: ExtractUpTo over the whole ring — what a node
+// leaving under load balancing hands its successor — returns every entry
+// of the index in storage order, keys 0 and ^0 included, and leaves it
+// empty; a durable store's journal replays to the index being gone.
+func TestExtractWholeRing(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		dir := t.TempDir()
+		var st Store = NewMemStore()
+		if durable {
+			st = openTestWALStore(t, dir, -1)
+		}
+		rng := rand.New(rand.NewSource(12))
+		hashedRegion(t, st, "ix", 300, 3, rng)
+		hashedRegion(t, st, "kept", 10, 2, rng)
+		for i, key := range []lph.Key{0, ^lph.Key(0)} {
+			if err := st.Put("ix", key, Entry{Obj: ObjectID(1000 + i), Point: []float64{0.5, 0.5, 0.5}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		whole := query.Region{Cube: []lph.Bounds{{Lo: 0, Hi: 1}, {Lo: 0, Hi: 1}, {Lo: 0, Hi: 1}}}
+		st.ScanIDs("ix", whole, nil) // build the scan index
+		keys, entries := viewCopy(st, "ix")
+		if ok, err := st.Delete("ix", keys[7], entries[7].Obj); err != nil || !ok {
+			t.Fatalf("Delete = %v, %v", ok, err)
+		}
+		wantK, wantE := viewCopy(st, "ix")
+		gotK, gotE, err := st.ExtractUpTo("ix", 0, ^lph.Key(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(gotK) != 301 || !slices.Equal(gotK, wantK) || !entriesEqual(gotE, wantE) {
+			t.Fatalf("durable=%v: the whole-ring extraction handed out %d entries, not the %d the index held in storage order", durable, len(gotK), len(wantK))
+		}
+		if n, ids := st.Size("ix"), st.ScanIDs("ix", whole, nil); n != 0 || len(ids) != 0 {
+			t.Fatalf("durable=%v: after the extraction the index holds %d entries and a scan finds %v", durable, n, ids)
+		}
+		if st.Size("kept") != 10 {
+			t.Fatalf("durable=%v: the extraction took entries of another index", durable)
+		}
+		if durable {
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st = openTestWALStore(t, dir, -1)
+			if names := st.Indexes(); !slices.Equal(names, []string{"kept"}) || st.Size("kept") != 10 {
+				t.Fatalf("the journal replays to indexes %v, want only the 10 entries of kept", names)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -534,11 +594,11 @@ func TestScanSteadyStateAllocs(t *testing.T) {
 		for j := range r.Cube {
 			r.Cube[j] = lph.Bounds{Lo: 0.1, Hi: 0.9}
 		}
-		buf := st.Scan("ix", r, make([]Entry, 0, n+n/8))
+		buf := imageOf(st).Scan("ix", r, make([]Entry, 0, n+n/8))
 		if len(buf) == 0 {
 			t.Fatal("the warm-up scan matched nothing")
 		}
-		if allocs := testing.AllocsPerRun(100, func() { buf = st.Scan("ix", r, buf[:0]) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(100, func() { buf = imageOf(st).Scan("ix", r, buf[:0]) }); allocs != 0 {
 			t.Fatalf("durable=%v: %.0f allocations per scan into a buffer with room", durable, allocs)
 		}
 		ids := make([]int32, 0, len(buf))
@@ -570,10 +630,10 @@ func TestStoreRefusesPointOfAnotherLength(t *testing.T) {
 		if err := st.PutBatch("ix", []lph.Key{2, 3}, []Entry{pt(2, 0.3, 0.4), pt(3, 0.5, 0.6)}); err != nil {
 			t.Fatal(err)
 		}
-		wantK, wantE := st.RegionSnapshot("ix")
+		wantK, wantE := viewCopy(st, "ix")
 		same := func(after string) {
 			t.Helper()
-			k, e := st.RegionSnapshot("ix")
+			k, e := viewCopy(st, "ix")
 			if !reflect.DeepEqual(k, wantK) || !reflect.DeepEqual(e, wantE) {
 				t.Fatalf("after %s the index holds %v %v, want %v %v", after, k, e, wantK, wantE)
 			}
@@ -613,10 +673,10 @@ func TestStoreRefusesPointOfAnotherLength(t *testing.T) {
 				same("a refused ApplyRegion")
 			}
 		}
-		if got := st.Scan("ix", query.Region{Cube: make([]lph.Bounds, 3)}, nil); len(got) != 0 {
+		if got := st.ScanIDs("ix", query.Region{Cube: make([]lph.Bounds, 3)}, nil); len(got) != 0 {
 			t.Fatalf("a 3-coordinate cube matched %d 2-coordinate points", len(got))
 		}
-		if got := st.Scan("ix", query.Region{Cube: []lph.Bounds{{Lo: 0, Hi: 1}, {Lo: 0, Hi: 1}}}, nil); len(got) != 3 {
+		if got := st.ScanIDs("ix", query.Region{Cube: []lph.Bounds{{Lo: 0, Hi: 1}, {Lo: 0, Hi: 1}}}, nil); len(got) != 3 {
 			t.Fatalf("a scan of the whole space returned %v", got)
 		}
 		if durable {
@@ -635,13 +695,13 @@ func TestStoreRefusesPointOfAnotherLength(t *testing.T) {
 		if err := st.ApplyRegion("ix", []lph.Key{9}, []Entry{pt(9, 0.5)}); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := st.Drain("ix"); err != nil {
+		if _, _, err := st.ExtractUpTo("ix", 0, ^lph.Key(0)); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Put("ix", 10, pt(10, 0.1, 0.2, 0.3)); err != nil {
 			t.Fatal(err)
 		}
-		if got := st.Scan("ix", query.Region{Cube: []lph.Bounds{{Lo: 0, Hi: 1}, {Lo: 0, Hi: 1}, {Lo: 0, Hi: 1}}}, nil); len(got) != 1 || got[0].Obj != 10 {
+		if got := st.ScanIDs("ix", query.Region{Cube: []lph.Bounds{{Lo: 0, Hi: 1}, {Lo: 0, Hi: 1}, {Lo: 0, Hi: 1}}}, nil); len(got) != 1 || got[0] != 10 {
 			t.Fatalf("scan of the refilled index returned %v", got)
 		}
 		if err := st.Close(); err != nil {

@@ -19,7 +19,7 @@ func TestReplicateAllPlacesCopies(t *testing.T) {
 	// at-most-2 predecessors-by-ownership.
 	for _, in := range f.sys.Nodes() {
 		for _, name := range in.st.Indexes() {
-			keys, _ := in.st.RegionSnapshot(name)
+			keys, _ := viewCopy(in.st, name)
 			for _, key := range keys {
 				if in.node.OwnsKey(key) {
 					continue

@@ -17,7 +17,7 @@ import (
 //
 // Stores are NOT concurrency-safe: like the rest of the protocol
 // state, a store belongs to the protocol executor and is only touched
-// from it — reads included: Scan may bring the index it reads up to
+// from it — reads included: ScanIDs may bring the index it reads up to
 // date with the mutations made since the last one.
 //
 // An index has one point length — its partitioner's K: every entry
@@ -45,20 +45,16 @@ type Store interface {
 	// whether one existed.
 	Delete(index string, key lph.Key, obj ObjectID) (bool, error)
 
-	// Scan appends the entries of one index whose points fall inside
-	// the region's cube to buf and returns it: each matching entry
-	// exactly once, in an order that is a function of the store's
-	// mutation history (not the storage order View shows — callers that
-	// need an order sort). A cube of another length than the index's
+	// ScanIDs appends the object ids of the entries of one index whose
+	// points fall inside the region's cube to buf and returns it: each
+	// matching entry exactly once, in an order that is a function of the
+	// store's mutation history (not the storage order View shows — callers
+	// that need an order sort). A cube of another length than the index's
 	// points contains none of them (Region.Contains). Hot callers pass a
 	// reusable buffer (buf[:0]) — a scan that finds the store as the
 	// previous one left it must not allocate when the buffer has
 	// capacity, and the result must be fully consumed before the buffer
 	// is reused.
-	Scan(index string, r query.Region, buf []Entry) []Entry
-	// ScanIDs is Scan that appends the matching entries' object ids
-	// instead of the entries: the same objects in the same order, under
-	// the same rules for buf.
 	ScanIDs(index string, r query.Region, buf []int32) []int32
 	// Size returns one index's entry count; TotalSize sums all indexes
 	// (the paper's load measure).
@@ -72,19 +68,16 @@ type Store interface {
 	// retain or mutate them.
 	View(index string, fn func(keys []lph.Key, entries []Entry))
 
-	// RegionSnapshot copies out one index's full contents — the unit of
-	// bulk region transfer and of crash-time republication.
-	RegionSnapshot(index string) ([]lph.Key, []Entry)
 	// ApplyRegion replaces one index's contents wholesale (the receive
 	// side of bulk transfer and replica repair). Empty input clears the
 	// index; a refused replacement leaves it as it was.
 	ApplyRegion(index string, keys []lph.Key, entries []Entry) error
 
 	// ExtractUpTo removes and returns the entries whose ring key lies
-	// in (base-1, split] — the lower half of the owner's range after a
-	// load split. Drain removes and returns everything in one index.
+	// in (base-1, split], in storage order — the lower half of the
+	// owner's range after a load split, or with (0, ^0) every entry of
+	// the index, which a node hands over when it leaves.
 	ExtractUpTo(index string, base, split lph.Key) ([]lph.Key, []Entry, error)
-	Drain(index string) ([]lph.Key, []Entry, error)
 	// DropIndex discards one index entirely (scheme undeployment).
 	DropIndex(index string) error
 

@@ -627,20 +627,23 @@ func (s *System) endPublish(p *publish, owner chord.ID, err error) {
 	}
 }
 
-// Store returns the node's storage backend.
-func (in *IndexNode) Store() Store { return in.st }
+// IndexEntries is a copy of one index scheme's entries on a node.
+type IndexEntries struct {
+	Index   string
+	Entries []Entry
+}
 
-// Snapshot copies the node's entries per index scheme (used by churn
-// injection to model soft-state republication of a crashed node's
-// entries).
-func (in *IndexNode) Snapshot() map[string][]Entry {
-	out := make(map[string][]Entry)
+// Snapshot copies the node's entries per index scheme, in Indexes()
+// order and skipping empty ones (used by churn injection to model
+// soft-state republication of a crashed node's entries).
+func (in *IndexNode) Snapshot() []IndexEntries {
+	var out []IndexEntries
 	for _, name := range in.st.Indexes() {
-		_, entries := in.st.RegionSnapshot(name)
-		if len(entries) == 0 {
-			continue
-		}
-		out[name] = entries
+		in.st.View(name, func(_ []lph.Key, entries []Entry) {
+			if len(entries) > 0 {
+				out = append(out, IndexEntries{name, slices.Clone(entries)})
+			}
+		})
 	}
 	return out
 }

@@ -80,7 +80,7 @@ func TestStreamRegionEncodeWireExact(t *testing.T) {
 	entries[7].Point = []float64{1e-308, -0.0, 3.141592653589793}
 	f.sys.streamRegion(src, dst.ID(), "xfer-wire", keys, entries, nil)
 	f.eng.Run()
-	gotK, gotE := dst.st.RegionSnapshot("xfer-wire")
+	gotK, gotE := viewCopy(dst.st, "xfer-wire")
 	if len(gotK) != len(keys) {
 		t.Fatalf("destination holds %d entries, want %d", len(gotK), len(keys))
 	}

@@ -246,10 +246,6 @@ func (st *WALStore) Delete(index string, key lph.Key, obj ObjectID) (bool, error
 	})
 }
 
-func (st *WALStore) Scan(index string, r query.Region, buf []Entry) []Entry {
-	return st.mem.Scan(index, r, buf)
-}
-
 // ScanIDs implements Store.
 func (st *WALStore) ScanIDs(index string, r query.Region, buf []int32) []int32 {
 	return st.mem.ScanIDs(index, r, buf)
@@ -261,10 +257,6 @@ func (st *WALStore) Indexes() []string     { return st.mem.Indexes() }
 
 func (st *WALStore) View(index string, fn func(keys []lph.Key, entries []Entry)) {
 	st.mem.View(index, fn)
-}
-
-func (st *WALStore) RegionSnapshot(index string) ([]lph.Key, []Entry) {
-	return st.mem.RegionSnapshot(index)
 }
 
 func (st *WALStore) ApplyRegion(index string, keys []lph.Key, entries []Entry) error {
@@ -282,24 +274,14 @@ func (st *WALStore) ExtractUpTo(index string, base, split lph.Key) ([]lph.Key, [
 	if len(keys) == 0 {
 		return keys, entries, nil
 	}
-	// Journal the survivors wholesale: extraction is rare (one split
-	// per migration) and a replace record keeps replay trivial.
+	// Journal the survivors wholesale: extraction is rare (twice an
+	// index per migration: all of the light node's, the heavy node's
+	// lower half) and a replace record keeps replay trivial.
 	err = st.record(opRegion, index, func(b []byte) []byte {
 		st.mem.View(index, func(k []lph.Key, e []Entry) { b = AppendRegion(b, k, e) })
 		return b
 	})
 	return keys, entries, err
-}
-
-func (st *WALStore) Drain(index string) ([]lph.Key, []Entry, error) {
-	keys, entries, err := st.mem.Drain(index)
-	if err != nil {
-		return keys, entries, err
-	}
-	if len(keys) == 0 {
-		return keys, entries, nil
-	}
-	return keys, entries, st.record(opDrop, index, nil)
 }
 
 func (st *WALStore) DropIndex(index string) error {

@@ -49,7 +49,7 @@ func TestWALStoreRecoversAcrossRestart(t *testing.T) {
 	if got := st2.Size("idx-b"); got != 1 {
 		t.Fatalf("idx-b recovered %d entries, want 1", got)
 	}
-	keys, entries := st2.RegionSnapshot("idx-a")
+	keys, entries := viewCopy(st2, "idx-a")
 	for i, k := range keys {
 		if k == 1001 {
 			t.Fatal("deleted entry came back")
@@ -123,8 +123,8 @@ func TestWALStoreCompactionAndRecovery(t *testing.T) {
 }
 
 // Auto-compaction triggers on the configured journal interval, and
-// every structural mutation (batch, region replace, extract, drain,
-// drop) survives a restart.
+// every structural mutation (batch, region replace, extract, whole-ring
+// extract, drop) survives a restart.
 func TestWALStoreStructuralOpsSurvive(t *testing.T) {
 	dir := t.TempDir()
 	st := openTestWALStore(t, dir, 8)
@@ -142,7 +142,7 @@ func TestWALStoreStructuralOpsSurvive(t *testing.T) {
 	if _, _, err := st.ExtractUpTo("batch", 10, 12); err != nil { // removes 10,11,12
 		t.Fatal(err)
 	}
-	if _, _, err := st.Drain("replace"); err != nil {
+	if _, _, err := st.ExtractUpTo("replace", 0, ^lph.Key(0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.PutBatch("doomed", keys, entries); err != nil {
@@ -182,7 +182,7 @@ func TestWALStoreStructuralOpsSurvive(t *testing.T) {
 		t.Fatalf("tail has %d entries, want 10", got)
 	}
 	// Scan still works through the recovered image.
-	got := st2.Scan("tail", query.Region{Cube: []lph.Bounds{{Lo: 2, Hi: 2}}}, nil)
+	got := st2.ScanIDs("tail", query.Region{Cube: []lph.Bounds{{Lo: 2, Hi: 2}}}, nil)
 	if len(got) != 10 {
 		t.Fatalf("scan found %d entries, want 10", len(got))
 	}

@@ -1,17 +1,11 @@
 package harness
 
 import (
-	"math/rand"
-
 	"landmarkdht/internal/chord"
 	"landmarkdht/internal/core"
 	"landmarkdht/internal/eval"
-	"landmarkdht/internal/indexspace"
 	"landmarkdht/internal/landmark"
 	"landmarkdht/internal/metric"
-	"landmarkdht/internal/netmodel"
-	"landmarkdht/internal/runtime/simrt"
-	"landmarkdht/internal/sim"
 )
 
 // RotationResult compares multi-index hotspot overlap with and without
@@ -32,9 +26,6 @@ type RotationResult struct {
 // schemes on one overlay, once without rotation and once with, and
 // reports the combined load concentration (DESIGN.md ablation A1).
 func AblationRotation(scale Scale, numIndexes int) ([]RotationResult, error) {
-	if err := scale.validate(); err != nil {
-		return nil, err
-	}
 	if numIndexes <= 0 {
 		numIndexes = 3
 	}
@@ -47,16 +38,10 @@ func AblationRotation(scale Scale, numIndexes int) ([]RotationResult, error) {
 	slab := metric.NewL2Slab(w.Space, w.Data)
 	var out []RotationResult
 	for _, rotate := range []bool{false, true} {
-		eng := sim.NewEngine(scale.Seed)
-		model, err := netmodel.NewSyntheticKing(netmodel.KingConfig{N: scale.Nodes, Seed: scale.Seed})
+		d, err := newOverlay[metric.Vector](scale, core.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
-		sys := core.NewSystem(simrt.New(eng), model, core.DefaultConfig())
-		if _, err := sys.Populate(scale.Nodes, rand.New(rand.NewSource(scale.Seed+7))); err != nil {
-			return nil, err
-		}
-
 		names := make([]string, numIndexes)
 		for idx := 0; idx < numIndexes; idx++ {
 			space := w.Space
@@ -67,34 +52,11 @@ func AblationRotation(scale Scale, numIndexes int) ([]RotationResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			emb, err := indexspace.New(space, lms)
-			if err != nil {
-				return nil, err
-			}
-			part, err := emb.Partitioner(rotate)
-			if err != nil {
-				return nil, err
-			}
-			data := w.Data
-			ix := &core.Index{
-				Name: space.Name,
-				Part: part,
-				Dist: func(p any, o core.ObjectID) float64 {
-					return metric.L2(p.(metric.Vector), data[o])
-				},
-			}
-			if slab != nil {
-				ix.Refine = slab.Refine
-			}
-			if err := sys.DeployIndex(ix); err != nil {
-				return nil, err
-			}
-			rows, _ := emb.MapBatch(data, nil)
-			if err := sys.BulkLoadRows(ix.Name, rows); err != nil {
+			if _, err := d.addScheme(DeploySpec[metric.Vector]{Space: space, Data: w.Data, Landmarks: lms, Rotate: rotate}, slab); err != nil {
 				return nil, err
 			}
 		}
-		loads := sys.Loads()
+		loads := d.Sys.Loads()
 		res := RotationResult{
 			Rotated:      rotate,
 			NumIndexes:   numIndexes,
@@ -106,7 +68,7 @@ func AblationRotation(scale Scale, numIndexes int) ([]RotationResult, error) {
 		for i, name := range names {
 			var hot chord.ID
 			best := -1
-			for _, in := range sys.Nodes() {
+			for _, in := range d.Sys.Nodes() {
 				if l := in.LoadFor(name); l > best {
 					hot, best = in.ID(), l
 				}
@@ -178,19 +140,14 @@ func AblationLB(scale Scale) ([]LBSweepCell, error) {
 			specs = append(specs, LBSweepCell{Delta: d, ProbeLevel: p})
 		}
 	}
-	err = parallelMap(len(specs), func(i int) error {
+	cells, err := sweep(len(specs), func(i int) (*Deployment[metric.Vector], string, float64, error) {
 		lb := core.LBConfig{Delta: specs[i].Delta, ProbeLevel: specs[i].ProbeLevel, Period: scale.LBPeriod}
 		dep, err := synDeploy(scale, w, Scheme{KMeans, 10}, &lb)
-		if err != nil {
-			return err
-		}
-		cell, err := dep.RunWorkload("K-mean-10", 0.05, false)
-		if err != nil {
-			return err
-		}
-		specs[i].Cell = cell
-		return nil
+		return dep, "K-mean-10", 0.05, err
 	})
+	for i := range cells {
+		specs[i].Cell = cells[i]
+	}
 	return specs, err
 }
 
@@ -203,20 +160,11 @@ func AblationK(scale Scale) ([]Cell, error) {
 		return nil, err
 	}
 	ks := []int{2, 5, 10, 15, 20}
-	cells := make([]Cell, len(ks))
-	err = parallelMap(len(ks), func(i int) error {
-		dep, err := synDeploy(scale, w, Scheme{KMeans, ks[i]}, nil)
-		if err != nil {
-			return err
-		}
-		cell, err := dep.RunWorkload(Scheme{KMeans, ks[i]}.Name(), 0.02, false)
-		if err != nil {
-			return err
-		}
-		cells[i] = cell
-		return nil
+	return sweep(len(ks), func(i int) (*Deployment[metric.Vector], string, float64, error) {
+		sc := Scheme{KMeans, ks[i]}
+		dep, err := synDeploy(scale, w, sc, nil)
+		return dep, sc.Name(), 0.02, err
 	})
-	return cells, err
 }
 
 // AblationPNS compares lookup/query latency with and without proximity
@@ -226,14 +174,13 @@ func AblationPNS(scale Scale) ([]Cell, error) {
 	if err != nil {
 		return nil, err
 	}
-	cells := make([]Cell, 2)
-	err = parallelMap(2, func(mode int) error {
-		lms, _, err := SelectLandmarks(Scheme{KMeans, 10}, w.Data, scale.LandmarkSample,
-			metric.L2, landmark.DenseMean, scale.Seed)
-		if err != nil {
-			return err
-		}
-		spec := DeploySpec[metric.Vector]{
+	lms, _, err := SelectLandmarks(Scheme{KMeans, 10}, w.Data, scale.LandmarkSample,
+		metric.L2, landmark.DenseMean, scale.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return sweep(2, func(mode int) (*Deployment[metric.Vector], string, float64, error) {
+		dep, err := Deploy(DeploySpec[metric.Vector]{
 			Scale:      scale,
 			Space:      w.Space,
 			Data:       w.Data,
@@ -242,21 +189,7 @@ func AblationPNS(scale Scale) ([]Cell, error) {
 			Landmarks:  lms,
 			Rotate:     true,
 			DisablePNS: mode == 1,
-		}
-		dep, err := Deploy(spec)
-		if err != nil {
-			return err
-		}
-		label := "PNS-on"
-		if mode == 1 {
-			label = "PNS-off"
-		}
-		cell, err := dep.RunWorkload(label, 0.02, false)
-		if err != nil {
-			return err
-		}
-		cells[mode] = cell
-		return nil
+		})
+		return dep, [2]string{"PNS-on", "PNS-off"}[mode], 0.02, err
 	})
-	return cells, err
 }

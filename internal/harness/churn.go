@@ -2,11 +2,9 @@ package harness
 
 import (
 	"math/rand"
-	"sort"
 	"time"
 
 	"landmarkdht/internal/chord"
-	"landmarkdht/internal/core"
 )
 
 // ChurnCell is one churn-rate configuration's outcome (ablation A6):
@@ -85,24 +83,12 @@ func startChurn[T any](dep *Deployment[T], meanSession time.Duration, cc *ChurnC
 				return
 			}
 			victim := nodes[rng.Intn(len(nodes))]
-			// Capture the victim's entries for republication.
-			type batch struct {
-				name    string
-				entries []core.Entry
-			}
-			// Republication order must not depend on map iteration
-			// order, or identical seeds place entries in different
+			// Capture the victim's entries for republication, in index
+			// order: identical seeds must place entries in the same
 			// store orders.
-			snap := victimEntries(victim)
-			names := make([]string, 0, len(snap))
-			for name := range snap {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			var lost []batch
-			for _, name := range names {
-				lost = append(lost, batch{name, snap[name]})
-				cc.LostEntries += len(snap[name])
+			lost := victim.Snapshot()
+			for _, b := range lost {
+				cc.LostEntries += len(b.Entries)
 			}
 			host := victim.ChordNode().Host()
 			if err := sys.CrashNode(victim.ID()); err != nil {
@@ -131,20 +117,11 @@ func startChurn[T any](dep *Deployment[T], meanSession time.Duration, cc *ChurnC
 					return
 				}
 				for _, b := range lost {
-					_ = sys.BulkLoad(b.name, b.entries)
+					_ = sys.BulkLoad(b.Index, b.Entries)
 				}
 			})
 		})
 	}
 	scheduleCrash()
 	return func() { stopped = true }
-}
-
-// victimEntries snapshots a node's entries per index scheme.
-func victimEntries(in *core.IndexNode) map[string][]core.Entry {
-	out := make(map[string][]core.Entry)
-	for name, entries := range in.Snapshot() {
-		out[name] = entries
-	}
-	return out
 }

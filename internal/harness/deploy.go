@@ -30,7 +30,6 @@ type Deployment[T any] struct {
 	Truth [][]int32
 	// MaxDist scales range factors into absolute query ranges.
 	MaxDist float64
-	nodeIDs []chord.ID
 	rng     *rand.Rand
 	scale   Scale
 }
@@ -50,8 +49,6 @@ type DeploySpec[T any] struct {
 	Rotate bool
 	// LB, when non-nil, enables dynamic load migration.
 	LB *core.LBConfig
-	// MaxDist overrides the range-factor scale (default: Space.Max).
-	MaxDist float64
 	// DisablePNS turns off proximity neighbor selection.
 	DisablePNS bool
 	// LossRate drops each message with this probability (fault
@@ -81,18 +78,14 @@ func SelectLandmarks[T any](sc Scheme, data []T, sampleN int, d metric.Distance[
 }
 
 // Deploy builds the simulated system: overlay, embedding, index, bulk
-// load, optional load balancing.
+// load, optional load balancing. Range factors scale by the metric's
+// bound, so the space must be bounded.
 func Deploy[T any](spec DeploySpec[T]) (*Deployment[T], error) {
-	if err := spec.Scale.validate(); err != nil {
-		return nil, err
-	}
 	if len(spec.Truth) != len(spec.Queries) {
 		return nil, fmt.Errorf("harness: %d truth rows for %d queries", len(spec.Truth), len(spec.Queries))
 	}
-	eng := sim.NewEngine(spec.Scale.Seed)
-	model, err := netmodel.NewSyntheticKing(netmodel.KingConfig{N: spec.Scale.Nodes, Seed: spec.Scale.Seed})
-	if err != nil {
-		return nil, err
+	if !spec.Space.Bounded {
+		return nil, fmt.Errorf("harness: metric %q has no bound to scale range factors by", spec.Space.Name)
 	}
 	cfg := core.DefaultConfig()
 	if spec.DisablePNS {
@@ -102,13 +95,55 @@ func Deploy[T any](spec DeploySpec[T]) (*Deployment[T], error) {
 		cfg.Chord.Faults = &runtime.FaultPolicy{Drop: spec.LossRate}
 	}
 	cfg.Retry = spec.Retry
-	sys := core.NewSystem(simrt.New(eng), model, cfg)
-	rng := rand.New(rand.NewSource(spec.Scale.Seed + 7))
-	ids, err := sys.Populate(spec.Scale.Nodes, rng)
+	d, err := newOverlay[T](spec.Scale, cfg)
 	if err != nil {
 		return nil, err
 	}
+	if d.Emb, err = d.addScheme(spec, metric.NewL2Slab(spec.Space, spec.Data)); err != nil {
+		return nil, err
+	}
+	if spec.LB != nil {
+		lbCfg := *spec.LB
+		if lbCfg.Period <= 0 {
+			lbCfg.Period = spec.Scale.LBPeriod
+		}
+		if err := d.Sys.EnableLoadBalancing(lbCfg); err != nil {
+			return nil, err
+		}
+	}
+	d.IndexName, d.Data, d.Queries, d.Truth, d.MaxDist = spec.Space.Name, spec.Data, spec.Queries, spec.Truth, spec.Space.Max
+	return d, nil
+}
 
+// newOverlay is Deploy's first half: the engine, the King latency model
+// and a system of scale.Nodes nodes, placed by the Seed+7 stream the
+// workload then draws its arrivals and sources from. No scheme is
+// deployed on it yet.
+func newOverlay[T any](scale Scale, cfg core.Config) (*Deployment[T], error) {
+	if err := scale.validate(); err != nil {
+		return nil, err
+	}
+	eng := sim.NewEngine(scale.Seed)
+	model, err := netmodel.NewSyntheticKing(netmodel.KingConfig{N: scale.Nodes, Seed: scale.Seed})
+	if err != nil {
+		return nil, err
+	}
+	sys := core.NewSystem(simrt.New(eng), model, cfg)
+	rng := rand.New(rand.NewSource(scale.Seed + 7))
+	if _, err := sys.Populate(scale.Nodes, rng); err != nil {
+		return nil, err
+	}
+	return &Deployment[T]{Eng: eng, Sys: sys, rng: rng, scale: scale}, nil
+}
+
+// addScheme is Deploy's second half: it puts one index scheme onto the
+// overlay — spec's embedding and partitioner, a core.Index over
+// spec.Data named after the space, bounded by its Max, refined through
+// slab when the space has one (metric.NewL2Slab of spec's Space and
+// Data; schemes over the same vectors share one) — and bulk-loads the
+// data into it. It reads spec's Space, Data, Landmarks, BoundarySample
+// and Rotate.
+func (d *Deployment[T]) addScheme(spec DeploySpec[T], slab *metric.L2Slab) (*indexspace.Embedding[T], error) {
 	var opts []indexspace.Option[T]
 	if spec.BoundarySample != nil {
 		opts = append(opts, indexspace.WithSampleBoundary(spec.BoundarySample))
@@ -121,63 +156,29 @@ func Deploy[T any](spec DeploySpec[T]) (*Deployment[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	data := spec.Data
-	dist := spec.Space.Dist
-	maxDistHint := spec.MaxDist
-	if maxDistHint <= 0 && spec.Space.Bounded {
-		maxDistHint = spec.Space.Max
-	}
+	data, dist := spec.Data, spec.Space.Dist
 	ix := &core.Index{
 		Name:    spec.Space.Name,
 		Part:    part,
-		MaxDist: maxDistHint,
+		MaxDist: spec.Space.Max,
 		Dist: func(payload any, obj core.ObjectID) float64 {
 			return dist(payload.(T), data[obj])
 		},
 	}
-	if slab := metric.NewL2Slab(spec.Space, data); slab != nil {
+	if slab != nil {
 		ix.Refine = slab.Refine
 	}
-	if err := sys.DeployIndex(ix); err != nil {
+	if err := d.Sys.DeployIndex(ix); err != nil {
 		return nil, err
 	}
 	// Batch-embed the whole dataset into one coordinate arena: two
 	// allocations instead of one per object, and the per-object
 	// embedding loop is the dominant cost of standing up a deployment.
 	rows, _ := emb.MapBatch(data, nil)
-	if err := sys.BulkLoadRows(ix.Name, rows); err != nil {
+	if err := d.Sys.BulkLoadRows(ix.Name, rows); err != nil {
 		return nil, err
 	}
-	if spec.LB != nil {
-		lbCfg := *spec.LB
-		if lbCfg.Period <= 0 {
-			lbCfg.Period = spec.Scale.LBPeriod
-		}
-		if err := sys.EnableLoadBalancing(lbCfg); err != nil {
-			return nil, err
-		}
-	}
-	maxDist := spec.MaxDist
-	if maxDist <= 0 {
-		if spec.Space.Bounded {
-			maxDist = spec.Space.Max
-		} else {
-			return nil, fmt.Errorf("harness: MaxDist required for unbounded metric")
-		}
-	}
-	return &Deployment[T]{
-		Eng:       eng,
-		Sys:       sys,
-		Emb:       emb,
-		IndexName: spec.Space.Name,
-		Data:      data,
-		Queries:   spec.Queries,
-		Truth:     spec.Truth,
-		MaxDist:   maxDist,
-		nodeIDs:   ids,
-		rng:       rng,
-		scale:     spec.Scale,
-	}, nil
+	return emb, nil
 }
 
 // RunWorkload issues the deployment's query set at Poisson arrivals on

@@ -45,6 +45,62 @@ func parallelMap(n int, fn func(i int) error) error {
 	return <-errs
 }
 
+// sweep measures n configurations, each in a fresh deployment of its
+// own, in parallel: cfg(i) stands configuration i up and names the one
+// workload it runs there — a label and a range factor — and cell i of
+// the result is that workload's.
+func sweep[T any](n int, cfg func(i int) (dep *Deployment[T], label string, rf float64, err error)) ([]Cell, error) {
+	cells := make([]Cell, n)
+	err := parallelMap(n, func(i int) error {
+		dep, label, rf, err := cfg(i)
+		if err != nil {
+			return err
+		}
+		cells[i], err = dep.RunWorkload(label, rf, false)
+		return err
+	})
+	return cells, err
+}
+
+// paperLB is the load balancing of Figures 3 to 6: δ = 0 and P_l = 4,
+// the paper's maximum-effect setting.
+func paperLB(scale Scale) *core.LBConfig {
+	return &core.LBConfig{Delta: 0, ProbeLevel: 4, Period: scale.LBPeriod}
+}
+
+// lbSweep runs every scheme at every range factor, each cell in a
+// fresh deployment with paperLB, so every cell experiences the full
+// migration churn. Cells are ordered by scheme then range factor.
+func lbSweep[T any](scale Scale, schemes []Scheme, deploy func(Scheme, *core.LBConfig) (*Deployment[T], error)) ([]Cell, error) {
+	rfs := RangeFactors()
+	return sweep(len(schemes)*len(rfs), func(i int) (*Deployment[T], string, float64, error) {
+		sc := schemes[i/len(rfs)]
+		dep, err := deploy(sc, paperLB(scale))
+		return dep, sc.Name(), rfs[i%len(rfs)], err
+	})
+}
+
+// loadCurves deploys each scheme with paperLB, runs the workload at range
+// factor 0.05 so balancing happens under live traffic, lets it settle
+// for ten periods and reads the per-node loads before and after.
+func loadCurves[T any](scale Scale, schemes []Scheme, deploy func(Scheme, *core.LBConfig) (*Deployment[T], error)) ([]LoadCurve, error) {
+	curves := make([]LoadCurve, len(schemes))
+	err := parallelMap(len(schemes), func(si int) error {
+		dep, err := deploy(schemes[si], paperLB(scale))
+		if err != nil {
+			return err
+		}
+		before := dep.Loads()
+		if _, err := dep.RunWorkload(schemes[si].Name(), 0.05, false); err != nil {
+			return err
+		}
+		dep.SettleLB(10 * scale.LBPeriod)
+		curves[si] = LoadCurve{Scheme: schemes[si].Name(), Loads: dep.Loads(), Before: before}
+		return nil
+	})
+	return curves, err
+}
+
 // SynWorkload is the §4.2 synthetic dataset with its query set and
 // ground truth.
 type SynWorkload struct {
@@ -139,33 +195,9 @@ func Figure3(scale Scale) ([]Cell, error) {
 	if err != nil {
 		return nil, err
 	}
-	schemes := Figure2Schemes()
-	rfs := RangeFactors()
-	type cellSpec struct {
-		si, ri int
-	}
-	var specs []cellSpec
-	for si := range schemes {
-		for ri := range rfs {
-			specs = append(specs, cellSpec{si, ri})
-		}
-	}
-	cells := make([]Cell, len(specs))
-	err = parallelMap(len(specs), func(i int) error {
-		sp := specs[i]
-		lb := core.LBConfig{Delta: 0, ProbeLevel: 4, Period: scale.LBPeriod}
-		dep, err := synDeploy(scale, w, schemes[sp.si], &lb)
-		if err != nil {
-			return err
-		}
-		cell, err := dep.RunWorkload(schemes[sp.si].Name(), rfs[sp.ri], false)
-		if err != nil {
-			return err
-		}
-		cells[sp.si*len(rfs)+sp.ri] = cell
-		return nil
+	return lbSweep(scale, Figure2Schemes(), func(sc Scheme, lb *core.LBConfig) (*Deployment[metric.Vector], error) {
+		return synDeploy(scale, w, sc, lb)
 	})
-	return cells, err
 }
 
 // LoadCurve is one scheme's sorted (descending) per-node load
@@ -184,25 +216,9 @@ func Figure4(scale Scale) ([]LoadCurve, error) {
 	if err != nil {
 		return nil, err
 	}
-	schemes := Figure2Schemes()
-	curves := make([]LoadCurve, len(schemes))
-	err = parallelMap(len(schemes), func(si int) error {
-		lb := core.LBConfig{Delta: 0, ProbeLevel: 4, Period: scale.LBPeriod}
-		dep, err := synDeploy(scale, w, schemes[si], &lb)
-		if err != nil {
-			return err
-		}
-		before := dep.Loads()
-		// Run the query workload at a representative range factor so
-		// balancing happens under live traffic, then let it settle.
-		if _, err := dep.RunWorkload(schemes[si].Name(), 0.05, false); err != nil {
-			return err
-		}
-		dep.SettleLB(10 * scale.LBPeriod)
-		curves[si] = LoadCurve{Scheme: schemes[si].Name(), Loads: dep.Loads(), Before: before}
-		return nil
+	return loadCurves(scale, Figure2Schemes(), func(sc Scheme, lb *core.LBConfig) (*Deployment[metric.Vector], error) {
+		return synDeploy(scale, w, sc, lb)
 	})
-	return curves, err
 }
 
 // Table2Stats bundles the §4.3 corpus statistics.
@@ -306,7 +322,6 @@ func corpusDeploy(scale Scale, w *corpusWorkload, sc Scheme, lb *core.LBConfig) 
 		BoundarySample: sample, // §4.3: boundary from the selection procedure
 		Rotate:         true,
 		LB:             lb,
-		MaxDist:        w.space.Max,
 	})
 }
 
@@ -317,31 +332,9 @@ func Figure5(scale Scale) ([]Cell, error) {
 	if err != nil {
 		return nil, err
 	}
-	schemes := Figure5Schemes()
-	rfs := RangeFactors()
-	type cellSpec struct{ si, ri int }
-	var specs []cellSpec
-	for si := range schemes {
-		for ri := range rfs {
-			specs = append(specs, cellSpec{si, ri})
-		}
-	}
-	cells := make([]Cell, len(specs))
-	err = parallelMap(len(specs), func(i int) error {
-		sp := specs[i]
-		lb := core.LBConfig{Delta: 0, ProbeLevel: 4, Period: scale.LBPeriod}
-		dep, err := corpusDeploy(scale, w, schemes[sp.si], &lb)
-		if err != nil {
-			return err
-		}
-		cell, err := dep.RunWorkload(schemes[sp.si].Name(), rfs[sp.ri], false)
-		if err != nil {
-			return err
-		}
-		cells[sp.si*len(rfs)+sp.ri] = cell
-		return nil
+	return lbSweep(scale, Figure5Schemes(), func(sc Scheme, lb *core.LBConfig) (*Deployment[metric.SparseVector], error) {
+		return corpusDeploy(scale, w, sc, lb)
 	})
-	return cells, err
 }
 
 // Figure6 reproduces §4.3 Figure 6: the load distribution on the
@@ -353,23 +346,9 @@ func Figure6(scale Scale) ([]LoadCurve, error) {
 	if err != nil {
 		return nil, err
 	}
-	schemes := Figure5Schemes()
-	curves := make([]LoadCurve, len(schemes))
-	err = parallelMap(len(schemes), func(si int) error {
-		lb := core.LBConfig{Delta: 0, ProbeLevel: 4, Period: scale.LBPeriod}
-		dep, err := corpusDeploy(scale, w, schemes[si], &lb)
-		if err != nil {
-			return err
-		}
-		before := dep.Loads()
-		if _, err := dep.RunWorkload(schemes[si].Name(), 0.05, false); err != nil {
-			return err
-		}
-		dep.SettleLB(10 * scale.LBPeriod)
-		curves[si] = LoadCurve{Scheme: schemes[si].Name(), Loads: dep.Loads(), Before: before}
-		return nil
+	return loadCurves(scale, Figure5Schemes(), func(sc Scheme, lb *core.LBConfig) (*Deployment[metric.SparseVector], error) {
+		return corpusDeploy(scale, w, sc, lb)
 	})
-	return curves, err
 }
 
 // SortCells orders cells by scheme then range factor for stable

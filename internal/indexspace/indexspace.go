@@ -13,6 +13,7 @@ package indexspace
 import (
 	"fmt"
 
+	"landmarkdht/internal/landmark"
 	"landmarkdht/internal/lph"
 	"landmarkdht/internal/metric"
 )
@@ -59,7 +60,7 @@ func New[T any](space metric.Space[T], landmarks []T, opts ...Option[T]) (*Embed
 	var bounds []lph.Bounds
 	switch {
 	case len(cfg.sample) > 0:
-		bounds = boundary(landmarks, cfg.sample, space.Dist)
+		bounds = landmark.Boundary(landmarks, cfg.sample, space.Dist)
 	case space.Bounded:
 		bounds = make([]lph.Bounds, len(landmarks))
 		for i := range bounds {
@@ -69,32 +70,6 @@ func New[T any](space metric.Space[T], landmarks []T, opts ...Option[T]) (*Embed
 		return nil, fmt.Errorf("indexspace: metric %q is unbounded and no sample boundary was provided; wrap it with metric.Bound", space.Name)
 	}
 	return &Embedding[T]{space: space, landmarks: landmarks, bounds: bounds}, nil
-}
-
-// boundary mirrors landmark.Boundary; duplicated locally to keep the
-// package dependency graph acyclic (landmark depends on lph only).
-func boundary[T any](landmarks, sample []T, d metric.Distance[T]) []lph.Bounds {
-	bounds := make([]lph.Bounds, len(landmarks))
-	for i, l := range landmarks {
-		lo, hi := -1.0, 0.0
-		for _, s := range sample {
-			dd := d(l, s)
-			if lo < 0 || dd < lo {
-				lo = dd
-			}
-			if dd > hi {
-				hi = dd
-			}
-		}
-		if lo < 0 {
-			lo = 0
-		}
-		if hi <= lo {
-			hi = lo + 1
-		}
-		bounds[i] = lph.Bounds{Lo: lo, Hi: hi}
-	}
-	return bounds
 }
 
 // K returns the index-space dimensionality (the number of landmarks).

@@ -40,6 +40,10 @@ TEXT ·boxMaskAVX512(SB), NOSPLIT, $0-48
 	VMOVUPD.Z (R8), K1, Z1
 	VMOVUPD.Z (R9), K1, Z2
 
+	// The loop starts a cache line, so that where the linker puts the
+	// function cannot split it across two.
+	PCALIGN $64
+
 narrow:
 	VMOVUPD.Z (SI), K1, Z0
 	VCMPPD    $0x1d, Z1, Z0, K1, K2 // x >= lo

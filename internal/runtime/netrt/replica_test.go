@@ -633,45 +633,51 @@ func TestHostileQueryFrameDropsLink(t *testing.T) {
 		}
 	}
 	// Everything the node sends this peer comes down the same connection.
-	// next reads one frame and says which query it belongs to.
+	// next reads one frame and says which query it belongs to and the
+	// credit it carries.
 	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	var buf []byte
-	next := func() (qid uint64, err error) {
+	next := func() (qid, credit uint64, err error) {
 		_, payload, nb, err := wire.ReadFrame(conn, buf)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		buf = nb
 		switch payload[0] {
 		case kindQuery:
 			fq, err := decodeQuery(payload[1:])
-			return fq.QID, err
+			return fq.QID, fq.Credit, err
 		case kindResult:
 			res, err := decodeResult(payload[1:])
-			return res.QID, err
+			return res.QID, res.Credit, err
 		case kindDrop:
 			d, err := decodeDrop(payload[1:])
-			return d.QID, err
+			return d.QID, d.Credit, err
 		}
-		return 0, nil
+		return 0, 0, nil
 	}
+	// The node answers the whole query in several frames down this one
+	// link: the forward of the sub-cuboids the peer owns and its own
+	// results. Read them all — their credits add up to the query's — so
+	// that none is still queued when the truncated frame drops the link,
+	// to wait there while the link redials an address nobody serves.
 	send(2, appendQuery(nil, &q))
-	for {
-		qid, err := next()
+	for got := uint64(0); got < creditTotal; {
+		qid, credit, err := next()
 		if err != nil {
-			t.Fatalf("awaiting the answer to the whole query: %v", err)
+			t.Fatalf("awaiting the answer to the whole query (credit %d of %d): %v", got, creditTotal, err)
 		}
 		if qid == q.QID {
-			break
+			got += credit
 		}
 	}
 	q.QID = 2
 	cut := appendQuery(nil, &q)
 	send(3, cut[:len(cut)-5])
 	for {
-		qid, err := next()
+		qid, _, err := next()
 		if nerr, ok := err.(net.Error); ok && nerr.Timeout() {
 			t.Fatal("link survived a truncated query frame")
 		}
