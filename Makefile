@@ -58,20 +58,21 @@ test-short:
 test-race:
 	$(GO) test -race -short ./...
 
-# The small-scale transcript of every lmsim experiment — tables 1 and
-# 2, figures 2 to 6, the ablations (rotation, naive, lbsweep, ksweep,
+# The small-scale report of every lmsim experiment — tables 1 and 2,
+# figures 2 to 6, the ablations (rotation, naive, lbsweep, ksweep,
 # mapping, pns), churn and the fault sweep (A9) — against the recorded
-# ones (testdata/golden, ~60 s): a change to the store, the router, the
-# overlay, its fault injection or the region streams that is meant to
-# leave the protocol alone prints the same bytes — recall, hops,
-# messages, migrations, load, drops and retransmissions — apart from the
-# wall-clock line. A change that means to move them regenerates the
-# files with the same commands and says why.
-GOLDEN = table1 table2 fig2 fig3 fig4 fig5 fig6 rotation naive lbsweep ksweep mapping churn pns faults
-
+# ones (testdata/golden/<id>_small.json, one per harness.Experiments
+# entry, ~60 s): a change to the store, the router, the overlay, its
+# fault injection or the region streams that is meant to leave the
+# protocol alone prints the same report — recall, hops, messages,
+# migrations, load, drops and retransmissions, every float to the bit.
+# The table beside each report (<id>_small.txt) is what lmsim prints
+# from it, which TestGoldenTables holds. A change that means to move
+# them regenerates both files with the same commands and says why.
 golden-check:
-	@for f in $(GOLDEN); do \
-		$(GO) run ./cmd/lmsim -exp $$f -scale small | grep -v "^\[$$f completed in " | diff testdata/golden/$${f}_small.txt - || exit 1; \
+	@for f in testdata/golden/*_small.json; do \
+		id=$$(basename $$f _small.json); \
+		$(GO) run ./cmd/lmsim -exp $$id -scale small -json | diff $$f - || exit 1; \
 	done
 
 # The chaos soak on the simulator (TestChaosSoak, ~20 s): 200 seeds of

@@ -6,9 +6,10 @@
 //	lmsim -exp fig2                 # one experiment at the small scale
 //	lmsim -exp all -scale paper     # full §4 reproduction (slow)
 //	lmsim -exp fig5 -nodes 512      # override individual knobs
+//	lmsim -exp fig3 -json           # the report testdata/golden pins
 //
-// Experiments: table1 table2 fig2 fig3 fig4 fig5 fig6 rotation naive
-// lbsweep ksweep pns churn faults mapping all.
+// The experiments are harness.Experiments, which "all" runs in order;
+// -h lists their ids.
 package main
 
 import (
@@ -21,7 +22,6 @@ import (
 	"strings"
 	"time"
 
-	"landmarkdht/internal/dataset"
 	"landmarkdht/internal/harness"
 )
 
@@ -32,14 +32,21 @@ func main() {
 }
 
 func realMain() int {
+	var ids, cellIDs []string
+	for _, e := range harness.Experiments() {
+		ids = append(ids, e.ID)
+		if e.Cells != nil {
+			cellIDs = append(cellIDs, e.ID)
+		}
+	}
 	var (
-		exp     = flag.String("exp", "all", "experiment id: table1 table2 fig2 fig3 fig4 fig5 fig6 rotation naive lbsweep ksweep pns churn faults mapping all")
+		exp     = flag.String("exp", "all", "experiment id: "+strings.Join(ids, " ")+" all")
 		scaleNm = flag.String("scale", "small", "scale preset: bench, small, paper")
 		nodes   = flag.Int("nodes", 0, "override overlay size")
 		dataN   = flag.Int("data", 0, "override synthetic dataset size")
 		queries = flag.Int("queries", 0, "override query count")
 		seed    = flag.Int64("seed", 0, "override random seed")
-		trials  = flag.Int("trials", 1, "repeat cell experiments (fig2/fig3/fig5/naive/ksweep) over N seeds and report mean±std")
+		trials  = flag.Int("trials", 1, "repeat cell experiments ("+strings.Join(cellIDs, "/")+") over N seeds and report mean±std")
 		jsonOut = flag.Bool("json", false, "emit machine-readable JSON reports instead of tables")
 		lossArg = flag.String("loss", "0,0.05,0.1,0.2", "comma-separated message loss rates for -exp faults")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -114,164 +121,33 @@ func realMain() int {
 		scale.Seed = *seed
 	}
 
-	emit := func(rep *harness.Report) error {
-		if *jsonOut {
-			return rep.WriteJSON(os.Stdout)
+	var exps []harness.Experiment
+	for _, e := range harness.Experiments() {
+		if *exp == "all" || e.ID == *exp {
+			exps = append(exps, e)
 		}
-		return nil
 	}
-	cellExperiment := func(id, title string, withLB bool, fn func(harness.Scale) ([]harness.Cell, error)) error {
-		if *trials > 1 {
-			tcells, err := harness.Trials(scale, *trials, fn)
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				return emit(&harness.Report{Experiment: id, Scale: scale, Trial: tcells})
-			}
-			harness.PrintTrials(os.Stdout, title, tcells)
-			return nil
-		}
-		cells, err := fn(scale)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			return emit(&harness.Report{Experiment: id, Scale: scale, Cells: cells})
-		}
-		if withLB {
-			harness.PrintCellsWithLB(os.Stdout, title, cells)
-		} else {
-			harness.PrintCells(os.Stdout, title, cells)
-		}
-		return nil
+	if len(exps) == 0 {
+		fmt.Fprintf(os.Stderr, "lmsim: unknown experiment %q\n", *exp)
+		return 2
 	}
-
-	run := func(id string) error {
+	for _, e := range exps {
 		// Real elapsed time of the experiment process, not simulated
 		// time: the one legitimate wall-clock read in the tree.
 		start := time.Now() //lint:allow wallclock real elapsed time of the experiment process, not simulated time
-		defer func() {
-			if !*jsonOut {
-				//lint:allow wallclock reporting the same real elapsed time measured above
-				fmt.Printf("[%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
-			}
-		}()
-		switch id {
-		case "table1":
-			cfg := dataset.Table1()
-			cfg.N = scale.DataN
-			cfg.Dim = scale.Dim
-			if !*jsonOut {
-				harness.PrintTable1(os.Stdout, cfg)
-			}
-			return nil
-		case "table2":
-			st, err := harness.Table2(scale)
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				return emit(&harness.Report{Experiment: id, Scale: scale, Table2: st})
-			}
-			harness.PrintTable2(os.Stdout, st)
-			return nil
-		case "fig2":
-			return cellExperiment(id, "Figure 2: synthetic dataset, no load balancing", false, harness.Figure2)
-		case "fig3":
-			return cellExperiment(id, "Figure 3: synthetic dataset, with load balancing (δ=0, P_l=4)", true, harness.Figure3)
-		case "fig4":
-			curves, err := harness.Figure4(scale)
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				return emit(&harness.Report{Experiment: id, Scale: scale, Curves: curves})
-			}
-			harness.PrintLoadCurves(os.Stdout, "Figure 4: load distribution on nodes (synthetic, with LB)", curves)
-			return nil
-		case "fig5":
-			return cellExperiment(id, "Figure 5: TREC-AP substitute, with load balancing", true, harness.Figure5)
-		case "fig6":
-			curves, err := harness.Figure6(scale)
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				return emit(&harness.Report{Experiment: id, Scale: scale, Curves: curves})
-			}
-			harness.PrintLoadCurves(os.Stdout, "Figure 6: load distribution (TREC-AP substitute)", curves)
-			return nil
-		case "rotation":
-			res, err := harness.AblationRotation(scale, 3)
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				return emit(&harness.Report{Experiment: id, Scale: scale, Rotation: res})
-			}
-			harness.PrintRotation(os.Stdout, res)
-			return nil
-		case "naive":
-			return cellExperiment(id, "Ablation A2: embedded-tree routing vs naive per-node routing", false, harness.AblationNaive)
-		case "lbsweep":
-			cells, err := harness.AblationLB(scale)
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				return emit(&harness.Report{Experiment: id, Scale: scale, LBSweep: cells})
-			}
-			harness.PrintLBSweep(os.Stdout, cells)
-			return nil
-		case "ksweep":
-			return cellExperiment(id, "Ablation A4: landmark count sweep (range factor 2%)", false, harness.AblationK)
-		case "mapping":
-			cells, err := harness.AblationMapping(scale)
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				return emit(&harness.Report{Experiment: id, Scale: scale, Mapping: cells})
-			}
-			harness.PrintMapping(os.Stdout, cells)
-			return nil
-		case "churn":
-			cells, err := harness.AblationChurn(scale)
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				return emit(&harness.Report{Experiment: id, Scale: scale, Churn: cells})
-			}
-			harness.PrintChurn(os.Stdout, cells)
-			return nil
-		case "faults":
-			cells, err := harness.AblationFaults(scale, losses)
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				return emit(&harness.Report{Experiment: id, Scale: scale, Faults: cells})
-			}
-			harness.PrintFaults(os.Stdout, cells)
-			return nil
-		case "pns":
-			return cellExperiment(id, "Ablation A5: proximity neighbor selection on/off", false, harness.AblationPNS)
-		default:
-			return fmt.Errorf("unknown experiment %q", id)
+		rep, err := e.Run(scale, *trials, losses)
+		if err == nil && *jsonOut {
+			err = rep.WriteJSON(os.Stdout)
+		} else if err == nil {
+			err = rep.Print(os.Stdout)
 		}
-	}
-
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = []string{"table1", "table2", "fig2", "fig3", "fig4", "fig5", "fig6",
-			"rotation", "naive", "lbsweep", "ksweep", "pns", "churn", "faults", "mapping"}
-	}
-	for _, id := range ids {
-		if err := run(id); err != nil {
-			fmt.Fprintf(os.Stderr, "lmsim: %s: %v\n", id, err)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "lmsim: %s: %v\n", e.ID, err)
 			return 1
+		}
+		if !*jsonOut {
+			//lint:allow wallclock reporting the same real elapsed time measured above
+			fmt.Printf("[%s completed in %v]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		}
 	}
 	return 0

@@ -11,7 +11,7 @@ import (
 )
 
 // FaultCell is one fault-injection configuration's outcome (ablation
-// A7): injected message loss (and optionally crash/rejoin cycles over a
+// A9): injected message loss (and optionally crash/rejoin cycles over a
 // replicated index), with the reliability layer off or on.
 type FaultCell struct {
 	// Loss is the per-message drop probability.

@@ -5,7 +5,6 @@ package harness
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"landmarkdht/internal/core"
@@ -348,16 +347,5 @@ func Figure6(scale Scale) ([]LoadCurve, error) {
 	}
 	return loadCurves(scale, Figure5Schemes(), func(sc Scheme, lb *core.LBConfig) (*Deployment[metric.SparseVector], error) {
 		return corpusDeploy(scale, w, sc, lb)
-	})
-}
-
-// SortCells orders cells by scheme then range factor for stable
-// presentation.
-func SortCells(cells []Cell) {
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].Scheme != cells[j].Scheme {
-			return cells[i].Scheme < cells[j].Scheme
-		}
-		return cells[i].RangeFactor < cells[j].RangeFactor
 	})
 }

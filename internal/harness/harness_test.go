@@ -247,34 +247,29 @@ func TestAblationRotation(t *testing.T) {
 
 func TestPrinters(t *testing.T) {
 	cells := []Cell{{Scheme: "X", RangeFactor: 0.05, Recall: 0.9}}
+	table1 := dataset.Table1()
 	var b strings.Builder
-	PrintCells(&b, "t", cells)
-	PrintCellsWithLB(&b, "t", cells)
-	PrintLoadCurves(&b, "t", []LoadCurve{{Scheme: "X", Loads: []int{5, 3, 1}, Before: []int{9}}})
-	PrintTable1(&b, dataset.Table1())
-	PrintTable2(&b, &Table2Stats{})
-	PrintRotation(&b, []RotationResult{{}})
-	PrintLBSweep(&b, []LBSweepCell{{}})
+	for _, r := range []*Report{
+		{Experiment: "fig2", Cells: cells},
+		{Experiment: "fig3", Cells: cells},
+		{Experiment: "fig4", Curves: []LoadCurve{{Scheme: "X", Loads: []int{5, 3, 1}, Before: []int{9}}}},
+		{Experiment: "table1", Table1: &table1},
+		{Experiment: "table2", Table2: &Table2Stats{}},
+		{Experiment: "rotation", Rotation: []RotationResult{{}}},
+		{Experiment: "lbsweep", LBSweep: []LBSweepCell{{}}},
+	} {
+		if err := r.Print(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
 	out := b.String()
-	for _, want := range []string{"scheme", "Table 1", "Table 2", "rotation", "delta"} {
+	for _, want := range []string{"scheme", "X", "Table 1", "Table 2", "rotation", "delta"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("printer output missing %q", want)
 		}
 	}
-	if got := RenderCells("z", cells); !strings.Contains(got, "X") {
-		t.Fatal("RenderCells missing data")
-	}
-}
-
-func TestSortCells(t *testing.T) {
-	cells := []Cell{
-		{Scheme: "B", RangeFactor: 0.1},
-		{Scheme: "A", RangeFactor: 0.2},
-		{Scheme: "A", RangeFactor: 0.1},
-	}
-	SortCells(cells)
-	if cells[0].Scheme != "A" || cells[0].RangeFactor != 0.1 || cells[2].Scheme != "B" {
-		t.Fatalf("sorted = %+v", cells)
+	if err := (&Report{Experiment: "fig7"}).Print(&b); err == nil {
+		t.Fatal("printed a report of an unknown experiment")
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"landmarkdht/internal/dataset"
 )
 
 // Report is the machine-readable form of an experiment's output,
@@ -14,17 +16,19 @@ type Report struct {
 	Experiment string `json:"experiment"`
 	// Scale records the configuration the experiment ran at.
 	Scale Scale `json:"scale"`
-	// Cells, Curves, Churn, LBSweep, Rotation and Table2 carry the
-	// experiment's data series; only the relevant ones are set.
+	// The fields below carry the experiment's data series; only the
+	// relevant ones are set.
 	Cells    []Cell           `json:"cells,omitempty"`
 	Curves   []LoadCurve      `json:"curves,omitempty"`
 	Churn    []ChurnCell      `json:"churn,omitempty"`
 	Faults   []FaultCell      `json:"faults,omitempty"`
 	LBSweep  []LBSweepCell    `json:"lb_sweep,omitempty"`
 	Rotation []RotationResult `json:"rotation,omitempty"`
-	Table2   *Table2Stats     `json:"table2,omitempty"`
-	Mapping  []MappingCell    `json:"mapping,omitempty"`
-	Trial    []TrialCell      `json:"trials,omitempty"`
+	// Table1 echoes the parameters BuildSynthetic generates with.
+	Table1  *dataset.ClusteredConfig `json:"table1,omitempty"`
+	Table2  *Table2Stats             `json:"table2,omitempty"`
+	Mapping []MappingCell            `json:"mapping,omitempty"`
+	Trial   []TrialCell              `json:"trials,omitempty"`
 }
 
 // WriteJSON emits the report as indented JSON.

@@ -199,15 +199,13 @@ func ownerRuns(keys []uint64, ownerOf func(uint64) int) int {
 	return runs
 }
 
-// PrintMapping renders ablation A7.
-func PrintMapping(w io.Writer, cells []MappingCell) {
-	fmt.Fprintln(w, "== Ablation A7: k-d (Morton) vs Hilbert index-space mapping (range factor 5%) ==")
+// printMapping renders ablation A7.
+func printMapping(w io.Writer, r *Report) {
 	fmt.Fprintf(w, "%-10s %4s %12s %12s %10s %12s\n",
 		"mapping", "k", "nodes-mean", "nodes-max", "runs-mean", "candidates")
-	for _, c := range cells {
+	for _, c := range r.Mapping {
 		fmt.Fprintf(w, "%-10s %4d %12.1f %12.0f %10.1f %12.1f\n",
 			c.Mapping, c.K, c.NodesTouched.Mean, c.NodesTouched.Max,
 			c.KeyRuns.Mean, c.Candidates.Mean)
 	}
-	fmt.Fprintln(w)
 }

@@ -90,12 +90,11 @@ func meanStd(cells []Cell, get func(Cell) float64) (mean, std float64) {
 	return mean, math.Sqrt(ss / (n - 1))
 }
 
-// PrintTrials renders trial-aggregated cells as mean±std.
-func PrintTrials(w io.Writer, title string, cells []TrialCell) {
-	fmt.Fprintf(w, "== %s (mean ± std over %d trials) ==\n", title, trialsOf(cells))
+// printTrials renders trial-aggregated cells as mean±std.
+func printTrials(w io.Writer, r *Report) {
 	fmt.Fprintf(w, "%-12s %8s %17s %15s %17s %19s\n",
 		"scheme", "range%", "recall", "hops", "resp(ms)", "qmsgs")
-	for _, c := range cells {
+	for _, c := range r.Trial {
 		fmt.Fprintf(w, "%-12s %8.2f %9.3f ± %5.3f %8.1f ± %4.1f %9.1f ± %5.1f %10.1f ± %6.1f\n",
 			c.Scheme, c.RangeFactor*100,
 			c.RecallMean, c.RecallStd,
@@ -103,7 +102,6 @@ func PrintTrials(w io.Writer, title string, cells []TrialCell) {
 			c.RespMsMean, c.RespMsStd,
 			c.QueryMsgsMean, c.QueryMsgsStd)
 	}
-	fmt.Fprintln(w)
 }
 
 func trialsOf(cells []TrialCell) int {

@@ -85,9 +85,12 @@ func TestTrialsRealExperiment(t *testing.T) {
 
 func TestPrintTrials(t *testing.T) {
 	var b bytes.Buffer
-	PrintTrials(&b, "test", []TrialCell{
+	rep := &Report{Experiment: "fig2", Trial: []TrialCell{
 		{Scheme: "A", RangeFactor: 0.05, Trials: 3, RecallMean: 0.5, RecallStd: 0.1},
-	})
+	}}
+	if err := rep.Print(&b); err != nil {
+		t.Fatal(err)
+	}
 	out := b.String()
 	if !strings.Contains(out, "0.500 ± 0.100") {
 		t.Fatalf("output missing mean±std: %s", out)

@@ -7,11 +7,11 @@ import (
 // Region digests summarize one owner's region for anti-entropy: owner
 // and replica exchange (entry count, XOR-combined entry digest) pairs
 // and schedule a bulk re-sync (RegionChunk stream) only on divergence.
-// The digest itself is computed by core's region-digest helpers; this
-// codec only moves it. The frame is fixed-size binary — like chunks
-// and acks it is decoded synchronously on the reader, so a hostile
-// stream surfaces as a typed *FrameError and a dropped link, never a
-// panic or an allocation.
+// The digest itself is netrt's delta.digest, the XOR of itemDigest
+// over the owner's mutations; this codec only moves it. The frame is
+// fixed-size binary — like chunks and acks it is decoded synchronously
+// on the reader, so a hostile stream surfaces as a typed *FrameError
+// and a dropped link, never a panic or an allocation.
 
 // DigestBytes is the encoded size of a RegionDigest: owner (8) +
 // transfer (8) + entry count (4) + digest (8).
