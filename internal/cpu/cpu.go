@@ -1,6 +1,7 @@
 // Package cpu says once, at init, whether this process runs the
-// module's AVX-512 kernels — query.Box.Mask's cube test and
-// metric.L2Rows' exact distances — and holds the one switch both read.
+// module's AVX-512 kernels — query.Box.Mask's and query.Box32.Mask's
+// cube tests and metric.L2Rows' exact distances — and holds the one
+// switch they read.
 // There is no option, flag, environment variable or build tag: where
 // the CPU lacks the instructions, or the OS does not save their
 // registers, every kernel takes its portable Go loop.

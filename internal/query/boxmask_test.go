@@ -12,11 +12,17 @@ import (
 
 // boxValues are the floats a cube test can go wrong on: NaN, both
 // infinities, both zeros, the subnormals and extremes, and the lattice
-// points of [0, 1] that random cubes share with random rows.
+// points of [0, 1] that random cubes share with random rows; and for
+// Box32, the edges of float32: its extremes, a finite float64 past them
+// that rounds to infinity, its least subnormal, a float64 halfway
+// between two float32s (rounded to the even one), and 0.1, which no
+// float32 holds, beside its float64 neighbours and its float32 rounding.
 var boxValues = []float64{
 	math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
 	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64,
 	0.25, 0.5, 0.75, 1, -1,
+	math.MaxFloat32, -math.MaxFloat32, 2 * math.MaxFloat32, math.SmallestNonzeroFloat32, 1 + 0x1p-24,
+	0.1, math.Nextafter(0.1, 1), math.Nextafter(0.1, 0), float64(float32(0.1)),
 }
 
 // boxFloats draws floats from raw, cycling through it: a byte below
@@ -64,6 +70,51 @@ func checkBoxMask(t *testing.T, cube []lph.Bounds, pts []float64, n int) {
 		}
 		if bit := portable>>i&1 == 1; bit != want {
 			t.Fatalf("k=%d n=%d cube %v: the portable loop says row %d (%v) is in=%v, Contains %v", k, n, cube, i, pts[i*k:(i+1)*k], bit, want)
+		}
+	}
+	checkBox32(t, cube, pts, guard32(round32(pts[:n*k])), n)
+}
+
+// round32 rounds every coordinate to the nearest float32, as netrt
+// stores its boot points.
+func round32(pts []float64) []float32 {
+	out := make([]float32, len(pts))
+	for i, x := range pts {
+		out[i] = float32(x)
+	}
+	return out
+}
+
+// guard32 places float32 rows so that a read past the last of them
+// faults, where the test can make such a page (boxmask_linux_test.go),
+// and returns them where they are elsewhere.
+var guard32 = func(rows []float32) []float32 { return rows }
+
+// checkBox32 holds Box32.Mask on rows, the float32 rounding of the first
+// n rows of pts, to what its cubes promise about the float64 rows: a row
+// Region.Contains accepts has its outer bit, a row with its inner bit is
+// one Contains accepts, and no bit is set past row n. The vector kernel,
+// where the CPU has one, and the portable loop set the same bits.
+func checkBox32(t *testing.T, cube []lph.Bounds, pts []float64, rows []float32, n int) {
+	t.Helper()
+	var b Box32
+	b.Set(cube)
+	outer, inner := b.Mask(rows, n)
+	pOuter, pInner := b.maskRows(rows, n)
+	r, k := Region{Cube: cube}, len(cube)
+	if outer != pOuter || inner != pInner {
+		t.Fatalf("k=%d n=%d cube %v: Box32 masks %#x/%#x, the portable loop %#x/%#x (AVX-512 %v)", k, n, cube, outer, inner, pOuter, pInner, cpu.AVX512())
+	}
+	for i := 0; i < 64; i++ {
+		in := i < n && r.Contains(pts[i*k:(i+1)*k])
+		o, w := outer>>i&1 == 1, inner>>i&1 == 1
+		if in && !o || w && !in || i >= n && o {
+			t.Fatalf("k=%d n=%d cube %v: row %d %v (as float32 %v) has outer %v, inner %v; Contains says %v", k, n, cube, i, pts[i*k:(i+1)*k], rows[i*k:(i+1)*k], o, w, in)
+		}
+	}
+	for j, c := range b.Outer() {
+		if x := cube[j]; x.Lo == x.Lo && x.Hi == x.Hi && !(c.Lo <= x.Lo && c.Hi >= x.Hi) {
+			t.Fatalf("cube %v: the outer cube %v does not hold it on dimension %d", cube, b.Outer(), j)
 		}
 	}
 }
@@ -114,7 +165,10 @@ func TestBoxMaskMatchesContains(t *testing.T) {
 
 // FuzzBoxMask holds the vector kernel, the portable loop and
 // Region.Contains to the same bits on any floats, any k from 1 to 17 and
-// any n from 0 to 64 (boxCase).
+// any n from 0 to 64 (boxCase); and Box32's two kernels to each other
+// and its outer and inner cubes to Contains on the float64 rows whose
+// float32 rounding it tests, those rows flush against a page that faults
+// when read (guard32).
 func FuzzBoxMask(f *testing.F) {
 	f.Add(uint8(5), uint8(32), []byte{0, 1, 2, 3, 4, 9, 10, 11})
 	f.Add(uint8(15), uint8(64), []byte{11, 12, 3, 4, 200, 1, 2, 3, 4, 5, 6, 7, 8})
@@ -154,5 +208,24 @@ func TestBoxMaskAllocatesNothing(t *testing.T) {
 	}
 	if sink == 0 {
 		t.Fatal("no row was ever inside: the test measures nothing")
+	}
+	// A Box32 set once to a cube of as many dimensions allocates nothing
+	// when set again and masked.
+	rows := round32(pts)
+	var b Box32
+	b.Set(cube)
+	for _, portable := range []bool{false, true} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			b.Set(cube)
+			var outer, inner uint64
+			if portable {
+				outer, inner = b.maskRows(rows, 64)
+			} else {
+				outer, inner = b.Mask(rows, 64)
+			}
+			sink += outer + inner
+		}); allocs != 0 {
+			t.Fatalf("portable %v (AVX-512 %v): a Box32 mask allocated %.0f times", portable, cpu.AVX512(), allocs)
+		}
 	}
 }

@@ -38,7 +38,14 @@ func (x *LeafBoxes) Reset(n, k, rows int) int {
 
 // Fill computes the boxes of leaves [lo, hi) from pts, the column Reset
 // shaped the index for. Fills of disjoint ranges may run concurrently.
-func (x *LeafBoxes) Fill(pts []float64, lo, hi int) {
+func (x *LeafBoxes) Fill(pts []float64, lo, hi int) { fill(x, pts, lo, hi) }
+
+// Fill32 is Fill over a float32 column: each box holds its rows' float32
+// minima and maxima, exactly, so a cube that contains a row's float32
+// coordinates meets its box (Box32.Outer is such a cube).
+func (x *LeafBoxes) Fill32(pts []float32, lo, hi int) { fill(x, pts, lo, hi) }
+
+func fill[E float32 | float64](x *LeafBoxes, pts []E, lo, hi int) {
 	k := x.k
 	for l := lo; l < hi; l++ {
 		leaf := pts[l*x.rows*k : min((l+1)*x.rows, x.n)*k]
@@ -46,13 +53,13 @@ func (x *LeafBoxes) Fill(pts []float64, lo, hi int) {
 		// the min and max instructions, not by a branch on each
 		// comparison: on random rows that halves the time of a fill.
 		for j := range k {
-			bmin, bmax := math.Inf(1), math.Inf(-1)
+			bmin, bmax := E(math.Inf(1)), E(math.Inf(-1))
 			for i := j; i < len(leaf); i += k {
 				if v := leaf[i]; v == v { // a NaN moves neither bound
 					bmin, bmax = min(bmin, v), max(bmax, v)
 				}
 			}
-			x.bmin[l*k+j], x.bmax[l*k+j] = bmin, bmax
+			x.bmin[l*k+j], x.bmax[l*k+j] = float64(bmin), float64(bmax)
 		}
 	}
 }

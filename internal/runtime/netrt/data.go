@@ -66,8 +66,11 @@ type corpus interface {
 	// Key returns the ring key (rotation applied) of the entry with
 	// corpus id i.
 	Key(i int) lph.Key
-	// Point returns the index-space point of the entry with corpus id i.
-	Point(i int) []float64
+	// Point writes the index-space point of the entry with corpus id i
+	// into dst, which has K coordinates, and returns it: the float64
+	// point its key was hashed from, mapped again through the embedding,
+	// since the columns hold only its float32 rounding.
+	Point(i int, dst []float64) []float64
 	// Cols returns the corpus in key order, for region answers and
 	// ownership runs.
 	Cols() *columns
@@ -115,16 +118,21 @@ type evaluator interface {
 // are one contiguous run, and the ring arc a member owns is at most two
 // (arc). The column never changes after seal, so its leaf boxes, one
 // per leafRows sorted positions, are computed there once (boxes), and a
-// region reads those over its prefix's run. The dataset's objects sit
-// in the same order (dataset.at), so a sorted position names an entry's
-// key, id, point and object alike; pos alone is indexed by corpus id.
+// region reads those over its prefix's run. A point is stored once, as
+// the float32 nearest each coordinate: a row at k = 6 is 24 bytes, and
+// a region's cube test streams half what float64 rows would make it
+// (query.Box32 says how a float32 row is tested against a float64
+// cube). No float64 copy is kept; Point maps the object again. The
+// dataset's objects sit in the same order (dataset.at), so a sorted
+// position names an entry's key, id, point and object alike; pos alone
+// is indexed by corpus id.
 // Until seal sorts them the columns are in corpus order and
 // ids/pos/boxes are unset.
 type columns struct {
 	k     int
 	keys  []lph.Key // ascending
 	ids   []int32   // corpus index of the entry at each sorted position
-	pts   []float64 // k coordinates per entry, in sorted order
+	pts   []float32 // k coordinates per entry, each rounded to nearest, in sorted order
 	pos   []int32   // inverse of ids: corpus index → sorted position
 	boxes query.LeafBoxes
 }
@@ -132,11 +140,9 @@ type columns struct {
 // run is a half-open range [a, b) of sorted positions.
 type run struct{ a, b int }
 
-func (c *columns) point(j int) []float64 { return c.pts[j*c.k : (j+1)*c.k : (j+1)*c.k] }
-
 // rows returns the coordinates of the points at sorted positions
-// [j, j+n), row after row, as query.Box.Mask reads them.
-func (c *columns) rows(j, n int) []float64 { return c.pts[j*c.k : (j+n)*c.k] }
+// [j, j+n), row after row, as query.Box32.Mask reads them.
+func (c *columns) rows(j, n int) []float32 { return c.pts[j*c.k : (j+n)*c.k : (j+n)*c.k] }
 
 // above returns the first sorted position whose key exceeds key.
 func (c *columns) above(key lph.Key) int {
@@ -198,7 +204,7 @@ func (c *columns) sortByKey(objects func(ids []int32)) {
 	}()
 	permuteRows(c.pts, c.k, c.ids)
 	// Leaves are independent: each core boxes a stretch of them.
-	eachChunk(c.boxes.Reset(n, c.k, leafRows), func(lo, hi int) { c.boxes.Fill(c.pts, lo, hi) })
+	eachChunk(c.boxes.Reset(n, c.k, leafRows), func(lo, hi int) { c.boxes.Fill32(c.pts, lo, hi) })
 	wg.Wait()
 }
 
@@ -293,10 +299,13 @@ type dataset[T any] struct {
 
 func (d *dataset[T]) N() int                 { return d.n }
 func (d *dataset[T]) Key(i int) lph.Key      { return d.part.Ring(d.cols.keys[d.cols.pos[i]]) }
-func (d *dataset[T]) Point(i int) []float64  { return d.cols.point(int(d.cols.pos[i])) }
 func (d *dataset[T]) Cols() *columns         { return &d.cols }
 func (d *dataset[T]) Part() *lph.Partitioner { return d.part }
 func (d *dataset[T]) Sig() uint64            { return d.sig }
+
+func (d *dataset[T]) Point(i int, dst []float64) []float64 {
+	return d.emb.MapInto(d.at(int(d.cols.pos[i])), dst)
+}
 
 // QueryRegion is the region core's queries start from too: query.Around
 // the mapped query point.
@@ -398,14 +407,19 @@ func finishDataset[T any](cfg DataConfig, d *dataset[T], permute func(ids []int3
 		return nil, err
 	}
 	k := d.emb.K()
-	d.cols = columns{k: k, keys: make([]lph.Key, d.n), pts: make([]float64, d.n*k)}
-	// Map every object into index space and derive its key, on every
-	// core: each index writes only its own slots of the columns and the
-	// metric spaces are stateless, so the result is byte-identical to a
-	// serial build.
+	d.cols = columns{k: k, keys: make([]lph.Key, d.n), pts: make([]float32, d.n*k)}
+	// Map every object into index space, derive its key from the float64
+	// point and store the point's float32 rounding, on every core: each
+	// index writes only its own slots of the columns and the metric
+	// spaces are stateless, so the result is byte-identical to a serial
+	// build.
 	eachChunk(d.n, func(lo, hi int) {
+		p := make([]float64, k)
 		for i := lo; i < hi; i++ {
-			d.cols.keys[i] = d.part.Hash(d.emb.MapInto(d.at(i), d.cols.point(i)))
+			d.cols.keys[i] = d.part.Hash(d.emb.MapInto(d.at(i), p))
+			for j, x := range p {
+				d.cols.pts[i*k+j] = float32(x)
+			}
 		}
 	})
 	d.seal(cfg, permute)

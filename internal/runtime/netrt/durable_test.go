@@ -2,6 +2,7 @@ package netrt
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -56,7 +57,8 @@ func TestDurableCorpusRoundTrip(t *testing.T) {
 			if built.Key(i) != restored.Key(i) {
 				t.Fatalf("%s: entry %d key changed", cfg.Metric, i)
 			}
-			bp, rp := built.Point(i), restored.Point(i)
+			k := built.Part().K()
+			bp, rp := built.Point(i, make([]float64, k)), restored.Point(i, make([]float64, k))
 			if len(bp) != len(rp) {
 				t.Fatalf("%s: entry %d point dim changed", cfg.Metric, i)
 			}
@@ -64,6 +66,9 @@ func TestDurableCorpusRoundTrip(t *testing.T) {
 				if bp[j] != rp[j] {
 					t.Fatalf("%s: entry %d point diverged", cfg.Metric, i)
 				}
+			}
+			if !slices.Equal(built.Cols().rows(int(built.Cols().pos[i]), 1), restored.Cols().rows(int(restored.Cols().pos[i]), 1)) {
+				t.Fatalf("%s: entry %d stored point diverged", cfg.Metric, i)
 			}
 		}
 		// Exact refinement must see the same objects: distances from a

@@ -18,11 +18,11 @@ import (
 // checkBuiltColumns holds a built dataset against a serial rebuild of
 // the same entries from ref, the corpus' objects in corpus order as the
 // test drew them itself: the parallel map-and-hash, the radix sort and
-// the in-place permutations must leave every entry's key and point
-// exactly what mapping its object alone gives, in ascending key order
-// with ties by id, under the signature of the corpus-order keys — and
-// the object found at a sorted position must be the one whose key and
-// point are there.
+// the in-place permutations must leave every entry's key what mapping
+// its object alone gives, and its stored row that point's float32
+// rounding, in ascending key order with ties by id, under the signature
+// of the corpus-order keys — and the object found at a sorted position
+// must be the one whose key and point are there.
 func checkBuiltColumns[T any](t *testing.T, cfg DataConfig, d *dataset[T], ref []T) {
 	t.Helper()
 	c := &d.cols
@@ -39,13 +39,18 @@ func checkBuiltColumns[T any](t *testing.T, cfg DataConfig, d *dataset[T], ref [
 		// would differ everywhere.
 		p := d.emb.Map(o)
 		serial[i] = d.part.Hash(p)
-		if !slices.Equal(d.Point(i), p) {
-			t.Fatalf("entry %d: point %v, mapping it gives %v", i, d.Point(i), p)
+		if got := d.Point(i, make([]float64, c.k)); !slices.Equal(got, p) {
+			t.Fatalf("entry %d: point %v, mapping it gives %v", i, got, p)
 		}
 		if d.Key(i) != d.part.MapPoint(p) {
 			t.Fatalf("entry %d: key %x, mapping it gives %x", i, d.Key(i), d.part.MapPoint(p))
 		}
 		j := int(c.pos[i])
+		for x, v := range c.rows(j, 1) {
+			if v != float32(p[x]) {
+				t.Fatalf("entry %d: stored row %v, its point %v", i, c.rows(j, 1), p)
+			}
+		}
 		if c.ids[j] != int32(i) {
 			t.Fatalf("pos[%d] = %d but ids[%d] = %d", i, j, j, c.ids[j])
 		}
@@ -231,19 +236,31 @@ func objAt(c corpus, j int) []byte {
 }
 
 // randomColumns hashes random points under part and sorts them: what a
-// dataset's seal leaves, without a dataset.
+// dataset's seal leaves, without a dataset. The coordinates are
+// sixteenths, which float32 holds exactly, so point widens a stored row
+// back to the point its key was hashed from.
 func randomColumns(rng *rand.Rand, part *lph.Partitioner, n int) *columns {
 	k := part.K()
-	c := &columns{k: k, keys: make([]lph.Key, n), pts: make([]float64, n*k)}
+	c := &columns{k: k, keys: make([]lph.Key, n), pts: make([]float32, n*k)}
+	p := make([]float64, k)
 	for i := 0; i < n; i++ {
-		p := c.point(i)
 		for j := range p {
 			p[j] = float64(rng.Intn(17)) / 16 // coarse: duplicate keys, midpoints, bounds
+			c.pts[i*k+j] = float32(p[j])
 		}
 		c.keys[i] = part.Hash(p)
 	}
 	c.sortByKey(func([]int32) {})
 	return c
+}
+
+// point widens the stored row at sorted position j to float64.
+func (c *columns) point(j int) []float64 {
+	p := make([]float64, c.k)
+	for x, v := range c.rows(j, 1) {
+		p[x] = float64(v)
+	}
+	return p
 }
 
 // sortByKeyReference is the comparison sort radixSort replaced: the
@@ -279,15 +296,16 @@ func TestRadixOrderMatchesComparisonSort(t *testing.T) {
 	coords := []float64{math.NaN(), -5, 7, math.Inf(1), math.Inf(-1), 0, 1, 0.5}
 	rng := rand.New(rand.NewSource(9))
 	for _, n := range []int{0, 1, 2, 300, 5000} {
-		c := &columns{k: 3, keys: make([]lph.Key, n), pts: make([]float64, 3*n)}
+		c := &columns{k: 3, keys: make([]lph.Key, n), pts: make([]float32, 3*n)}
+		p := make([]float64, 3)
 		for i := 0; i < n; i++ {
-			p := c.point(i)
 			for j := range p {
 				if rng.Intn(3) == 0 {
 					p[j] = rng.Float64()
 				} else {
 					p[j] = coords[rng.Intn(len(coords))]
 				}
+				c.pts[i*3+j] = float32(p[j])
 			}
 			c.keys[i] = part.Hash(p)
 		}
@@ -301,8 +319,8 @@ func TestRadixOrderMatchesComparisonSort(t *testing.T) {
 			if c.pos[id] != int32(j) {
 				t.Fatalf("n=%d: pos[%d] = %d, want %d", n, id, c.pos[id], j)
 			}
-			for d, x := range c.point(j) {
-				if math.Float64bits(x) != math.Float64bits(pts[int(id)*3+d]) {
+			for d, x := range c.rows(j, 1) {
+				if math.Float32bits(x) != math.Float32bits(pts[int(id)*3+d]) {
 					t.Fatalf("n=%d: position %d holds %v, entry %d was %v", n, j, c.point(j), id, pts[int(id)*3:int(id)*3+3])
 				}
 			}
@@ -407,12 +425,12 @@ func TestArcAndDescentUnderRotation(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got, want []int
-			var box query.Box
+			var box query.Box32
 			box.Set(reg.Cube)
 			a, b := reg.Run(c.keys)
-			c.boxes.Walk(reg.Cube, a, b, func(a, b int) {
+			c.boxes.Walk(box.Outer(), a, b, func(a, b int) {
 				for j := a; j < b; j++ {
-					if box.Mask(c.rows(j, 1), 1) == 1 {
+					if outer, inner := box.Mask(c.rows(j, 1), 1); inner == 1 || outer == 1 && reg.Contains(c.point(j)) {
 						got = append(got, j)
 					}
 				}

@@ -1,8 +1,10 @@
 package netrt
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -21,6 +23,12 @@ import (
 // query on the returned node.
 func localQueryFixture(tb testing.TB) (*Node, func()) {
 	tb.Helper()
+	return localQueryFixtureAt(tb, 0.30)
+}
+
+// localQueryFixtureAt is localQueryFixture at radius r.
+func localQueryFixtureAt(tb testing.TB, r float64) (*Node, func()) {
+	tb.Helper()
 	data := DataConfig{Metric: "euclid", Seed: 1, Objects: 57409, Dim: 8, Landmarks: 6}
 	n, err := Start(Config{Listen: "127.0.0.1:0", Data: data,
 		GossipPeriod: time.Hour, HeartbeatPeriod: time.Hour, AntiEntropyPeriod: time.Hour})
@@ -36,7 +44,7 @@ func localQueryFixture(tb testing.TB) (*Node, func()) {
 	}
 	next := 0
 	return n, func() {
-		out, err := n.Query(queries[next%len(queries)], 0.30, 5*time.Second)
+		out, err := n.Query(queries[next%len(queries)], r, 5*time.Second)
 		if err != nil || !out.Complete {
 			tb.Fatalf("query %d: complete=%v err=%v", next, out.Complete, err)
 		}
@@ -63,7 +71,18 @@ func answerWork(tb testing.TB, n *Node) (tested, refined uint64) {
 // one candidate costs, and a change that moves ns/op but not the counts
 // changed what a candidate costs, not which candidates there are.
 func BenchmarkLocalQuery(b *testing.B) {
-	n, query := localQueryFixture(b)
+	benchmarkLocalQuery(b, 0.30)
+}
+
+// BenchmarkLocalQuerySelective is BenchmarkLocalQuery at radius 0.12,
+// where a query keeps a few hundred candidates: the region split and the
+// leaf walk weigh more beside the refinement.
+func BenchmarkLocalQuerySelective(b *testing.B) {
+	benchmarkLocalQuery(b, 0.12)
+}
+
+func benchmarkLocalQuery(b *testing.B, r float64) {
+	n, query := localQueryFixtureAt(b, r)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -156,8 +175,8 @@ func localShares(n *Node, reg query.Region, d *delta) []share {
 }
 
 // answerReference is answer without its index or its batches: every
-// point of a region's run up to its cut, one at a time, through
-// Region.Contains and the tombstones, then metric.L2 once per
+// float64 point of a region's run up to its cut (corpus.Point), one at a
+// time, through Region.Contains and the tombstones, then metric.L2 once per
 // candidate, each hit appended as it is found; then the share's extras,
 // through metric.L2 as well.
 func answerReference(n *Node, q *queryMsg, shares []share) []ResultEntry {
@@ -167,13 +186,14 @@ func answerReference(n *Node, q *queryMsg, shares []share) []ResultEntry {
 		panic(err)
 	}
 	cols := n.data.Cols()
+	pt := make([]float64, cols.k)
 	var ents []ResultEntry
 	for _, s := range shares {
 		for i, reg := range s.regions {
 			a, b := reg.Run(cols.keys)
 			for j := a; j < min(b, cols.above(s.cuts[i])); j++ {
 				id := cols.ids[j]
-				if _, dead := s.d.tombs[id]; dead || !reg.Contains(cols.point(j)) {
+				if _, dead := s.d.tombs[id]; dead || !reg.Contains(n.data.Point(int(id), pt)) {
 					continue
 				}
 				if d := metric.L2(qv, ds.at(j)); d <= q.R {
@@ -289,6 +309,117 @@ func TestNaNBoundRefinesNothing(t *testing.T) {
 	}
 	if tested, got := answerOne(part.Bounds(0).Lo); tested == 0 || got != tested {
 		t.Fatalf("the bound restored: %d entries tested and %d refined, want all of them", tested, got)
+	}
+}
+
+// TestBandDecidedInFloat64 puts a bound of a region's cube on a stored
+// point's float64 coordinate, which no float32 holds, and one float64
+// ulp below and above it, on the low side and on the high side. The
+// point's float32 row is then in the cube's rounding band (query.Box32),
+// inside the outer cube and outside the inner one, where only its
+// float64 point decides: the answer must be BruteForce's entries that
+// the cube contains, to the bit, and refined the number of corpus
+// points it contains, read through Point, whichever side of the bound
+// the point is.
+func TestBandDecidedInFloat64(t *testing.T) {
+	cfg := testConfig(testData())
+	cfg.GossipPeriod, cfg.HeartbeatPeriod, cfg.AntiEntropyPeriod = silent, silent, silent
+	n, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	ds, err := BuildDataset(testData())
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, cols := n.data.Part(), n.data.Cols()
+	k, N := part.K(), n.data.N()
+	points := make([][]float64, N)
+	for i := range points {
+		points[i] = n.data.Point(i, make([]float64, k))
+	}
+	const r = 0.3
+	rng := rand.New(rand.NewSource(4))
+	var bandIn, bandOut int
+	for target := 0; target < 16; target++ {
+		id, dim := rng.Intn(N), rng.Intn(k)
+		p := points[id]
+		if float64(float32(p[dim])) == p[dim] {
+			t.Fatalf("entry %d: coordinate %d, %v, is a float32", id, dim, p[dim])
+		}
+		qobj := objAt(n.data, int(cols.pos[id])) // the entry itself, at distance 0
+		all, err := ds.BruteForce(qobj, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, high := range []bool{false, true} {
+			for _, ulps := range []int{-1, 0, 1} {
+				cube := make([]lph.Bounds, k)
+				for j, x := range p {
+					cube[j] = lph.Bounds{Lo: x - 0.1, Hi: x + 0.1}
+				}
+				bound := p[dim]
+				switch ulps {
+				case -1:
+					bound = math.Nextafter(bound, math.Inf(-1))
+				case 1:
+					bound = math.Nextafter(bound, math.Inf(1))
+				}
+				if high {
+					cube[dim].Hi = bound
+				} else {
+					cube[dim].Lo = bound
+				}
+				reg, err := query.New(part, cube)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []ResultEntry
+				for _, e := range all {
+					if reg.Contains(points[e.Obj]) {
+						want = append(want, e)
+					}
+				}
+				wantRefined := 0
+				for _, pt := range points {
+					if reg.Contains(pt) {
+						wantRefined++
+					}
+				}
+				var box query.Box32
+				box.Set(reg.Cube)
+				outer, inner := box.Mask(cols.rows(int(cols.pos[id]), 1), 1)
+				if outer != 1 || inner != 0 {
+					t.Fatalf("entry %d, bound %v on dimension %d: its float32 row is outer %d, inner %d, not in the band", id, bound, dim, outer, inner)
+				}
+				if reg.Contains(p) {
+					bandIn++
+				} else {
+					bandOut++
+				}
+				var got []ResultEntry
+				var refined uint64
+				execRead(t, n, func() {
+					before := n.refined
+					got, err = n.answer(&queryMsg{QObj: qobj, R: r}, localShares(n, reg, &n.mine))
+					refined = n.refined - before
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				slices.SortFunc(got, func(a, b ResultEntry) int { return cmp.Compare(a.Obj, b.Obj) })
+				if !slices.Equal(got, want) {
+					t.Fatalf("entry %d, bound %v (high %v, %+d ulp) on dimension %d: answer %v, brute force in the cube %v", id, bound, high, ulps, dim, got, want)
+				}
+				if refined != uint64(wantRefined) {
+					t.Fatalf("entry %d, bound %v (high %v, %+d ulp) on dimension %d: refined %d, the float64 cube contains %d", id, bound, high, ulps, dim, refined, wantRefined)
+				}
+			}
+		}
+	}
+	if bandIn == 0 || bandOut == 0 {
+		t.Fatalf("%d band rows inside the cube, %d outside: the test does not cover both", bandIn, bandOut)
 	}
 }
 

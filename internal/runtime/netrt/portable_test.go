@@ -29,12 +29,14 @@ func portable(t *testing.T, fn func(t *testing.T)) {
 	fn(t)
 }
 
-// The pinned work of the local fixture, its answers to the bit, and the
+// The pinned work of the local fixture, its answers to the bit, the
+// float64 decision of the float32 test's rounding band, and the
 // exactness of a ring's answers, with every leaf run tested and every
 // batch of distances computed by the portable loops.
 func TestPortableKernels(t *testing.T) {
 	t.Run("LocalQueryWorkPinned", func(t *testing.T) { portable(t, TestLocalQueryWorkPinned) })
 	t.Run("AnswerMatchesL2", func(t *testing.T) { portable(t, TestAnswerMatchesL2) })
+	t.Run("BandDecidedInFloat64", func(t *testing.T) { portable(t, TestBandDecidedInFloat64) })
 	t.Run("GroupedExactness", func(t *testing.T) {
 		portable(t, func(t *testing.T) {
 			groupedExactness(t, 3, DataConfig{Metric: "euclid", Seed: 43, Objects: 600, Dim: 3, Landmarks: 4})

@@ -303,19 +303,22 @@ func splitCredit(credit uint64, parts int) []uint64 {
 	return shares
 }
 
-// leafState is what answer's leaves test against — the region's cube,
-// laid out once per region for query.Box.Mask, and the share's
+// leafState is what answer's leaves test against — the region, its cube
+// laid out once per region for query.Box32.Mask, and the share's
 // tombstones — and the batch of survivors waiting for their exact
-// distances: sorted positions, in the order the leaves found them. The
-// leaf closure captures it as one variable, not several: with the cube
-// and the tombstones captured apart, go1.24 spilled a loop counter of
-// the closure to the stack (+4–7 % cpu_ms_per_op on ring-scan,
+// distances: sorted positions, in the order the leaves found them; and
+// pt, the float64 point of a row in the cube's rounding band (inBand).
+// The leaf closure captures it as one variable, not several: with the
+// cube and the tombstones captured apart, go1.24 spilled a loop counter
+// of the closure to the stack (+4–7 % cpu_ms_per_op on ring-scan,
 // EXPERIMENTS "One delta"). A node keeps one, because answers run on its
 // executor one at a time and the batch, handed to evaluator.Refine
 // through an interface, would otherwise be moved to the heap by every
 // answer.
 type leafState struct {
-	box   query.Box
+	reg   query.Region
+	box   query.Box32
+	pt    []float64
 	tombs map[int32]struct{}
 	pos   [64]int32
 	dist  [64]float64
@@ -357,16 +360,21 @@ func (n *Node) answer(q *queryMsg, shares []share) ([]ResultEntry, error) {
 		}
 		at.n = 0
 	}
-	// A leaf run's points are tested against the cube 64 at a time, in one
-	// call; the rows whose bit is set and that are not tombstoned join the
-	// batch, in position order, which is refined whenever it is full —
-	// across leaves and regions, so a block of the distance kernel is
-	// rarely short.
+	// A leaf run's float32 points are tested against the cube 64 at a
+	// time, in one call that says which rows are surely inside (inner)
+	// and which may be (outer); the band between the two is decided on
+	// the float64 points. The rows inside that are not tombstoned join
+	// the batch, in position order, which is refined whenever it is
+	// full — across leaves and regions, so a block of the distance kernel
+	// is rarely short.
 	leaf := func(a, b int) {
 		n.tested += uint64(b - a)
 		for ; a < b; a += 64 {
 			rows := min(b-a, 64)
-			in := at.box.Mask(cols.rows(a, rows), rows)
+			outer, in := at.box.Mask(cols.rows(a, rows), rows)
+			if band := outer &^ in; band != 0 {
+				in |= n.inBand(a, band)
+			}
 			if len(at.tombs) > 0 {
 				for m := in; m != 0; m &= m - 1 {
 					if _, dead := at.tombs[cols.ids[a+bits.TrailingZeros64(m)]]; dead {
@@ -385,9 +393,10 @@ func (n *Node) answer(q *queryMsg, shares []share) ([]ResultEntry, error) {
 	for _, s := range shares {
 		at.tombs = s.d.tombs
 		for i, reg := range s.regions {
+			at.reg = reg
 			at.box.Set(reg.Cube)
 			a, b := reg.Run(cols.keys)
-			cols.boxes.Walk(reg.Cube, a, min(b, cols.above(s.cuts[i])), leaf)
+			cols.boxes.Walk(at.box.Outer(), a, min(b, cols.above(s.cuts[i])), leaf)
 		}
 		if len(s.d.extras) == 0 {
 			continue
@@ -401,9 +410,32 @@ func (n *Node) answer(q *queryMsg, shares []share) ([]ResultEntry, error) {
 		n.refined += uint64(refined)
 	}
 	flush()
-	at.box.Set(nil) // hold on to no cube and no delta past the message
-	at.tombs = nil
+	at.reg, at.tombs = query.Region{}, nil // hold on to no cube and no delta past the message
 	return ents, nil
+}
+
+// inBand returns the rows of band, a mask over the rows from sorted
+// position a on, whose float64 points the current region contains. They
+// are the rows within a float32 rounding of one of its bounds, where
+// the float32 test cannot tell (query.Box32): each point is mapped
+// again (corpus.Point) and tested as Region.Contains tests it, so an
+// answer tests exactly the points a float64 column would. They are
+// rare: five rows in the 256 queries of BenchmarkLocalQuery's cycle.
+//
+//lint:context executor
+func (n *Node) inBand(a int, band uint64) uint64 {
+	at, cols := &n.leaves, n.data.Cols()
+	if len(at.pt) != cols.k {
+		at.pt = make([]float64, cols.k)
+	}
+	var in uint64
+	for m := band; m != 0; m &= m - 1 {
+		j := a + bits.TrailingZeros64(m)
+		if at.reg.Contains(n.data.Point(int(cols.ids[j]), at.pt)) {
+			in |= m & -m
+		}
+	}
+	return in
 }
 
 // extrasWithin appends to ents the share's extras that answer one of
