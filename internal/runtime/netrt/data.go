@@ -125,11 +125,14 @@ type evaluator interface {
 // cube). No float64 copy is kept; Point maps the object again. The
 // dataset's objects sit in the same order (dataset.at), so a sorted
 // position names an entry's key, id, point and object alike; pos alone
-// is indexed by corpus id.
+// is indexed by corpus id. A node's columns, when large, are carved from
+// a mapping outside the Go heap (mem, colMem); the leaf boxes stay on
+// the heap.
 // Until seal sorts them the columns are in corpus order and
 // ids/pos/boxes are unset.
 type columns struct {
 	k     int
+	mem   *colMem   // what keys, ids, pos and pts are carved from; nil: the heap
 	keys  []lph.Key // ascending
 	ids   []int32   // corpus index of the entry at each sorted position
 	pts   []float32 // k coordinates per entry, each rounded to nearest, in sorted order
@@ -178,24 +181,26 @@ func (c *columns) arc(part *lph.Partitioner, pred, me uint64) [2]run {
 // coordinates (on the prototype of this layout a key-ordered copy beside
 // the corpus-ordered one read +31 % rss_mb on bench's ring-scan, and
 // dropping the old one afterwards still +19 %: VmHWM is a peak; in place
-// it reads −6 %). The sort's scratch is a second key and id column, and
-// the id column it leaves free becomes pos. objects reorders whatever
+// it reads −6 %). The sort's scratch is a second key column, on the heap
+// and garbage once it returns, and a second id column; the sorted keys
+// are copied back to the column they came in, and the id column the
+// sort leaves free becomes pos. objects reorders whatever
 // else follows the entries, the dataset's objects, the way permuteRows
 // reorders the points. It runs beside the points' permutation and the
 // boxes: each reads one row per cache miss, so on two cores the two
 // overlap.
 func (c *columns) sortByKey(objects func(ids []int32)) {
 	n := len(c.keys)
-	ids := make([]int32, n)
+	ids := column[int32](c.mem, n)
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	var pos []int32
-	c.keys, c.ids, pos = radixSort(c.keys, make([]lph.Key, n), ids, make([]int32, n))
-	for j, id := range c.ids {
+	keys, sorted, pos := radixSort(c.keys, make([]lph.Key, n), ids, column[int32](c.mem, n))
+	copy(c.keys, keys)
+	for j, id := range sorted {
 		pos[id] = int32(j)
 	}
-	c.pos = pos
+	c.ids, c.pos = sorted, pos
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -359,14 +364,41 @@ func (d *dataset[T]) Decode(obj []byte) (any, error) {
 
 // buildCorpus derives the full corpus from the config: objects,
 // landmarks (greedy max-min over a sample), the index-space embedding
-// and partitioner, and every entry's ring key.
-func buildCorpus(cfg DataConfig) (corpus, error) {
+// and partitioner, and every entry's ring key. Its columns are on the
+// heap, where the collector frees them with the last reference; a node
+// builds through bootCorpus instead.
+func buildCorpus(cfg DataConfig) (corpus, error) { return buildIn(cfg, nil) }
+
+// bootCorpus is buildCorpus for a node: when the boot columns reach
+// mapFloor they are carved from a mapping of their own (colMem), sealed
+// read-only once built. The caller owns the mapping, nil for a corpus on
+// the heap, and releases it once nothing reads the corpus.
+func bootCorpus(cfg DataConfig) (corpus, *colMem, error) {
+	cfg.fillDefaults()
+	mem, err := newColMem(columnBytes(cfg))
+	if err != nil {
+		return nil, nil, err
+	}
+	c, err := buildIn(cfg, mem)
+	if err == nil {
+		err = mem.seal()
+	}
+	if err != nil {
+		_ = mem.release() // the build or the seal failed, and that is the error to report
+		return nil, nil, err
+	}
+	return c, mem, nil
+}
+
+// buildIn builds the corpus with its columns carved from mem (nil: the
+// heap).
+func buildIn(cfg DataConfig, mem *colMem) (corpus, error) {
 	cfg.fillDefaults()
 	switch cfg.Metric {
 	case "euclid":
-		return buildEuclid(cfg)
+		return buildEuclid(cfg, mem)
 	case "edit":
-		return buildEdit(cfg)
+		return buildEdit(cfg, mem)
 	default:
 		return nil, fmt.Errorf("netrt: unknown metric %q (want euclid or edit)", cfg.Metric)
 	}
@@ -381,7 +413,7 @@ const landmarkSample = 2000
 // order), space and codecs: landmark selection, embedding, mapping,
 // keys, signature, and the move into key order. permute reorders the
 // storage behind d.at the way permuteRows reorders rows.
-func finishDataset[T any](cfg DataConfig, d *dataset[T], permute func(ids []int32)) (*dataset[T], error) {
+func finishDataset[T any](cfg DataConfig, mem *colMem, d *dataset[T], permute func(ids []int32)) (*dataset[T], error) {
 	sample := make([]T, min(d.n, landmarkSample))
 	for i := range sample {
 		sample[i] = d.at(i)
@@ -407,7 +439,7 @@ func finishDataset[T any](cfg DataConfig, d *dataset[T], permute func(ids []int3
 		return nil, err
 	}
 	k := d.emb.K()
-	d.cols = columns{k: k, keys: make([]lph.Key, d.n), pts: make([]float32, d.n*k)}
+	d.cols = columns{k: k, mem: mem, keys: column[lph.Key](mem, d.n), pts: column[float32](mem, d.n*k)}
 	// Map every object into index space, derive its key from the float64
 	// point and store the point's float32 rounding, on every core: each
 	// index writes only its own slots of the columns and the metric
@@ -489,15 +521,15 @@ func (d *dataset[T]) seal(cfg DataConfig, permute func(ids []int32)) {
 // the corpus is the same — and an object is a view of its row, its
 // capacity cut at the row's end so that nothing appended to one can
 // reach the next. A batch of exact distances is metric.L2Rows over the
-// slab, bit for bit the metric's L2.
-func buildEuclid(cfg DataConfig) (corpus, error) {
+// slab, bit for bit the metric's L2. The slab is a column of mem.
+func buildEuclid(cfg DataConfig, mem *colMem) (corpus, error) {
 	dim := cfg.Dim
 	rng := corpusRand(cfg)
-	slab := make([]float64, cfg.Objects*dim)
+	slab := column[float64](mem, cfg.Objects*dim)
 	for i := range slab {
 		slab[i] = rng.Float64()
 	}
-	return finishDataset(cfg, &dataset[metric.Vector]{
+	return finishDataset(cfg, mem, &dataset[metric.Vector]{
 		n:  cfg.Objects,
 		at: func(j int) metric.Vector { return slab[j*dim : (j+1)*dim : (j+1)*dim] },
 		refine: func(q metric.Vector, pos []int32, r float64, dist []float64) uint64 {
@@ -525,7 +557,9 @@ const editAlphabet = "abcde"
 // editMaxLen bounds string length for the "edit" metric.
 const editMaxLen = 12
 
-func buildEdit(cfg DataConfig) (corpus, error) {
+// buildEdit keeps its strings on the heap: they hold pointers; only the
+// index columns are carved from mem.
+func buildEdit(cfg DataConfig, mem *colMem) (corpus, error) {
 	random := func(rng *rand.Rand) []byte {
 		n := 3 + rng.Intn(editMaxLen-3)
 		b := make([]byte, n)
@@ -539,7 +573,7 @@ func buildEdit(cfg DataConfig) (corpus, error) {
 	for i := range strs {
 		strs[i] = string(random(rng))
 	}
-	return finishDataset(cfg, &dataset[string]{
+	return finishDataset(cfg, mem, &dataset[string]{
 		n:  cfg.Objects,
 		at: func(j int) string { return strs[j] },
 		refine: func(q string, pos []int32, r float64, dist []float64) uint64 {

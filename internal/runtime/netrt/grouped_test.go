@@ -614,31 +614,65 @@ func TestOversizeAnswerCrossesTheRing(t *testing.T) {
 // that shared their messages are still answered.
 func TestDownOwnerLosesOnlyItsRegions(t *testing.T) {
 	data := testData()
-	nodes := startSilentRing(t, 4, data, nil)
 	ds, err := BuildDataset(data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	type query struct {
+		qobj []byte
+		r    float64
+		bf   []ResultEntry
+	}
+	rng := rand.New(rand.NewSource(12))
+	queries := make([]query, 12)
+	for i := range queries {
+		q := &queries[i]
+		q.qobj, q.r = ds.RandomQuery(rng), 0.3+0.3*rng.Float64()
+		if q.bf, err = ds.BruteForce(q.qobj, q.r); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// The member highest on the ring dies: a query's root region starts
 	// low, so the cuboids that reach the dead member are the last ones
 	// cut, and the rest of the decomposition is there to be answered.
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].id < nodes[j].id })
+	// Ring positions come from ephemeral ports, though, and the highest
+	// member's arc can hold none of the queries' answers: in 7 failures
+	// of 400 runs it held no entry at all, and every query came back
+	// complete. Such a ring loses nothing to the death, so another one
+	// is started.
+	var nodes []*Node
+	for ring := 0; ; ring++ {
+		nodes = startSilentRing(t, 4, data, nil)
+		sort.Slice(nodes, func(i, j int) bool { return nodes[i].id < nodes[j].id })
+		owns := false
+		execRead(t, nodes[0], func() {
+			for _, q := range queries {
+				for _, e := range q.bf {
+					owns = owns || nodes[0].successor(ds.c.Key(int(e.Obj))) == nodes[3].id
+				}
+			}
+		})
+		if owns {
+			break
+		}
+		for _, n := range nodes {
+			n.Close()
+		}
+		if ring == 4 {
+			t.Fatal("in 5 rings the highest member owned none of the queries' answers")
+		}
+	}
 	victim := nodes[3]
 	victim.Close()
 	live := nodes[:3]
 	for _, n := range live {
 		markDown(t, n, victim.id)
 	}
-	rng := rand.New(rand.NewSource(12))
 	partial := 0
-	for i := 0; i < 12; i++ {
-		qobj, r := ds.RandomQuery(rng), 0.3+0.3*rng.Float64()
+	for i, q := range queries {
+		qobj, r, bf := q.qobj, q.r, q.bf
 		origin := live[i%len(live)]
 		out, err := origin.Query(qobj, r, 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bf, err := ds.BruteForce(qobj, r)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -450,11 +450,16 @@ func TestArcAndDescentUnderRotation(t *testing.T) {
 // BenchmarkCorpusBuild builds bench's ring-scan corpus, what every
 // lmnode does at boot and at every restart: the objects drawn, the
 // landmarks picked, every object mapped and hashed, the columns sorted
-// into key order and their leaf boxes built.
+// into key order and their leaf boxes built. Like a node it builds the
+// columns in their mapping (bootCorpus), and releases each build's.
 func BenchmarkCorpusBuild(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := buildCorpus(ringScanData); err != nil {
+		_, mem, err := bootCorpus(ringScanData)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := mem.release(); err != nil {
 			b.Fatal(err)
 		}
 	}

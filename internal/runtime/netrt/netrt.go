@@ -175,6 +175,7 @@ type Node struct {
 	sig   uint64
 	epoch uint64 // process incarnation, stamps this node's queries
 	data  corpus
+	mem   *colMem // the mapping data's columns are carved from, nil on the heap; Close releases it
 
 	// Durable-state provenance, fixed at Start.
 	recovered bool // an earlier boot initialised the data dir; its mutations were replayed
@@ -258,20 +259,22 @@ func Start(cfg Config) (*Node, error) {
 			return nil, err
 		}
 	}
-	data, err := buildCorpus(cfg.Data)
+	data, mem, err := bootCorpus(cfg.Data)
 	if err == nil {
 		err = decodeJournaled(data, muts)
 	}
 	if err != nil {
+		_ = mem.release() // startup already failing; the build or decode error is the signal
 		if store != nil {
-			_ = store.Close() // startup already failing; the build or decode error is the signal
+			_ = store.Close() // likewise
 		}
 		return nil, err
 	}
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
+		_ = mem.release() // startup already failing; the listen error is the signal
 		if store != nil {
-			_ = store.Close() // startup already failing; the listen error is the signal
+			_ = store.Close() // likewise
 		}
 		return nil, err
 	}
@@ -284,6 +287,7 @@ func Start(cfg Config) (*Node, error) {
 		// queued for a dead incarnation cannot leak into this one.
 		epoch:     uint64(time.Now().UnixNano()),
 		data:      data,
+		mem:       mem,
 		recovered: recovered,
 		replayed:  replayed,
 		ln:        ln,
@@ -329,6 +333,7 @@ func Start(cfg Config) (*Node, error) {
 		if store != nil {
 			_ = store.Close() // startup already failing; the executor error is the signal
 		}
+		_ = mem.release() // likewise
 		return nil, err
 	}
 	n.wg.Add(1)
@@ -355,7 +360,7 @@ func (n *Node) Recovered() bool { return n.recovered }
 func (n *Node) Addr() string { return n.addr }
 
 // Close shuts the node down: listener, client connections, links, and
-// the protocol executor.
+// the protocol executor; last, it unmaps the corpus' columns.
 func (n *Node) Close() {
 	if !n.closed.CompareAndSwap(false, true) {
 		return
@@ -410,6 +415,11 @@ func (n *Node) Close() {
 		_ = n.store.Close() // shutdown teardown; the journal synced on every append interval
 	}
 	n.wg.Wait()
+	// The executor has stopped and every client session has ended, and a
+	// link's reader only decodes frames: nothing reads the columns now.
+	if err := n.mem.release(); err != nil {
+		n.logf("unmapping the corpus columns: %v", err)
+	}
 }
 
 // ErrNodeClosed reports a query cut short by node shutdown.
