@@ -123,7 +123,7 @@ durability-smoke:
 # twelve, where a rerun would have hidden it.
 repair-smoke:
 	$(GO) test -race -count=1 -run 'Replica|AntiEntropy|FailureDetector|Publish|ClientMut|HostileRep|SyncsWithoutStream' ./internal/runtime/netrt
-	$(GO) test -race -count=20 -run 'TestGroupedExactness|TestFormerReplicaDoesNotServeStaleCopy|TestMutationsFollowTheirKeyOnJoin' ./internal/runtime/netrt
+	$(GO) test -race -count=20 -run 'TestGroupedExactness|TestFormerReplicaDoesNotServeStaleCopy|TestMutationsFollowTheirKeyOnJoin|TestDownOwnerLosesOnlyItsRegions' ./internal/runtime/netrt
 	$(GO) run -race ./cmd/lmchaos -procs 4 -objects 1024 -dim 4 -queries 120 -clients 6 -churn 3 -replicas 1 -kill-dead
 
 # One iteration of every kernel benchmark under internal/*: catches a

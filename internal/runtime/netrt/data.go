@@ -486,8 +486,10 @@ func eachChunk(n int, fn func(lo, hi int)) {
 // region set. 3: every frame a query or a mutation crosses is binary
 // (proto.go). 4: no frame is gob; a member travels as its address. 5: a
 // replica stream, its header and the anti-entropy digest carry the
-// owner's delta (delta.go), not its region.
-const protoVersion = 5
+// owner's delta (delta.go), not its region. 6: a kindQuery's regions
+// arrive cut at their owner's position, and the owner answers its local
+// share without cutting them again (query.go process).
+const protoVersion = 6
 
 // corpusSig is the handshake signature: the protocol version, the
 // corpus parameters and every entry's ring key in corpus order.

@@ -167,9 +167,8 @@ func localShares(n *Node, reg query.Region, d *delta) []share {
 	for work := []query.Region{reg}; len(work) > 0; {
 		reg := work[len(work)-1]
 		work = work[:len(work)-1]
-		var cut lph.Key
-		cut, work = n.refine(reg, n.id, work)
-		shares = addShare(shares, d, reg, cut)
+		work = n.refine(reg, n.id, work)
+		shares = addShare(shares, d, reg, n.cutAt(reg, n.id))
 	}
 	return shares
 }
@@ -299,7 +298,7 @@ func TestNaNBoundRefinesNothing(t *testing.T) {
 		t0, r0 := answerWork(t, n)
 		execRead(t, n, func() {
 			n.process(&queryMsg{Origin: NodeID(peerAddr), OriginAddr: peerAddr, Epoch: 1, QID: 1, Credit: creditTotal,
-				Regions: []query.Region{reg}, QObj: ds.RandomQuery(rand.New(rand.NewSource(3))), R: 10, TTL: 4})
+				Regions: []query.Region{reg}, QObj: ds.RandomQuery(rand.New(rand.NewSource(3))), R: 10, TTL: 4}, true)
 		})
 		t1, r1 := answerWork(t, n)
 		return t1 - t0, r1 - r0

@@ -489,7 +489,7 @@ func (n *Node) dialPeer(addr string) (net.Conn, uint64, error) {
 func (n *Node) handleFrame(peer uint64, kind byte, body []byte) error {
 	switch kind {
 	case kindQuery:
-		return deliver(n, body, decodeQuery, (*Node).process)
+		return deliver(n, body, decodeQuery, func(n *Node, m *queryMsg) { n.process(m, true) })
 	case kindResult:
 		return deliver(n, body, decodeResult, func(n *Node, m *resultMsg) { n.onReturn(m.Epoch, m.QID, m.Credit, m.Entries, false) })
 	case kindDrop:

@@ -70,7 +70,7 @@ func (n *Node) startQuery(qobj []byte, r float64, done func(QueryOutcome, error)
 	n.process(&queryMsg{
 		Origin: n.id, OriginAddr: n.addr, Epoch: n.epoch, QID: qid,
 		Credit: creditTotal, Regions: []query.Region{reg}, QObj: qobj, R: r, TTL: forwardTTL,
-	})
+	}, false)
 }
 
 // Query runs one range query from this node and blocks until it
@@ -143,21 +143,31 @@ func addShare(shares []share, d *delta, reg query.Region, cut lph.Key) []share {
 // port of the routing half of the protocol to direct-to-owner routing.
 // With a full membership view the ring is permanently "stabilized", so
 // instead of Chord hops a region goes straight to the successor of its
-// key span; the surrogate-refinement decomposition (Algorithm 5) is
-// unchanged from the in-process runtimes.
+// key span, and Algorithm 5 (surrogate refinement) is evaluated where
+// the view is: at the node a region is first handled — the origin for
+// the query's root region — at the ring position of each owner in turn.
 //
-// The message's regions go through one worklist. A region whose
-// surrogate is this node — or a down owner whose synced copy is held
-// here — is decomposed on the spot, its sub-cuboids rejoin the
-// worklist, and its local share is set aside with the delta it is
-// answered against; every other region is grouped by its next hop. The
-// credit is then split once, over each next hop, the one local answer
-// and one drop if any region could not be routed, and the node emits one
-// kindQuery per hop and at most one kindResult and one kindDrop: frames
-// grow with the members a query touches, not with its sub-cuboids.
+// The message's regions go through one worklist. A region not yet cut
+// is cut at its owner's position (refine): its sub-cuboids rejoin the
+// worklist, and the region leaves holding only its owner's local share.
+// Then it goes where the owner is: set aside with the delta it is
+// answered against when the owner is this node, or a down owner whose
+// synced copy is held here; grouped by next hop otherwise — the owner,
+// or a live replica of a down one. A region that arrived (from a peer,
+// which cut it at the owner it saw) is answered up to its cut when
+// this node owns it or serves its down owner's copy, and passed on
+// unchanged to a live replica when it serves no copy; only a region
+// whose first key another live member owns under this node's view is
+// cut afresh, there, which may cover an answer twice (DESIGN §12.5 says
+// when views in disagreement can still lose one). So, while views
+// agree, a query's frames are one kindQuery from the origin to each
+// member it touches and one kindResult back.
+// The credit is split once, over each next hop, the one local answer
+// and one drop if any region could not be routed, and the node emits
+// one kindQuery per hop and at most one kindResult and one kindDrop.
 //
 //lint:context executor
-func (n *Node) process(q *queryMsg) {
+func (n *Node) process(q *queryMsg, arrived bool) {
 	// The sub-cuboids' cubes are dead once the message is handled, and a
 	// node handles one message at a time.
 	n.cubes.Reset()
@@ -176,43 +186,49 @@ func (n *Node) process(q *queryMsg) {
 		lost   string // why some region could be neither answered nor routed
 	)
 	work := append([]query.Region(nil), q.Regions...)
+	cut := 0 // work[:cut] are the message's regions that arrived cut
+	if arrived {
+		cut = len(work)
+	}
 	for len(work) > 0 {
 		reg := work[len(work)-1]
 		work = work[:len(work)-1]
+		fresh := len(work) >= cut
+		cut = min(cut, len(work))
 		if len(reg.Cube) != part.K() || reg.PreLen < 0 || reg.PreLen > lph.M || lph.Prefix(reg.PreKey, reg.PreLen) != reg.PreKey {
 			lost = "malformed region"
 			continue
 		}
 		lo, _ := lph.CuboidSpan(reg.PreKey, reg.PreLen)
 		owner := n.successor(uint64(part.Ring(lo)))
-		if owner == n.id {
-			var cut lph.Key
-			cut, work = n.refine(reg, n.id, work)
-			shares = addShare(shares, &n.mine, reg, cut)
-			continue
+		down := owner != n.id && n.isDown(owner)
+		if fresh || owner != n.id && !down {
+			work = n.refine(reg, owner, work)
 		}
-		if !n.isDown(owner) {
-			hops = addHop(hops, owner, reg)
+		if !down {
+			if owner == n.id {
+				shares = addShare(shares, &n.mine, reg, n.cutAt(reg, owner))
+			} else {
+				hops = addHop(hops, owner, reg)
+			}
 			continue
 		}
 		// The owner is down. A synced copy of its delta, held here as one
-		// of its replicas, answers the region on the spot — decomposed at
-		// the owner's ring position, so the sub-cuboids route exactly as
-		// they would have from the owner, and its share read from the
-		// columns every member holds, filtered by the copy. This node is
-		// still in the owner's replica set, so every mutation the owner
-		// applied since the sync was fanned out to it (a missed one
-		// unsyncs the copy at the next advert), and mutations to a down
-		// owner are refused (publish.go), so the copy is static while the
-		// owner is dead — the failover answer is exact.
+		// of its replicas, answers the region's local share on the spot —
+		// cut at the owner's ring position, as the owner would have, and
+		// read from the columns every member holds, filtered by the copy.
+		// This node is still in the owner's replica set, so every mutation
+		// the owner applied since the sync was fanned out to it (a missed
+		// one unsyncs the copy at the next advert), and mutations to a
+		// down owner are refused (publish.go), so the copy is static while
+		// the owner is dead — the failover answer is exact.
 		if c := n.servingCopy(owner); c != nil {
-			var cut lph.Key
-			cut, work = n.refine(reg, owner, work)
-			shares = addShare(shares, &c.delta, reg, cut)
+			shares = addShare(shares, &c.delta, reg, n.cutAt(reg, owner))
 			continue
 		}
-		// No copy to serve here: hand the region to a live replica that
-		// may hold one. TTL bounds any ping-pong between unsynced replicas.
+		// No copy to serve here: hand the cut region to a live replica
+		// that may hold one. TTL bounds any ping-pong between unsynced
+		// replicas.
 		routed := false
 		for _, t := range n.replicaTargets(owner) {
 			if t != n.id && !n.isDown(t) {
@@ -262,30 +278,37 @@ func (n *Node) process(q *queryMsg) {
 	n.sendResult(q, credits[0], ents)
 }
 
+// cutAt returns the top key of a region's local share at surrogate's
+// ring position — Algorithm 5's cut: the surrogate's virtual id, or the
+// top of the key space when the cuboid does not contain it and the
+// whole cuboid is local (its lowest key's successor is the surrogate,
+// which lies outside it, so no other member does either).
+func (n *Node) cutAt(reg query.Region, surrogate uint64) lph.Key {
+	vid := n.data.Part().Unring(lph.Key(surrogate))
+	if !lph.SamePrefix(reg.PreKey, vid, reg.PreLen) {
+		return ^lph.Key(0)
+	}
+	return vid
+}
+
 // refine runs the surrogate-refinement decomposition (Algorithm 5) of
 // one region at surrogate's ring position: keys of the region's cuboid
-// at or below the surrogate's virtual id are the surrogate's local
-// share, and every maximal sub-cuboid above it (one per zero bit past
-// the prefix; query.Refine, the decomposition core runs too) is clipped
-// to the query cube, in a cube from the node's arena, and appended to
-// work, to be routed to its own owner.
-// It returns the top key of the local share —
-// the virtual id, or the top of the key space when the cuboid does not
-// contain it and the whole cuboid is local. The local shares and
-// sub-cuboids of one message are therefore disjoint in key space: no
-// entry is tested twice. Normally surrogate is this node; when a down
-// owner's region is answered from a replica copy, the copy's holder
-// decomposes at the owner's position so the routing is unchanged.
+// up to the cut (cutAt) are the surrogate's local share, and every
+// maximal sub-cuboid above it (one per zero bit past the prefix;
+// query.Refine, the decomposition core runs too) is clipped to the
+// query cube, in a cube from the node's arena, and appended to work, to
+// be routed to its own owner. The local shares and sub-cuboids of one
+// query are therefore disjoint in key space: no entry is tested twice.
+// The surrogate is the region's owner, wherever the region is cut: a
+// live owner answers the share it is sent, and a down owner's share is
+// answered from a replica's copy of its delta.
 //
 //lint:context executor
-func (n *Node) refine(reg query.Region, surrogate uint64, work []query.Region) (lph.Key, []query.Region) {
-	part := n.data.Part()
-	vid := part.Unring(lph.Key(surrogate))
-	if !lph.SamePrefix(reg.PreKey, vid, reg.PreLen) {
-		return ^lph.Key(0), work
+func (n *Node) refine(reg query.Region, surrogate uint64, work []query.Region) []query.Region {
+	if vid := n.cutAt(reg, surrogate); vid != ^lph.Key(0) {
+		query.Refine(n.data.Part(), reg, vid, &n.cubes, func(sub query.Region) { work = append(work, sub) })
 	}
-	query.Refine(part, reg, vid, &n.cubes, func(sub query.Region) { work = append(work, sub) })
-	return vid, work
+	return work
 }
 
 // splitCredit divides credit into parts shares that sum exactly to
