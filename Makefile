@@ -116,14 +116,15 @@ durability-smoke:
 # mutations; the corpus every member builds itself). A healthy ring keeps
 # copies current by fan-out and streams only to repair divergence, which
 # the tests pin (TestMutationFreeRingSyncsWithoutStream,
-# TestRestartedReplicaInstallsOneStream). The failover exactness tests
-# and the hand-off test run twenty times over: ring positions come from
-# ephemeral ports, and what the first two caught once (a former replica
-# answering from a copy nobody updates any more) failed one run in
-# twelve, where a rerun would have hidden it.
+# TestRestartedReplicaInstallsOneStream). The failover exactness tests,
+# the hand-off test and the hostile query frame run twenty times over
+# (the same list as CI's step): ring positions come from ephemeral ports,
+# and what the first two caught once (a former replica answering from a
+# copy nobody updates any more) failed one run in twelve, where a rerun
+# would have hidden it.
 repair-smoke:
 	$(GO) test -race -count=1 -run 'Replica|AntiEntropy|FailureDetector|Publish|ClientMut|HostileRep|SyncsWithoutStream' ./internal/runtime/netrt
-	$(GO) test -race -count=20 -run 'TestGroupedExactness|TestFormerReplicaDoesNotServeStaleCopy|TestMutationsFollowTheirKeyOnJoin|TestDownOwnerLosesOnlyItsRegions' ./internal/runtime/netrt
+	$(GO) test -race -count=20 -run 'TestGroupedExactness|TestFormerReplicaDoesNotServeStaleCopy|TestMutationsFollowTheirKeyOnJoin|TestDownOwnerLosesOnlyItsRegions|TestHostileQueryFrameDropsLink' ./internal/runtime/netrt
 	$(GO) run -race ./cmd/lmchaos -procs 4 -objects 1024 -dim 4 -queries 120 -clients 6 -churn 3 -replicas 1 -kill-dead
 
 # One iteration of every kernel benchmark under internal/*: catches a

@@ -488,8 +488,10 @@ func eachChunk(n int, fn func(lo, hi int)) {
 // replica stream, its header and the anti-entropy digest carry the
 // owner's delta (delta.go), not its region. 6: a kindQuery's regions
 // arrive cut at their owner's position, and the owner answers its local
-// share without cutting them again (query.go process).
-const protoVersion = 6
+// share without cutting them again (query.go process). 7: a replica
+// stream is its chunks alone, each naming the stream, and the stream's
+// chunk, ack and digest frames are proto.go codecs (no header frame).
+const protoVersion = 7
 
 // corpusSig is the handshake signature: the protocol version, the
 // corpus parameters and every entry's ring key in corpus order.

@@ -32,9 +32,7 @@ package netrt
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"landmarkdht/internal/lph"
 	"landmarkdht/internal/wal"
@@ -52,18 +50,12 @@ const (
 // filled). Byte-compared on recovery, so the encoding must be
 // canonical.
 func encodeMeta(cfg DataConfig) []byte {
-	b := make([]byte, 0, 2+len(cfg.Metric)+8+12)
-	b = append(b, recMeta, byte(len(cfg.Metric)))
+	b := append(make([]byte, 0, 2+len(cfg.Metric)+8+12), recMeta, byte(len(cfg.Metric)))
 	b = append(b, cfg.Metric...)
-	var u [8]byte
-	binary.BigEndian.PutUint64(u[:], uint64(cfg.Seed))
-	b = append(b, u[:]...)
-	binary.BigEndian.PutUint32(u[:4], uint32(cfg.Objects))
-	b = append(b, u[:4]...)
-	binary.BigEndian.PutUint32(u[:4], uint32(cfg.Dim))
-	b = append(b, u[:4]...)
-	binary.BigEndian.PutUint32(u[:4], uint32(cfg.Landmarks))
-	return append(b, u[:4]...)
+	b = appendU64(b, uint64(cfg.Seed))
+	b = appendU32(b, uint32(cfg.Objects))
+	b = appendU32(b, uint32(cfg.Dim))
+	return appendU32(b, uint32(cfg.Landmarks))
 }
 
 // durableMut is one replayed online mutation, applied in log order to
@@ -101,65 +93,53 @@ type rawState struct {
 	replayed int
 }
 
+// add takes one record. A publish or delete record is read like a frame
+// body (proto.go's bodyReader): a refusal is the decoder's
+// *wire.FrameError, and nothing of the record is kept.
 func (r *rawState) add(p []byte) error {
 	if len(p) == 0 {
 		return fmt.Errorf("netrt: empty durable record")
 	}
 	r.replayed++
+	body := bodyReader{b: p[1:]}
+	var m durableMut
 	switch p[0] {
 	case recMeta:
 		r.meta = append([]byte(nil), p...)
+		return nil
 	case recLandmark, recEntry:
-		// an earlier version's corpus snapshot: derivable, never read back
+		return nil // an earlier version's corpus snapshot: derivable, never read back
 	case recPublish:
-		const hdr = 1 + 4 + 8 + 2
-		if len(p) < hdr {
-			return fmt.Errorf("netrt: publish record truncated (%d bytes)", len(p))
+		m.id, m.key = int32(body.u32()), lph.Key(body.u64())
+		m.point = make([]float64, body.fits(int(body.u16()), 8))
+		for j := range m.point {
+			m.point[j] = body.f64()
 		}
-		id := int32(binary.BigEndian.Uint32(p[1:]))
-		key := lph.Key(binary.BigEndian.Uint64(p[5:]))
-		plen := int(binary.BigEndian.Uint16(p[13:]))
-		rest := p[hdr:]
-		if len(rest) < 8*plen {
-			return fmt.Errorf("netrt: publish record %d point truncated", id)
-		}
-		point := make([]float64, plen)
-		for j := range point {
-			point[j] = math.Float64frombits(binary.BigEndian.Uint64(rest[8*j:]))
-		}
-		r.muts = append(r.muts, durableMut{
-			id: id, key: key, point: point,
-			obj: append([]byte(nil), rest[8*plen:]...),
-		})
+		m.obj = body.rest()
 	case recDelete:
-		if len(p) != 5 {
-			return fmt.Errorf("netrt: delete record is %d bytes, want 5", len(p))
-		}
-		r.muts = append(r.muts, durableMut{id: int32(binary.BigEndian.Uint32(p[1:])), del: true})
+		m.id, m.del = int32(body.u32()), true
 	default:
 		return fmt.Errorf("netrt: unknown durable record tag %d", p[0])
 	}
-	return nil
+	m, err := decoded(&body, m, "durable record")
+	if err == nil {
+		r.muts = append(r.muts, m)
+	}
+	return err
 }
 
 // encodeMutation builds the record for one mutation; point is a
 // publish's index-space point (unused for a delete).
 func encodeMutation(m *pubMsg, point []float64) []byte {
-	var u [8]byte
-	binary.BigEndian.PutUint32(u[:4], uint32(m.ID))
 	if m.Delete {
-		return append([]byte{recDelete}, u[:4]...)
+		return appendU32([]byte{recDelete}, uint32(m.ID))
 	}
-	rec := make([]byte, 0, 1+4+8+2+8*len(point)+len(m.Obj))
-	rec = append(rec, recPublish)
-	rec = append(rec, u[:4]...)
-	binary.BigEndian.PutUint64(u[:], m.Key)
-	rec = append(rec, u[:]...)
-	binary.BigEndian.PutUint16(u[:2], uint16(len(point)))
-	rec = append(rec, u[:2]...)
+	rec := append(make([]byte, 0, 1+4+8+2+8*len(point)+len(m.Obj)), recPublish)
+	rec = appendU32(rec, uint32(m.ID))
+	rec = appendU64(rec, m.Key)
+	rec = appendU16(rec, uint16(len(point)))
 	for _, x := range point {
-		binary.BigEndian.PutUint64(u[:], math.Float64bits(x))
-		rec = append(rec, u[:]...)
+		rec = appendF64(rec, x)
 	}
 	return append(rec, m.Obj...)
 }

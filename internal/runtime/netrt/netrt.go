@@ -88,7 +88,6 @@ import (
 	"landmarkdht/internal/runtime"
 	"landmarkdht/internal/runtime/livert"
 	"landmarkdht/internal/wal"
-	"landmarkdht/internal/wire"
 )
 
 // Config parameterizes one ring node.
@@ -502,14 +501,12 @@ func (n *Node) handleFrame(peer uint64, kind byte, body []byte) error {
 		return deliver(n, body, decodePub, (*Node).onPublish)
 	case kindPubAck:
 		return deliver(n, body, decodePubAck, (*Node).onPubAck)
-	case kindRepBegin:
-		return deliver(n, body, decodeRepBegin, func(n *Node, m *repBeginMsg) { n.onRepBegin(peer, m) })
 	case kindRepChunk:
-		return deliver(n, body, wire.DecodeChunk, func(n *Node, m *wire.RegionChunk) { n.onRepChunk(peer, *m) })
+		return deliver(n, body, decodeRepChunk, func(n *Node, m *repChunkMsg) { n.onRepChunk(peer, m) })
 	case kindRepAck:
-		return deliver(n, body, wire.DecodeAck, func(n *Node, m *wire.RegionAck) { n.onRepAck(peer, *m) })
+		return deliver(n, body, decodeRepAck, func(n *Node, m *repAckMsg) { n.onRepAck(peer, m) })
 	case kindRepDigest:
-		return deliver(n, body, wire.DecodeDigest, func(n *Node, m *wire.RegionDigest) { n.onRepDigest(peer, *m) })
+		return deliver(n, body, decodeRepDigest, func(n *Node, m *repDigestMsg) { n.onRepDigest(peer, m) })
 	case kindAnnounce:
 		return deliver(n, body, decodeAnnounce, func(n *Node, m *announceMsg) { n.mergeMembers(m.Members) })
 	}

@@ -61,10 +61,9 @@ const (
 	// drops the link before anything is scheduled.
 	kindPing      byte = 8  // heartbeat probe (pingMsg)
 	kindPong      byte = 9  // heartbeat answer (pingMsg)
-	kindRepBegin  byte = 10 // replica stream header (repBeginMsg)
-	kindRepChunk  byte = 11 // one stream chunk (wire.RegionChunk)
-	kindRepAck    byte = 12 // chunk acknowledgement (wire.RegionAck)
-	kindRepDigest byte = 13 // anti-entropy digest (wire.RegionDigest)
+	kindRepChunk  byte = 11 // one replica stream chunk, naming its stream (repChunkMsg)
+	kindRepAck    byte = 12 // chunk acknowledgement (repAckMsg)
+	kindRepDigest byte = 13 // anti-entropy digest (repDigestMsg)
 	kindPublish   byte = 14 // online mutation routed to its owner (pubMsg)
 	kindPubAck    byte = 15 // mutation outcome back to its origin (pubAckMsg)
 
@@ -223,7 +222,9 @@ const (
 	resultEntryBytes = 4 + 8                // Obj, Dist
 	dropFixed        = 4*8 + 2              // four 64-bit fields; reason prefix
 	pingBytes        = 8 + 8                // From, Seq
-	repBeginBytes    = 5 * 8                // five 64-bit fields
+	repChunkFixed    = 8 + 3*4 + 8 + 4      // Transfer, Seq, Chunks, Items, Digest; data prefix
+	repAckBytes      = 8 + 4                // Transfer, Seq
+	repDigestBytes   = 8 + 4 + 8            // Owner, Items, Digest
 	pubFixed         = 6*8 + 4 + 1 + 2 + 4  // six 64-bit fields, ID, flags; address and object prefixes
 	pubAckFixed      = 2*8 + 2              // Epoch, RID; error prefix
 	clientHelloFixed = 4 + 2                // Version; address prefix
@@ -392,35 +393,82 @@ func decodePing(body []byte) (pingMsg, error) {
 	return decoded(&r, m, "ping")
 }
 
-// repBeginMsg opens one replica stream: the owner's delta follows as
-// Chunks sequenced RegionChunk frames whose reassembled payload decodes
-// to Entries items (tombstones and extras) combining to Digest. The
-// receiver installs the copy only when both match — a divergent or torn
-// stream is discarded and re-requested by the next anti-entropy
-// exchange.
-type repBeginMsg struct {
-	Owner    uint64
+// repChunkMsg is one chunk of a replica stream, and names the whole
+// stream: the owner's delta travels as Chunks sequenced chunks under
+// Transfer, and their reassembled Data decodes to Items items
+// (tombstones and extras) combining to Digest. The receiver stages the
+// stream from whichever chunk arrives first and installs the copy only
+// when the decoded delta matches both — a divergent or torn stream is
+// discarded and re-requested by the next anti-entropy exchange.
+type repChunkMsg struct {
 	Transfer uint64
-	Chunks   int
-	Entries  int
+	Seq      uint32
+	Chunks   uint32
+	Items    uint32
 	Digest   uint64
+	Data     []byte
 }
 
-// appendRepBegin appends a kindRepBegin payload: Owner, Transfer,
-// Chunks, Entries, Digest.
-func appendRepBegin(dst []byte, m *repBeginMsg) []byte {
-	dst = append(slices.Grow(dst, 1+repBeginBytes), kindRepBegin)
-	dst = appendU64(dst, m.Owner)
+// appendRepChunk appends a kindRepChunk payload: Transfer, Seq, Chunks,
+// Items, Digest, Data.
+func appendRepChunk(dst []byte, m *repChunkMsg) []byte {
+	dst = append(slices.Grow(dst, 1+repChunkFixed+len(m.Data)), kindRepChunk)
 	dst = appendU64(dst, m.Transfer)
-	dst = appendInt(dst, m.Chunks)
-	dst = appendInt(dst, m.Entries)
+	dst = appendU32(dst, m.Seq)
+	dst = appendU32(dst, m.Chunks)
+	dst = appendU32(dst, m.Items)
+	dst = appendU64(dst, m.Digest)
+	return appendBytes(dst, m.Data)
+}
+
+func decodeRepChunk(body []byte) (repChunkMsg, error) {
+	r := bodyReader{b: body}
+	m := repChunkMsg{Transfer: r.u64(), Seq: r.u32(), Chunks: r.u32(), Items: r.u32(), Digest: r.u64(), Data: r.bytes()}
+	return decoded(&r, m, "replica chunk")
+}
+
+// repAckMsg acknowledges chunk Seq of stream Transfer to its sender,
+// returning its credit to the sender's window.
+type repAckMsg struct {
+	Transfer uint64
+	Seq      uint32
+}
+
+// appendRepAck appends a kindRepAck payload: Transfer, Seq.
+func appendRepAck(dst []byte, m *repAckMsg) []byte {
+	dst = append(slices.Grow(dst, 1+repAckBytes), kindRepAck)
+	dst = appendU64(dst, m.Transfer)
+	return appendU32(dst, m.Seq)
+}
+
+func decodeRepAck(body []byte) (repAckMsg, error) {
+	r := bodyReader{b: body}
+	m := repAckMsg{Transfer: r.u64(), Seq: r.u32()}
+	return decoded(&r, m, "replica ack")
+}
+
+// repDigestMsg is one side's summary of Owner's delta in an anti-entropy
+// exchange: its item count and its digest (the XOR of its items'). The
+// owner advertises its own; a replica whose copy disagrees answers with
+// the copy's, for the same Owner.
+type repDigestMsg struct {
+	Owner  uint64
+	Items  uint32
+	Digest uint64
+}
+
+// appendRepDigest appends a kindRepDigest payload: Owner, Items, Digest.
+func appendRepDigest(dst []byte, m *repDigestMsg) []byte {
+	dst = append(slices.Grow(dst, 1+repDigestBytes), kindRepDigest)
+	dst = appendU64(dst, m.Owner)
+	dst = appendU32(dst, m.Items)
 	return appendU64(dst, m.Digest)
 }
 
-func decodeRepBegin(body []byte) (repBeginMsg, error) {
+func decodeRepDigest(body []byte) (repDigestMsg, error) {
 	r := bodyReader{b: body}
-	m := repBeginMsg{Owner: r.u64(), Transfer: r.u64(), Chunks: r.int(), Entries: r.int(), Digest: r.u64()}
-	return decoded(&r, m, "replica stream header")
+	m := repDigestMsg{Owner: r.u64(), Items: r.u32(), Digest: r.u64()}
+	return decoded(&r, m, "replica digest")
 }
 
 // pubMsg routes one online mutation (publish or delete) to the owner
@@ -667,7 +715,11 @@ func decodeInfo(body []byte) (Info, error) {
 }
 
 // ---- binary primitives ----
+//
+// The frames above and the durable records (durable.go) are written and
+// read with these alone.
 
+func appendU16(dst []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(dst, v) }
 func appendU32(dst []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(dst, v) }
 func appendU64(dst []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(dst, v) }
 func appendInt(dst []byte, v int) []byte    { return appendU64(dst, uint64(int64(v))) }
@@ -682,8 +734,7 @@ func appendStr(dst []byte, s string) []byte {
 	if len(s) > math.MaxUint16 {
 		s = s[:math.MaxUint16]
 	}
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(s)))
-	return append(dst, s...)
+	return append(appendU16(dst, uint16(len(s))), s...)
 }
 
 // appendBytes appends a byte slice behind its 32-bit length (a frame
@@ -751,23 +802,26 @@ func (r *bodyReader) flags(known byte) byte {
 	return p[0]
 }
 
-// str and bytes copy out a length-prefixed field; the length is checked
-// against the bytes left before anything is copied.
-func (r *bodyReader) str() string { return string(r.take(int(r.u16()))) }
+// str and bytes copy out a length-prefixed field, rest whatever is left;
+// a length is checked against the bytes left before anything is copied.
+func (r *bodyReader) str() string   { return string(r.take(int(r.u16()))) }
+func (r *bodyReader) bytes() []byte { return r.clone(int(r.u32())) }
+func (r *bodyReader) rest() []byte  { return r.clone(len(r.b) - r.off) }
 
-func (r *bodyReader) bytes() []byte {
-	p := r.take(int(r.u32()))
+func (r *bodyReader) clone(n int) []byte {
+	p := r.take(n)
 	if len(p) == 0 {
 		return nil
 	}
 	return bytes.Clone(p)
 }
 
-// count reads an element count and checks that so many elements, of at
-// least each bytes, are still there: a decoder makes nothing a
-// hostile count asks for.
-func (r *bodyReader) count(each int) int {
-	n := int(r.u32())
+// count reads a 32-bit element count, and fits checks one: n when so
+// many elements, of at least each bytes, are still there. A decoder
+// makes nothing a hostile count asks for.
+func (r *bodyReader) count(each int) int { return r.fits(int(r.u32()), each) }
+
+func (r *bodyReader) fits(n, each int) int {
 	if n < 0 || n > (len(r.b)-r.off)/each {
 		r.refuse()
 		return 0

@@ -7,9 +7,9 @@ package netrt
 // replica answers a down owner's subqueries from its own columns,
 // filtered by its copy of the owner's delta. The owner applies each
 // mutation and fans it out (publish.go); a copy that missed one is
-// repaired by streaming the owner's whole delta over the bulk
-// region-transfer frames (internal/wire: sequenced chunks, per-chunk
-// acks, the windowed sender of internal/xfer).
+// repaired by streaming the owner's whole delta: sequenced chunks that
+// each name their stream, per-chunk acks (proto.go), and the windowed
+// sender of internal/xfer.
 //
 // Synchronization is digest-driven: every AntiEntropyPeriod an owner
 // advertises its delta's (count, XOR digest) to each replica; a replica
@@ -28,27 +28,23 @@ import (
 	"sort"
 	"time"
 
-	"landmarkdht/internal/wire"
 	"landmarkdht/internal/xfer"
 )
 
 const (
-	// repIndexName names the index scheme in every replica chunk; a
-	// chunk for any other scheme is ignored.
-	repIndexName = "netrt-region"
 	// maxRepChunks and maxRepBytes bound what a receiver will stage for
-	// one stream, whatever the header claims.
+	// one stream, whatever its chunks claim.
 	maxRepChunks = 1 << 14
 	maxRepBytes  = 64 << 20
 	// minRepEntry is the least one item takes on the stream (a
 	// tombstone is its 4-byte id), so maxRepBytes bounds the item count
-	// a header may claim.
+	// a chunk may claim.
 	minRepEntry = 4
 )
 
-// repPolicy re-announces an idle stream and resends its unacked chunks
-// every 300 ms, for up to 30 rounds without an acknowledgement (the next
-// anti-entropy exchange starts over).
+// repPolicy resends an idle stream's unacked chunks every 300 ms, for up
+// to 30 rounds without an acknowledgement (the next anti-entropy
+// exchange starts over).
 var repPolicy = xfer.Policy{Idle: 300 * time.Millisecond, Rounds: 30}
 
 // replicaCopy is this node's copy of one owner's delta. Only a synced
@@ -70,12 +66,13 @@ type repPush struct {
 	snd      *xfer.Sender
 }
 
-// repStage is one inbound replica stream being reassembled.
+// repStage is one inbound replica stream, as its chunks describe it.
+// It outlives its install: data is nil from then on.
 type repStage struct {
-	owner    uint64
 	transfer uint64
+	chunks   uint32
+	items    uint32
 	digest   uint64
-	entries  int
 	data     [][]byte
 	rx       xfer.Receiver
 	bytes    int
@@ -117,9 +114,7 @@ func (n *Node) antiEntropyTick() {
 	if len(targets) == 0 {
 		return
 	}
-	adv := wire.AppendDigest([]byte{kindRepDigest}, wire.RegionDigest{
-		Owner: n.id, Entries: uint32(n.mine.size()), Digest: n.mine.digest,
-	})
+	adv := appendRepDigest(nil, &repDigestMsg{Owner: n.id, Items: uint32(n.mine.size()), Digest: n.mine.digest})
 	for _, t := range targets {
 		if t == n.id || n.isDown(t) {
 			continue
@@ -135,9 +130,9 @@ func (n *Node) antiEntropyTick() {
 // divergent or missing one is reported back so the owner re-streams.
 //
 //lint:context executor
-func (n *Node) onRepDigest(peer uint64, d wire.RegionDigest) {
+func (n *Node) onRepDigest(peer uint64, d *repDigestMsg) {
 	if d.Owner == n.id {
-		if int(d.Entries) != n.mine.size() || d.Digest != n.mine.digest {
+		if int(d.Items) != n.mine.size() || d.Digest != n.mine.digest {
 			n.startPush(peer)
 		}
 		return
@@ -146,7 +141,7 @@ func (n *Node) onRepDigest(peer uint64, d wire.RegionDigest) {
 		return // adverts speak only for their sender
 	}
 	c := n.copies[d.Owner]
-	if c == nil && d.Entries == 0 && d.Digest == 0 {
+	if c == nil && d.Items == 0 && d.Digest == 0 {
 		// An owner with no mutations syncs without a stream: reporting
 		// back would echo the owner's own (0, 0) digest, which the owner
 		// correctly sees as agreement and never pushes — so the copy must
@@ -155,17 +150,17 @@ func (n *Node) onRepDigest(peer uint64, d wire.RegionDigest) {
 		n.copies[d.Owner] = &replicaCopy{delta: newDelta(), synced: true}
 		return
 	}
-	have := wire.RegionDigest{Owner: d.Owner}
+	have := repDigestMsg{Owner: d.Owner}
 	if c != nil {
-		have.Entries = uint32(c.size())
+		have.Items = uint32(c.size())
 		have.Digest = c.digest
 	}
-	synced := c != nil && have.Entries == d.Entries && have.Digest == d.Digest
+	synced := c != nil && have.Items == d.Items && have.Digest == d.Digest
 	if c != nil {
 		c.synced = synced
 	}
 	if !synced {
-		n.sendRaw(n.members[d.Owner], wire.AppendDigest([]byte{kindRepDigest}, have))
+		n.sendRaw(n.members[d.Owner], appendRepDigest(nil, &have))
 	}
 }
 
@@ -193,26 +188,17 @@ func (n *Node) startPush(to uint64) {
 	p := &repPush{to: to, addr: addr, transfer: n.nextXfer,
 		digest: n.mine.digest, entries: n.mine.size(), chunks: make([][]byte, chunks)}
 	for i := range chunks {
-		c := wire.RegionChunk{Transfer: p.transfer, Index: repIndexName, Seq: uint32(i),
-			Last: i == chunks-1, Data: blob[i*xfer.ChunkBytes : min(len(blob), (i+1)*xfer.ChunkBytes)]}
-		var err error
-		p.chunks[i], err = wire.AppendChunk(append(make([]byte, 0, 1+c.EncodedSize()), kindRepChunk), &c)
-		if err != nil {
-			return // unreachable: name and chunk sizes are in range by construction
-		}
+		p.chunks[i] = appendRepChunk(nil, &repChunkMsg{Transfer: p.transfer, Seq: uint32(i), Chunks: uint32(chunks),
+			Items: uint32(p.entries), Digest: p.digest, Data: blob[i*xfer.ChunkBytes : min(len(blob), (i+1)*xfer.ChunkBytes)]})
 	}
-	// An idle stream is re-announced — the receiver acks duplicates
-	// idempotently, so a lost ack costs one redundant chunk, never a
-	// stuck stream — unless its target is down.
+	// An idle round resends the unacked chunks, each naming its stream:
+	// the receiver acks a duplicate, or a chunk of the stream it
+	// installed, without taking it again, so a lost ack costs one
+	// redundant chunk, never a stuck stream. A push gives up at once when
+	// its target is down.
 	p.snd = xfer.NewSender(n.rt, chunks, repPolicy, xfer.Hooks{
 		Send: func(seq int, _ bool) { n.sendRaw(p.addr, p.chunks[seq]) },
-		Idle: func() bool {
-			if n.isDown(p.to) {
-				return false
-			}
-			n.sendRepBegin(p)
-			return true
-		},
+		Idle: func() bool { return !n.isDown(p.to) },
 		Done: func() {
 			n.repairsSent.Add(1)
 			delete(n.pushes, p.to)
@@ -224,19 +210,9 @@ func (n *Node) startPush(to uint64) {
 		},
 	})
 	n.pushes[to] = p
-	n.sendRepBegin(p)
 	p.snd.Start()
 	n.logf("replica push to %016x: %d items in %d chunks (transfer %d)",
 		to, p.entries, len(p.chunks), p.transfer)
-}
-
-// sendRepBegin announces (or, on an idle round, re-announces) the
-// stream to its target.
-//
-//lint:context executor
-func (n *Node) sendRepBegin(p *repPush) {
-	n.sendRaw(p.addr, appendRepBegin(nil, &repBeginMsg{Owner: n.id, Transfer: p.transfer,
-		Chunks: len(p.chunks), Entries: p.entries, Digest: p.digest}))
 }
 
 // onRepAck books one acked chunk. Only the push's target acks it, and
@@ -244,38 +220,33 @@ func (n *Node) sendRepBegin(p *repPush) {
 // for its own pushes alone.
 //
 //lint:context executor
-func (n *Node) onRepAck(peer uint64, a wire.RegionAck) {
+func (n *Node) onRepAck(peer uint64, a *repAckMsg) {
 	if p := n.pushes[peer]; p != nil && p.transfer == a.Transfer {
 		p.snd.Ack(int(a.Seq))
 	}
 }
 
-// onRepBegin opens (or re-opens, idempotently) one inbound stream. An
-// owner has one stream at a time: a newer one replaces a stale one.
-// Streams are staged by owner, because every owner numbers its
-// transfers from 1.
+// onRepChunk stages one chunk of peer's stream and acks it; a chunk past
+// the caps is ignored. Streams are staged by owner, because every owner
+// numbers its transfers from 1. Every chunk describes its whole stream,
+// so whichever arrives first opens the stage, and one that describes
+// another stream replaces it: a newer push, or a restarted owner.
+// Duplicates are acked without re-staging; the last missing chunk
+// triggers install. The stage outlives its install, so a resent chunk of
+// the installed stream — its ack was lost or late — is acked and not
+// installed again, which would roll back every fan-out applied to the
+// copy since.
 //
 //lint:context executor
-func (n *Node) onRepBegin(peer uint64, b *repBeginMsg) {
-	if b.Owner != peer || b.Chunks <= 0 || b.Chunks > maxRepChunks ||
-		b.Entries < 0 || b.Entries > maxRepBytes/minRepEntry {
+func (n *Node) onRepChunk(peer uint64, c *repChunkMsg) {
+	if c.Chunks == 0 || c.Chunks > maxRepChunks || c.Items > maxRepBytes/minRepEntry || c.Seq >= c.Chunks {
 		return
 	}
-	if st := n.staging[b.Owner]; st != nil && st.transfer == b.Transfer {
-		return // retry of the stream already in progress
-	}
-	n.staging[b.Owner] = &repStage{owner: b.Owner, transfer: b.Transfer, digest: b.Digest, entries: b.Entries,
-		data: make([][]byte, b.Chunks), rx: xfer.NewReceiver(b.Chunks)}
-}
-
-// onRepChunk stages one chunk and acks it. Duplicates are acked
-// without re-staging; the last missing chunk triggers install.
-//
-//lint:context executor
-func (n *Node) onRepChunk(peer uint64, c wire.RegionChunk) {
 	st := n.staging[peer]
-	if st == nil || st.transfer != c.Transfer || c.Index != repIndexName || int(c.Seq) >= len(st.data) {
-		return
+	if st == nil || st.transfer != c.Transfer || st.chunks != c.Chunks || st.items != c.Items || st.digest != c.Digest {
+		st = &repStage{transfer: c.Transfer, chunks: c.Chunks, items: c.Items, digest: c.Digest,
+			data: make([][]byte, c.Chunks), rx: xfer.NewReceiver(int(c.Chunks))}
+		n.staging[peer] = st
 	}
 	if st.rx.Take(int(c.Seq)) {
 		if st.bytes += len(c.Data); st.bytes > maxRepBytes {
@@ -284,35 +255,36 @@ func (n *Node) onRepChunk(peer uint64, c wire.RegionChunk) {
 		}
 		st.data[c.Seq] = c.Data
 	}
-	n.sendRaw(n.members[st.owner],
-		wire.AppendAck([]byte{kindRepAck}, wire.RegionAck{Transfer: c.Transfer, Seq: c.Seq}))
-	if st.rx.Complete() {
-		n.installStage(st)
+	n.sendRaw(n.members[peer], appendRepAck(nil, &repAckMsg{Transfer: c.Transfer, Seq: c.Seq}))
+	if st.data != nil && st.rx.Complete() {
+		n.installStage(peer, st)
 	}
 }
 
-// installStage decodes a complete stream, verifies its end-to-end
-// digest, and installs the copy. A mismatch — torn stream, concurrent
-// mutation at the owner, undecodable delta — discards the stage; the
-// next anti-entropy exchange repairs it.
+// installStage decodes owner's complete stream, verifies its end-to-end
+// digest, and installs the copy; the stage keeps its description and
+// drops its data. A mismatch — torn stream, concurrent mutation at the
+// owner, undecodable delta — installs nothing; the next anti-entropy
+// exchange repairs it.
 //
 //lint:context executor
-func (n *Node) installStage(st *repStage) {
-	delete(n.staging, st.owner)
-	d, err := decodeDelta(slices.Concat(st.data...), n.data)
+func (n *Node) installStage(owner uint64, st *repStage) {
+	blob := slices.Concat(st.data...)
+	st.data = nil
+	d, err := decodeDelta(blob, n.data)
 	if err != nil {
-		n.logf("replica stream from %016x: %v", st.owner, err)
+		n.logf("replica stream from %016x: %v", owner, err)
 		return
 	}
-	if d.size() != st.entries || d.digest != st.digest {
-		n.logf("replica stream from %016x discarded: %d items / %016x, header said %d / %016x",
-			st.owner, d.size(), d.digest, st.entries, st.digest)
+	if d.size() != int(st.items) || d.digest != st.digest {
+		n.logf("replica stream from %016x discarded: %d items / %016x, its chunks said %d / %016x",
+			owner, d.size(), d.digest, st.items, st.digest)
 		return
 	}
-	n.copies[st.owner] = &replicaCopy{delta: d, synced: true}
+	n.copies[owner] = &replicaCopy{delta: d, synced: true}
 	n.repairsApplied.Add(1)
-	n.repairChunksRx.Add(int64(len(st.data)))
-	n.logf("installed replica copy of %016x: %d items from %d chunks", st.owner, d.size(), len(st.data))
+	n.repairChunksRx.Add(int64(st.chunks))
+	n.logf("installed replica copy of %016x: %d items from %d chunks", owner, d.size(), st.chunks)
 }
 
 // replicates reports whether this node is one of owner's replicas under

@@ -536,10 +536,10 @@ func TestFailureDetectorRecovery(t *testing.T) {
 }
 
 // TestHostileRepFrameDropsLink feeds a handshaked peer connection a
-// truncated replication or membership frame: the node must drop the
-// link (typed wire.FrameError surfaced by the synchronous decode) —
-// never panic, never keep reading the poisoned stream — and nothing of
-// the frame reaches the executor.
+// truncated replication or membership frame — a chunk, an ack, a digest
+// or an announce: the node must drop the link (typed wire.FrameError
+// surfaced by the synchronous decode) — never panic, never keep reading
+// the poisoned stream — and nothing of the frame reaches the executor.
 func TestHostileRepFrameDropsLink(t *testing.T) {
 	n, err := Start(testConfig(testData()))
 	if err != nil {
@@ -549,11 +549,15 @@ func TestHostileRepFrameDropsLink(t *testing.T) {
 
 	const peerAddr, namedAddr = "127.0.0.1:9", "127.0.0.1:10"
 	announce := appendAnnounce(nil, &announceMsg{Members: []Member{memberAt(namedAddr)}})
-	begin := appendRepBegin(nil, &repBeginMsg{Owner: NodeID(peerAddr), Transfer: 1, Chunks: 1, Entries: 1})
+	empty := newDelta()
+	chunk := appendRepChunk(nil, &repChunkMsg{Transfer: 1, Chunks: 1, Data: empty.appendTo(nil)})
+	ack := appendRepAck(nil, &repAckMsg{Transfer: 1})
+	digest := appendRepDigest(nil, &repDigestMsg{Owner: NodeID(peerAddr), Items: 1, Digest: 1})
 	for name, payload := range map[string][]byte{
-		"chunk":    {kindRepChunk, 0xDE, 0xAD, 0xBE},
+		"chunk":    chunk[:len(chunk)-1],
+		"ack":      ack[:len(ack)-1],
+		"digest":   digest[:len(digest)-1],
 		"announce": announce[:len(announce)-1],
-		"repBegin": begin[:len(begin)-1],
 	} {
 		conn, err := net.DialTimeout("tcp", n.Addr(), 2*time.Second)
 		if err != nil {
@@ -695,52 +699,87 @@ func TestHostileQueryFrameDropsLink(t *testing.T) {
 	}
 }
 
-// TestHostileRepBeginRefused sends a stream header claiming more items
-// than maxRepBytes could carry — a tombstone, the smallest, is its
-// 4-byte id — then an honest header for the same transfer. The first
-// must be refused, so the second is the one staged; were the first
-// accepted, the second would be taken for its retry and ignored.
-func TestHostileRepBeginRefused(t *testing.T) {
-	n, err := Start(testConfig(testData()))
+// readAck reads the frames the node sends down conn until a replica
+// ack, and returns it.
+func readAck(t *testing.T, conn net.Conn) repAckMsg {
+	t.Helper()
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	for {
+		_, p, next, err := wire.ReadFrame(conn, buf)
+		if err != nil {
+			t.Fatalf("no ack: %v", err)
+		}
+		buf = next
+		if kind, body, err := splitMsg(p); err == nil && kind == kindRepAck {
+			a, err := decodeRepAck(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return a
+		}
+	}
+}
+
+// dialOwner plays the owner at addr: a handshaken peer connection to n.
+func dialOwner(t *testing.T, n *Node, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", n.Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if _, err := dialHandshake(conn, addr, n.sig, nil); err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
+	return conn
+}
+
+// TestHostileRepChunkRefused sends chunks past the caps — claiming more
+// items than maxRepBytes could carry (a tombstone, the smallest item, is
+// its 4-byte id), more chunks than maxRepChunks, or a sequence number
+// past its chunk count — then an honest chunk of the same transfer. The
+// node must ignore the first three, so the first ack it sends is the
+// honest chunk's, and the stage it holds is the honest stream.
+func TestHostileRepChunkRefused(t *testing.T) {
+	cfg := testConfig(testData())
+	cfg.GossipPeriod, cfg.HeartbeatPeriod, cfg.AntiEntropyPeriod = silent, silent, silent
+	n, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
 
-	conn, err := net.DialTimeout("tcp", n.Addr(), 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
 	const peerAddr = "127.0.0.1:9"
-	if _, err := dialHandshake(conn, peerAddr, n.sig, nil); err != nil {
-		t.Fatalf("handshake: %v", err)
-	}
-	for i, entries := range []int{maxRepBytes/minRepEntry + 1, 1} {
-		err := writePayload(conn, uint64(2+i), appendRepBegin(nil,
-			&repBeginMsg{Owner: NodeID(peerAddr), Transfer: 1, Chunks: 1, Entries: entries}))
-		if err != nil {
+	conn := dialOwner(t, n, peerAddr)
+	for i, c := range []repChunkMsg{
+		{Transfer: 1, Seq: 1, Chunks: 2, Items: maxRepBytes/minRepEntry + 1},
+		{Transfer: 1, Seq: 1, Chunks: maxRepChunks + 1, Items: 1},
+		{Transfer: 1, Seq: 2, Chunks: 2, Items: 1},
+		{Transfer: 1, Seq: 0, Chunks: 2, Items: 1, Data: []byte{0, 0, 0, 0}},
+	} {
+		if err := writePayload(conn, uint64(2+i), appendRepChunk(nil, &c)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	staged := -1
-	waitFor(t, 5*time.Second, func() bool {
-		execRead(t, n, func() {
-			if st := n.staging[NodeID(peerAddr)]; st != nil {
-				staged = st.entries
-			}
-		})
-		return staged >= 0
-	})
-	if staged != 1 {
-		t.Fatalf("staged a stream of %d entries: the oversized header was accepted", staged)
+	if a := readAck(t, conn); a.Transfer != 1 || a.Seq != 0 {
+		t.Fatalf("first ack is for transfer %d, chunk %d: a chunk past the caps was taken", a.Transfer, a.Seq)
 	}
+	execRead(t, n, func() {
+		st := n.staging[NodeID(peerAddr)]
+		if st == nil || st.chunks != 2 || st.items != 1 || st.bytes != 4 {
+			t.Errorf("staged %+v, want the honest stream of 2 chunks and 1 item with its first 4 bytes", st)
+		}
+	})
 }
 
 // TestStagesOfTwoOwnersWithOneTransferID plays two owners that each
-// open their transfer 1 at the same replica — every node numbers its
-// own pushes from 1. Both streams must be staged side by side, and each
-// owner's chunk of an empty delta must come back acked to it.
+// stream their transfer 1 to the same replica — every node numbers its
+// own pushes from 1. Each owner's chunk of an empty delta must come back
+// acked to it, and both streams must be staged and installed side by
+// side.
 func TestStagesOfTwoOwnersWithOneTransferID(t *testing.T) {
 	cfg := testConfig(testData())
 	cfg.Replicas = 2
@@ -754,71 +793,35 @@ func TestStagesOfTwoOwnersWithOneTransferID(t *testing.T) {
 	defer n.Close()
 
 	empty := newDelta()
-	chunk, err := wire.AppendChunk([]byte{kindRepChunk}, &wire.RegionChunk{
-		Transfer: 1, Index: repIndexName, Last: true, Data: empty.appendTo(nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	chunk := appendRepChunk(nil, &repChunkMsg{Transfer: 1, Chunks: 1, Digest: empty.digest, Data: empty.appendTo(nil)})
 	// The node answers a peer on the connection the peer opened.
 	peers := []string{"127.0.0.1:9", "127.0.0.1:10"}
 	conns := make([]net.Conn, len(peers))
 	for i, addr := range peers {
-		if conns[i], err = net.DialTimeout("tcp", n.Addr(), 2*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		defer conns[i].Close()
-		if _, err := dialHandshake(conns[i], addr, n.sig, nil); err != nil {
-			t.Fatalf("handshake: %v", err)
-		}
-		err := writePayload(conns[i], 2, appendRepBegin(nil, &repBeginMsg{
-			Owner: NodeID(addr), Transfer: 1, Chunks: 1, Digest: empty.digest}))
-		if err != nil {
-			t.Fatal(err)
-		}
+		conns[i] = dialOwner(t, n, addr)
 	}
-	waitFor(t, 5*time.Second, func() bool {
-		staged := map[uint64]bool{}
-		execRead(t, n, func() {
-			for _, st := range n.staging {
-				staged[st.owner] = true
-			}
-		})
-		return staged[NodeID(peers[0])] && staged[NodeID(peers[1])]
-	})
 	for i, conn := range conns {
-		if err := writePayload(conn, 3, chunk); err != nil {
+		if err := writePayload(conn, 2, chunk); err != nil {
 			t.Fatal(err)
 		}
-		if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
-			t.Fatal(err)
-		}
-		var buf []byte
-		for acked := false; !acked; {
-			_, p, next, err := wire.ReadFrame(conn, buf)
-			if err != nil {
-				t.Fatalf("owner %d: no ack for its chunk: %v", i, err)
-			}
-			buf = next
-			kind, body, err := splitMsg(p)
-			if err != nil || kind != kindRepAck {
-				continue
-			}
-			a, err := wire.DecodeAck(body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a.Transfer != 1 || a.Seq != 0 {
-				t.Fatalf("owner %d: ack for transfer %d, chunk %d; want transfer 1, chunk 0", i, a.Transfer, a.Seq)
-			}
-			acked = true
+		if a := readAck(t, conn); a.Transfer != 1 || a.Seq != 0 {
+			t.Fatalf("owner %d: ack for transfer %d, chunk %d; want transfer 1, chunk 0", i, a.Transfer, a.Seq)
 		}
 	}
+	execRead(t, n, func() {
+		for _, addr := range peers {
+			if st, c := n.staging[NodeID(addr)], n.copies[NodeID(addr)]; st == nil || st.transfer != 1 || c == nil || !c.synced {
+				t.Errorf("owner %s: stage %+v, copy %v", addr, st, c)
+			}
+		}
+	})
 }
 
 // TestReplicaPushReannouncesWhenIdle plays a replica that reports a
 // divergent copy and then leaves the owner's first chunk unacked: after
-// an idle round the owner must announce the stream again and resend the
-// chunk, and the ack of the resent chunk must finish the push.
+// an idle round the owner must resend the chunk — which announces the
+// stream again, as every chunk does — and the ack of the resent chunk
+// must finish the push.
 func TestReplicaPushReannouncesWhenIdle(t *testing.T) {
 	cfg := testConfig(testData())
 	cfg.Replicas = 1
@@ -829,18 +832,9 @@ func TestReplicaPushReannouncesWhenIdle(t *testing.T) {
 	}
 	defer n.Close()
 
-	conn, err := net.DialTimeout("tcp", n.Addr(), 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	const peerAddr = "127.0.0.1:9"
-	if _, err := dialHandshake(conn, peerAddr, n.sig, nil); err != nil {
-		t.Fatalf("handshake: %v", err)
-	}
+	conn := dialOwner(t, n, "127.0.0.1:9")
 	// A copy that disagrees with the owner's empty delta.
-	err = writePayload(conn, 2, wire.AppendDigest([]byte{kindRepDigest},
-		wire.RegionDigest{Owner: n.id, Entries: 1, Digest: 1}))
+	err = writePayload(conn, 2, appendRepDigest(nil, &repDigestMsg{Owner: n.id, Items: 1, Digest: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -848,41 +842,26 @@ func TestReplicaPushReannouncesWhenIdle(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf []byte
-	begins, chunks := 0, 0
-	var transfer uint64
-	for chunks < 2 {
+	var sent []repChunkMsg
+	for len(sent) < 2 {
 		_, p, next, err := wire.ReadFrame(conn, buf)
 		if err != nil {
-			t.Fatalf("after %d headers and %d chunks: %v", begins, chunks, err)
+			t.Fatalf("after %d chunks: %v", len(sent), err)
 		}
 		buf = next
-		kind, body, err := splitMsg(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch kind {
-		case kindRepBegin:
-			b, err := decodeRepBegin(body)
+		if kind, body, err := splitMsg(p); err == nil && kind == kindRepChunk {
+			c, err := decodeRepChunk(body)
 			if err != nil {
 				t.Fatal(err)
 			}
-			begins++
-			transfer = b.Transfer
-		case kindRepChunk:
-			c, err := wire.DecodeChunk(body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c.Transfer != transfer || c.Seq != 0 {
-				t.Fatalf("chunk %d of transfer %d, want chunk 0 of %d", c.Seq, c.Transfer, transfer)
-			}
-			chunks++
+			sent = append(sent, c)
 		}
 	}
-	if begins != 2 {
-		t.Fatalf("%d headers before the resent chunk, want the first and its re-announcement", begins)
+	if a, b := sent[0], sent[1]; a.Seq != 0 || a.Chunks != 1 || b.Transfer != a.Transfer || b.Seq != 0 {
+		t.Fatalf("sent chunk %d of %d (transfer %d), then chunk %d of transfer %d; want chunk 0 of 1 twice",
+			a.Seq, a.Chunks, a.Transfer, b.Seq, b.Transfer)
 	}
-	err = writePayload(conn, 3, wire.AppendAck([]byte{kindRepAck}, wire.RegionAck{Transfer: transfer, Seq: 0}))
+	err = writePayload(conn, 3, appendRepAck(nil, &repAckMsg{Transfer: sent[0].Transfer, Seq: 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -891,4 +870,68 @@ func TestReplicaPushReannouncesWhenIdle(t *testing.T) {
 		execRead(t, n, func() { done = len(n.pushes) == 0 })
 		return done && n.Stats().RepairsSent == 1
 	})
+}
+
+// TestResentStreamKeepsFannedOutPublish plays the owner of a two-member
+// ring with one replica: it streams its empty delta, fans out one
+// publish, then resends the stream as an idle round does after a lost or
+// late ack. The replica must ack the resent chunk and keep its copy,
+// publish included, with the one stream installed. Installing the stream
+// again — as the replica did while it forgot each stream it installed —
+// rolled the copy back to the empty delta, which still said synced: a
+// failover read after the owner died would have been answered Complete
+// without an acknowledged publish.
+func TestResentStreamKeepsFannedOutPublish(t *testing.T) {
+	data := testData()
+	cfg := testConfig(data)
+	cfg.Replicas = 1
+	cfg.GossipPeriod, cfg.HeartbeatPeriod, cfg.AntiEntropyPeriod = silent, silent, silent
+	n, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	ds, err := BuildDataset(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const ownerAddr = "127.0.0.1:9"
+	owner := NodeID(ownerAddr)
+	conn := dialOwner(t, n, ownerAddr)
+	empty := newDelta()
+	chunk := appendRepChunk(nil, &repChunkMsg{Transfer: 1, Chunks: 1, Digest: empty.digest, Data: empty.appendTo(nil)})
+	if err := writePayload(conn, 2, chunk); err != nil {
+		t.Fatal(err)
+	}
+	readAck(t, conn)
+	obj := ds.RandomQuery(rand.New(rand.NewSource(5)))
+	key, _, _, err := ds.c.MapObj(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub := appendPub(nil, &pubMsg{Origin: owner, OriginAddr: ownerAddr, Epoch: 1, RID: 1, ID: int32(ds.N()),
+		Obj: obj, Key: uint64(key), Replica: true, Owner: owner, TTL: 4})
+	if err := writePayload(conn, 3, pub); err != nil {
+		t.Fatal(err)
+	}
+	items := func() (size int) {
+		execRead(t, n, func() {
+			if c := n.copies[owner]; c != nil && c.synced {
+				size = c.size()
+			}
+		})
+		return size
+	}
+	waitFor(t, 5*time.Second, func() bool { return items() == 1 })
+
+	if err := writePayload(conn, 4, chunk); err != nil {
+		t.Fatal(err)
+	}
+	if a := readAck(t, conn); a.Transfer != 1 || a.Seq != 0 {
+		t.Fatalf("ack for transfer %d, chunk %d; want transfer 1, chunk 0", a.Transfer, a.Seq)
+	}
+	if got, repairs := items(), n.Stats().Repairs; got != 1 || repairs != 1 {
+		t.Fatalf("after the resent stream the copy holds %d items from %d installed streams, want the publish from 1", got, repairs)
+	}
 }

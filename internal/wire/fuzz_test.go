@@ -13,7 +13,7 @@ import (
 
 // FuzzDecode feeds the same hostile bytes to every decoder a peer's
 // stream reaches — the frame reader, the query and result codecs, and
-// the region chunk/ack/digest codecs — and requires of each:
+// the region chunk codec — and requires of each:
 //
 //   - no panic, and an error of the documented type when it refuses;
 //   - nothing allocated beyond what the input (or, for a frame whose
@@ -34,7 +34,8 @@ func FuzzDecode(f *testing.F) {
 	}
 
 	// Seeds: one valid encoding per codec (the round-trip tests'
-	// shapes), each also wrapped in a frame, plus the hostile headers.
+	// shapes) and two more chunks — a stream's first, and an empty
+	// region's — each also wrapped in a frame, plus the hostile headers.
 	qmsg := QueryMessage{Source: 0xC0A80001}
 	for i := 0; i < 3; i++ {
 		cube := make([]lph.Bounds, k)
@@ -55,9 +56,15 @@ func FuzzDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	aEnc := AppendAck(nil, RegionAck{Transfer: 7, Seq: 3})
-	dEnc := AppendDigest(nil, RegionDigest{Owner: 9, Transfer: 7, Entries: 64, Digest: 123})
-	for _, enc := range [][]byte{qEnc, rEnc, cEnc, aEnc, dEnc} {
+	firstEnc, err := AppendChunk(nil, &RegionChunk{Transfer: 7, Index: "ix", Data: []byte("first")})
+	if err != nil {
+		f.Fatal(err)
+	}
+	emptyEnc, err := AppendChunk(nil, &RegionChunk{Transfer: 8, Index: "ix", Last: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, enc := range [][]byte{qEnc, rEnc, cEnc, firstEnc, emptyEnc} {
 		f.Add(enc)
 		framed, err := AppendFrame(nil, 42, enc)
 		if err != nil {
@@ -73,7 +80,7 @@ func FuzzDecode(f *testing.F) {
 		fuzzFrame(t, data)
 		fuzzQuery(t, p, data)
 		fuzzResult(t, data)
-		fuzzTransfer(t, data)
+		fuzzChunk(t, data)
 	})
 }
 
@@ -143,36 +150,24 @@ func fuzzResult(t *testing.T, data []byte) {
 	}
 }
 
-func fuzzTransfer(t *testing.T, data []byte) {
-	typed := func(codec string, err error) {
+func fuzzChunk(t *testing.T, data []byte) {
+	c, err := DecodeChunk(data)
+	if err != nil {
 		var fe *FrameError
 		if !errors.As(err, &fe) {
-			t.Fatalf("%s: untyped error %v", codec, err)
+			t.Fatalf("chunk: untyped error %v", err)
 		}
+		return
 	}
-	if c, err := DecodeChunk(data); err != nil {
-		typed("chunk", err)
-	} else {
-		if c.EncodedSize() != len(data) {
-			t.Fatalf("chunk of %d encoded bytes decoded from %d", c.EncodedSize(), len(data))
-		}
-		enc, err := AppendChunk(nil, &c)
-		if err != nil {
-			t.Fatalf("accepted chunk does not re-encode: %v", err)
-		}
-		c2, err := DecodeChunk(enc)
-		if err != nil || !reflect.DeepEqual(c, c2) {
-			t.Fatalf("chunk changed across re-encoding (%v)", err)
-		}
+	if c.EncodedSize() != len(data) {
+		t.Fatalf("chunk of %d encoded bytes decoded from %d", c.EncodedSize(), len(data))
 	}
-	if a, err := DecodeAck(data); err != nil {
-		typed("ack", err)
-	} else if !bytes.Equal(AppendAck(nil, a), data) {
-		t.Fatal("ack re-encoding differs")
+	enc, err := AppendChunk(nil, &c)
+	if err != nil {
+		t.Fatalf("accepted chunk does not re-encode: %v", err)
 	}
-	if d, err := DecodeDigest(data); err != nil {
-		typed("digest", err)
-	} else if !bytes.Equal(AppendDigest(nil, d), data) {
-		t.Fatal("digest re-encoding differs")
+	c2, err := DecodeChunk(enc)
+	if err != nil || !reflect.DeepEqual(c, c2) {
+		t.Fatalf("chunk changed across re-encoding (%v)", err)
 	}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // Region transfer frames carry serialized index regions in bulk during
-// join/leave handoff, load migration, and replica repair — replacing
+// core's join/leave handoff, load migration and replica repair — replacing
 // point-wise republication (one reliable round-trip per entry) with a
 // chunked, credit-acked stream. A transfer is identified by a sender-
 // chosen 64-bit id; its payload is split into sequenced chunks, each
@@ -23,8 +23,8 @@ const (
 	// index name and data: transfer id (8) + seq (4) + flags (1) +
 	// index-name length (2) + data length (4).
 	ChunkHeaderBytes = 8 + 4 + 1 + 2 + 4
-	// AckBytes is the encoded size of a RegionAck: transfer id (8) +
-	// seq (4).
+	// AckBytes is the modelled size of a chunk's acknowledgement:
+	// transfer id (8) + seq (4).
 	AckBytes = 8 + 4
 	// MaxChunkData bounds one chunk's data so the whole encoded chunk
 	// (with a maximal index name) stays within MaxFramePayload.
@@ -97,30 +97,4 @@ func DecodeChunk(data []byte) (RegionChunk, error) {
 	c.Index = string(rest[:nameLen])
 	c.Data = append([]byte(nil), rest[nameLen:]...)
 	return c, nil
-}
-
-// RegionAck acknowledges one received chunk, returning its credit to
-// the sender's window.
-type RegionAck struct {
-	Transfer uint64
-	Seq      uint32
-}
-
-// AppendAck appends the encoded ack to dst.
-func AppendAck(dst []byte, a RegionAck) []byte {
-	var buf [AckBytes]byte
-	binary.BigEndian.PutUint64(buf[0:8], a.Transfer)
-	binary.BigEndian.PutUint32(buf[8:12], a.Seq)
-	return append(dst, buf[:]...)
-}
-
-// DecodeAck parses an encoded ack.
-func DecodeAck(data []byte) (RegionAck, error) {
-	if len(data) != AckBytes {
-		return RegionAck{}, &FrameError{Reason: "truncated payload", Size: len(data)}
-	}
-	return RegionAck{
-		Transfer: binary.BigEndian.Uint64(data[0:8]),
-		Seq:      binary.BigEndian.Uint32(data[8:12]),
-	}, nil
 }

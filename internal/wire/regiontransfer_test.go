@@ -84,19 +84,74 @@ func TestRegionChunkTruncated(t *testing.T) {
 	}
 }
 
-func TestRegionAckRoundTrip(t *testing.T) {
-	enc := AppendAck(nil, RegionAck{Transfer: 77, Seq: 12})
-	if len(enc) != AckBytes {
-		t.Fatalf("ack encoded to %d bytes, want %d", len(enc), AckBytes)
-	}
-	a, err := DecodeAck(enc)
+// TestHostileTransferFrameSweep is the hostile-stream sweep for the
+// region chunk codec core's streams use, mirroring the WAL's
+// TestTornTailEveryOffset: a valid encoding truncated at every byte
+// offset, extended with trailing garbage, or corrupted in its declared
+// lengths must decode to a typed *FrameError — never a panic, never a
+// partial struct, never an allocation proportional to the declared
+// (rather than actual) size.
+func TestHostileTransferFrameSweep(t *testing.T) {
+	chunk := RegionChunk{Transfer: 7, Index: "ix", Seq: 3, Last: true, Data: bytes.Repeat([]byte{0xAB}, 64)}
+	enc, err := AppendChunk(nil, &chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Transfer != 77 || a.Seq != 12 {
-		t.Fatalf("round trip mismatch: %+v", a)
+	// The intact encoding must decode.
+	if _, err := DecodeChunk(enc); err != nil {
+		t.Fatalf("intact encoding refused: %v", err)
 	}
-	if _, err := DecodeAck(enc[:AckBytes-1]); err == nil {
-		t.Fatal("short ack decoded without error")
+	// Truncation at every byte offset.
+	for cut := 0; cut < len(enc); cut++ {
+		_, err := DecodeChunk(enc[:cut])
+		var fe *FrameError
+		if !errors.As(err, &fe) {
+			t.Fatalf("truncation at %d: want *FrameError, got %v", cut, err)
+		}
+	}
+	// Trailing garbage of several lengths.
+	for _, extra := range []int{1, 7, 1024} {
+		junk := append(append([]byte(nil), enc...), bytes.Repeat([]byte{0xFF}, extra)...)
+		_, err := DecodeChunk(junk)
+		var fe *FrameError
+		if !errors.As(err, &fe) {
+			t.Fatalf("%d trailing bytes: want *FrameError, got %v", extra, err)
+		}
+	}
+}
+
+// TestHostileChunkDeclaredLengths corrupts a chunk's declared name and
+// data lengths to every byte value at their offsets: a declared length
+// that disagrees with the actual payload must be a typed error, and an
+// oversized declared data length must never drive an allocation (the
+// decoder validates against the actual buffer before copying).
+func TestHostileChunkDeclaredLengths(t *testing.T) {
+	chunk := RegionChunk{Transfer: 1, Index: "x", Seq: 0, Data: []byte("abcdef")}
+	enc, err := AppendChunk(nil, &chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Offsets 13..14 hold the name length, 15..18 the data length.
+	for off := 13; off < 19; off++ {
+		for b := 0; b < 256; b++ {
+			mut := append([]byte(nil), enc...)
+			if mut[off] == byte(b) {
+				continue
+			}
+			mut[off] = byte(b)
+			_, err := DecodeChunk(mut)
+			var fe *FrameError
+			if !errors.As(err, &fe) {
+				t.Fatalf("offset %d = %#x decoded without a typed error", off, b)
+			}
+		}
+	}
+	// A maximal declared data length with no data behind it.
+	mut := append([]byte(nil), enc[:ChunkHeaderBytes]...)
+	mut[15], mut[16], mut[17], mut[18] = 0xFF, 0xFF, 0xFF, 0xFF
+	_, err = DecodeChunk(mut)
+	var fe *FrameError
+	if !errors.As(err, &fe) {
+		t.Fatalf("maximal declared length: want *FrameError, got %v", err)
 	}
 }
