@@ -20,7 +20,8 @@ vet:
 # engine-owned packages) and the live runtimes' concurrency contracts
 # (no blocking on the protocol executor, no mutex held across a
 # blocking call, no dropped errors on wire paths, no stale or
-# unexplained suppressions). The analyzer suite's own tests run first
+# unexplained suppressions), and deadexport keeps out of internal/ any
+# declaration that only tests reference. The analyzer suite's own tests run first
 # so a broken analyzer can't silently pass the module. Last, lmnode's
 # dependency closure must not name encoding/gob: every frame netrt reads
 # off a socket goes through a bounded, fuzzed decoder (netrt/proto.go);

@@ -19,6 +19,10 @@
 //	errdrop      no discarded errors on wire/conn paths
 //	allowaudit   every //lint:allow is known, reasoned, and live
 //
+// and the module's economy:
+//
+//	deadexport   nothing under internal/ is referenced by tests alone
+//
 // Usage:
 //
 //	lmlint [-run detrand,maporder] [packages]
@@ -39,6 +43,7 @@ import (
 
 	"landmarkdht/internal/analysis"
 	"landmarkdht/internal/analysis/allowaudit"
+	"landmarkdht/internal/analysis/deadexport"
 	"landmarkdht/internal/analysis/detrand"
 	"landmarkdht/internal/analysis/errdrop"
 	"landmarkdht/internal/analysis/execblock"
@@ -57,6 +62,7 @@ var all = []*analysis.Analyzer{
 	execblock.Analyzer,
 	lockheld.Analyzer,
 	errdrop.Analyzer,
+	deadexport.Analyzer,
 	allowaudit.Analyzer,
 }
 
@@ -92,6 +98,7 @@ func main() {
 		os.Exit(2)
 	}
 
+	refs := analysis.References(pkgs)
 	findings := 0
 	for _, pkg := range pkgs {
 		if !match(pkg.Dir) {
@@ -101,7 +108,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "lmlint: checking", pkg.Path)
 		}
 		for _, a := range analyzers {
-			for _, d := range analysis.RunPackage(a, fset, pkg.Files, pkg.Types, pkg.Info) {
+			for _, d := range analysis.RunPackage(a, fset, pkg.Files, pkg.Types, pkg.Info, refs) {
 				d.Pos.Filename = relPath(cwd, d.Pos.Filename)
 				fmt.Println(d)
 				findings++

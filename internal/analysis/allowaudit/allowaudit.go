@@ -30,6 +30,7 @@ import (
 	"go/token"
 
 	"landmarkdht/internal/analysis"
+	"landmarkdht/internal/analysis/deadexport"
 	"landmarkdht/internal/analysis/detrand"
 	"landmarkdht/internal/analysis/errdrop"
 	"landmarkdht/internal/analysis/execblock"
@@ -49,6 +50,7 @@ var Checked = []*analysis.Analyzer{
 	execblock.Analyzer,
 	lockheld.Analyzer,
 	errdrop.Analyzer,
+	deadexport.Analyzer,
 }
 
 // Analyzer audits //lint:allow and //lint:context annotations.
@@ -71,7 +73,7 @@ func run(pass *analysis.Pass) {
 		if d, ok := raw[a.Name]; ok {
 			return d
 		}
-		d := analysis.RawDiagnostics(a, pass.Fset, pass.Files, pass.Pkg, pass.Info)
+		d := analysis.RawDiagnostics(a, pass.Fset, pass.Files, pass.Pkg, pass.Info, pass.Referenced)
 		raw[a.Name] = d
 		return d
 	}

@@ -10,3 +10,7 @@ import (
 func TestAllowaudit(t *testing.T) {
 	analysistest.Run(t, allowaudit.Analyzer, "testdata/src/a")
 }
+
+func TestAllowauditDeadexport(t *testing.T) {
+	analysistest.Run(t, allowaudit.Analyzer, "testdata/src/internal")
+}

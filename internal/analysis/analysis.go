@@ -59,6 +59,9 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
+	// Referenced is the module-wide set of objects some non-test file
+	// references (see References).
+	Referenced map[types.Object]bool
 
 	diags []Diagnostic
 }
@@ -74,9 +77,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // RunPackage applies one analyzer to a type-checked package and returns
 // the diagnostics that survive //lint:allow suppression, sorted by
-// position.
-func RunPackage(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) []Diagnostic {
-	out := RawDiagnostics(a, fset, files, pkg, info)
+// position. refs is the module's References.
+func RunPackage(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, refs map[types.Object]bool) []Diagnostic {
+	out := RawDiagnostics(a, fset, files, pkg, info, refs)
 	kept := out[:0]
 	for _, d := range out {
 		if !suppressed(fset, files, d) {
@@ -90,8 +93,8 @@ func RunPackage(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.
 // including the ones a //lint:allow annotation would suppress, sorted
 // by position. The allowaudit analyzer uses it to decide whether an
 // annotation still suppresses anything.
-func RawDiagnostics(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) []Diagnostic {
-	pass := &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, Info: info}
+func RawDiagnostics(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, refs map[types.Object]bool) []Diagnostic {
+	pass := &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, Info: info, Referenced: refs}
 	a.Run(pass)
 	out := pass.diags
 	sort.Slice(out, func(i, j int) bool {

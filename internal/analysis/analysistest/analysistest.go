@@ -18,9 +18,12 @@
 //
 // Fixture packages live under testdata (ignored by the go tool) and may
 // import only the standard library — plus sibling fixture packages: a
-// subdirectory of the fixture dir is type-checked first and becomes
-// importable under its basename (`import "wire"` for a wire/ subdir),
-// which lets a fixture exercise analyzers that key on import paths.
+// subdirectory of the fixture dir is type-checked as a package named by
+// its basename (`import "wire"` for a wire/ subdir), which lets a
+// fixture exercise analyzers that key on import paths. A sibling that
+// imports the fixture is checked after it, so it can use the fixture's
+// declarations. The fixture and its siblings are the module that
+// analysis.References is built from.
 package analysistest
 
 import (
@@ -38,12 +41,13 @@ import (
 	"testing"
 
 	"landmarkdht/internal/analysis"
+	"landmarkdht/internal/analysis/loader"
 )
 
 // Run analyzes the fixture package in dir (relative to the test's
 // working directory, e.g. "testdata/src/a") and reports any mismatch
 // between diagnostics and // want expectations as test errors.
-func Run(t *testing.T, a *analysis.Analyzer, dir string) {
+func Run(t *testing.T, a *analysis.Analyzer, dir string) { //lint:allow deadexport the driver of every analyzer's fixture test
 	t.Helper()
 	fset := token.NewFileSet()
 	files, err := parseFixture(fset, dir)
@@ -53,27 +57,21 @@ func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 	if len(files) == 0 {
 		t.Fatalf("analysistest: no Go files in %s", dir)
 	}
-	imp := &fixtureImporter{
-		std:  importer.ForCompiler(fset, "source", nil),
-		pkgs: make(map[string]*types.Package),
-	}
-	if err := loadSubPackages(fset, dir, imp); err != nil {
+	pkgs, err := parseSubPackages(fset, dir)
+	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
-	conf := types.Config{Importer: imp}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
+	fixture := &loader.Package{Path: filepath.Base(dir), Dir: dir, Files: files}
+	pkgs = append(pkgs, fixture)
+	imp := &fixtureImporter{std: importer.ForCompiler(fset, "source", nil), fset: fset, pkgs: pkgs}
+	// The fixture first, checking the siblings it imports on the way;
+	// then the siblings that import it.
+	for _, p := range append([]*loader.Package{fixture}, pkgs...) {
+		if _, err := imp.Import(p.Path); err != nil {
+			t.Fatalf("analysistest: fixture %s does not type-check: %v", p.Dir, err)
+		}
 	}
-	pkg, err := conf.Check(filepath.Base(dir), fset, files, info)
-	if err != nil {
-		t.Fatalf("analysistest: fixture %s does not type-check: %v", dir, err)
-	}
-	diags := analysis.RunPackage(a, fset, files, pkg, info)
+	diags := analysis.RunPackage(a, fset, files, fixture.Types, fixture.Info, analysis.References(pkgs))
 
 	wants, err := collectWants(fset, files)
 	if err != nil {
@@ -103,27 +101,38 @@ func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 	}
 }
 
-// fixtureImporter resolves sibling fixture packages by basename and
-// defers everything else to the standard-library source importer.
+// fixtureImporter resolves the fixture and its siblings by name,
+// type-checking each on first import, and defers everything else to the
+// standard-library source importer.
 type fixtureImporter struct {
 	std  types.Importer
-	pkgs map[string]*types.Package
+	fset *token.FileSet
+	pkgs []*loader.Package
 }
 
 func (f *fixtureImporter) Import(path string) (*types.Package, error) {
-	if p, ok := f.pkgs[path]; ok {
-		return p, nil
+	for _, p := range f.pkgs {
+		if p.Path != path {
+			continue
+		}
+		if p.Types == nil {
+			if err := p.Check(f.fset, f); err != nil {
+				return nil, err
+			}
+		}
+		return p.Types, nil
 	}
 	return f.std.Import(path)
 }
 
-// loadSubPackages type-checks each subdirectory of the fixture dir as
-// an importable package named by its basename.
-func loadSubPackages(fset *token.FileSet, dir string, imp *fixtureImporter) error {
+// parseSubPackages parses each subdirectory of the fixture dir holding
+// Go files as a package named by its basename.
+func parseSubPackages(fset *token.FileSet, dir string) ([]*loader.Package, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	var subs []*loader.Package
 	for _, e := range ents {
 		if !e.IsDir() {
 			continue
@@ -131,19 +140,13 @@ func loadSubPackages(fset *token.FileSet, dir string, imp *fixtureImporter) erro
 		sub := filepath.Join(dir, e.Name())
 		files, err := parseFixture(fset, sub)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if len(files) == 0 {
-			continue
+		if len(files) > 0 {
+			subs = append(subs, &loader.Package{Path: e.Name(), Dir: sub, Files: files})
 		}
-		conf := types.Config{Importer: imp}
-		pkg, err := conf.Check(e.Name(), fset, files, nil)
-		if err != nil {
-			return fmt.Errorf("sub-fixture %s does not type-check: %v", sub, err)
-		}
-		imp.pkgs[e.Name()] = pkg
 	}
-	return nil
+	return subs, nil
 }
 
 func parseFixture(fset *token.FileSet, dir string) ([]*ast.File, error) {

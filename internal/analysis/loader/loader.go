@@ -102,24 +102,33 @@ func Load(root string) (*token.FileSet, []*Package, error) {
 		pkgs: make(map[string]*types.Package, len(ordered)),
 	}
 	for _, p := range ordered {
-		conf := types.Config{Importer: imp}
-		info := &types.Info{
-			Types:      make(map[ast.Expr]types.TypeAndValue),
-			Defs:       make(map[*ast.Ident]types.Object),
-			Uses:       make(map[*ast.Ident]types.Object),
-			Selections: make(map[*ast.SelectorExpr]*types.Selection),
-			Implicits:  make(map[ast.Node]types.Object),
-			Scopes:     make(map[ast.Node]*types.Scope),
-		}
-		tpkg, err := conf.Check(p.Path, fset, p.Files, info)
-		if err != nil {
+		if err := p.Check(fset, imp); err != nil {
 			return nil, nil, fmt.Errorf("loader: type-checking %s: %w", p.Path, err)
 		}
-		p.Types, p.Info = tpkg, info
-		imp.pkgs[p.Path] = tpkg
+		imp.pkgs[p.Path] = p.Types
 	}
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Path < ordered[j].Path })
 	return fset, ordered, nil
+}
+
+// Check type-checks p's files under p.Path, resolving imports through
+// imp, and fills p.Types and p.Info.
+func (p *Package) Check(fset *token.FileSet, imp types.Importer) error {
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Implicits:  make(map[ast.Node]types.Object),
+		Scopes:     make(map[ast.Node]*types.Scope),
+	}
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(p.Path, fset, p.Files, info)
+	if err != nil {
+		return err
+	}
+	p.Types, p.Info = tpkg, info
+	return nil
 }
 
 // moduleImporter resolves intra-module imports from the already-checked

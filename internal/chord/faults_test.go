@@ -89,7 +89,7 @@ func TestFaultPlanJitterDelaysDelivery(t *testing.T) {
 	eng, net, nodes := newTestNet(t, 4, cfg)
 	net.BuildAllTables()
 
-	base := net.Latency(nodes[0], nodes[1])
+	base := net.model.Latency(nodes[0].host, nodes[1].host)
 	sawExtra := false
 	for i := 0; i < 50; i++ {
 		sent := eng.Now()
@@ -142,7 +142,7 @@ func TestZeroPolicyDrawsNothing(t *testing.T) {
 		eng, net, nodes := newTestNet(t, 8, cfg)
 		net.BuildAllTables()
 		log := faultLog(net, eng, nodes, 50)
-		got = append(got, outcome{log, net.Traffic(), net.Runtime().Rand().Int63()})
+		got = append(got, outcome{log, net.Traffic(), net.rt.Rand().Int63()})
 	}
 	a, b := got[0], got[1]
 	if len(a.log) != 50*int(numKinds) {

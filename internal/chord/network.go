@@ -3,7 +3,6 @@ package chord
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"landmarkdht/internal/netmodel"
 	"landmarkdht/internal/runtime"
@@ -130,12 +129,6 @@ func NewNetwork(rt runtime.Runtime, model netmodel.Model, cfg Config) *Network {
 	}
 }
 
-// Runtime returns the runtime driving the overlay.
-func (n *Network) Runtime() runtime.Runtime { return n.rt }
-
-// Config returns the overlay configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 // Traffic returns a snapshot of the accumulated traffic counters.
 func (n *Network) Traffic() Traffic { return n.traffic }
 
@@ -246,11 +239,6 @@ func (n *Network) SuccessorIndex(key ID) int {
 		i = 0
 	}
 	return i
-}
-
-// Latency returns the one-way delay between two nodes.
-func (n *Network) Latency(a, b *Node) time.Duration {
-	return n.model.Latency(a.host, b.host)
 }
 
 // SendRecord simulates a message from node `from` to the node

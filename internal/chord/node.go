@@ -35,9 +35,6 @@ func (nd *Node) Host() int { return nd.host }
 // Alive reports whether the node is still part of the overlay.
 func (nd *Node) Alive() bool { return nd.alive }
 
-// Network returns the overlay the node belongs to.
-func (nd *Node) Network() *Network { return nd.net }
-
 // Successor returns the node's first live successor (itself on a
 // single-node ring).
 func (nd *Node) Successor() ID {
@@ -54,9 +51,6 @@ func (nd *Node) SuccessorList() []ID { return append([]ID(nil), nd.succ...) }
 
 // Predecessor returns the predecessor and whether it is known.
 func (nd *Node) Predecessor() (ID, bool) { return nd.pred, nd.hasPred }
-
-// Finger returns finger i (the node believed to succeed id + 2^i).
-func (nd *Node) Finger(i int) ID { return nd.fingers[i] }
 
 // OwnsKey reports whether this node is responsible for key, i.e.
 // key ∈ (predecessor, id]. With no known predecessor the node claims

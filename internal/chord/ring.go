@@ -11,15 +11,6 @@ package chord
 // ID is a 64-bit ring identifier. Arithmetic wraps modulo 2^64.
 type ID = uint64
 
-// InOpen reports whether x lies in the open ring interval (a, b).
-// When a == b the interval spans the whole ring except a.
-func InOpen(a, x, b ID) bool {
-	if a < b {
-		return x > a && x < b
-	}
-	return x > a || x < b
-}
-
 // InOpenClosed reports whether x lies in the half-open ring interval
 // (a, b]. When a == b the interval is the whole ring.
 func InOpenClosed(a, x, b ID) bool {

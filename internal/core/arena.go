@@ -173,7 +173,7 @@ func (s *System) release(aq *activeQuery) {
 
 // QueryArenas reports how many query arenas the system has made and
 // how many are idle on its free list; at quiescence the two are equal.
-func (s *System) QueryArenas() (made, idle int) { return s.arenas, len(s.idle) }
+func (s *System) QueryArenas() (made, idle int) { return s.arenas, len(s.idle) } //lint:allow deadexport TestQueryArenasReturn holds every arena back on the free list with it
 
 // newQueryMsg hands out a zeroed query message bound for d.
 func (aq *activeQuery) newQueryMsg(from *IndexNode, d destKey, hops int) *queryMsg {

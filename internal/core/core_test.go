@@ -552,40 +552,14 @@ func TestLoadBalancingConservesAndStaysCorrect(t *testing.T) {
 
 func TestEnableLoadBalancingTwice(t *testing.T) {
 	f := buildFixture(t, 8, 100, 2, false)
-	if err := f.sys.EnableLoadBalancing(DefaultLBConfig()); err != nil {
+	if err := f.sys.EnableLoadBalancing(LBConfig{ProbeLevel: 4, Period: 30 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.sys.EnableLoadBalancing(DefaultLBConfig()); err == nil {
+	if err := f.sys.EnableLoadBalancing(LBConfig{ProbeLevel: 4, Period: 30 * time.Second}); err == nil {
 		t.Fatal("expected error enabling twice")
 	}
 	f.sys.DisableLoadBalancing()
 	f.sys.DisableLoadBalancing() // idempotent
-}
-
-func TestJoinAtHotspot(t *testing.T) {
-	f := buildFixture(t, 16, 2000, 2, false)
-	before := f.sys.Loads()
-	heaviest := before[0]
-	fresh, err := f.sys.JoinAtHotspot(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Load() == 0 {
-		t.Fatal("hotspot join received no entries")
-	}
-	after := f.sys.Loads()
-	if after[0] > heaviest {
-		t.Fatal("hotspot join increased max load")
-	}
-	if f.sys.TotalEntries() != 2000 {
-		t.Fatalf("entries not conserved: %d", f.sys.TotalEntries())
-	}
-	// Query exactness preserved.
-	want := f.bruteRange(f.data[0], 10)
-	got := f.runRange(t, 0, f.data[0], 10, QueryOpts{})
-	if len(got.Results) != len(want) {
-		t.Fatalf("post-join exactness broken: %d vs %d", len(got.Results), len(want))
-	}
 }
 
 func TestRotationDecorrelatesHotspots(t *testing.T) {

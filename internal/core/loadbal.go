@@ -29,11 +29,6 @@ type LBConfig struct {
 // accounted as maintenance traffic.
 const probeBytes = 16
 
-// DefaultLBConfig returns the paper's maximum-effect setting.
-func DefaultLBConfig() LBConfig {
-	return LBConfig{Delta: 0, ProbeLevel: 4, Period: 30 * time.Second, MinLoad: 4}
-}
-
 type lbController struct {
 	sys     *System
 	cfg     LBConfig
@@ -303,43 +298,4 @@ func combinedMedian(in *IndexNode, base lph.Key) (lph.Key, bool) {
 		})
 	}
 	return medianOffsetKey(merged, base)
-}
-
-// JoinAtHotspot implements the first §3.4 migration mechanism: a
-// joining node is steered to the most heavily loaded node, which
-// splits its key range and hands over the lower half. It returns the
-// new node.
-func (s *System) JoinAtHotspot(host int) (*IndexNode, error) {
-	var heavy *IndexNode
-	for _, in := range s.Nodes() {
-		if heavy == nil || in.Load() > heavy.Load() {
-			heavy = in
-		}
-	}
-	if heavy == nil {
-		return nil, fmt.Errorf("core: empty system")
-	}
-	pred, ok := heavy.node.Predecessor()
-	if !ok {
-		return nil, fmt.Errorf("core: hotspot has no predecessor (unstabilized ring)")
-	}
-	base := pred + 1
-	split, okSplit := combinedMedian(heavy, base)
-	if !okSplit || s.net.Node(split) != nil {
-		return nil, fmt.Errorf("core: hotspot load cannot be split")
-	}
-	fresh, err := s.AddNode(split, host)
-	if err != nil {
-		return nil, err
-	}
-	s.net.FixAround(split)
-	for _, name := range heavy.st.Indexes() {
-		keys, entries, err := heavy.st.ExtractUpTo(name, base, split)
-		s.noteStoreErr(err)
-		s.noteStoreErr(fresh.st.PutBatch(name, keys, entries))
-		// The handover between ring neighbors is synchronous here, but
-		// it is priced as the bulk stream it would be on a real wire.
-		s.accountBulk(name, entries)
-	}
-	return fresh, nil
 }

@@ -131,22 +131,3 @@ func TestSingleKeyMigrationAborts(t *testing.T) {
 		t.Fatalf("single-key hotspot was split: load = %d", in.Load())
 	}
 }
-
-// JoinAtHotspot must refuse to split an unsplittable (single-key)
-// hotspot instead of creating a useless node.
-func TestJoinAtHotspotUnsplittable(t *testing.T) {
-	f := buildFixture(t, 8, 10, 2, false)
-	// Wipe all stores, leave one single-key pile.
-	for _, in := range f.sys.Nodes() {
-		in.st = NewMemStore()
-	}
-	in := f.sys.Nodes()[0]
-	for j := 0; j < 100; j++ {
-		if err := in.st.Put("test-l2", in.ID(), Entry{Obj: ObjectID(j), Point: []float64{0, 0}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := f.sys.JoinAtHotspot(0); err == nil {
-		t.Fatal("expected unsplittable-hotspot error")
-	}
-}

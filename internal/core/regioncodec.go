@@ -31,15 +31,6 @@ func EncodedEntrySize(e Entry) int {
 	return entryHeaderBytes + 8*len(e.Point)
 }
 
-// EncodedRegionSize returns the serialized size of a whole region.
-func EncodedRegionSize(entries []Entry) int {
-	total := 0
-	for i := range entries {
-		total += EncodedEntrySize(entries[i])
-	}
-	return total
-}
-
 // AppendEntry appends one serialized entry to dst.
 func AppendEntry(dst []byte, key lph.Key, e Entry) []byte {
 	var hdr [entryHeaderBytes]byte

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"time"
 )
 
 func TestReplicateAllPlacesCopies(t *testing.T) {
@@ -67,12 +68,12 @@ func TestReplicationExcludesLoadBalancing(t *testing.T) {
 	if err := f.sys.ReplicateAll("test-l2", 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.sys.EnableLoadBalancing(DefaultLBConfig()); err == nil {
+	if err := f.sys.EnableLoadBalancing(LBConfig{ProbeLevel: 4, Period: 30 * time.Second}); err == nil {
 		t.Fatal("expected LB-vs-replication guard")
 	}
 	// And the other order.
 	f2 := buildFixture(t, 16, 500, 2, false)
-	if err := f2.sys.EnableLoadBalancing(DefaultLBConfig()); err != nil {
+	if err := f2.sys.EnableLoadBalancing(LBConfig{ProbeLevel: 4, Period: 30 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f2.sys.ReplicateAll("test-l2", 2); err == nil {

@@ -269,14 +269,8 @@ func (s *System) unsuspect(id chord.ID) {
 	}
 }
 
-// Runtime returns the runtime driving the system.
-func (s *System) Runtime() runtime.Runtime { return s.rt }
-
 // Network returns the underlying overlay.
 func (s *System) Network() *chord.Network { return s.net }
-
-// Config returns the system configuration.
-func (s *System) Config() Config { return s.cfg }
 
 // AddNode joins a node with the given ring identifier and latency-
 // model host. The node's storage backend comes from Config.Store
@@ -737,7 +731,7 @@ func (s *System) Loads() []int {
 }
 
 // TotalEntries sums all stored entries (conservation check).
-func (s *System) TotalEntries() int {
+func (s *System) TotalEntries() int { //lint:allow deadexport the conservation oracle of core's and harness's migration, churn and replication tests
 	total := 0
 	for _, in := range s.nodes {
 		total += in.Load()

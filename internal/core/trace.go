@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"landmarkdht/internal/chord"
@@ -77,19 +76,6 @@ func (t *Trace) add(e TraceEvent) {
 		return
 	}
 	t.Events = append(t.Events, e)
-}
-
-// Write dumps the trace, one event per line.
-func (t *Trace) Write(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	for _, e := range t.Events {
-		if _, err := fmt.Fprintln(w, e.String()); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Nodes returns the distinct nodes the query touched, in first-touch

@@ -52,11 +52,6 @@ type TransferStats struct {
 	FallbackEntries int
 }
 
-// MessagesSaved returns the message saving over point-wise
-// republication; BytesSaved the byte saving.
-func (ts TransferStats) MessagesSaved() int { return ts.PointwiseMessages - ts.BulkMessages }
-func (ts TransferStats) BytesSaved() int    { return ts.PointwiseBytes - ts.BulkBytes }
-
 // TransferStats returns the system's bulk-transfer accounting.
 func (s *System) TransferStats() TransferStats { return s.transfers }
 
@@ -134,7 +129,7 @@ func (s *System) buildChunks(id uint64, index string, keys []lph.Key, entries []
 		}
 		payload, err := wire.AppendChunk(nil, &wc)
 		if err != nil {
-			// Unreachable by construction: target << MaxChunkData and
+			// Unreachable by construction: target << wire.MaxFramePayload and
 			// single entries are tiny. Degrade to an empty payload with
 			// honest size accounting rather than dropping entries.
 			payload = make([]byte, wc.EncodedSize())
@@ -320,9 +315,8 @@ func (s *System) finishTransfer(tr *outTransfer) {
 }
 
 // accountBulk charges a region handed over without an in-flight stream
-// (synchronous split handover, replica repair's placement rebuild) as
-// if it had been streamed: chunked messages plus acks, against the
-// point-wise counterfactual.
+// (replica repair's placement rebuild) as if it had been streamed:
+// chunked messages plus acks, against the point-wise counterfactual.
 func (s *System) accountBulk(index string, entries []Entry) {
 	if len(entries) == 0 {
 		return

@@ -59,9 +59,6 @@ func TestStreamRegionDelivers(t *testing.T) {
 	if ts.BulkBytes >= ts.PointwiseBytes {
 		t.Fatalf("bulk bytes %d not strictly below point-wise %d", ts.BulkBytes, ts.PointwiseBytes)
 	}
-	if ts.MessagesSaved() <= 0 || ts.BytesSaved() <= 0 {
-		t.Fatalf("savings not positive: %+v", ts)
-	}
 }
 
 // With the real wire codec enabled, streamed entries round-trip

@@ -19,7 +19,9 @@ func imageBytes(st Store) (image []byte, payload int) {
 		image = append(append(image, name...), 0)
 		st.View(name, func(keys []lph.Key, entries []Entry) {
 			image = AppendRegion(image, keys, entries)
-			payload += EncodedRegionSize(entries) - 2*len(entries)
+			for i := range entries {
+				payload += EncodedEntrySize(entries[i]) - 2
+			}
 		})
 	}
 	return image, payload

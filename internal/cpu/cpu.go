@@ -21,7 +21,7 @@ func AVX512() bool { return avx512 }
 // TestEuclideanBatchRefinePortable reach it through go:linkname to run
 // answers and scans with the kernels off: renaming it breaks those
 // tests' link.
-func setVector(on bool) (was bool) {
+func setVector(on bool) (was bool) { //lint:allow deadexport the root package's, core's and netrt's tests reach it through go:linkname to run the portable loops
 	was, avx512 = avx512, on && hasAVX512()
 	return was
 }

@@ -189,9 +189,6 @@ func docSize(rng *rand.Rand, cfg CorpusConfig) int {
 	return s
 }
 
-// Config returns the configuration the corpus was generated with.
-func (c *Corpus) Config() CorpusConfig { return c.cfg }
-
 // Queries generates query vectors in the style of the paper's TREC-3
 // ad hoc topics: short term vectors (~3.5 unique terms on average)
 // drawn from topic blocks, `topics` distinct queries each repeated

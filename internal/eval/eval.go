@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"landmarkdht/internal/metric"
 )
@@ -132,24 +131,6 @@ func Summarize(xs []float64) Summary {
 		P99:  pct(0.99),
 		Sum:  sum,
 	}
-}
-
-// Durations converts a duration sample to milliseconds for summarizing.
-func Durations(ds []time.Duration) []float64 {
-	out := make([]float64, len(ds))
-	for i, d := range ds {
-		out[i] = float64(d) / float64(time.Millisecond)
-	}
-	return out
-}
-
-// Ints converts an int sample for summarizing.
-func Ints(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
 }
 
 // Gini computes the Gini coefficient of a non-negative load

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"landmarkdht/internal/metric"
 )
@@ -111,17 +110,6 @@ func TestSummarizeDoesNotMutate(t *testing.T) {
 	Summarize(xs)
 	if xs[0] != 3 {
 		t.Fatal("Summarize sorted the caller's slice")
-	}
-}
-
-func TestDurationsAndInts(t *testing.T) {
-	ds := Durations([]time.Duration{time.Second, time.Millisecond})
-	if ds[0] != 1000 || ds[1] != 1 {
-		t.Fatalf("durations = %v", ds)
-	}
-	is := Ints([]int{1, 2})
-	if is[0] != 1 || is[1] != 2 {
-		t.Fatalf("ints = %v", is)
 	}
 }
 

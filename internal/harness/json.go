@@ -42,7 +42,7 @@ func (r *Report) WriteJSON(w io.Writer) error {
 }
 
 // ReadReport parses a report written by WriteJSON.
-func ReadReport(rd io.Reader) (*Report, error) {
+func ReadReport(rd io.Reader) (*Report, error) { //lint:allow deadexport TestGoldenTables reads every JSON golden through it
 	var r Report
 	if err := json.NewDecoder(rd).Decode(&r); err != nil {
 		return nil, fmt.Errorf("harness: decoding report: %w", err)

@@ -33,12 +33,6 @@ func New(dims, bits int) (*Curve, error) {
 	return &Curve{dims: dims, bits: bits}, nil
 }
 
-// Dims returns the dimensionality.
-func (c *Curve) Dims() int { return c.dims }
-
-// Bits returns the per-coordinate resolution.
-func (c *Curve) Bits() int { return c.bits }
-
 // maxCoord returns the exclusive coordinate bound.
 func (c *Curve) maxCoord() uint32 {
 	return uint32(1) << uint(c.bits)
@@ -62,7 +56,7 @@ func (c *Curve) Index(coords []uint32) (uint64, error) {
 }
 
 // Coords inverts Index.
-func (c *Curve) Coords(index uint64) ([]uint32, error) {
+func (c *Curve) Coords(index uint64) ([]uint32, error) { //lint:allow deadexport the inverse that the round-trip and adjacency tests hold Index to
 	if c.dims*c.bits < 64 && index >= uint64(1)<<uint(c.dims*c.bits) {
 		return nil, fmt.Errorf("hilbert: index %d exceeds curve length", index)
 	}

@@ -20,7 +20,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Dims() != 2 || c.Bits() != 32 {
+	if c.dims != 2 || c.bits != 32 {
 		t.Fatalf("curve = %+v", c)
 	}
 }

@@ -75,9 +75,6 @@ func New[T any](space metric.Space[T], landmarks []T, opts ...Option[T]) (*Embed
 // K returns the index-space dimensionality (the number of landmarks).
 func (e *Embedding[T]) K() int { return len(e.landmarks) }
 
-// Space returns the underlying metric space.
-func (e *Embedding[T]) Space() metric.Space[T] { return e.space }
-
 // Landmarks returns the landmark set (shared, not copied — landmarks
 // are immutable once the platform is initialized).
 func (e *Embedding[T]) Landmarks() []T { return e.landmarks }
@@ -139,7 +136,7 @@ func (e *Embedding[T]) Distance(a, b T) float64 { return e.space.Dist(a, b) }
 // QueryCube converts the near-neighbor query (q, r) into the index-
 // space range query: the hypercube centered at Map(q) with edge 2r,
 // intersected with the boundary. The returned center is Map(q).
-func (e *Embedding[T]) QueryCube(q T, r float64) (center []float64, cube []lph.Bounds, err error) {
+func (e *Embedding[T]) QueryCube(q T, r float64) (center []float64, cube []lph.Bounds, err error) { //lint:allow deadexport the §3.3 cube the contractiveness tests check mapped objects against
 	if r < 0 {
 		return nil, nil, fmt.Errorf("indexspace: negative query range %v", r)
 	}

@@ -76,7 +76,7 @@ func wide(bounds []Bounds) bool {
 // New creates a Partitioner for a k-dimensional index space where
 // every dimension shares the boundary [lo, hi] and no rotation is
 // applied.
-func New(k int, lo, hi float64) (*Partitioner, error) {
+func New(k int, lo, hi float64) (*Partitioner, error) { //lint:allow deadexport the uniform-boundary partitioner the tests of query, wire, core and netrt build their fixtures on
 	if k <= 0 {
 		return nil, fmt.Errorf("lph: dimensionality must be positive, got %d", k)
 	}
@@ -123,10 +123,10 @@ func (p *Partitioner) K() int { return p.k }
 func (p *Partitioner) Bounds(j int) Bounds { return p.bounds[j] }
 
 // AllBounds returns a copy of all dimension boundaries.
-func (p *Partitioner) AllBounds() []Bounds { return append([]Bounds(nil), p.bounds...) }
+func (p *Partitioner) AllBounds() []Bounds { return append([]Bounds(nil), p.bounds...) } //lint:allow deadexport netrt's ring tests build the whole-space region from it
 
 // Phi returns the rotation offset.
-func (p *Partitioner) Phi() Key { return p.phi }
+func (p *Partitioner) Phi() Key { return p.phi } //lint:allow deadexport indexspace's rotation test reads the offset Partitioner(true) applied
 
 // Hash is Algorithm 2: it identifies the hypercuboid containing the
 // index point and returns its 64-bit key in *unrotated* space.
@@ -290,12 +290,6 @@ func GetBit(key Key, i int) uint {
 // SetBit returns key with its i-th bit (1-based from the MSB) set.
 func SetBit(key Key, i int) Key {
 	return key | 1<<(M-i)
-}
-
-// ClearBit returns key with its i-th bit (1-based from the MSB)
-// cleared.
-func ClearBit(key Key, i int) Key {
-	return key &^ (1 << (M - i))
 }
 
 // PrefixMask returns a mask covering the first l bits.

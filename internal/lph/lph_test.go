@@ -44,9 +44,6 @@ func TestBitHelpers(t *testing.T) {
 	if SetBit(0, 64) != 1 {
 		t.Fatalf("SetBit(0,64) = %x", SetBit(0, 64))
 	}
-	if ClearBit(k, 1) != 1 {
-		t.Fatalf("ClearBit = %x", ClearBit(k, 1))
-	}
 }
 
 func TestPrefixHelpers(t *testing.T) {

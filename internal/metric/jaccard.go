@@ -1,9 +1,6 @@
 package metric
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // IDSet is a finite set of uint32 identifiers (tags, shingles, feature
 // ids), stored sorted and deduplicated. With the Jaccard distance it
@@ -25,16 +22,6 @@ func NewIDSet(ids ...uint32) IDSet {
 		}
 	}
 	return IDSet(out)
-}
-
-// Validate checks the sorted-unique invariant.
-func (s IDSet) Validate() error {
-	for i := 1; i < len(s); i++ {
-		if s[i] <= s[i-1] {
-			return fmt.Errorf("metric: IDSet not sorted-unique at %d", i)
-		}
-	}
-	return nil
 }
 
 // Jaccard is the Jaccard distance 1 − |A∩B| / |A∪B|, a proper metric

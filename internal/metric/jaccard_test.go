@@ -10,15 +10,8 @@ func TestNewIDSet(t *testing.T) {
 	if len(s) != 3 || s[0] != 1 || s[1] != 3 || s[2] != 5 {
 		t.Fatalf("set = %v", s)
 	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if NewIDSet() != nil {
 		t.Fatal("empty set should be nil")
-	}
-	bad := IDSet{3, 1}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("expected validation error")
 	}
 }
 

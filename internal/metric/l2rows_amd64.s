@@ -95,6 +95,11 @@ block:
 	MOVQ    R13, CX
 	XORL    R13, R13 // the chunk's offset in a row, in bytes
 
+	// The loop starts a cache line, as query's boxMaskAVX512's does, so
+	// that where the linker puts the function cannot split it across
+	// two.
+	PCALIGN $64
+
 chunk:
 	// R12 = the chunk in row 0; K1 = its lanes.
 	LEAQ      (SI)(R13*1), R12

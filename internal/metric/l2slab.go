@@ -76,4 +76,4 @@ func (b *L2Slab) Append(v Vector) {
 func (b *L2Slab) Truncate(n int) { b.rows = b.rows[:n*b.dim] }
 
 // Len returns the number of objects in the slab.
-func (b *L2Slab) Len() int { return len(b.rows) / b.dim }
+func (b *L2Slab) Len() int { return len(b.rows) / b.dim } //lint:allow deadexport the root package's batch-refine tests hold the slab's size to the index's

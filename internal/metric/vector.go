@@ -9,7 +9,7 @@ import (
 type Vector []float64
 
 // Clone returns a deep copy of v.
-func (v Vector) Clone() Vector {
+func (v Vector) Clone() Vector { //lint:allow deadexport core's and query's tests copy query vectors with it
 	out := make(Vector, len(v))
 	copy(out, v)
 	return out
@@ -57,7 +57,7 @@ func LInf(a, b Vector) float64 {
 
 // Lp returns the Minkowski L_k distance for k >= 1, the general form
 // of the paper's footnote 1.
-func Lp(k float64) Distance[Vector] {
+func Lp(k float64) Distance[Vector] { //lint:allow deadexport the paper's footnote-1 L_k family; TestNewL2SlabOnlyForL2 uses Lp(2) as a distance equal to L2 that the slab must refuse
 	if k < 1 {
 		panic(fmt.Sprintf("metric: Lp requires k >= 1, got %v", k))
 	}

@@ -54,27 +54,6 @@ type Matrix struct {
 	lat []time.Duration // row-major n x n
 }
 
-// NewMatrix builds a Matrix model from a full n x n latency table.
-// The table is symmetrized by averaging and the diagonal is zeroed.
-func NewMatrix(lat [][]time.Duration) (*Matrix, error) {
-	n := len(lat)
-	for i, row := range lat {
-		if len(row) != n {
-			return nil, fmt.Errorf("netmodel: row %d has %d entries, want %d", i, len(row), n)
-		}
-	}
-	m := &Matrix{n: n, lat: make([]time.Duration, n*n)}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			m.lat[i*n+j] = (lat[i][j] + lat[j][i]) / 2
-		}
-	}
-	return m, nil
-}
-
 // Latency implements Model.
 func (m *Matrix) Latency(a, b int) time.Duration { return m.lat[a*m.n+b] }
 
@@ -164,12 +143,9 @@ func NewSyntheticKing(cfg KingConfig) (*SyntheticKing, error) {
 	return &SyntheticKing{Matrix: m, cfg: cfg}, nil
 }
 
-// Config returns the configuration the model was generated with.
-func (k *SyntheticKing) Config() KingConfig { return k.cfg }
-
 // MeanRTT returns the realized average round-trip time over all
 // distinct pairs.
-func MeanRTT(m Model) time.Duration {
+func MeanRTT(m Model) time.Duration { //lint:allow deadexport the oracle the King calibration tests hold NewSyntheticKing's mean RTT to
 	n := m.Size()
 	if n < 2 {
 		return 0

@@ -22,34 +22,6 @@ func TestConstant(t *testing.T) {
 	}
 }
 
-func TestMatrixSymmetrizes(t *testing.T) {
-	lat := [][]time.Duration{
-		{0, 10 * time.Millisecond, 20 * time.Millisecond},
-		{30 * time.Millisecond, 0, 40 * time.Millisecond},
-		{20 * time.Millisecond, 40 * time.Millisecond, 5 * time.Millisecond},
-	}
-	m, err := NewMatrix(lat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Latency(0, 1); got != 20*time.Millisecond {
-		t.Fatalf("Latency(0,1) = %v, want 20ms (average)", got)
-	}
-	if m.Latency(0, 1) != m.Latency(1, 0) {
-		t.Fatal("not symmetric")
-	}
-	if m.Latency(2, 2) != 0 {
-		t.Fatal("diagonal not zeroed")
-	}
-}
-
-func TestMatrixRejectsRagged(t *testing.T) {
-	_, err := NewMatrix([][]time.Duration{{0}, {0, 0}})
-	if err == nil {
-		t.Fatal("expected error for ragged matrix")
-	}
-}
-
 func TestSyntheticKingMeanRTT(t *testing.T) {
 	k, err := NewSyntheticKing(KingConfig{N: 200, Seed: 1})
 	if err != nil {
@@ -154,8 +126,8 @@ func TestSyntheticKingNoJitter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.Config().JitterStd != 0 {
-		t.Fatalf("jitter = %v, want 0", k.Config().JitterStd)
+	if k.cfg.JitterStd != 0 {
+		t.Fatalf("jitter = %v, want 0", k.cfg.JitterStd)
 	}
 }
 

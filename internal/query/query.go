@@ -61,7 +61,7 @@ func (r Region) Run(keys []lph.Key) (a, b int) {
 }
 
 // Validate checks the structural invariants.
-func (r Region) Validate(p *lph.Partitioner) error {
+func (r Region) Validate(p *lph.Partitioner) error { //lint:allow deadexport the structural oracle the split, refine and restrict tests check every region they produce against
 	if len(r.Cube) != p.K() {
 		return fmt.Errorf("query: cube has %d dims, partitioner has %d", len(r.Cube), p.K())
 	}
@@ -319,26 +319,4 @@ func clipTo(b, cu lph.Bounds) (lph.Bounds, bool) {
 		return b, false
 	}
 	return b, true
-}
-
-// Leaves fully refines the region to depth lph.M and returns the leaf
-// prefix keys whose cuboids intersect the cube. This is the §3.3
-// "naive approach" building block and is exponential in the query
-// selectivity; maxLeaves bounds the expansion (0 = unlimited).
-func Leaves(p *lph.Partitioner, q Region, maxLeaves int) ([]lph.Key, error) {
-	var out []lph.Key
-	stack := []Region{q}
-	for len(stack) > 0 {
-		r := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if r.PreLen == lph.M {
-			out = append(out, r.PreKey)
-			if maxLeaves > 0 && len(out) > maxLeaves {
-				return nil, fmt.Errorf("query: region expands past %d leaves", maxLeaves)
-			}
-			continue
-		}
-		stack = append(stack, Split(p, r, r.PreLen+1)...)
-	}
-	return out, nil
 }

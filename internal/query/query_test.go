@@ -244,30 +244,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestLeavesSmall(t *testing.T) {
-	// In a 1-d space with bounds [0,1), region [0.5, 1] at depth 2
-	// covers leaves 10 and 11 at depth 2 — fully refined to depth 64
-	// it covers exactly the upper half: 2^63 leaves, so use a shallow
-	// partitioner by testing the error path and a point query.
-	p, err := lph.New(1, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, _ := New(p, []lph.Bounds{{Lo: 0.5, Hi: 1}})
-	if _, err := Leaves(p, r, 100); err == nil {
-		t.Fatal("expected leaf explosion error")
-	}
-	// A degenerate point region refines to few leaves.
-	pt, _ := New(p, []lph.Bounds{{Lo: 0.3, Hi: 0.3}})
-	leaves, err := Leaves(p, pt, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(leaves) == 0 {
-		t.Fatal("point query produced no leaves")
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	p := part2d(t)
 	r, _ := New(p, cube(0.3, 0.45, 0.7, 0.8))

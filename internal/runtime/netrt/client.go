@@ -15,7 +15,6 @@ import (
 // concurrent use from multiple goroutines.
 type Client struct {
 	conn net.Conn
-	node uint64
 
 	wmu sync.Mutex // serializes frame writes
 
@@ -94,8 +93,7 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 		closeConn(conn)
 		return nil, fmt.Errorf("netrt: node %s speaks protocol version %d, this client %d", addr, v, protoVersion)
 	}
-	w, err := decodeClientWelcome(body)
-	if err != nil {
+	if _, err := decodeClientWelcome(body); err != nil {
 		closeConn(conn)
 		return nil, err
 	}
@@ -103,13 +101,10 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 		closeConn(conn)
 		return nil, err
 	}
-	c := &Client{conn: conn, node: NodeID(w.Addr), nextID: 1, pending: make(map[uint64]chan []byte)}
+	c := &Client{conn: conn, nextID: 1, pending: make(map[uint64]chan []byte)}
 	go c.readLoop()
 	return c, nil
 }
-
-// NodeID returns the connected node's ring identity.
-func (c *Client) NodeID() uint64 { return c.node }
 
 // readLoop routes reply frames to their waiting callers by frame id.
 // It reads through a buffer, like a link's reader (link.readLoop); Dial

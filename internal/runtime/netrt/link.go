@@ -298,13 +298,6 @@ func (l *link) stats() (queued int, shed, redials, sent int64) {
 	return queued, l.shed.Load(), l.redials.Load(), l.sent.Load()
 }
 
-// connected reports whether the link currently holds a connection.
-func (l *link) connected() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.conn != nil
-}
-
 // close shuts the link down: the writer exits, the active connection
 // (and its reader) die, queued frames are discarded.
 func (l *link) close() {

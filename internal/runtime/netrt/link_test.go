@@ -148,7 +148,11 @@ func TestLinkFlappingPeer(t *testing.T) {
 	// Kill the remote. Wait until the link notices the dead
 	// connection, so the frames queued next cannot race onto it.
 	srv.stop()
-	waitFor(t, 5*time.Second, func() bool { return !l.connected() })
+	waitFor(t, 5*time.Second, func() bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.conn == nil
+	})
 
 	for i := 2; i < 7; i++ {
 		l.enqueue([]byte{100, byte(i)})

@@ -84,7 +84,7 @@ type Runtime interface {
 // simrt's caller is that context, so its bridges run inline and spend
 // simulated time; livert's hand the work to the executor and block in
 // real time.
-type Driver interface {
+type Driver interface { //lint:allow deadexport the seam ROADMAP item 3(a) names for netrt; the Driver contract tests run it on simrt and livert
 	Runtime
 	// Do runs fn on the protocol's execution context and returns once it
 	// has run. It fails only on a closed runtime.

@@ -71,10 +71,10 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Processed reports how many events have been executed so far.
-func (e *Engine) Processed() uint64 { return e.processed }
+func (e *Engine) Processed() uint64 { return e.processed } //lint:allow deadexport core's TestSeedStability fingerprints a run with it
 
 // Pending reports how many events are waiting in the queue.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return len(e.heap) } //lint:allow deadexport core's region-stream test holds the event queue empty after a stream with it
 
 // acquire takes a slot from the free list (or grows the arena) and
 // fills it with the callback.
@@ -218,7 +218,7 @@ func (e *Engine) Step() bool {
 }
 
 // Run executes events until the queue is empty.
-func (e *Engine) Run() {
+func (e *Engine) Run() { //lint:allow deadexport every simulator test drains its engine with it; the figures run the clock through RunUntil and RunFor
 	if e.running {
 		panic("sim: Run re-entered")
 	}

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -215,16 +214,4 @@ func (s *Store) Close() error {
 		return nil
 	}
 	return s.log.Close()
-}
-
-// Remove deletes the store's files (snapshot, log, stray temp). Used
-// by tests and by callers that discard state deliberately.
-func Remove(dir string) error {
-	var errs []error
-	for _, name := range []string{snapName, snapName + ".tmp", logName} {
-		if err := os.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
 }

@@ -26,9 +26,6 @@ const (
 	// AckBytes is the modelled size of a chunk's acknowledgement:
 	// transfer id (8) + seq (4).
 	AckBytes = 8 + 4
-	// MaxChunkData bounds one chunk's data so the whole encoded chunk
-	// (with a maximal index name) stays within MaxFramePayload.
-	MaxChunkData = MaxFramePayload - ChunkHeaderBytes - maxIndexName
 	// maxIndexName bounds the index-scheme name carried per chunk.
 	maxIndexName = 255
 )

@@ -60,10 +60,11 @@ func TestRegionChunkOversized(t *testing.T) {
 	if !errors.As(err, &fe) || fe.Reason != "oversized" {
 		t.Fatalf("want oversized FrameError, got %v", err)
 	}
-	// MaxChunkData-sized data must fit even with a maximal index name.
-	ok := RegionChunk{Transfer: 1, Index: string(make([]byte, maxIndexName)), Data: make([]byte, MaxChunkData)}
+	// Data filling the frame past its header and a maximal index name
+	// must fit.
+	ok := RegionChunk{Transfer: 1, Index: string(make([]byte, maxIndexName)), Data: make([]byte, MaxFramePayload-ChunkHeaderBytes-maxIndexName)}
 	if _, err := AppendChunk(nil, &ok); err != nil {
-		t.Fatalf("MaxChunkData chunk refused: %v", err)
+		t.Fatalf("frame-filling chunk refused: %v", err)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 
 const (
 	// ChunkBytes is the target payload of one chunk. Far below
-	// wire.MaxChunkData: small enough to interleave with query traffic,
+	// wire.MaxFramePayload: small enough to interleave with query traffic,
 	// large enough that per-chunk overhead is negligible.
 	ChunkBytes = 8 << 10
 	// Window is the number of chunks in flight — sent and not yet
@@ -81,9 +81,6 @@ func (s *Sender) Ended() bool { return s.ended }
 
 // Acked reports whether chunk seq has been acknowledged.
 func (s *Sender) Acked(seq int) bool { return s.acked[seq] }
-
-// InFlight is the number of chunks sent and not yet acknowledged.
-func (s *Sender) InFlight() int { return s.sent - s.nacked }
 
 // Ack settles chunk seq and reports whether it was news: an
 // acknowledgement for a chunk not yet sent, one already settled, or one
