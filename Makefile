@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race golden-check chaos node-smoke durability-smoke repair-smoke vet lint bench bench-check experiments experiments-paper examples clean
+.PHONY: all build test test-short test-race golden-check chaos node-smoke durability-smoke repair-smoke vet lint bench bench-check layout experiments experiments-paper examples clean
 
 all: build vet lint test
 
@@ -140,6 +140,34 @@ bench:
 # feet unnoticed. The benchmark itself is `bash bench/run.sh`.
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test . && $(GO) run landmarkdht/cmd/lmlint ./...
+
+# Where the linker put the hot code of the two binaries bench/run.sh
+# runs: each symbol's address (go tool nm -n) and its offset in a
+# 64-byte line, "-" where a binary does not link it. A kernel's speed
+# depends on that offset, and the harness scales every time by its
+# calibration kernel's (main.kernelMs.func1), so a change that moves
+# these compares its numbers with the parent's only after comparing
+# this table on both sides. It builds both binaries as bench/run.sh
+# does, into .bench_build/.
+LAYOUT_SYMS = main.kernelMs.func1 query.boxMaskAVX512.abi0 query.box32MaskAVX512.abi0 \
+	metric.l2RowsAVX512.abi0 'query.(*LeafBoxes).Walk' 'netrt.(*Node).answer.func2' \
+	'core.(*region).scanRows'
+
+layout:
+	@mkdir -p .bench_build
+	cd bench && $(GO) build -o ../.bench_build/bench .
+	$(GO) build -o .bench_build/lmnode landmarkdht/cmd/lmnode
+	@set -f; for bin in bench lmnode; do \
+		$(GO) tool nm -n .bench_build/$$bin > .bench_build/$$bin.nm || exit 1; \
+		for sym in $(LAYOUT_SYMS); do \
+			addr=$$(awk -v s="$$sym" '$$3 == s || substr($$3, length($$3) - length(s)) == "/" s { print $$1; exit }' .bench_build/$$bin.nm); \
+			if [ -n "$$addr" ]; then \
+				printf '%-7s %-30s 0x%s %2d\n' $$bin "$$sym" "$$addr" $$((0x$$addr % 64)); \
+			else \
+				printf '%-7s %-30s %-10s  -\n' $$bin "$$sym" -; \
+			fi; \
+		done; \
+	done
 
 # Quick qualitative reproduction of every table/figure (~2 min).
 experiments:

@@ -133,23 +133,6 @@ func (e *Embedding[T]) MapBatch(objs []T, arena []float64) (rows [][]float64, ou
 // exact refinement step that removes false positives).
 func (e *Embedding[T]) Distance(a, b T) float64 { return e.space.Dist(a, b) }
 
-// QueryCube converts the near-neighbor query (q, r) into the index-
-// space range query: the hypercube centered at Map(q) with edge 2r,
-// intersected with the boundary. The returned center is Map(q).
-func (e *Embedding[T]) QueryCube(q T, r float64) (center []float64, cube []lph.Bounds, err error) { //lint:allow deadexport the §3.3 cube the contractiveness tests check mapped objects against
-	if r < 0 {
-		return nil, nil, fmt.Errorf("indexspace: negative query range %v", r)
-	}
-	center = e.Map(q)
-	cube = make([]lph.Bounds, len(center))
-	for i, c := range center {
-		lo := e.bounds[i].Clamp(c - r)
-		hi := e.bounds[i].Clamp(c + r)
-		cube[i] = lph.Bounds{Lo: lo, Hi: hi}
-	}
-	return center, cube, nil
-}
-
 // Partitioner builds the locality-preserving hash partitioner over
 // this embedding's boundary, rotated by the offset derived from the
 // metric-space name (§3.4). Pass rotate=false to disable rotation

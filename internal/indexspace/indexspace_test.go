@@ -7,6 +7,7 @@ import (
 
 	"landmarkdht/internal/lph"
 	"landmarkdht/internal/metric"
+	"landmarkdht/internal/query"
 )
 
 func testSpace() metric.Space[metric.Vector] {
@@ -62,6 +63,21 @@ func TestMapCoordinates(t *testing.T) {
 	}
 }
 
+// queryCube is the cube every query over e starts from: query.Around
+// the mapped query object, on e's unrotated partitioner.
+func queryCube[T any](t *testing.T, e *Embedding[T], q T, r float64) []lph.Bounds {
+	t.Helper()
+	p, err := e.Partitioner(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := query.Around(p, e.Map(q), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg.Cube
+}
+
 // The core correctness property of the whole architecture (§3.1): the
 // mapping is contractive under L∞, so every true near neighbor of q
 // falls inside the query cube. No false negatives, ever.
@@ -79,16 +95,13 @@ func TestContractiveNoFalseNegatives(t *testing.T) {
 		if metric.L2(q, x) > r {
 			continue
 		}
-		_, cube, err := e.QueryCube(q, r)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cube := queryCube(t, e, q, r)
 		ix := e.Map(x)
 		for dim := range ix {
 			v := ix[dim]
 			// Clamp as the hash would.
 			v = e.Bounds()[dim].Clamp(v)
-			if v < cube[dim].Lo-1e-9 || v > cube[dim].Hi+1e-9 {
+			if v < cube[dim].Lo || v > cube[dim].Hi {
 				t.Fatalf("false negative: object at distance %v escaped the cube on dim %d (v=%v cube=%+v)",
 					metric.L2(q, x), dim, v, cube[dim])
 			}
@@ -111,28 +124,6 @@ func TestContractivePerCoordinate(t *testing.T) {
 				t.Fatalf("not contractive: |%v - %v| > %v", ix[dim], iy[dim], d)
 			}
 		}
-	}
-}
-
-func TestQueryCubeClampsToBoundary(t *testing.T) {
-	lms := []metric.Vector{{0, 0}}
-	e, _ := New(testSpace(), lms)
-	_, cube, err := e.QueryCube(metric.Vector{0.5, 0}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cube[0].Lo != 0 {
-		t.Fatalf("cube lo = %v, want clamped to 0", cube[0].Lo)
-	}
-	if cube[0].Hi != 3.5 {
-		t.Fatalf("cube hi = %v, want 3.5", cube[0].Hi)
-	}
-}
-
-func TestQueryCubeRejectsNegativeRange(t *testing.T) {
-	e, _ := New(testSpace(), []metric.Vector{{0, 0}})
-	if _, _, err := e.QueryCube(metric.Vector{1, 1}, -1); err == nil {
-		t.Fatal("expected error")
 	}
 }
 
@@ -188,10 +179,7 @@ func TestEmbeddingWithEditDistance(t *testing.T) {
 	if im[0] != 4 || im[1] != 4 {
 		t.Fatalf("image = %v, want [4 4]", im)
 	}
-	_, cube, err := e.QueryCube("AAAAAAAT", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cube := queryCube(t, e, "AAAAAAAT", 1)
 	// The image of AAAAAAAA (distance 1) must lie inside the cube.
 	img := e.Map("AAAAAAAA")
 	for i := range img {

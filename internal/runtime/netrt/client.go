@@ -52,8 +52,9 @@ type Info struct {
 	RepairChunks int64
 	// The work of answering, counted where it is done and cumulative
 	// since boot: Tested is the entries whose points were compared with
-	// a query cube — boot entries under the leaf boxes that met it,
-	// published extras in a region's stretch of the delta's run — and
+	// a query cube — boot entries and published extras alike, the rows
+	// under the leaf boxes that met it, and every row of a delta's
+	// unsorted tail — and
 	// Refined the ones that were inside and alive, i.e. the exact
 	// distances computed — for this node's own regions and for a down
 	// owner's, which are the same walk filtered by its copy.

@@ -105,9 +105,12 @@ type evaluator interface {
 	// one object through the metric space's Dist: what BruteForce
 	// reads, and so the reference Refine answers are held to.
 	At(j int) float64
-	// Dist returns the distance to a decoded object: published entries
-	// are objects, decoded once when a delta takes them, not sorted
-	// positions.
+	// RefineExtras is Refine over published entries: the objects at
+	// rows pos of a delta's columns, decoded once when the delta took
+	// them.
+	RefineExtras(x *extraCols, pos []int32, r float64, dist []float64) uint64
+	// Dist returns the distance to a decoded object, one object through
+	// the metric space's Dist: what Dataset.Distance reads.
 	Dist(o any) float64
 }
 
@@ -292,14 +295,17 @@ type dataset[T any] struct {
 	// to the objects at sorted positions pos, in one call that reads
 	// the storage behind at directly.
 	refine func(q T, pos []int32, r float64, dist []float64) uint64
-	space  metric.Space[T]
-	emb    *indexspace.Embedding[T]
-	part   *lph.Partitioner
-	cols   columns
-	sig    uint64
-	dec    func([]byte) (T, error)
-	enc    func(dst []byte, o T) []byte // appends o's encoding
-	random func(rng *rand.Rand) []byte
+	// refineExtras is evaluator.RefineExtras, over the decoded objects
+	// of a delta's columns.
+	refineExtras func(q T, x *extraCols, pos []int32, r float64, dist []float64) uint64
+	space        metric.Space[T]
+	emb          *indexspace.Embedding[T]
+	part         *lph.Partitioner
+	cols         columns
+	sig          uint64
+	dec          func([]byte) (T, error)
+	enc          func(dst []byte, o T) []byte // appends o's encoding
+	random       func(rng *rand.Rand) []byte
 }
 
 func (d *dataset[T]) N() int                 { return d.n }
@@ -338,6 +344,10 @@ type decodedQuery[T any] struct {
 
 func (e *decodedQuery[T]) Refine(pos []int32, r float64, dist []float64) uint64 {
 	return e.d.refine(e.q, pos, r, dist)
+}
+
+func (e *decodedQuery[T]) RefineExtras(x *extraCols, pos []int32, r float64, dist []float64) uint64 {
+	return e.d.refineExtras(e.q, x, pos, r, dist)
 }
 
 func (e *decodedQuery[T]) At(j int) float64   { return e.d.space.Dist(e.q, e.d.at(j)) }
@@ -539,9 +549,12 @@ func buildEuclid(cfg DataConfig, mem *colMem) (corpus, error) {
 		refine: func(q metric.Vector, pos []int32, r float64, dist []float64) uint64 {
 			return metric.L2Rows(dist, q, slab, pos, r)
 		},
+		refineExtras: func(q metric.Vector, x *extraCols, pos []int32, r float64, dist []float64) uint64 {
+			return metric.L2Rows(dist, q, x.vecs, pos, r)
+		},
 		space: metric.EuclideanSpace("euclid", dim, 0, 1),
 		dec: func(b []byte) (metric.Vector, error) {
-			return DecodeVectorQuery(b, dim)
+			return decodeVectorQuery(b, dim)
 		},
 		enc: appendVector,
 		random: func(rng *rand.Rand) []byte {
@@ -581,13 +594,10 @@ func buildEdit(cfg DataConfig, mem *colMem) (corpus, error) {
 		n:  cfg.Objects,
 		at: func(j int) string { return strs[j] },
 		refine: func(q string, pos []int32, r float64, dist []float64) uint64 {
-			var hits uint64
-			for i, j := range pos {
-				if dist[i] = metric.Edit(q, strs[j]); dist[i] <= r {
-					hits |= 1 << i
-				}
-			}
-			return hits
+			return editRows(dist, q, strs, pos, r)
+		},
+		refineExtras: func(q string, x *extraCols, pos []int32, r float64, dist []float64) uint64 {
+			return editRows(dist, q, x.strs, pos, r)
 		},
 		space: metric.EditSpace("edit", editMaxLen),
 		dec: func(b []byte) (string, error) {
@@ -599,6 +609,18 @@ func buildEdit(cfg DataConfig, mem *colMem) (corpus, error) {
 		enc:    func(dst []byte, s string) []byte { return append(dst, s...) },
 		random: random,
 	}, func(ids []int32) { permuteRows(strs, 1, ids) })
+}
+
+// editRows is metric.L2Rows for strings: the edit distance from q to
+// strs[pos[i]] in dist[i], and bit i set when it is at most r.
+func editRows(dist []float64, q string, strs []string, pos []int32, r float64) uint64 {
+	var hits uint64
+	for i, j := range pos {
+		if dist[i] = metric.Edit(q, strs[j]); dist[i] <= r {
+			hits |= 1 << i
+		}
+	}
+	return hits
 }
 
 // EncodeVectorQuery encodes a vector query object for the "euclid"
@@ -614,8 +636,8 @@ func appendVector(dst []byte, v metric.Vector) []byte {
 	return dst
 }
 
-// DecodeVectorQuery inverts EncodeVectorQuery, checking dimensionality.
-func DecodeVectorQuery(b []byte, dim int) (metric.Vector, error) {
+// decodeVectorQuery inverts EncodeVectorQuery, checking dimensionality.
+func decodeVectorQuery(b []byte, dim int) (metric.Vector, error) {
 	if len(b) != 8*dim {
 		return nil, fmt.Errorf("netrt: query object is %d bytes, want %d (dim %d)", len(b), 8*dim, dim)
 	}

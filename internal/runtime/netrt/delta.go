@@ -10,52 +10,83 @@ package netrt
 // replica copy is the owner's delta and nothing else (replica.go).
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"slices"
+	"sort"
 
 	"landmarkdht/internal/lph"
+	"landmarkdht/internal/metric"
 	"landmarkdht/internal/query"
 )
 
 // delta is one region's mutations: the tombstoned boot ids and the
-// published extras, with the XOR of their item digests. An extra sits in
-// a slot, found by its id through extras and by its key through run: one
-// entry per extra in (key, id) order — the order of the columns, so the
-// extras under a region's prefix are one stretch of the run, found by
-// binary search (span). Every change goes through apply or forget, which
-// keep all of them and the digest in step.
+// published extras, with the XOR of their item digests. The extras are
+// rows of columns (extraCols) in the shape of core's region index: rows
+// [0, body) are the body, in (key, id) order — the order of the boot
+// columns, so the extras under a region's prefix are one stretch of it,
+// found by binary search — with a leaf box (boxes) over every
+// leafRows of them; the rows after it are the tail, the latest
+// publishes in no order. A publish appends to the tail, and a tail
+// that reaches extraTailRows rows is merged into the body (merge). A
+// forgotten tail row is replaced by the last one; a forgotten body row
+// stays where it is until the next merge, dead: its object nil (a live
+// row's never is), its point NaN, which no cube contains. extras maps
+// each live extra's id to its key, the rest of the way to its row
+// (row), so no row that moves has an entry to update. Every change
+// goes through apply or forget, which keep all of them and the digest
+// in step.
 type delta struct {
 	tombs  map[int32]struct{} // deleted boot ids
-	extras map[int32]int32    // the slot of each published entry, by id; never a boot id
-	slots  []extra            // the published entries, in no order
-	free   []int32            // slots a forgotten entry left, taken before slots grows
-	run    []keyed            // the published entries in (key, id) order
+	extras map[int32]lph.Key  // the key of each published entry, by id; never a boot id
+	extraCols
+	boxes  query.LeafBoxes
+	body   int // rows [0, body) are sorted and boxed
+	dead   int // body rows forgotten since the last merge
 	digest uint64
 }
 
-// keyed is one extra's place in the run. It holds no pointer, so the
-// entries a publish moves to insert into the middle of the run are
-// plain bytes: with the extra's pointers in the run, the garbage
-// collector's write barrier on every moved entry made a member's local
-// publish 0.1–0.5 µs slower at a thousand extras.
-type keyed struct {
-	key  lph.Key
-	id   int32
-	slot int32
+// extraTailRows bounds a delta's tail and dead rows together: when they
+// reach it the tail is merged, so an answer tests the tail with one
+// query.Box.Mask call (at most 64 rows), and a merge, which moves the
+// whole body, runs once per that many publishes. BenchmarkLocalQueryExtras
+// reads the same at 16, 32 and 64 and with the body's leaves at 8, 16
+// or 32 rows, so they are the boot columns' leafRows; a publish into
+// 10⁴ extras costs ≈ 4 µs at 64, 6–9 at 32 and 11–14 at 16
+// (EXPERIMENTS "Extras under leaf boxes").
+const extraTailRows = 64
+
+// extraCols is published entries as columns, a row each: the unrotated
+// key (as the boot columns' keys) and id; the index point, k float64
+// coordinates, tested against a cube as they are (no rounding band);
+// the object decoded — a euclid vector's dim coordinates in vecs, which
+// metric.L2Rows reads, or an edit string in strs (dim 0) — and the
+// object as published, which the digest, the wire form and a hand-off
+// read. Nothing per row is a pointer but the strings and objects.
+type extraCols struct {
+	k, dim int // set by the first row
+	keys   []lph.Key
+	ids    []int32
+	pts    []float64
+	vecs   []float64
+	strs   []string
+	objs   [][]byte
 }
 
-// extra is one published entry: the object as published, and what the
-// node holding it derived from it (MapObj): the key, the point, and the
-// decoded object a query's distance reads.
+// extra is one published entry as a publish places it: the object as
+// published, and what the node holding it derived from it (MapObj):
+// the key, the point, and the object decoded. A delta keeps it as a
+// row of its columns.
 type extra struct {
 	key   lph.Key // unrotated, as the columns' keys
 	point []float64
-	val   any
+	val   any // a metric.Vector or a string
 	obj   []byte
 }
 
 func newDelta() delta {
-	return delta{tombs: make(map[int32]struct{}), extras: make(map[int32]int32)}
+	return delta{tombs: make(map[int32]struct{}), extras: make(map[int32]lph.Key)}
 }
 
 // placeExtra maps an encoded object to the extra a publish of it
@@ -68,18 +99,113 @@ func placeExtra(c corpus, obj []byte) (*extra, error) {
 	return &extra{key: c.Part().Unring(key), point: point, val: val, obj: obj}, nil
 }
 
+// rows returns how many rows the columns hold.
+func (c *extraCols) rows() int { return len(c.keys) }
+
+// push appends x as a row, under id.
+func (c *extraCols) push(id int32, x *extra) {
+	if len(c.keys) == 0 {
+		c.k = len(x.point)
+		if v, ok := x.val.(metric.Vector); ok {
+			c.dim = len(v)
+		}
+	}
+	obj := x.obj
+	if obj == nil {
+		obj = []byte{} // nil marks a dead row
+	}
+	c.keys, c.ids, c.objs = append(c.keys, x.key), append(c.ids, id), append(c.objs, obj)
+	c.pts = append(c.pts, x.point...)
+	switch v := x.val.(type) {
+	case metric.Vector:
+		c.vecs = append(c.vecs, v...)
+	case string:
+		c.strs = append(c.strs, v)
+	default:
+		panic(fmt.Sprintf("netrt: a published object decoded to %T", x.val))
+	}
+}
+
+// appendRow appends row r of src.
+func (c *extraCols) appendRow(src *extraCols, r int) {
+	c.keys, c.ids, c.objs = append(c.keys, src.keys[r]), append(c.ids, src.ids[r]), append(c.objs, src.objs[r])
+	c.pts = append(c.pts, src.pts[r*c.k:(r+1)*c.k]...)
+	if c.dim > 0 {
+		c.vecs = append(c.vecs, src.vecs[r*c.dim:(r+1)*c.dim]...)
+	} else {
+		c.strs = append(c.strs, src.strs[r])
+	}
+}
+
+// move copies rows [from, from+n) of src over rows [to, to+n), a copy
+// per column; src may be c, and the two ranges may overlap.
+func (c *extraCols) move(to int, src *extraCols, from, n int) {
+	copy(c.keys[to:to+n], src.keys[from:from+n])
+	copy(c.ids[to:to+n], src.ids[from:from+n])
+	copy(c.objs[to:to+n], src.objs[from:from+n])
+	copy(c.pts[to*c.k:(to+n)*c.k], src.pts[from*c.k:(from+n)*c.k])
+	if c.dim > 0 {
+		copy(c.vecs[to*c.dim:(to+n)*c.dim], src.vecs[from*c.dim:(from+n)*c.dim])
+	} else {
+		copy(c.strs[to:to+n], src.strs[from:from+n])
+	}
+}
+
+// resize makes the columns n rows long within their capacity, dropping
+// what the rows past n referred to.
+func (c *extraCols) resize(n int) {
+	if n < len(c.objs) {
+		clear(c.objs[n:])
+		if c.dim == 0 {
+			clear(c.strs[n:])
+		}
+	}
+	c.keys, c.ids, c.objs = c.keys[:n], c.ids[:n], c.objs[:n]
+	c.pts = c.pts[:n*c.k]
+	if c.dim > 0 {
+		c.vecs = c.vecs[:n*c.dim]
+	} else {
+		c.strs = c.strs[:n]
+	}
+}
+
+// less orders rows by (key, id), across two sets of columns.
+func (c *extraCols) less(i int, o *extraCols, j int) bool {
+	return c.keys[i] < o.keys[j] || c.keys[i] == o.keys[j] && c.ids[i] < o.ids[j]
+}
+
 // size counts the items: what an anti-entropy advert and a stream header
 // carry beside the digest.
 func (d *delta) size() int { return len(d.tombs) + len(d.extras) }
 
-// extra returns the published entry under id, or nil. It points into the
-// slots, so it is good until the next apply or forget.
-func (d *delta) extra(id int32) *extra {
-	slot, ok := d.extras[id]
+// row returns the row of the extra under id, or -1: its (key, id) in
+// the body, by binary search, unless that row is dead; otherwise the
+// tail row holding id.
+func (d *delta) row(id int32) int {
+	key, ok := d.extras[id]
 	if !ok {
-		return nil
+		return -1
 	}
-	return &d.slots[slot]
+	r := sort.Search(d.body, func(r int) bool { return d.keys[r] > key || d.keys[r] == key && d.ids[r] >= id })
+	if r < d.body && d.keys[r] == key && d.ids[r] == id && d.objs[r] != nil {
+		return r
+	}
+	for r := d.body; r < d.rows(); r++ {
+		if d.ids[r] == id {
+			return r
+		}
+	}
+	panic(fmt.Sprintf("netrt: extra %d is in no row", id))
+}
+
+// published returns the object published under id and its key; ok is
+// false when there is none.
+func (d *delta) published(id int32) (obj []byte, key lph.Key, ok bool) {
+	r := d.row(id)
+	if r < 0 {
+		return nil, 0, false
+	}
+	return d.objs[r], d.keys[r], true
 }
 
 // apply folds one mutation into the delta. A delete (x nil) tombstones a
@@ -98,16 +224,10 @@ func (d *delta) apply(id int32, boot bool, x *extra) {
 		d.forget(id)
 	case !boot:
 		d.forget(id)
-		slot := int32(len(d.slots))
-		if n := len(d.free); n > 0 {
-			slot, d.free = d.free[n-1], d.free[:n-1]
-			d.slots[slot] = *x
-		} else {
-			d.slots = append(d.slots, *x)
-		}
-		d.extras[id] = slot
-		d.run = slices.Insert(d.run, d.find(x.key, id), keyed{x.key, id, slot})
+		d.extras[id] = x.key
+		d.push(id, x)
 		d.digest ^= itemDigest(id, x.obj, false)
+		d.settle()
 	}
 }
 
@@ -117,49 +237,104 @@ func (d *delta) forget(id int32) {
 		delete(d.tombs, id)
 		d.digest ^= itemDigest(id, nil, true)
 	}
-	if slot, ok := d.extras[id]; ok {
-		x := &d.slots[slot]
-		i := d.find(x.key, id)
-		d.run = slices.Delete(d.run, i, i+1)
-		d.digest ^= itemDigest(id, x.obj, false)
-		*x = extra{}
-		d.free = append(d.free, slot)
-		delete(d.extras, id)
+	r := d.row(id)
+	if r < 0 {
+		return
+	}
+	d.digest ^= itemDigest(id, d.objs[r], false)
+	delete(d.extras, id)
+	if r >= d.body {
+		last := d.rows() - 1
+		d.move(r, &d.extraCols, last, 1)
+		d.resize(last)
+		return
+	}
+	for j := r * d.k; j < (r+1)*d.k; j++ {
+		d.pts[j] = math.NaN()
+	}
+	d.objs[r] = nil
+	if d.dim == 0 {
+		d.strs[r] = ""
+	}
+	d.dead++
+	d.settle()
+}
+
+// settle merges the tail once the tail and the dead rows reach
+// extraTailRows.
+func (d *delta) settle() {
+	if d.rows()-d.body+d.dead >= extraTailRows {
+		d.merge()
 	}
 }
 
-// find returns the position of (key, id) in the run: where it is, or
-// where it would be inserted.
-func (d *delta) find(key lph.Key, id int32) int {
-	lo, hi := 0, len(d.run)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if e := d.run[m]; e.key < key || e.key == key && e.id < id {
-			lo = m + 1
-		} else {
-			hi = m
+// merge sorts the tail into the body and drops the dead rows, in the
+// columns the delta already has: the tail, sorted, is set aside, the
+// live body rows close up, and the two runs are merged from the top
+// down, so no row is overwritten before it has moved. The body rows
+// between two tail rows' places move as one block, a copy per column.
+// Then the boxes are refilled.
+func (d *delta) merge() {
+	n := d.rows()
+	order := make([]int32, 0, n-d.body)
+	for r := d.body; r < n; r++ {
+		order = append(order, int32(r))
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(d.keys[a], d.keys[b]), cmp.Compare(d.ids[a], d.ids[b]))
+	})
+	tail := extraCols{k: d.k, dim: d.dim}
+	for _, r := range order {
+		tail.appendRow(&d.extraCols, int(r))
+	}
+	live := d.body
+	if d.dead > 0 {
+		live = 0
+		for r := 0; r < d.body; {
+			if d.objs[r] == nil {
+				r++
+				continue
+			}
+			end := r + 1
+			for end < d.body && d.objs[end] != nil {
+				end++
+			}
+			d.move(live, &d.extraCols, r, end-r)
+			live += end - r
+			r = end
 		}
 	}
-	return lo
+	d.resize(live) // drops the references of the rows past the live ones
+	d.resize(live + len(order))
+	i, to := live, live+len(order) // body rows [0, i) and rows [to, …) are in place
+	for j := len(order) - 1; j >= 0; j-- {
+		p := sort.Search(i, func(r int) bool { return tail.less(j, &d.extraCols, r) })
+		to -= i - p
+		d.move(to, &d.extraCols, p, i-p)
+		i, to = p, to-1
+		d.move(to, &tail, j, 1)
+	}
+	d.body, d.dead = d.rows(), 0
+	d.boxes.Fill(d.pts, 0, d.boxes.Reset(d.body, d.k, leafRows))
 }
 
-// from returns the first position in the run whose key is at least key.
-func (d *delta) from(key lph.Key) int { return d.find(key, math.MinInt32) }
-
-// span returns the stretch of the run an answer tests against reg's
-// cube: the extras whose keys lie in reg's cuboid, up to cut — where a
-// boot entry with their key would answer.
-func (d *delta) span(reg query.Region, cut lph.Key) []keyed {
+// stretch returns the body rows [a, b) an answer walks for reg: those
+// whose keys lie in reg's cuboid, up to cut — where a boot entry with
+// their key would answer — and lo and top, the range of keys a tail
+// row must lie in; a is b when top < lo.
+func (d *delta) stretch(reg query.Region, cut lph.Key) (a, b int, lo, top lph.Key) {
 	lo, hi := lph.CuboidSpan(reg.PreKey, reg.PreLen)
-	top := min(hi-1, cut) // hi is exclusive, and wraps to 0 for the whole key space
+	top = min(hi-1, cut) // hi is exclusive, and wraps to 0 for the whole key space
 	if top < lo {
-		return nil
+		return 0, 0, lo, top
 	}
-	end := len(d.run)
+	keys := d.keys[:d.body]
+	a, _ = slices.BinarySearch(keys, lo)
+	b = len(keys)
 	if top != ^lph.Key(0) {
-		end = d.from(top + 1)
+		b, _ = slices.BinarySearch(keys, top+1)
 	}
-	return d.run[d.from(lo):end]
+	return a, b, lo, top
 }
 
 // FNV-1a's 64-bit parameters.
@@ -203,7 +378,7 @@ func (d *delta) appendTo(dst []byte) []byte {
 	}
 	dst = appendU32(dst, uint32(len(d.extras)))
 	for _, id := range sortedIDs(d.extras) {
-		dst = appendBytes(appendU32(dst, uint32(id)), d.extra(id).obj)
+		dst = appendBytes(appendU32(dst, uint32(id)), d.objs[d.row(id)])
 	}
 	return dst
 }

@@ -3,11 +3,14 @@ package netrt
 import (
 	"bytes"
 	"cmp"
+	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
 	"landmarkdht/internal/lph"
+	"landmarkdht/internal/metric"
 	"landmarkdht/internal/query"
 )
 
@@ -32,14 +35,13 @@ func TestItemDigestPinned(t *testing.T) {
 	}
 }
 
-// answerExtrasReference is the walk extrasWithin replaced: every extra
-// of the share's delta, in map order, against the share's regions until
+// answerExtrasReference is the walk the key-ordered extras replaced:
+// every extra placed, in map order, against the share's regions until
 // one takes it — its key in the region's cuboid and at or below the
 // region's cut, its point in the cube.
-func answerExtrasReference(s *share, dist func(any) float64, r float64) []ResultEntry {
+func answerExtrasReference(s *share, placed map[int32]*extra, dist func(any) float64, r float64) []ResultEntry {
 	var ents []ResultEntry
-	for id := range s.d.extras {
-		x := s.d.extra(id)
+	for id, x := range placed {
 		for i, reg := range s.regions {
 			if x.key > s.cuts[i] || !lph.SamePrefix(x.key, reg.PreKey, reg.PreLen) || !reg.Contains(x.point) {
 				continue
@@ -65,10 +67,10 @@ func asSet(ents []ResultEntry) []ResultEntry {
 }
 
 // deltaModel is what a delta holds, kept the plain way: the tombstoned
-// boot ids and each extra's object by id.
+// boot ids and each extra, as placeExtra placed it, by id.
 type deltaModel struct {
 	tombs  map[int32]bool
-	extras map[int32][]byte
+	extras map[int32]*extra
 }
 
 // appendTo encodes the model as a delta built on an extras map encodes
@@ -80,7 +82,7 @@ func (m *deltaModel) appendTo(dst []byte) []byte {
 	}
 	dst = appendU32(dst, uint32(len(m.extras)))
 	for _, id := range sortedIDs(m.extras) {
-		dst = appendBytes(appendU32(dst, uint32(id)), m.extras[id])
+		dst = appendBytes(appendU32(dst, uint32(id)), m.extras[id].obj)
 	}
 	return dst
 }
@@ -91,49 +93,81 @@ func (m *deltaModel) digest() uint64 {
 	for id := range m.tombs {
 		h ^= itemDigest(id, nil, true)
 	}
-	for id, obj := range m.extras {
-		h ^= itemDigest(id, obj, false)
+	for id, x := range m.extras {
+		h ^= itemDigest(id, x.obj, false)
 	}
 	return h
 }
 
-// checkRun holds d to the model: the run sorted by (key, id) without
-// repeats and holding exactly the extras by id, each under the key it
-// carries; each extra the object the model has under its id, with the
-// key, point and decoded object that object maps to; the digest and the
-// wire form the model's.
-func checkRun(t *testing.T, c corpus, d *delta, m *deltaModel) {
+// checkIndex holds d to the model: every live row holds an extra of
+// the model, the object, key, point and decoded object it was placed
+// with, under its id, and is the row extras and row find for that id;
+// there are as many live rows as extras; the body is in strict (key, id)
+// order, its dead rows (nil objects) have NaN points and are counted,
+// and its leaf boxes bound its live rows; the tail holds no dead row,
+// and the tail and the dead rows are short of a merge; the digest and
+// the wire form are the model's.
+func checkIndex(t *testing.T, d *delta, m *deltaModel) {
 	t.Helper()
-	if len(d.run) != len(m.extras) || len(d.extras) != len(m.extras) || len(d.tombs) != len(m.tombs) {
-		t.Fatalf("run %d, extras %d, tombstones %d; the model has %d extras and %d tombstones",
-			len(d.run), len(d.extras), len(d.tombs), len(m.extras), len(m.tombs))
+	if len(d.extras) != len(m.extras) || len(d.tombs) != len(m.tombs) {
+		t.Fatalf("%d extras and %d tombstones; the model has %d and %d", len(d.extras), len(d.tombs), len(m.extras), len(m.tombs))
 	}
-	if len(d.slots) != len(d.extras)+len(d.free) {
-		t.Fatalf("%d slots hold %d extras with %d free", len(d.slots), len(d.extras), len(d.free))
+	rows := d.rows()
+	if len(d.ids) != rows || len(d.objs) != rows || len(d.pts) != rows*d.k ||
+		d.dim > 0 && len(d.vecs) != rows*d.dim || d.dim == 0 && len(d.strs) != rows {
+		t.Fatalf("columns of %d keys, %d ids, %d objects, %d coordinates, %d vector coordinates and %d strings (k %d, dim %d)",
+			rows, len(d.ids), len(d.objs), len(d.pts), len(d.vecs), len(d.strs), d.k, d.dim)
 	}
-	for i, e := range d.run {
-		if i > 0 {
-			if p := d.run[i-1]; p.key > e.key || p.key == e.key && p.id >= e.id {
-				t.Fatalf("run out of order at %d: (%x, %d) then (%x, %d)", i, p.key, p.id, e.key, e.id)
+	if d.body > rows || rows-d.body+d.dead >= extraTailRows {
+		t.Fatalf("%d rows, a body of %d with %d dead: the tail should have been merged", rows, d.body, d.dead)
+	}
+	dead := 0
+	for r := range rows {
+		if r > 0 && r < d.body && !d.less(r-1, &d.extraCols, r) {
+			t.Fatalf("body out of order at %d: (%x, %d) then (%x, %d)", r, d.keys[r-1], d.ids[r-1], d.keys[r], d.ids[r])
+		}
+		pt := d.pts[r*d.k : (r+1)*d.k]
+		if d.objs[r] == nil {
+			if r >= d.body {
+				t.Fatalf("tail row %d (id %d) is dead", r, d.ids[r])
+			}
+			if !slices.ContainsFunc(pt, math.IsNaN) {
+				t.Fatalf("dead body row %d holds %v", r, pt)
+			}
+			dead++
+			continue
+		}
+		if r < d.body {
+			var visited bool
+			cube := make([]lph.Bounds, d.k)
+			for j, x := range pt {
+				cube[j] = lph.Bounds{Lo: x, Hi: x}
+			}
+			d.boxes.Walk(cube, r, r+1, func(lo, hi int) { visited = lo == r && hi == r+1 })
+			if !visited {
+				t.Fatalf("body row %d at %v lies outside its leaf box", r, pt)
 			}
 		}
-		if slot, ok := d.extras[e.id]; !ok || slot != e.slot || d.slots[slot].key != e.key {
-			t.Fatalf("run entry %d (%x, %d, slot %d) is not the extra under its id (slot %d, %v)", i, e.key, e.id, e.slot, slot, ok)
+		id := d.ids[r]
+		want, ok := m.extras[id]
+		if !ok || !bytes.Equal(d.objs[r], want.obj) {
+			t.Fatalf("row %d holds %q under id %d, which the model does not", r, d.objs[r], id)
+		}
+		if key, ok := d.extras[id]; !ok || key != d.keys[r] || d.row(id) != r {
+			t.Fatalf("row %d holds id %d under %x; extras has %x (%v), and row finds %d", r, id, d.keys[r], key, ok, d.row(id))
+		}
+		var val any
+		if d.dim > 0 {
+			val = metric.Vector(d.vecs[r*d.dim : (r+1)*d.dim])
+		} else {
+			val = d.strs[r]
+		}
+		if d.keys[r] != want.key || !slices.Equal(pt, want.point) || !reflect.DeepEqual(val, want.val) {
+			t.Fatalf("row %d (id %d) holds %x %v %v, placed at %x %v %v", r, id, d.keys[r], pt, val, want.key, want.point, want.val)
 		}
 	}
-	for id := range d.extras {
-		x := d.extra(id)
-		if !bytes.Equal(x.obj, m.extras[id]) {
-			t.Fatalf("extra %d holds %q, the model %q", id, x.obj, m.extras[id])
-		}
-		want, err := placeExtra(c, x.obj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if x.key != want.key || !slices.Equal(x.point, want.point) || x.val != want.val {
-			t.Fatalf("extra %d is placed at %x %v %v, its object maps to %x %v %v",
-				id, x.key, x.point, x.val, want.key, want.point, want.val)
-		}
+	if dead != d.dead || rows-dead != len(d.extras) {
+		t.Fatalf("%d rows, %d of them dead (the delta counts %d), for %d extras", rows, dead, d.dead, len(d.extras))
 	}
 	for id := range m.tombs {
 		if _, ok := d.tombs[id]; !ok {
@@ -149,22 +183,23 @@ func checkRun(t *testing.T, c corpus, d *delta, m *deltaModel) {
 }
 
 // randomShare draws one to three regions over d with their cuts: a cube
-// anywhere in the edit corpus' index space, a prefix of a stored extra's
-// key (or of a random key) of any length, and a cut at a stored key, at
-// a random key or at the top of the key space.
-func randomShare(rng *rand.Rand, d *delta, k int) share {
+// anywhere in the partitioner's index space, a prefix of a stored
+// extra's key (or of a random key) of any length, and a cut at a stored
+// key, at a random key or at the top of the key space.
+func randomShare(rng *rand.Rand, d *delta, part *lph.Partitioner) share {
 	s := share{d: d}
 	anyKey := func() lph.Key {
-		if len(d.run) > 0 && rng.Intn(4) != 0 {
-			return d.run[rng.Intn(len(d.run))].key
+		if d.rows() > 0 && rng.Intn(4) != 0 {
+			return d.keys[rng.Intn(d.rows())]
 		}
 		return lph.Key(rng.Uint64())
 	}
 	for n := 1 + rng.Intn(3); n > 0; n-- {
-		cube := make([]lph.Bounds, k)
-		for i := range cube {
-			lo := rng.Float64()*14 - 1
-			cube[i] = lph.Bounds{Lo: lo, Hi: lo + rng.Float64()*10}
+		cube := part.AllBounds()
+		for i, b := range cube {
+			w := b.Hi - b.Lo
+			lo := b.Lo + (rng.Float64()*1.1-0.1)*w
+			cube[i] = lph.Bounds{Lo: lo, Hi: lo + rng.Float64()*0.8*w}
 		}
 		preLen := rng.Intn(lph.M + 1)
 		reg := query.Region{Cube: cube, PreKey: lph.Prefix(anyKey(), preLen), PreLen: preLen}
@@ -178,76 +213,130 @@ func randomShare(rng *rand.Rand, d *delta, k int) share {
 	return s
 }
 
+// extrasCorpus is one corpus FuzzExtrasRun runs its sequence over: how
+// a publish's bytes become an object, and the largest radius it draws.
+type extrasCorpus struct {
+	c    corpus
+	obj  func(b []byte) []byte
+	maxR float64
+}
+
 // FuzzExtrasRun applies a sequence of publishes, republishes, deletes
-// and forgets, three or more bytes each, to a delta over an edit corpus
-// (whose objects are any string of up to twelve letters) and to a plain
-// model of it. After every step the run must agree with the model
-// (checkRun), and for random regions, cuts, query objects and radii the
-// extras an answer takes from the run (extrasWithin) must be, as a set,
-// the ones the map walk it replaced takes (answerExtrasReference).
+// and forgets, three or more bytes each, to a delta and to a plain
+// model of it, over an edit corpus (whose objects are any string of up
+// to twelve letters) and over a euclid one (whose vectors take their
+// coordinates from the same bytes). Ids range over more extras than a
+// tail holds, so a sequence merges the tail into the body, forgets
+// body rows and republishes them. After every step the index must
+// agree with the model (checkIndex), and for random regions, cuts,
+// query objects and radii the extras an answer takes from the index
+// (answerExtras) must be, as a set, the ones the map walk it replaced
+// takes (answerExtrasReference).
 func FuzzExtrasRun(f *testing.F) {
-	c, err := buildCorpus(DataConfig{Metric: "edit", Seed: 3, Objects: 64, Landmarks: 3})
+	edit, err := buildCorpus(DataConfig{Metric: "edit", Seed: 3, Objects: 64, Landmarks: 3})
 	if err != nil {
 		f.Fatal(err)
 	}
-	n := int32(c.N())
+	const dim = 2
+	euclid, err := buildCorpus(DataConfig{Metric: "euclid", Seed: 3, Objects: 64, Dim: dim, Landmarks: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	corpora := []extrasCorpus{
+		{edit, func(b []byte) []byte {
+			obj := make([]byte, len(b))
+			for i, c := range b {
+				obj[i] = editAlphabet[int(c)%len(editAlphabet)]
+			}
+			return obj
+		}, 8},
+		{euclid, func(b []byte) []byte {
+			v := make([]float64, dim)
+			for j := range v {
+				if len(b) > 0 {
+					v[j] = float64(b[j%len(b)]) / 255
+				}
+			}
+			return EncodeVectorQuery(v)
+		}, 0.6},
+	}
+	n := int32(edit.N())
 	f.Add(int64(1), []byte{0, 80, 3, 1, 2, 3, 0, 81, 3, 1, 2, 3, 0, 70, 12, 0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0})
 	f.Add(int64(2), []byte{0, 90, 2, 4, 4, 1, 0, 5, 0, 2, 90, 0, 2, 3, 0, 3, 3, 0, 3, 90, 0})
 	f.Add(int64(3), []byte{0, 2, 1, 1, 0, 100, 0, 0, 101, 0, 0, 102, 1, 4, 1, 0, 2, 2, 101, 0, 3, 100, 0})
+	// Three tails' worth of publishes under distinct ids, then deletes,
+	// forgets and republishes of what they placed, most of it in the
+	// body by then.
+	var long []byte
+	for i := range 3 * extraTailRows {
+		long = append(long, 0, byte(80+i), 2, byte(i), byte(7*i))
+	}
+	for i := range 2 * extraTailRows {
+		long = append(long, byte(1+i%3), byte(80+5*i), 1, byte(3*i))
+	}
+	f.Add(int64(4), long)
 
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
-		rng := rand.New(rand.NewSource(seed))
-		d := newDelta()
-		m := deltaModel{tombs: map[int32]bool{}, extras: map[int32][]byte{}}
-		boot := func(id int32) bool { return id >= 0 && id < n }
-		for len(ops) >= 3 {
-			op, pick := ops[0]%4, ops[1]
-			id := int32(pick%uint8(n+40)) - 8
-			size := min(int(ops[2]%(editMaxLen+1)), len(ops)-3)
-			obj := make([]byte, size)
-			for i, b := range ops[3 : 3+size] {
-				obj[i] = editAlphabet[int(b)%len(editAlphabet)]
-			}
-			ops = ops[3+size:]
-			if op == 1 && len(m.extras) > 0 { // republish an extra the delta holds
-				ids := sortedIDs(m.extras)
-				id, op = ids[int(pick)%len(ids)], 0
-			}
-			switch op {
-			case 0, 1:
-				x, err := placeExtra(c, obj)
-				if err != nil {
-					t.Fatal(err)
-				}
-				d.apply(id, boot(id), x)
-				if !boot(id) {
-					m.extras[id] = obj
-				}
-			case 2:
-				d.apply(id, boot(id), nil)
-				if boot(id) {
-					m.tombs[id] = true
-				} else {
-					delete(m.extras, id)
-				}
-			case 3:
-				d.forget(id)
-				delete(m.tombs, id)
-				delete(m.extras, id)
-			}
-			checkRun(t, c, &d, &m)
-			for q := 0; q < 4; q++ {
-				s := randomShare(rng, &d, c.Part().K())
-				ev, err := c.Query(c.RandomQuery(rng))
-				if err != nil {
-					t.Fatal(err)
-				}
-				r := rng.Float64() * 8
-				got, _, _ := s.extrasWithin(nil, ev.Dist, r)
-				if got, want := asSet(got), asSet(answerExtrasReference(&s, ev.Dist, r)); !slices.Equal(got, want) {
-					t.Fatalf("regions %+v cuts %x: the run answers %v, the map walk %v", s.regions, s.cuts, got, want)
-				}
-			}
+		for _, ec := range corpora {
+			runExtras(t, ec, n, seed, ops)
 		}
 	})
+}
+
+// runExtras is FuzzExtrasRun's sequence over one corpus. An op is
+// op, pick and size bytes, then size bytes of object; pick names the id
+// (boot ids are 0 to n−1; 8 ids below them and 184 above are extras).
+func runExtras(t *testing.T, ec extrasCorpus, n int32, seed int64, ops []byte) {
+	c := ec.c
+	rng := rand.New(rand.NewSource(seed))
+	d := newDelta()
+	m := deltaModel{tombs: map[int32]bool{}, extras: map[int32]*extra{}}
+	boot := func(id int32) bool { return id >= 0 && id < n }
+	for len(ops) >= 3 {
+		op, pick := ops[0]%4, ops[1]
+		id := int32(pick) - 8
+		size := min(int(ops[2]%(editMaxLen+1)), len(ops)-3)
+		obj := ec.obj(ops[3 : 3+size])
+		ops = ops[3+size:]
+		if op == 1 && len(m.extras) > 0 { // republish an extra the delta holds
+			ids := sortedIDs(m.extras)
+			id, op = ids[int(pick)%len(ids)], 0
+		}
+		switch op {
+		case 0, 1:
+			x, err := placeExtra(c, obj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.apply(id, boot(id), x)
+			if !boot(id) {
+				m.extras[id] = x
+			}
+		case 2:
+			d.apply(id, boot(id), nil)
+			if boot(id) {
+				m.tombs[id] = true
+			} else {
+				delete(m.extras, id)
+			}
+		case 3:
+			d.forget(id)
+			delete(m.tombs, id)
+			delete(m.extras, id)
+		}
+		checkIndex(t, &d, &m)
+		for q := 0; q < 4; q++ {
+			s := randomShare(rng, &d, c.Part())
+			ev, err := c.Query(c.RandomQuery(rng))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rng.Float64() * ec.maxR
+			var nd Node
+			got := nd.answerExtras(ev, r, s, nil)
+			if got, want := asSet(got), asSet(answerExtrasReference(&s, m.extras, ev.Dist, r)); !slices.Equal(got, want) {
+				t.Fatalf("regions %+v cuts %x: the index answers %v, the map walk %v", s.regions, s.cuts, got, want)
+			}
+		}
+	}
 }

@@ -72,7 +72,9 @@ type durableMut struct {
 // decodeJournaled decodes the object of every journaled publish, which
 // the record carries encoded: the key and point are journaled, the
 // decoded object a query's distance reads is not. Each one was mapped
-// before it was journaled, so a failure means the directory does not
+// before it was journaled, so a failure — an object this corpus cannot
+// decode, or a point of another length than its index's, which a
+// delta's columns store at one stride — means the directory does not
 // belong to this corpus.
 func decodeJournaled(c corpus, muts []durableMut) error {
 	for i := range muts {
@@ -80,6 +82,9 @@ func decodeJournaled(c corpus, muts []durableMut) error {
 			var err error
 			if m.val, err = c.Decode(m.obj); err != nil {
 				return fmt.Errorf("netrt: journaled publish of id %d: %w", m.id, err)
+			}
+			if len(m.point) != c.Part().K() {
+				return fmt.Errorf("netrt: journaled publish of id %d has a point of %d coordinates, the index %d", m.id, len(m.point), c.Part().K())
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package netrt
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -302,5 +303,46 @@ func TestDurableLegacyDirectoryOpens(t *testing.T) {
 	if n2, err := Start(cfg); err == nil {
 		n2.Close()
 		t.Fatal("legacy directory accepted under a different seed")
+	}
+}
+
+// TestDurablePointLengthRefused: a journaled publish whose point has
+// another number of coordinates than the index is refused at boot, as
+// a directory that is not this corpus', rather than stored in a delta
+// whose columns hold every point at the index's stride.
+func TestDurablePointLengthRefused(t *testing.T) {
+	data := testData()
+	c, err := buildCorpus(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := wal.OpenStore(dir, wal.Options{Sync: wal.SyncInterval}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Compact(1, func(emit func([]byte) error) error { return emit(encodeMeta(data)) }); err != nil {
+		t.Fatal(err)
+	}
+	obj := EncodeVectorQuery([]float64{0.21, 0.42, 0.63})
+	key, point, _, err := c.MapObj(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(encodeMutation(&pubMsg{ID: 10_000, Key: uint64(key), Obj: obj}, append(point, 0))); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(data)
+	cfg.DataDir = dir
+	n, err := Start(cfg)
+	if err == nil {
+		n.Close()
+		t.Fatal("a journaled point one coordinate too long was accepted")
+	}
+	if !strings.Contains(err.Error(), "coordinates") {
+		t.Fatalf("refused with %v, want the point's length named", err)
 	}
 }

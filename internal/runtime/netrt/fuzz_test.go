@@ -33,8 +33,13 @@ func FuzzDecodeRepEntry(f *testing.F) {
 	d := newDelta()
 	d.apply(3, true, nil)
 	d.apply(n-1, true, nil)
-	d.apply(-7, false, &extra{obj: []byte("abcde")})
-	d.apply(n, false, &extra{obj: []byte("ab")})
+	for id, obj := range map[int32]string{-7: "abcde", n: "ab"} {
+		x, err := placeExtra(c, []byte(obj))
+		if err != nil {
+			f.Fatal(err)
+		}
+		d.apply(id, false, x)
+	}
 	valid := d.appendTo(nil)
 	empty := newDelta()
 	u32 := func(vs ...uint32) []byte {
@@ -67,7 +72,7 @@ func FuzzDecodeRepEntry(f *testing.F) {
 			if !errors.As(err, &fe) {
 				t.Fatalf("refused with %T (%v), want a *wire.FrameError", err, err)
 			}
-			if got.tombs != nil || got.extras != nil || got.run != nil || got.digest != 0 {
+			if got.tombs != nil || got.extras != nil || got.keys != nil || got.digest != 0 {
 				t.Fatalf("a refusal returned %+v", got)
 			}
 			return

@@ -177,7 +177,7 @@ func localShares(n *Node, reg query.Region, d *delta) []share {
 // float64 point of a region's run up to its cut (corpus.Point), one at a
 // time, through Region.Contains and the tombstones, then metric.L2 once per
 // candidate, each hit appended as it is found; then the share's extras,
-// through metric.L2 as well.
+// read off the delta's rows the same way.
 func answerReference(n *Node, q *queryMsg, shares []share) []ResultEntry {
 	ds := n.data.(*dataset[metric.Vector])
 	qv, err := ds.dec(q.QObj)
@@ -200,7 +200,21 @@ func answerReference(n *Node, q *queryMsg, shares []share) []ResultEntry {
 				}
 			}
 		}
-		ents, _, _ = s.extrasWithin(ents, func(o any) float64 { return metric.L2(qv, o.(metric.Vector)) }, q.R)
+		// The extras in the order answerExtras finds them: a region's
+		// body stretch in key order, then its tail rows in row order.
+		d := s.d
+		for i, reg := range s.regions {
+			lo, hi := lph.CuboidSpan(reg.PreKey, reg.PreLen)
+			top := min(hi-1, s.cuts[i])
+			for r := range d.rows() {
+				if key := d.keys[r]; key < lo || key > top || !reg.Contains(d.pts[r*d.k:(r+1)*d.k]) {
+					continue
+				}
+				if dist := metric.L2(qv, d.vecs[r*d.dim:(r+1)*d.dim]); dist <= q.R {
+					ents = append(ents, ResultEntry{Obj: d.ids[r], Dist: dist})
+				}
+			}
+		}
 	}
 	return ents
 }

@@ -189,7 +189,7 @@ type Node struct {
 	runs    [2]run   // the boot entries this node owns under members: its arc of the key-ordered columns
 	queries map[uint64]*originQuery
 	nextQID uint64
-	tested  uint64 // entries tested against a query cube (under the leaf boxes met, in the extras' spans), cumulative
+	tested  uint64 // entries tested against a query cube (under the leaf boxes met, boot rows and extras, and a delta's tail), cumulative
 	refined uint64 // of those, the ones inside it and alive: exact distances computed, cumulative
 	leaves  leafState
 	cubes   query.Cubes // process's sub-cuboids, reset per message

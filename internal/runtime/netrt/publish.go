@@ -214,8 +214,8 @@ func (n *Node) handOff() {
 		n.handTo(id, nil, n.data.Key(int(id)))
 	}
 	for _, id := range sortedIDs(n.mine.extras) {
-		x := *n.mine.extra(id)
-		n.handTo(id, &x, n.data.Part().Ring(x.key))
+		obj, key, _ := n.mine.published(id)
+		n.handTo(id, &extra{key: key, obj: obj}, n.data.Part().Ring(key))
 	}
 }
 
@@ -241,7 +241,7 @@ func (n *Node) handTo(id int32, x *extra, key lph.Key) {
 			return // still in the delta: the next tick retries
 		}
 		if x != nil {
-			if cur := n.mine.extra(id); cur == nil || !bytes.Equal(cur.obj, x.obj) {
+			if cur, _, ok := n.mine.published(id); !ok || !bytes.Equal(cur, x.obj) {
 				return // republished meanwhile: that one is handed off, or kept, on its own
 			}
 			if n.journalMutation(&pubMsg{ID: id, Delete: true}, nil) != nil {

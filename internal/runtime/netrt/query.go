@@ -99,7 +99,8 @@ func (n *Node) Query(qobj []byte, r float64, timeout time.Duration) (QueryOutcom
 // reads 3391 / 3718 / 3761 ops/s and 0.458 / 0.423 / 0.410 CPU ms per
 // query (four alternated rounds), and 64 read worse than 32 at 0.30.
 // The value also fixes which entries a query tests
-// (TestLocalQueryWorkPinned).
+// (TestLocalQueryWorkPinned). A delta's body has leaves of the same
+// size (delta.go).
 const leafRows = 32
 
 // hop is the regions of one message bound for one next hop. A message
@@ -346,6 +347,7 @@ type leafState struct {
 	pos   [64]int32
 	dist  [64]float64
 	n     int
+	xbox  query.Box // the region's cube, for a delta's float64 rows (answerExtras)
 }
 
 // answer resolves a message's local shares in one pass. Each region
@@ -356,8 +358,8 @@ type leafState struct {
 // owner's copy: every member holds the same columns. A delta's extras
 // then answer where a boot entry with their key would: inside a
 // region's key run up to its cut, and inside its cube. They are kept in
-// key order too, so each region binary-searches its stretch of them
-// (extrasWithin) and tests only that. The walk hands out sorted
+// key order under leaf boxes too, so each region walks its stretch of
+// them the same way (answerExtras). The walk hands out sorted
 // positions and the objects are stored by sorted
 // position, so the exact distances of a region's batches read the slab
 // front to back; the corpus id is looked up only for what goes on the
@@ -427,10 +429,7 @@ func (n *Node) answer(q *queryMsg, shares []share) ([]ResultEntry, error) {
 		// The share's boot entries go out before its extras, as they are
 		// found.
 		flush()
-		var tested, refined int
-		ents, tested, refined = s.extrasWithin(ents, ev.Dist, q.R)
-		n.tested += uint64(tested)
-		n.refined += uint64(refined)
+		ents = n.answerExtras(ev, q.R, s, ents)
 	}
 	flush()
 	at.reg, at.tombs = query.Region{}, nil // hold on to no cube and no delta past the message
@@ -461,29 +460,67 @@ func (n *Node) inBand(a int, band uint64) uint64 {
 	return in
 }
 
-// extrasWithin appends to ents the share's extras that answer one of
-// its regions and lie within r of the query dist measures from. Each
-// region reads the stretch of the run between its cuboid's first key
+// answerExtras appends to ents the share's extras that answer one of
+// its regions and lie within r of the query ev decoded. Each region
+// reads the stretch of the delta's body between its cuboid's first key
 // and the lower of its last key and its cut — two binary searches —
-// and tests those in key order against its cube. It returns how many
-// extras it tested against a cube and how many exact distances it
-// computed, what answer counts for boot entries too.
-func (s *share) extrasWithin(ents []ResultEntry, dist func(any) float64, r float64) (_ []ResultEntry, tested, refined int) {
-	for i, reg := range s.regions {
-		xs := s.d.span(reg, s.cuts[i])
-		tested += len(xs)
-		for _, e := range xs {
-			x := &s.d.slots[e.slot]
-			if !reg.Contains(x.point) {
-				continue
-			}
-			refined++
-			if d := dist(x.val); d <= r {
-				ents = append(ents, ResultEntry{Obj: e.id, Dist: d})
+// through the body's leaf boxes, the cube tested 64 float64 rows a
+// query.Box.Mask call, exactly as Region.Contains tests a point; then
+// the tail, in one more call and a check of the keys that pass. The
+// rows inside join a batch of up to 64, refined in one
+// evaluator.RefineExtras call, and the hits are appended in the order
+// the rows were found. Extras are counted in tested and refined as boot
+// entries are: the rows under the boxes that meet the cube and every
+// tail row, and every exact distance.
+//
+//lint:context executor
+func (n *Node) answerExtras(ev evaluator, r float64, s share, ents []ResultEntry) []ResultEntry {
+	d, at := s.d, &n.leaves
+	flush := func() {
+		n.refined += uint64(at.n)
+		for hits := ev.RefineExtras(&d.extraCols, at.pos[:at.n], r, at.dist[:at.n]); hits != 0; hits &= hits - 1 {
+			i := bits.TrailingZeros64(hits)
+			ents = append(ents, ResultEntry{Obj: d.ids[at.pos[i]], Dist: at.dist[i]})
+		}
+		at.n = 0
+	}
+	add := func(in uint64, a int) {
+		for ; in != 0; in &= in - 1 {
+			at.pos[at.n] = int32(a + bits.TrailingZeros64(in))
+			if at.n++; at.n == len(at.pos) {
+				flush()
 			}
 		}
 	}
-	return ents, tested, refined
+	leaf := func(a, b int) {
+		n.tested += uint64(b - a)
+		for ; a < b; a += 64 {
+			add(at.xbox.Mask(d.pts[a*d.k:], min(b-a, 64)), a)
+		}
+	}
+	tail := d.rows() - d.body
+	for i, reg := range s.regions {
+		a, b, lo, top := d.stretch(reg, s.cuts[i])
+		if top < lo {
+			continue
+		}
+		at.xbox.Set(reg.Cube)
+		d.boxes.Walk(reg.Cube, a, b, leaf)
+		if tail == 0 {
+			continue
+		}
+		n.tested += uint64(tail)
+		in, keys := at.xbox.Mask(d.pts[d.body*d.k:], tail), d.keys[d.body:]
+		for m := in; m != 0; m &= m - 1 {
+			if key := keys[bits.TrailingZeros64(m)]; key < lo || key > top {
+				in &^= m & -m
+			}
+		}
+		add(in, d.body)
+	}
+	flush()
+	at.xbox = query.Box{} // hold on to no cube past the message
+	return ents
 }
 
 var errBadQueryObject = errors.New("bad query object")
