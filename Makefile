@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race golden-check chaos node-smoke durability-smoke repair-smoke vet lint bench bench-check layout experiments experiments-paper examples clean
+.PHONY: all build test test-short test-race golden-check chaos node-smoke durability-smoke repair-smoke vet lint bench bench-check layout loc experiments experiments-paper examples clean
 
 all: build vet lint test
 
@@ -151,7 +151,7 @@ bench-check:
 # does, into .bench_build/.
 LAYOUT_SYMS = main.kernelMs.func1 query.boxMaskAVX512.abi0 query.box32MaskAVX512.abi0 \
 	metric.l2RowsAVX512.abi0 'query.(*LeafBoxes).Walk' 'netrt.(*Node).answer.func2' \
-	'core.(*region).scanRows'
+	'query.(*Rows).Scan'
 
 layout:
 	@mkdir -p .bench_build
@@ -168,6 +168,21 @@ layout:
 			fi; \
 		done; \
 	done
+
+# Code lines of the module's non-test Go files — blank lines and comment
+# lines not counted — per package under internal/ and cmd/ and at the
+# module root (testdata/ left out), then their total: the count a
+# change that deletes code reports, before and after.
+loc:
+	@total=0; for d in . $$(find internal cmd -type d -not -path '*/testdata*' | sort); do \
+		files=$$(ls $$d/*.go 2>/dev/null | grep -v '_test\.go$$'); \
+		[ -n "$$files" ] || continue; \
+		n=$$(awk '/^[ \t]*$$/ || /^[ \t]*\/\// { next } \
+			block { block = !index($$0, "*/"); next } \
+			/^[ \t]*\/\*/ { block = !index($$0, "*/"); next } \
+			{ n++ } END { print n + 0 }' $$files); \
+		printf '%7d %s\n' $$n $$d; total=$$((total + n)); \
+	done; printf '%7d total\n' $$total
 
 # Quick qualitative reproduction of every table/figure (~2 min).
 experiments:

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 
@@ -20,59 +18,31 @@ import (
 // from them — reads these two and nothing else, so that order is a
 // function of the mutations alone.
 //
-// pts, objs, order, boxes and body are the scan index, derived from the
-// two and never the other way round. Row i of the index is entry
-// order[i], its index point copied to pts[i*k : (i+1)*k] and its object
-// id to objs[i]: columns owned by the region (no Entry's Point aliases
-// them), so a scan streams memory and ScanIDs touches no Entry at all.
-// Rows [0, body) are in ascending ring-key order, equal keys in storage
-// order, and every leafRows of them lie under one of boxes' leaf boxes
-// (query.LeafBoxes): a scan tests the boxes first and the rows only
-// under those that meet the cube. The keys decide how tight a box is,
-// not whether it is right: a box bounds its own rows whatever order put
-// them there, so the region needs no partitioner. Rows [body,
-// len(order)) are the tail: entries appended since the body was sorted,
-// in storage order, under no box, tested row by row.
+// rows is the scan index (query.Rows), derived from the two and never
+// the other way round: a row per entry, its ring key, its object id,
+// its storage position as the ref and its index point copied into a
+// column the index owns (no Entry's Point aliases it), so a scan streams
+// memory and ScanIDs touches no Entry at all.
 //
-// The index is brought up to date by the scan that needs it (index), not
-// by the mutators: add leaves new entries for the next scan to copy into
-// the tail, and whatever moves or removes an entry ends in truncate,
-// which drops every row, so len(order) < len(entries) is all a scan
-// has to check. A store belongs to the protocol executor (Store), which
-// is why a read may write.
+// The index is brought up to date by the scan that needs it (scan), not
+// by the mutators: add leaves new entries for the next scan to add, and
+// whatever moves or removes an entry ends in truncate, which drops every
+// row, so rows.Len() < len(entries) is all a scan has to check. A store
+// belongs to the protocol executor (Store), which is why a read may
+// write.
 type region struct {
 	keys    []lph.Key // ring (rotated) key of each entry
 	entries []Entry
 	k       int // point length of the index, set by the first entry of an empty region
 
-	pts   []float64
-	objs  []int32
-	order []int32
-	boxes query.LeafBoxes
-	body  int
-
-	// rows is Scan's scratch: the rows of one scan, mapped to entries
+	rows query.Rows
+	// hits is Scan's scratch: the rows of one scan, mapped to entries
 	// before Scan returns.
-	rows []int32
-
-	// boxTests and rowTests count the boxes and the rows scans have
-	// compared with a cube, added up once per leaf, not per row
+	hits []int32
+	// rowTests counts the rows scans have compared with a cube
 	// (BenchmarkMemStoreScan).
-	boxTests, rowTests int
+	rowTests int
 }
-
-const (
-	// leafRows is the number of consecutive body rows under one box.
-	// Regions hold a few hundred rows and cubes are wide: 4 and 16 both
-	// scan slower, and so does a second level of boxes above these
-	// (EXPERIMENTS.md).
-	leafRows = 8
-	// The tail is sorted into the body when it has outgrown 1/tailShare
-	// of it (and one leaf): a scan tests at most that share of the region
-	// without a box, and a row is sorted O(tailShare · log n) times over
-	// the appends that follow it.
-	tailShare = 4
-)
 
 // add appends a batch, or refuses all of it: when the batch does not
 // carry one key per entry — every later key would sit beside another
@@ -115,81 +85,23 @@ func (s *region) add(index string, keys []lph.Key, entries []Entry) error {
 func (s *region) truncate(n int) {
 	s.keys = s.keys[:n]
 	s.entries = s.entries[:n]
-	s.pts, s.objs, s.order, s.body = s.pts[:0], s.objs[:0], s.order[:0], 0
+	s.rows.Reset()
 }
 
 func (s *region) size() int { return len(s.entries) }
 
-// index gives every entry a row: the entries without one join the tail,
-// and a tail grown past its share of the body is sorted into it — one
-// sort of the row → entry map, the columns refilled in that order from
-// the entries' own points and ids, the boxes recomputed, all in the
-// buffers the region already has.
-func (s *region) index() {
-	n, k := len(s.entries), s.k
-	rows := len(s.order) // these keep their place in the column unless the tail is sorted in
-	s.order = slices.Grow(s.order, n-rows)
-	for i := rows; i < n; i++ {
-		s.order = append(s.order, int32(i))
+// scan appends to buf the rows of the index whose points the cube
+// contains (query.Rows.Scan over the whole key space), after giving every
+// entry without a row one; Scan and ScanIDs map them to entries and to
+// ids.
+func (s *region) scan(cube []lph.Bounds, buf []int32) []int32 {
+	s.rows.Grow(len(s.entries)-s.rows.Len(), s.k)
+	for i := s.rows.Len(); i < len(s.entries); i++ {
+		s.rows.Add(s.keys[i], int32(s.entries[i].Obj), int32(i), s.entries[i].Point)
 	}
-	tail := n - s.body
-	fold := tail > leafRows && tail*tailShare > s.body
-	if fold {
-		keys := s.keys
-		slices.SortFunc(s.order, func(a, b int32) int {
-			// Ties in storage order, which makes the order total: the
-			// sort need not be stable.
-			return cmp.Or(cmp.Compare(keys[a], keys[b]), cmp.Compare(a, b))
-		})
-		s.body, rows = n, 0
-	}
-	s.pts = slices.Grow(s.pts[:rows*k], (n-rows)*k)
-	s.objs = slices.Grow(s.objs[:rows], n-rows)
-	for _, e := range s.order[rows:] {
-		s.pts = append(s.pts, s.entries[e].Point...)
-		s.objs = append(s.objs, int32(s.entries[e].Obj))
-	}
-	if fold {
-		s.boxes.Fill(s.pts, 0, s.boxes.Reset(n, k, leafRows))
-	}
-}
-
-// scanRows appends the rows whose index points fall inside the cube to
-// buf and returns it (the zero-allocation hot path once the index is
-// built); Scan and ScanIDs map them to entries and to ids. The test is
-// Region.Contains' — same length, every coordinate in its closed
-// interval — read from the column by query.Box.Mask, and made only in
-// the runs of the body under leaf boxes that meet the cube
-// (query.LeafBoxes.Walk), then in the tail, so rows come out in
-// ascending order.
-func (s *region) scanRows(cube []lph.Bounds, buf []int32) []int32 {
-	if len(cube) != s.k {
-		return buf
-	}
-	if len(s.order) < len(s.entries) {
-		s.index()
-	}
-	var in query.Box
-	in.Set(cube)
-	rows := len(s.order) - s.body
-	s.boxes.Walk(cube, 0, s.body, func(lo, hi int) {
-		rows += hi - lo
-		buf = s.appendMatches(&in, lo, hi, buf)
-	})
-	s.boxTests += (s.body + leafRows - 1) / leafRows
-	s.rowTests += rows
-	return s.appendMatches(&in, s.body, len(s.order), buf)
-}
-
-// appendMatches row-tests rows [lo, hi) of the column against the cube
-// laid out in in, 64 rows a call, and appends the rows that pass.
-func (s *region) appendMatches(in *query.Box, lo, hi int, buf []int32) []int32 {
-	for ; lo < hi; lo += 64 {
-		n := min(hi-lo, 64)
-		for m := in.Mask(s.pts[lo*s.k:(lo+n)*s.k], n); m != 0; m &= m - 1 {
-			buf = append(buf, int32(lo+bits.TrailingZeros64(m)))
-		}
-	}
+	s.rows.Settle()
+	buf, tested := s.rows.Scan(cube, 0, ^lph.Key(0), buf)
+	s.rowTests += tested
 	return buf
 }
 
@@ -279,9 +191,9 @@ func (m *MemStore) Scan(index string, r query.Region, buf []Entry) []Entry {
 	if !ok {
 		return buf
 	}
-	st.rows = st.scanRows(r.Cube, st.rows[:0])
-	for _, row := range st.rows {
-		buf = append(buf, st.entries[st.order[row]])
+	st.hits = st.scan(r.Cube, st.hits[:0])
+	for _, row := range st.hits {
+		buf = append(buf, st.entries[st.rows.Ref(int(row))])
 	}
 	return buf
 }
@@ -293,9 +205,9 @@ func (m *MemStore) ScanIDs(index string, r query.Region, buf []int32) []int32 {
 		return buf
 	}
 	n := len(buf)
-	buf = st.scanRows(r.Cube, buf)
+	buf = st.scan(r.Cube, buf)
 	for i, row := range buf[n:] {
-		buf[n+i] = st.objs[row]
+		buf[n+i] = st.rows.ID(int(row))
 	}
 	return buf
 }

@@ -86,9 +86,9 @@ func scanBenchFixture(tb testing.TB, objects, rows int) ([]*MemStore, []query.Re
 
 // BenchmarkMemStoreScan times Scan at sim-search's cube width over a
 // region of a simulated node's size and one of a netrt member's, and
-// reports what a scan compared with the cube — boxes and rows — beside
-// what it returned: rows/op + boxes/op against the region size is the
-// share of the linear walk that is left.
+// reports the rows a scan compared with the cube beside what it
+// returned: rows/op against the region size is the share of the linear
+// walk that is left.
 func BenchmarkMemStoreScan(b *testing.B) {
 	for _, c := range []struct{ objects, rows int }{{20000, 300}, {30000, 30000}} {
 		b.Run(fmt.Sprintf("rows=%d", c.rows), func(b *testing.B) {
@@ -97,14 +97,13 @@ func BenchmarkMemStoreScan(b *testing.B) {
 			for _, st := range stores { // build the index, size the buffer
 				buf = st.Scan("wide", cubes[0], buf[:0])
 			}
-			counts := func() (boxes, rows int) {
+			rows := func() (n int) {
 				for _, st := range stores {
-					boxes += st.regions["wide"].boxTests
-					rows += st.regions["wide"].rowTests
+					n += st.regions["wide"].rowTests
 				}
-				return boxes, rows
+				return n
 			}
-			boxes0, rows0 := counts()
+			rows0 := rows()
 			hits := 0
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -113,10 +112,8 @@ func BenchmarkMemStoreScan(b *testing.B) {
 				hits += len(buf)
 			}
 			b.StopTimer()
-			boxes, rows := counts()
 			n := float64(b.N)
-			b.ReportMetric(float64(boxes-boxes0)/n, "boxes/op")
-			b.ReportMetric(float64(rows-rows0)/n, "rows/op")
+			b.ReportMetric(float64(rows()-rows0)/n, "rows/op")
 			b.ReportMetric(float64(hits)/n, "hits/op")
 		})
 	}

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 
 	"landmarkdht/internal/lph"
@@ -57,11 +57,16 @@ func entriesEqual(a, b []Entry) bool {
 }
 
 // sameEntrySet compares two scans as multisets: Scan promises each match
-// once, in no particular order.
+// once, in no particular order. Entries are sorted by object, then by
+// their points' bits, since a region may hold one object twice.
 func sameEntrySet(got, want []Entry) bool {
 	byObj := func(es []Entry) []Entry {
 		es = slices.Clone(es)
-		sort.SliceStable(es, func(i, j int) bool { return es[i].Obj < es[j].Obj })
+		slices.SortFunc(es, func(a, b Entry) int {
+			return cmp.Or(cmp.Compare(a.Obj, b.Obj), slices.CompareFunc(a.Point, b.Point, func(x, y float64) int {
+				return cmp.Compare(math.Float64bits(x), math.Float64bits(y))
+			}))
+		})
 		return es
 	}
 	return entriesEqual(byObj(got), byObj(want))
@@ -477,11 +482,11 @@ func TestExtractWholeRing(t *testing.T) {
 }
 
 // TestScanAcrossTailThreshold grows a region one Put at a time through
-// every size at which the tail is sorted into the body, then shrinks it
+// every size at which the tail is merged into the body, then shrinks it
 // one Delete at a time — each drops the index, and the next scan rebuilds
-// it — and checks Scan at every size on the way, together with what the
-// fold promises: after a scan every entry has a row, and the rows under
-// no box are at most a leaf or 1/tailShare of the body.
+// it — and checks Scan at every size on the way, and that after a scan
+// every entry has a row. What a merge keeps (order, boxes, the bound on
+// the tail) is FuzzRows' in internal/query.
 func TestScanAcrossTailThreshold(t *testing.T) {
 	const k, n = 3, 400
 	rng := rand.New(rand.NewSource(5))
@@ -498,18 +503,12 @@ func TestScanAcrossTailThreshold(t *testing.T) {
 		}
 		return c
 	}
-	folds := 0
 	check := func(after string) {
 		t.Helper()
 		reg := st.regions["ix"]
-		was := reg.body
 		checkScan(t, st, "ix", cube(), after)
-		tail := len(reg.order) - reg.body
-		if len(reg.order) != len(reg.entries) || (tail > leafRows && tail*tailShare > reg.body) {
-			t.Fatalf("after %s: %d entries, %d rows, %d of them in the tail", after, len(reg.entries), len(reg.order), tail)
-		}
-		if reg.body != was {
-			folds++
+		if reg.rows.Len() != len(reg.entries) {
+			t.Fatalf("after %s: %d entries, %d rows", after, len(reg.entries), reg.rows.Len())
 		}
 	}
 	var keys []lph.Key
@@ -520,9 +519,6 @@ func TestScanAcrossTailThreshold(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("Put")
-	}
-	if folds < 5 || folds > n/leafRows {
-		t.Fatalf("%d Puts folded the tail %d times", n, folds)
 	}
 	for _, i := range rng.Perm(n) {
 		if ok, err := st.Delete("ix", keys[i], ObjectID(i)); err != nil || !ok {
@@ -535,8 +531,8 @@ func TestScanAcrossTailThreshold(t *testing.T) {
 }
 
 // TestScanLargeRegion: a 10⁴-row region under its own LPH keys — boxes
-// tight enough that most are passed over — against the reference, before
-// and after appends that stay in the tail.
+// tight enough that most rows are passed over — against the reference,
+// before and after appends.
 func TestScanLargeRegion(t *testing.T) {
 	const k, n = 6, 10000
 	rng := rand.New(rand.NewSource(6))
@@ -555,10 +551,7 @@ func TestScanLargeRegion(t *testing.T) {
 	}
 	cubes("PutBatch")
 	reg := st.regions["ix"]
-	if reg.body != n {
-		t.Fatalf("%d of %d rows under boxes", reg.body, n)
-	}
-	reg.boxTests, reg.rowTests = 0, 0
+	reg.rowTests = 0
 	const scans = 20
 	for i := 0; i < scans; i++ {
 		c := make([]lph.Bounds, k)
@@ -568,14 +561,11 @@ func TestScanLargeRegion(t *testing.T) {
 		}
 		checkScan(t, st, "ix", c, "PutBatch")
 	}
-	if leaves := (n + leafRows - 1) / leafRows; reg.boxTests != scans*leaves || reg.rowTests*4 > scans*n {
-		t.Fatalf("%d scans of %d rows under %d boxes tested %d boxes and %d rows", scans, n, leaves, reg.boxTests, reg.rowTests)
+	if reg.rowTests*4 > scans*n {
+		t.Fatalf("%d scans of %d rows tested %d rows", scans, n, reg.rowTests)
 	}
-	hashedRegion(t, st, "ix", n/tailShare, k, rng)
+	hashedRegion(t, st, "ix", n/4, k, rng)
 	cubes("appends")
-	if reg.body != n {
-		t.Fatalf("a tail of 1/%d of the body was sorted in", tailShare)
-	}
 }
 
 // TestScanSteadyStateAllocs: the scan that finds new entries builds

@@ -105,10 +105,10 @@ type evaluator interface {
 	// one object through the metric space's Dist: what BruteForce
 	// reads, and so the reference Refine answers are held to.
 	At(j int) float64
-	// RefineExtras is Refine over published entries: the objects at
-	// rows pos of a delta's columns, decoded once when the delta took
+	// RefineExtras is Refine over published entries: the objects in
+	// slots pos of a delta's payload, decoded once when the delta took
 	// them.
-	RefineExtras(x *extraCols, pos []int32, r float64, dist []float64) uint64
+	RefineExtras(x *payload, pos []int32, r float64, dist []float64) uint64
 	// Dist returns the distance to a decoded object, one object through
 	// the metric space's Dist: what Dataset.Distance reads.
 	Dist(o any) float64
@@ -296,8 +296,8 @@ type dataset[T any] struct {
 	// the storage behind at directly.
 	refine func(q T, pos []int32, r float64, dist []float64) uint64
 	// refineExtras is evaluator.RefineExtras, over the decoded objects
-	// of a delta's columns.
-	refineExtras func(q T, x *extraCols, pos []int32, r float64, dist []float64) uint64
+	// of a delta's payload.
+	refineExtras func(q T, x *payload, pos []int32, r float64, dist []float64) uint64
 	space        metric.Space[T]
 	emb          *indexspace.Embedding[T]
 	part         *lph.Partitioner
@@ -346,7 +346,7 @@ func (e *decodedQuery[T]) Refine(pos []int32, r float64, dist []float64) uint64 
 	return e.d.refine(e.q, pos, r, dist)
 }
 
-func (e *decodedQuery[T]) RefineExtras(x *extraCols, pos []int32, r float64, dist []float64) uint64 {
+func (e *decodedQuery[T]) RefineExtras(x *payload, pos []int32, r float64, dist []float64) uint64 {
 	return e.d.refineExtras(e.q, x, pos, r, dist)
 }
 
@@ -549,7 +549,7 @@ func buildEuclid(cfg DataConfig, mem *colMem) (corpus, error) {
 		refine: func(q metric.Vector, pos []int32, r float64, dist []float64) uint64 {
 			return metric.L2Rows(dist, q, slab, pos, r)
 		},
-		refineExtras: func(q metric.Vector, x *extraCols, pos []int32, r float64, dist []float64) uint64 {
+		refineExtras: func(q metric.Vector, x *payload, pos []int32, r float64, dist []float64) uint64 {
 			return metric.L2Rows(dist, q, x.vecs, pos, r)
 		},
 		space: metric.EuclideanSpace("euclid", dim, 0, 1),
@@ -596,7 +596,7 @@ func buildEdit(cfg DataConfig, mem *colMem) (corpus, error) {
 		refine: func(q string, pos []int32, r float64, dist []float64) uint64 {
 			return editRows(dist, q, strs, pos, r)
 		},
-		refineExtras: func(q string, x *extraCols, pos []int32, r float64, dist []float64) uint64 {
+		refineExtras: func(q string, x *payload, pos []int32, r float64, dist []float64) uint64 {
 			return editRows(dist, q, x.strs, pos, r)
 		},
 		space: metric.EditSpace("edit", editMaxLen),

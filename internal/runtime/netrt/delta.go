@@ -10,11 +10,9 @@ package netrt
 // replica copy is the owner's delta and nothing else (replica.go).
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"landmarkdht/internal/lph"
 	"landmarkdht/internal/metric"
@@ -23,61 +21,41 @@ import (
 
 // delta is one region's mutations: the tombstoned boot ids and the
 // published extras, with the XOR of their item digests. The extras are
-// rows of columns (extraCols) in the shape of core's region index: rows
-// [0, body) are the body, in (key, id) order — the order of the boot
-// columns, so the extras under a region's prefix are one stretch of it,
-// found by binary search — with a leaf box (boxes) over every
-// leafRows of them; the rows after it are the tail, the latest
-// publishes in no order. A publish appends to the tail, and a tail
-// that reaches extraTailRows rows is merged into the body (merge). A
-// forgotten tail row is replaced by the last one; a forgotten body row
-// stays where it is until the next merge, dead: its object nil (a live
-// row's never is), its point NaN, which no cube contains. extras maps
-// each live extra's id to its key, the rest of the way to its row
-// (row), so no row that moves has an entry to update. Every change
-// goes through apply or forget, which keep all of them and the digest
-// in step.
+// indexed as rows of a query.Rows, the index core's regions scan too:
+// each row's key is the extra's unrotated key (as the boot columns'
+// keys), so the extras under a region's prefix are one stretch of its
+// body; its id is the extra's and its point the one MapObj gave, tested
+// against a cube as it is (no rounding band); its ref is the slot of
+// the extra's payload (payload). extras maps each live extra's id to
+// its key, the rest of the way to its row (query.Rows.Find). Every
+// change goes through apply or forget, which keep all of them and the
+// digest in step.
 type delta struct {
 	tombs  map[int32]struct{} // deleted boot ids
 	extras map[int32]lph.Key  // the key of each published entry, by id; never a boot id
-	extraCols
-	boxes  query.LeafBoxes
-	body   int // rows [0, body) are sorted and boxed
-	dead   int // body rows forgotten since the last merge
+	rows   query.Rows
+	payload
 	digest uint64
 }
 
-// extraTailRows bounds a delta's tail and dead rows together: when they
-// reach it the tail is merged, so an answer tests the tail with one
-// query.Box.Mask call (at most 64 rows), and a merge, which moves the
-// whole body, runs once per that many publishes. BenchmarkLocalQueryExtras
-// reads the same at 16, 32 and 64 and with the body's leaves at 8, 16
-// or 32 rows, so they are the boot columns' leafRows; a publish into
-// 10⁴ extras costs ≈ 4 µs at 64, 6–9 at 32 and 11–14 at 16
-// (EXPERIMENTS "Extras under leaf boxes").
-const extraTailRows = 64
-
-// extraCols is published entries as columns, a row each: the unrotated
-// key (as the boot columns' keys) and id; the index point, k float64
-// coordinates, tested against a cube as they are (no rounding band);
-// the object decoded — a euclid vector's dim coordinates in vecs, which
-// metric.L2Rows reads, or an edit string in strs (dim 0) — and the
-// object as published, which the digest, the wire form and a hand-off
-// read. Nothing per row is a pointer but the strings and objects.
-type extraCols struct {
-	k, dim int // set by the first row
-	keys   []lph.Key
-	ids    []int32
-	pts    []float64
-	vecs   []float64
-	strs   []string
-	objs   [][]byte
+// payload is the published extras' objects, each in a slot that never
+// moves: the object as published, which the digest, the wire form and a
+// hand-off read, and the object decoded — a euclid vector's dim
+// coordinates in vecs, which metric.L2Rows reads, or an edit string in
+// strs (dim 0). A forgotten extra's slot goes on free, and the next
+// publish takes it.
+type payload struct {
+	dim  int // set by the first extra
+	objs [][]byte
+	vecs []float64
+	strs []string
+	free []int32
 }
 
 // extra is one published entry as a publish places it: the object as
 // published, and what the node holding it derived from it (MapObj):
 // the key, the point, and the object decoded. A delta keeps it as a
-// row of its columns.
+// row of its index and a slot of its payload.
 type extra struct {
 	key   lph.Key // unrotated, as the columns' keys
 	point []float64
@@ -99,103 +77,57 @@ func placeExtra(c corpus, obj []byte) (*extra, error) {
 	return &extra{key: c.Part().Unring(key), point: point, val: val, obj: obj}, nil
 }
 
-// rows returns how many rows the columns hold.
-func (c *extraCols) rows() int { return len(c.keys) }
-
-// push appends x as a row, under id.
-func (c *extraCols) push(id int32, x *extra) {
-	if len(c.keys) == 0 {
-		c.k = len(x.point)
+// put stores x's object and its decoded form in a free slot, or a new
+// one, and returns the slot.
+func (p *payload) put(x *extra) int32 {
+	if len(p.objs) == 0 {
 		if v, ok := x.val.(metric.Vector); ok {
-			c.dim = len(v)
+			p.dim = len(v)
 		}
 	}
-	obj := x.obj
-	if obj == nil {
-		obj = []byte{} // nil marks a dead row
+	slot := int32(len(p.objs))
+	if n := len(p.free); n > 0 {
+		slot, p.free = p.free[n-1], p.free[:n-1]
+	} else {
+		p.objs = append(p.objs, nil)
+		if p.dim > 0 {
+			p.vecs = append(p.vecs, make([]float64, p.dim)...)
+		} else {
+			p.strs = append(p.strs, "")
+		}
 	}
-	c.keys, c.ids, c.objs = append(c.keys, x.key), append(c.ids, id), append(c.objs, obj)
-	c.pts = append(c.pts, x.point...)
+	p.objs[slot] = x.obj
 	switch v := x.val.(type) {
 	case metric.Vector:
-		c.vecs = append(c.vecs, v...)
+		copy(p.vecs[int(slot)*p.dim:], v)
 	case string:
-		c.strs = append(c.strs, v)
+		p.strs[slot] = v
 	default:
 		panic(fmt.Sprintf("netrt: a published object decoded to %T", x.val))
 	}
+	return slot
 }
 
-// appendRow appends row r of src.
-func (c *extraCols) appendRow(src *extraCols, r int) {
-	c.keys, c.ids, c.objs = append(c.keys, src.keys[r]), append(c.ids, src.ids[r]), append(c.objs, src.objs[r])
-	c.pts = append(c.pts, src.pts[r*c.k:(r+1)*c.k]...)
-	if c.dim > 0 {
-		c.vecs = append(c.vecs, src.vecs[r*c.dim:(r+1)*c.dim]...)
-	} else {
-		c.strs = append(c.strs, src.strs[r])
+// drop frees slot, and lets go of what it referred to.
+func (p *payload) drop(slot int32) {
+	p.objs[slot] = nil
+	if p.dim == 0 {
+		p.strs[slot] = ""
 	}
-}
-
-// move copies rows [from, from+n) of src over rows [to, to+n), a copy
-// per column; src may be c, and the two ranges may overlap.
-func (c *extraCols) move(to int, src *extraCols, from, n int) {
-	copy(c.keys[to:to+n], src.keys[from:from+n])
-	copy(c.ids[to:to+n], src.ids[from:from+n])
-	copy(c.objs[to:to+n], src.objs[from:from+n])
-	copy(c.pts[to*c.k:(to+n)*c.k], src.pts[from*c.k:(from+n)*c.k])
-	if c.dim > 0 {
-		copy(c.vecs[to*c.dim:(to+n)*c.dim], src.vecs[from*c.dim:(from+n)*c.dim])
-	} else {
-		copy(c.strs[to:to+n], src.strs[from:from+n])
-	}
-}
-
-// resize makes the columns n rows long within their capacity, dropping
-// what the rows past n referred to.
-func (c *extraCols) resize(n int) {
-	if n < len(c.objs) {
-		clear(c.objs[n:])
-		if c.dim == 0 {
-			clear(c.strs[n:])
-		}
-	}
-	c.keys, c.ids, c.objs = c.keys[:n], c.ids[:n], c.objs[:n]
-	c.pts = c.pts[:n*c.k]
-	if c.dim > 0 {
-		c.vecs = c.vecs[:n*c.dim]
-	} else {
-		c.strs = c.strs[:n]
-	}
-}
-
-// less orders rows by (key, id), across two sets of columns.
-func (c *extraCols) less(i int, o *extraCols, j int) bool {
-	return c.keys[i] < o.keys[j] || c.keys[i] == o.keys[j] && c.ids[i] < o.ids[j]
+	p.free = append(p.free, slot)
 }
 
 // size counts the items: what an anti-entropy advert and a stream header
 // carry beside the digest.
 func (d *delta) size() int { return len(d.tombs) + len(d.extras) }
 
-// row returns the row of the extra under id, or -1: its (key, id) in
-// the body, by binary search, unless that row is dead; otherwise the
-// tail row holding id.
+// row returns the row of the extra published under id, or -1.
 func (d *delta) row(id int32) int {
 	key, ok := d.extras[id]
 	if !ok {
 		return -1
 	}
-	r := sort.Search(d.body, func(r int) bool { return d.keys[r] > key || d.keys[r] == key && d.ids[r] >= id })
-	if r < d.body && d.keys[r] == key && d.ids[r] == id && d.objs[r] != nil {
-		return r
-	}
-	for r := d.body; r < d.rows(); r++ {
-		if d.ids[r] == id {
-			return r
-		}
-	}
-	panic(fmt.Sprintf("netrt: extra %d is in no row", id))
+	return d.rows.Find(key, id)
 }
 
 // published returns the object published under id and its key; ok is
@@ -205,7 +137,7 @@ func (d *delta) published(id int32) (obj []byte, key lph.Key, ok bool) {
 	if r < 0 {
 		return nil, 0, false
 	}
-	return d.objs[r], d.keys[r], true
+	return d.objs[d.rows.Ref(r)], d.extras[id], true
 }
 
 // apply folds one mutation into the delta. A delete (x nil) tombstones a
@@ -225,9 +157,9 @@ func (d *delta) apply(id int32, boot bool, x *extra) {
 	case !boot:
 		d.forget(id)
 		d.extras[id] = x.key
-		d.push(id, x)
+		d.rows.Add(x.key, id, d.put(x), x.point)
+		d.rows.Settle()
 		d.digest ^= itemDigest(id, x.obj, false)
-		d.settle()
 	}
 }
 
@@ -241,100 +173,12 @@ func (d *delta) forget(id int32) {
 	if r < 0 {
 		return
 	}
-	d.digest ^= itemDigest(id, d.objs[r], false)
+	slot := d.rows.Ref(r)
+	d.digest ^= itemDigest(id, d.objs[slot], false)
 	delete(d.extras, id)
-	if r >= d.body {
-		last := d.rows() - 1
-		d.move(r, &d.extraCols, last, 1)
-		d.resize(last)
-		return
-	}
-	for j := r * d.k; j < (r+1)*d.k; j++ {
-		d.pts[j] = math.NaN()
-	}
-	d.objs[r] = nil
-	if d.dim == 0 {
-		d.strs[r] = ""
-	}
-	d.dead++
-	d.settle()
-}
-
-// settle merges the tail once the tail and the dead rows reach
-// extraTailRows.
-func (d *delta) settle() {
-	if d.rows()-d.body+d.dead >= extraTailRows {
-		d.merge()
-	}
-}
-
-// merge sorts the tail into the body and drops the dead rows, in the
-// columns the delta already has: the tail, sorted, is set aside, the
-// live body rows close up, and the two runs are merged from the top
-// down, so no row is overwritten before it has moved. The body rows
-// between two tail rows' places move as one block, a copy per column.
-// Then the boxes are refilled.
-func (d *delta) merge() {
-	n := d.rows()
-	order := make([]int32, 0, n-d.body)
-	for r := d.body; r < n; r++ {
-		order = append(order, int32(r))
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		return cmp.Or(cmp.Compare(d.keys[a], d.keys[b]), cmp.Compare(d.ids[a], d.ids[b]))
-	})
-	tail := extraCols{k: d.k, dim: d.dim}
-	for _, r := range order {
-		tail.appendRow(&d.extraCols, int(r))
-	}
-	live := d.body
-	if d.dead > 0 {
-		live = 0
-		for r := 0; r < d.body; {
-			if d.objs[r] == nil {
-				r++
-				continue
-			}
-			end := r + 1
-			for end < d.body && d.objs[end] != nil {
-				end++
-			}
-			d.move(live, &d.extraCols, r, end-r)
-			live += end - r
-			r = end
-		}
-	}
-	d.resize(live) // drops the references of the rows past the live ones
-	d.resize(live + len(order))
-	i, to := live, live+len(order) // body rows [0, i) and rows [to, …) are in place
-	for j := len(order) - 1; j >= 0; j-- {
-		p := sort.Search(i, func(r int) bool { return tail.less(j, &d.extraCols, r) })
-		to -= i - p
-		d.move(to, &d.extraCols, p, i-p)
-		i, to = p, to-1
-		d.move(to, &tail, j, 1)
-	}
-	d.body, d.dead = d.rows(), 0
-	d.boxes.Fill(d.pts, 0, d.boxes.Reset(d.body, d.k, leafRows))
-}
-
-// stretch returns the body rows [a, b) an answer walks for reg: those
-// whose keys lie in reg's cuboid, up to cut — where a boot entry with
-// their key would answer — and lo and top, the range of keys a tail
-// row must lie in; a is b when top < lo.
-func (d *delta) stretch(reg query.Region, cut lph.Key) (a, b int, lo, top lph.Key) {
-	lo, hi := lph.CuboidSpan(reg.PreKey, reg.PreLen)
-	top = min(hi-1, cut) // hi is exclusive, and wraps to 0 for the whole key space
-	if top < lo {
-		return 0, 0, lo, top
-	}
-	keys := d.keys[:d.body]
-	a, _ = slices.BinarySearch(keys, lo)
-	b = len(keys)
-	if top != ^lph.Key(0) {
-		b, _ = slices.BinarySearch(keys, top+1)
-	}
-	return a, b, lo, top
+	d.drop(slot)
+	d.rows.Kill(r)
+	d.rows.Settle()
 }
 
 // FNV-1a's 64-bit parameters.
@@ -378,7 +222,8 @@ func (d *delta) appendTo(dst []byte) []byte {
 	}
 	dst = appendU32(dst, uint32(len(d.extras)))
 	for _, id := range sortedIDs(d.extras) {
-		dst = appendBytes(appendU32(dst, uint32(id)), d.objs[d.row(id)])
+		obj, _, _ := d.published(id)
+		dst = appendBytes(appendU32(dst, uint32(id)), obj)
 	}
 	return dst
 }

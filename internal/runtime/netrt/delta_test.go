@@ -3,7 +3,6 @@ package netrt
 import (
 	"bytes"
 	"cmp"
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -99,75 +98,36 @@ func (m *deltaModel) digest() uint64 {
 	return h
 }
 
-// checkIndex holds d to the model: every live row holds an extra of
-// the model, the object, key, point and decoded object it was placed
-// with, under its id, and is the row extras and row find for that id;
-// there are as many live rows as extras; the body is in strict (key, id)
-// order, its dead rows (nil objects) have NaN points and are counted,
-// and its leaf boxes bound its live rows; the tail holds no dead row,
-// and the tail and the dead rows are short of a merge; the digest and
-// the wire form are the model's.
+// checkIndex holds d to the model: every extra of the model has a live
+// row under its id and key, whose payload slot holds the object and the
+// decoded object it was placed with, and the slots in use are as many
+// as the extras; the tombstones, the digest and the wire form are the
+// model's. What the rows themselves keep — order, boxes, dead rows, the
+// bound on the tail — is FuzzRows' in internal/query.
 func checkIndex(t *testing.T, d *delta, m *deltaModel) {
 	t.Helper()
 	if len(d.extras) != len(m.extras) || len(d.tombs) != len(m.tombs) {
 		t.Fatalf("%d extras and %d tombstones; the model has %d and %d", len(d.extras), len(d.tombs), len(m.extras), len(m.tombs))
 	}
-	rows := d.rows()
-	if len(d.ids) != rows || len(d.objs) != rows || len(d.pts) != rows*d.k ||
-		d.dim > 0 && len(d.vecs) != rows*d.dim || d.dim == 0 && len(d.strs) != rows {
-		t.Fatalf("columns of %d keys, %d ids, %d objects, %d coordinates, %d vector coordinates and %d strings (k %d, dim %d)",
-			rows, len(d.ids), len(d.objs), len(d.pts), len(d.vecs), len(d.strs), d.k, d.dim)
+	if used := len(d.objs) - len(d.free); used != len(m.extras) {
+		t.Fatalf("%d payload slots in use for %d extras", used, len(m.extras))
 	}
-	if d.body > rows || rows-d.body+d.dead >= extraTailRows {
-		t.Fatalf("%d rows, a body of %d with %d dead: the tail should have been merged", rows, d.body, d.dead)
-	}
-	dead := 0
-	for r := range rows {
-		if r > 0 && r < d.body && !d.less(r-1, &d.extraCols, r) {
-			t.Fatalf("body out of order at %d: (%x, %d) then (%x, %d)", r, d.keys[r-1], d.ids[r-1], d.keys[r], d.ids[r])
+	for _, id := range sortedIDs(m.extras) {
+		want := m.extras[id]
+		r := d.row(id)
+		if r < 0 || d.rows.ID(r) != id || d.extras[id] != want.key {
+			t.Fatalf("extra %d under %x: row %d, keyed %x", id, want.key, r, d.extras[id])
 		}
-		pt := d.pts[r*d.k : (r+1)*d.k]
-		if d.objs[r] == nil {
-			if r >= d.body {
-				t.Fatalf("tail row %d (id %d) is dead", r, d.ids[r])
-			}
-			if !slices.ContainsFunc(pt, math.IsNaN) {
-				t.Fatalf("dead body row %d holds %v", r, pt)
-			}
-			dead++
-			continue
-		}
-		if r < d.body {
-			var visited bool
-			cube := make([]lph.Bounds, d.k)
-			for j, x := range pt {
-				cube[j] = lph.Bounds{Lo: x, Hi: x}
-			}
-			d.boxes.Walk(cube, r, r+1, func(lo, hi int) { visited = lo == r && hi == r+1 })
-			if !visited {
-				t.Fatalf("body row %d at %v lies outside its leaf box", r, pt)
-			}
-		}
-		id := d.ids[r]
-		want, ok := m.extras[id]
-		if !ok || !bytes.Equal(d.objs[r], want.obj) {
-			t.Fatalf("row %d holds %q under id %d, which the model does not", r, d.objs[r], id)
-		}
-		if key, ok := d.extras[id]; !ok || key != d.keys[r] || d.row(id) != r {
-			t.Fatalf("row %d holds id %d under %x; extras has %x (%v), and row finds %d", r, id, d.keys[r], key, ok, d.row(id))
-		}
+		slot := d.rows.Ref(r)
 		var val any
 		if d.dim > 0 {
-			val = metric.Vector(d.vecs[r*d.dim : (r+1)*d.dim])
+			val = metric.Vector(d.vecs[int(slot)*d.dim : int(slot+1)*d.dim])
 		} else {
-			val = d.strs[r]
+			val = d.strs[slot]
 		}
-		if d.keys[r] != want.key || !slices.Equal(pt, want.point) || !reflect.DeepEqual(val, want.val) {
-			t.Fatalf("row %d (id %d) holds %x %v %v, placed at %x %v %v", r, id, d.keys[r], pt, val, want.key, want.point, want.val)
+		if !bytes.Equal(d.objs[slot], want.obj) || !reflect.DeepEqual(val, want.val) {
+			t.Fatalf("row %d (id %d) holds slot %d: %q %v, placed as %q %v", r, id, slot, d.objs[slot], val, want.obj, want.val)
 		}
-	}
-	if dead != d.dead || rows-dead != len(d.extras) {
-		t.Fatalf("%d rows, %d of them dead (the delta counts %d), for %d extras", rows, dead, d.dead, len(d.extras))
 	}
 	for id := range m.tombs {
 		if _, ok := d.tombs[id]; !ok {
@@ -188,9 +148,10 @@ func checkIndex(t *testing.T, d *delta, m *deltaModel) {
 // key, at a random key or at the top of the key space.
 func randomShare(rng *rand.Rand, d *delta, part *lph.Partitioner) share {
 	s := share{d: d}
+	ids := sortedIDs(d.extras)
 	anyKey := func() lph.Key {
-		if d.rows() > 0 && rng.Intn(4) != 0 {
-			return d.keys[rng.Intn(d.rows())]
+		if len(ids) > 0 && rng.Intn(4) != 0 {
+			return d.extras[ids[rng.Intn(len(ids))]]
 		}
 		return lph.Key(rng.Uint64())
 	}
@@ -264,14 +225,15 @@ func FuzzExtrasRun(f *testing.F) {
 	f.Add(int64(1), []byte{0, 80, 3, 1, 2, 3, 0, 81, 3, 1, 2, 3, 0, 70, 12, 0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0})
 	f.Add(int64(2), []byte{0, 90, 2, 4, 4, 1, 0, 5, 0, 2, 90, 0, 2, 3, 0, 3, 3, 0, 3, 90, 0})
 	f.Add(int64(3), []byte{0, 2, 1, 1, 0, 100, 0, 0, 101, 0, 0, 102, 1, 4, 1, 0, 2, 2, 101, 0, 3, 100, 0})
-	// Three tails' worth of publishes under distinct ids, then deletes,
-	// forgets and republishes of what they placed, most of it in the
-	// body by then.
+	// Three tails' worth of publishes under distinct ids (query.Rows
+	// merges a tail of 64), then deletes, forgets and republishes of
+	// what they placed, most of it in the body by then.
+	const tail = 64
 	var long []byte
-	for i := range 3 * extraTailRows {
+	for i := range 3 * tail {
 		long = append(long, 0, byte(80+i), 2, byte(i), byte(7*i))
 	}
-	for i := range 2 * extraTailRows {
+	for i := range 2 * tail {
 		long = append(long, byte(1+i%3), byte(80+5*i), 1, byte(3*i))
 	}
 	f.Add(int64(4), long)

@@ -72,7 +72,7 @@ func FuzzDecodeRepEntry(f *testing.F) {
 			if !errors.As(err, &fe) {
 				t.Fatalf("refused with %T (%v), want a *wire.FrameError", err, err)
 			}
-			if got.tombs != nil || got.extras != nil || got.keys != nil || got.digest != 0 {
+			if got.tombs != nil || got.extras != nil || got.rows.Len() != 0 || got.objs != nil || got.digest != 0 {
 				t.Fatalf("a refusal returned %+v", got)
 			}
 			return

@@ -200,18 +200,27 @@ func answerReference(n *Node, q *queryMsg, shares []share) []ResultEntry {
 				}
 			}
 		}
-		// The extras in the order answerExtras finds them: a region's
-		// body stretch in key order, then its tail rows in row order.
+		// The extras in the order answerExtras finds them: the rows of
+		// the delta's index in row order — a region's body stretch in key
+		// order, then its tail — each point mapped again from its object.
 		d := s.d
 		for i, reg := range s.regions {
 			lo, hi := lph.CuboidSpan(reg.PreKey, reg.PreLen)
 			top := min(hi-1, s.cuts[i])
-			for r := range d.rows() {
-				if key := d.keys[r]; key < lo || key > top || !reg.Contains(d.pts[r*d.k:(r+1)*d.k]) {
+			for r := range d.rows.Len() {
+				slot := d.rows.Ref(r)
+				if slot < 0 {
 					continue
 				}
-				if dist := metric.L2(qv, d.vecs[r*d.dim:(r+1)*d.dim]); dist <= q.R {
-					ents = append(ents, ResultEntry{Obj: d.ids[r], Dist: dist})
+				key, point, _, err := n.data.MapObj(d.objs[slot])
+				if err != nil {
+					panic(err)
+				}
+				if key = n.data.Part().Unring(key); key < lo || key > top || !reg.Contains(point) {
+					continue
+				}
+				if dist := metric.L2(qv, d.vecs[int(slot)*d.dim:int(slot+1)*d.dim]); dist <= q.R {
+					ents = append(ents, ResultEntry{Obj: d.rows.ID(r), Dist: dist})
 				}
 			}
 		}

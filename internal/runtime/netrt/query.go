@@ -347,7 +347,7 @@ type leafState struct {
 	pos   [64]int32
 	dist  [64]float64
 	n     int
-	xbox  query.Box // the region's cube, for a delta's float64 rows (answerExtras)
+	xrows []int32 // a share's extras in its regions (answerExtras)
 }
 
 // answer resolves a message's local shares in one pass. Each region
@@ -461,65 +461,40 @@ func (n *Node) inBand(a int, band uint64) uint64 {
 }
 
 // answerExtras appends to ents the share's extras that answer one of
-// its regions and lie within r of the query ev decoded. Each region
-// reads the stretch of the delta's body between its cuboid's first key
-// and the lower of its last key and its cut — two binary searches —
-// through the body's leaf boxes, the cube tested 64 float64 rows a
-// query.Box.Mask call, exactly as Region.Contains tests a point; then
-// the tail, in one more call and a check of the keys that pass. The
-// rows inside join a batch of up to 64, refined in one
-// evaluator.RefineExtras call, and the hits are appended in the order
-// the rows were found. Extras are counted in tested and refined as boot
-// entries are: the rows under the boxes that meet the cube and every
-// tail row, and every exact distance.
+// its regions and lie within r of the query ev decoded: for each region,
+// the rows of the delta's index (query.Rows.Scan) whose keys lie between
+// its cuboid's first key and the lower of its last key and its cut —
+// where a boot entry with their key would answer — and whose points its
+// cube contains, exactly as Region.Contains tests a point. They are
+// refined 64 at a time, one evaluator.RefineExtras call over their
+// payload slots, and the hits are appended in the order the rows were
+// found. Extras are counted in tested and refined as boot entries are:
+// every row the scan compared with a cube, and every exact distance.
 //
 //lint:context executor
 func (n *Node) answerExtras(ev evaluator, r float64, s share, ents []ResultEntry) []ResultEntry {
 	d, at := s.d, &n.leaves
-	flush := func() {
-		n.refined += uint64(at.n)
-		for hits := ev.RefineExtras(&d.extraCols, at.pos[:at.n], r, at.dist[:at.n]); hits != 0; hits &= hits - 1 {
-			i := bits.TrailingZeros64(hits)
-			ents = append(ents, ResultEntry{Obj: d.ids[at.pos[i]], Dist: at.dist[i]})
-		}
-		at.n = 0
-	}
-	add := func(in uint64, a int) {
-		for ; in != 0; in &= in - 1 {
-			at.pos[at.n] = int32(a + bits.TrailingZeros64(in))
-			if at.n++; at.n == len(at.pos) {
-				flush()
-			}
-		}
-	}
-	leaf := func(a, b int) {
-		n.tested += uint64(b - a)
-		for ; a < b; a += 64 {
-			add(at.xbox.Mask(d.pts[a*d.k:], min(b-a, 64)), a)
-		}
-	}
-	tail := d.rows() - d.body
+	rows := at.xrows[:0]
 	for i, reg := range s.regions {
-		a, b, lo, top := d.stretch(reg, s.cuts[i])
-		if top < lo {
-			continue
-		}
-		at.xbox.Set(reg.Cube)
-		d.boxes.Walk(reg.Cube, a, b, leaf)
-		if tail == 0 {
-			continue
-		}
-		n.tested += uint64(tail)
-		in, keys := at.xbox.Mask(d.pts[d.body*d.k:], tail), d.keys[d.body:]
-		for m := in; m != 0; m &= m - 1 {
-			if key := keys[bits.TrailingZeros64(m)]; key < lo || key > top {
-				in &^= m & -m
-			}
-		}
-		add(in, d.body)
+		lo, hi := lph.CuboidSpan(reg.PreKey, reg.PreLen)
+		var tested int
+		// hi is exclusive, and wraps to 0 for the whole key space.
+		rows, tested = d.rows.Scan(reg.Cube, lo, min(hi-1, s.cuts[i]), rows)
+		n.tested += uint64(tested)
 	}
-	flush()
-	at.xbox = query.Box{} // hold on to no cube past the message
+	at.xrows = rows
+	n.refined += uint64(len(rows))
+	for len(rows) > 0 {
+		batch := rows[:min(len(rows), len(at.pos))]
+		rows = rows[len(batch):]
+		for i, row := range batch {
+			at.pos[i] = d.rows.Ref(int(row))
+		}
+		for hits := ev.RefineExtras(&d.payload, at.pos[:len(batch)], r, at.dist[:len(batch)]); hits != 0; hits &= hits - 1 {
+			i := bits.TrailingZeros64(hits)
+			ents = append(ents, ResultEntry{Obj: d.rows.ID(int(batch[i])), Dist: at.dist[i]})
+		}
+	}
 	return ents
 }
 
